@@ -23,6 +23,7 @@ from .encoding import (
     GeneratorSet,
     ModelKind,
     ModelPoint,
+    closed_frame,
     closed_generators,
     closed_generators_2p,
     closed_generators_3p,
@@ -47,6 +48,7 @@ from .linalg import (
     herm_eig,
     j_direction,
     spectral_absmax,
+    spin_moments,
     sym_inverse,
     trace_norm,
 )
@@ -58,15 +60,15 @@ from .metrology import (
     born_probabilities,
     classical_fim,
     check_probe,
+    frame_qfim_uhlmann,
     holevo_pure,
+    incompat_operator,
     incompat_report,
-    qfim_from_generators,
     qfim_from_slds,
     qfim_from_state_derivatives,
     qfim_uhlmann,
     sld_solve,
     submodel,
-    uhlmann_from_generators,
     uhlmann_from_slds,
 )
 from .models import (

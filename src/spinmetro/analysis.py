@@ -1,8 +1,9 @@
 """Experiment drivers: grid scans, scaling tables, rank experiments, reports.
 
-Everything here is deterministic given its configuration.  Grids are
-evaluated with vectorized kernels whose cell values are identical to the
-one-point library route (the tests pin this); random experiments draw each
+Everything here is deterministic given its configuration.  Grids and
+scaling tables take (Q, D) from the probe's spin moments through the
+N-independent frame kernel, whose values match the dense one-point library
+route to rounding (the tests pin this); random experiments draw each
 trial from its own counter-derived seed so results are independent of
 evaluation order.  CSV output uses '.' decimals, ',' delimiters, a header
 row and 17 significant digits so repeated runs are bytewise identical.
@@ -19,13 +20,20 @@ from .encoding import (
     GeneratorSet,
     ModelKind,
     ModelPoint,
+    closed_frame,
     closed_generators,
     numeric_generators,
     series_generators,
 )
-from .errors import InvalidInput, NumericalFailure
-from .linalg import build_spin_rep
-from .metrology import batched_qfim_uhlmann, check_probe, classical_fim, incompat_report
+from .errors import InvalidInput
+from .linalg import build_spin_rep, sym_inverse
+from .metrology import (
+    check_probe,
+    classical_fim,
+    frame_qfim_uhlmann,
+    incompat_operator,
+    incompat_report,
+)
 from .models import ProbeSpec, make_probe
 
 __all__ = [
@@ -162,33 +170,6 @@ class ScanResult:
         _write_csv(path, self.HEADER, self.rows())
 
 
-def _grid_generator_stack(config: ScanConfig, theta: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Closed-form generator stack for every grid cell, shape (G, d, N, N).
-
-    Vectorized twin of :func:`spinmetro.encoding.closed_generators`; the
-    tests assert cell-for-cell agreement with the scalar route.
-    """
-    jvec = build_spin_rep(config.dim).jvec
-    t = config.t
-    g = theta.size
-    ch, sh = np.cos(b * t / 2), np.sin(b * t / 2)
-    ct, st = np.cos(theta), np.sin(theta)
-    zeros = np.zeros(g)
-    if config.kind is ModelKind.TWO_PARAM:
-        n_theta = np.stack([ct, zeros, st], axis=1)
-        n1 = np.stack([ch * st, -sh, -ch * ct], axis=1)
-        vecs = np.stack([n_theta, n1], axis=1)
-        pref = np.stack([-t * np.ones(g), 2 * sh], axis=1)
-    else:
-        cp, sp = np.cos(config.model_phi), np.sin(config.model_phi)
-        n_theta = np.stack([ct * cp, ct * sp, st], axis=1)
-        n1 = np.stack([sh * sp + ch * st * cp, -sh * cp + ch * st * sp, -ch * ct], axis=1)
-        n2 = np.stack([ch * sp - sh * st * cp, -ch * cp - sh * st * sp, sh * ct], axis=1)
-        vecs = np.stack([n_theta, n1, n2], axis=1)
-        pref = np.stack([-t * np.ones(g), 2 * sh, 2 * sh * ct], axis=1)
-    return np.einsum("glk,kij->glij", vecs, jvec) * pref[:, :, None, None]
-
-
 def run_scan(config: ScanConfig) -> ScanResult:
     """Evaluate R, Delta and T = R - Delta over the (theta, B) grid.
 
@@ -200,9 +181,9 @@ def run_scan(config: ScanConfig) -> ScanResult:
     th_grid, b_grid = np.meshgrid(thetas, bs, indexing="ij")
     theta = th_grid.ravel()
     b = b_grid.ravel()
-    gens = _grid_generator_stack(config, theta, b)
-    psi = config.probe_state()
-    q, d = batched_qfim_uhlmann(gens, psi)
+    phi = None if config.kind is ModelKind.TWO_PARAM else config.model_phi
+    frame = closed_frame(config.kind, b, theta, config.t, phi)
+    q, d = frame_qfim_uhlmann(frame, config.probe_state())
 
     evals = np.linalg.eigvalsh(q)
     lam_max = evals[..., -1]
@@ -214,11 +195,7 @@ def run_scan(config: ScanConfig) -> ScanResult:
     if regular.any():
         q_reg, d_reg = q[regular], d[regular]
         q_inv = np.linalg.inv(q_reg)
-        lam = np.linalg.eigvals(1j * q_inv @ d_reg)
-        scale = np.maximum(np.abs(lam).max(axis=-1), 1e-300)
-        if (np.abs(lam.imag).max(axis=-1) > 1e-8 * scale).any():
-            raise NumericalFailure("incompatibility spectrum not numerically real on grid")
-        r_ai[regular] = np.abs(lam.real).max(axis=-1)
+        r_ai[regular] = np.abs(np.linalg.eigvalsh(incompat_operator(q_reg, d_reg))).max(axis=-1)
         if config.weight is None:
             sandwich = q_inv @ d_reg @ q_inv
             c_sld = np.trace(q_inv, axis1=-2, axis2=-1)
@@ -297,25 +274,21 @@ def scaling_table(
         raise InvalidInput("scaling dimensions must be >= 4")
     alphas = tuple(float(a) for a in alphas)
     baseline_dim = 2 if kind is ModelKind.TWO_PARAM else 4
-    baseline_rep = build_spin_rep(baseline_dim)
+    frame = closed_frame(kind, point.b, point.theta, point.t, point.phi)
+
+    def qfim(n, alpha):
+        probe = make_probe(ProbeSpec(dim=n, alpha=alpha, phi=probe_phi))
+        return frame_qfim_uhlmann(frame, probe)[0]
+
     gammas: dict = {}
     slopes: dict = {}
     for alpha in alphas:
-        base_gens = closed_generators(baseline_rep, kind, point)
-        base_probe = make_probe(ProbeSpec(dim=baseline_dim, alpha=alpha, phi=probe_phi))
-        base = incompat_report(base_gens, base_probe, rel_tol=rel_tol)
-        per_alpha: dict = {}
-        if base.singular:
+        base_inv = sym_inverse(qfim(baseline_dim, alpha), rel_tol=rel_tol)
+        if base_inv is None:
             gammas[alpha] = {n: None for n in dims}
             slopes[alpha] = None
             continue
-        base_inv = np.linalg.inv(base.qfim)
-        for n in dims:
-            rep = build_spin_rep(n)
-            gens = closed_generators(rep, kind, point)
-            probe = make_probe(ProbeSpec(dim=n, alpha=alpha, phi=probe_phi))
-            rep_n = incompat_report(gens, probe, rel_tol=rel_tol)
-            per_alpha[n] = float(np.trace(rep_n.qfim @ base_inv))
+        per_alpha = {n: float(np.trace(qfim(n, alpha) @ base_inv)) for n in dims}
         gammas[alpha] = per_alpha
         x = np.array(dims, dtype=float)
         x = x - 1.0 if kind is ModelKind.TWO_PARAM else x

@@ -12,7 +12,8 @@ formulas for the quantum Fisher information and Uhlmann curvature.  The
 generators can be produced through three independent routes:
 
 * :func:`closed_generators` -- exact closed forms; every generator is a
-  spin component along an explicitly known direction.
+  spin component ``a_l . J`` along a known direction, and
+  :func:`closed_frame` gives the rows ``a_l`` without building any matrix.
 * :func:`series_generators` -- the nested-commutator series
   ``G_l = 1j * sum_n f_n ad_H^n(d_l H)`` with ``f_n = (1j t)^(n+1)/(n+1)!``.
 * :func:`numeric_generators` -- central finite differences of ``U``.
@@ -40,6 +41,7 @@ __all__ = [
     "GeneratorSet",
     "direction_vectors_2p",
     "direction_vectors_3p",
+    "closed_frame",
     "hamiltonian",
     "closed_generators",
     "closed_generators_2p",
@@ -98,11 +100,11 @@ class ModelPoint:
         return ModelPoint(b=values[0], theta=values[1], t=self.t, phi=values[2])
 
 
-def _check_point(kind: ModelKind, point: ModelPoint) -> None:
-    if kind.n_params != point.n_params:
+def _check_phi(kind: ModelKind, phi) -> None:
+    if (phi is None) != (kind is ModelKind.TWO_PARAM):
         raise InvalidInput(
             f"{kind.value}-parameter model needs phi "
-            f"{'absent' if kind is ModelKind.TWO_PARAM else 'present'}, got {point!r}"
+            f"{'absent' if kind is ModelKind.TWO_PARAM else 'present'}, got phi={phi!r}"
         )
 
 
@@ -141,6 +143,41 @@ class GeneratorSet:
         return iter(self.matrices)
 
 
+def _vectors(shape, rows) -> np.ndarray:
+    # (*shape, len(rows), 3) array from rows of three components that
+    # broadcast to shape.  Filling in place keeps a scalar call cheap.
+    out = np.empty(shape + (len(rows), 3))
+    for i, row in enumerate(rows):
+        for k, c in enumerate(row):
+            out[..., i, k] = c
+    return out
+
+
+def _directions_2p(b, theta, t) -> np.ndarray:
+    # Rows n_theta, n_theta_prime, n1, n2, broadcast over b and theta.
+    half = np.multiply(b, t / 2)
+    ch, sh, ct, st = np.cos(half), np.sin(half), np.cos(theta), np.sin(theta)
+    return _vectors(
+        np.broadcast(b, theta).shape,
+        [(ct, 0.0, st), (-st, 0.0, ct), (ch * st, -sh, -ch * ct), (sh * st, ch, -sh * ct)],
+    )
+
+
+def _directions_3p(b, theta, t, phi) -> np.ndarray:
+    # Rows n_theta, n1, n2, broadcast over b, theta and phi.
+    half = np.multiply(b, t / 2)
+    ch, sh, ct, st = np.cos(half), np.sin(half), np.cos(theta), np.sin(theta)
+    cp, sp = np.cos(phi), np.sin(phi)
+    return _vectors(
+        np.broadcast(b, theta, phi).shape,
+        [
+            (ct * cp, ct * sp, st),
+            (sh * sp + ch * st * cp, -sh * cp + ch * st * sp, -ch * ct),
+            (ch * sp - sh * st * cp, -ch * cp - sh * st * sp, sh * ct),
+        ],
+    )
+
+
 def direction_vectors_2p(point: ModelPoint):
     """Unit direction vectors of the two-parameter model.
 
@@ -149,14 +186,7 @@ def direction_vectors_2p(point: ModelPoint):
     ``n2`` span the plane the theta-generator rotates in; ``n2`` equals
     ``n_theta x n1`` identically.
     """
-    half = point.b * point.t / 2
-    ch, sh = np.cos(half), np.sin(half)
-    ct, st = np.cos(point.theta), np.sin(point.theta)
-    n_theta = np.array([ct, 0.0, st])
-    n_theta_prime = np.array([-st, 0.0, ct])
-    n1 = np.array([ch * st, -sh, -ch * ct])
-    n2 = np.array([sh * st, ch, -sh * ct])
-    return n_theta, n_theta_prime, n1, n2
+    return tuple(_directions_2p(point.b, point.theta, point.t))
 
 
 def direction_vectors_3p(point: ModelPoint):
@@ -166,19 +196,41 @@ def direction_vectors_3p(point: ModelPoint):
     rotating-frame directions attached to the theta and phi generators.
     The triple is orthonormal with ``n_theta x n2 = n1``.
     """
-    half = point.b * point.t / 2
-    ch, sh = np.cos(half), np.sin(half)
-    ct, st = np.cos(point.theta), np.sin(point.theta)
-    cp, sp = np.cos(point.phi), np.sin(point.phi)
-    n_theta = np.array([ct * cp, ct * sp, st])
-    n1 = np.array([sh * sp + ch * st * cp, -sh * cp + ch * st * sp, -ch * ct])
-    n2 = np.array([ch * sp - sh * st * cp, -ch * cp - sh * st * sp, sh * ct])
-    return n_theta, n1, n2
+    return tuple(_directions_3p(point.b, point.theta, point.t, point.phi))
+
+
+def closed_frame(kind: ModelKind, b, theta, t: float, phi=None) -> np.ndarray:
+    """Frame ``A`` of the closed-form generators, ``G_l = A[..., l, :] . J``.
+
+    Two parameters: ``G_B = -t J_{n_theta}`` and
+    ``G_theta = 2 sin(Bt/2) J_{n1}``.  Three parameters add
+    ``G_phi = 2 sin(Bt/2) cos(theta) J_{n2}``; the cos(theta) factor is
+    required, since at theta = pi/2 the Hamiltonian is independent of phi,
+    so its generator must vanish there.  All three forms are checked
+    against the series and finite-difference routes in the tests.
+
+    ``b`` and ``theta`` (and ``phi``) broadcast against each other, so a
+    scalar point is a batch of one; the result has shape ``(..., d, 3)``.
+    ``phi`` must be given exactly for the three-parameter model.
+    """
+    _check_phi(kind, phi)
+    if not t > 0:
+        raise InvalidInput(f"evolution time must be positive, got {t!r}")
+    sh = np.sin(np.multiply(b, t / 2))
+    if kind is ModelKind.TWO_PARAM:
+        frame = _directions_2p(b, theta, t)[..., [0, 2], :]  # n_theta, n1
+        prefactors = (-t, 2 * sh)
+    else:
+        frame = _directions_3p(b, theta, t, phi)
+        prefactors = (-t, 2 * sh, 2 * sh * np.cos(theta))
+    for l, pref in enumerate(prefactors):
+        frame[..., l, :] *= np.asarray(pref)[..., None]
+    return frame
 
 
 def hamiltonian(rep: SpinRep, kind: ModelKind, point: ModelPoint) -> np.ndarray:
     """Field Hamiltonian ``B * n . J`` at the given point."""
-    _check_point(kind, point)
+    _check_phi(kind, point.phi)
     if kind is ModelKind.TWO_PARAM:
         n = direction_vectors_2p(point)[0]
     else:
@@ -187,43 +239,24 @@ def hamiltonian(rep: SpinRep, kind: ModelKind, point: ModelPoint) -> np.ndarray:
 
 
 def closed_generators_2p(rep: SpinRep, point: ModelPoint) -> GeneratorSet:
-    """Closed-form generators of the two-parameter model.
-
-    ``G_B = -t * J_{n_theta}`` and ``G_theta = 2 sin(Bt/2) J_{n1}``.
-    """
+    """Closed-form generators of the two-parameter model (see :func:`closed_frame`)."""
     if point.n_params != 2:
         raise InvalidInput("closed_generators_2p needs a two-parameter point")
-    n_theta, _, n1, _ = direction_vectors_2p(point)
-    g_b = -point.t * j_direction(rep, n_theta)
-    g_theta = 2 * np.sin(point.b * point.t / 2) * j_direction(rep, n1)
-    return GeneratorSet(labels=("B", "theta"), matrices=np.stack([g_b, g_theta]))
+    return closed_generators(rep, ModelKind.TWO_PARAM, point)
 
 
 def closed_generators_3p(rep: SpinRep, point: ModelPoint) -> GeneratorSet:
-    """Closed-form generators of the three-parameter model.
-
-    ``G_B = -t * J_{n_theta}``, ``G_theta = 2 sin(Bt/2) J_{n1}`` and
-    ``G_phi = 2 sin(Bt/2) cos(theta) J_{n2}``.  The cos(theta) factor in
-    ``G_phi`` is required: at theta = pi/2 the Hamiltonian is independent
-    of phi, so its generator must vanish there.  All three forms are
-    checked against the series and finite-difference routes in the tests.
-    """
+    """Closed-form generators of the three-parameter model (see :func:`closed_frame`)."""
     if point.n_params != 3:
         raise InvalidInput("closed_generators_3p needs a three-parameter point")
-    n_theta, n1, n2 = direction_vectors_3p(point)
-    sh = np.sin(point.b * point.t / 2)
-    g_b = -point.t * j_direction(rep, n_theta)
-    g_theta = 2 * sh * j_direction(rep, n1)
-    g_phi = 2 * sh * np.cos(point.theta) * j_direction(rep, n2)
-    return GeneratorSet(labels=("B", "theta", "phi"), matrices=np.stack([g_b, g_theta, g_phi]))
+    return closed_generators(rep, ModelKind.THREE_PARAM, point)
 
 
 def closed_generators(rep: SpinRep, kind: ModelKind, point: ModelPoint) -> GeneratorSet:
-    """Dispatch to the closed form matching ``kind``."""
-    _check_point(kind, point)
-    if kind is ModelKind.TWO_PARAM:
-        return closed_generators_2p(rep, point)
-    return closed_generators_3p(rep, point)
+    """Dense closed-form generators ``G_l = a_l . J`` from :func:`closed_frame`."""
+    frame = closed_frame(kind, point.b, point.theta, point.t, point.phi)
+    jvec = np.stack([rep.jx, rep.jy, rep.jz])
+    return GeneratorSet(labels=kind.labels, matrices=np.tensordot(frame, jvec, axes=1))
 
 
 def _fd_steps(values: np.ndarray, step: float) -> np.ndarray:
@@ -242,7 +275,7 @@ def numeric_generators(
     ``(A + A^dag)/2``.  The Hermitization residual is recorded on the
     returned set; a residual above 1e-4 raises :class:`StepInstability`.
     """
-    _check_point(kind, point)
+    _check_phi(kind, point.phi)
     if not step > 0:
         raise InvalidInput("finite-difference step must be positive")
     values = point.values()
@@ -300,7 +333,7 @@ def series_generators(
     convergence well inside ``max_terms`` for the field strengths and
     times this package targets.
     """
-    _check_point(kind, point)
+    _check_phi(kind, point.phi)
     if not tol > 0:
         raise InvalidInput("series tolerance must be positive")
     h = hamiltonian(rep, kind, point)

@@ -17,6 +17,7 @@ from .errors import InvalidInput, NumericalFailure, SpectrumNotReal
 __all__ = [
     "SpinRep",
     "build_spin_rep",
+    "spin_moments",
     "j_direction",
     "herm_eig",
     "expm_i",
@@ -90,10 +91,10 @@ class SpinRep:
         for name in ("jx", "jy", "jz"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
-    @property
-    def jvec(self) -> np.ndarray:
-        """The generators stacked into one (3, N, N) array."""
-        return np.stack([self.jx, self.jy, self.jz])
+
+def _ladder_elements(s: float, m: np.ndarray) -> np.ndarray:
+    """``<m-1|J-|m> = sqrt(s(s+1) - m(m-1))`` for each ``m`` given."""
+    return np.sqrt(s * (s + 1) - m * (m - 1))
 
 
 def build_spin_rep(N: int) -> SpinRep:
@@ -109,12 +110,38 @@ def build_spin_rep(N: int) -> SpinRep:
     s = (N - 1) / 2
     m = s - np.arange(N)
     jminus = np.zeros((N, N), dtype=complex)
-    jminus[np.arange(1, N), np.arange(N - 1)] = np.sqrt(s * (s + 1) - m[:-1] * (m[:-1] - 1))
+    jminus[np.arange(1, N), np.arange(N - 1)] = _ladder_elements(s, m[:-1])
     jplus = jminus.conj().T
     jx = (jplus + jminus) / 2
     jy = (jplus - jminus) / 2j
     jz = np.diag(m).astype(complex)
     return SpinRep(N=N, s=s, jx=jx, jy=jy, jz=jz)
+
+
+def spin_moments(psi) -> tuple[np.ndarray, np.ndarray]:
+    """First and second spin moments of a state, without forming any N x N matrix.
+
+    Returns ``(mean, second)`` with ``mean[k] = <J_k>`` (real, shape (3,))
+    and ``second[k, m] = <J_k J_m>`` (complex, shape (3, 3)), in the basis
+    of :func:`build_spin_rep` (Jz diagonal, entries s down to -s).  ``J+ psi``
+    and ``J- psi`` are the state shifted by one entry and scaled by the
+    ladder elements, so the cost is O(N).  The expectations assume ``psi``
+    has unit norm.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    if psi.ndim != 1 or psi.size < 2:
+        raise InvalidInput(f"state must be a vector of dimension >= 2, got shape {psi.shape}")
+    s = (psi.size - 1) / 2
+    m = s - np.arange(psi.size)
+    ladder = _ladder_elements(s, m[:-1])
+    jminus_psi = np.zeros_like(psi)
+    jplus_psi = np.zeros_like(psi)
+    jminus_psi[1:] = ladder * psi[:-1]
+    jplus_psi[:-1] = ladder * psi[1:]
+    v = np.stack([(jplus_psi + jminus_psi) / 2, (jplus_psi - jminus_psi) / 2j, m * psi])
+    mean = (v @ psi.conj()).real
+    second = v.conj() @ v.T
+    return mean, second
 
 
 def j_direction(rep: SpinRep, n) -> np.ndarray:
@@ -155,10 +182,14 @@ def expm_i(a, c: float) -> np.ndarray:
 def spectral_absmax(a, imag_rel_tol: float = 1e-8) -> float:
     """Largest eigenvalue magnitude of a matrix with real spectrum.
 
-    Raises :class:`SpectrumNotReal` when any eigenvalue's imaginary part
-    exceeds ``imag_rel_tol`` relative to the spectral scale.
+    An exactly Hermitian input goes through ``eigvalsh``, whose spectrum is
+    real by construction.  Otherwise raises :class:`SpectrumNotReal` when
+    any eigenvalue's imaginary part exceeds ``imag_rel_tol`` relative to
+    the spectral scale.
     """
     a = _as_square(a)
+    if np.array_equal(a, a.conj().T):
+        return float(np.abs(np.linalg.eigvalsh(a)).max(initial=0.0))
     w = np.linalg.eigvals(a)
     scale = max(float(np.abs(w).max(initial=0.0)), 1e-300)
     imag = float(np.abs(w.imag).max(initial=0.0))

@@ -1,7 +1,9 @@
 """Estimation-theory core: QFIM, Uhlmann curvature, SLD, bounds.
 
-All routines are model-agnostic; they consume generator sets or density
-matrices and know nothing about su(2).  Near-singular quantum Fisher
+The routines consume generator sets or density matrices and know nothing
+about su(2), except :func:`frame_qfim_uhlmann`, which takes generators
+that are spin components ``a_l . J`` as their (d, 3) frame and needs only
+the probe's spin moments.  Near-singular quantum Fisher
 matrices are never pseudo-inverted: every quantity that needs an inverse
 returns ``None`` (or sets a flag) instead, so callers can mask those
 points.  The misleading regime is exactly where ``det Q -> 0``, and a
@@ -16,13 +18,12 @@ import numpy as np
 
 from .encoding import GeneratorSet
 from .errors import InvalidInput, NumericalFailure
-from .linalg import require_hermitian, spectral_absmax, sym_inverse, trace_norm
+from .linalg import require_hermitian, spectral_absmax, spin_moments, sym_inverse, trace_norm
 
 __all__ = [
     "check_probe",
     "qfim_uhlmann",
-    "qfim_from_generators",
-    "uhlmann_from_generators",
+    "frame_qfim_uhlmann",
     "batched_qfim_uhlmann",
     "qfim_from_state_derivatives",
     "sld_solve",
@@ -30,6 +31,7 @@ __all__ = [
     "uhlmann_from_slds",
     "born_probabilities",
     "classical_fim",
+    "incompat_operator",
     "ai_measure",
     "ai_two_param",
     "holevo_pure",
@@ -77,12 +79,27 @@ def qfim_uhlmann(gens: GeneratorSet, probe) -> tuple[np.ndarray, np.ndarray]:
     return (q + q.T) / 2, (d - d.T) / 2
 
 
-def qfim_from_generators(gens: GeneratorSet, probe) -> np.ndarray:
-    return qfim_uhlmann(gens, probe)[0]
+def frame_qfim_uhlmann(frame, probe) -> tuple[np.ndarray, np.ndarray]:
+    """QFIM and Uhlmann matrix of generators that are spin components.
 
-
-def uhlmann_from_generators(gens: GeneratorSet, probe) -> np.ndarray:
-    return qfim_uhlmann(gens, probe)[1]
+    ``frame`` has shape (..., d, 3) and row ``a_l`` gives the generator
+    ``G_l = a_l . J``.  Then ``Q = 4 A Cov A^T`` with the 3 x 3 spin
+    covariance ``Cov = Re<J_k J_m> - <J_k><J_m>``, and, because
+    ``[J_k, J_m] = 1j eps_kmn J_n``, ``D_lm = 2 <J> . (a_l x a_m)``.  The
+    probe enters only through its O(N) spin moments, so the cost per frame
+    is independent of the dimension N.  Q is symmetric and D exactly
+    antisymmetric by construction.  Returns ``(Q, D)`` of shape (..., d, d).
+    """
+    psi = check_probe(probe)
+    frame = np.asarray(frame, dtype=float)
+    if frame.ndim < 2 or frame.shape[-1] != 3:
+        raise InvalidInput(f"frame must have shape (..., d, 3), got {frame.shape}")
+    mean, second = spin_moments(psi)
+    cov = second.real - np.outer(mean, mean)
+    q = 4 * frame @ ((cov + cov.T) / 2) @ np.swapaxes(frame, -1, -2)
+    q = (q + np.swapaxes(q, -1, -2)) / 2
+    d = 2 * (np.cross(frame[..., :, None, :], frame[..., None, :, :]) * mean).sum(axis=-1)
+    return q, d
 
 
 def batched_qfim_uhlmann(gen_stack, probes) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +107,9 @@ def batched_qfim_uhlmann(gen_stack, probes) -> tuple[np.ndarray, np.ndarray]:
 
     ``gen_stack`` has shape (..., d, N, N) and ``probes`` (..., N); the
     leading axes broadcast against each other.  Returns ``(Q, D)`` with
-    shape (..., d, d).  Probes must be pre-normalized.
+    shape (..., d, d).  Probes must be pre-normalized.  Scans and scaling
+    tables use :func:`frame_qfim_uhlmann`; this dense form is its test
+    oracle.
     """
     gen_stack = np.asarray(gen_stack, dtype=complex)
     probes = np.asarray(probes, dtype=complex)
@@ -234,20 +253,41 @@ def classical_fim(probs, grads) -> np.ndarray:
     return (f + f.T) / 2
 
 
+def incompat_operator(q, d) -> np.ndarray:
+    """Hermitian ``1j L^-1 D L^-T`` with ``Q = L L^T``, over leading axes.
+
+    It is similar to ``1j Q^-1 D``, so the two share their spectrum, but
+    being Hermitian its spectrum is real by construction even where Q is
+    ill-conditioned.  Q must be positive definite and D real antisymmetric.
+    """
+    try:
+        chol_inv = np.linalg.inv(np.linalg.cholesky(q))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure("QFIM is not numerically positive definite") from exc
+    m = chol_inv @ d @ np.swapaxes(chol_inv, -1, -2)
+    return 1j * (m - np.swapaxes(m, -1, -2)) / 2
+
+
 def ai_measure(q, d, rel_tol: float = 1e-10) -> float | None:
     """Asymptotic incompatibility: largest eigenvalue magnitude of ``1j Q^-1 D``.
 
-    Returns ``None`` when Q is singular at ``rel_tol``; otherwise a number
-    in [0, 1] up to rounding.
+    Evaluated on the Hermitian :func:`incompat_operator`, the same form the
+    grid scan uses.  Returns ``None`` when Q is singular at ``rel_tol``;
+    otherwise a number in [0, 1] up to rounding.  A D that is not real
+    antisymmetric raises :class:`InvalidInput`.
     """
     q = np.asarray(q, dtype=float)
-    d = np.asarray(d, dtype=float)
+    d = np.asarray(d)
+    if np.iscomplexobj(d) and np.any(d.imag):
+        raise InvalidInput("Uhlmann matrix must be real")
+    d = np.asarray(d.real, dtype=float)
     if q.shape != d.shape:
         raise InvalidInput(f"shape mismatch: Q {q.shape} vs D {d.shape}")
-    q_inv = sym_inverse(q, rel_tol=rel_tol)
-    if q_inv is None:
+    if np.linalg.norm(d + d.T) > 1e-10 * max(np.linalg.norm(d), 1.0):
+        raise InvalidInput("Uhlmann matrix is not antisymmetric")
+    if sym_inverse(q, rel_tol=rel_tol) is None:
         return None
-    return spectral_absmax(1j * q_inv @ d)
+    return spectral_absmax(incompat_operator(q, d))
 
 
 def ai_two_param(q, d) -> float | None:

@@ -294,6 +294,30 @@ def test_criterion_5_gamma_scaling_slopes():
     assert abs(large3 - 2.0) <= 0.15, f"three-parameter slope {large3:.4f} outside 2.0 +/- 0.15"
 
 
+def test_gamma_scaling_at_large_n():
+    # Criterion 5's points over N = 500..2000, where the N^2 term leaves the
+    # closed-form slopes at 1.9990 (two parameters) and 1.9960 (three).  The
+    # moment kernel makes these dimensions as cheap as N = 4.
+    point2 = ModelPoint(b=np.pi / 5, theta=np.pi / 2, t=5.0)
+    point3 = ModelPoint(b=0.6, theta=0.8, t=5.0, phi=1.0)
+    alpha = np.pi / 4
+    dims = np.arange(500, 2001, 100)
+    x = dims - 1.0
+    exact2 = x**2 + x
+    exact3 = (dims - 1.0) * (dims + 5.0) / 9.0
+    table2 = scaling_table(ModelKind.TWO_PARAM, [alpha], dims, point2)
+    table3 = scaling_table(ModelKind.THREE_PARAM, [alpha], dims, point3)
+    gamma2 = np.array([table2.gammas[alpha][n] for n in dims])
+    gamma3 = np.array([table3.gammas[alpha][n] for n in dims])
+    assert np.allclose(gamma2, exact2, rtol=1e-9, atol=0.0)
+    assert np.allclose(gamma3, exact3, rtol=1e-9, atol=0.0)
+    slope2, slope3 = table2.slopes[alpha], table3.slopes[alpha]
+    assert slope2 == pytest.approx(np.polyfit(np.log(x), np.log(exact2), 1)[0], abs=1e-9)
+    assert slope3 == pytest.approx(np.polyfit(np.log(dims), np.log(exact3), 1)[0], abs=1e-9)
+    assert abs(slope2 - 2.0) <= 0.005
+    assert abs(slope3 - 2.0) <= 0.005
+
+
 def test_criterion_6_bound_ordering_on_benchmark_grids(benchmark_grids):
     start = time.perf_counter()
     rng = np.random.default_rng(606)

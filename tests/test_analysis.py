@@ -1,6 +1,7 @@
 """Experiment drivers: grid scans, scaling, rank experiment, reports."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,21 @@ class TestRunScan:
             q, d = qfim_uhlmann(closed_generators(rep(3), config.kind, point), probe)
             _, _, delta = holevo_pure(q, d, weight=w)
             assert res.delta[idx] == pytest.approx(delta, rel=1e-9, abs=1e-12)
+
+    def test_memory_does_not_grow_with_dimension(self):
+        # At N = 200 a dense (G, d, N, N) generator stack for this 5x5 grid
+        # would take 25 * 3 * 200**2 * 16 B = 48 MB; the moment kernel never
+        # forms an N x N matrix.
+        config = small_scan(kind=ModelKind.THREE_PARAM, dim=200, alpha=0.4, counts=(5, 5),
+                            model_phi=0.3)
+        tracemalloc.start()
+        try:
+            res = run_scan(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.theta.size == 25
+        assert peak < 1_000_000
 
     def test_config_validation(self):
         with pytest.raises(InvalidInput):

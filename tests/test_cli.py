@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from spinmetro import ModelPoint, bloch_vector, make_probe, qubit2p_closed
 from spinmetro.cli import main
+from spinmetro.models import ProbeSpec
 
 
 def run(argv):
@@ -23,6 +25,27 @@ class TestScanCommand:
         lines = out1.read_text().strip().split("\n")
         assert lines[0] == "theta,B,R,Delta,T,det_q,singular"
         assert len(lines) == 1 + 11 * 9
+
+    def test_ill_conditioned_qubit_scan_is_maximally_incompatible(self, tmp_path):
+        # This probe puts regular cells close to the singular threshold, where
+        # the eigenvalues of the non-normal 1j Q^-1 D picked up imaginary
+        # parts and the scan exited 1.  R = 1 holds for every pure qubit
+        # probe; it is checked to 1e3 * eps * cond(Q), with Q from the Bloch
+        # closed form.
+        alpha, phi = 0.37158525549893223, 5.2500698813462865
+        out = tmp_path / "scan.csv"
+        assert run(["scan", "--model", "two", "--dim", "2", "--alpha", repr(alpha),
+                    "--phi", repr(phi), "--time", "5.0", "--grid", "51x51",
+                    "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+        regular = [row for row in rows if row[6] == "0"]
+        assert len(regular) == 2499
+        r0 = bloch_vector(make_probe(ProbeSpec(dim=2, alpha=alpha, phi=phi)))
+        eps = np.finfo(float).eps
+        for row in regular:
+            point = ModelPoint(b=float(row[1]), theta=float(row[0]), t=5.0)
+            w = np.linalg.eigvalsh(qubit2p_closed(r0, point).qfim)
+            assert abs(float(row[2]) - 1.0) <= 1e3 * eps * w[-1] / w[0]
 
     def test_three_param_scan(self, tmp_path):
         out = tmp_path / "scan3.csv"

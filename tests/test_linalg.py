@@ -18,12 +18,13 @@ from spinmetro import (
     make_probe,
     qfim_uhlmann,
     spectral_absmax,
+    spin_moments,
     sym_inverse,
     trace_norm,
 )
 from spinmetro.models import ProbeSpec, state_from_bloch
 
-from conftest import random_hermitian, rep
+from conftest import haar_state, random_hermitian, rep
 
 
 class TestBuildSpinRep:
@@ -62,6 +63,32 @@ class TestBuildSpinRep:
         r = rep(3)
         with pytest.raises(ValueError):
             r.jx[0, 0] = 1.0
+
+
+class TestSpinMoments:
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 40])
+    def test_matches_dense_expectations(self, rng, n):
+        r = rep(n)
+        jvec = [r.jx, r.jy, r.jz]
+        for _ in range(3):
+            psi = haar_state(rng, n)
+            mean, second = spin_moments(psi)
+            dense_mean = [(psi.conj() @ jk @ psi).real for jk in jvec]
+            dense_second = [[psi.conj() @ jk @ jm @ psi for jm in jvec] for jk in jvec]
+            scale = (n - 1) ** 2 / 4
+            assert np.abs(mean - dense_mean).max() <= 1e-13 * scale
+            assert np.abs(second - np.array(dense_second)).max() <= 1e-13 * scale
+
+    def test_casimir_and_commutator(self, rng):
+        # Tr <J_k J_k> = s(s+1); Im <J_x J_y> = <J_z> / 2 from [Jx, Jy] = 1j Jz
+        mean, second = spin_moments(haar_state(rng, 6))
+        assert np.trace(second).real == pytest.approx(2.5 * 3.5, rel=1e-13)
+        assert second[0, 1].imag == pytest.approx(mean[2] / 2, abs=1e-13)
+
+    @pytest.mark.parametrize("bad", [np.array([1.0]), np.eye(2)])
+    def test_rejects_non_vectors(self, bad):
+        with pytest.raises(InvalidInput):
+            spin_moments(bad)
 
 
 class TestJDirection:

@@ -15,10 +15,13 @@ from spinmetro import (
     closed_generators,
     closed_generators_2p,
     closed_generators_3p,
+    closed_frame,
     direction_vectors_2p,
     expm_i,
+    frame_qfim_uhlmann,
     hamiltonian,
     holevo_pure,
+    incompat_operator,
     incompat_report,
     make_probe,
     qfim_from_slds,
@@ -118,6 +121,61 @@ class TestUhlmannFromGenerators:
         _, d = qfim_uhlmann(gens, probe)
         closed = threeparam_uhlmann_closed(rep(5), probe, point)
         assert np.abs(d - closed).max() < 1e-8
+
+
+class TestFrameKernel:
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 12])
+    def test_matches_dense_generator_route(self, rng, kind, n):
+        for point in points_for(kind):
+            frame = closed_frame(kind, point.b, point.theta, point.t, point.phi)
+            gens = closed_generators(rep(n), kind, point)
+            for _ in range(3):
+                probe = haar_state(rng, n)
+                q, d = frame_qfim_uhlmann(frame, probe)
+                q_ref, d_ref = qfim_uhlmann(gens, probe)
+                scale = max(np.abs(q_ref).max(), np.abs(d_ref).max())
+                assert np.abs(q - q_ref).max() <= 1e-12 * scale
+                assert np.abs(d - d_ref).max() <= 1e-12 * scale
+
+    def test_broadcast_batch_equals_single_points(self, rng):
+        b = rng.uniform(0.0, 2.0, size=(4, 5))
+        theta = rng.uniform(0.0, 2 * np.pi, size=(4, 1))
+        frame = closed_frame(ModelKind.THREE_PARAM, b, theta, 5.0, 0.3)
+        assert frame.shape == (4, 5, 3, 3)
+        probe = haar_state(rng, 5)
+        q, d = frame_qfim_uhlmann(frame, probe)
+        for i, j in [(0, 0), (2, 3), (3, 4)]:
+            one = closed_frame(ModelKind.THREE_PARAM, b[i, j], theta[i, 0], 5.0, 0.3)
+            q1, d1 = frame_qfim_uhlmann(one, probe)
+            assert np.allclose(q[i, j], q1, rtol=1e-14, atol=0.0)
+            assert np.allclose(d[i, j], d1, rtol=1e-14, atol=0.0)
+
+    def test_uhlmann_exactly_antisymmetric(self, rng):
+        frame = rng.standard_normal((50, 3, 3))
+        q, d = frame_qfim_uhlmann(frame, haar_state(rng, 9))
+        assert np.array_equal(d, -np.swapaxes(d, -1, -2))
+        assert np.array_equal(q, np.swapaxes(q, -1, -2))
+
+    @pytest.mark.parametrize("n", [4, 5, 8, 40])
+    def test_balanced_probe_has_zero_uhlmann(self, rng, n):
+        probe = make_probe(ProbeSpec(dim=n, alpha=np.pi / 4, phi=0.9))
+        b = rng.uniform(0.0, 2.0, size=20)
+        theta = rng.uniform(0.0, 2 * np.pi, size=20)
+        for kind in ModelKind:
+            phi = None if kind is ModelKind.TWO_PARAM else 1.3
+            q, d = frame_qfim_uhlmann(closed_frame(kind, b, theta, 5.0, phi), probe)
+            assert np.abs(d).max() <= 1e-14 * np.abs(q).max()
+
+    def test_frame_validation(self):
+        with pytest.raises(InvalidInput):
+            frame_qfim_uhlmann(np.ones((2, 2)), np.array([1, 0], complex))
+        with pytest.raises(InvalidInput):
+            frame_qfim_uhlmann(np.ones((2, 3)), np.array([1, 1], complex))
+        with pytest.raises(InvalidInput):
+            closed_frame(ModelKind.TWO_PARAM, 0.5, 0.5, 5.0, phi=0.3)
+        with pytest.raises(InvalidInput):
+            closed_frame(ModelKind.THREE_PARAM, 0.5, 0.5, 5.0)
 
 
 class TestStateDerivativeRoute:
@@ -303,6 +361,23 @@ class TestAiMeasure:
 
     def test_singular_flag(self):
         assert ai_measure(np.diag([1.0, 0.0]), np.zeros((2, 2))) is None
+
+    def test_rejects_uhlmann_that_is_not_real_antisymmetric(self):
+        q = np.eye(2)
+        for bad in (np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.0, 1j], [-1j, 0.0]])):
+            with pytest.raises(InvalidInput):
+                ai_measure(q, bad)
+
+    def test_hermitian_operator_has_the_spectrum_of_q_inverse_d(self, rng):
+        for d_size in (2, 3, 4):
+            a = rng.standard_normal((d_size, d_size))
+            q = a @ a.T + 0.1 * np.eye(d_size)
+            d = rng.standard_normal((d_size, d_size))
+            d = d - d.T
+            op = incompat_operator(q, d)
+            assert np.array_equal(op, op.conj().T)
+            direct = np.sort(np.linalg.eigvals(1j * np.linalg.solve(q, d)).real)
+            assert np.allclose(np.linalg.eigvalsh(op), direct, rtol=1e-10, atol=1e-12)
 
 
 class TestAiTwoParam:
