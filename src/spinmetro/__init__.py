@@ -45,7 +45,6 @@ from .linalg import (
     SpinRep,
     build_spin_rep,
     expm_i,
-    herm_eig,
     j_direction,
     spectral_absmax,
     spin_moments,
@@ -55,8 +54,8 @@ from .linalg import (
 from .metrology import (
     IncompatReport,
     ai_measure,
-    ai_two_param,
     batched_qfim_uhlmann,
+    bounds,
     born_probabilities,
     classical_fim,
     check_probe,

@@ -27,13 +27,7 @@ from .encoding import (
 )
 from .errors import InvalidInput
 from .linalg import build_spin_rep, sym_inverse
-from .metrology import (
-    check_probe,
-    classical_fim,
-    frame_qfim_uhlmann,
-    incompat_operator,
-    incompat_report,
-)
+from .metrology import bounds, check_probe, classical_fim, frame_qfim_uhlmann, incompat_report
 from .models import ProbeSpec, make_probe
 
 __all__ = [
@@ -86,7 +80,8 @@ class ScanConfig:
 
     ``b_range`` defaults to one period of the model in the field strength,
     ``[0, 2 pi / t]``; the probe can be a :class:`ProbeSpec` or an explicit
-    amplitude vector of length ``dim``.
+    amplitude vector of length ``dim``.  ``weight`` and ``rel_tol`` are
+    checked when the scan runs, by :func:`~spinmetro.metrology.bounds`.
     """
 
     kind: ModelKind
@@ -100,7 +95,6 @@ class ScanConfig:
     b_count: int = 101
     weight: np.ndarray | None = None
     rel_tol: float = 1e-10
-    seed: int = 0
 
     def __post_init__(self):
         if int(self.dim) != self.dim or self.dim < 2:
@@ -113,8 +107,6 @@ class ScanConfig:
             raise InvalidInput("theta range is empty")
         if self.b_range is not None and not self.b_range[1] > self.b_range[0]:
             raise InvalidInput("B range is empty")
-        if not self.rel_tol > 0:
-            raise InvalidInput("singularity tolerance must be positive")
 
     @property
     def effective_b_range(self) -> tuple[float, float]:
@@ -184,31 +176,8 @@ def run_scan(config: ScanConfig) -> ScanResult:
     phi = None if config.kind is ModelKind.TWO_PARAM else config.model_phi
     frame = closed_frame(config.kind, b, theta, config.t, phi)
     q, d = frame_qfim_uhlmann(frame, config.probe_state())
-
-    evals = np.linalg.eigvalsh(q)
-    lam_max = evals[..., -1]
-    singular = (lam_max <= 0) | (evals[..., 0] < config.rel_tol * lam_max)
+    singular, r_ai, _, _, delta = bounds(q, d, weight=config.weight, rel_tol=config.rel_tol)
     det_q = np.linalg.det(q)
-    r_ai = np.full(theta.size, np.nan)
-    delta = np.full(theta.size, np.nan)
-    regular = ~singular
-    if regular.any():
-        q_reg, d_reg = q[regular], d[regular]
-        q_inv = np.linalg.inv(q_reg)
-        r_ai[regular] = np.abs(np.linalg.eigvalsh(incompat_operator(q_reg, d_reg))).max(axis=-1)
-        if config.weight is None:
-            sandwich = q_inv @ d_reg @ q_inv
-            c_sld = np.trace(q_inv, axis1=-2, axis2=-1)
-        else:
-            w = np.asarray(config.weight, dtype=float)
-            w_evals, w_vecs = np.linalg.eigh(w)
-            if w_evals[0] <= 0:
-                raise InvalidInput("weight matrix must be positive definite")
-            w_sqrt = (w_vecs * np.sqrt(w_evals)) @ w_vecs.T
-            sandwich = w_sqrt @ q_inv @ d_reg @ q_inv @ w_sqrt
-            c_sld = np.trace(w @ q_inv, axis1=-2, axis2=-1)
-        gap = np.linalg.svd(sandwich, compute_uv=False).sum(axis=-1)
-        delta[regular] = gap / c_sld
     return ScanResult(
         config=config, theta=theta, b=b, r_ai=r_ai, delta=delta, det_q=det_q, singular=singular
     )

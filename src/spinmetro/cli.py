@@ -50,27 +50,27 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         raise InvalidInput(f"--dims expects N,N,... or LO-HI, got {text!r}") from exc
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", choices=["two", "three"], default="two",
-                        help="estimation model: two=(B,theta), three=(B,theta,phi)")
-    parser.add_argument("--dim", type=int, default=2, help="probe Hilbert-space dimension")
-    parser.add_argument("--alpha", type=float, default=0.7853981633974483,
-                        help="probe mixing angle (default pi/4)")
-    parser.add_argument("--phi", type=float, default=0.0, help="probe relative phase")
-    parser.add_argument("--time", type=float, default=5.0, help="evolution time")
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed where applicable")
-    parser.add_argument("--out", required=True, help="output file path")
-    parser.add_argument("--grid", default="101x101",
-                        help="grid counts THETAxB (used by scan)")
-    parser.add_argument("--tol", type=float, default=1e-10,
-                        help="relative eigenvalue threshold for singular QFIMs")
+_FLAGS = {
+    "--model": dict(choices=["two", "three"], default="two",
+                    help="estimation model: two=(B,theta), three=(B,theta,phi)"),
+    "--dim": dict(type=int, default=2, help="probe Hilbert-space dimension"),
+    "--alpha": dict(type=float, default=0.7853981633974483,
+                    help="probe mixing angle (default pi/4)"),
+    "--phi": dict(type=float, default=0.0, help="probe relative phase"),
+    "--time": dict(type=float, default=5.0, help="evolution time"),
+    "--tol": dict(type=float, default=1e-10,
+                  help="relative eigenvalue threshold for singular QFIMs"),
+    "--b": dict(type=float, default=0.6, help="field strength B"),
+    "--theta": dict(type=float, default=0.8, help="field angle theta"),
+    "--model-phi": dict(type=float, default=1.0,
+                        help="field azimuth phi (three-parameter model only)"),
+    "--out": dict(required=True, help="output file path"),
+}
 
 
-def _point_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--b", type=float, default=0.6, help="field strength B")
-    parser.add_argument("--theta", type=float, default=0.8, help="field angle theta")
-    parser.add_argument("--model-phi", type=float, default=1.0,
-                        help="field azimuth phi (three-parameter model only)")
+def _add_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **_FLAGS[flag])
 
 
 def _model_point(args) -> ModelPoint:
@@ -87,26 +87,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     scan = sub.add_parser("scan", help="T(theta,B) grid scan to CSV")
-    _add_common(scan)
+    _add_flags(scan, "--model", "--dim", "--alpha", "--phi", "--time", "--tol", "--out")
     scan.add_argument("--model-phi", type=float, default=0.0,
                       help="fixed field azimuth for the three-parameter model")
+    scan.add_argument("--grid", default="101x101", help="grid counts THETAxB")
 
     metrics = sub.add_parser("metrics", help="single-point JSON report")
-    _add_common(metrics)
-    _point_args(metrics)
+    _add_flags(metrics, "--model", "--dim", "--alpha", "--phi", "--time", "--tol", "--out",
+               "--b", "--theta", "--model-phi")
 
     scaling = sub.add_parser("scaling", help="Gamma scaling table to CSV")
-    _add_common(scaling)
-    _point_args(scaling)
+    _add_flags(scaling, "--model", "--phi", "--time", "--tol", "--out",
+               "--b", "--theta", "--model-phi")
     scaling.add_argument("--alphas", default="0.7853981633974483",
                          help="comma-separated probe angles")
     scaling.add_argument("--dims", default="4-12", help="dimensions, N,N,... or LO-HI")
 
     rank = sub.add_parser("fim-rank", help="FIM rank Monte-Carlo report to JSON")
-    _add_common(rank)
+    _add_flags(rank, "--out")
     rank.add_argument("--params", type=int, default=2, help="number of parameters d")
     rank.add_argument("--outcomes", type=int, default=3, help="number of outcomes n")
     rank.add_argument("--trials", type=int, default=1000, help="number of trials")
+    rank.add_argument("--seed", type=int, default=0, help="RNG seed")
     return parser
 
 
@@ -121,7 +123,6 @@ def _cmd_scan(args) -> None:
         theta_count=theta_count,
         b_count=b_count,
         rel_tol=args.tol,
-        seed=args.seed,
     )
     run_scan(config).write_csv(args.out)
 

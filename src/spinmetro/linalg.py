@@ -19,13 +19,12 @@ __all__ = [
     "build_spin_rep",
     "spin_moments",
     "j_direction",
-    "herm_eig",
     "expm_i",
     "spectral_absmax",
     "trace_norm",
+    "singular_mask",
+    "check_inverse",
     "sym_inverse",
-    "commutator",
-    "anticommutator",
 ]
 
 
@@ -150,32 +149,14 @@ def j_direction(rep: SpinRep, n) -> np.ndarray:
     return n[0] * rep.jx + n[1] * rep.jy + n[2] * rep.jz
 
 
-def commutator(a, b) -> np.ndarray:
-    return a @ b - b @ a
-
-
-def anticommutator(a, b) -> np.ndarray:
-    return a @ b + b @ a
-
-
-def herm_eig(a):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(evals, vecs)`` with real eigenvalues in ascending order and
-    the unitary eigenvector matrix as columns, so that
-    ``a = vecs @ diag(evals) @ vecs^dag``.
-    """
-    a = require_hermitian(a)
-    return np.linalg.eigh(a)
-
-
 def expm_i(a, c: float) -> np.ndarray:
     """Unitary ``exp(-1j * c * a)`` for Hermitian ``a``.
 
     Computed through the eigendecomposition, which keeps the result unitary
     to the accuracy of the eigensolver regardless of ``|c| * ||a||``.
+    Non-Hermitian input raises :class:`InvalidInput`.
     """
-    evals, vecs = herm_eig(a)
+    evals, vecs = np.linalg.eigh(require_hermitian(a))
     return (vecs * np.exp(-1j * c * evals)) @ vecs.conj().T
 
 
@@ -206,13 +187,43 @@ def trace_norm(a) -> float:
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
+def singular_mask(evals, rel_tol: float) -> np.ndarray:
+    """Singularity rule for symmetric matrices, over leading axes.
+
+    ``evals`` holds each matrix's eigenvalues in ascending order along the
+    last axis.  A matrix counts as singular when its largest eigenvalue is
+    not positive or the ratio of its smallest to largest eigenvalue falls
+    below ``rel_tol``.  The threshold is relative on purpose: the matrices
+    this package inverts scale with evolution time and probe dimension.
+    A ``rel_tol`` that is not positive raises :class:`InvalidInput`.
+    """
+    if not rel_tol > 0:
+        raise InvalidInput(f"singularity tolerance must be positive, got {rel_tol!r}")
+    lam_max = evals[..., -1]
+    return (lam_max <= 0) | (evals[..., 0] < rel_tol * lam_max)
+
+
+def check_inverse(q, q_inv, cond) -> None:
+    """Raise :class:`NumericalFailure` where ``q_inv`` is not an inverse of ``q``.
+
+    A correct inverse leaves a residual ``||Q Q^-1 - I||`` of a few
+    ``eps * cond(Q)``, so each matrix of the stack is held to
+    ``1e3 * eps * cond(Q)`` with ``cond`` its condition number.
+    """
+    resid = np.linalg.norm(q @ q_inv - np.eye(q.shape[-1]), axis=(-2, -1))
+    excess = float(np.max(resid / (1e3 * np.finfo(float).eps * np.asarray(cond))))
+    if excess > 1:
+        raise NumericalFailure(
+            f"inverse verification failed (residual {excess:.3g} times 1e3 eps cond(Q))"
+        )
+
+
 def sym_inverse(q, rel_tol: float = 1e-10) -> np.ndarray | None:
     """Inverse of a real symmetric matrix, or ``None`` when near singular.
 
-    A matrix counts as singular when the ratio of its smallest to largest
-    eigenvalue falls below ``rel_tol``.  The threshold is relative on
-    purpose: the matrices this package inverts scale with evolution time
-    and probe dimension.  Asymmetric input raises :class:`InvalidInput`.
+    Singular means :func:`singular_mask` at ``rel_tol``; the inverse is
+    verified by :func:`check_inverse`.  Asymmetric input raises
+    :class:`InvalidInput`.
     """
     q = _as_square(q, "symmetric matrix")
     q = np.asarray(q, dtype=float) if not np.iscomplexobj(q) else q
@@ -223,12 +234,9 @@ def sym_inverse(q, rel_tol: float = 1e-10) -> np.ndarray | None:
     if np.linalg.norm(q - q.T) > 1e-10 * max(np.linalg.norm(q), 1.0):
         raise InvalidInput("matrix is not symmetric")
     w = np.linalg.eigvalsh(q)
-    lam_max = w[-1]
-    if lam_max <= 0.0 or w[0] / lam_max < rel_tol:
+    if singular_mask(w, rel_tol):
         return None
     inv = np.linalg.inv(q)
     inv = (inv + inv.T) / 2
-    resid = np.linalg.norm(q @ inv - np.eye(q.shape[0]))
-    if resid > 1e-8:
-        raise NumericalFailure(f"inverse verification failed (residual {resid:.3e})")
+    check_inverse(q, inv, w[-1] / w[0])
     return inv

@@ -18,7 +18,15 @@ import numpy as np
 
 from .encoding import GeneratorSet
 from .errors import InvalidInput, NumericalFailure
-from .linalg import require_hermitian, spectral_absmax, spin_moments, sym_inverse, trace_norm
+from .linalg import (
+    check_inverse,
+    require_hermitian,
+    singular_mask,
+    spectral_absmax,
+    spin_moments,
+    sym_inverse,
+    trace_norm,
+)
 
 __all__ = [
     "check_probe",
@@ -33,8 +41,8 @@ __all__ = [
     "classical_fim",
     "incompat_operator",
     "ai_measure",
-    "ai_two_param",
     "holevo_pure",
+    "bounds",
     "submodel",
     "IncompatReport",
     "incompat_report",
@@ -290,23 +298,6 @@ def ai_measure(q, d, rel_tol: float = 1e-10) -> float | None:
     return spectral_absmax(incompat_operator(q, d))
 
 
-def ai_two_param(q, d) -> float | None:
-    """Two-parameter incompatibility via ``sqrt(det D / det Q)``.
-
-    Equivalent to :func:`ai_measure` for d = 2; returns ``None`` when
-    ``det Q <= 0``.
-    """
-    q = np.asarray(q, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if q.shape != (2, 2) or d.shape != (2, 2):
-        raise InvalidInput("ai_two_param expects 2x2 matrices")
-    det_q = float(np.linalg.det(q))
-    if det_q <= 0:
-        return None
-    det_d = float(np.linalg.det(d))
-    return float(np.sqrt(max(det_d, 0.0) / det_q))
-
-
 def _check_weight(w, dim: int) -> np.ndarray:
     if w is None:
         return np.eye(dim)
@@ -346,6 +337,56 @@ def holevo_pure(q, d, weight=None, rel_tol: float = 1e-10):
     return c_sld, c_h, gap / c_sld
 
 
+def bounds(q, d, weight=None, rel_tol: float = 1e-10):
+    """Singular flags, R, SLD cost, Holevo bound and their gap, over leading axes.
+
+    ``q`` and ``d`` have shape (..., dim, dim).  Returns
+    ``(singular, r_ai, c_sld, c_h, delta)``, each of the leading shape,
+    with NaN bound values on singular matrices (the rule of
+    :func:`~spinmetro.linalg.singular_mask`).  One ``eigh`` of each Q gives
+    the singular rule, ``Q^-1`` (held to :func:`~spinmetro.linalg.check_inverse`)
+    and ``Q^-1/2``, with ``R`` the largest ``|eigvalsh|`` of the Hermitian
+    ``1j Q^-1/2 D Q^-1/2`` (similar to ``1j Q^-1 D``).  The costs are
+    those of :func:`holevo_pure` and ``R`` that of :func:`ai_measure`,
+    which serve as the scalar references.
+    """
+    q = np.asarray(q, dtype=float)
+    d = np.asarray(d, dtype=float)
+    if q.ndim < 2 or q.shape != d.shape or q.shape[-1] != q.shape[-2]:
+        raise InvalidInput(f"Q and D must be square stacks of one shape, got {q.shape}, {d.shape}")
+    lead, dim = q.shape[:-2], q.shape[-1]
+    w = _check_weight(weight, dim)
+    q, d = q.reshape(-1, dim, dim), d.reshape(-1, dim, dim)
+    evals, vecs = np.linalg.eigh(q)
+    singular = singular_mask(evals, rel_tol)
+    r_ai, c_sld, c_h, delta = np.full((4, singular.size), np.nan)
+    regular = ~singular
+    if regular.any():
+        lam, vecs, q, d = evals[regular], vecs[regular], q[regular], d[regular]
+        vecs_t = np.swapaxes(vecs, -1, -2)
+        q_inv = (vecs / lam[:, None, :]) @ vecs_t
+        q_inv = (q_inv + np.swapaxes(q_inv, -1, -2)) / 2
+        check_inverse(q, q_inv, lam[:, -1] / lam[:, 0])
+        q_isqrt = (vecs / np.sqrt(lam)[:, None, :]) @ vecs_t
+        m = q_isqrt @ d @ q_isqrt
+        r_ai[regular] = np.abs(
+            np.linalg.eigvalsh(1j * (m - np.swapaxes(m, -1, -2)) / 2)
+        ).max(axis=-1)
+        if weight is None:
+            sandwich = q_inv @ d @ q_inv
+            cost = np.trace(q_inv, axis1=-2, axis2=-1)
+        else:
+            w_evals, w_vecs = np.linalg.eigh(w)
+            w_sqrt = (w_vecs * np.sqrt(w_evals)) @ w_vecs.T
+            sandwich = w_sqrt @ q_inv @ d @ q_inv @ w_sqrt
+            cost = np.trace(w @ q_inv, axis1=-2, axis2=-1)
+        gap = np.linalg.svd(sandwich, compute_uv=False).sum(axis=-1)
+        c_sld[regular] = cost
+        c_h[regular] = cost + gap
+        delta[regular] = gap / cost
+    return tuple(x.reshape(lead) for x in (singular, r_ai, c_sld, c_h, delta))
+
+
 def submodel(q, d, subset):
     """Restrict (Q, D) to a sub-model: principal blocks on ``subset``.
 
@@ -376,7 +417,6 @@ class IncompatReport:
     uhlmann: np.ndarray
     det_q: float
     singular: bool
-    weight: np.ndarray
     c_sld: float | None = None
     c_h: float | None = None
     delta: float | None = None
@@ -388,21 +428,14 @@ def incompat_report(
 ) -> IncompatReport:
     """Evaluate the full report for one generator set and probe."""
     q, d = qfim_uhlmann(gens, probe)
-    w = _check_weight(weight, q.shape[0])
-    det_q = float(np.linalg.det(q))
-    r_ai = ai_measure(q, d, rel_tol=rel_tol)
-    if r_ai is None:
-        return IncompatReport(
-            labels=gens.labels, qfim=q, uhlmann=d, det_q=det_q, singular=True, weight=w
-        )
-    c_sld, c_h, delta = holevo_pure(q, d, weight=weight, rel_tol=rel_tol)
+    singular, *values = bounds(q, d, weight=weight, rel_tol=rel_tol)
+    r_ai, c_sld, c_h, delta = (None if singular else float(v) for v in values)
     return IncompatReport(
         labels=gens.labels,
         qfim=q,
         uhlmann=d,
-        det_q=det_q,
-        singular=False,
-        weight=w,
+        det_q=float(np.linalg.det(q)),
+        singular=bool(singular),
         c_sld=c_sld,
         c_h=c_h,
         delta=delta,

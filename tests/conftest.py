@@ -28,6 +28,15 @@ def random_hermitian(rng, n, scale=1.0):
     return scale * (z + z.conj().T) / 2
 
 
+def ai_two_param(q, d):
+    """Two-parameter incompatibility ``sqrt(det D / det Q)``, or ``None``
+    when ``det Q <= 0``: an oracle for R that needs no eigensolver."""
+    det_q = float(np.linalg.det(q))
+    if det_q <= 0:
+        return None
+    return float(np.sqrt(max(float(np.linalg.det(d)), 0.0) / det_q))
+
+
 def evolved_family(spin, kind, point, probe):
     """Map parameter values to the evolved pure state of the model."""
 

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,6 +145,20 @@ class TestRunScan:
         with pytest.raises(InvalidInput):
             ScanConfig(kind=ModelKind.TWO_PARAM, dim=3,
                        probe=ProbeSpec(dim=2, alpha=0.2), t=5.0).probe_state()
+
+    def test_asymmetric_weight_is_rejected(self):
+        config = replace(small_scan(dim=3, counts=(3, 3)), weight=[[1.0, 5.0], [0.0, 1.0]])
+        with pytest.raises(InvalidInput):
+            run_scan(config)
+
+    def test_weight_of_wrong_shape_is_rejected(self):
+        config = replace(small_scan(dim=3, counts=(3, 3)), weight=np.eye(3))
+        with pytest.raises(InvalidInput):
+            run_scan(config)
+
+    def test_tolerance_that_is_not_positive_is_rejected(self):
+        with pytest.raises(InvalidInput):
+            run_scan(replace(small_scan(counts=(3, 3)), rel_tol=0.0))
 
 
 class TestFormatCsvValue:

@@ -84,6 +84,33 @@ class TestMetricsCommand:
             assert key in doc
         assert doc["r_ai"] == pytest.approx(0.5, abs=1e-6)
 
+    def test_ill_conditioned_point_matches_its_scan_cell(self, tmp_path):
+        # cond(Q) is about 9e8 at this cell of the 51x51 qubit scan, so a
+        # correct inverse leaves ||Q Q^-1 - I|| near 2e-7; the single-point
+        # report must accept the cell, as the scan does, and agree with it.
+        probe = ["--model", "two", "--dim", "2", "--alpha", "0.37158525549893223",
+                 "--phi", "5.2500698813462865", "--time", "5.0"]
+        theta, b = 4.272566008882119, 0.6283185307179586
+        scan_out, point_out = tmp_path / "scan.csv", tmp_path / "point.json"
+        assert run(["scan", *probe, "--grid", "51x51", "--out", str(scan_out)]) == 0
+        assert run(["metrics", *probe, "--b", repr(b), "--theta", repr(theta),
+                    "--out", str(point_out)]) == 0
+        row = next(r for r in (line.split(",") for line in scan_out.read_text().split("\n")[1:])
+                   if float(r[0]) == theta and float(r[1]) == b)
+        doc = json.loads(point_out.read_text())
+        w = np.linalg.eigvalsh(np.array(doc["Q"]))
+        assert row[6] == "0" and not doc["singular"]
+        assert w[-1] / w[0] > 1e8
+        assert abs(doc["r_ai"] - float(row[2])) <= 1e3 * np.finfo(float).eps * w[-1] / w[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "--tol", "0"],
+        ["metrics", "--tol", "-1"],
+        ["scaling", "--tol", "0"],
+    ])
+    def test_tolerance_that_is_not_positive_is_usage_error(self, tmp_path, argv):
+        assert run([*argv, "--out", str(tmp_path / "x.out")]) == 2
+
     def test_qubit_default_point(self, tmp_path):
         out = tmp_path / "m.json"
         assert run(["metrics", "--model", "two", "--dim", "2", "--out", str(out)]) == 0
@@ -141,4 +168,26 @@ class TestParser:
     def test_unknown_option_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["scan", "--nope", "--out", "x.csv"])
+        assert exc.value.code == 2
+
+    # A subcommand rejects flags it does not read.  (scaling --dim and
+    # --alpha are absent: argparse reads them as abbreviations of --dims
+    # and --alphas.)
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--seed", "1"],
+        ["metrics", "--seed", "1"],
+        ["metrics", "--grid", "3x3"],
+        ["scaling", "--seed", "1"],
+        ["scaling", "--grid", "3x3"],
+        ["fim-rank", "--model", "two"],
+        ["fim-rank", "--dim", "4"],
+        ["fim-rank", "--alpha", "0.5"],
+        ["fim-rank", "--phi", "0.5"],
+        ["fim-rank", "--time", "5"],
+        ["fim-rank", "--grid", "3x3"],
+        ["fim-rank", "--tol", "1"],
+    ])
+    def test_ignored_flags_are_gone(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "x.out")])
         assert exc.value.code == 2

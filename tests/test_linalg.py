@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from spinmetro import (
     InvalidInput,
     ModelKind,
+    NumericalFailure,
     ModelPoint,
     SpectrumNotReal,
     build_spin_rep,
     closed_generators,
     expm_i,
-    herm_eig,
     j_direction,
     make_probe,
     qfim_uhlmann,
@@ -22,6 +23,7 @@ from spinmetro import (
     sym_inverse,
     trace_norm,
 )
+from spinmetro.linalg import check_inverse, singular_mask
 from spinmetro.models import ProbeSpec, state_from_bloch
 
 from conftest import haar_state, random_hermitian, rep
@@ -118,30 +120,6 @@ class TestJDirection:
             j_direction(r, (1, 1, 0))
 
 
-class TestHermEig:
-    def test_diagonal(self):
-        evals, _ = herm_eig(np.diag([1.0, 2.0, 3.0]))
-        assert np.allclose(evals, [1, 2, 3])
-
-    def test_jz_spectrum(self):
-        evals, _ = herm_eig(rep(5).jz)
-        assert np.allclose(evals, [-2, -1, 0, 1, 2], atol=1e-12)
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8))
-    def test_reconstruction_and_unitarity(self, seed, n):
-        a = random_hermitian(np.random.default_rng(seed), n)
-        evals, vecs = herm_eig(a)
-        recon = (vecs * evals) @ vecs.conj().T
-        scale = max(np.linalg.norm(a), 1.0)
-        assert np.linalg.norm(recon - a) / scale < 1e-10
-        assert np.abs(vecs @ vecs.conj().T - np.eye(n)).max() < 1e-12
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(InvalidInput):
-            herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 class TestExpmI:
     def test_zero_angle(self):
         assert np.allclose(expm_i(rep(3).jz, 0.0), np.eye(3))
@@ -168,6 +146,26 @@ class TestExpmI:
         a = random_hermitian(np.random.default_rng(seed), 4)
         lhs = expm_i(a, c1) @ expm_i(a, c2)
         assert np.abs(lhs - expm_i(a, c1 + c2)).max() < 1e-9
+
+    def test_diagonal_generator(self):
+        u = expm_i(np.diag([1.0, 2.0, 3.0]), 0.7)
+        assert np.allclose(u, np.diag(np.exp(-0.7j * np.array([1.0, 2.0, 3.0]))), atol=1e-14)
+
+    def test_jz_phases(self):
+        u = expm_i(rep(5).jz, 0.3)
+        assert np.allclose(np.diag(u), np.exp(-0.3j * np.array([2, 1, 0, -1, -2])), atol=1e-14)
+        assert np.allclose(u - np.diag(np.diag(u)), 0.0, atol=1e-14)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8))
+    def test_matches_pade_exponential(self, seed, n):
+        # Independent route: scipy's scaling-and-squaring Pade expm.
+        a = random_hermitian(np.random.default_rng(seed), n)
+        assert np.abs(expm_i(a, 1.3) - expm(-1.3j * a)).max() < 1e-10
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(InvalidInput):
+            expm_i(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
 class TestSpectralAbsmax:
@@ -241,3 +239,56 @@ class TestSymInverse:
     def test_rejects_asymmetric(self):
         with pytest.raises(InvalidInput):
             sym_inverse(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_rejects_tolerance_that_is_not_positive(self):
+        for rel_tol in (0.0, -1.0, float("nan")):
+            with pytest.raises(InvalidInput):
+                sym_inverse(np.eye(2), rel_tol=rel_tol)
+
+
+def spd_with_condition(rng, n, cond):
+    """Random symmetric positive definite matrix with the given condition number."""
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (v * np.geomspace(1.0, 1.0 / cond, n)) @ v.T
+
+
+class TestInverseCheck:
+    """The check on ``Q Q^-1 - I`` scales with cond(Q), as the rounding does."""
+
+    def test_ill_conditioned_matrices_pass(self, rng):
+        # A correct inverse leaves a residual near eps * cond = 2e-7 here, so
+        # an absolute bound of 1e-8 would reject most of them.
+        for _ in range(200):
+            q = spd_with_condition(rng, 3, 1e9)
+            inv = sym_inverse(q)
+            assert inv is not None
+            assert np.allclose(inv @ q, np.eye(3), atol=1e-4)
+
+    @pytest.mark.parametrize("cond", [1.0, 1e3, 1e6, 1e9])
+    def test_perturbed_inverse_is_caught(self, rng, monkeypatch, cond):
+        q = spd_with_condition(rng, 3, cond)
+        exact = np.linalg.inv(q)
+        e = rng.standard_normal((3, 3))
+        bad = exact + 1e-6 * np.linalg.norm(exact, 2) * (e + e.T) / np.linalg.norm(e + e.T, 2)
+        check_inverse(q, exact, cond)
+        with pytest.raises(NumericalFailure):
+            check_inverse(q, bad, cond)
+        monkeypatch.setattr(np.linalg, "inv", lambda a: bad)
+        with pytest.raises(NumericalFailure):
+            sym_inverse(q)
+
+    def test_one_bad_matrix_in_a_stack_is_caught(self, rng):
+        q = np.stack([spd_with_condition(rng, 2, c) for c in (1.0, 1e4, 1e8)])
+        inv = np.linalg.inv(q)
+        cond = np.array([1.0, 1e4, 1e8])
+        check_inverse(q, inv, cond)
+        inv[1] *= 1 + 1e-6
+        with pytest.raises(NumericalFailure):
+            check_inverse(q, inv, cond)
+
+
+class TestSingularMask:
+    def test_rule_over_leading_axes(self):
+        evals = np.array([[1e-12, 1.0], [1e-9, 1.0], [0.0, 0.0], [-1.0, -0.5]])
+        assert singular_mask(evals, 1e-10).tolist() == [True, False, True, True]
+        assert singular_mask(evals, 1e-8).tolist() == [True, True, True, True]

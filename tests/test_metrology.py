@@ -8,9 +8,10 @@ from spinmetro import (
     InvalidInput,
     ModelKind,
     ModelPoint,
+    NumericalFailure,
     ai_measure,
-    ai_two_param,
     born_probabilities,
+    bounds,
     classical_fim,
     closed_generators,
     closed_generators_2p,
@@ -36,7 +37,7 @@ from spinmetro import (
 )
 from spinmetro.models import ProbeSpec, bloch_vector, state_from_bloch
 
-from conftest import evolved_family, haar_state, points_for, rep, three_param_points
+from conftest import ai_two_param, evolved_family, haar_state, points_for, rep, three_param_points
 
 
 def fd_density_derivatives(spin, kind, point, probe, step=1e-6):
@@ -446,6 +447,92 @@ class TestHolevoPure:
         assert holevo_pure(np.diag([1.0, 0.0]), np.zeros((2, 2))) is None
         with pytest.raises(InvalidInput):
             holevo_pure(np.eye(2), np.zeros((2, 2)), weight=np.diag([1.0, -1.0]))
+
+
+def random_model(rng, dim, cond=None):
+    """Random (Q, D): Q symmetric positive definite, D real antisymmetric."""
+    if cond is None:
+        m = rng.standard_normal((dim, dim))
+        q = m @ m.T + 0.1 * np.eye(dim)
+    else:
+        v, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        q = (v * np.geomspace(1.0, 1.0 / cond, dim)) @ v.T
+    d = rng.standard_normal((dim, dim))
+    return q, d - d.T
+
+
+class TestBounds:
+    """The one bounds path against the scalar references ai_measure and holevo_pure."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("cond", [None, 1e6, 1e9])
+    def test_matches_scalar_references(self, rng, dim, cond):
+        eps = np.finfo(float).eps
+        w = rng.standard_normal((dim, dim))
+        w = w @ w.T + np.eye(dim)
+        for weight in (None, w):
+            for _ in range(10):
+                q, d = random_model(rng, dim, cond)
+                ev = np.linalg.eigvalsh(q)
+                tol = 1e3 * eps * ev[-1] / ev[0]
+                singular, r_ai, c_sld, c_h, delta = bounds(q, d, weight=weight)
+                assert not singular and np.shape(r_ai) == ()
+                ref = (ai_measure(q, d), *holevo_pure(q, d, weight=weight))
+                for got, want in zip((r_ai, c_sld, c_h, delta), ref):
+                    assert abs(got - want) <= tol * max(abs(want), 1.0)
+
+    def test_batch_equals_single_calls(self, rng):
+        pairs = [random_model(rng, 3) for _ in range(6)]
+        pairs[2] = (np.diag([1.0, 1.0, 1e-14]), pairs[2][1])
+        q = np.stack([p[0] for p in pairs]).reshape(2, 3, 3, 3)
+        d = np.stack([p[1] for p in pairs]).reshape(2, 3, 3, 3)
+        batch = bounds(q, d)
+        assert all(np.shape(x) == (2, 3) for x in batch)
+        for k, (qk, dk) in enumerate(pairs):
+            single = bounds(qk, dk)
+            for got, want in zip(batch, single):
+                np.testing.assert_allclose(np.ravel(got)[k], want, rtol=1e-12)
+
+    def test_singular_cells_carry_nan(self):
+        q = np.stack([np.diag([1.0, 1e-14]), np.diag([2.0, 4.0])])
+        singular, *values = bounds(q, np.zeros_like(q))
+        assert singular.tolist() == [True, False]
+        assert all(np.isnan(v[0]) and np.isfinite(v[1]) for v in values)
+        assert [float(v[1]) for v in values] == [0.0, 0.75, 0.75, 0.0]
+
+    def test_qubit_is_maximally_incompatible(self, rng):
+        point = ModelPoint(b=1.2, theta=0.4, t=5.0)
+        q, d = qfim_uhlmann(closed_generators_2p(rep(2), point), haar_state(rng, 2))
+        _, r_ai, _, _, delta = bounds(q, d)
+        assert r_ai == pytest.approx(ai_two_param(q, d), abs=1e-9)
+        assert r_ai == pytest.approx(1.0, abs=1e-9) and 0.0 <= delta <= r_ai
+
+    @pytest.mark.parametrize("weight", [
+        [[1.0, 5.0], [0.0, 1.0]],  # not symmetric
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # wrong shape
+        [[1.0, 0.0], [0.0, -1.0]],  # not positive definite
+    ])
+    def test_rejects_bad_weight(self, weight):
+        with pytest.raises(InvalidInput):
+            bounds(np.eye(2), np.zeros((2, 2)), weight=weight)
+
+    def test_rejects_bad_shapes_and_tolerance(self):
+        with pytest.raises(InvalidInput):
+            bounds(np.eye(2), np.zeros((3, 3)))
+        with pytest.raises(InvalidInput):
+            bounds(np.eye(2), np.zeros((2, 2)), rel_tol=0.0)
+
+    def test_perturbed_eigenvectors_fail_the_inverse_check(self, rng, monkeypatch):
+        q, d = random_model(rng, 3, cond=1e4)
+        eigh = np.linalg.eigh
+
+        def noisy_eigh(a):
+            evals, vecs = eigh(a)
+            return evals, vecs * (1 + 1e-6 * rng.standard_normal(vecs.shape))
+
+        monkeypatch.setattr(np.linalg, "eigh", noisy_eigh)
+        with pytest.raises(NumericalFailure):
+            bounds(q, d)
 
 
 class TestSubmodel:

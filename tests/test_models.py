@@ -9,7 +9,6 @@ from spinmetro import (
     ModelPoint,
     ai_measure,
     ai_threeparam_probe,
-    ai_two_param,
     bloch_vector,
     closed_generators_2p,
     closed_generators_3p,
@@ -23,7 +22,7 @@ from spinmetro import (
 )
 from spinmetro.models import ProbeSpec
 
-from conftest import haar_state, rep, three_param_points
+from conftest import ai_two_param, haar_state, rep, three_param_points
 
 
 class TestMakeProbe:

@@ -1,16 +1,22 @@
-"""Names the benchmark's tracer wraps must exist in the library.
+"""Files beside the library that name parts of it must stay in step with it.
 
 ``perfbench/spans.py`` resolves each ``per_layer`` target of
 ``BENCHMARK.json`` as ``spinmetro.<module>`` followed by attribute lookups;
 a library name that disappears makes ``perfbench/run.py --trace 1`` fail.
-This test only reads the file.
+README's command-line examples must parse with the current parser.  These
+tests only read the files.
 """
 
 import importlib
 import json
+import re
+import shlex
 from pathlib import Path
 
-BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+from spinmetro.cli import build_parser
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = ROOT / "BENCHMARK.json"
 
 
 def test_per_layer_targets_resolve():
@@ -30,3 +36,17 @@ def test_per_layer_targets_resolve():
             if not callable(owner):
                 missing.append(name)
     assert missing == []
+
+
+def test_readme_command_lines_parse():
+    section = (ROOT / "README.md").read_text().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [
+        shlex.split(line)[1:]
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("spinmetro ")
+    ]
+    assert len(commands) == 4
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
