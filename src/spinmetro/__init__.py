@@ -35,7 +35,6 @@ from .encoding import (
 )
 from .errors import (
     InvalidInput,
-    NonConvergence,
     NumericalFailure,
     SpectrumNotReal,
     SpinMetroError,

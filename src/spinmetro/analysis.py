@@ -237,11 +237,19 @@ def scaling_table(
     nonsingular dimension N = 4 serves as baseline instead; its slope is
     fitted against log N (versus log(N - 1) for two parameters).  An alpha
     whose baseline QFIM is singular yields empty Gamma and slope fields.
+    A slope needs at least two distinct dimensions, each listed once, and
+    at least one probe angle.
     """
     dims = tuple(int(n) for n in dims)
     if any(n < 4 for n in dims):
         raise InvalidInput("scaling dimensions must be >= 4")
+    if len(dims) < 2 or len(set(dims)) != len(dims):
+        raise InvalidInput(
+            f"scaling needs two or more distinct dimensions, each listed once; got {dims}"
+        )
     alphas = tuple(float(a) for a in alphas)
+    if not alphas:
+        raise InvalidInput("scaling needs at least one probe angle")
     baseline_dim = 2 if kind is ModelKind.TWO_PARAM else 4
     frame = closed_frame(kind, point.b, point.theta, point.t, point.phi)
 
@@ -387,7 +395,6 @@ def metrics_report(
     dim: int,
     spec: ProbeSpec,
     point: ModelPoint,
-    weight=None,
     rel_tol: float = 1e-10,
 ) -> dict:
     """Machine-readable report for one (model, probe, point).
@@ -399,7 +406,7 @@ def metrics_report(
     rep = build_spin_rep(dim)
     probe = make_probe(spec)
     gens = closed_generators(rep, kind, point)
-    report = incompat_report(gens, probe, weight=weight, rel_tol=rel_tol)
+    report = incompat_report(gens, probe, rel_tol=rel_tol)
     doc = {
         "model": kind.value,
         "dim": int(dim),

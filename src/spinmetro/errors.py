@@ -26,7 +26,3 @@ class SpectrumNotReal(NumericalFailure):
 
 class StepInstability(NumericalFailure):
     """A finite-difference result failed its stability check."""
-
-
-class NonConvergence(NumericalFailure):
-    """An iterative evaluation hit its term cap before converging."""

@@ -111,6 +111,19 @@ class TestMetricsCommand:
     def test_tolerance_that_is_not_positive_is_usage_error(self, tmp_path, argv):
         assert run([*argv, "--out", str(tmp_path / "x.out")]) == 2
 
+    @pytest.mark.parametrize("model", ["two", "three"])
+    def test_default_point_at_large_dimension(self, tmp_path, capsys, model):
+        # The generator oracles must hold where t ||H|| is large: about 600
+        # at N = 400.  The series route sums exactly, and the finite-
+        # difference step rule still resolves the closed generators.
+        for n in (60, 100, 400):
+            out = tmp_path / f"m{n}.json"
+            assert run(["metrics", "--model", model, "--dim", str(n), "--out", str(out)]) == 0
+            assert "Traceback" not in capsys.readouterr().err
+            residuals = json.loads(out.read_text())["generator_route_residuals"]
+            assert residuals["series_vs_closed"] <= 1e-12
+            assert residuals["numeric_vs_closed"] <= 1e-4
+
     def test_qubit_default_point(self, tmp_path):
         out = tmp_path / "m.json"
         assert run(["metrics", "--model", "two", "--dim", "2", "--out", str(out)]) == 0
@@ -141,6 +154,18 @@ class TestScalingCommand:
 
     def test_bad_dims_usage_error(self, tmp_path):
         assert run(["scaling", "--dims", "4..8", "--out", str(tmp_path / "x.csv")]) == 2
+
+    # A slope needs two distinct dimensions and at least one probe angle.
+    # The empty --alphas is rejected before the --tol 0 check is reached.
+    @pytest.mark.parametrize("argv", [
+        ["--dims", "4"],
+        ["--dims", "4,4,4"],
+        ["--alphas", "", "--tol", "0"],
+    ])
+    def test_table_without_a_slope_is_usage_error(self, tmp_path, argv):
+        out = tmp_path / "x.csv"
+        assert run(["scaling", *argv, "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestFimRankCommand:

@@ -7,7 +7,6 @@ from spinmetro import (
     InvalidInput,
     ModelKind,
     ModelPoint,
-    NonConvergence,
     closed_generators,
     closed_generators_2p,
     closed_generators_3p,
@@ -199,15 +198,21 @@ class TestSeriesGenerators:
         for i in range(3):
             assert spectral_gap(series.matrices[i], numeric.matrices[i]) < 1e-6
 
-    def test_term_cap(self):
-        point = ModelPoint(b=2.0, theta=1.0, t=3.0)
-        with pytest.raises(NonConvergence):
-            series_generators(rep(2), ModelKind.TWO_PARAM, point, tol=1e-30, max_terms=3)
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("b", [0.0, 1e-12])
+    def test_degenerate_and_near_degenerate_field(self, kind, b):
+        # At B = 0 every level of H coincides and the kernel takes its
+        # w = 0 value -t; at B = 1e-12 the gaps are tiny but nonzero.
+        phi = None if kind is ModelKind.TWO_PARAM else 2.3
+        point = ModelPoint(b=b, theta=0.9, t=5.0, phi=phi)
+        series = series_generators(rep(6), kind, point)
+        closed = closed_generators(rep(6), kind, point)
+        assert np.abs(series.matrices - closed.matrices).max() < 1e-12
 
 
 class TestRouteAgreement:
     @pytest.mark.parametrize("kind", list(ModelKind))
-    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 40])
     def test_three_routes_pairwise(self, kind, n):
         for point in points_for(kind):
             closed = closed_generators(rep(n), kind, point)

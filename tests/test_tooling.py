@@ -3,8 +3,9 @@
 ``perfbench/spans.py`` resolves each ``per_layer`` target of
 ``BENCHMARK.json`` as ``spinmetro.<module>`` followed by attribute lookups;
 a library name that disappears makes ``perfbench/run.py --trace 1`` fail.
-README's command-line examples must parse with the current parser.  These
-tests only read the files.
+README's command-line examples must parse with the current parser, and
+every name a module lists in ``__all__`` must exist on it.  These tests
+only read the files.
 """
 
 import importlib
@@ -35,6 +36,19 @@ def test_per_layer_targets_resolve():
         else:
             if not callable(owner):
                 missing.append(name)
+    assert missing == []
+
+
+def test_module_exports_resolve():
+    package = importlib.import_module("spinmetro")
+    modules = [p.stem for p in Path(package.__file__).parent.glob("*.py")
+               if not p.stem.startswith("_")]
+    assert len(modules) >= 7
+    missing = []
+    for module_name in modules:
+        module = importlib.import_module(f"spinmetro.{module_name}")
+        missing += [f"{module_name}.{name}" for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
     assert missing == []
 
 
