@@ -1,9 +1,9 @@
 """Experiment drivers: grid scans, scaling tables, rank experiments, reports.
 
-Everything here is deterministic given its configuration.  Grids and
-scaling tables take (Q, D) from the probe's spin moments through the
-N-independent frame kernel, whose values match the dense one-point library
-route to rounding (the tests pin this); random experiments draw each
+Everything here is deterministic given its configuration.  Scans, scaling
+tables and reports take (Q, D) from the probe's spin moments through the
+N-independent frame kernel, with no N x N matrix; the dense generator route
+matches it to rounding (the tests pin this).  Random experiments draw each
 trial from its own counter-derived seed so results are independent of
 evaluation order.  CSV output uses '.' decimals, ',' delimiters, a header
 row and 17 significant digits so repeated runs are bytewise identical.
@@ -12,12 +12,12 @@ row and 17 significant digits so repeated runs are bytewise identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .encoding import (
-    GeneratorSet,
     ModelKind,
     ModelPoint,
     closed_frame,
@@ -27,7 +27,7 @@ from .encoding import (
 )
 from .errors import InvalidInput
 from .linalg import build_spin_rep, sym_inverse
-from .metrology import bounds, check_probe, classical_fim, frame_qfim_uhlmann, incompat_report
+from .metrology import bounds, check_probe, classical_fim, frame_qfim_uhlmann
 from .models import ProbeSpec, make_probe
 
 __all__ = [
@@ -99,6 +99,8 @@ class ScanConfig:
     def __post_init__(self):
         if int(self.dim) != self.dim or self.dim < 2:
             raise InvalidInput(f"dimension must be an integer >= 2, got {self.dim!r}")
+        if not (math.isfinite(self.t) and math.isfinite(self.model_phi)):
+            raise InvalidInput(f"t and model_phi must be finite, got {self.t}, {self.model_phi}")
         if not self.t > 0:
             raise InvalidInput("evolution time must be positive")
         if self.theta_count < 2 or self.b_count < 2:
@@ -370,8 +372,11 @@ def fim_rank_experiment(config: RankExperimentConfig) -> dict:
     }
 
 
-def _route_residuals(rep, kind, point, closed: GeneratorSet) -> dict:
-    """Max relative spectral-norm deviation of the oracle routes."""
+def _route_residuals(kind, point) -> dict:
+    """Max relative spectral-norm deviation of the oracle routes, taken in
+    spin-1/2: ``||a . J||_2 = s |a|``, so every irrep gives the same value."""
+    rep = build_spin_rep(2)
+    closed = closed_generators(rep, kind, point)
     series = series_generators(rep, kind, point)
     numeric = numeric_generators(rep, kind, point)
 
@@ -390,26 +395,20 @@ def _route_residuals(rep, kind, point, closed: GeneratorSet) -> dict:
     }
 
 
-def metrics_report(
-    kind: ModelKind,
-    dim: int,
-    spec: ProbeSpec,
-    point: ModelPoint,
-    rel_tol: float = 1e-10,
-) -> dict:
+def metrics_report(kind: ModelKind, spec: ProbeSpec, point: ModelPoint, rel_tol=1e-10) -> dict:
     """Machine-readable report for one (model, probe, point).
 
     Carries the QFIM, Uhlmann matrix, determinant, bounds, incompatibility,
-    the singularity flag and the generator cross-route residuals.  Singular
-    points produce a partial report with null bound fields.
+    the singularity flag and the generator cross-route residuals; singular
+    points get null bound fields.  It runs :func:`run_scan`'s pipeline on one point.
     """
-    rep = build_spin_rep(dim)
-    probe = make_probe(spec)
-    gens = closed_generators(rep, kind, point)
-    report = incompat_report(gens, probe, rel_tol=rel_tol)
-    doc = {
+    frame = closed_frame(kind, point.b, point.theta, point.t, point.phi)
+    q, d = frame_qfim_uhlmann(frame, make_probe(spec))
+    singular, *values = bounds(q, d, rel_tol=rel_tol)
+    r_ai, c_sld, c_h, delta = (None if singular else float(v) for v in values)
+    return {
         "model": kind.value,
-        "dim": int(dim),
+        "dim": int(spec.dim),
         "probe": {"alpha": float(spec.alpha), "phi": float(spec.phi)},
         "point": {
             "B": float(point.b),
@@ -417,15 +416,14 @@ def metrics_report(
             "phi": None if point.phi is None else float(point.phi),
             "t": float(point.t),
         },
-        "labels": list(report.labels),
-        "Q": [[float(x) for x in row] for row in report.qfim],
-        "D": [[float(x) for x in row] for row in report.uhlmann],
-        "det_q": float(report.det_q),
-        "singular": bool(report.singular),
-        "c_sld": None if report.c_sld is None else float(report.c_sld),
-        "c_h": None if report.c_h is None else float(report.c_h),
-        "delta": None if report.delta is None else float(report.delta),
-        "r_ai": None if report.r_ai is None else float(report.r_ai),
-        "generator_route_residuals": _route_residuals(rep, kind, point, gens),
+        "labels": list(kind.labels),
+        "Q": q.tolist(),
+        "D": d.tolist(),
+        "det_q": float(np.linalg.det(q)),
+        "singular": bool(singular),
+        "c_sld": c_sld,
+        "c_h": c_h,
+        "delta": delta,
+        "r_ai": r_ai,
+        "generator_route_residuals": _route_residuals(kind, point),
     }
-    return doc

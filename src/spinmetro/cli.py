@@ -130,7 +130,6 @@ def _cmd_scan(args) -> None:
 def _cmd_metrics(args) -> None:
     doc = metrics_report(
         kind=ModelKind(args.model),
-        dim=args.dim,
         spec=ProbeSpec(dim=args.dim, alpha=args.alpha, phi=args.phi),
         point=_model_point(args),
         rel_tol=args.tol,

@@ -28,6 +28,7 @@ matrices built downstream (QFIM, Uhlmann) use this ordering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -71,8 +72,8 @@ class ModelKind(Enum):
 class ModelPoint:
     """One point in parameter space plus the evolution time.
 
-    ``phi`` must be present exactly for the three-parameter family; the
-    evolution time ``t`` must be positive.
+    ``phi`` must be present exactly for the three-parameter family; every
+    value must be finite and the evolution time ``t`` positive.
     """
 
     b: float
@@ -81,6 +82,8 @@ class ModelPoint:
     phi: float | None = None
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.b, self.theta, self.t, self.phi or 0.0))):
+            raise InvalidInput(f"model point must be finite, got {self!r}")
         if not self.t > 0:
             raise InvalidInput(f"evolution time must be positive, got {self.t!r}")
 

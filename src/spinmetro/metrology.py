@@ -3,11 +3,12 @@
 The routines consume generator sets or density matrices and know nothing
 about su(2), except :func:`frame_qfim_uhlmann`, which takes generators
 that are spin components ``a_l . J`` as their (d, 3) frame and needs only
-the probe's spin moments.  Near-singular quantum Fisher
-matrices are never pseudo-inverted: every quantity that needs an inverse
-returns ``None`` (or sets a flag) instead, so callers can mask those
-points.  The misleading regime is exactly where ``det Q -> 0``, and a
-silently regularized inverse would hide it.
+the probe's spin moments; scans, scaling tables and reports use it, and
+:func:`incompat_report` is the dense route for any generator set.
+Near-singular quantum Fisher matrices are never pseudo-inverted: every
+quantity that needs an inverse returns ``None`` (or sets a flag) instead,
+so callers can mask those points.  The misleading regime is exactly
+where ``det Q -> 0``, and a silently regularized inverse would hide it.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ generator route in the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,6 +46,8 @@ class ProbeSpec:
     def __post_init__(self):
         if int(self.dim) != self.dim or self.dim < 2:
             raise InvalidInput(f"probe dimension must be an integer >= 2, got {self.dim!r}")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.phi)):
+            raise InvalidInput(f"probe angles must be finite, got {self!r}")
 
 
 def make_probe(spec: ProbeSpec) -> np.ndarray:

@@ -16,6 +16,7 @@ from spinmetro import (
     closed_generators,
     fim_rank_experiment,
     incompat_report,
+    make_probe,
     metrics_report,
     run_scan,
     scaling_table,
@@ -24,7 +25,7 @@ from spinmetro import (
 from spinmetro.analysis import format_csv_value
 from spinmetro.models import ProbeSpec
 
-from conftest import rep
+from conftest import points_for, rep
 
 
 def small_scan(kind=ModelKind.TWO_PARAM, dim=2, alpha=np.pi / 4, phi=0.0, t=5.0,
@@ -283,7 +284,7 @@ class TestFimRankExperiment:
 class TestMetricsReport:
     def test_qubit_regular_point(self):
         doc = metrics_report(
-            ModelKind.TWO_PARAM, 2, ProbeSpec(dim=2, alpha=np.pi / 4),
+            ModelKind.TWO_PARAM, ProbeSpec(dim=2, alpha=np.pi / 4),
             ModelPoint(b=0.9, theta=0.7, t=5.0),
         )
         assert doc["singular"] is False
@@ -295,14 +296,14 @@ class TestMetricsReport:
 
     def test_three_param_cosine(self):
         doc = metrics_report(
-            ModelKind.THREE_PARAM, 6, ProbeSpec(dim=6, alpha=np.pi / 3),
+            ModelKind.THREE_PARAM, ProbeSpec(dim=6, alpha=np.pi / 3),
             ModelPoint(b=0.9, theta=0.6, t=5.0, phi=0.4),
         )
         assert doc["r_ai"] == pytest.approx(0.5, abs=1e-6)
 
     def test_compatible_configuration(self):
         doc = metrics_report(
-            ModelKind.TWO_PARAM, 4, ProbeSpec(dim=4, alpha=np.pi / 4),
+            ModelKind.TWO_PARAM, ProbeSpec(dim=4, alpha=np.pi / 4),
             ModelPoint(b=0.9, theta=0.8, t=5.0),
         )
         assert doc["delta"] == pytest.approx(0.0, abs=1e-10)
@@ -310,16 +311,41 @@ class TestMetricsReport:
 
     def test_singular_point_partial_report(self):
         doc = metrics_report(
-            ModelKind.THREE_PARAM, 2, ProbeSpec(dim=2, alpha=0.3),
+            ModelKind.THREE_PARAM, ProbeSpec(dim=2, alpha=0.3),
             ModelPoint(b=0.9, theta=0.7, t=5.0, phi=1.0),
         )
         assert doc["singular"] is True
         assert doc["c_sld"] is None and doc["r_ai"] is None
         assert doc["det_q"] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 40])
+    def test_matches_dense_oracle(self, kind, n):
+        # The report takes (Q, D) from the frame kernel; the dense generators
+        # and incompat_report are its oracle.
+        eps = np.finfo(float).eps
+        for point in points_for(kind):
+            for alpha, phi in ((0.3, 0.0), (np.pi / 4, 1.7), (1.2, 4.0)):
+                spec = ProbeSpec(dim=n, alpha=alpha, phi=phi)
+                doc = metrics_report(kind, spec, point)
+                dense = incompat_report(closed_generators(rep(n), kind, point), make_probe(spec))
+                assert doc["singular"] == dense.singular
+                scale = np.abs(dense.qfim).max()
+                assert np.abs(np.array(doc["Q"]) - dense.qfim).max() <= 1e-12 * scale
+                assert np.abs(np.array(doc["D"]) - dense.uhlmann).max() <= 1e-12 * scale
+                if dense.singular:
+                    assert doc["r_ai"] is None and doc["c_h"] is None
+                    continue
+                w = np.linalg.eigvalsh(dense.qfim)
+                tol = 1e3 * eps * w[-1] / w[0]
+                assert abs(doc["r_ai"] - dense.r_ai) <= tol
+                assert abs(doc["delta"] - dense.delta) <= tol
+                assert abs(doc["c_sld"] - dense.c_sld) <= tol * dense.c_sld
+                assert abs(doc["c_h"] - dense.c_h) <= tol * dense.c_h
+
     def test_deterministic_serialization(self):
         args = (
-            ModelKind.TWO_PARAM, 3, ProbeSpec(dim=3, alpha=0.4, phi=0.2),
+            ModelKind.TWO_PARAM, ProbeSpec(dim=3, alpha=0.4, phi=0.2),
             ModelPoint(b=0.8, theta=1.1, t=5.0),
         )
         a = json.dumps(metrics_report(*args), sort_keys=True)

@@ -1,6 +1,7 @@
 """Command-line surface: wire formats, determinism, exit codes."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,16 +114,30 @@ class TestMetricsCommand:
 
     @pytest.mark.parametrize("model", ["two", "three"])
     def test_default_point_at_large_dimension(self, tmp_path, capsys, model):
-        # The generator oracles must hold where t ||H|| is large: about 600
-        # at N = 400.  The series route sums exactly, and the finite-
-        # difference step rule still resolves the closed generators.
-        for n in (60, 100, 400):
+        # The report forms no N x N matrix, and it takes the route residuals
+        # in spin-1/2, where they do not depend on N.  The dense routes at
+        # large N are checked in tests/test_encoding.py.
+        for n in (60, 100, 400, 100_000):
             out = tmp_path / f"m{n}.json"
             assert run(["metrics", "--model", model, "--dim", str(n), "--out", str(out)]) == 0
             assert "Traceback" not in capsys.readouterr().err
             residuals = json.loads(out.read_text())["generator_route_residuals"]
             assert residuals["series_vs_closed"] <= 1e-12
             assert residuals["numeric_vs_closed"] <= 1e-4
+
+    @pytest.mark.parametrize("model", ["two", "three"])
+    def test_memory_at_large_dimension(self, tmp_path, model):
+        # One complex N x N matrix at N = 10^5 would take 160 GB; the
+        # report needs a few O(N) vectors.
+        out = tmp_path / "m.json"
+        tracemalloc.start()
+        try:
+            code = run(["metrics", "--model", model, "--dim", "100000", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 40_000_000
 
     def test_qubit_default_point(self, tmp_path):
         out = tmp_path / "m.json"
@@ -166,6 +181,29 @@ class TestScalingCommand:
         out = tmp_path / "x.csv"
         assert run(["scaling", *argv, "--out", str(out)]) == 2
         assert not out.exists()
+
+
+# A non-finite number is a usage error: exit 2, no traceback, no output.
+@pytest.mark.parametrize("argv", [
+    ["metrics", "--b", "nan"],
+    ["metrics", "--time", "inf"],
+    ["metrics", "--alpha", "nan"],
+    ["metrics", "--theta", "inf"],
+    ["metrics", "--model", "three", "--model-phi", "nan"],
+    ["scan", "--alpha", "nan"],
+    ["scan", "--time", "inf"],
+    ["scan", "--dim", "3", "--phi", "inf"],
+    ["scan", "--model", "three", "--model-phi", "inf"],
+    ["scaling", "--b", "nan"],
+    ["scaling", "--time", "inf"],
+    ["scaling", "--alphas", "nan"],
+    ["scaling", "--phi", "inf"],
+])
+def test_non_finite_input_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "x.out"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestFimRankCommand:

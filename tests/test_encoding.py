@@ -7,6 +7,7 @@ from spinmetro import (
     InvalidInput,
     ModelKind,
     ModelPoint,
+    build_spin_rep,
     closed_generators,
     closed_generators_2p,
     closed_generators_3p,
@@ -221,6 +222,23 @@ class TestRouteAgreement:
             for i in range(kind.n_params):
                 assert spectral_gap(closed.matrices[i], series.matrices[i]) < 1e-6
                 assert spectral_gap(closed.matrices[i], numeric.matrices[i]) < 1e-6
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_dense_routes_at_large_dimension(self, kind):
+        # The oracles must hold where t ||H|| is large: about 600 at N = 400
+        # at the command line's default point.  The series route sums
+        # exactly, and the finite-difference step rule still resolves the
+        # closed generators.
+        phi = None if kind is ModelKind.TWO_PARAM else 1.0
+        point = ModelPoint(b=0.6, theta=0.8, t=5.0, phi=phi)
+        for n in (60, 100, 400):
+            spin = build_spin_rep(n)
+            closed = closed_generators(spin, kind, point)
+            series = series_generators(spin, kind, point)
+            numeric = numeric_generators(spin, kind, point)
+            for i in range(kind.n_params):
+                assert spectral_gap(series.matrices[i], closed.matrices[i]) <= 1e-12
+                assert spectral_gap(numeric.matrices[i], closed.matrices[i]) <= 1e-4
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_field_generator_proportional_to_hamiltonian(self, kind):

@@ -3,16 +3,21 @@
 ``perfbench/spans.py`` resolves each ``per_layer`` target of
 ``BENCHMARK.json`` as ``spinmetro.<module>`` followed by attribute lookups;
 a library name that disappears makes ``perfbench/run.py --trace 1`` fail.
-README's command-line examples must parse with the current parser, and
-every name a module lists in ``__all__`` must exist on it.  These tests
-only read the files.
+README's command-line examples must parse with the current parser, its
+library example must run, and every name a module lists in ``__all__``
+must exist on it.  These tests only read the files, except that the
+library example is executed.
 """
 
+import contextlib
 import importlib
+import io
 import json
 import re
 import shlex
 from pathlib import Path
+
+import pytest
 
 from spinmetro.cli import build_parser
 
@@ -64,3 +69,12 @@ def test_readme_command_lines_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_readme_library_example_runs():
+    section = (ROOT / "README.md").read_text().split("## Library example", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(block, "README.md", "exec"), {})
+    assert float(printed.getvalue().split()[0]) == pytest.approx(0.5, abs=1e-12)
