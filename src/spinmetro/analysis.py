@@ -5,8 +5,12 @@ tables and reports take (Q, D) from the probe's spin moments through the
 N-independent frame kernel, with no N x N matrix; the dense generator route
 matches it to rounding (the tests pin this).  Random experiments draw each
 trial from its own counter-derived seed so results are independent of
-evaluation order.  CSV output uses '.' decimals, ',' delimiters, a header
-row and 17 significant digits so repeated runs are bytewise identical.
+evaluation order.  CSV files are written a column at a time from the
+result arrays: '.' decimals, ',' delimiters, a header row and 17
+significant digits, so repeated runs are bytewise identical.  NaN is the
+one missing-value marker, from :func:`~spinmetro.metrology.bounds` to the
+file, where it is an empty field: a singular scan cell's R, Delta and T,
+and the Gamma and slope of an alpha with a singular baseline.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .encoding import (
     numeric_generators,
     series_generators,
 )
-from .errors import InvalidInput
+from .errors import InvalidInput, NumericalFailure
 from .linalg import build_spin_rep, sym_inverse
 from .metrology import bounds, check_probe, classical_fim, frame_qfim_uhlmann
 from .models import ProbeSpec, make_probe
@@ -40,31 +44,26 @@ __all__ = [
     "RankExperimentConfig",
     "fim_rank_experiment",
     "metrics_report",
-    "format_csv_value",
     "write_json",
 ]
 
 TWO_PI = 2 * np.pi
 
 
-def format_csv_value(x) -> str:
-    """17-significant-digit decimal rendering; empty string for missing."""
-    if x is None:
-        return ""
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    x = float(x)
-    if np.isnan(x):
-        return ""
-    return f"{x:.17g}"
+def _write_csv(path, header, columns) -> None:
+    """One row per entry of the equal-length ``columns``.
 
-
-def _write_csv(path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_csv_value(v) for v in row))
+    Floats get 17 significant digits and NaN an empty field; a boolean
+    column is written as 1/0.
+    """
+    fields = []
+    for column in columns:
+        column = np.asarray(column)
+        if column.dtype == bool:
+            fields.append(["1" if x else "0" for x in column.tolist()])
+        else:
+            fields.append(["" if math.isnan(x) else f"{x:.17g}" for x in column.tolist()])
+    lines = [",".join(header), *map(",".join, zip(*fields))]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -80,12 +79,11 @@ class ScanConfig:
 
     ``b_range`` defaults to one period of the model in the field strength,
     ``[0, 2 pi / t]``; the probe can be a :class:`ProbeSpec` or an explicit
-    amplitude vector of length ``dim``.  ``weight`` and ``rel_tol`` are
-    checked when the scan runs, by :func:`~spinmetro.metrology.bounds`.
+    amplitude vector, and it sets the dimension.  ``weight`` and ``rel_tol``
+    are checked when the scan runs, by :func:`~spinmetro.metrology.bounds`.
     """
 
     kind: ModelKind
-    dim: int
     probe: ProbeSpec | np.ndarray
     t: float
     model_phi: float = 0.0
@@ -97,8 +95,6 @@ class ScanConfig:
     rel_tol: float = 1e-10
 
     def __post_init__(self):
-        if int(self.dim) != self.dim or self.dim < 2:
-            raise InvalidInput(f"dimension must be an integer >= 2, got {self.dim!r}")
         if not (math.isfinite(self.t) and math.isfinite(self.model_phi)):
             raise InvalidInput(f"t and model_phi must be finite, got {self.t}, {self.model_phi}")
         if not self.t > 0:
@@ -116,10 +112,8 @@ class ScanConfig:
 
     def probe_state(self) -> np.ndarray:
         if isinstance(self.probe, ProbeSpec):
-            if self.probe.dim != self.dim:
-                raise InvalidInput("probe spec dimension disagrees with scan dimension")
             return make_probe(self.probe)
-        return check_probe(self.probe, self.dim)
+        return check_probe(self.probe)
 
 
 @dataclass(frozen=True)
@@ -144,24 +138,9 @@ class ScanResult:
     def shape(self) -> tuple[int, int]:
         return (self.config.theta_count, self.config.b_count)
 
-    def rows(self):
-        t_gap = self.t_gap
-        for i in range(self.theta.size):
-            if self.singular[i]:
-                yield (self.theta[i], self.b[i], None, None, None, self.det_q[i], True)
-            else:
-                yield (
-                    self.theta[i],
-                    self.b[i],
-                    self.r_ai[i],
-                    self.delta[i],
-                    t_gap[i],
-                    self.det_q[i],
-                    False,
-                )
-
     def write_csv(self, path) -> None:
-        _write_csv(path, self.HEADER, self.rows())
+        _write_csv(path, self.HEADER, (self.theta, self.b, self.r_ai, self.delta, self.t_gap,
+                                       self.det_q, self.singular))
 
 
 def run_scan(config: ScanConfig) -> ScanResult:
@@ -215,13 +194,12 @@ class ScalingResult:
 
     HEADER = ("alpha", "N", "Gamma", "slope")
 
-    def rows(self):
-        for alpha in self.alphas:
-            for n in self.dims:
-                yield (alpha, n, self.gammas[alpha].get(n), self.slopes[alpha])
-
     def write_csv(self, path) -> None:
-        _write_csv(path, self.HEADER, self.rows())
+        table = np.array(
+            [(a, n, self.gammas[a][n], self.slopes[a]) for a in self.alphas for n in self.dims],
+            dtype=float,
+        )
+        _write_csv(path, self.HEADER, table.T)
 
 
 def scaling_table(
@@ -238,7 +216,8 @@ def scaling_table(
     three-parameter model has a singular qubit QFIM, so the smallest
     nonsingular dimension N = 4 serves as baseline instead; its slope is
     fitted against log N (versus log(N - 1) for two parameters).  An alpha
-    whose baseline QFIM is singular yields empty Gamma and slope fields.
+    whose baseline QFIM is singular yields empty Gamma and slope fields; a
+    Gamma that is not finite raises :class:`NumericalFailure`.
     A slope needs at least two distinct dimensions, each listed once, and
     at least one probe angle.
     """
@@ -272,6 +251,8 @@ def scaling_table(
         x = np.array(dims, dtype=float)
         x = x - 1.0 if kind is ModelKind.TWO_PARAM else x
         y = np.array([per_alpha[n] for n in dims])
+        if not np.isfinite(y).all():
+            raise NumericalFailure(f"Gamma is not finite at alpha = {alpha!r}")
         slopes[alpha] = float(np.polyfit(np.log(x), np.log(y), 1)[0])
     return ScalingResult(
         kind=kind,

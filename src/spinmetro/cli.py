@@ -116,7 +116,6 @@ def _cmd_scan(args) -> None:
     theta_count, b_count = _parse_grid(args.grid)
     config = ScanConfig(
         kind=ModelKind(args.model),
-        dim=args.dim,
         probe=ProbeSpec(dim=args.dim, alpha=args.alpha, phi=args.phi),
         t=args.time,
         model_phi=args.model_phi,

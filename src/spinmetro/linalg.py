@@ -195,10 +195,11 @@ def singular_mask(evals, rel_tol: float) -> np.ndarray:
     not positive or the ratio of its smallest to largest eigenvalue falls
     below ``rel_tol``.  The threshold is relative on purpose: the matrices
     this package inverts scale with evolution time and probe dimension.
-    A ``rel_tol`` that is not positive raises :class:`InvalidInput`.
+    A ``rel_tol`` outside (0, 1) raises :class:`InvalidInput`: one of 1 or
+    more would flag every matrix except, at most, multiples of the identity.
     """
-    if not rel_tol > 0:
-        raise InvalidInput(f"singularity tolerance must be positive, got {rel_tol!r}")
+    if not 0 < rel_tol < 1:
+        raise InvalidInput(f"singularity tolerance must lie in (0, 1), got {rel_tol!r}")
     lam_max = evals[..., -1]
     return (lam_max <= 0) | (evals[..., 0] < rel_tol * lam_max)
 
@@ -208,11 +209,12 @@ def check_inverse(q, q_inv, cond) -> None:
 
     A correct inverse leaves a residual ``||Q Q^-1 - I||`` of a few
     ``eps * cond(Q)``, so each matrix of the stack is held to
-    ``1e3 * eps * cond(Q)`` with ``cond`` its condition number.
+    ``1e3 * eps * cond(Q)`` with ``cond`` its condition number.  A NaN
+    residual fails too.
     """
     resid = np.linalg.norm(q @ q_inv - np.eye(q.shape[-1]), axis=(-2, -1))
     excess = float(np.max(resid / (1e3 * np.finfo(float).eps * np.asarray(cond))))
-    if excess > 1:
+    if not excess <= 1:
         raise NumericalFailure(
             f"inverse verification failed (residual {excess:.3g} times 1e3 eps cond(Q))"
         )

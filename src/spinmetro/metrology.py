@@ -62,29 +62,15 @@ def check_probe(psi, dim: int | None = None) -> np.ndarray:
     return psi
 
 
-def _moment_matrix(gens: GeneratorSet, psi: np.ndarray):
-    v = np.einsum("lij,j->li", gens.matrices, psi)
-    means = np.einsum("i,li->l", psi.conj(), v).real
-    second = np.einsum("li,mi->lm", v.conj(), v)
-    return second, means
-
-
 def qfim_uhlmann(gens: GeneratorSet, probe) -> tuple[np.ndarray, np.ndarray]:
     """QFIM and Uhlmann matrix of a pure unitary model, from generators.
 
     ``Q_lm = 2 <{G_l, G_m}> - 4 <G_l><G_m>`` and
     ``D_lm = -2j <[G_l, G_m]>``, expectations in the probe state.  Q is
-    symmetric positive semidefinite, D real antisymmetric.
+    symmetric positive semidefinite, D real antisymmetric.  It is
+    :func:`batched_qfim_uhlmann` on a batch of one.
     """
-    psi = check_probe(probe, gens.dim)
-    second, means = _moment_matrix(gens, psi)
-    asym = np.abs(second.real - second.real.T).max()
-    if asym > 1e-9 * max(np.abs(second).max(), 1.0):
-        raise NumericalFailure(
-            f"generator moments lost Hermitian symmetry (residual {asym:.3e})"
-        )
-    q = 4 * (second.real - np.outer(means, means))
-    d = 4 * second.imag
+    q, d = batched_qfim_uhlmann(gens.matrices, check_probe(probe, gens.dim))
     return (q + q.T) / 2, (d - d.T) / 2
 
 
@@ -118,13 +104,20 @@ def batched_qfim_uhlmann(gen_stack, probes) -> tuple[np.ndarray, np.ndarray]:
     leading axes broadcast against each other.  Returns ``(Q, D)`` with
     shape (..., d, d).  Probes must be pre-normalized.  Scans and scaling
     tables use :func:`frame_qfim_uhlmann`; this dense form is its test
-    oracle.
+    oracle.  Raises :class:`NumericalFailure` when the real part of a
+    second-moment matrix ``<G_l G_m>`` is not symmetric to 1e-9 of
+    ``max(|<G_l G_m>|, 1)``, as for generators that are not Hermitian.
     """
     gen_stack = np.asarray(gen_stack, dtype=complex)
     probes = np.asarray(probes, dtype=complex)
     v = np.einsum("...lij,...j->...li", gen_stack, probes)
     means = np.einsum("...i,...li->...l", probes.conj(), v).real
     second = np.einsum("...li,...mi->...lm", v.conj(), v)
+    asym = np.abs(second.real - np.swapaxes(second.real, -1, -2)).max(axis=(-2, -1))
+    if np.any(asym > 1e-9 * np.maximum(np.abs(second).max(axis=(-2, -1)), 1.0)):
+        raise NumericalFailure(
+            f"generator moments lost Hermitian symmetry (residual {np.max(asym):.3e})"
+        )
     q = 4 * (second.real - means[..., :, None] * means[..., None, :])
     d = 4 * second.imag
     return q, d
@@ -344,7 +337,9 @@ def bounds(q, d, weight=None, rel_tol: float = 1e-10):
     ``q`` and ``d`` have shape (..., dim, dim).  Returns
     ``(singular, r_ai, c_sld, c_h, delta)``, each of the leading shape,
     with NaN bound values on singular matrices (the rule of
-    :func:`~spinmetro.linalg.singular_mask`).  One ``eigh`` of each Q gives
+    :func:`~spinmetro.linalg.singular_mask`); NaN marks a singular matrix
+    and nothing else, so a Q or D that is not finite raises
+    :class:`NumericalFailure`.  One ``eigh`` of each Q gives
     the singular rule, ``Q^-1`` (held to :func:`~spinmetro.linalg.check_inverse`)
     and ``Q^-1/2``, with ``R`` the largest ``|eigvalsh|`` of the Hermitian
     ``1j Q^-1/2 D Q^-1/2`` (similar to ``1j Q^-1 D``).  The costs are
@@ -355,6 +350,8 @@ def bounds(q, d, weight=None, rel_tol: float = 1e-10):
     d = np.asarray(d, dtype=float)
     if q.ndim < 2 or q.shape != d.shape or q.shape[-1] != q.shape[-2]:
         raise InvalidInput(f"Q and D must be square stacks of one shape, got {q.shape}, {d.shape}")
+    if not (np.isfinite(q).all() and np.isfinite(d).all()):
+        raise NumericalFailure("QFIM or Uhlmann matrix is not finite")
     lead, dim = q.shape[:-2], q.shape[-1]
     w = _check_weight(weight, dim)
     q, d = q.reshape(-1, dim, dim), d.reshape(-1, dim, dim)

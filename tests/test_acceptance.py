@@ -67,9 +67,7 @@ def verdict(num, ok, detail, elapsed, budget):
 def benchmark_grids():
     results = {}
     for name, (kind, dim, alpha, t) in BENCHMARK_GRIDS.items():
-        config = ScanConfig(
-            kind=kind, dim=dim, probe=ProbeSpec(dim=dim, alpha=alpha, phi=0.0), t=t
-        )
+        config = ScanConfig(kind=kind, probe=ProbeSpec(dim=dim, alpha=alpha, phi=0.0), t=t)
         start = time.perf_counter()
         results[name] = (run_scan(config), time.perf_counter() - start)
     return results

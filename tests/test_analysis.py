@@ -22,7 +22,6 @@ from spinmetro import (
     scaling_table,
     shrinkage_fractions,
 )
-from spinmetro.analysis import format_csv_value
 from spinmetro.models import ProbeSpec
 
 from conftest import points_for, rep
@@ -32,7 +31,6 @@ def small_scan(kind=ModelKind.TWO_PARAM, dim=2, alpha=np.pi / 4, phi=0.0, t=5.0,
                counts=(21, 21), model_phi=0.0):
     return ScanConfig(
         kind=kind,
-        dim=dim,
         probe=ProbeSpec(dim=dim, alpha=alpha, phi=phi),
         t=t,
         model_phi=model_phi,
@@ -108,7 +106,7 @@ class TestRunScan:
     def test_weighted_scan_matches_pointwise_bound(self, rng):
         w = np.diag([2.0, 0.5])
         config = ScanConfig(
-            kind=ModelKind.TWO_PARAM, dim=3, probe=ProbeSpec(dim=3, alpha=0.4, phi=0.2),
+            kind=ModelKind.TWO_PARAM, probe=ProbeSpec(dim=3, alpha=0.4, phi=0.2),
             t=5.0, theta_count=9, b_count=9, weight=w,
         )
         res = run_scan(config)
@@ -141,11 +139,7 @@ class TestRunScan:
         with pytest.raises(InvalidInput):
             small_scan(counts=(1, 5))
         with pytest.raises(InvalidInput):
-            ScanConfig(kind=ModelKind.TWO_PARAM, dim=2,
-                       probe=ProbeSpec(dim=2, alpha=0.2), t=-1.0)
-        with pytest.raises(InvalidInput):
-            ScanConfig(kind=ModelKind.TWO_PARAM, dim=3,
-                       probe=ProbeSpec(dim=2, alpha=0.2), t=5.0).probe_state()
+            ScanConfig(kind=ModelKind.TWO_PARAM, probe=ProbeSpec(dim=2, alpha=0.2), t=-1.0)
 
     def test_asymmetric_weight_is_rejected(self):
         config = replace(small_scan(dim=3, counts=(3, 3)), weight=[[1.0, 5.0], [0.0, 1.0]])
@@ -162,15 +156,56 @@ class TestRunScan:
             run_scan(replace(small_scan(counts=(3, 3)), rel_tol=0.0))
 
 
-class TestFormatCsvValue:
-    def test_seventeen_digits(self):
-        assert format_csv_value(np.pi) == "3.1415926535897931"
+def read_csv(path):
+    header, *rows = (line.split(",") for line in path.read_text().splitlines())
+    return header, rows
 
-    def test_missing_and_flags(self):
-        assert format_csv_value(None) == ""
-        assert format_csv_value(float("nan")) == ""
-        assert format_csv_value(True) == "1"
-        assert format_csv_value(7) == "7"
+
+def same_bits(fields, values) -> bool:
+    return np.array([float(x) for x in fields]).tobytes() == np.asarray(values, float).tobytes()
+
+
+class TestCsvWriter:
+    # Columns are written from their arrays: every float field reads back to
+    # the same bits, NaN is the empty field and flags are 1/0.
+
+    def test_scan_columns_round_trip(self, tmp_path):
+        res = run_scan(small_scan(counts=(9, 7)))
+        assert res.singular.any() and not res.singular.all()
+        out = tmp_path / "scan.csv"
+        res.write_csv(out)
+        header, rows = read_csv(out)
+        assert header == list(res.HEADER)
+        theta, b, r, delta, t_gap, det_q, flags = map(np.array, zip(*rows))
+        assert same_bits(theta, res.theta) and same_bits(b, res.b)
+        assert theta[-1] == "6.2831853071795862"  # 17 significant digits of 2 pi
+        assert same_bits(det_q, res.det_q)
+        assert set(flags) == {"0", "1"}
+        assert ((flags == "1") == res.singular).all()
+        regular = ~res.singular
+        for fields, values in ((r, res.r_ai), (delta, res.delta), (t_gap, res.t_gap)):
+            assert ((fields == "") == res.singular).all()
+            assert same_bits(fields[regular], values[regular])
+
+    def test_scaling_columns_round_trip(self, tmp_path):
+        # alpha = 0 at theta = pi/2 has a singular qubit baseline.
+        point = ModelPoint(b=0.9, theta=np.pi / 2, t=5.0)
+        table = scaling_table(ModelKind.TWO_PARAM, [0.0, np.pi / 4], [4, 5, 7], point)
+        out = tmp_path / "scaling.csv"
+        table.write_csv(out)
+        header, rows = read_csv(out)
+        assert header == list(table.HEADER)
+        expected = [(a, n) for a in table.alphas for n in table.dims]
+        assert len(rows) == len(expected)
+        for (alpha_f, n_f, gamma_f, slope_f), (alpha, n) in zip(rows, expected):
+            assert same_bits([alpha_f], [alpha])
+            assert n_f == str(n)
+            gamma, slope = table.gammas[alpha][n], table.slopes[alpha]
+            if alpha == 0.0:
+                assert gamma is None and slope is None
+                assert gamma_f == slope_f == ""
+            else:
+                assert same_bits([gamma_f, slope_f], [gamma, slope])
 
 
 class TestShrinkage:

@@ -206,6 +206,24 @@ def test_non_finite_input_is_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+# An empty CSV field or JSON null means "singular" and nothing else.  So a
+# --tol outside (0, 1), which would flag (almost) every cell, is a usage
+# error, and an input that overflows Q, D or Gamma is a numerical failure;
+# neither leaves a traceback or an output file.
+@pytest.mark.parametrize("argv, code", [
+    *(([command, "--tol", tol], 2)
+      for command in ("scan", "metrics", "scaling") for tol in ("inf", "1", "2")),
+    *(([command, "--model", model, "--time", "1e300"], 1)
+      for command in ("scan", "metrics", "scaling") for model in ("two", "three")),
+    (["scaling", "--time", "1e152", "--tol", "1e-310", "--dims", "4,240"], 1),
+])
+def test_out_of_range_input_leaves_no_output(tmp_path, capsys, argv, code):
+    out = tmp_path / "x.out"
+    assert run([*argv, "--out", str(out)]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestFimRankCommand:
     def test_report_and_determinism(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

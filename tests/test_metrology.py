@@ -522,6 +522,16 @@ class TestBounds:
         with pytest.raises(InvalidInput):
             bounds(np.eye(2), np.zeros((2, 2)), rel_tol=0.0)
 
+    # NaN bound values mean "singular"; an overflowed Q or D must not come
+    # out looking like one.
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_non_finite_matrices_are_a_numerical_failure(self, bad, which):
+        q_and_d = [np.stack([np.eye(2)] * 3), np.zeros((3, 2, 2))]
+        q_and_d[which][1, 0, 1] = bad
+        with pytest.raises(NumericalFailure):
+            bounds(*q_and_d)
+
     def test_perturbed_eigenvectors_fail_the_inverse_check(self, rng, monkeypatch):
         q, d = random_model(rng, 3, cond=1e4)
         eigh = np.linalg.eigh
