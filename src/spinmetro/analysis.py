@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -264,9 +265,19 @@ def scaling_table(
     )
 
 
+# Trials per stacked block of the rank experiment: the draws, softmax, FIM,
+# svd and det of one block are single array calls, and peak memory stays
+# that of one block however many trials run.
+RANK_BLOCK = 256
+
+
 @dataclass(frozen=True)
 class RankExperimentConfig:
-    """Monte-Carlo check of the outcome-count rank bound on the FIM."""
+    """Monte-Carlo check of the outcome-count rank bound on the FIM.
+
+    ``seed`` must be a non-negative integer and ``lam``, the evaluation
+    point (default: the origin), finite with ``n_params`` components.
+    """
 
     n_params: int
     n_outcomes: int
@@ -281,23 +292,31 @@ class RankExperimentConfig:
             raise InvalidInput("need at least two outcomes")
         if self.trials < 1:
             raise InvalidInput("need at least one trial")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise InvalidInput(f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.lam is not None:
+            lam = np.asarray(self.lam, dtype=float)
+            if lam.shape != (self.n_params,):
+                raise InvalidInput(f"evaluation point must have {self.n_params} components")
+            if not np.isfinite(lam).all():
+                raise InvalidInput(f"evaluation point must be finite, got {lam.tolist()}")
 
     def lam_point(self) -> np.ndarray:
         if self.lam is None:
             return np.zeros(self.n_params)
-        lam = np.asarray(self.lam, dtype=float)
-        if lam.shape != (self.n_params,):
-            raise InvalidInput(f"evaluation point must have {self.n_params} components")
-        return lam
+        return np.asarray(self.lam, dtype=float)
 
 
 def _softmax_family(a, b, lam):
-    """Probabilities and analytic gradients of p_i  propto  exp(a_i + b_i . lam)."""
+    """Probabilities and analytic gradients of p_i  propto  exp(a_i + b_i . lam),
+    over leading axes: ``a (..., n)`` and ``b (..., n, d)`` give ``p (..., n)``
+    and ``grads (..., d, n)`` with ``grads[..., j, i] = d p_i / d lam_j``."""
     z = a + b @ lam
-    z -= z.max()
+    z -= z.max(axis=-1, keepdims=True)
     p = np.exp(z)
-    p /= p.sum()
-    grads = (p[None, :] * (b.T - (p @ b)[:, None]))  # (d, n): d p_i / d lam_j
+    p /= p.sum(axis=-1, keepdims=True)
+    mean_b = (p[..., None, :] @ b)[..., 0, :]  # (..., d)
+    grads = p[..., None, :] * (np.swapaxes(b, -1, -2) - mean_b[..., :, None])
     return p, grads
 
 
@@ -305,9 +324,10 @@ def fim_rank_experiment(config: RankExperimentConfig) -> dict:
     """Sample softmax-affine families; verify rank(F) <= min(d, n - 1).
 
     Each trial draws standard-normal offsets and slopes from a seed derived
-    from (seed, trial index), so trial i is independent of evaluation
-    order.  The FIM is computed two ways: the direct weighted-gradient sum
-    and the product decomposition that eliminates the redundant last
+    from (seed, d, n, trial index), so trial i is independent of evaluation
+    order.  The draws of :data:`RANK_BLOCK` trials are stacked and evaluated
+    together.  The FIM is computed two ways: the direct weighted-gradient
+    sum and the product decomposition that eliminates the redundant last
     outcome; their agreement is recorded as the decomposition residual.
     """
     d, n = config.n_params, config.n_outcomes
@@ -318,26 +338,31 @@ def fim_rank_experiment(config: RankExperimentConfig) -> dict:
     full_rank = 0
     max_resid = 0.0
     max_det_norm = 0.0
-    for trial in range(config.trials):
-        rng = np.random.default_rng((config.seed, d, n, trial))
-        a = rng.standard_normal(n)
-        b = rng.standard_normal((n, d))
+    for first in range(0, config.trials, RANK_BLOCK):
+        trials = range(first, min(first + RANK_BLOCK, config.trials))
+        a = np.empty((len(trials), n))
+        b = np.empty((len(trials), n, d))
+        for k, trial in enumerate(trials):
+            rng = np.random.default_rng((config.seed, d, n, trial))
+            a[k] = rng.standard_normal(n)
+            b[k] = rng.standard_normal((n, d))
         p, grads = _softmax_family(a, b, lam)
         f = classical_fim(p, grads)
         # decomposition route: F = eta . dtil with the last outcome eliminated
-        dmat = grads  # (d, n)
-        eta = dmat[:, :-1] / p[:-1] + (dmat[:, :-1].sum(axis=1) / p[-1])[:, None]
-        f_decomp = eta @ dmat[:, :-1].T
-        scale = max(np.linalg.norm(f), 1e-300)
-        max_resid = max(max_resid, float(np.linalg.norm(f - f_decomp) / scale))
+        dtil = grads[..., :-1]
+        eta = dtil / p[:, None, :-1] + (dtil.sum(axis=-1) / p[:, -1:])[..., None]
+        f_decomp = eta @ np.swapaxes(dtil, -1, -2)
+        f_norm = np.linalg.norm(f, axis=(-2, -1))
+        resid = np.linalg.norm(f - f_decomp, axis=(-2, -1)) / np.maximum(f_norm, 1e-300)
+        max_resid = float(np.fmax.reduce(resid, initial=max_resid))
         svals = np.linalg.svd(f, compute_uv=False)
-        rank = int((svals > 1e-10 * max(svals[0], 1e-300)).sum())
-        max_rank = max(max_rank, rank)
-        violations += rank > rank_bound
-        full_rank += rank == d
-        max_det_norm = max(
-            max_det_norm, float(abs(np.linalg.det(f)) / np.linalg.norm(f) ** d)
-        )
+        rank = (svals > 1e-10 * np.maximum(svals[:, :1], 1e-300)).sum(axis=-1)
+        max_rank = max(max_rank, int(rank.max()))
+        violations += int((rank > rank_bound).sum())
+        full_rank += int((rank == d).sum())
+        # fmax skips the NaN of a trial whose FIM vanishes, not its whole block
+        det_norm = np.abs(np.linalg.det(f)) / f_norm**d
+        max_det_norm = float(np.fmax.reduce(det_norm, initial=max_det_norm))
     return {
         "n_params": d,
         "n_outcomes": n,
@@ -346,7 +371,7 @@ def fim_rank_experiment(config: RankExperimentConfig) -> dict:
         "lam": [float(v) for v in lam],
         "rank_bound": rank_bound,
         "max_rank": max_rank,
-        "rank_violations": int(violations),
+        "rank_violations": violations,
         "full_rank_fraction": full_rank / config.trials,
         "max_decomposition_residual": max_resid,
         "max_normalized_det": max_det_norm,
@@ -357,22 +382,17 @@ def _route_residuals(kind, point) -> dict:
     """Max relative spectral-norm deviation of the oracle routes, taken in
     spin-1/2: ``||a . J||_2 = s |a|``, so every irrep gives the same value."""
     rep = build_spin_rep(2)
-    closed = closed_generators(rep, kind, point)
-    series = series_generators(rep, kind, point)
-    numeric = numeric_generators(rep, kind, point)
-
-    def rel(a, b):
-        return float(
-            np.linalg.norm(a - b, 2) / max(np.linalg.norm(a, 2), np.linalg.norm(b, 2), 1e-12)
-        )
-
+    closed, series, numeric = (
+        route(rep, kind, point).matrices
+        for route in (closed_generators, series_generators, numeric_generators)
+    )
+    norms = np.linalg.norm(
+        np.stack([closed, series, numeric, series - closed, numeric - closed]), 2, axis=(-2, -1)
+    )
+    scale = np.maximum(norms[0], 1e-12)
     return {
-        "series_vs_closed": max(
-            rel(series.matrices[i], closed.matrices[i]) for i in range(closed.n_params)
-        ),
-        "numeric_vs_closed": max(
-            rel(numeric.matrices[i], closed.matrices[i]) for i in range(closed.n_params)
-        ),
+        "series_vs_closed": float(np.max(norms[3] / np.maximum(norms[1], scale))),
+        "numeric_vs_closed": float(np.max(norms[4] / np.maximum(norms[2], scale))),
     }
 
 

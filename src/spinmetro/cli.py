@@ -7,6 +7,7 @@ consistency failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .analysis import (
@@ -78,7 +79,14 @@ def _model_point(args) -> ModelPoint:
     return ModelPoint(b=args.b, theta=args.theta, t=args.time, phi=phi)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``spinmetro`` argument parser, built once per process.
+
+    Parsing keeps no state in the parser: each call returns a fresh
+    namespace, so :func:`main` reuses this one parser for every call.
+    Every caller gets the same object, to parse with and not to change.
+    """
     parser = argparse.ArgumentParser(
         prog="spinmetro",
         description="Precision bounds and measurement incompatibility for "
@@ -167,8 +175,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _COMMANDS[args.command](args)
     except InvalidInput as exc:

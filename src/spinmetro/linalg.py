@@ -233,7 +233,10 @@ def sym_inverse(q, rel_tol: float = 1e-10) -> np.ndarray | None:
         if np.abs(q.imag).max(initial=0.0) > 1e-12 * max(np.abs(q).max(), 1.0):
             raise InvalidInput("symmetric inverse expects a real matrix")
         q = q.real
-    if np.linalg.norm(q - q.T) > 1e-10 * max(np.linalg.norm(q), 1.0):
+    # Scaled to a largest entry of 1, so the Frobenius norms cannot overflow;
+    # the norm of the scaled matrix is then at least 1.
+    scaled = q / max(np.abs(q).max(initial=0.0), np.finfo(float).tiny)
+    if np.linalg.norm(scaled - scaled.T) > 1e-10 * np.linalg.norm(scaled):
         raise InvalidInput("matrix is not symmetric")
     w = np.linalg.eigvalsh(q)
     if singular_mask(w, rel_tol):

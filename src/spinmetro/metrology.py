@@ -231,28 +231,33 @@ def born_probabilities(rho, povm) -> np.ndarray:
 
 
 def classical_fim(probs, grads) -> np.ndarray:
-    """Classical Fisher information matrix of a finite distribution.
+    """Classical Fisher information matrix of a finite distribution, over leading axes.
 
-    ``grads[j, i] = d p_i / d lambda_j`` must have vanishing row sums
-    (probability is conserved); outcomes with ``p_i < 1e-14`` are skipped.
+    ``probs (..., n)`` and ``grads (..., d, n)``, with ``grads[..., j, i] =
+    d p_i / d lambda_j``, give ``F (..., d, d)``.  Each distribution must be
+    nonnegative and sum to 1, and its gradient rows must sum to zero
+    (probability is conserved); outcomes with ``p_i < 1e-14`` contribute
+    nothing.
     """
-    probs = np.asarray(probs, dtype=float)
+    probs = np.atleast_1d(np.asarray(probs, dtype=float))
     grads = np.atleast_2d(np.asarray(grads, dtype=float))
-    if probs.min(initial=0.0) < -1e-12 or abs(probs.sum() - 1.0) > 1e-10:
-        raise InvalidInput("probabilities must be nonnegative and sum to 1")
-    if grads.shape[1] != probs.size:
+    if grads.shape[:-2] != probs.shape[:-1] or grads.shape[-1] != probs.shape[-1]:
         raise InvalidInput(
-            f"gradient matrix has {grads.shape[1]} columns for {probs.size} outcomes"
+            f"gradient stack of shape {grads.shape} does not match probabilities {probs.shape}"
         )
-    row_sums = np.abs(grads.sum(axis=1))
-    if row_sums.max(initial=0.0) > 1e-10 * max(np.abs(grads).max(initial=0.0), 1.0):
+    normalized = (probs >= -1e-12).all(axis=-1) & (abs(probs.sum(axis=-1) - 1.0) <= 1e-10)
+    if not normalized.all():
+        raise InvalidInput("probabilities must be nonnegative and sum to 1")
+    row_sums = np.abs(grads.sum(axis=-1)).max(axis=-1, initial=0.0)
+    scale = np.maximum(np.abs(grads).max(axis=(-2, -1), initial=0.0), 1.0)
+    if not (row_sums <= 1e-10 * scale).all():
         raise InvalidInput(
             "gradient rows must sum to zero (probability normalization broken)"
         )
-    keep = probs >= 1e-14
-    g = grads[:, keep]
-    f = (g / probs[keep]) @ g.T
-    return (f + f.T) / 2
+    keep = (probs >= 1e-14)[..., None, :]
+    weighted = np.divide(grads, probs[..., None, :], out=np.zeros_like(grads), where=keep)
+    f = weighted @ np.swapaxes(grads, -1, -2)
+    return (f + np.swapaxes(f, -1, -2)) / 2
 
 
 def incompat_operator(q, d) -> np.ndarray:

@@ -37,6 +37,51 @@ def ai_two_param(q, d):
     return float(np.sqrt(max(float(np.linalg.det(d)), 0.0) / det_q))
 
 
+def fim_rank_loop(config):
+    """The rank experiment one trial at a time, with the FIM summed over the
+    outcomes with ``p >= 1e-14``: an oracle for the stacked
+    :func:`~spinmetro.analysis.fim_rank_experiment`."""
+    d, n = config.n_params, config.n_outcomes
+    lam = config.lam_point()
+    rank_bound = min(d, n - 1)
+    max_rank = violations = full_rank = 0
+    max_resid = max_det_norm = 0.0
+    for trial in range(config.trials):
+        rng = np.random.default_rng((config.seed, d, n, trial))
+        a = rng.standard_normal(n)
+        b = rng.standard_normal((n, d))
+        z = a + b @ lam
+        p = np.exp(z - z.max())
+        p /= p.sum()
+        grads = p[None, :] * (b.T - (p @ b)[:, None])
+        keep = p >= 1e-14
+        f = (grads[:, keep] / p[keep]) @ grads[:, keep].T
+        f = (f + f.T) / 2
+        eta = grads[:, :-1] / p[:-1] + (grads[:, :-1].sum(axis=1) / p[-1])[:, None]
+        f_decomp = eta @ grads[:, :-1].T
+        scale = max(np.linalg.norm(f), 1e-300)
+        max_resid = max(max_resid, float(np.linalg.norm(f - f_decomp) / scale))
+        svals = np.linalg.svd(f, compute_uv=False)
+        rank = int((svals > 1e-10 * max(svals[0], 1e-300)).sum())
+        max_rank = max(max_rank, rank)
+        violations += rank > rank_bound
+        full_rank += rank == d
+        max_det_norm = max(max_det_norm, float(abs(np.linalg.det(f)) / np.linalg.norm(f) ** d))
+    return {
+        "n_params": d,
+        "n_outcomes": n,
+        "trials": config.trials,
+        "seed": config.seed,
+        "lam": [float(v) for v in lam],
+        "rank_bound": rank_bound,
+        "max_rank": max_rank,
+        "rank_violations": int(violations),
+        "full_rank_fraction": full_rank / config.trials,
+        "max_decomposition_residual": max_resid,
+        "max_normalized_det": max_det_norm,
+    }
+
+
 def evolved_family(spin, kind, point, probe):
     """Map parameter values to the evolved pure state of the model."""
 

@@ -22,9 +22,10 @@ from spinmetro import (
     scaling_table,
     shrinkage_fractions,
 )
+from spinmetro.analysis import RANK_BLOCK
 from spinmetro.models import ProbeSpec
 
-from conftest import points_for, rep
+from conftest import fim_rank_loop, points_for, rep
 
 
 def small_scan(kind=ModelKind.TWO_PARAM, dim=2, alpha=np.pi / 4, phi=0.0, t=5.0,
@@ -314,6 +315,61 @@ class TestFimRankExperiment:
             RankExperimentConfig(n_params=0, n_outcomes=3)
         with pytest.raises(InvalidInput):
             RankExperimentConfig(n_params=2, n_outcomes=1)
+
+    # A negative seed used to escape as numpy's ValueError, and a NaN in lam
+    # gave max_rank 0 and no violations, as if the bound held.
+    @pytest.mark.parametrize("kwargs", [
+        dict(seed=-1),
+        dict(seed=1.5),
+        dict(lam=[np.nan, 1.0]),
+        dict(lam=[0.0, np.inf]),
+        dict(lam=[0.0, 1.0, 2.0]),
+    ])
+    def test_bad_seed_or_point_is_invalid(self, kwargs):
+        with pytest.raises(InvalidInput):
+            RankExperimentConfig(n_params=2, n_outcomes=3, trials=4, **kwargs)
+
+    # Several blocks, the last one partial, so the stacking is exercised
+    # across block boundaries.
+    @pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (3, 4), (4, 6)])
+    def test_stacked_trials_match_per_trial_loop(self, d, n):
+        config = RankExperimentConfig(n_params=d, n_outcomes=n, trials=2 * RANK_BLOCK + 37,
+                                      seed=17, lam=np.linspace(-0.5, 0.5, d))
+        got, want = fim_rank_experiment(config), fim_rank_loop(config)
+        floats = ("max_normalized_det", "max_decomposition_residual")
+        assert {k: v for k, v in got.items() if k not in floats} == {
+            k: v for k, v in want.items() if k not in floats
+        }
+        assert got["max_normalized_det"] == pytest.approx(want["max_normalized_det"],
+                                                          rel=1e-12, abs=1e-300)
+        assert got["max_decomposition_residual"] <= 1e-13
+        assert want["max_decomposition_residual"] <= 1e-13
+
+    # Far from the origin some trials put p below 1e-14 on all outcomes but
+    # one: their FIM vanishes and its normalized det is NaN, which must skip
+    # that trial only, as the loop does, and not the rest of its block.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_vanishing_fim_skips_only_its_own_trial(self):
+        config = RankExperimentConfig(n_params=2, n_outcomes=3, trials=2 * RANK_BLOCK,
+                                      seed=1, lam=[40.0, -40.0])
+        got, want = fim_rank_experiment(config), fim_rank_loop(config)
+        assert want["max_normalized_det"] > 0.1
+        assert got["max_normalized_det"] == pytest.approx(want["max_normalized_det"], rel=1e-12)
+        assert got["max_rank"] == want["max_rank"]
+        assert got["full_rank_fraction"] == want["full_rank_fraction"]
+
+    def test_peak_memory_does_not_grow_with_trials(self):
+        def peak(blocks):
+            config = RankExperimentConfig(n_params=4, n_outcomes=6, trials=blocks * RANK_BLOCK)
+            tracemalloc.start()
+            try:
+                fim_rank_experiment(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # warm caches outside the measurement
+        assert peak(8) <= 1.05 * peak(2)
 
 
 class TestMetricsReport:

@@ -1,18 +1,32 @@
 """Command-line surface: wire formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinmetro
 from spinmetro import ModelPoint, bloch_vector, make_probe, qubit2p_closed
-from spinmetro.cli import main
+from spinmetro.cli import build_parser, main
 from spinmetro.models import ProbeSpec
 
 
 def run(argv):
     return main(argv)
+
+
+def run_fresh(argv, cwd):
+    """Run the command line in a new interpreter; return the finished process."""
+    env = dict(os.environ)
+    src = str(Path(spinmetro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "spinmetro.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 class TestScanCommand:
@@ -209,19 +223,32 @@ def test_non_finite_input_is_usage_error(tmp_path, capsys, argv):
 # An empty CSV field or JSON null means "singular" and nothing else.  So a
 # --tol outside (0, 1), which would flag (almost) every cell, is a usage
 # error, and an input that overflows Q, D or Gamma is a numerical failure;
-# neither leaves a traceback or an output file.
+# neither leaves a traceback or an output file.  A negative fim-rank seed,
+# which numpy's generator rejects, is a usage error too.
 @pytest.mark.parametrize("argv, code", [
     *(([command, "--tol", tol], 2)
       for command in ("scan", "metrics", "scaling") for tol in ("inf", "1", "2")),
     *(([command, "--model", model, "--time", "1e300"], 1)
       for command in ("scan", "metrics", "scaling") for model in ("two", "three")),
     (["scaling", "--time", "1e152", "--tol", "1e-310", "--dims", "4,240"], 1),
+    (["fim-rank", "--params", "2", "--outcomes", "3", "--trials", "1", "--seed", "-1"], 2),
 ])
 def test_out_of_range_input_leaves_no_output(tmp_path, capsys, argv, code):
     out = tmp_path / "x.out"
     assert run([*argv, "--out", str(out)]) == code
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_overflowing_singular_baseline_writes_no_warning(tmp_path):
+    # Q_BB is about 1e200 here: the baseline is singular at every alpha, and
+    # the symmetry check in sym_inverse no longer overflows to a numpy warning.
+    done = run_fresh(["scaling", "--time", "1e100", "--dims", "4,5", "--out", "x.csv"],
+                     cwd=tmp_path)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert (tmp_path / "x.csv").read_text() == (
+        "alpha,N,Gamma,slope\n0.78539816339744828,4,,\n0.78539816339744828,5,,\n"
+    )
 
 
 class TestFimRankCommand:
@@ -241,6 +268,22 @@ class TestFimRankCommand:
 
 
 class TestParser:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_shared_parser_keeps_no_state_between_calls(self, tmp_path):
+        # Non-default flags, then a usage error, then the defaults: the last
+        # report must not see anything of the first two.
+        assert run(["metrics", "--model", "three", "--dim", "5", "--alpha", "0.3",
+                    "--b", "0.2", "--tol", "1e-8", "--out", str(tmp_path / "a.json")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["metrics", "--dim", "three", "--out", str(tmp_path / "b.json")])
+        assert exc.value.code == 2
+        assert run(["metrics", "--out", str(tmp_path / "c.json")]) == 0
+        fresh = run_fresh(["metrics", "--out", "d.json"], cwd=tmp_path)
+        assert fresh.returncode == 0
+        assert (tmp_path / "c.json").read_bytes() == (tmp_path / "d.json").read_bytes()
+
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main([])

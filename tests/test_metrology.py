@@ -340,6 +340,38 @@ class TestClassicalFim:
         with pytest.raises(InvalidInput):
             classical_fim([0.5, 0.5], [[1.0, 1.0]])
 
+    @staticmethod
+    def stack(rng, count=6, d=3, n=5):
+        probs = rng.dirichlet(np.ones(n), size=count)
+        probs[2] = [0.6, 0.4 - 1e-15, 1e-15, 0.0, 0.0]  # outcomes below 1e-14
+        grads = rng.standard_normal((count, d, n))
+        grads -= grads.mean(axis=-1, keepdims=True)
+        return probs, grads
+
+    def test_stack_equals_row_by_row(self, rng):
+        probs, grads = self.stack(rng)
+        f = classical_fim(probs, grads)
+        assert f.shape == (6, 3, 3)
+        for k in range(6):
+            assert np.array_equal(f[k], classical_fim(probs[k], grads[k]))
+        # a skipped outcome contributes nothing, however large its gradient
+        keep = probs[2] >= 1e-14
+        g = grads[2][:, keep]
+        assert np.allclose(f[2], (g / probs[2][keep]) @ g.T, rtol=1e-14, atol=0)
+
+    def test_one_bad_row_in_a_stack_is_invalid(self, rng):
+        probs, grads = self.stack(rng)
+        bad_probs = probs.copy()
+        bad_probs[4, 0] += 1e-6
+        nan_probs = probs.copy()
+        nan_probs[1, 3] = np.nan
+        bad_grads = grads.copy()
+        bad_grads[5, 1, 0] += 1e-6
+        for p, g in ((bad_probs, grads), (nan_probs, grads), (probs, bad_grads),
+                     (probs, grads[:, :, :-1])):
+            with pytest.raises(InvalidInput):
+                classical_fim(p, g)
+
 
 class TestAiMeasure:
     def test_weak_compatibility(self):
