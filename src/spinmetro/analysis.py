@@ -23,17 +23,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoding import (
+    GeneratorSet,
     ModelKind,
     ModelPoint,
     closed_frame,
-    closed_generators,
     numeric_generators,
     series_generators,
 )
 from .errors import InvalidInput, NumericalFailure
 from .linalg import build_spin_rep, sym_inverse
 from .metrology import bounds, check_probe, classical_fim, frame_qfim_uhlmann
-from .models import ProbeSpec, make_probe
+from .models import MAX_DIM, ProbeSpec, make_probe
 
 __all__ = [
     "ScanConfig",
@@ -220,11 +220,12 @@ def scaling_table(
     whose baseline QFIM is singular yields empty Gamma and slope fields; a
     Gamma that is not finite raises :class:`NumericalFailure`.
     A slope needs at least two distinct dimensions, each listed once, and
-    at least one probe angle.
+    at least one probe angle.  Every dimension is checked before any is
+    computed.
     """
     dims = tuple(int(n) for n in dims)
-    if any(n < 4 for n in dims):
-        raise InvalidInput("scaling dimensions must be >= 4")
+    if any(not 4 <= n <= MAX_DIM for n in dims):
+        raise InvalidInput(f"scaling dimensions must lie in [4, {MAX_DIM}], got {dims}")
     if len(dims) < 2 or len(set(dims)) != len(dims):
         raise InvalidInput(
             f"scaling needs two or more distinct dimensions, each listed once; got {dims}"
@@ -378,13 +379,18 @@ def fim_rank_experiment(config: RankExperimentConfig) -> dict:
     }
 
 
-def _route_residuals(kind, point) -> dict:
+# The spin-1/2 representation the oracle routes of every report run in.
+_SPIN_HALF = build_spin_rep(2)
+_SPIN_HALF_J = np.stack([_SPIN_HALF.jx, _SPIN_HALF.jy, _SPIN_HALF.jz])
+
+
+def _route_residuals(kind, point, frame) -> dict:
     """Max relative spectral-norm deviation of the oracle routes, taken in
-    spin-1/2: ``||a . J||_2 = s |a|``, so every irrep gives the same value."""
-    rep = build_spin_rep(2)
-    closed, series, numeric = (
-        route(rep, kind, point).matrices
-        for route in (closed_generators, series_generators, numeric_generators)
+    spin-1/2: ``||a . J||_2 = s |a|``, so every irrep gives the same value.
+    The closed route is the report's own ``frame``, as dense generators."""
+    closed = GeneratorSet(kind.labels, np.tensordot(frame, _SPIN_HALF_J, axes=1)).matrices
+    series, numeric = (
+        route(_SPIN_HALF, kind, point).matrices for route in (series_generators, numeric_generators)
     )
     norms = np.linalg.norm(
         np.stack([closed, series, numeric, series - closed, numeric - closed]), 2, axis=(-2, -1)
@@ -426,5 +432,5 @@ def metrics_report(kind: ModelKind, spec: ProbeSpec, point: ModelPoint, rel_tol=
         "c_h": c_h,
         "delta": delta,
         "r_ai": r_ai,
-        "generator_route_residuals": _route_residuals(kind, point),
+        "generator_route_residuals": _route_residuals(kind, point, frame),
     }

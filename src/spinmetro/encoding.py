@@ -97,12 +97,6 @@ class ModelPoint:
             return np.array([self.b, self.theta])
         return np.array([self.b, self.theta, self.phi])
 
-    def replace_values(self, values) -> "ModelPoint":
-        values = np.asarray(values, dtype=float)
-        if values.size == 2:
-            return ModelPoint(b=values[0], theta=values[1], t=self.t)
-        return ModelPoint(b=values[0], theta=values[1], t=self.t, phi=values[2])
-
 
 def _check_phi(kind: ModelKind, phi) -> None:
     if (phi is None) != (kind is ModelKind.TWO_PARAM):
@@ -232,14 +226,19 @@ def closed_frame(kind: ModelKind, b, theta, t: float, phi=None) -> np.ndarray:
     return frame
 
 
+def _field_hamiltonians(rep: SpinRep, kind: ModelKind, b, theta, t: float, phi=None):
+    # B n . J over the broadcast leading axes of b, theta (and phi): (..., N, N).
+    _check_phi(kind, phi)
+    if kind is ModelKind.TWO_PARAM:
+        n = _directions_2p(b, theta, t)[..., 0, :]
+    else:
+        n = _directions_3p(b, theta, t, phi)[..., 0, :]
+    return np.asarray(b)[..., None, None] * j_direction(rep, n)
+
+
 def hamiltonian(rep: SpinRep, kind: ModelKind, point: ModelPoint) -> np.ndarray:
     """Field Hamiltonian ``B * n . J`` at the given point."""
-    _check_phi(kind, point.phi)
-    if kind is ModelKind.TWO_PARAM:
-        n = direction_vectors_2p(point)[0]
-    else:
-        n = direction_vectors_3p(point)[0]
-    return point.b * j_direction(rep, n)
+    return _field_hamiltonians(rep, kind, point.b, point.theta, point.t, point.phi)
 
 
 def closed_generators_2p(rep: SpinRep, point: ModelPoint) -> GeneratorSet:
@@ -276,50 +275,58 @@ def numeric_generators(
 
     For each parameter, ``d_l U^dag`` is approximated with a central
     difference, then ``G_l = 1j (d_l U^dag) U`` is explicitly Hermitized as
-    ``(A + A^dag)/2``.  The Hermitization residual is recorded on the
-    returned set; a residual above 1e-4 raises :class:`StepInstability`.
+    ``(A + A^dag)/2``.  The unitaries at the ``2d + 1`` points ``lambda``
+    and ``lambda +- h_l`` are exponentiated as one stack.  The Hermitization
+    residual is recorded on the returned set; a residual above 1e-4 raises
+    :class:`StepInstability`, naming the first parameter that exceeds it.
     """
     _check_phi(kind, point.phi)
     if not step > 0:
         raise InvalidInput("finite-difference step must be positive")
     values = point.values()
     steps = _fd_steps(values, step)
-    u = expm_i(hamiltonian(rep, kind, point), point.t)
-    mats, resids = [], []
-    for l in range(values.size):
-        up = values.copy()
-        um = values.copy()
-        up[l] += steps[l]
-        um[l] -= steps[l]
-        u_plus = expm_i(hamiltonian(rep, kind, point.replace_values(up)), point.t)
-        u_minus = expm_i(hamiltonian(rep, kind, point.replace_values(um)), point.t)
-        du_dag = (u_plus.conj().T - u_minus.conj().T) / (2 * steps[l])
-        raw = 1j * du_dag @ u
-        resid = float(np.linalg.norm(raw - raw.conj().T) / (2 * max(np.linalg.norm(raw), 1.0)))
-        if resid > 1e-4:
-            raise StepInstability(
-                f"finite-difference generator for {kind.labels[l]} is not Hermitian "
-                f"(residual {resid:.3e}); adjust the step"
-            )
-        mats.append((raw + raw.conj().T) / 2)
-        resids.append(resid)
-    return GeneratorSet(labels=kind.labels, matrices=np.stack(mats), herm_residuals=tuple(resids))
+    d = values.size
+    # Rows: lambda, then lambda + h_l for each l, then lambda - h_l.
+    pts = np.concatenate([values[None], values + np.diag(steps), values - np.diag(steps)])
+    b, theta, *phi = pts.T
+    u = expm_i(_field_hamiltonians(rep, kind, b, theta, point.t, *phi), point.t)
+    u_dag = np.swapaxes(u.conj(), -1, -2)
+    du_dag = (u_dag[1 : d + 1] - u_dag[d + 1 :]) / (2 * steps)[:, None, None]
+    raw = 1j * du_dag @ u[0]
+    raw_dag = np.swapaxes(raw.conj(), -1, -2)
+    resids = np.linalg.norm(raw - raw_dag, axis=(-2, -1)) / (
+        2 * np.maximum(np.linalg.norm(raw, axis=(-2, -1)), 1.0)
+    )
+    unstable = np.flatnonzero(resids > 1e-4)
+    if unstable.size:
+        l = unstable[0]
+        raise StepInstability(
+            f"finite-difference generator for {kind.labels[l]} is not Hermitian "
+            f"(residual {resids[l]:.3e}); adjust the step"
+        )
+    return GeneratorSet(
+        labels=kind.labels, matrices=(raw + raw_dag) / 2, herm_residuals=tuple(resids.tolist())
+    )
 
 
-def _hamiltonian_derivatives(rep: SpinRep, kind: ModelKind, point: ModelPoint) -> list[np.ndarray]:
-    ct, st = np.cos(point.theta), np.sin(point.theta)
+def _hamiltonian_derivatives(rep: SpinRep, kind: ModelKind, point: ModelPoint) -> np.ndarray:
+    # Stack (d, N, N) of d_l H = c_l (m_l . J): unit directions m_l, prefactors c_l.
+    b, theta = point.b, point.theta
     if kind is ModelKind.TWO_PARAM:
-        n_theta, n_theta_prime, _, _ = direction_vectors_2p(point)
-        return [j_direction(rep, n_theta), point.b * j_direction(rep, n_theta_prime)]
-    cp, sp = np.cos(point.phi), np.sin(point.phi)
-    n_theta = direction_vectors_3p(point)[0]
-    n_theta_prime = np.array([-st * cp, -st * sp, ct])
-    n_phi_prime = np.array([-sp, cp, 0.0])
-    return [
-        j_direction(rep, n_theta),
-        point.b * j_direction(rep, n_theta_prime),
-        point.b * ct * j_direction(rep, n_phi_prime),
-    ]
+        dirs = _directions_2p(b, theta, point.t)[:2]  # n_theta, n_theta_prime
+        prefactors = np.array([1.0, b])
+    else:
+        ct, st = np.cos(theta), np.sin(theta)
+        cp, sp = np.cos(point.phi), np.sin(point.phi)
+        dirs = np.array(
+            [
+                _directions_3p(b, theta, point.t, point.phi)[0],
+                [-st * cp, -st * sp, ct],
+                [-sp, cp, 0.0],
+            ]
+        )
+        prefactors = np.array([1.0, b, b * ct])
+    return prefactors[:, None, None] * j_direction(rep, dirs)
 
 
 def series_generators(rep: SpinRep, kind: ModelKind, point: ModelPoint) -> GeneratorSet:
@@ -338,6 +345,6 @@ def series_generators(rep: SpinRep, kind: ModelKind, point: ModelPoint) -> Gener
     e, v = np.linalg.eigh(hamiltonian(rep, kind, point))
     tw = point.t * (e[:, None] - e[None, :])
     kernel = -point.t * np.exp(0.5j * tw) * np.sinc(tw / (2 * np.pi))
-    dh = np.stack(_hamiltonian_derivatives(rep, kind, point))
+    dh = _hamiltonian_derivatives(rep, kind, point)
     g = v @ ((v.conj().T @ dh @ v) * kernel) @ v.conj().T
     return GeneratorSet(labels=kind.labels, matrices=(g + g.conj().transpose(0, 2, 1)) / 2)

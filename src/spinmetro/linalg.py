@@ -44,23 +44,27 @@ def _as_square(a, name: str = "matrix") -> np.ndarray:
 def require_hermitian(a, tol: float = 1e-12, name: str = "matrix") -> np.ndarray:
     """Return ``a`` as an array, raising if it is not Hermitian.
 
-    The residual ``||a - a^dag||`` is measured relative to ``max(||a||, 1)``
-    in the Frobenius norm.
+    ``a`` is one matrix or a stack ``(..., N, N)``, checked in one pass.
+    Each matrix's residual ``||a - a^dag||`` is measured relative to its
+    own ``max(||a||, 1)`` in the Frobenius norm.
     """
-    a = _as_square(a, name)
-    resid = np.linalg.norm(a - a.conj().T)
-    if resid > tol * max(np.linalg.norm(a), 1.0):
-        raise InvalidInput(f"{name} is not Hermitian (residual {resid:.3e})")
+    a = np.asarray(a)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise InvalidInput(f"{name} must be square, got shape {a.shape}")
+    resid = np.linalg.norm(a - np.swapaxes(a.conj(), -1, -2), axis=(-2, -1))
+    if np.any(resid > tol * np.maximum(np.linalg.norm(a, axis=(-2, -1)), 1.0)):
+        raise InvalidInput(f"{name} is not Hermitian (residual {np.max(resid):.3e})")
     return a
 
 
 def require_unit3(n, tol: float = 1e-10) -> np.ndarray:
-    """Validate a real 3-component direction vector of unit norm."""
+    """Validate real direction vectors of unit norm, shape ``(..., 3)``."""
     n = np.asarray(n, dtype=float)
-    if n.shape != (3,):
+    if n.ndim < 1 or n.shape[-1] != 3:
         raise InvalidInput(f"direction vector must have 3 components, got shape {n.shape}")
-    if abs(np.linalg.norm(n) - 1.0) > tol:
-        raise InvalidInput(f"direction vector has norm {np.linalg.norm(n)!r}, expected 1")
+    norm = np.sqrt((n * n).sum(axis=-1))
+    if np.any(np.abs(norm - 1.0) > tol):
+        raise InvalidInput(f"direction vector has norm {norm.tolist()!r}, expected 1")
     return n
 
 
@@ -144,20 +148,25 @@ def spin_moments(psi) -> tuple[np.ndarray, np.ndarray]:
 
 
 def j_direction(rep: SpinRep, n) -> np.ndarray:
-    """Spin component ``n . J`` along the unit direction ``n``."""
-    n = require_unit3(n)
-    return n[0] * rep.jx + n[1] * rep.jy + n[2] * rep.jz
+    """Spin component ``n . J`` along the unit direction ``n``.
+
+    A stack of directions ``(..., 3)`` gives a stack ``(..., N, N)``.
+    """
+    n = require_unit3(n)[..., None, None]
+    return n[..., 0, :, :] * rep.jx + n[..., 1, :, :] * rep.jy + n[..., 2, :, :] * rep.jz
 
 
 def expm_i(a, c: float) -> np.ndarray:
     """Unitary ``exp(-1j * c * a)`` for Hermitian ``a``.
 
     Computed through the eigendecomposition, which keeps the result unitary
-    to the accuracy of the eigensolver regardless of ``|c| * ||a||``.
-    Non-Hermitian input raises :class:`InvalidInput`.
+    to the accuracy of the eigensolver regardless of ``|c| * ||a||``.  A
+    stack ``(..., N, N)`` is checked and decomposed in one call each; a
+    single matrix is a stack of one.  Non-Hermitian input raises
+    :class:`InvalidInput`.
     """
     evals, vecs = np.linalg.eigh(require_hermitian(a))
-    return (vecs * np.exp(-1j * c * evals)) @ vecs.conj().T
+    return (vecs * np.exp(-1j * c * evals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
 
 
 def spectral_absmax(a, imag_rel_tol: float = 1e-8) -> float:

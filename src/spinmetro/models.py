@@ -22,6 +22,7 @@ from .linalg import SpinRep, j_direction, sym_inverse
 from .metrology import check_probe
 
 __all__ = [
+    "MAX_DIM",
     "ProbeSpec",
     "make_probe",
     "bloch_vector",
@@ -35,9 +36,18 @@ __all__ = [
 ]
 
 
+# Largest probe dimension: the O(N) spin-moment kernel of a report peaks
+# near 160 MB of traced memory there, and a larger N is rejected before
+# any allocation.
+MAX_DIM = 10**6
+
+
 @dataclass(frozen=True)
 class ProbeSpec:
-    """Extreme-state superposition probe: dimension, mixing angle, phase."""
+    """Extreme-state superposition probe: dimension, mixing angle, phase.
+
+    ``dim`` is an integer from 2 to :data:`MAX_DIM`.
+    """
 
     dim: int
     alpha: float
@@ -46,6 +56,8 @@ class ProbeSpec:
     def __post_init__(self):
         if int(self.dim) != self.dim or self.dim < 2:
             raise InvalidInput(f"probe dimension must be an integer >= 2, got {self.dim!r}")
+        if self.dim > MAX_DIM:
+            raise InvalidInput(f"probe dimension must be at most {MAX_DIM}, got {self.dim!r}")
         if not (math.isfinite(self.alpha) and math.isfinite(self.phi)):
             raise InvalidInput(f"probe angles must be finite, got {self!r}")
 

@@ -5,7 +5,8 @@ import functools
 import numpy as np
 import pytest
 
-from spinmetro import ModelKind, ModelPoint, build_spin_rep, expm_i, hamiltonian
+from spinmetro import GeneratorSet, ModelKind, ModelPoint, build_spin_rep, expm_i, hamiltonian
+from spinmetro.errors import StepInstability
 
 
 @functools.lru_cache(maxsize=None)
@@ -82,14 +83,43 @@ def fim_rank_loop(config):
     }
 
 
+def point_at(point, values):
+    """``point`` with its parameters set to ``values`` in the fixed ordering."""
+    return ModelPoint(*values[:2], t=point.t, phi=values[2] if len(values) == 3 else None)
+
+
 def evolved_family(spin, kind, point, probe):
     """Map parameter values to the evolved pure state of the model."""
 
     def family(values):
-        pt = point.replace_values(values)
-        return expm_i(hamiltonian(spin, kind, pt), pt.t) @ probe
+        return expm_i(hamiltonian(spin, kind, point_at(point, values)), point.t) @ probe
 
     return family
+
+
+def numeric_generators_loop(spin, kind, point, step=1e-5):
+    """Finite-difference generators one parameter and one unitary at a
+    time: an oracle for the stacked
+    :func:`~spinmetro.encoding.numeric_generators`."""
+    values = point.values()
+    steps = step * np.maximum(1.0, np.abs(values))
+    u = expm_i(hamiltonian(spin, kind, point), point.t)
+    mats, resids = [], []
+    for l in range(values.size):
+        up = values.copy()
+        um = values.copy()
+        up[l] += steps[l]
+        um[l] -= steps[l]
+        u_plus = expm_i(hamiltonian(spin, kind, point_at(point, up)), point.t)
+        u_minus = expm_i(hamiltonian(spin, kind, point_at(point, um)), point.t)
+        du_dag = (u_plus.conj().T - u_minus.conj().T) / (2 * steps[l])
+        raw = 1j * du_dag @ u
+        resid = float(np.linalg.norm(raw - raw.conj().T) / (2 * max(np.linalg.norm(raw), 1.0)))
+        if resid > 1e-4:
+            raise StepInstability(f"finite-difference generator for {kind.labels[l]}")
+        mats.append((raw + raw.conj().T) / 2)
+        resids.append(resid)
+    return GeneratorSet(labels=kind.labels, matrices=np.stack(mats), herm_residuals=tuple(resids))
 
 
 def two_param_points():

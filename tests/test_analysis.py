@@ -1,5 +1,6 @@
 """Experiment drivers: grid scans, scaling, rank experiment, reports."""
 
+import collections
 import json
 import tracemalloc
 from dataclasses import replace
@@ -22,8 +23,9 @@ from spinmetro import (
     scaling_table,
     shrinkage_fractions,
 )
-from spinmetro.analysis import RANK_BLOCK
-from spinmetro.models import ProbeSpec
+from spinmetro import analysis, encoding, linalg
+from spinmetro.analysis import RANK_BLOCK, _route_residuals
+from spinmetro.models import MAX_DIM, ProbeSpec
 
 from conftest import fim_rank_loop, points_for, rep
 
@@ -272,6 +274,14 @@ class TestScalingTable:
         with pytest.raises(InvalidInput):
             scaling_table(ModelKind.TWO_PARAM, [0.3], [2, 4], point)
 
+    def test_dimension_cap_is_checked_before_any_probe(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(analysis, "make_probe", built.append)
+        point = ModelPoint(b=0.9, theta=0.5, t=5.0)
+        with pytest.raises(InvalidInput, match=str(MAX_DIM)):
+            scaling_table(ModelKind.TWO_PARAM, [0.3], [4, MAX_DIM + 1], point)
+        assert built == []
+
 
 class TestFimRankExperiment:
     def test_too_few_outcomes_always_singular(self):
@@ -433,6 +443,48 @@ class TestMetricsReport:
                 assert abs(doc["delta"] - dense.delta) <= tol
                 assert abs(doc["c_sld"] - dense.c_sld) <= tol * dense.c_sld
                 assert abs(doc["c_h"] - dense.c_h) <= tol * dense.c_h
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_closed_route_is_the_report_frame(self, monkeypatch, kind):
+        # The closed route is built from the frame the report computed, and
+        # still goes through GeneratorSet's Hermitian check.
+        sets = []
+
+        def recorded(*args, **kwargs):
+            sets.append(encoding.GeneratorSet(*args, **kwargs))
+            return sets[-1]
+
+        monkeypatch.setattr(analysis, "GeneratorSet", recorded)
+        for point in points_for(kind):
+            sets.clear()
+            frame = encoding.closed_frame(kind, point.b, point.theta, point.t, point.phi)
+            _route_residuals(kind, point, frame)
+            expected = closed_generators(rep(2), kind, point).matrices
+            assert len(sets) == 1
+            assert np.array_equal(sets[0].matrices, expected)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_each_route_is_one_stacked_pass(self, monkeypatch, kind):
+        # One eigh each for the bounds, the series and the stack of 2d + 1
+        # finite-difference unitaries; the closed route reuses the report's
+        # frame, and the spin-1/2 representation is built once per process.
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        frame_fn, rep_fn = encoding.closed_frame, linalg.build_spin_rep
+        for module in (analysis, encoding):
+            monkeypatch.setattr(module, "closed_frame", counted("closed_frame", frame_fn))
+        for module in (linalg, analysis):
+            monkeypatch.setattr(module, "build_spin_rep", counted("build_spin_rep", rep_fn))
+        metrics_report(kind, ProbeSpec(dim=5, alpha=0.3, phi=0.2), points_for(kind)[0])
+        assert calls == {"eigh": 3, "closed_frame": 1}
 
     def test_deterministic_serialization(self):
         args = (

@@ -224,7 +224,8 @@ def test_non_finite_input_is_usage_error(tmp_path, capsys, argv):
 # --tol outside (0, 1), which would flag (almost) every cell, is a usage
 # error, and an input that overflows Q, D or Gamma is a numerical failure;
 # neither leaves a traceback or an output file.  A negative fim-rank seed,
-# which numpy's generator rejects, is a usage error too.
+# which numpy's generator rejects, is a usage error too, and so is a probe
+# dimension above the cap, before anything is allocated.
 @pytest.mark.parametrize("argv, code", [
     *(([command, "--tol", tol], 2)
       for command in ("scan", "metrics", "scaling") for tol in ("inf", "1", "2")),
@@ -232,6 +233,10 @@ def test_non_finite_input_is_usage_error(tmp_path, capsys, argv):
       for command in ("scan", "metrics", "scaling") for model in ("two", "three")),
     (["scaling", "--time", "1e152", "--tol", "1e-310", "--dims", "4,240"], 1),
     (["fim-rank", "--params", "2", "--outcomes", "3", "--trials", "1", "--seed", "-1"], 2),
+    (["metrics", "--dim", "1000001"], 2),
+    (["metrics", "--model", "three", "--dim", "1000001"], 2),
+    (["scan", "--dim", "1000001"], 2),
+    (["scaling", "--dims", "4,1000001"], 2),
 ])
 def test_out_of_range_input_leaves_no_output(tmp_path, capsys, argv, code):
     out = tmp_path / "x.out"

@@ -19,7 +19,9 @@ from spinmetro import (
     series_generators,
 )
 
-from conftest import points_for, rep, three_param_points, two_param_points
+from spinmetro.errors import StepInstability
+
+from conftest import numeric_generators_loop, points_for, rep, three_param_points, two_param_points
 
 
 def spectral_gap(a, b):
@@ -172,6 +174,26 @@ class TestNumericGenerators:
     def test_bad_step(self):
         with pytest.raises(InvalidInput):
             numeric_generators(rep(2), ModelKind.TWO_PARAM, two_param_points()[0], step=0.0)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("n", [2, 3, 8, 40])
+    def test_stacked_differences_match_per_parameter_loop(self, kind, n):
+        for point in points_for(kind):
+            stacked = numeric_generators(rep(n), kind, point)
+            loop = numeric_generators_loop(rep(n), kind, point)
+            assert np.array_equal(stacked.matrices, loop.matrices)
+            assert np.allclose(stacked.herm_residuals, loop.herm_residuals, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "kind, phi", [(ModelKind.TWO_PARAM, None), (ModelKind.THREE_PARAM, 1.1)]
+    )
+    def test_unstable_step_names_first_unstable_parameter(self, kind, phi):
+        # At this step the theta residual is 6.0e-4 and, with three
+        # parameters, the phi residual a larger 6.2e-4; theta comes first.
+        point = ModelPoint(b=1.0, theta=0.7, t=5.0, phi=phi)
+        for route in (numeric_generators, numeric_generators_loop):
+            with pytest.raises(StepInstability, match=r"for theta\b"):
+                route(rep(3), kind, point, step=0.05)
 
 
 class TestSeriesGenerators:

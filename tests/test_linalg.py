@@ -23,7 +23,7 @@ from spinmetro import (
     sym_inverse,
     trace_norm,
 )
-from spinmetro.linalg import check_inverse, singular_mask
+from spinmetro.linalg import check_inverse, require_hermitian, singular_mask
 from spinmetro.models import ProbeSpec, state_from_bloch
 
 from conftest import haar_state, random_hermitian, rep
@@ -112,6 +112,19 @@ class TestJDirection:
         jy = j_direction(r, (0, 1, 0))
         assert np.allclose(jx @ jy - jy @ jx, 1j * j_direction(r, (0, 0, 1)), atol=1e-12)
 
+    def test_stack_equals_separate_calls(self, rng):
+        r = rep(4)
+        n = rng.standard_normal((2, 3, 3))
+        n /= np.linalg.norm(n, axis=-1, keepdims=True)
+        stacked = j_direction(r, n)
+        assert stacked.shape == (2, 3, 4, 4)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(stacked[idx], j_direction(r, n[idx]))
+
+    def test_stack_with_one_bad_direction(self):
+        with pytest.raises(InvalidInput):
+            j_direction(rep(2), [(1, 0, 0), (0, 1, 0), (0, 1, 1)])
+
     def test_bad_vector(self):
         r = rep(2)
         with pytest.raises(InvalidInput):
@@ -166,6 +179,46 @@ class TestExpmI:
     def test_rejects_non_hermitian(self):
         with pytest.raises(InvalidInput):
             expm_i(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 40])
+    def test_stack_equals_separate_calls(self, rng, n):
+        a = np.stack([random_hermitian(rng, n, scale) for scale in (0.0, 0.3, 1.0, 7.0, 1e3)])
+        u = expm_i(a, 1.7)
+        assert u.shape == a.shape
+        for k in range(len(a)):
+            assert np.array_equal(u[k], expm_i(a[k], 1.7))
+        assert np.array_equal(expm_i(a.reshape(5, 1, n, n), 1.7), u.reshape(5, 1, n, n))
+
+
+class TestRequireHermitian:
+    def test_stack_passes_through(self, rng):
+        a = np.stack([random_hermitian(rng, 3) for _ in range(4)])
+        assert require_hermitian(a) is a
+
+    @pytest.mark.parametrize("bad", [0, 2])
+    def test_rejects_stack_with_one_non_hermitian_matrix(self, rng, bad):
+        a = np.stack([random_hermitian(rng, 3) for _ in range(3)])
+        a[bad, 0, 1] += 1e-6
+        with pytest.raises(InvalidInput, match="not Hermitian"):
+            require_hermitian(a)
+        with pytest.raises(InvalidInput):
+            expm_i(a, 1.0)
+
+    def test_tolerance_is_per_matrix(self, rng):
+        # A residual of 1e-9 is within tolerance of a matrix of norm 1e6 but
+        # not of one of norm ~1, which must fail in a stack with the large one.
+        big = random_hermitian(rng, 3, scale=1e6)
+        small = random_hermitian(rng, 3)
+        big[0, 1] += 1e-9
+        small[0, 1] += 1e-9
+        require_hermitian(big)
+        with pytest.raises(InvalidInput):
+            require_hermitian(np.stack([big, small]))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(InvalidInput, match="square"):
+            require_hermitian(np.zeros(shape))
 
 
 class TestSpectralAbsmax:

@@ -20,7 +20,7 @@ from spinmetro import (
     state_from_bloch,
     threeparam_uhlmann_closed,
 )
-from spinmetro.models import ProbeSpec
+from spinmetro.models import MAX_DIM, ProbeSpec
 
 from conftest import ai_two_param, haar_state, rep, three_param_points
 
@@ -46,6 +46,11 @@ class TestMakeProbe:
     def test_bad_dimension(self):
         with pytest.raises(InvalidInput):
             ProbeSpec(dim=1, alpha=0.0)
+
+    def test_dimension_cap(self):
+        assert ProbeSpec(dim=MAX_DIM, alpha=0.0).dim == 10**6
+        with pytest.raises(InvalidInput, match="at most"):
+            ProbeSpec(dim=MAX_DIM + 1, alpha=0.0)
 
 
 class TestBlochHelpers:
