@@ -31,11 +31,14 @@ from .encoding import (
     series_generators,
 )
 from .errors import InvalidInput, NumericalFailure
-from .linalg import build_spin_rep, sym_inverse
+from .linalg import build_spin_rep, spin_moments, sym_inverse
 from .metrology import bounds, check_probe, classical_fim, frame_qfim_uhlmann
 from .models import MAX_DIM, ProbeSpec, make_probe
 
 __all__ = [
+    "MAX_GRID_CELLS",
+    "MAX_RANK_PARAMS",
+    "MAX_RANK_OUTCOMES",
     "ScanConfig",
     "ScanResult",
     "run_scan",
@@ -70,8 +73,23 @@ def _write_csv(path, header, columns) -> None:
 
 
 def write_json(path, doc) -> None:
+    """Write ``doc`` as sorted, indented JSON.
+
+    A NaN or infinity has no JSON form: it raises :class:`NumericalFailure`
+    before the file is opened, so nothing is written.
+    """
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalFailure(f"report holds a non-finite number: {exc}") from exc
     with open(path, "w", newline="") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        fh.write(text + "\n")
+
+
+# Largest scan grid, in cells: a scan's traced peak grows by about 980 B a
+# cell (most of it the CSV writer's strings), so the cap keeps it within a
+# 1 GB budget.  A larger grid is rejected before anything is allocated.
+MAX_GRID_CELLS = 10**6
 
 
 @dataclass(frozen=True)
@@ -80,8 +98,10 @@ class ScanConfig:
 
     ``b_range`` defaults to one period of the model in the field strength,
     ``[0, 2 pi / t]``; the probe can be a :class:`ProbeSpec` or an explicit
-    amplitude vector, and it sets the dimension.  ``weight`` and ``rel_tol``
-    are checked when the scan runs, by :func:`~spinmetro.metrology.bounds`.
+    amplitude vector, and it sets the dimension.  The grid has 2 or more
+    points per axis and at most :data:`MAX_GRID_CELLS` cells.  ``weight``
+    and ``rel_tol`` are checked when the scan runs, by
+    :func:`~spinmetro.metrology.bounds`.
     """
 
     kind: ModelKind
@@ -102,6 +122,10 @@ class ScanConfig:
             raise InvalidInput("evolution time must be positive")
         if self.theta_count < 2 or self.b_count < 2:
             raise InvalidInput("grid needs at least 2 points per axis")
+        if self.theta_count * self.b_count > MAX_GRID_CELLS:
+            raise InvalidInput(
+                f"grid has {self.theta_count * self.b_count} cells, at most {MAX_GRID_CELLS}"
+            )
         if not self.theta_range[1] > self.theta_range[0]:
             raise InvalidInput("theta range is empty")
         if self.b_range is not None and not self.b_range[1] > self.b_range[0]:
@@ -157,7 +181,7 @@ def run_scan(config: ScanConfig) -> ScanResult:
     b = b_grid.ravel()
     phi = None if config.kind is ModelKind.TWO_PARAM else config.model_phi
     frame = closed_frame(config.kind, b, theta, config.t, phi)
-    q, d = frame_qfim_uhlmann(frame, config.probe_state())
+    q, d = frame_qfim_uhlmann(frame, *spin_moments(config.probe_state()))
     singular, r_ai, _, _, delta = bounds(q, d, weight=config.weight, rel_tol=config.rel_tol)
     det_q = np.linalg.det(q)
     return ScanResult(
@@ -221,7 +245,10 @@ def scaling_table(
     Gamma that is not finite raises :class:`NumericalFailure`.
     A slope needs at least two distinct dimensions, each listed once, and
     at least one probe angle.  Every dimension is checked before any is
-    computed.
+    computed.  The spin moments of each (alpha, N) probe, baselines
+    included, are taken one probe at a time and stacked, and one
+    :func:`~spinmetro.metrology.frame_qfim_uhlmann` call gives every QFIM
+    of the table.
     """
     dims = tuple(int(n) for n in dims)
     if any(not 4 <= n <= MAX_DIM for n in dims):
@@ -235,24 +262,25 @@ def scaling_table(
         raise InvalidInput("scaling needs at least one probe angle")
     baseline_dim = 2 if kind is ModelKind.TWO_PARAM else 4
     frame = closed_frame(kind, point.b, point.theta, point.t, point.phi)
-
-    def qfim(n, alpha):
-        probe = make_probe(ProbeSpec(dim=n, alpha=alpha, phi=probe_phi))
-        return frame_qfim_uhlmann(frame, probe)[0]
-
+    moments = [
+        spin_moments(make_probe(ProbeSpec(dim=n, alpha=alpha, phi=probe_phi)))
+        for alpha in alphas
+        for n in (baseline_dim, *dims)
+    ]
+    q = frame_qfim_uhlmann(frame, *(np.stack(m) for m in zip(*moments)))[0]
+    q = q.reshape(len(alphas), 1 + len(dims), *q.shape[-2:])
+    x = np.array(dims, dtype=float)
+    x = x - 1.0 if kind is ModelKind.TWO_PARAM else x
     gammas: dict = {}
     slopes: dict = {}
-    for alpha in alphas:
-        base_inv = sym_inverse(qfim(baseline_dim, alpha), rel_tol=rel_tol)
+    for alpha, q_alpha in zip(alphas, q):
+        base_inv = sym_inverse(q_alpha[0], rel_tol=rel_tol)
         if base_inv is None:
             gammas[alpha] = {n: None for n in dims}
             slopes[alpha] = None
             continue
-        per_alpha = {n: float(np.trace(qfim(n, alpha) @ base_inv)) for n in dims}
-        gammas[alpha] = per_alpha
-        x = np.array(dims, dtype=float)
-        x = x - 1.0 if kind is ModelKind.TWO_PARAM else x
-        y = np.array([per_alpha[n] for n in dims])
+        y = np.trace(q_alpha[1:] @ base_inv, axis1=-2, axis2=-1)
+        gammas[alpha] = dict(zip(dims, y.tolist()))
         if not np.isfinite(y).all():
             raise NumericalFailure(f"Gamma is not finite at alpha = {alpha!r}")
         slopes[alpha] = float(np.polyfit(np.log(x), np.log(y), 1)[0])
@@ -270,14 +298,21 @@ def scaling_table(
 # svd and det of one block are single array calls, and peak memory stays
 # that of one block however many trials run.
 RANK_BLOCK = 256
+# Largest parameter and outcome counts of the rank experiment: a block's
+# traced peak is about RANK_BLOCK * 30 B * (n d + d^2), 236 MB at both caps,
+# within a 256 MB budget.  Larger counts are rejected before any draw.
+MAX_RANK_PARAMS = 128
+MAX_RANK_OUTCOMES = 128
 
 
 @dataclass(frozen=True)
 class RankExperimentConfig:
     """Monte-Carlo check of the outcome-count rank bound on the FIM.
 
-    ``seed`` must be a non-negative integer and ``lam``, the evaluation
-    point (default: the origin), finite with ``n_params`` components.
+    ``n_params`` lies in [1, :data:`MAX_RANK_PARAMS`] and ``n_outcomes`` in
+    [2, :data:`MAX_RANK_OUTCOMES`].  ``seed`` must be a non-negative integer
+    and ``lam``, the evaluation point (default: the origin), finite with
+    ``n_params`` components.
     """
 
     n_params: int
@@ -287,10 +322,10 @@ class RankExperimentConfig:
     lam: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.n_params < 1:
-            raise InvalidInput("need at least one parameter")
-        if self.n_outcomes < 2:
-            raise InvalidInput("need at least two outcomes")
+        if not 1 <= self.n_params <= MAX_RANK_PARAMS:
+            raise InvalidInput(f"need 1 to {MAX_RANK_PARAMS} parameters, got {self.n_params}")
+        if not 2 <= self.n_outcomes <= MAX_RANK_OUTCOMES:
+            raise InvalidInput(f"need 2 to {MAX_RANK_OUTCOMES} outcomes, got {self.n_outcomes}")
         if self.trials < 1:
             raise InvalidInput("need at least one trial")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
@@ -349,21 +384,28 @@ def fim_rank_experiment(config: RankExperimentConfig) -> dict:
             b[k] = rng.standard_normal((n, d))
         p, grads = _softmax_family(a, b, lam)
         f = classical_fim(p, grads)
-        # decomposition route: F = eta . dtil with the last outcome eliminated
+        # decomposition route: F = eta . dtil with the last outcome eliminated;
+        # like classical_fim, outcomes with p < 1e-14 contribute nothing
+        keep = p >= 1e-14
         dtil = grads[..., :-1]
-        eta = dtil / p[:, None, :-1] + (dtil.sum(axis=-1) / p[:, -1:])[..., None]
-        f_decomp = eta @ np.swapaxes(dtil, -1, -2)
+        eta = np.divide(dtil, p[:, None, :-1], out=np.zeros_like(dtil), where=keep[:, None, :-1])
+        last = np.divide(dtil.sum(axis=-1), p[:, -1:], out=np.zeros(dtil.shape[:-1]),
+                         where=keep[:, -1:])
+        f_decomp = (eta + last[..., None]) @ np.swapaxes(dtil, -1, -2)
         f_norm = np.linalg.norm(f, axis=(-2, -1))
-        resid = np.linalg.norm(f - f_decomp, axis=(-2, -1)) / np.maximum(f_norm, 1e-300)
-        max_resid = float(np.fmax.reduce(resid, initial=max_resid))
         svals = np.linalg.svd(f, compute_uv=False)
         rank = (svals > 1e-10 * np.maximum(svals[:, :1], 1e-300)).sum(axis=-1)
         max_rank = max(max_rank, int(rank.max()))
         violations += int((rank > rank_bound).sum())
         full_rank += int((rank == d).sum())
-        # fmax skips the NaN of a trial whose FIM vanishes, not its whole block
-        det_norm = np.abs(np.linalg.det(f)) / f_norm**d
-        max_det_norm = float(np.fmax.reduce(det_norm, initial=max_det_norm))
+        # a trial whose FIM vanishes (so does its norm**d) has no relative
+        # residual or normalized det, and is left out of both maxima
+        scale = f_norm**d
+        live = scale > 0
+        resid = np.linalg.norm(f[live] - f_decomp[live], axis=(-2, -1)) / f_norm[live]
+        max_resid = max(max_resid, float(resid.max(initial=0.0)))
+        det_norm = np.abs(np.linalg.det(f[live])) / scale[live]
+        max_det_norm = max(max_det_norm, float(det_norm.max(initial=0.0)))
     return {
         "n_params": d,
         "n_outcomes": n,
@@ -410,7 +452,7 @@ def metrics_report(kind: ModelKind, spec: ProbeSpec, point: ModelPoint, rel_tol=
     points get null bound fields.  It runs :func:`run_scan`'s pipeline on one point.
     """
     frame = closed_frame(kind, point.b, point.theta, point.t, point.phi)
-    q, d = frame_qfim_uhlmann(frame, make_probe(spec))
+    q, d = frame_qfim_uhlmann(frame, *spin_moments(make_probe(spec)))
     singular, *values = bounds(q, d, rel_tol=rel_tol)
     r_ai, c_sld, c_h, delta = (None if singular else float(v) for v in values)
     return {

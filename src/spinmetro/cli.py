@@ -1,7 +1,8 @@
 """Command-line interface: scan, metrics, scaling and fim-rank drivers.
 
 Exit codes: 0 on success, 2 on usage/configuration errors, 1 on numerical
-consistency failures.
+consistency failures (a stray ``LinAlgError`` or ``FloatingPointError`` from
+numpy counts as one) and on file-system errors.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+
+import numpy as np
 
 from .analysis import (
     RankExperimentConfig,
@@ -181,7 +184,7 @@ def main(argv=None) -> int:
     except InvalidInput as exc:
         print(f"spinmetro: {exc}", file=sys.stderr)
         return 2
-    except NumericalFailure as exc:
+    except (NumericalFailure, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"spinmetro: numerical consistency failure: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

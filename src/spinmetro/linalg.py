@@ -68,6 +68,15 @@ def require_unit3(n, tol: float = 1e-10) -> np.ndarray:
     return n
 
 
+def require_unit_norm(psi, tol: float = 1e-10) -> np.ndarray:
+    """Raise :class:`InvalidInput` unless the state vector ``psi`` has unit
+    norm to ``tol``; a NaN norm fails too."""
+    norm = np.linalg.norm(psi)
+    if not abs(norm - 1.0) <= tol:
+        raise InvalidInput(f"probe is not normalized (norm {norm!r})")
+    return psi
+
+
 @dataclass(frozen=True)
 class SpinRep:
     """Irreducible su(2) representation of dimension ``N = 2s + 1``.
@@ -128,12 +137,13 @@ def spin_moments(psi) -> tuple[np.ndarray, np.ndarray]:
     and ``second[k, m] = <J_k J_m>`` (complex, shape (3, 3)), in the basis
     of :func:`build_spin_rep` (Jz diagonal, entries s down to -s).  ``J+ psi``
     and ``J- psi`` are the state shifted by one entry and scaled by the
-    ladder elements, so the cost is O(N).  The expectations assume ``psi``
-    has unit norm.
+    ladder elements, so the cost is O(N).  A state without unit norm raises
+    :class:`InvalidInput` (the rule of :func:`require_unit_norm`).
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim != 1 or psi.size < 2:
         raise InvalidInput(f"state must be a vector of dimension >= 2, got shape {psi.shape}")
+    require_unit_norm(psi)
     s = (psi.size - 1) / 2
     m = s - np.arange(psi.size)
     ladder = _ladder_elements(s, m[:-1])

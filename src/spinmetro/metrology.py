@@ -2,8 +2,8 @@
 
 The routines consume generator sets or density matrices and know nothing
 about su(2), except :func:`frame_qfim_uhlmann`, which takes generators
-that are spin components ``a_l . J`` as their (d, 3) frame and needs only
-the probe's spin moments; scans, scaling tables and reports use it, and
+that are spin components ``a_l . J`` as their (d, 3) frame and the probe's
+spin moments; scans, scaling tables and reports use it, and
 :func:`incompat_report` is the dense route for any generator set.
 Near-singular quantum Fisher matrices are never pseudo-inverted: every
 quantity that needs an inverse returns ``None`` (or sets a flag) instead,
@@ -22,9 +22,9 @@ from .errors import InvalidInput, NumericalFailure
 from .linalg import (
     check_inverse,
     require_hermitian,
+    require_unit_norm,
     singular_mask,
     spectral_absmax,
-    spin_moments,
     sym_inverse,
     trace_norm,
 )
@@ -57,9 +57,7 @@ def check_probe(psi, dim: int | None = None) -> np.ndarray:
         raise InvalidInput(f"probe must be a vector, got shape {psi.shape}")
     if dim is not None and psi.size != dim:
         raise InvalidInput(f"probe has dimension {psi.size}, expected {dim}")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
-        raise InvalidInput(f"probe is not normalized (norm {np.linalg.norm(psi)!r})")
-    return psi
+    return require_unit_norm(psi)
 
 
 def qfim_uhlmann(gens: GeneratorSet, probe) -> tuple[np.ndarray, np.ndarray]:
@@ -74,26 +72,34 @@ def qfim_uhlmann(gens: GeneratorSet, probe) -> tuple[np.ndarray, np.ndarray]:
     return (q + q.T) / 2, (d - d.T) / 2
 
 
-def frame_qfim_uhlmann(frame, probe) -> tuple[np.ndarray, np.ndarray]:
+def frame_qfim_uhlmann(frame, mean, second) -> tuple[np.ndarray, np.ndarray]:
     """QFIM and Uhlmann matrix of generators that are spin components.
 
     ``frame`` has shape (..., d, 3) and row ``a_l`` gives the generator
-    ``G_l = a_l . J``.  Then ``Q = 4 A Cov A^T`` with the 3 x 3 spin
+    ``G_l = a_l . J``.  The probe enters only through its spin moments
+    ``mean`` (..., 3) and ``second`` (..., 3, 3), as returned by
+    :func:`~spinmetro.linalg.spin_moments`, whose leading axes broadcast
+    against the frame's.  Then ``Q = 4 A Cov A^T`` with the 3 x 3 spin
     covariance ``Cov = Re<J_k J_m> - <J_k><J_m>``, and, because
     ``[J_k, J_m] = 1j eps_kmn J_n``, ``D_lm = 2 <J> . (a_l x a_m)``.  The
-    probe enters only through its O(N) spin moments, so the cost per frame
-    is independent of the dimension N.  Q is symmetric and D exactly
-    antisymmetric by construction.  Returns ``(Q, D)`` of shape (..., d, d).
+    cost per frame and probe is independent of the dimension N.  Q is
+    symmetric and D exactly antisymmetric by construction.  Returns
+    ``(Q, D)`` of shape (..., d, d) over the broadcast leading axes.
     """
-    psi = check_probe(probe)
     frame = np.asarray(frame, dtype=float)
     if frame.ndim < 2 or frame.shape[-1] != 3:
         raise InvalidInput(f"frame must have shape (..., d, 3), got {frame.shape}")
-    mean, second = spin_moments(psi)
-    cov = second.real - np.outer(mean, mean)
-    q = 4 * frame @ ((cov + cov.T) / 2) @ np.swapaxes(frame, -1, -2)
+    mean = np.asarray(mean, dtype=float)
+    second = np.asarray(second)
+    if mean.shape[-1:] != (3,) or second.shape != mean.shape + (3,):
+        raise InvalidInput(
+            f"spin moments must have shapes (..., 3), (..., 3, 3), got {mean.shape}, {second.shape}"
+        )
+    cov = second.real - mean[..., :, None] * mean[..., None, :]
+    q = 4 * frame @ ((cov + np.swapaxes(cov, -1, -2)) / 2) @ np.swapaxes(frame, -1, -2)
     q = (q + np.swapaxes(q, -1, -2)) / 2
-    d = 2 * (np.cross(frame[..., :, None, :], frame[..., None, :, :]) * mean).sum(axis=-1)
+    cross = np.cross(frame[..., :, None, :], frame[..., None, :, :])
+    d = 2 * (cross * mean[..., None, None, :]).sum(axis=-1)
     return q, d
 
 
@@ -104,20 +110,16 @@ def batched_qfim_uhlmann(gen_stack, probes) -> tuple[np.ndarray, np.ndarray]:
     leading axes broadcast against each other.  Returns ``(Q, D)`` with
     shape (..., d, d).  Probes must be pre-normalized.  Scans and scaling
     tables use :func:`frame_qfim_uhlmann`; this dense form is its test
-    oracle.  Raises :class:`NumericalFailure` when the real part of a
-    second-moment matrix ``<G_l G_m>`` is not symmetric to 1e-9 of
-    ``max(|<G_l G_m>|, 1)``, as for generators that are not Hermitian.
+    oracle.  A generator that is not Hermitian to 1e-10 of its own norm
+    (the rule of :func:`~spinmetro.linalg.require_hermitian`) raises
+    :class:`InvalidInput`.
     """
-    gen_stack = np.asarray(gen_stack, dtype=complex)
+    gen_stack = require_hermitian(np.asarray(gen_stack, dtype=complex), tol=1e-10,
+                                  name="generator")
     probes = np.asarray(probes, dtype=complex)
     v = np.einsum("...lij,...j->...li", gen_stack, probes)
     means = np.einsum("...i,...li->...l", probes.conj(), v).real
     second = np.einsum("...li,...mi->...lm", v.conj(), v)
-    asym = np.abs(second.real - np.swapaxes(second.real, -1, -2)).max(axis=(-2, -1))
-    if np.any(asym > 1e-9 * np.maximum(np.abs(second).max(axis=(-2, -1)), 1.0)):
-        raise NumericalFailure(
-            f"generator moments lost Hermitian symmetry (residual {np.max(asym):.3e})"
-        )
     q = 4 * (second.real - means[..., :, None] * means[..., None, :])
     d = 4 * second.imag
     return q, d

@@ -5,7 +5,20 @@ import functools
 import numpy as np
 import pytest
 
-from spinmetro import GeneratorSet, ModelKind, ModelPoint, build_spin_rep, expm_i, hamiltonian
+from spinmetro import (
+    GeneratorSet,
+    ModelKind,
+    ModelPoint,
+    ProbeSpec,
+    build_spin_rep,
+    closed_frame,
+    expm_i,
+    frame_qfim_uhlmann,
+    hamiltonian,
+    make_probe,
+    spin_moments,
+    sym_inverse,
+)
 from spinmetro.errors import StepInstability
 
 
@@ -39,8 +52,9 @@ def ai_two_param(q, d):
 
 
 def fim_rank_loop(config):
-    """The rank experiment one trial at a time, with the FIM summed over the
-    outcomes with ``p >= 1e-14``: an oracle for the stacked
+    """The rank experiment one trial at a time, with the FIM and its
+    decomposition summed over the outcomes with ``p >= 1e-14`` and a trial
+    whose FIM vanishes left out of both maxima: an oracle for the stacked
     :func:`~spinmetro.analysis.fim_rank_experiment`."""
     d, n = config.n_params, config.n_outcomes
     lam = config.lam_point()
@@ -58,16 +72,20 @@ def fim_rank_loop(config):
         keep = p >= 1e-14
         f = (grads[:, keep] / p[keep]) @ grads[:, keep].T
         f = (f + f.T) / 2
-        eta = grads[:, :-1] / p[:-1] + (grads[:, :-1].sum(axis=1) / p[-1])[:, None]
+        eta = np.zeros((d, n - 1))
+        eta[:, keep[:-1]] = grads[:, :-1][:, keep[:-1]] / p[:-1][keep[:-1]]
+        if keep[-1]:
+            eta += (grads[:, :-1].sum(axis=1) / p[-1])[:, None]
         f_decomp = eta @ grads[:, :-1].T
-        scale = max(np.linalg.norm(f), 1e-300)
-        max_resid = max(max_resid, float(np.linalg.norm(f - f_decomp) / scale))
         svals = np.linalg.svd(f, compute_uv=False)
         rank = int((svals > 1e-10 * max(svals[0], 1e-300)).sum())
         max_rank = max(max_rank, rank)
         violations += rank > rank_bound
         full_rank += rank == d
-        max_det_norm = max(max_det_norm, float(abs(np.linalg.det(f)) / np.linalg.norm(f) ** d))
+        scale = np.linalg.norm(f)
+        if scale**d > 0:
+            max_resid = max(max_resid, float(np.linalg.norm(f - f_decomp) / scale))
+            max_det_norm = max(max_det_norm, float(abs(np.linalg.det(f)) / scale**d))
     return {
         "n_params": d,
         "n_outcomes": n,
@@ -81,6 +99,32 @@ def fim_rank_loop(config):
         "max_decomposition_residual": max_resid,
         "max_normalized_det": max_det_norm,
     }
+
+
+def scaling_table_loop(kind, alphas, dims, point, probe_phi=0.0, rel_tol=1e-10):
+    """Gammas and slopes with one frame-kernel call per (alpha, N), baseline
+    first: an oracle for the stacked :func:`~spinmetro.analysis.scaling_table`.
+    Returns ``(gammas, slopes)`` keyed as in its result."""
+    baseline_dim = 2 if kind is ModelKind.TWO_PARAM else 4
+    frame = closed_frame(kind, point.b, point.theta, point.t, point.phi)
+
+    def qfim(n, alpha):
+        probe = make_probe(ProbeSpec(dim=n, alpha=alpha, phi=probe_phi))
+        return frame_qfim_uhlmann(frame, *spin_moments(probe))[0]
+
+    gammas, slopes = {}, {}
+    for alpha in alphas:
+        base_inv = sym_inverse(qfim(baseline_dim, alpha), rel_tol=rel_tol)
+        if base_inv is None:
+            gammas[alpha] = {n: None for n in dims}
+            slopes[alpha] = None
+            continue
+        gammas[alpha] = {n: float(np.trace(qfim(n, alpha) @ base_inv)) for n in dims}
+        x = np.array(dims, dtype=float)
+        x = x - 1.0 if kind is ModelKind.TWO_PARAM else x
+        y = np.array([gammas[alpha][n] for n in dims])
+        slopes[alpha] = float(np.polyfit(np.log(x), np.log(y), 1)[0])
+    return gammas, slopes
 
 
 def point_at(point, values):

@@ -24,10 +24,16 @@ from spinmetro import (
     shrinkage_fractions,
 )
 from spinmetro import analysis, encoding, linalg
-from spinmetro.analysis import RANK_BLOCK, _route_residuals
+from spinmetro.analysis import (
+    MAX_GRID_CELLS,
+    MAX_RANK_OUTCOMES,
+    MAX_RANK_PARAMS,
+    RANK_BLOCK,
+    _route_residuals,
+)
 from spinmetro.models import MAX_DIM, ProbeSpec
 
-from conftest import fim_rank_loop, points_for, rep
+from conftest import fim_rank_loop, points_for, rep, scaling_table_loop
 
 
 def small_scan(kind=ModelKind.TWO_PARAM, dim=2, alpha=np.pi / 4, phi=0.0, t=5.0,
@@ -143,6 +149,13 @@ class TestRunScan:
             small_scan(counts=(1, 5))
         with pytest.raises(InvalidInput):
             ScanConfig(kind=ModelKind.TWO_PARAM, probe=ProbeSpec(dim=2, alpha=0.2), t=-1.0)
+
+    # Only the configurations are built here: no scan runs at the cap.
+    def test_grid_cap(self):
+        assert 1000 * 1000 == MAX_GRID_CELLS == 101 * 9901 - 1
+        small_scan(counts=(1000, 1000))
+        with pytest.raises(InvalidInput, match=str(MAX_GRID_CELLS)):
+            small_scan(counts=(101, 9901))
 
     def test_asymmetric_weight_is_rejected(self):
         config = replace(small_scan(dim=3, counts=(3, 3)), weight=[[1.0, 5.0], [0.0, 1.0]])
@@ -282,6 +295,41 @@ class TestScalingTable:
             scaling_table(ModelKind.TWO_PARAM, [0.3], [4, MAX_DIM + 1], point)
         assert built == []
 
+    # alpha = 0 makes the baseline singular at the first and last points: the
+    # qubit reference at theta = pi/2, and the N = 4 three-parameter one
+    # everywhere (its spin covariance has rank 2).
+    @pytest.mark.parametrize("kind, point", [
+        (ModelKind.TWO_PARAM, ModelPoint(b=0.9, theta=np.pi / 2, t=5.0)),
+        (ModelKind.TWO_PARAM, ModelPoint(b=1.1, theta=2.6, t=5.0)),
+        (ModelKind.THREE_PARAM, ModelPoint(b=0.9, theta=0.7, t=5.0, phi=1.1)),
+    ])
+    def test_stacked_table_equals_per_probe_loop(self, kind, point):
+        alphas, dims = (0.0, np.pi / 4, 0.3, 1.2), (4, 5, 9, 40, 240)
+        table = scaling_table(kind, alphas, dims, point, probe_phi=0.7)
+        gammas, slopes = scaling_table_loop(kind, alphas, dims, point, probe_phi=0.7)
+        assert table.gammas == gammas
+        assert table.slopes == slopes
+        if point.theta == np.pi / 2 or kind is ModelKind.THREE_PARAM:
+            assert slopes[0.0] is None
+        assert all(slopes[a] is not None for a in alphas[1:])
+
+    def test_one_kernel_call_per_table(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(analysis, "frame_qfim_uhlmann",
+                            counted("kernel", analysis.frame_qfim_uhlmann))
+        monkeypatch.setattr(analysis, "spin_moments", counted("moments", analysis.spin_moments))
+        point = ModelPoint(b=0.9, theta=np.pi / 2, t=5.0)
+        # alpha = 0 has a singular baseline; its probes are still taken once each
+        scaling_table(ModelKind.TWO_PARAM, [0.0, np.pi / 4, 0.3], [4, 8, 12, 16], point)
+        assert calls == {"kernel": 1, "moments": 3 * (1 + 4)}
+
 
 class TestFimRankExperiment:
     def test_too_few_outcomes_always_singular(self):
@@ -326,6 +374,14 @@ class TestFimRankExperiment:
         with pytest.raises(InvalidInput):
             RankExperimentConfig(n_params=2, n_outcomes=1)
 
+    # Only the configurations are built here: no experiment runs at a cap.
+    def test_size_caps(self):
+        RankExperimentConfig(n_params=MAX_RANK_PARAMS, n_outcomes=MAX_RANK_OUTCOMES)
+        with pytest.raises(InvalidInput, match=str(MAX_RANK_PARAMS)):
+            RankExperimentConfig(n_params=MAX_RANK_PARAMS + 1, n_outcomes=3)
+        with pytest.raises(InvalidInput, match=str(MAX_RANK_OUTCOMES)):
+            RankExperimentConfig(n_params=2, n_outcomes=MAX_RANK_OUTCOMES + 1)
+
     # A negative seed used to escape as numpy's ValueError, and a NaN in lam
     # gave max_rank 0 and no violations, as if the bound held.
     @pytest.mark.parametrize("kwargs", [
@@ -356,9 +412,8 @@ class TestFimRankExperiment:
         assert want["max_decomposition_residual"] <= 1e-13
 
     # Far from the origin some trials put p below 1e-14 on all outcomes but
-    # one: their FIM vanishes and its normalized det is NaN, which must skip
-    # that trial only, as the loop does, and not the rest of its block.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # one: their FIM vanishes, which must skip that trial only, as the loop
+    # does, and not the rest of its block.
     def test_vanishing_fim_skips_only_its_own_trial(self):
         config = RankExperimentConfig(n_params=2, n_outcomes=3, trials=2 * RANK_BLOCK,
                                       seed=1, lam=[40.0, -40.0])
@@ -367,6 +422,19 @@ class TestFimRankExperiment:
         assert got["max_normalized_det"] == pytest.approx(want["max_normalized_det"], rel=1e-12)
         assert got["max_rank"] == want["max_rank"]
         assert got["full_rank_fraction"] == want["full_rank_fraction"]
+
+    # There the decomposition used to divide by those probabilities and the
+    # residual of a vanishing FIM by 1e-300: it came out inf, which no JSON
+    # can hold, after numpy overflow warnings.
+    @pytest.mark.filterwarnings("error")
+    def test_far_point_fields_are_finite(self):
+        config = RankExperimentConfig(n_params=2, n_outcomes=3, trials=1000, seed=1,
+                                      lam=[40.0, -40.0])
+        got, want = fim_rank_experiment(config), fim_rank_loop(config)
+        assert got == want
+        json.dumps(got, allow_nan=False)
+        assert 0 < got["max_decomposition_residual"] < 2
+        assert 0.1 < got["max_normalized_det"] < 1
 
     def test_peak_memory_does_not_grow_with_trials(self):
         def peak(blocks):

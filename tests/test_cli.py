@@ -12,6 +12,8 @@ import pytest
 
 import spinmetro
 from spinmetro import ModelPoint, bloch_vector, make_probe, qubit2p_closed
+from spinmetro import cli
+from spinmetro.analysis import MAX_RANK_OUTCOMES, MAX_RANK_PARAMS
 from spinmetro.cli import build_parser, main
 from spinmetro.models import ProbeSpec
 
@@ -224,8 +226,9 @@ def test_non_finite_input_is_usage_error(tmp_path, capsys, argv):
 # --tol outside (0, 1), which would flag (almost) every cell, is a usage
 # error, and an input that overflows Q, D or Gamma is a numerical failure;
 # neither leaves a traceback or an output file.  A negative fim-rank seed,
-# which numpy's generator rejects, is a usage error too, and so is a probe
-# dimension above the cap, before anything is allocated.
+# which numpy's generator rejects, is a usage error too, and so is a size
+# above its cap (probe dimension, scan grid cells, fim-rank parameters and
+# outcomes), before anything is allocated.
 @pytest.mark.parametrize("argv, code", [
     *(([command, "--tol", tol], 2)
       for command in ("scan", "metrics", "scaling") for tol in ("inf", "1", "2")),
@@ -237,10 +240,39 @@ def test_non_finite_input_is_usage_error(tmp_path, capsys, argv):
     (["metrics", "--model", "three", "--dim", "1000001"], 2),
     (["scan", "--dim", "1000001"], 2),
     (["scaling", "--dims", "4,1000001"], 2),
+    (["scan", "--grid", "101x9901"], 2),  # MAX_GRID_CELLS + 1 cells
+    (["fim-rank", "--params", str(MAX_RANK_PARAMS + 1), "--trials", "1"], 2),
+    (["fim-rank", "--outcomes", str(MAX_RANK_OUTCOMES + 1), "--trials", "1"], 2),
 ])
 def test_out_of_range_input_leaves_no_output(tmp_path, capsys, argv, code):
     out = tmp_path / "x.out"
     assert run([*argv, "--out", str(out)]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Any numpy linear-algebra or floating-point error that escapes the library's
+# own checks is a numerical failure too.
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError("SVD did not converge"),
+                                   FloatingPointError("overflow encountered")])
+def test_stray_numpy_error_is_numerical_failure(tmp_path, capsys, monkeypatch, error):
+    def fail(args):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "metrics", fail)
+    assert run(["metrics", "--out", str(tmp_path / "x.json")]) == 1
+    err = capsys.readouterr().err
+    assert "numerical consistency failure" in err and str(error) in err
+    assert "Traceback" not in err
+
+
+def test_non_finite_report_writes_nothing(tmp_path, capsys, monkeypatch):
+    def report(config):
+        return {"max_decomposition_residual": float("inf")}
+
+    monkeypatch.setattr(cli, "fim_rank_experiment", report)
+    out = tmp_path / "x.json"
+    assert run(["fim-rank", "--trials", "1", "--out", str(out)]) == 1
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
 

@@ -92,6 +92,16 @@ class TestSpinMoments:
         with pytest.raises(InvalidInput):
             spin_moments(bad)
 
+    # The frame kernel takes moments, not states, so the unit-norm rule of a
+    # probe is checked here.
+    @pytest.mark.parametrize("scale", [0.0, 1 - 1e-9, 1 + 1e-9, 2.0, np.nan])
+    def test_rejects_unnormalized_states(self, rng, scale):
+        with pytest.raises(InvalidInput, match="not normalized"):
+            spin_moments(scale * haar_state(rng, 5))
+
+    def test_accepts_rounding_off_unit_norm(self, rng):
+        spin_moments((1 + 1e-12) * haar_state(rng, 5))
+
 
 class TestJDirection:
     def test_z_axis_is_jz(self):

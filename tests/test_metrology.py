@@ -10,6 +10,7 @@ from spinmetro import (
     ModelPoint,
     NumericalFailure,
     ai_measure,
+    batched_qfim_uhlmann,
     born_probabilities,
     bounds,
     classical_fim,
@@ -30,6 +31,7 @@ from spinmetro import (
     qfim_uhlmann,
     qubit2p_closed,
     sld_solve,
+    spin_moments,
     submodel,
     threeparam_uhlmann_closed,
     trace_norm,
@@ -96,6 +98,18 @@ class TestQfimFromGenerators:
                 assert evals[0] > -1e-9 * max(evals[-1], 1.0)
 
 
+class TestBatchedDenseRoute:
+    # Re<G_l psi|G_m psi> is symmetric for any stack, so a check on the
+    # moments could not see a generator that is not Hermitian.
+    def test_rejects_non_hermitian_stack(self, rng):
+        z = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        with pytest.raises(InvalidInput, match="not Hermitian"):
+            batched_qfim_uhlmann(z, haar_state(rng, 4))
+        q, d = batched_qfim_uhlmann((z + np.swapaxes(z.conj(), -1, -2)) / 2,
+                                    haar_state(rng, 4))
+        assert q.shape == d.shape == (3, 3)
+
+
 class TestUhlmannFromGenerators:
     def test_commuting_generators(self, rng):
         r = rep(4)
@@ -133,7 +147,7 @@ class TestFrameKernel:
             gens = closed_generators(rep(n), kind, point)
             for _ in range(3):
                 probe = haar_state(rng, n)
-                q, d = frame_qfim_uhlmann(frame, probe)
+                q, d = frame_qfim_uhlmann(frame, *spin_moments(probe))
                 q_ref, d_ref = qfim_uhlmann(gens, probe)
                 scale = max(np.abs(q_ref).max(), np.abs(d_ref).max())
                 assert np.abs(q - q_ref).max() <= 1e-12 * scale
@@ -144,35 +158,52 @@ class TestFrameKernel:
         theta = rng.uniform(0.0, 2 * np.pi, size=(4, 1))
         frame = closed_frame(ModelKind.THREE_PARAM, b, theta, 5.0, 0.3)
         assert frame.shape == (4, 5, 3, 3)
-        probe = haar_state(rng, 5)
-        q, d = frame_qfim_uhlmann(frame, probe)
+        moments = spin_moments(haar_state(rng, 5))
+        q, d = frame_qfim_uhlmann(frame, *moments)
         for i, j in [(0, 0), (2, 3), (3, 4)]:
             one = closed_frame(ModelKind.THREE_PARAM, b[i, j], theta[i, 0], 5.0, 0.3)
-            q1, d1 = frame_qfim_uhlmann(one, probe)
+            q1, d1 = frame_qfim_uhlmann(one, *moments)
             assert np.allclose(q[i, j], q1, rtol=1e-14, atol=0.0)
             assert np.allclose(d[i, j], d1, rtol=1e-14, atol=0.0)
 
+    # A scaling table stacks the moments of all its probes against one frame.
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_stacked_moments_equal_single_calls_bitwise(self, rng, kind):
+        point = points_for(kind)[0]
+        frame = closed_frame(kind, point.b, point.theta, point.t, point.phi)
+        moments = [spin_moments(haar_state(rng, n)) for n in (2, 3, 5, 8, 40, 41, 240)]
+        q, d = frame_qfim_uhlmann(frame, *(np.stack(m) for m in zip(*moments)))
+        assert q.shape == d.shape == (len(moments), len(kind.labels), len(kind.labels))
+        for k, (mean, second) in enumerate(moments):
+            q1, d1 = frame_qfim_uhlmann(frame, mean, second)
+            assert np.array_equal(q[k], q1)
+            assert np.array_equal(d[k], d1)
+
     def test_uhlmann_exactly_antisymmetric(self, rng):
         frame = rng.standard_normal((50, 3, 3))
-        q, d = frame_qfim_uhlmann(frame, haar_state(rng, 9))
+        q, d = frame_qfim_uhlmann(frame, *spin_moments(haar_state(rng, 9)))
         assert np.array_equal(d, -np.swapaxes(d, -1, -2))
         assert np.array_equal(q, np.swapaxes(q, -1, -2))
 
     @pytest.mark.parametrize("n", [4, 5, 8, 40])
     def test_balanced_probe_has_zero_uhlmann(self, rng, n):
-        probe = make_probe(ProbeSpec(dim=n, alpha=np.pi / 4, phi=0.9))
+        moments = spin_moments(make_probe(ProbeSpec(dim=n, alpha=np.pi / 4, phi=0.9)))
         b = rng.uniform(0.0, 2.0, size=20)
         theta = rng.uniform(0.0, 2 * np.pi, size=20)
         for kind in ModelKind:
             phi = None if kind is ModelKind.TWO_PARAM else 1.3
-            q, d = frame_qfim_uhlmann(closed_frame(kind, b, theta, 5.0, phi), probe)
+            q, d = frame_qfim_uhlmann(closed_frame(kind, b, theta, 5.0, phi), *moments)
             assert np.abs(d).max() <= 1e-14 * np.abs(q).max()
 
     def test_frame_validation(self):
+        moments = spin_moments(np.array([1, 0], complex))
         with pytest.raises(InvalidInput):
-            frame_qfim_uhlmann(np.ones((2, 2)), np.array([1, 0], complex))
+            frame_qfim_uhlmann(np.ones((2, 2)), *moments)
         with pytest.raises(InvalidInput):
-            frame_qfim_uhlmann(np.ones((2, 3)), np.array([1, 1], complex))
+            frame_qfim_uhlmann(np.ones((2, 3)), moments[0][:2], moments[1])
+        # the unit-norm rule now runs where the moments are taken
+        with pytest.raises(InvalidInput, match="not normalized"):
+            spin_moments(np.array([1, 1], complex))
         with pytest.raises(InvalidInput):
             closed_frame(ModelKind.TWO_PARAM, 0.5, 0.5, 5.0, phi=0.3)
         with pytest.raises(InvalidInput):
