@@ -25,8 +25,6 @@ from .encoding import (
     ModelPoint,
     closed_frame,
     closed_generators,
-    closed_generators_2p,
-    closed_generators_3p,
     direction_vectors_2p,
     direction_vectors_3p,
     hamiltonian,
@@ -74,7 +72,6 @@ from .models import (
     Qubit2pResult,
     ai_threeparam_probe,
     bloch_vector,
-    gamma_scaling,
     make_probe,
     qubit2p_closed,
     qudit2p_closed,

@@ -96,23 +96,20 @@ MAX_GRID_CELLS = 10**6
 class ScanConfig:
     """Configuration of one T(theta, B) grid scan.
 
-    ``b_range`` defaults to one period of the model in the field strength,
-    ``[0, 2 pi / t]``; the probe can be a :class:`ProbeSpec` or an explicit
-    amplitude vector, and it sets the dimension.  The grid has 2 or more
-    points per axis and at most :data:`MAX_GRID_CELLS` cells.  ``weight``
-    and ``rel_tol`` are checked when the scan runs, by
-    :func:`~spinmetro.metrology.bounds`.
+    The grid covers theta in ``[0, 2 pi]`` and one period of the model in
+    the field strength, B in ``[0, 2 pi / t]``.  The probe can be a
+    :class:`ProbeSpec` or an explicit amplitude vector, and it sets the
+    dimension.  The grid has 2 or more points per axis and at most
+    :data:`MAX_GRID_CELLS` cells.  ``rel_tol`` is checked when the scan
+    runs, by :func:`~spinmetro.metrology.bounds`.
     """
 
     kind: ModelKind
     probe: ProbeSpec | np.ndarray
     t: float
     model_phi: float = 0.0
-    theta_range: tuple[float, float] = (0.0, TWO_PI)
-    b_range: tuple[float, float] | None = None
     theta_count: int = 101
     b_count: int = 101
-    weight: np.ndarray | None = None
     rel_tol: float = 1e-10
 
     def __post_init__(self):
@@ -126,14 +123,6 @@ class ScanConfig:
             raise InvalidInput(
                 f"grid has {self.theta_count * self.b_count} cells, at most {MAX_GRID_CELLS}"
             )
-        if not self.theta_range[1] > self.theta_range[0]:
-            raise InvalidInput("theta range is empty")
-        if self.b_range is not None and not self.b_range[1] > self.b_range[0]:
-            raise InvalidInput("B range is empty")
-
-    @property
-    def effective_b_range(self) -> tuple[float, float]:
-        return self.b_range if self.b_range is not None else (0.0, TWO_PI / self.t)
 
     def probe_state(self) -> np.ndarray:
         if isinstance(self.probe, ProbeSpec):
@@ -174,15 +163,15 @@ def run_scan(config: ScanConfig) -> ScanResult:
     Cells with a singular QFIM (relative eigenvalue ratio below
     ``config.rel_tol``) are flagged and carry no bound values.
     """
-    thetas = np.linspace(*config.theta_range, config.theta_count)
-    bs = np.linspace(*config.effective_b_range, config.b_count)
+    thetas = np.linspace(0.0, TWO_PI, config.theta_count)
+    bs = np.linspace(0.0, TWO_PI / config.t, config.b_count)
     th_grid, b_grid = np.meshgrid(thetas, bs, indexing="ij")
     theta = th_grid.ravel()
     b = b_grid.ravel()
     phi = None if config.kind is ModelKind.TWO_PARAM else config.model_phi
     frame = closed_frame(config.kind, b, theta, config.t, phi)
     q, d = frame_qfim_uhlmann(frame, *spin_moments(config.probe_state()))
-    singular, r_ai, _, _, delta = bounds(q, d, weight=config.weight, rel_tol=config.rel_tol)
+    singular, r_ai, _, _, delta = bounds(q, d, rel_tol=config.rel_tol)
     det_q = np.linalg.det(q)
     return ScanResult(
         config=config, theta=theta, b=b, r_ai=r_ai, delta=delta, det_q=det_q, singular=singular
@@ -210,8 +199,6 @@ def shrinkage_fractions(res_a: ScanResult, res_b: ScanResult, threshold: float =
 class ScalingResult:
     """Gamma values and fitted log-log slopes, one slope per probe angle."""
 
-    kind: ModelKind
-    baseline_dim: int
     alphas: tuple[float, ...]
     dims: tuple[int, ...]
     gammas: dict = field(hash=False)
@@ -284,14 +271,7 @@ def scaling_table(
         if not np.isfinite(y).all():
             raise NumericalFailure(f"Gamma is not finite at alpha = {alpha!r}")
         slopes[alpha] = float(np.polyfit(np.log(x), np.log(y), 1)[0])
-    return ScalingResult(
-        kind=kind,
-        baseline_dim=baseline_dim,
-        alphas=alphas,
-        dims=dims,
-        gammas=gammas,
-        slopes=slopes,
-    )
+    return ScalingResult(alphas=alphas, dims=dims, gammas=gammas, slopes=slopes)
 
 
 # Trials per stacked block of the rank experiment: the draws, softmax, FIM,

@@ -1,8 +1,9 @@
 """Command-line interface: scan, metrics, scaling and fim-rank drivers.
 
 Exit codes: 0 on success, 2 on usage/configuration errors, 1 on numerical
-consistency failures (a stray ``LinAlgError`` or ``FloatingPointError`` from
-numpy counts as one) and on file-system errors.
+consistency failures (a stray ``LinAlgError`` counts as one, and so does a
+floating-point overflow or invalid operation: commands run with numpy set to
+raise them as ``FloatingPointError``) and on file-system errors.
 """
 
 from __future__ import annotations
@@ -180,7 +181,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _COMMANDS[args.command](args)
+        with np.errstate(over="raise", invalid="raise"):
+            _COMMANDS[args.command](args)
     except InvalidInput as exc:
         print(f"spinmetro: {exc}", file=sys.stderr)
         return 2

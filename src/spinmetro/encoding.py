@@ -46,8 +46,6 @@ __all__ = [
     "closed_frame",
     "hamiltonian",
     "closed_generators",
-    "closed_generators_2p",
-    "closed_generators_3p",
     "numeric_generators",
     "series_generators",
 ]
@@ -136,9 +134,6 @@ class GeneratorSet:
     @property
     def dim(self) -> int:
         return self.matrices.shape[-1]
-
-    def __iter__(self):
-        return iter(self.matrices)
 
 
 def _vectors(shape, rows) -> np.ndarray:
@@ -239,20 +234,6 @@ def _field_hamiltonians(rep: SpinRep, kind: ModelKind, b, theta, t: float, phi=N
 def hamiltonian(rep: SpinRep, kind: ModelKind, point: ModelPoint) -> np.ndarray:
     """Field Hamiltonian ``B * n . J`` at the given point."""
     return _field_hamiltonians(rep, kind, point.b, point.theta, point.t, point.phi)
-
-
-def closed_generators_2p(rep: SpinRep, point: ModelPoint) -> GeneratorSet:
-    """Closed-form generators of the two-parameter model (see :func:`closed_frame`)."""
-    if point.n_params != 2:
-        raise InvalidInput("closed_generators_2p needs a two-parameter point")
-    return closed_generators(rep, ModelKind.TWO_PARAM, point)
-
-
-def closed_generators_3p(rep: SpinRep, point: ModelPoint) -> GeneratorSet:
-    """Closed-form generators of the three-parameter model (see :func:`closed_frame`)."""
-    if point.n_params != 3:
-        raise InvalidInput("closed_generators_3p needs a three-parameter point")
-    return closed_generators(rep, ModelKind.THREE_PARAM, point)
 
 
 def closed_generators(rep: SpinRep, kind: ModelKind, point: ModelPoint) -> GeneratorSet:

@@ -57,6 +57,30 @@ def require_hermitian(a, tol: float = 1e-12, name: str = "matrix") -> np.ndarray
     return a
 
 
+def require_symmetric(a, sign: int = 1, name: str = "matrix") -> np.ndarray:
+    """Return ``a`` as an array, raising unless each matrix equals ``sign``
+    times its transpose: symmetric for ``sign`` 1, antisymmetric for -1.
+
+    ``a`` is one real matrix or a stack ``(..., n, n)``, checked in one
+    pass.  A stack that is exactly (anti)symmetric, as the frame kernel's
+    Q and D are, passes at the cost of one comparison.  Otherwise each
+    matrix is scaled to a largest entry of 1, so the Frobenius norms cannot
+    overflow, and its residual ``||a - sign a^T||`` is held to 1e-10 of its
+    scaled norm.  A zero matrix passes.
+    """
+    a = np.asarray(a)
+    a_t = np.swapaxes(a, -1, -2)
+    if np.array_equal(a, a_t if sign > 0 else -a_t):
+        return a
+    scale = np.maximum(np.abs(a).max(axis=(-2, -1), initial=0.0), np.finfo(float).tiny)
+    scaled = a / scale[..., None, None]
+    resid = np.linalg.norm(scaled - sign * np.swapaxes(scaled, -1, -2), axis=(-2, -1))
+    if np.any(resid > 1e-10 * np.linalg.norm(scaled, axis=(-2, -1))):
+        kind = "symmetric" if sign > 0 else "antisymmetric"
+        raise InvalidInput(f"{name} is not {kind}")
+    return a
+
+
 def require_unit3(n, tol: float = 1e-10) -> np.ndarray:
     """Validate real direction vectors of unit norm, shape ``(..., 3)``."""
     n = np.asarray(n, dtype=float)
@@ -85,16 +109,14 @@ class SpinRep:
     ----------
     N : int
         Hilbert-space dimension, at least 2.
-    s : float
-        Spin quantum number ``(N - 1) / 2``; half-integers are allowed.
     jx, jy, jz : ndarray
         The three N x N Hermitian generators, satisfying the cyclic
         commutation relations ``[jx, jy] = 1j * jz`` and the Casimir
-        identity ``jx^2 + jy^2 + jz^2 = s (s + 1) I``.
+        identity ``jx^2 + jy^2 + jz^2 = s (s + 1) I`` with spin
+        ``s = (N - 1) / 2``.
     """
 
     N: int
-    s: float
     jx: np.ndarray
     jy: np.ndarray
     jz: np.ndarray
@@ -127,7 +149,7 @@ def build_spin_rep(N: int) -> SpinRep:
     jx = (jplus + jminus) / 2
     jy = (jplus - jminus) / 2j
     jz = np.diag(m).astype(complex)
-    return SpinRep(N=N, s=s, jx=jx, jy=jy, jz=jz)
+    return SpinRep(N=N, jx=jx, jy=jy, jz=jz)
 
 
 def spin_moments(psi) -> tuple[np.ndarray, np.ndarray]:
@@ -244,19 +266,9 @@ def sym_inverse(q, rel_tol: float = 1e-10) -> np.ndarray | None:
 
     Singular means :func:`singular_mask` at ``rel_tol``; the inverse is
     verified by :func:`check_inverse`.  Asymmetric input raises
-    :class:`InvalidInput`.
+    :class:`InvalidInput` (the rule of :func:`require_symmetric`).
     """
-    q = _as_square(q, "symmetric matrix")
-    q = np.asarray(q, dtype=float) if not np.iscomplexobj(q) else q
-    if np.iscomplexobj(q):
-        if np.abs(q.imag).max(initial=0.0) > 1e-12 * max(np.abs(q).max(), 1.0):
-            raise InvalidInput("symmetric inverse expects a real matrix")
-        q = q.real
-    # Scaled to a largest entry of 1, so the Frobenius norms cannot overflow;
-    # the norm of the scaled matrix is then at least 1.
-    scaled = q / max(np.abs(q).max(initial=0.0), np.finfo(float).tiny)
-    if np.linalg.norm(scaled - scaled.T) > 1e-10 * np.linalg.norm(scaled):
-        raise InvalidInput("matrix is not symmetric")
+    q = require_symmetric(np.asarray(_as_square(q, "symmetric matrix"), dtype=float))
     w = np.linalg.eigvalsh(q)
     if singular_mask(w, rel_tol):
         return None

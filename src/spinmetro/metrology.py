@@ -22,6 +22,7 @@ from .errors import InvalidInput, NumericalFailure
 from .linalg import (
     check_inverse,
     require_hermitian,
+    require_symmetric,
     require_unit_norm,
     singular_mask,
     spectral_absmax,
@@ -283,7 +284,8 @@ def ai_measure(q, d, rel_tol: float = 1e-10) -> float | None:
     Evaluated on the Hermitian :func:`incompat_operator`, the same form the
     grid scan uses.  Returns ``None`` when Q is singular at ``rel_tol``;
     otherwise a number in [0, 1] up to rounding.  A D that is not real
-    antisymmetric raises :class:`InvalidInput`.
+    antisymmetric (the rule of :func:`~spinmetro.linalg.require_symmetric`)
+    raises :class:`InvalidInput`.
     """
     q = np.asarray(q, dtype=float)
     d = np.asarray(d)
@@ -292,53 +294,30 @@ def ai_measure(q, d, rel_tol: float = 1e-10) -> float | None:
     d = np.asarray(d.real, dtype=float)
     if q.shape != d.shape:
         raise InvalidInput(f"shape mismatch: Q {q.shape} vs D {d.shape}")
-    if np.linalg.norm(d + d.T) > 1e-10 * max(np.linalg.norm(d), 1.0):
-        raise InvalidInput("Uhlmann matrix is not antisymmetric")
+    require_symmetric(d, sign=-1, name="Uhlmann matrix")
     if sym_inverse(q, rel_tol=rel_tol) is None:
         return None
     return spectral_absmax(incompat_operator(q, d))
 
 
-def _check_weight(w, dim: int) -> np.ndarray:
-    if w is None:
-        return np.eye(dim)
-    w = np.asarray(w, dtype=float)
-    if w.shape != (dim, dim):
-        raise InvalidInput(f"weight matrix has shape {w.shape}, expected {(dim, dim)}")
-    if np.linalg.norm(w - w.T) > 1e-10 * max(np.linalg.norm(w), 1.0):
-        raise InvalidInput("weight matrix must be symmetric")
-    if np.linalg.eigvalsh(w)[0] <= 0:
-        raise InvalidInput("weight matrix must be positive definite")
-    return w
-
-
-def holevo_pure(q, d, weight=None, rel_tol: float = 1e-10):
+def holevo_pure(q, d, rel_tol: float = 1e-10):
     """Scalar SLD cost, pure-model Holevo bound and their normalized gap.
 
     Returns ``(c_sld, c_h, delta)`` or ``None`` for singular Q, where
-    ``c_sld = tr(W Q^-1)`` and
-    ``c_h = c_sld + ||sqrt(W) Q^-1 D Q^-1 sqrt(W)||_1``.  The symmetric
-    sqrt(W) sandwich reduces to ``||Q^-1 D Q^-1||_1`` at W = identity.
+    ``c_sld = tr Q^-1`` and ``c_h = c_sld + ||Q^-1 D Q^-1||_1``.
     """
     q = np.asarray(q, dtype=float)
     d = np.asarray(d, dtype=float)
-    w = _check_weight(weight, q.shape[0])
     q_inv = sym_inverse(q, rel_tol=rel_tol)
     if q_inv is None:
         return None
-    c_sld = float(np.trace(w @ q_inv))
-    if weight is None:
-        sandwich = q_inv @ d @ q_inv
-    else:
-        evals, vecs = np.linalg.eigh(w)
-        w_sqrt = (vecs * np.sqrt(evals)) @ vecs.T
-        sandwich = w_sqrt @ q_inv @ d @ q_inv @ w_sqrt
-    gap = trace_norm(sandwich)
+    c_sld = float(np.trace(q_inv))
+    gap = trace_norm(q_inv @ d @ q_inv)
     c_h = c_sld + gap
     return c_sld, c_h, gap / c_sld
 
 
-def bounds(q, d, weight=None, rel_tol: float = 1e-10):
+def bounds(q, d, rel_tol: float = 1e-10):
     """Singular flags, R, SLD cost, Holevo bound and their gap, over leading axes.
 
     ``q`` and ``d`` have shape (..., dim, dim).  Returns
@@ -346,7 +325,9 @@ def bounds(q, d, weight=None, rel_tol: float = 1e-10):
     with NaN bound values on singular matrices (the rule of
     :func:`~spinmetro.linalg.singular_mask`); NaN marks a singular matrix
     and nothing else, so a Q or D that is not finite raises
-    :class:`NumericalFailure`.  One ``eigh`` of each Q gives
+    :class:`NumericalFailure`.  A Q that is not symmetric or a D that is
+    not antisymmetric (the rule of :func:`~spinmetro.linalg.require_symmetric`)
+    raises :class:`InvalidInput`.  One ``eigh`` of each Q gives
     the singular rule, ``Q^-1`` (held to :func:`~spinmetro.linalg.check_inverse`)
     and ``Q^-1/2``, with ``R`` the largest ``|eigvalsh|`` of the Hermitian
     ``1j Q^-1/2 D Q^-1/2`` (similar to ``1j Q^-1 D``).  The costs are
@@ -359,8 +340,9 @@ def bounds(q, d, weight=None, rel_tol: float = 1e-10):
         raise InvalidInput(f"Q and D must be square stacks of one shape, got {q.shape}, {d.shape}")
     if not (np.isfinite(q).all() and np.isfinite(d).all()):
         raise NumericalFailure("QFIM or Uhlmann matrix is not finite")
+    require_symmetric(q, name="QFIM")
+    require_symmetric(d, sign=-1, name="Uhlmann matrix")
     lead, dim = q.shape[:-2], q.shape[-1]
-    w = _check_weight(weight, dim)
     q, d = q.reshape(-1, dim, dim), d.reshape(-1, dim, dim)
     evals, vecs = np.linalg.eigh(q)
     singular = singular_mask(evals, rel_tol)
@@ -377,15 +359,8 @@ def bounds(q, d, weight=None, rel_tol: float = 1e-10):
         r_ai[regular] = np.abs(
             np.linalg.eigvalsh(1j * (m - np.swapaxes(m, -1, -2)) / 2)
         ).max(axis=-1)
-        if weight is None:
-            sandwich = q_inv @ d @ q_inv
-            cost = np.trace(q_inv, axis1=-2, axis2=-1)
-        else:
-            w_evals, w_vecs = np.linalg.eigh(w)
-            w_sqrt = (w_vecs * np.sqrt(w_evals)) @ w_vecs.T
-            sandwich = w_sqrt @ q_inv @ d @ q_inv @ w_sqrt
-            cost = np.trace(w @ q_inv, axis1=-2, axis2=-1)
-        gap = np.linalg.svd(sandwich, compute_uv=False).sum(axis=-1)
+        cost = np.trace(q_inv, axis1=-2, axis2=-1)
+        gap = np.linalg.svd(q_inv @ d @ q_inv, compute_uv=False).sum(axis=-1)
         c_sld[regular] = cost
         c_h[regular] = cost + gap
         delta[regular] = gap / cost
@@ -428,12 +403,10 @@ class IncompatReport:
     r_ai: float | None = None
 
 
-def incompat_report(
-    gens: GeneratorSet, probe, weight=None, rel_tol: float = 1e-10
-) -> IncompatReport:
+def incompat_report(gens: GeneratorSet, probe, rel_tol: float = 1e-10) -> IncompatReport:
     """Evaluate the full report for one generator set and probe."""
     q, d = qfim_uhlmann(gens, probe)
-    singular, *values = bounds(q, d, weight=weight, rel_tol=rel_tol)
+    singular, *values = bounds(q, d, rel_tol=rel_tol)
     r_ai, c_sld, c_h, delta = (None if singular else float(v) for v in values)
     return IncompatReport(
         labels=gens.labels,

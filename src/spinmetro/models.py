@@ -18,7 +18,10 @@ import numpy as np
 
 from .encoding import ModelPoint, direction_vectors_2p, direction_vectors_3p
 from .errors import InvalidInput
-from .linalg import SpinRep, j_direction, sym_inverse
+from .linalg import SpinRep, j_direction
+# Bound here for perfbench/tests, which check that the benchmark's tracer
+# wraps every module binding of this pinned function.
+from .linalg import sym_inverse  # noqa: F401
 from .metrology import check_probe
 
 __all__ = [
@@ -32,7 +35,6 @@ __all__ = [
     "qudit2p_closed",
     "threeparam_uhlmann_closed",
     "ai_threeparam_probe",
-    "gamma_scaling",
 ]
 
 
@@ -214,18 +216,3 @@ def ai_threeparam_probe(n: int, alpha: float) -> float:
     if int(n) != n or n < 4:
         raise InvalidInput(f"closed three-parameter incompatibility needs N >= 4, got {n!r}")
     return float(abs(np.cos(2 * alpha)))
-
-
-def gamma_scaling(q_n, q_m, rel_tol: float = 1e-10) -> float | None:
-    """Metrological-power ratio ``Tr(Q_N Q_M^-1)`` between two probes.
-
-    Returns ``None`` when the reference matrix is singular at ``rel_tol``.
-    """
-    q_n = np.asarray(q_n, dtype=float)
-    q_m = np.asarray(q_m, dtype=float)
-    if q_n.shape != q_m.shape:
-        raise InvalidInput(f"shape mismatch: {q_n.shape} vs {q_m.shape}")
-    inv = sym_inverse(q_m, rel_tol=rel_tol)
-    if inv is None:
-        return None
-    return float(np.trace(q_n @ inv))

@@ -22,8 +22,6 @@ from spinmetro import (
     ai_threeparam_probe,
     batched_qfim_uhlmann,
     closed_generators,
-    closed_generators_2p,
-    closed_generators_3p,
     fim_rank_experiment,
     incompat_report,
     make_probe,
@@ -83,7 +81,7 @@ def test_criterion_1_qubit_universality():
             point = ModelPoint(
                 b=rng.uniform(0.0, 2 * np.pi / t), theta=rng.uniform(0.0, 2 * np.pi), t=t
             )
-            gen_stacks.append(closed_generators_2p(rep(2), point).matrices)
+            gen_stacks.append(closed_generators(rep(2), ModelKind.TWO_PARAM, point).matrices)
     gens = np.array(gen_stacks)  # (100, 2, 2, 2)
     q, d = batched_qfim_uhlmann(gens[:, None], probes[None, :, :])
     evals = np.linalg.eigvalsh(q)
@@ -166,7 +164,7 @@ def test_criterion_3_qudit_compatibility_point():
     worst_r = 0.0
     for n in range(4, 9):
         probe = make_probe(ProbeSpec(dim=n, alpha=np.pi / 4, phi=0.6))
-        q, d = qfim_uhlmann(closed_generators_2p(rep(n), point), probe)
+        q, d = qfim_uhlmann(closed_generators(rep(n), ModelKind.TWO_PARAM, point), probe)
         worst_d = max(worst_d, abs(d[1, 0]))
         assert np.linalg.det(q) > 0
         r = ai_measure(q, d)
@@ -191,7 +189,7 @@ def test_criterion_4_three_parameter_dimension_ladder():
     # N = 2: singular everywhere
     worst_det = 0.0
     for point in points:
-        gens = closed_generators_3p(rep(2), point)
+        gens = closed_generators(rep(2), ModelKind.THREE_PARAM, point)
         for _ in range(7):
             q, _ = qfim_uhlmann(gens, haar_state(rng, 2))
             worst_det = max(
@@ -202,7 +200,7 @@ def test_criterion_4_three_parameter_dimension_ladder():
     n3_hits = 0
     worst_n3 = 0.0
     for point in points:
-        gens = closed_generators_3p(rep(3), point)
+        gens = closed_generators(rep(3), ModelKind.THREE_PARAM, point)
         for alpha, phi in zip(rng.uniform(0.15, 1.4, 5), rng.uniform(0, 2 * np.pi, 5)):
             q, d = qfim_uhlmann(gens, make_probe(ProbeSpec(dim=3, alpha=alpha, phi=phi)))
             r = ai_measure(q, d)
@@ -217,7 +215,7 @@ def test_criterion_4_three_parameter_dimension_ladder():
     # reports the limit value |cos 2 alpha| = 1 there).
     worst_ladder = 0.0
     for n in range(4, 9):
-        gens = closed_generators_3p(rep(n), points[0])
+        gens = closed_generators(rep(n), ModelKind.THREE_PARAM, points[0])
         for alpha in (0.0, np.pi / 6, np.pi / 4, np.pi / 3, np.pi / 2):
             probe = make_probe(ProbeSpec(dim=n, alpha=alpha, phi=0.8))
             q, d = qfim_uhlmann(gens, probe)
@@ -410,7 +408,7 @@ def test_criterion_9_submodel_monotonicity():
             phi=rng.uniform(0.0, 2 * np.pi),
         )
         probe = haar_state(rng, n)
-        q, d = qfim_uhlmann(closed_generators_3p(rep(n), point), probe)
+        q, d = qfim_uhlmann(closed_generators(rep(n), ModelKind.THREE_PARAM, point), probe)
         r_full = ai_measure(q, d)
         if r_full is None:
             continue

@@ -112,23 +112,6 @@ class TestRunScan:
         assert np.allclose(res.theta[:4], res.theta[0])  # theta outer
         assert np.all(np.diff(res.b[:4]) > 0)  # B inner, increasing
 
-    def test_weighted_scan_matches_pointwise_bound(self, rng):
-        w = np.diag([2.0, 0.5])
-        config = ScanConfig(
-            kind=ModelKind.TWO_PARAM, probe=ProbeSpec(dim=3, alpha=0.4, phi=0.2),
-            t=5.0, theta_count=9, b_count=9, weight=w,
-        )
-        res = run_scan(config)
-        probe = config.probe_state()
-        regular = np.flatnonzero(~res.singular)
-        from spinmetro import holevo_pure, qfim_uhlmann
-
-        for idx in rng.choice(regular, size=6, replace=False):
-            point = ModelPoint(b=res.b[idx], theta=res.theta[idx], t=5.0)
-            q, d = qfim_uhlmann(closed_generators(rep(3), config.kind, point), probe)
-            _, _, delta = holevo_pure(q, d, weight=w)
-            assert res.delta[idx] == pytest.approx(delta, rel=1e-9, abs=1e-12)
-
     def test_memory_does_not_grow_with_dimension(self):
         # At N = 200 a dense (G, d, N, N) generator stack for this 5x5 grid
         # would take 25 * 3 * 200**2 * 16 B = 48 MB; the moment kernel never
@@ -156,16 +139,6 @@ class TestRunScan:
         small_scan(counts=(1000, 1000))
         with pytest.raises(InvalidInput, match=str(MAX_GRID_CELLS)):
             small_scan(counts=(101, 9901))
-
-    def test_asymmetric_weight_is_rejected(self):
-        config = replace(small_scan(dim=3, counts=(3, 3)), weight=[[1.0, 5.0], [0.0, 1.0]])
-        with pytest.raises(InvalidInput):
-            run_scan(config)
-
-    def test_weight_of_wrong_shape_is_rejected(self):
-        config = replace(small_scan(dim=3, counts=(3, 3)), weight=np.eye(3))
-        with pytest.raises(InvalidInput):
-            run_scan(config)
 
     def test_tolerance_that_is_not_positive_is_rejected(self):
         with pytest.raises(InvalidInput):

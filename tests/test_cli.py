@@ -288,6 +288,20 @@ def test_overflowing_singular_baseline_writes_no_warning(tmp_path):
     )
 
 
+# Overflow inside a command is raised, not warned about: the process exits 1
+# with the contract's one-line message and no raw numpy RuntimeWarning.
+@pytest.mark.parametrize("argv", [
+    ["scaling", "--model", "three", "--time", "1e300"],
+    ["scaling", "--time", "1e152", "--tol", "1e-310", "--dims", "4,240"],
+])
+def test_overflow_exits_without_raw_warning(tmp_path, argv):
+    done = run_fresh([*argv, "--out", "x.csv"], cwd=tmp_path)
+    assert done.returncode == 1
+    assert done.stderr.startswith("spinmetro: numerical consistency failure")
+    assert "Warning" not in done.stderr and "Traceback" not in done.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
 class TestFimRankCommand:
     def test_report_and_determinism(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

@@ -9,8 +9,6 @@ from spinmetro import (
     ModelPoint,
     build_spin_rep,
     closed_generators,
-    closed_generators_2p,
-    closed_generators_3p,
     direction_vectors_2p,
     direction_vectors_3p,
     hamiltonian,
@@ -102,42 +100,49 @@ class TestHamiltonian:
 class TestClosedGenerators:
     def test_full_period_kills_theta_generator(self):
         point = ModelPoint(b=2 * np.pi / 5, theta=0.8, t=5.0)
-        gens = closed_generators_2p(rep(4), point)
+        gens = closed_generators(rep(4), ModelKind.TWO_PARAM, point)
         assert np.abs(gens.matrices[1]).max() < 1e-12
 
     def test_qubit_theta_generator_spectrum(self):
         point = ModelPoint(b=0.9, theta=1.3, t=5.0)
-        gens = closed_generators_2p(rep(2), point)
+        gens = closed_generators(rep(2), ModelKind.TWO_PARAM, point)
         sh = abs(np.sin(0.9 * 5 / 2))
         assert np.allclose(np.linalg.eigvalsh(gens.matrices[1]), [-sh, sh], atol=1e-12)
 
     def test_three_param_reduces_at_phi_zero(self):
         point3 = ModelPoint(b=0.9, theta=0.7, t=5.0, phi=0.0)
         point2 = ModelPoint(b=0.9, theta=0.7, t=5.0)
-        g3 = closed_generators_3p(rep(5), point3)
-        g2 = closed_generators_2p(rep(5), point2)
+        g3 = closed_generators(rep(5), ModelKind.THREE_PARAM, point3)
+        g2 = closed_generators(rep(5), ModelKind.TWO_PARAM, point2)
         assert np.abs(g3.matrices[0] - g2.matrices[0]).max() < 1e-12
         assert np.abs(g3.matrices[1] - g2.matrices[1]).max() < 1e-12
 
     def test_full_period_kills_both_angle_generators(self):
         point = ModelPoint(b=2 * np.pi / 5, theta=0.8, t=5.0, phi=1.2)
-        gens = closed_generators_3p(rep(3), point)
+        gens = closed_generators(rep(3), ModelKind.THREE_PARAM, point)
         assert np.abs(gens.matrices[1]).max() < 1e-12
         assert np.abs(gens.matrices[2]).max() < 1e-12
 
     def test_phi_generator_vanishes_at_polar_angle(self):
         # At theta = pi/2 the Hamiltonian is independent of phi.
         point = ModelPoint(b=0.9, theta=np.pi / 2, t=5.0, phi=0.7)
-        gens = closed_generators_3p(rep(4), point)
+        gens = closed_generators(rep(4), ModelKind.THREE_PARAM, point)
         assert np.abs(gens.matrices[2]).max() < 1e-12
         numeric = numeric_generators(rep(4), ModelKind.THREE_PARAM, point)
         assert np.abs(numeric.matrices[2]).max() < 1e-7
+
+    def test_point_kind_mismatch(self):
+        with pytest.raises(InvalidInput):
+            closed_generators(rep(2), ModelKind.THREE_PARAM, ModelPoint(b=1.0, theta=0.0, t=1.0))
+        with pytest.raises(InvalidInput):
+            closed_generators(rep(2), ModelKind.TWO_PARAM,
+                              ModelPoint(b=1.0, theta=0.0, t=1.0, phi=0.2))
 
 
 class TestNumericGenerators:
     def test_matches_closed_two_param(self):
         point = ModelPoint(b=1.0, theta=0.7, t=5.0)
-        closed = closed_generators_2p(rep(3), point)
+        closed = closed_generators(rep(3), ModelKind.TWO_PARAM, point)
         numeric = numeric_generators(rep(3), ModelKind.TWO_PARAM, point)
         for i in range(2):
             assert spectral_gap(closed.matrices[i], numeric.matrices[i]) < 1e-6
@@ -145,7 +150,7 @@ class TestNumericGenerators:
 
     def test_matches_closed_three_param(self):
         point = ModelPoint(b=1.3, theta=0.4, t=5.0, phi=1.1)
-        closed = closed_generators_3p(rep(4), point)
+        closed = closed_generators(rep(4), ModelKind.THREE_PARAM, point)
         numeric = numeric_generators(rep(4), ModelKind.THREE_PARAM, point)
         for i in range(3):
             assert spectral_gap(closed.matrices[i], numeric.matrices[i]) < 1e-6
@@ -160,7 +165,7 @@ class TestNumericGenerators:
         # Central differences: halving the step cuts the error ~4x.  Use a
         # large step so truncation dominates roundoff.
         point = ModelPoint(b=1.0, theta=0.7, t=5.0)
-        closed = closed_generators_2p(rep(3), point)
+        closed = closed_generators(rep(3), ModelKind.TWO_PARAM, point)
 
         def err(step):
             num = numeric_generators(rep(3), ModelKind.TWO_PARAM, point, step=step)
@@ -210,7 +215,7 @@ class TestSeriesGenerators:
     def test_matches_closed_qubit(self):
         point = ModelPoint(b=2.0, theta=1.0, t=3.0)
         series = series_generators(rep(2), ModelKind.TWO_PARAM, point)
-        closed = closed_generators_2p(rep(2), point)
+        closed = closed_generators(rep(2), ModelKind.TWO_PARAM, point)
         for i in range(2):
             assert spectral_gap(series.matrices[i], closed.matrices[i]) < 1e-10
 
@@ -272,7 +277,7 @@ class TestRouteAgreement:
     @pytest.mark.parametrize("point", two_param_points())
     def test_generator_commutator_identity(self, point):
         # [G_B, G_theta] = -2j t sin(Bt/2) J_{n2} for the planar model.
-        gens = closed_generators_2p(rep(5), point)
+        gens = closed_generators(rep(5), ModelKind.TWO_PARAM, point)
         g_b, g_theta = gens.matrices
         _, _, _, n2 = direction_vectors_2p(point)
         expected = -2j * point.t * np.sin(point.b * point.t / 2) * j_direction(rep(5), n2)

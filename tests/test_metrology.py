@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spinmetro import (
     GeneratorSet,
@@ -13,10 +15,9 @@ from spinmetro import (
     batched_qfim_uhlmann,
     born_probabilities,
     bounds,
+    build_spin_rep,
     classical_fim,
     closed_generators,
-    closed_generators_2p,
-    closed_generators_3p,
     closed_frame,
     direction_vectors_2p,
     expm_i,
@@ -74,7 +75,7 @@ class TestQfimFromGenerators:
     def test_qubit_matches_bloch_closed_form(self):
         point = ModelPoint(b=1.0, theta=0.3, t=5.0)
         probe = make_probe(ProbeSpec(dim=2, alpha=np.pi / 4))
-        gens = closed_generators_2p(rep(2), point)
+        gens = closed_generators(rep(2), ModelKind.TWO_PARAM, point)
         q, d = qfim_uhlmann(gens, probe)
         closed = qubit2p_closed(bloch_vector(probe), point)
         assert np.abs(q - closed.qfim).max() < 1e-9
@@ -123,7 +124,7 @@ class TestUhlmannFromGenerators:
         r0 = rng.standard_normal(3)
         r0 /= np.linalg.norm(r0)
         probe = state_from_bloch(r0)
-        gens = closed_generators_2p(rep(2), point)
+        gens = closed_generators(rep(2), ModelKind.TWO_PARAM, point)
         _, d = qfim_uhlmann(gens, probe)
         n2 = direction_vectors_2p(point)[3]
         expected = 2 * point.t * np.sin(point.b * point.t / 2) * (n2 @ r0)
@@ -132,7 +133,7 @@ class TestUhlmannFromGenerators:
     def test_three_param_closed_elements(self, rng):
         point = ModelPoint(b=0.8, theta=0.5, t=5.0, phi=1.9)
         probe = haar_state(rng, 5)
-        gens = closed_generators_3p(rep(5), point)
+        gens = closed_generators(rep(5), ModelKind.THREE_PARAM, point)
         _, d = qfim_uhlmann(gens, probe)
         closed = threeparam_uhlmann_closed(rep(5), probe, point)
         assert np.abs(d - closed).max() < 1e-8
@@ -221,7 +222,7 @@ class TestStateDerivativeRoute:
         probe = haar_state(rng, 3)
         family = evolved_family(rep(3), ModelKind.TWO_PARAM, point, probe)
         q_fd, d_fd = qfim_from_state_derivatives(family, point.values())
-        q, d = qfim_uhlmann(closed_generators_2p(rep(3), point), probe)
+        q, d = qfim_uhlmann(closed_generators(rep(3), ModelKind.TWO_PARAM, point), probe)
         scale = np.linalg.norm(q, 2)
         assert np.abs(q_fd - q).max() < 1e-5 * scale
         assert np.abs(d_fd - d).max() < 1e-5 * scale
@@ -231,7 +232,7 @@ class TestStateDerivativeRoute:
         probe = make_probe(ProbeSpec(dim=4, alpha=0.9, phi=1.3))
         family = evolved_family(rep(4), ModelKind.THREE_PARAM, point, probe)
         q_fd, d_fd = qfim_from_state_derivatives(family, point.values())
-        q, d = qfim_uhlmann(closed_generators_3p(rep(4), point), probe)
+        q, d = qfim_uhlmann(closed_generators(rep(4), ModelKind.THREE_PARAM, point), probe)
         scale = np.linalg.norm(q, 2)
         assert np.abs(q_fd - q).max() < 1e-5 * scale
         assert np.abs(d_fd - d).max() < 1e-5 * scale
@@ -248,7 +249,7 @@ class TestSldSolve:
         point = ModelPoint(b=0.9, theta=0.7, t=5.0)
         probe = haar_state(rng, 4)
         rho, drhos = fd_density_derivatives(rep(4), ModelKind.TWO_PARAM, point, probe)
-        q, _ = qfim_uhlmann(closed_generators_2p(rep(4), point), probe)
+        q, _ = qfim_uhlmann(closed_generators(rep(4), ModelKind.TWO_PARAM, point), probe)
         for j, drho in enumerate(drhos):
             sld = sld_solve(rho, drho)
             q_jj = np.trace(rho @ sld @ sld).real
@@ -364,7 +365,7 @@ class TestClassicalFim:
             um[j] -= step
             grads.append((probs(up) - probs(um)) / (2 * step))
         f = classical_fim(probs(values), np.array(grads))
-        q, _ = qfim_uhlmann(closed_generators_2p(rep(2), point), probe)
+        q, _ = qfim_uhlmann(closed_generators(rep(2), ModelKind.TWO_PARAM, point), probe)
         assert np.linalg.eigvalsh(q - f)[0] > -1e-8
 
     def test_row_sum_validation(self):
@@ -410,7 +411,7 @@ class TestAiMeasure:
 
     def test_qubit_always_maximal(self, rng):
         point = ModelPoint(b=0.7, theta=1.9, t=5.0)
-        gens = closed_generators_2p(rep(2), point)
+        gens = closed_generators(rep(2), ModelKind.TWO_PARAM, point)
         for _ in range(20):
             q, d = qfim_uhlmann(gens, haar_state(rng, 2))
             r = ai_measure(q, d)
@@ -420,7 +421,7 @@ class TestAiMeasure:
     def test_three_param_cosine_value(self):
         point = ModelPoint(b=0.9, theta=0.6, t=5.0, phi=0.4)
         probe = make_probe(ProbeSpec(dim=6, alpha=np.pi / 3))
-        q, d = qfim_uhlmann(closed_generators_3p(rep(6), point), probe)
+        q, d = qfim_uhlmann(closed_generators(rep(6), ModelKind.THREE_PARAM, point), probe)
         assert ai_measure(q, d) == pytest.approx(0.5, abs=1e-9)
 
     def test_singular_flag(self):
@@ -465,7 +466,8 @@ class TestAiTwoParam:
 
     def test_qubit_instance(self, rng):
         point = ModelPoint(b=1.2, theta=0.4, t=5.0)
-        q, d = qfim_uhlmann(closed_generators_2p(rep(2), point), haar_state(rng, 2))
+        gens = closed_generators(rep(2), ModelKind.TWO_PARAM, point)
+        q, d = qfim_uhlmann(gens, haar_state(rng, 2))
         assert ai_two_param(q, d) == pytest.approx(1.0, abs=1e-9)
 
     def test_singular_flag(self):
@@ -482,7 +484,7 @@ class TestHolevoPure:
     def test_identity_weight_gap_formula(self, rng):
         point = ModelPoint(b=0.8, theta=0.9, t=5.0, phi=1.4)
         probe = make_probe(ProbeSpec(dim=5, alpha=0.5, phi=0.7))
-        q, d = qfim_uhlmann(closed_generators_3p(rep(5), point), probe)
+        q, d = qfim_uhlmann(closed_generators(rep(5), ModelKind.THREE_PARAM, point), probe)
         c_sld, c_h, delta = holevo_pure(q, d)
         q_inv = np.linalg.inv(q)
         assert delta == pytest.approx(trace_norm(q_inv @ d @ q_inv) / np.trace(q_inv), rel=1e-12)
@@ -491,25 +493,13 @@ class TestHolevoPure:
     def test_qubit_gap_bounded_by_incompatibility(self):
         point = ModelPoint(b=1.0, theta=0.5, t=5.0)
         probe = make_probe(ProbeSpec(dim=2, alpha=np.pi / 4))
-        q, d = qfim_uhlmann(closed_generators_2p(rep(2), point), probe)
+        q, d = qfim_uhlmann(closed_generators(rep(2), ModelKind.TWO_PARAM, point), probe)
         _, _, delta = holevo_pure(q, d)
         r = ai_measure(q, d)
         assert 0.0 <= delta <= 1.0 and delta <= r + 1e-9
 
-    def test_general_weight(self, rng):
-        point = ModelPoint(b=0.8, theta=0.9, t=5.0, phi=1.4)
-        probe = make_probe(ProbeSpec(dim=4, alpha=0.4))
-        q, d = qfim_uhlmann(closed_generators_3p(rep(4), point), probe)
-        m = rng.standard_normal((3, 3))
-        w = m @ m.T + np.eye(3)
-        c_sld, c_h, delta = holevo_pure(q, d, weight=w)
-        assert c_sld == pytest.approx(np.trace(w @ np.linalg.inv(q)), rel=1e-10)
-        assert c_h >= c_sld - 1e-9 and delta >= -1e-12
-
-    def test_singular_and_bad_weight(self):
+    def test_singular(self):
         assert holevo_pure(np.diag([1.0, 0.0]), np.zeros((2, 2))) is None
-        with pytest.raises(InvalidInput):
-            holevo_pure(np.eye(2), np.zeros((2, 2)), weight=np.diag([1.0, -1.0]))
 
 
 def random_model(rng, dim, cond=None):
@@ -531,18 +521,15 @@ class TestBounds:
     @pytest.mark.parametrize("cond", [None, 1e6, 1e9])
     def test_matches_scalar_references(self, rng, dim, cond):
         eps = np.finfo(float).eps
-        w = rng.standard_normal((dim, dim))
-        w = w @ w.T + np.eye(dim)
-        for weight in (None, w):
-            for _ in range(10):
-                q, d = random_model(rng, dim, cond)
-                ev = np.linalg.eigvalsh(q)
-                tol = 1e3 * eps * ev[-1] / ev[0]
-                singular, r_ai, c_sld, c_h, delta = bounds(q, d, weight=weight)
-                assert not singular and np.shape(r_ai) == ()
-                ref = (ai_measure(q, d), *holevo_pure(q, d, weight=weight))
-                for got, want in zip((r_ai, c_sld, c_h, delta), ref):
-                    assert abs(got - want) <= tol * max(abs(want), 1.0)
+        for _ in range(20):
+            q, d = random_model(rng, dim, cond)
+            ev = np.linalg.eigvalsh(q)
+            tol = 1e3 * eps * ev[-1] / ev[0]
+            singular, r_ai, c_sld, c_h, delta = bounds(q, d)
+            assert not singular and np.shape(r_ai) == ()
+            ref = (ai_measure(q, d), *holevo_pure(q, d))
+            for got, want in zip((r_ai, c_sld, c_h, delta), ref):
+                assert abs(got - want) <= tol * max(abs(want), 1.0)
 
     def test_batch_equals_single_calls(self, rng):
         pairs = [random_model(rng, 3) for _ in range(6)]
@@ -565,19 +552,23 @@ class TestBounds:
 
     def test_qubit_is_maximally_incompatible(self, rng):
         point = ModelPoint(b=1.2, theta=0.4, t=5.0)
-        q, d = qfim_uhlmann(closed_generators_2p(rep(2), point), haar_state(rng, 2))
+        gens = closed_generators(rep(2), ModelKind.TWO_PARAM, point)
+        q, d = qfim_uhlmann(gens, haar_state(rng, 2))
         _, r_ai, _, _, delta = bounds(q, d)
         assert r_ai == pytest.approx(ai_two_param(q, d), abs=1e-9)
         assert r_ai == pytest.approx(1.0, abs=1e-9) and 0.0 <= delta <= r_ai
 
-    @pytest.mark.parametrize("weight", [
-        [[1.0, 5.0], [0.0, 1.0]],  # not symmetric
-        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # wrong shape
-        [[1.0, 0.0], [0.0, -1.0]],  # not positive definite
+    # A symmetric D used to pass: R antisymmetrized it and came out 0, while
+    # the gap took it as given and came out 0.3, breaking 0 <= Delta <= R.
+    @pytest.mark.parametrize("q, d, name", [
+        (np.eye(2), [[0.0, 0.3], [0.3, 0.0]], "Uhlmann matrix"),
+        ([[2.0, 0.5], [0.0, 1.0]], np.zeros((2, 2)), "QFIM"),
+        (np.stack([np.eye(2), np.eye(2)]), [[[0.0, 1.0], [-1.0, 0.0]], [[0.0, 1e-5], [0.0, 0.0]]],
+         "Uhlmann matrix"),
     ])
-    def test_rejects_bad_weight(self, weight):
-        with pytest.raises(InvalidInput):
-            bounds(np.eye(2), np.zeros((2, 2)), weight=weight)
+    def test_rejects_asymmetric_q_and_d(self, q, d, name):
+        with pytest.raises(InvalidInput, match=name):
+            bounds(q, d)
 
     def test_rejects_bad_shapes_and_tolerance(self):
         with pytest.raises(InvalidInput):
@@ -608,6 +599,51 @@ class TestBounds:
             bounds(q, d)
 
 
+# Random points of the field models, and a seed for a Haar-random probe.
+POINTS = dict(seed=st.integers(0, 2**32 - 1), b=st.floats(0.05, 3.0),
+              theta=st.floats(0.0, 2 * np.pi), t=st.floats(0.5, 10.0))
+
+
+def frame_bounds(kind, psi, b, theta, t, phi=None):
+    """Q, its condition number and ``bounds`` on the production frame path."""
+    q, d = frame_qfim_uhlmann(closed_frame(kind, b, theta, t, phi), *spin_moments(psi))
+    ev = np.linalg.eigvalsh(q)
+    return q, ev[-1] / ev[0], bounds(q, d)
+
+
+class TestClosedMomentForms:
+    """``bounds`` against closed forms in the probe's spin moments, held to
+    ``1e3 eps cond(Q)``.  Q and D depend on the probe only through ``<J>``
+    and the covariance ``Cov``; these forms stay test oracles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 400), **POINTS)
+    def test_two_param_gap_over_incompatibility(self, n, seed, b, theta, t):
+        # Delta / R = 2 sqrt(det Q) / tr Q, the geometric over the arithmetic
+        # mean of Q's eigenvalues.
+        psi = haar_state(np.random.default_rng(seed), n)
+        q, cond, (singular, r_ai, _, _, delta) = frame_bounds(ModelKind.TWO_PARAM, psi, b, theta, t)
+        assume(not singular)
+        want = r_ai * 2 * np.sqrt(np.linalg.det(q)) / np.trace(q)
+        assert abs(delta - want) <= 1e3 * np.finfo(float).eps * cond * want
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(3, 400), phi=st.floats(0.0, 2 * np.pi), **POINTS)
+    def test_three_param_incompatibility(self, n, seed, b, theta, t, phi):
+        # R = 1/2 sqrt(<J>^T Cov <J> / det Cov), whatever the point; the
+        # moments come from the centered vectors (J_k - <J_k>) psi.
+        psi = haar_state(np.random.default_rng(seed), n)
+        _, cond, (singular, r_ai, *_) = frame_bounds(ModelKind.THREE_PARAM, psi, b, theta, t, phi)
+        assume(not singular)
+        spin = build_spin_rep(n)
+        v = np.stack([spin.jx, spin.jy, spin.jz]) @ psi
+        mean = (v @ psi.conj()).real
+        u = v - mean[:, None] * psi
+        cov = (u.conj() @ u.T).real
+        want = 0.5 * np.sqrt(mean @ cov @ mean / np.linalg.det(cov))
+        assert abs(r_ai - want) <= 1e3 * np.finfo(float).eps * cond * want
+
+
 class TestSubmodel:
     def test_blocks(self):
         q = np.arange(9.0).reshape(3, 3)
@@ -620,7 +656,7 @@ class TestSubmodel:
         for point in three_param_points():
             for n in (4, 5):
                 probe = haar_state(rng, n)
-                q, d = qfim_uhlmann(closed_generators_3p(rep(n), point), probe)
+                q, d = qfim_uhlmann(closed_generators(rep(n), ModelKind.THREE_PARAM, point), probe)
                 r_full = ai_measure(q, d)
                 if r_full is None:
                     continue

@@ -10,14 +10,13 @@ from spinmetro import (
     ai_measure,
     ai_threeparam_probe,
     bloch_vector,
-    closed_generators_2p,
-    closed_generators_3p,
-    gamma_scaling,
+    closed_generators,
     make_probe,
     qfim_uhlmann,
     qubit2p_closed,
     qudit2p_closed,
     state_from_bloch,
+    sym_inverse,
     threeparam_uhlmann_closed,
 )
 from spinmetro.models import MAX_DIM, ProbeSpec
@@ -40,7 +39,7 @@ class TestMakeProbe:
         # alpha = pi/4 is the unique compatibility angle of the planar model.
         point = ModelPoint(b=0.9, theta=0.8, t=5.0)
         psi = make_probe(ProbeSpec(dim=5, alpha=np.pi / 4, phi=0.3))
-        _, d = qfim_uhlmann(closed_generators_2p(rep(5), point), psi)
+        _, d = qfim_uhlmann(closed_generators(rep(5), ModelKind.TWO_PARAM, point), psi)
         assert np.abs(d).max() < 1e-12
 
     def test_bad_dimension(self):
@@ -89,7 +88,7 @@ class TestQubitClosedForm:
 
     def test_matches_generic_route(self, rng):
         point = ModelPoint(b=1.1, theta=1.7, t=5.0)
-        gens = closed_generators_2p(rep(2), point)
+        gens = closed_generators(rep(2), ModelKind.TWO_PARAM, point)
         for _ in range(20):
             probe = haar_state(rng, 2)
             res = qubit2p_closed(bloch_vector(probe), point)
@@ -123,7 +122,7 @@ class TestQuditClosedForm:
         spec = ProbeSpec(dim=n, alpha=0.3, phi=0.9)
         point = ModelPoint(b=1.1, theta=0.6, t=5.0)
         q_closed, d_tb = qudit2p_closed(spec, point)
-        q, d = qfim_uhlmann(closed_generators_2p(rep(n), point), make_probe(spec))
+        q, d = qfim_uhlmann(closed_generators(rep(n), ModelKind.TWO_PARAM, point), make_probe(spec))
         scale = np.linalg.norm(q, 2)
         assert np.abs(q_closed - q).max() < 1e-7 * scale
         assert abs(d_tb - d[1, 0]) < 1e-7 * scale
@@ -137,7 +136,7 @@ class TestQuditClosedForm:
     def test_phase_independence(self):
         point = ModelPoint(b=1.1, theta=0.6, t=5.0)
         q1, d1 = qudit2p_closed(ProbeSpec(dim=5, alpha=0.4, phi=0.0), point)
-        gens = closed_generators_2p(rep(5), point)
+        gens = closed_generators(rep(5), ModelKind.TWO_PARAM, point)
         for phi in (0.9, 4.1):
             q, d = qfim_uhlmann(gens, make_probe(ProbeSpec(dim=5, alpha=0.4, phi=phi)))
             assert np.abs(q - q1).max() < 1e-10
@@ -160,14 +159,14 @@ class TestThreeParamUhlmannClosed:
         for point in three_param_points():
             probe = haar_state(rng, 4)
             closed = threeparam_uhlmann_closed(rep(4), probe, point)
-            _, d = qfim_uhlmann(closed_generators_3p(rep(4), point), probe)
+            _, d = qfim_uhlmann(closed_generators(rep(4), ModelKind.THREE_PARAM, point), probe)
             assert np.abs(closed - d).max() < 1e-8
 
     def test_balanced_probe_is_compatible(self):
         point = ModelPoint(b=0.9, theta=0.7, t=5.0, phi=0.8)
         for n in (4, 6):
             probe = make_probe(ProbeSpec(dim=n, alpha=np.pi / 4, phi=1.1))
-            q, d = qfim_uhlmann(closed_generators_3p(rep(n), point), probe)
+            q, d = qfim_uhlmann(closed_generators(rep(n), ModelKind.THREE_PARAM, point), probe)
             assert np.abs(d).max() < 1e-12
             assert ai_measure(q, d) == pytest.approx(0.0, abs=1e-10)
 
@@ -185,7 +184,7 @@ class TestAiThreeParamProbe:
         point = ModelPoint(b=0.9, theta=0.6, t=5.0, phi=0.4)
         for alpha in (0.3, np.pi / 3, 1.1):
             probe = make_probe(ProbeSpec(dim=n, alpha=alpha, phi=0.7))
-            q, d = qfim_uhlmann(closed_generators_3p(rep(n), point), probe)
+            q, d = qfim_uhlmann(closed_generators(rep(n), ModelKind.THREE_PARAM, point), probe)
             r = ai_measure(q, d)
             assert r == pytest.approx(ai_threeparam_probe(n, alpha), abs=1e-6)
 
@@ -199,7 +198,7 @@ class TestDimensionLadder:
         for point in three_param_points():
             for _ in range(5):
                 probe = haar_state(rng, 2)
-                q, _ = qfim_uhlmann(closed_generators_3p(rep(2), point), probe)
+                q, _ = qfim_uhlmann(closed_generators(rep(2), ModelKind.THREE_PARAM, point), probe)
                 assert abs(np.linalg.det(q)) <= 1e-10 * max(np.linalg.norm(q, 2) ** 3, 1e-30)
 
     def test_three_param_qutrit_maximal(self, rng):
@@ -207,7 +206,7 @@ class TestDimensionLadder:
         hits = 0
         for alpha, phi in zip(rng.uniform(0.2, 1.3, 10), rng.uniform(0, 2 * np.pi, 10)):
             probe = make_probe(ProbeSpec(dim=3, alpha=alpha, phi=phi))
-            q, d = qfim_uhlmann(closed_generators_3p(rep(3), point), probe)
+            q, d = qfim_uhlmann(closed_generators(rep(3), ModelKind.THREE_PARAM, point), probe)
             r = ai_measure(q, d)
             if r is not None:
                 assert r == pytest.approx(1.0, abs=1e-6)
@@ -216,23 +215,16 @@ class TestDimensionLadder:
 
 
 def gamma_from_model(kind, n, baseline, alpha, point, phi=0.0):
-    builder = closed_generators_2p if kind is ModelKind.TWO_PARAM else closed_generators_3p
-    q_n, _ = qfim_uhlmann(builder(rep(n), point), make_probe(ProbeSpec(dim=n, alpha=alpha, phi=phi)))
-    q_b, _ = qfim_uhlmann(
-        builder(rep(baseline), point), make_probe(ProbeSpec(dim=baseline, alpha=alpha, phi=phi))
+    """Gamma = Tr(Q_N Q_baseline^-1) through the dense generator route."""
+    q_n, q_b = (
+        qfim_uhlmann(closed_generators(rep(m), kind, point),
+                     make_probe(ProbeSpec(dim=m, alpha=alpha, phi=phi)))[0]
+        for m in (n, baseline)
     )
-    return gamma_scaling(q_n, q_b)
+    return np.trace(q_n @ sym_inverse(q_b))
 
 
 class TestGammaScaling:
-    def test_self_comparison_counts_parameters(self, rng):
-        m = rng.standard_normal((3, 3))
-        q = m @ m.T + np.eye(3)
-        assert gamma_scaling(q, q) == pytest.approx(3.0, rel=1e-12)
-
-    def test_singular_reference(self):
-        assert gamma_scaling(np.eye(2), np.diag([1.0, 0.0])) is None
-
     def test_three_param_exact_closed_form(self):
         # With the balanced probe the ratio against the N = 4 reference is
         # exactly (N - 1) + (N - 1)(N - 4) / 9, independent of the point.
