@@ -5,8 +5,8 @@ tables and reports take (Q, D) from the probe's spin moments through the
 N-independent frame kernel, with no N x N matrix; the dense generator route
 matches it to rounding (the tests pin this).  Random experiments draw each
 trial from its own counter-derived seed so results are independent of
-evaluation order.  CSV files are written a column at a time from the
-result arrays: '.' decimals, ',' delimiters, a header row and 17
+evaluation order.  CSV files are written from the result arrays with one
+format string per row: '.' decimals, ',' delimiters, a header row and 17
 significant digits, so repeated runs are bytewise identical.  NaN is the
 one missing-value marker, from :func:`~spinmetro.metrology.bounds` to the
 file, where it is an empty field: a singular scan cell's R, Delta and T,
@@ -18,6 +18,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,22 +56,34 @@ __all__ = [
 TWO_PI = 2 * np.pi
 
 
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path``, the one place the library opens a file.
+
+    An existing file is overwritten in place and then cut to the length of
+    ``text``; the write is not atomic and not synced.  Opening without
+    ``O_TRUNC`` keeps ext4 from flushing the file on close, a flush the next
+    overwrite of it would wait for.  Only a regular file is cut, so a
+    character device such as ``/dev/null`` or a pipe works as a path too.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", newline="") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
+
+
 def _write_csv(path, header, columns) -> None:
     """One row per entry of the equal-length ``columns``.
 
     Floats get 17 significant digits and NaN an empty field; a boolean
-    column is written as 1/0.
+    column is written as 1/0.  Each row is one ``%`` format; ``%.17g``
+    writes a NaN as ``nan`` and no other value with those letters, so one
+    replace on the body empties the NaN fields.
     """
-    fields = []
-    for column in columns:
-        column = np.asarray(column)
-        if column.dtype == bool:
-            fields.append(["1" if x else "0" for x in column.tolist()])
-        else:
-            fields.append(["" if math.isnan(x) else f"{x:.17g}" for x in column.tolist()])
-    lines = [",".join(header), *map(",".join, zip(*fields))]
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns = [np.asarray(column) for column in columns]
+    row = ",".join("%d" if column.dtype == bool else "%.17g" for column in columns) + "\n"
+    body = "".join(map(row.__mod__, zip(*(column.tolist() for column in columns))))
+    _write_text(path, ",".join(header) + "\n" + body.replace("nan", ""))
 
 
 def write_json(path, doc) -> None:
@@ -82,13 +96,13 @@ def write_json(path, doc) -> None:
         text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
         raise NumericalFailure(f"report holds a non-finite number: {exc}") from exc
-    with open(path, "w", newline="") as fh:
-        fh.write(text + "\n")
+    _write_text(path, text + "\n")
 
 
-# Largest scan grid, in cells: a scan's traced peak grows by about 980 B a
-# cell (most of it the CSV writer's strings), so the cap keeps it within a
-# 1 GB budget.  A larger grid is rejected before anything is allocated.
+# Largest scan grid, in cells: a scan's traced peak grows by about 955 B a
+# cell for the three-parameter model (its bounds stage) and 520 B for the
+# two-parameter model (the CSV writer's strings), so the cap keeps it within
+# a 1 GB budget.  A larger grid is rejected before anything is allocated.
 MAX_GRID_CELLS = 10**6
 
 

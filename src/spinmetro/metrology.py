@@ -304,10 +304,12 @@ def holevo_pure(q, d, rel_tol: float = 1e-10):
     """Scalar SLD cost, pure-model Holevo bound and their normalized gap.
 
     Returns ``(c_sld, c_h, delta)`` or ``None`` for singular Q, where
-    ``c_sld = tr Q^-1`` and ``c_h = c_sld + ||Q^-1 D Q^-1||_1``.
+    ``c_sld = tr Q^-1`` and ``c_h = c_sld + ||Q^-1 D Q^-1||_1``.  A D that
+    is not antisymmetric (the rule of
+    :func:`~spinmetro.linalg.require_symmetric`) raises :class:`InvalidInput`.
     """
     q = np.asarray(q, dtype=float)
-    d = np.asarray(d, dtype=float)
+    d = require_symmetric(np.asarray(d, dtype=float), sign=-1, name="Uhlmann matrix")
     q_inv = sym_inverse(q, rel_tol=rel_tol)
     if q_inv is None:
         return None

@@ -1,6 +1,7 @@
 """Shared helpers for the spinmetro test suite."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -125,6 +126,21 @@ def scaling_table_loop(kind, alphas, dims, point, probe_phi=0.0, rel_tol=1e-10):
         y = np.array([gammas[alpha][n] for n in dims])
         slopes[alpha] = float(np.polyfit(np.log(x), np.log(y), 1)[0])
     return gammas, slopes
+
+
+def csv_text_loop(header, columns):
+    """CSV text one field at a time, floats with ``f"{x:.17g}"`` and NaN
+    empty, a boolean column as 1/0: an oracle for the row-format writer
+    :func:`~spinmetro.analysis._write_csv`."""
+    fields = []
+    for column in columns:
+        column = np.asarray(column)
+        if column.dtype == bool:
+            fields.append(["1" if x else "0" for x in column.tolist()])
+        else:
+            fields.append(["" if math.isnan(x) else f"{x:.17g}" for x in column.tolist()])
+    lines = [",".join(header), *map(",".join, zip(*fields))]
+    return "\n".join(lines) + "\n"
 
 
 def point_at(point, values):

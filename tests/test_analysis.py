@@ -2,6 +2,7 @@
 
 import collections
 import json
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -33,7 +34,7 @@ from spinmetro.analysis import (
 )
 from spinmetro.models import MAX_DIM, ProbeSpec
 
-from conftest import fim_rank_loop, points_for, rep, scaling_table_loop
+from conftest import csv_text_loop, fim_rank_loop, points_for, rep, scaling_table_loop
 
 
 def small_scan(kind=ModelKind.TWO_PARAM, dim=2, alpha=np.pi / 4, phi=0.0, t=5.0,
@@ -195,6 +196,41 @@ class TestCsvWriter:
                 assert gamma_f == slope_f == ""
             else:
                 assert same_bits([gamma_f, slope_f], [gamma, slope])
+
+    # The row format string writes exactly what the per-field formatter did,
+    # including the values whose text is special.
+    def test_row_format_matches_field_formatter(self, tmp_path):
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300,
+                            -1e300, 2 * np.pi, 0.1, 12345678901234567.0, 1e-7])
+        columns = [np.roll(special, k) for k in range(3)]
+        columns += [np.full(special.size, np.nan), np.arange(special.size) % 3 == 0]
+        header = ("a", "nan_count", "c", "d", "flag")
+        out = tmp_path / "x.csv"
+        analysis._write_csv(out, header, columns)
+        assert out.read_text() == csv_text_loop(header, columns)
+
+
+class TestWriteText:
+    # Every output goes through analysis._write_text: an existing file is
+    # overwritten in place and cut to length, and a path that is not a
+    # regular file is written without being cut.
+
+    def test_overwrite_leaves_no_stale_tail(self, tmp_path):
+        out = tmp_path / "x.txt"
+        out.write_text("stale " * 1000)
+        analysis._write_text(out, "short\n")
+        assert out.read_bytes() == b"short\n"
+        analysis._write_text(out, "longer text\n")
+        assert out.read_bytes() == b"longer text\n"
+
+    def test_pipe(self):
+        read_end, write_end = os.pipe()
+        try:
+            analysis._write_text(f"/dev/fd/{write_end}", "through a pipe\n")
+            assert os.read(read_end, 100) == b"through a pipe\n"
+        finally:
+            os.close(read_end)
+            os.close(write_end)
 
 
 class TestShrinkage:

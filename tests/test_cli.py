@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from spinmetro import ModelPoint, bloch_vector, make_probe, qubit2p_closed
 from spinmetro import cli
 from spinmetro.analysis import MAX_RANK_OUTCOMES, MAX_RANK_PARAMS
 from spinmetro.cli import build_parser, main
-from spinmetro.models import ProbeSpec
+from spinmetro.models import MAX_DIM, ProbeSpec
 
 
 def run(argv):
@@ -366,3 +367,106 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(tmp_path / "x.out")])
         assert exc.value.code == 2
+
+
+# Every output goes through one writer that overwrites an existing --out in
+# place and cuts it to length.
+OPS = {
+    "scan": ["scan", "--model", "three", "--dim", "3", "--grid", "9x7"],
+    "metrics": ["metrics", "--model", "three", "--dim", "6"],
+    "scaling": ["scaling", "--alphas", "0,0.7853981633974483", "--dims", "4,6,8"],
+    "fim-rank": ["fim-rank", "--trials", "10"],
+}
+
+
+class TestOutputWriter:
+    @pytest.mark.parametrize("command", sorted(OPS))
+    def test_overwrite_of_longer_file_matches_fresh_file(self, tmp_path, command):
+        fresh, stale = tmp_path / "fresh.out", tmp_path / "stale.out"
+        stale.write_bytes(b"9" * 100_000 + b"\n")
+        assert run([*OPS[command], "--out", str(fresh)]) == 0
+        assert run([*OPS[command], "--out", str(stale)]) == 0
+        assert 0 < len(fresh.read_bytes()) < 100_000
+        assert stale.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("command", sorted(OPS))
+    def test_dev_null_output(self, command):
+        assert run([*OPS[command], "--out", "/dev/null"]) == 0
+
+    @pytest.mark.parametrize("argv, code", [
+        (["scan", "--tol", "0"], 2),
+        (["scan", "--time", "1e300"], 1),
+        (["metrics", "--dim", "1000001"], 2),
+        (["metrics", "--model", "three", "--time", "1e300"], 1),
+        (["scaling", "--dims", "4"], 2),
+        (["scaling", "--model", "three", "--time", "1e300"], 1),
+        (["fim-rank", "--seed", "-1"], 2),
+    ])
+    def test_failed_op_leaves_existing_file_unchanged(self, tmp_path, argv, code):
+        out = tmp_path / "x.out"
+        out.write_bytes(b"earlier result\n" * 100)
+        assert run([*argv, "--out", str(out)]) == code
+        assert out.read_bytes() == b"earlier result\n" * 100
+
+    def test_non_finite_report_leaves_existing_file_unchanged(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "fim_rank_experiment", lambda config: {"x": float("nan")})
+        out = tmp_path / "x.json"
+        out.write_bytes(b"{}\n")
+        assert run(["fim-rank", "--trials", "1", "--out", str(out)]) == 1
+        assert out.read_bytes() == b"{}\n"
+
+
+# The exit-code contract over every numeric flag of every command: each
+# value exits 0, 1 or 2, with no traceback or warning, and a failed op
+# leaves no file.  A value is passed as --flag=value, so that argparse
+# reads -inf as a value and not as an option.  A size cap is tried only at
+# cap + 1, which is rejected before anything is allocated.  --trials has
+# no cap: a huge count is bounded in memory (one block of trials at a
+# time) but not in time, so it gets only 0, -1 and a non-integer.
+FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300")
+FUZZ_CAPS = {
+    "--dim": str(MAX_DIM + 1),
+    "--dims": str(MAX_DIM + 1),
+    "--grid": "101x9901",
+    "--params": str(MAX_RANK_PARAMS + 1),
+    "--outcomes": str(MAX_RANK_OUTCOMES + 1),
+}
+FUZZ_FLAGS = {
+    "scan": ("--dim", "--alpha", "--phi", "--time", "--tol", "--model-phi", "--grid"),
+    "metrics": ("--dim", "--alpha", "--phi", "--time", "--tol", "--b", "--theta",
+                "--model-phi"),
+    "scaling": ("--phi", "--time", "--tol", "--b", "--theta", "--model-phi", "--alphas",
+                "--dims"),
+    "fim-rank": ("--params", "--outcomes", "--seed"),
+}
+
+
+def _fuzz_rows():
+    for command, flags in FUZZ_FLAGS.items():
+        models = ((),) if command == "fim-rank" else (("--model", "two"), ("--model", "three"))
+        for model in models:
+            # a small grid keeps the scans that run fast; --grid rows set their own
+            base = [command, *model, *(["--grid", "5x5"] if command == "scan" else [])]
+            for flag in flags:
+                values = FUZZ_VALUES + ((FUZZ_CAPS[flag],) if flag in FUZZ_CAPS else ())
+                for value in values:
+                    if flag == "--grid" and value in FUZZ_VALUES:
+                        value = f"{value}x{value}"
+                    yield [*base, f"{flag}={value}"]
+    for value in ("0", "-1", "1.5"):
+        yield ["fim-rank", f"--trials={value}"]
+
+
+@pytest.mark.parametrize("argv", list(_fuzz_rows()), ids=" ".join)
+def test_fuzz_exit_code_contract(tmp_path, capsys, argv):
+    out = tmp_path / "x.out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main([*argv, "--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err and "Warning" not in err
+    assert code == 0 or not out.exists()

@@ -501,6 +501,11 @@ class TestHolevoPure:
     def test_singular(self):
         assert holevo_pure(np.diag([1.0, 0.0]), np.zeros((2, 2))) is None
 
+    def test_rejects_d_that_is_not_antisymmetric(self):
+        # bounds and ai_measure reject this D; a Delta of 0.3 came out here.
+        with pytest.raises(InvalidInput, match="Uhlmann matrix"):
+            holevo_pure(np.eye(2), np.array([[0.0, 0.3], [0.3, 0.0]]))
+
 
 def random_model(rng, dim, cond=None):
     """Random (Q, D): Q symmetric positive definite, D real antisymmetric."""

@@ -6,9 +6,11 @@ a library name that disappears makes ``perfbench/run.py --trace 1`` fail.
 README's command-line examples must parse with the current parser, its
 library example must run, and every name a module lists in ``__all__``
 must exist on it.  These tests only read the files, except that the
-library example is executed.
+library example is executed.  Every file the library writes is opened in
+one place, ``analysis._write_text``.
 """
 
+import ast
 import contextlib
 import importlib
 import io
@@ -22,6 +24,7 @@ import pytest
 from spinmetro.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "spinmetro"
 BENCHMARK = ROOT / "BENCHMARK.json"
 
 
@@ -78,3 +81,33 @@ def test_readme_library_example_runs():
     with contextlib.redirect_stdout(printed):
         exec(compile(block, "README.md", "exec"), {})
     assert float(printed.getvalue().split()[0]) == pytest.approx(0.5, abs=1e-12)
+
+
+def _opens(tree):
+    """Line numbers of the ``open``-like calls under ``tree``: ``open(...)``
+    and any ``x.open(...)``, ``x.write_text(...)`` or ``x.write_bytes(...)``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "open") or (
+                isinstance(func, ast.Attribute)
+                and func.attr in ("open", "write_text", "write_bytes")
+            ):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_one_place_opens_files():
+    files = sorted(SRC.glob("*.py"))
+    assert len(files) >= 8
+    writer, stray = [], []
+    for path in files:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if (path.name == "analysis.py" and isinstance(node, ast.FunctionDef)
+                    and node.name == "_write_text"):
+                writer += _opens(node)
+            else:
+                stray += [f"{path.name}:{line}" for line in _opens(node)]
+    assert len(writer) == 2  # os.open and the file object over its descriptor
+    assert stray == []
