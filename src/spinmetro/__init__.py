@@ -34,7 +34,6 @@ from .encoding import (
 from .errors import (
     InvalidInput,
     NumericalFailure,
-    SpectrumNotReal,
     SpinMetroError,
     StepInstability,
 )

@@ -4,7 +4,10 @@ Two unitary models are supported.  The two-parameter family is
 ``H = B (cos(theta) Jx + sin(theta) Jz)`` with unknowns ``(B, theta)``;
 the three-parameter family tilts the field direction out of the xz-plane,
 ``H = B * n(theta, phi) . J`` with unknowns ``(B, theta, phi)``.  The probe
-evolves as ``U = exp(-1j t H)``.
+evolves as ``U = exp(-1j t H)``.  The two-parameter family is the
+three-parameter one at ``phi = 0``: every two-parameter quantity is built
+as the (B, theta) rows of the three-parameter construction there, so its
+(Q, D) is the (B, theta) block of the three-parameter (Q, D) at ``phi = 0``.
 
 For each estimated parameter ``l`` the Hermitian generator
 ``G_l = 1j (d_l U^dag) U`` converts the unitary family into expectation
@@ -35,7 +38,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidInput, StepInstability
-from .linalg import SpinRep, expm_i, j_direction
+from .linalg import SpinRep, expm_i, j_direction, require_hermitian
 
 __all__ = [
     "ModelKind",
@@ -110,7 +113,9 @@ class GeneratorSet:
 
     ``matrices`` has shape (d, N, N) in the fixed ``(B, theta[, phi])``
     ordering.  ``herm_residuals`` is populated only by the finite-difference
-    route and records the Hermitization residual per parameter.
+    route and records the Hermitization residual per parameter.  A
+    generator that is not Hermitian to 1e-10 of its own norm (the rule of
+    :func:`~spinmetro.linalg.require_hermitian`) raises :class:`InvalidInput`.
     """
 
     labels: tuple[str, ...]
@@ -121,9 +126,7 @@ class GeneratorSet:
         m = np.ascontiguousarray(self.matrices, dtype=complex)
         if m.ndim != 3 or m.shape[0] != len(self.labels) or m.shape[1] != m.shape[2]:
             raise InvalidInput(f"generator stack has shape {m.shape}, labels {self.labels}")
-        herm_gap = np.abs(m - m.conj().transpose(0, 2, 1)).max(initial=0.0)
-        if herm_gap > 1e-10 * max(np.abs(m).max(initial=0.0), 1.0):
-            raise InvalidInput(f"generators must be Hermitian (residual {herm_gap:.3e})")
+        require_hermitian(m, tol=1e-10, name="generator")
         m.flags.writeable = False
         object.__setattr__(self, "matrices", m)
 
@@ -146,18 +149,9 @@ def _vectors(shape, rows) -> np.ndarray:
     return out
 
 
-def _directions_2p(b, theta, t) -> np.ndarray:
-    # Rows n_theta, n_theta_prime, n1, n2, broadcast over b and theta.
-    half = np.multiply(b, t / 2)
-    ch, sh, ct, st = np.cos(half), np.sin(half), np.cos(theta), np.sin(theta)
-    return _vectors(
-        np.broadcast(b, theta).shape,
-        [(ct, 0.0, st), (-st, 0.0, ct), (ch * st, -sh, -ch * ct), (sh * st, ch, -sh * ct)],
-    )
-
-
-def _directions_3p(b, theta, t, phi) -> np.ndarray:
-    # Rows n_theta, n1, n2, broadcast over b, theta and phi.
+def _directions(b, theta, t, phi) -> np.ndarray:
+    # Rows n_theta, n1, n2 of the three-parameter model, broadcast over b,
+    # theta and phi.  The two-parameter model takes its rows at phi = 0.
     half = np.multiply(b, t / 2)
     ch, sh, ct, st = np.cos(half), np.sin(half), np.cos(theta), np.sin(theta)
     cp, sp = np.cos(phi), np.sin(phi)
@@ -177,9 +171,11 @@ def direction_vectors_2p(point: ModelPoint):
     Returns ``(n_theta, n_theta_prime, n1, n2)`` where ``n_theta`` is the
     field direction, ``n_theta_prime`` its theta-derivative, and ``n1``,
     ``n2`` span the plane the theta-generator rotates in; ``n2`` equals
-    ``n_theta x n1`` identically.
+    ``n_theta x n1`` identically.  They are the three-parameter rows at
+    phi = 0, where the three-parameter ``n2`` is ``n1 x n_theta``.
     """
-    return tuple(_directions_2p(point.b, point.theta, point.t))
+    n_theta, n1, n2 = _directions(point.b, point.theta, point.t, 0.0)
+    return n_theta, np.array([-np.sin(point.theta), 0.0, np.cos(point.theta)]), n1, -n2
 
 
 def direction_vectors_3p(point: ModelPoint):
@@ -189,7 +185,7 @@ def direction_vectors_3p(point: ModelPoint):
     rotating-frame directions attached to the theta and phi generators.
     The triple is orthonormal with ``n_theta x n2 = n1``.
     """
-    return tuple(_directions_3p(point.b, point.theta, point.t, point.phi))
+    return tuple(_directions(point.b, point.theta, point.t, point.phi))
 
 
 def closed_frame(kind: ModelKind, b, theta, t: float, phi=None) -> np.ndarray:
@@ -202,21 +198,19 @@ def closed_frame(kind: ModelKind, b, theta, t: float, phi=None) -> np.ndarray:
     so its generator must vanish there.  All three forms are checked
     against the series and finite-difference routes in the tests.
 
-    ``b`` and ``theta`` (and ``phi``) broadcast against each other, so a
-    scalar point is a batch of one; the result has shape ``(..., d, 3)``.
-    ``phi`` must be given exactly for the three-parameter model.
+    The two-parameter frame is the first two rows of the three-parameter
+    frame at phi = 0.  ``b`` and ``theta`` (and ``phi``) broadcast against
+    each other, so a scalar point is a batch of one; the result has shape
+    ``(..., d, 3)``.  ``phi`` must be given exactly for the three-parameter
+    model.
     """
     _check_phi(kind, phi)
     if not t > 0:
         raise InvalidInput(f"evolution time must be positive, got {t!r}")
+    d = kind.n_params
     sh = np.sin(np.multiply(b, t / 2))
-    if kind is ModelKind.TWO_PARAM:
-        frame = _directions_2p(b, theta, t)[..., [0, 2], :]  # n_theta, n1
-        prefactors = (-t, 2 * sh)
-    else:
-        frame = _directions_3p(b, theta, t, phi)
-        prefactors = (-t, 2 * sh, 2 * sh * np.cos(theta))
-    for l, pref in enumerate(prefactors):
+    frame = _directions(b, theta, t, 0.0 if phi is None else phi)[..., :d, :]
+    for l, pref in enumerate((-t, 2 * sh, 2 * sh * np.cos(theta))[:d]):
         frame[..., l, :] *= np.asarray(pref)[..., None]
     return frame
 
@@ -224,10 +218,7 @@ def closed_frame(kind: ModelKind, b, theta, t: float, phi=None) -> np.ndarray:
 def _field_hamiltonians(rep: SpinRep, kind: ModelKind, b, theta, t: float, phi=None):
     # B n . J over the broadcast leading axes of b, theta (and phi): (..., N, N).
     _check_phi(kind, phi)
-    if kind is ModelKind.TWO_PARAM:
-        n = _directions_2p(b, theta, t)[..., 0, :]
-    else:
-        n = _directions_3p(b, theta, t, phi)[..., 0, :]
+    n = _directions(b, theta, t, 0.0 if phi is None else phi)[..., 0, :]
     return np.asarray(b)[..., None, None] * j_direction(rep, n)
 
 
@@ -292,21 +283,15 @@ def numeric_generators(
 
 def _hamiltonian_derivatives(rep: SpinRep, kind: ModelKind, point: ModelPoint) -> np.ndarray:
     # Stack (d, N, N) of d_l H = c_l (m_l . J): unit directions m_l, prefactors c_l.
+    # Rows n_theta, d_theta n and d_phi n / cos(theta), the first d kept.
+    d = kind.n_params
     b, theta = point.b, point.theta
-    if kind is ModelKind.TWO_PARAM:
-        dirs = _directions_2p(b, theta, point.t)[:2]  # n_theta, n_theta_prime
-        prefactors = np.array([1.0, b])
-    else:
-        ct, st = np.cos(theta), np.sin(theta)
-        cp, sp = np.cos(point.phi), np.sin(point.phi)
-        dirs = np.array(
-            [
-                _directions_3p(b, theta, point.t, point.phi)[0],
-                [-st * cp, -st * sp, ct],
-                [-sp, cp, 0.0],
-            ]
-        )
-        prefactors = np.array([1.0, b, b * ct])
+    phi = 0.0 if point.phi is None else point.phi
+    ct, st, cp, sp = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
+    dirs = np.array(
+        [_directions(b, theta, point.t, phi)[0], [-st * cp, -st * sp, ct], [-sp, cp, 0.0]]
+    )[:d]
+    prefactors = np.array([1.0, b, b * ct])[:d]
     return prefactors[:, None, None] * j_direction(rep, dirs)
 
 

@@ -20,9 +20,5 @@ class NumericalFailure(SpinMetroError, RuntimeError):
     """A numerical consistency check failed at runtime."""
 
 
-class SpectrumNotReal(NumericalFailure):
-    """An eigenvalue expected to be real had a large imaginary part."""
-
-
 class StepInstability(NumericalFailure):
     """A finite-difference result failed its stability check."""

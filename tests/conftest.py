@@ -143,6 +143,19 @@ def csv_text_loop(header, columns):
     return "\n".join(lines) + "\n"
 
 
+def directions_2p_reference(b, theta, t):
+    """Rows ``n_theta, n_theta_prime, n1, n2`` of the two-parameter model,
+    broadcast over ``b`` and ``theta``, in the model's own planar form: an
+    independent reference for the library, which takes these rows from the
+    three-parameter frame at ``phi = 0``."""
+    b, theta = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(theta, dtype=float))
+    half = b * (t / 2)
+    ch, sh, ct, st = np.cos(half), np.sin(half), np.cos(theta), np.sin(theta)
+    zero = np.zeros_like(b)
+    rows = [(ct, zero, st), (-st, zero, ct), (ch * st, -sh, -ch * ct), (sh * st, ch, -sh * ct)]
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+
 def point_at(point, values):
     """``point`` with its parameters set to ``values`` in the fixed ordering."""
     return ModelPoint(*values[:2], t=point.t, phi=values[2] if len(values) == 3 else None)

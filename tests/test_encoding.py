@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from spinmetro import (
+    GeneratorSet,
     InvalidInput,
     ModelKind,
     ModelPoint,
     build_spin_rep,
+    closed_frame,
     closed_generators,
     direction_vectors_2p,
     direction_vectors_3p,
@@ -17,9 +19,26 @@ from spinmetro import (
     series_generators,
 )
 
+from spinmetro.encoding import _hamiltonian_derivatives
 from spinmetro.errors import StepInstability
 
-from conftest import numeric_generators_loop, points_for, rep, three_param_points, two_param_points
+from conftest import (
+    directions_2p_reference,
+    numeric_generators_loop,
+    points_for,
+    rep,
+    three_param_points,
+    two_param_points,
+)
+
+# Grids for the planar reference: the quarter turns of theta, where sines
+# and cosines vanish, B = 0 and a full field period 2 pi / 5 at t = 5.
+REF_THETAS = (0.0, np.pi / 2, np.pi, 3 * np.pi / 2, 2 * np.pi, 0.7, 1.9, 2.6)
+REF_BS = (0.0, 0.45, 0.9, 2 * np.pi / 5, 1.1)
+
+
+def reference_points(t=5.0):
+    return [ModelPoint(b=b, theta=theta, t=t) for b in REF_BS for theta in REF_THETAS]
 
 
 def spectral_gap(a, b):
@@ -46,14 +65,49 @@ class TestDirectionVectors2p:
         assert np.abs(np.cross(n_theta, n1) - n2).max() < 1e-12
 
 
+class TestTwoParamAgainstPlanarReference:
+    """Every two-parameter quantity is built from the three-parameter rows
+    at phi = 0; each must equal the planar model's own construction
+    exactly, up to the sign of zeros (``-0.0 == 0.0``)."""
+
+    @pytest.mark.parametrize("t", [0.01, 5.0])
+    def test_closed_frame(self, t):
+        b, theta = np.meshgrid(REF_BS, REF_THETAS)
+        ref = directions_2p_reference(b, theta, t)
+        sh = np.sin(b * (t / 2))
+        want = np.stack([-t * ref[..., 0, :], 2 * sh[..., None] * ref[..., 2, :]], axis=-2)
+        assert np.array_equal(closed_frame(ModelKind.TWO_PARAM, b, theta, t), want)
+
+    def test_direction_vectors(self):
+        for point in reference_points():
+            want = directions_2p_reference(point.b, point.theta, point.t)
+            assert np.array_equal(np.stack(direction_vectors_2p(point)), want)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_hamiltonian(self, n):
+        for point in reference_points():
+            n_theta = directions_2p_reference(point.b, point.theta, point.t)[0]
+            want = point.b * j_direction(rep(n), n_theta)
+            assert np.array_equal(hamiltonian(rep(n), ModelKind.TWO_PARAM, point), want)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_series_route_hamiltonian_derivatives(self, n):
+        # d_B H = n_theta . J and d_theta H = B n_theta_prime . J.
+        for point in reference_points():
+            ref = directions_2p_reference(point.b, point.theta, point.t)
+            want = np.array([1.0, point.b])[:, None, None] * j_direction(rep(n), ref[:2])
+            got = _hamiltonian_derivatives(rep(n), ModelKind.TWO_PARAM, point)
+            assert np.array_equal(got, want)
+
+
 class TestDirectionVectors3p:
     def test_phi_zero_reduces_to_planar_model(self):
-        point3 = ModelPoint(b=0.7, theta=1.2, t=5.0, phi=0.0)
-        point2 = ModelPoint(b=0.7, theta=1.2, t=5.0)
-        n_theta3, n13, _ = direction_vectors_3p(point3)
-        n_theta, _, n1, _ = direction_vectors_2p(point2)
-        assert np.allclose(n_theta3, n_theta, atol=1e-14)
-        assert np.allclose(n13, n1, atol=1e-14)
+        # The planar n2 = n_theta x n1 is minus the three-parameter n2.
+        for point in reference_points():
+            point3 = ModelPoint(b=point.b, theta=point.theta, t=point.t, phi=0.0)
+            n_theta, _, n1, n2 = directions_2p_reference(point.b, point.theta, point.t)
+            assert np.array_equal(np.stack(direction_vectors_3p(point3)),
+                                  np.stack([n_theta, n1, -n2]))
 
     @pytest.mark.parametrize("point", three_param_points())
     def test_orthonormal_frame(self, point):
@@ -282,6 +336,17 @@ class TestRouteAgreement:
         _, _, _, n2 = direction_vectors_2p(point)
         expected = -2j * point.t * np.sin(point.b * point.t / 2) * j_direction(rep(5), n2)
         assert np.abs(g_b @ g_theta - g_theta @ g_b - expected).max() < 1e-9
+
+
+class TestGeneratorSet:
+    def test_hermitian_rule_is_per_matrix(self):
+        # Under a rule taken over the whole stack, the 1e-5 defect of the
+        # small generator would hide below 1e-10 of its neighbour's 5e5.
+        big = 1e6 * np.asarray(rep(2).jz)
+        small = np.array([[0.0, 1e-5], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(InvalidInput, match="not Hermitian"):
+            GeneratorSet(labels=("B", "theta"), matrices=np.stack([big, small]))
+        GeneratorSet(labels=("B", "theta"), matrices=np.stack([big, small + small.conj().T]))
 
 
 class TestModelPoint:

@@ -11,10 +11,10 @@ from spinmetro import (
     ModelKind,
     NumericalFailure,
     ModelPoint,
-    SpectrumNotReal,
     build_spin_rep,
     closed_generators,
     expm_i,
+    incompat_operator,
     j_direction,
     make_probe,
     qfim_uhlmann,
@@ -23,7 +23,7 @@ from spinmetro import (
     sym_inverse,
     trace_norm,
 )
-from spinmetro.linalg import check_inverse, require_hermitian, singular_mask
+from spinmetro.linalg import check_inverse, require_hermitian, require_symmetric, singular_mask
 from spinmetro.models import ProbeSpec, state_from_bloch
 
 from conftest import haar_state, random_hermitian, rep
@@ -231,6 +231,14 @@ class TestRequireHermitian:
             require_hermitian(np.zeros(shape))
 
 
+class TestRequireSymmetric:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+    def test_rejects_non_square(self, shape, sign):
+        with pytest.raises(InvalidInput, match="square"):
+            require_symmetric(np.zeros(shape), sign=sign)
+
+
 class TestSpectralAbsmax:
     def test_diagonal(self):
         assert spectral_absmax(np.diag([-3.0, 2.0])) == pytest.approx(3.0)
@@ -244,7 +252,7 @@ class TestSpectralAbsmax:
         gens = closed_generators(rep(2), ModelKind.TWO_PARAM, point)
         probe = state_from_bloch(np.array([0.48, -0.6, 0.64]))
         q, d = qfim_uhlmann(gens, probe)
-        val = spectral_absmax(1j * np.linalg.solve(q, d))
+        val = spectral_absmax(incompat_operator(q, d))
         assert val == pytest.approx(1.0, abs=1e-9)
 
     def test_antisymmetric_pair(self, rng):
@@ -253,7 +261,7 @@ class TestSpectralAbsmax:
             assert spectral_absmax(1j * m) == pytest.approx(abs(a), abs=1e-12)
 
     def test_rejects_complex_spectrum(self):
-        with pytest.raises(SpectrumNotReal):
+        with pytest.raises(InvalidInput, match="not Hermitian"):
             spectral_absmax(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
@@ -302,6 +310,11 @@ class TestSymInverse:
     def test_rejects_asymmetric(self):
         with pytest.raises(InvalidInput):
             sym_inverse(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2)])
+    def test_rejects_anything_but_one_square_matrix(self, shape):
+        with pytest.raises(InvalidInput, match="square"):
+            sym_inverse(np.zeros(shape))
 
     def test_rejects_tolerance_that_is_not_positive(self):
         for rel_tol in (0.0, -1.0, float("nan")):

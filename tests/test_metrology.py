@@ -433,6 +433,10 @@ class TestAiMeasure:
             with pytest.raises(InvalidInput):
                 ai_measure(q, bad)
 
+    def test_rejects_matrices_that_are_not_square(self):
+        with pytest.raises(InvalidInput, match="square"):
+            ai_measure(np.zeros((2, 3)), np.zeros((2, 3)))
+
     def test_hermitian_operator_has_the_spectrum_of_q_inverse_d(self, rng):
         for d_size in (2, 3, 4):
             a = rng.standard_normal((d_size, d_size))
@@ -505,6 +509,10 @@ class TestHolevoPure:
         # bounds and ai_measure reject this D; a Delta of 0.3 came out here.
         with pytest.raises(InvalidInput, match="Uhlmann matrix"):
             holevo_pure(np.eye(2), np.array([[0.0, 0.3], [0.3, 0.0]]))
+
+    def test_rejects_d_that_is_not_square(self):
+        with pytest.raises(InvalidInput, match="square"):
+            holevo_pure(np.eye(2), np.zeros((2, 3)))
 
 
 def random_model(rng, dim, cond=None):
@@ -631,6 +639,26 @@ class TestClosedMomentForms:
         assume(not singular)
         want = r_ai * 2 * np.sqrt(np.linalg.det(q)) / np.trace(q)
         assert abs(delta - want) <= 1e3 * np.finfo(float).eps * cond * want
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 400), **POINTS)
+    def test_two_param_incompatibility(self, n, seed, b, theta, t):
+        # R = 1/2 |<J> . m| / sqrt(m^T adj(Cov) m), m the unit normal of
+        # a_B x a_theta: D_12 = 2 <J> . (a_B x a_theta), and by Cauchy-Binet
+        # det Q = 16 (a_B x a_theta)^T adj(Cov) (a_B x a_theta).
+        psi = haar_state(np.random.default_rng(seed), n)
+        _, cond, (singular, r_ai, *_) = frame_bounds(ModelKind.TWO_PARAM, psi, b, theta, t)
+        assume(not singular)
+        spin = build_spin_rep(n)
+        v = np.stack([spin.jx, spin.jy, spin.jz]) @ psi
+        mean = (v @ psi.conj()).real
+        u = v - mean[:, None] * psi
+        cov = (u.conj() @ u.T).real
+        adj = np.cross(cov[[1, 2, 0]], cov[[2, 0, 1]])
+        m = np.cross(*closed_frame(ModelKind.TWO_PARAM, b, theta, t))
+        m /= np.linalg.norm(m)
+        want = 0.5 * abs(mean @ m) / np.sqrt(m @ adj @ m)
+        assert abs(r_ai - want) <= 1e3 * np.finfo(float).eps * cond * want
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(3, 400), phi=st.floats(0.0, 2 * np.pi), **POINTS)

@@ -4,10 +4,11 @@
 ``BENCHMARK.json`` as ``spinmetro.<module>`` followed by attribute lookups;
 a library name that disappears makes ``perfbench/run.py --trace 1`` fail.
 README's command-line examples must parse with the current parser, its
-library example must run, and every name a module lists in ``__all__``
-must exist on it.  These tests only read the files, except that the
-library example is executed.  Every file the library writes is opened in
-one place, ``analysis._write_text``.
+library example must run, every `` `module.name` `` it cites must exist,
+and every name a module lists in ``__all__`` must exist on it.  These
+tests only read the files, except that the library example is executed.
+Every file the library writes is opened in one place,
+``analysis._write_text``.
 """
 
 import ast
@@ -81,6 +82,18 @@ def test_readme_library_example_runs():
     with contextlib.redirect_stdout(printed):
         exec(compile(block, "README.md", "exec"), {})
     assert float(printed.getvalue().split()[0]) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_readme_names_resolve():
+    # Only a name that opens a backtick span counts, so ``np.linalg.norm``
+    # is not read as ``linalg.norm``.
+    modules = sorted(p.stem for p in SRC.glob("*.py") if not p.stem.startswith("_"))
+    pattern = rf"`({'|'.join(modules)})\.([A-Za-z_]\w*)"
+    cited = set(re.findall(pattern, (ROOT / "README.md").read_text()))
+    assert len(cited) >= 10
+    missing = [f"{module}.{name}" for module, name in sorted(cited)
+               if not hasattr(importlib.import_module(f"spinmetro.{module}"), name)]
+    assert missing == []
 
 
 def _opens(tree):
