@@ -5,9 +5,10 @@ tables and reports take (Q, D) from the probe's spin moments through the
 N-independent frame kernel, with no N x N matrix; the dense generator route
 matches it to rounding (the tests pin this).  Random experiments draw each
 trial from its own counter-derived seed so results are independent of
-evaluation order.  CSV files are written from the result arrays with one
-format string per row: '.' decimals, ',' delimiters, a header row and 17
-significant digits, so repeated runs are bytewise identical.  NaN is the
+evaluation order.  Both CSV outputs are grids, written by one grid writer
+that formats each axis value once and the rest of a row with one format
+string: '.' decimals, ',' delimiters, a header row and 17 significant
+digits, so repeated runs are bytewise identical.  NaN is the
 one missing-value marker, from :func:`~spinmetro.metrology.bounds` to the
 file, where it is an empty field: a singular scan cell's R, Delta and T,
 and the Gamma and slope of an alpha with a singular baseline.
@@ -15,6 +16,7 @@ and the Gamma and slope of an alpha with a singular baseline.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -72,17 +74,35 @@ def _write_text(path, text: str) -> None:
             fh.truncate()
 
 
-def _write_csv(path, header, columns) -> None:
-    """One row per entry of the equal-length ``columns``.
+def _write_csv(path, header, outer, inner, columns) -> None:
+    """Write a grid: one row per (outer, inner) pair of axis values, outer-major.
 
+    A row holds its outer and inner axis values and then one value from
+    each of ``columns``, each of which holds ``len(outer) * len(inner)``
+    values in row order.
     Floats get 17 significant digits and NaN an empty field; a boolean
-    column is written as 1/0.  Each row is one ``%`` format; ``%.17g``
-    writes a NaN as ``nan`` and no other value with those letters, so one
-    replace on the body empties the NaN fields.
+    column is written as 1/0.  Each axis value is formatted once: the
+    inner ones up front, and each outer one into the row format of its
+    block of rows, which takes the inner text as ``%s``; a row is then one
+    ``%`` format of its inner text and column values.  ``%.17g`` writes a
+    NaN as ``nan`` and no other value with those letters, so one replace
+    on the body empties the NaN fields, axis fields included.
     """
-    columns = [np.asarray(column) for column in columns]
-    row = ",".join("%d" if column.dtype == bool else "%.17g" for column in columns) + "\n"
-    body = "".join(map(row.__mod__, zip(*(column.tolist() for column in columns))))
+
+    def field(values: np.ndarray) -> str:
+        return "%d" if values.dtype == bool else "%.17g"
+
+    outer, inner = np.asarray(outer), np.asarray(inner)
+    columns = [np.asarray(column).reshape(outer.size, inner.size) for column in columns]
+    inner_text = list(map(field(inner).__mod__, inner.tolist()))
+    tail = ",%s," + ",".join(map(field, columns)) + "\n"
+    outer_format = field(outer)
+    blocks = (
+        map((outer_format % x + tail).__mod__,
+            zip(inner_text, *(column[k].tolist() for column in columns)))
+        for k, x in enumerate(outer.tolist())
+    )
+    body = "".join(itertools.chain.from_iterable(blocks))
     _write_text(path, ",".join(header) + "\n" + body.replace("nan", ""))
 
 
@@ -100,9 +120,10 @@ def write_json(path, doc) -> None:
 
 
 # Largest scan grid, in cells: a scan's traced peak grows by about 955 B a
-# cell for the three-parameter model (its bounds stage) and 520 B for the
-# two-parameter model (the CSV writer's strings), so the cap keeps it within
-# a 1 GB budget.  A larger grid is rejected before anything is allocated.
+# cell for the three-parameter model and 510 B for the two-parameter model,
+# both in run_scan (the CSV writer peaks at about 430 B), so the cap keeps
+# it within a 1 GB budget.  A larger grid is rejected before anything is
+# allocated.
 MAX_GRID_CELLS = 10**6
 
 
@@ -167,8 +188,9 @@ class ScanResult:
         return (self.config.theta_count, self.config.b_count)
 
     def write_csv(self, path) -> None:
-        _write_csv(path, self.HEADER, (self.theta, self.b, self.r_ai, self.delta, self.t_gap,
-                                       self.det_q, self.singular))
+        n_b = self.config.b_count
+        _write_csv(path, self.HEADER, self.theta[::n_b], self.b[:n_b],
+                   (self.r_ai, self.delta, self.t_gap, self.det_q, self.singular))
 
 
 def run_scan(config: ScanConfig) -> ScanResult:
@@ -221,11 +243,11 @@ class ScalingResult:
     HEADER = ("alpha", "N", "Gamma", "slope")
 
     def write_csv(self, path) -> None:
-        table = np.array(
-            [(a, n, self.gammas[a][n], self.slopes[a]) for a in self.alphas for n in self.dims],
-            dtype=float,
-        )
-        _write_csv(path, self.HEADER, table.T)
+        gammas = np.array([[self.gammas[a][n] for n in self.dims] for a in self.alphas],
+                          dtype=float)
+        slopes = np.array([self.slopes[a] for a in self.alphas], dtype=float)
+        _write_csv(path, self.HEADER, self.alphas, self.dims,
+                   (gammas.ravel(), np.repeat(slopes, len(self.dims))))
 
 
 def scaling_table(

@@ -172,8 +172,10 @@ def direction_vectors_2p(point: ModelPoint):
     field direction, ``n_theta_prime`` its theta-derivative, and ``n1``,
     ``n2`` span the plane the theta-generator rotates in; ``n2`` equals
     ``n_theta x n1`` identically.  They are the three-parameter rows at
-    phi = 0, where the three-parameter ``n2`` is ``n1 x n_theta``.
+    phi = 0, where the three-parameter ``n2`` is ``n1 x n_theta``.  A
+    point with a ``phi`` raises :class:`InvalidInput`.
     """
+    _check_phi(ModelKind.TWO_PARAM, point.phi)
     n_theta, n1, n2 = _directions(point.b, point.theta, point.t, 0.0)
     return n_theta, np.array([-np.sin(point.theta), 0.0, np.cos(point.theta)]), n1, -n2
 
@@ -183,8 +185,10 @@ def direction_vectors_3p(point: ModelPoint):
 
     Returns ``(n_theta, n1, n2)``: the field direction and the two
     rotating-frame directions attached to the theta and phi generators.
-    The triple is orthonormal with ``n_theta x n2 = n1``.
+    The triple is orthonormal with ``n_theta x n2 = n1``.  A point with
+    no ``phi`` raises :class:`InvalidInput`.
     """
+    _check_phi(ModelKind.THREE_PARAM, point.phi)
     return tuple(_directions(point.b, point.theta, point.t, point.phi))
 
 

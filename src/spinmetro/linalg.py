@@ -41,18 +41,28 @@ def _as_square(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def _require_finite_square(a, name: str) -> np.ndarray:
+    # A NaN residual compares False against any tolerance, so the Hermitian
+    # and symmetric rules reject a non-finite matrix before measuring one.
+    a = np.asarray(a)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise InvalidInput(f"{name} must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise InvalidInput(f"{name} holds a NaN or an infinity")
+    return a
+
+
 def require_hermitian(a, tol: float = 1e-12, name: str = "matrix") -> np.ndarray:
     """Return ``a`` as an array, raising if it is not Hermitian.
 
     ``a`` is one matrix or a stack ``(..., N, N)``, checked in one pass.
-    A stack that is exactly Hermitian, as every generator and Hamiltonian
-    this package builds is, passes at the cost of one comparison.
-    Otherwise each matrix's residual ``||a - a^dag||`` is measured relative
-    to its own ``max(||a||, 1)`` in the Frobenius norm.
+    A stack that holds a NaN or an infinity raises.  A finite stack that
+    is exactly Hermitian, as every generator and Hamiltonian this package
+    builds is, passes at the cost of one comparison.  Otherwise each
+    matrix's residual ``||a - a^dag||`` is measured relative to its own
+    ``max(||a||, 1)`` in the Frobenius norm.
     """
-    a = np.asarray(a)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise InvalidInput(f"{name} must be square, got shape {a.shape}")
+    a = _require_finite_square(a, name)
     a_h = np.swapaxes(a.conj(), -1, -2)
     if np.array_equal(a, a_h):
         return a
@@ -67,16 +77,14 @@ def require_symmetric(a, sign: int = 1, name: str = "matrix") -> np.ndarray:
     times its transpose: symmetric for ``sign`` 1, antisymmetric for -1.
 
     ``a`` is one real matrix or a stack ``(..., n, n)``, checked in one
-    pass; any other shape raises :class:`InvalidInput`.  A stack that is
-    exactly (anti)symmetric, as the frame kernel's Q and D are, passes at
-    the cost of one comparison.  Otherwise each matrix is scaled to a
-    largest entry of 1, so the Frobenius norms cannot overflow, and its
-    residual ``||a - sign a^T||`` is held to 1e-10 of its scaled norm.  A
-    zero matrix passes.
+    pass; any other shape, a NaN or an infinity raises
+    :class:`InvalidInput`.  A stack that is exactly (anti)symmetric, as
+    the frame kernel's Q and D are, passes at the cost of one comparison.
+    Otherwise each matrix is scaled to a largest entry of 1, so the
+    Frobenius norms cannot overflow, and its residual ``||a - sign a^T||``
+    is held to 1e-10 of its scaled norm.  A zero matrix passes.
     """
-    a = np.asarray(a)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise InvalidInput(f"{name} must be square, got shape {a.shape}")
+    a = _require_finite_square(a, name)
     a_t = np.swapaxes(a, -1, -2)
     if np.array_equal(a, a_t if sign > 0 else -a_t):
         return a

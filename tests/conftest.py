@@ -130,8 +130,8 @@ def scaling_table_loop(kind, alphas, dims, point, probe_phi=0.0, rel_tol=1e-10):
 
 def csv_text_loop(header, columns):
     """CSV text one field at a time, floats with ``f"{x:.17g}"`` and NaN
-    empty, a boolean column as 1/0: an oracle for the row-format writer
-    :func:`~spinmetro.analysis._write_csv`."""
+    empty, a boolean column as 1/0, every axis value written out on every
+    row: an oracle for the grid writer :func:`~spinmetro.analysis._write_csv`."""
     fields = []
     for column in columns:
         column = np.asarray(column)

@@ -197,17 +197,48 @@ class TestCsvWriter:
             else:
                 assert same_bits([gamma_f, slope_f], [gamma, slope])
 
-    # The row format string writes exactly what the per-field formatter did,
-    # including the values whose text is special.
+    # The grid writer writes exactly what the per-field formatter does, for
+    # the values whose text is special as row values and as axis values.
     def test_row_format_matches_field_formatter(self, tmp_path):
         special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300,
                             -1e300, 2 * np.pi, 0.1, 12345678901234567.0, 1e-7])
-        columns = [np.roll(special, k) for k in range(3)]
-        columns += [np.full(special.size, np.nan), np.arange(special.size) % 3 == 0]
-        header = ("a", "nan_count", "c", "d", "flag")
+        outer, inner = special, np.roll(special[:-1], 4)
+        cells = outer.size * inner.size
+        columns = [np.resize(np.roll(special, k), cells) for k in range(3)]
+        columns += [np.full(cells, np.nan), np.arange(cells) % 3 == 0]
+        header = ("outer", "inner", "a", "nan_count", "c", "d", "flag")
         out = tmp_path / "x.csv"
-        analysis._write_csv(out, header, columns)
-        assert out.read_text() == csv_text_loop(header, columns)
+        analysis._write_csv(out, header, outer, inner, columns)
+        axes = [np.repeat(outer, inner.size), np.tile(inner, outer.size)]
+        assert out.read_text() == csv_text_loop(header, axes + columns)
+
+    # Each result type writes the text of its columns in full, one field at
+    # a time; non-square grids catch a swap of the outer and inner axes.
+    @pytest.mark.parametrize("config", [
+        small_scan(counts=(3, 7)),
+        small_scan(counts=(7, 3)),
+        small_scan(counts=(2, 2)),
+        small_scan(kind=ModelKind.THREE_PARAM, dim=2, counts=(5, 4), model_phi=0.3),
+    ], ids=["3x7", "7x3", "2x2", "three-qubit-all-singular"])
+    def test_scan_matches_field_formatter(self, tmp_path, config):
+        res = run_scan(config)
+        if config.kind is ModelKind.THREE_PARAM:
+            assert res.singular.all()
+        out = tmp_path / "scan.csv"
+        res.write_csv(out)
+        columns = (res.theta, res.b, res.r_ai, res.delta, res.t_gap, res.det_q, res.singular)
+        assert out.read_text() == csv_text_loop(res.HEADER, columns)
+
+    def test_scaling_matches_field_formatter(self, tmp_path):
+        # alpha = 0 at theta = pi/2 has a singular qubit baseline.
+        point = ModelPoint(b=0.9, theta=np.pi / 2, t=5.0)
+        table = scaling_table(ModelKind.TWO_PARAM, [0.0, np.pi / 4, 1.2], [4, 5, 1000], point)
+        assert table.slopes[0.0] is None
+        out = tmp_path / "scaling.csv"
+        table.write_csv(out)
+        rows = [(a, n, table.gammas[a][n], table.slopes[a]) for a in table.alphas
+                for n in table.dims]
+        assert out.read_text() == csv_text_loop(table.HEADER, np.array(rows, dtype=float).T)
 
 
 class TestWriteText:

@@ -64,6 +64,10 @@ class TestDirectionVectors2p:
         assert abs(n_theta @ n1) < 1e-12
         assert np.abs(np.cross(n_theta, n1) - n2).max() < 1e-12
 
+    def test_rejects_three_parameter_point(self):
+        with pytest.raises(InvalidInput, match="phi absent"):
+            direction_vectors_2p(ModelPoint(b=0.9, theta=0.7, t=5.0, phi=1.1))
+
 
 class TestTwoParamAgainstPlanarReference:
     """Every two-parameter quantity is built from the three-parameter rows
@@ -124,6 +128,10 @@ class TestDirectionVectors3p:
         point = ModelPoint(b=0.0, theta=0.9, t=3.0, phi=0.6)
         _, _, n2 = direction_vectors_3p(point)
         assert np.allclose(n2, [np.sin(0.6), -np.cos(0.6), 0.0], atol=1e-14)
+
+    def test_rejects_two_parameter_point(self):
+        with pytest.raises(InvalidInput, match="phi present"):
+            direction_vectors_3p(ModelPoint(b=0.9, theta=0.7, t=5.0))
 
 
 class TestHamiltonian:
@@ -347,6 +355,13 @@ class TestGeneratorSet:
         with pytest.raises(InvalidInput, match="not Hermitian"):
             GeneratorSet(labels=("B", "theta"), matrices=np.stack([big, small]))
         GeneratorSet(labels=("B", "theta"), matrices=np.stack([big, small + small.conj().T]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, value):
+        gens = np.stack([rep(2).jz, rep(2).jx]).astype(complex)
+        gens[1, 0, 0] = value
+        with pytest.raises(InvalidInput, match="NaN or an infinity"):
+            GeneratorSet(labels=("B", "theta"), matrices=gens)
 
 
 class TestModelPoint:

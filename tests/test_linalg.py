@@ -190,6 +190,11 @@ class TestExpmI:
         with pytest.raises(InvalidInput):
             expm_i(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(InvalidInput, match="NaN or an infinity"):
+            expm_i(np.diag([value, 1.0]), 1.0)
+
     @pytest.mark.parametrize("n", [2, 3, 8, 40])
     def test_stack_equals_separate_calls(self, rng, n):
         a = np.stack([random_hermitian(rng, n, scale) for scale in (0.0, 0.3, 1.0, 7.0, 1e3)])
@@ -231,12 +236,35 @@ class TestRequireHermitian:
             require_hermitian(np.zeros(shape))
 
 
+    # A NaN residual compares False against the tolerance, and an exactly
+    # Hermitian matrix with an infinity passes the equality shortcut.
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_rejects_non_finite(self, value, where):
+        a = np.eye(2, dtype=complex)
+        a[where] = a[where[::-1]] = value
+        with pytest.raises(InvalidInput, match="NaN or an infinity"):
+            require_hermitian(a)
+        with pytest.raises(InvalidInput, match="NaN or an infinity"):
+            require_hermitian(np.stack([np.eye(2), a]))
+
+
 class TestRequireSymmetric:
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
     def test_rejects_non_square(self, shape, sign):
         with pytest.raises(InvalidInput, match="square"):
             require_symmetric(np.zeros(shape), sign=sign)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value, sign):
+        a = np.zeros((2, 2))
+        a[0, 1], a[1, 0] = value, sign * value
+        with pytest.raises(InvalidInput, match="NaN or an infinity"):
+            require_symmetric(a, sign=sign)
+        with pytest.raises(InvalidInput, match="NaN or an infinity"):
+            require_symmetric(np.stack([np.zeros((2, 2)), a]), sign=sign)
 
 
 class TestSpectralAbsmax:
@@ -310,6 +338,12 @@ class TestSymInverse:
     def test_rejects_asymmetric(self):
         with pytest.raises(InvalidInput):
             sym_inverse(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    # A NaN is a failure of whatever computed it, not a singular matrix.
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(InvalidInput, match="NaN or an infinity"):
+            sym_inverse(np.array([[value, 0.0], [0.0, 1.0]]))
 
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2)])
     def test_rejects_anything_but_one_square_matrix(self, shape):

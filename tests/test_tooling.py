@@ -8,7 +8,8 @@ library example must run, every `` `module.name` `` it cites must exist,
 and every name a module lists in ``__all__`` must exist on it.  These
 tests only read the files, except that the library example is executed.
 Every file the library writes is opened in one place,
-``analysis._write_text``.
+``analysis._write_text``, and every CSV field is formatted in one place,
+``analysis._write_csv``.
 """
 
 import ast
@@ -123,4 +124,24 @@ def test_one_place_opens_files():
             else:
                 stray += [f"{path.name}:{line}" for line in _opens(node)]
     assert len(writer) == 2  # os.open and the file object over its descriptor
+    assert stray == []
+
+
+def test_one_place_formats_csv_fields():
+    # Every CSV field is formatted in analysis._write_csv: no other line of
+    # the library, code or comment, names the 17-digit float format.
+    files = sorted(SRC.glob("*.py"))
+    assert len(files) >= 8
+    writer, stray = [], []
+    for path in files:
+        text = path.read_text()
+        span = range(0)
+        if path.name == "analysis.py":
+            node = next(node for node in ast.parse(text, filename=str(path)).body
+                        if isinstance(node, ast.FunctionDef) and node.name == "_write_csv")
+            span = range(node.lineno, node.end_lineno + 1)
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if ".17g" in line:
+                (writer if lineno in span else stray).append(f"{path.name}:{lineno}")
+    assert writer
     assert stray == []
