@@ -119,8 +119,8 @@ def write_json(path, doc) -> None:
     _write_text(path, text + "\n")
 
 
-# Largest scan grid, in cells: a scan's traced peak grows by about 955 B a
-# cell for the three-parameter model and 510 B for the two-parameter model,
+# Largest scan grid, in cells: a scan's traced peak grows by about 870 B a
+# cell for the three-parameter model and 485 B for the two-parameter model,
 # both in run_scan (the CSV writer peaks at about 430 B), so the cap keeps
 # it within a 1 GB budget.  A larger grid is rejected before anything is
 # allocated.
@@ -207,8 +207,7 @@ def run_scan(config: ScanConfig) -> ScanResult:
     phi = None if config.kind is ModelKind.TWO_PARAM else config.model_phi
     frame = closed_frame(config.kind, b, theta, config.t, phi)
     q, d = frame_qfim_uhlmann(frame, *spin_moments(config.probe_state()))
-    singular, r_ai, _, _, delta = bounds(q, d, rel_tol=config.rel_tol)
-    det_q = np.linalg.det(q)
+    singular, r_ai, _, _, delta, det_q = bounds(q, d, rel_tol=config.rel_tol)
     return ScanResult(
         config=config, theta=theta, b=b, r_ai=r_ai, delta=delta, det_q=det_q, singular=singular
     )
@@ -469,7 +468,7 @@ def metrics_report(kind: ModelKind, spec: ProbeSpec, point: ModelPoint, rel_tol=
     """
     frame = closed_frame(kind, point.b, point.theta, point.t, point.phi)
     q, d = frame_qfim_uhlmann(frame, *spin_moments(make_probe(spec)))
-    singular, *values = bounds(q, d, rel_tol=rel_tol)
+    singular, *values, det_q = bounds(q, d, rel_tol=rel_tol)
     r_ai, c_sld, c_h, delta = (None if singular else float(v) for v in values)
     return {
         "model": kind.value,
@@ -484,7 +483,7 @@ def metrics_report(kind: ModelKind, spec: ProbeSpec, point: ModelPoint, rel_tol=
         "labels": list(kind.labels),
         "Q": q.tolist(),
         "D": d.tolist(),
-        "det_q": float(np.linalg.det(q)),
+        "det_q": float(det_q),
         "singular": bool(singular),
         "c_sld": c_sld,
         "c_h": c_h,

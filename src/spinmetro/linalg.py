@@ -169,14 +169,14 @@ def build_spin_rep(N: int) -> SpinRep:
 
 
 def spin_moments(psi) -> tuple[np.ndarray, np.ndarray]:
-    """First and second spin moments of a state, without forming any N x N matrix.
+    """Spin mean and covariance of a state, without forming any N x N matrix.
 
-    Returns ``(mean, second)`` with ``mean[k] = <J_k>`` (real, shape (3,))
-    and ``second[k, m] = <J_k J_m>`` (complex, shape (3, 3)), in the basis
-    of :func:`build_spin_rep` (Jz diagonal, entries s down to -s).  ``J+ psi``
-    and ``J- psi`` are the state shifted by one entry and scaled by the
-    ladder elements, so the cost is O(N).  A state without unit norm raises
-    :class:`InvalidInput` (the rule of :func:`require_unit_norm`).
+    Returns ``(mean, cov)``: ``mean[k] = <J_k>`` and ``cov[k, m] = Re <u_k|u_m>``
+    of the centered ``u_k = (J_k - <J_k>) psi``, free of the cancellation
+    in ``<J_k J_m> - <J_k><J_m>``.  In the basis of
+    :func:`build_spin_rep`, ``J+ psi`` and ``J- psi`` are ``psi`` shifted by
+    one entry and scaled by the ladder elements, so the cost is O(N).  A state
+    without unit norm raises :class:`InvalidInput` (:func:`require_unit_norm`).
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim != 1 or psi.size < 2:
@@ -191,8 +191,11 @@ def spin_moments(psi) -> tuple[np.ndarray, np.ndarray]:
     jplus_psi[:-1] = ladder * psi[1:]
     v = np.stack([(jplus_psi + jminus_psi) / 2, (jplus_psi - jminus_psi) / 2j, m * psi])
     mean = (v @ psi.conj()).real
-    second = v.conj() @ v.T
-    return mean, second
+    v -= mean[:, None] * psi
+    # Re <u_k|u_m> is the dot product of the (re, im) pairs; numpy forms
+    # w w^T by one symmetric rank-k update, so cov comes out exactly symmetric
+    w = v.view(float)
+    return mean, w @ w.T
 
 
 def j_direction(rep: SpinRep, n) -> np.ndarray:

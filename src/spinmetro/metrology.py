@@ -3,8 +3,10 @@
 The routines consume generator sets or density matrices and know nothing
 about su(2), except :func:`frame_qfim_uhlmann`, which takes generators
 that are spin components ``a_l . J`` as their (d, 3) frame and the probe's
-spin moments; scans, scaling tables and reports use it, and
+spin mean and covariance; scans, scaling tables and reports use it, and
 :func:`incompat_report` is the dense route for any generator set.
+:func:`bounds` takes every bound and ``det Q`` from one ``eigh`` of Q, in
+its eigenbasis, with no ``Q^-1 D Q^-1`` and no negative ``det Q``.
 Near-singular quantum Fisher matrices are never pseudo-inverted: every
 quantity that needs an inverse returns ``None`` (or sets a flag) instead,
 so callers can mask those points.  The misleading regime is exactly
@@ -73,15 +75,14 @@ def qfim_uhlmann(gens: GeneratorSet, probe) -> tuple[np.ndarray, np.ndarray]:
     return (q + q.T) / 2, (d - d.T) / 2
 
 
-def frame_qfim_uhlmann(frame, mean, second) -> tuple[np.ndarray, np.ndarray]:
+def frame_qfim_uhlmann(frame, mean, cov) -> tuple[np.ndarray, np.ndarray]:
     """QFIM and Uhlmann matrix of generators that are spin components.
 
     ``frame`` has shape (..., d, 3) and row ``a_l`` gives the generator
-    ``G_l = a_l . J``.  The probe enters only through its spin moments
-    ``mean`` (..., 3) and ``second`` (..., 3, 3), as returned by
+    ``G_l = a_l . J``.  The probe enters only through its spin mean
+    ``mean`` (..., 3) and covariance ``cov`` (..., 3, 3), as returned by
     :func:`~spinmetro.linalg.spin_moments`, whose leading axes broadcast
-    against the frame's.  Then ``Q = 4 A Cov A^T`` with the 3 x 3 spin
-    covariance ``Cov = Re<J_k J_m> - <J_k><J_m>``, and, because
+    against the frame's.  Then ``Q = 4 A Cov A^T`` and, because
     ``[J_k, J_m] = 1j eps_kmn J_n``, ``D_lm = 2 <J> . (a_l x a_m)``.  The
     cost per frame and probe is independent of the dimension N.  Q is
     symmetric and D exactly antisymmetric by construction.  Returns
@@ -91,13 +92,12 @@ def frame_qfim_uhlmann(frame, mean, second) -> tuple[np.ndarray, np.ndarray]:
     if frame.ndim < 2 or frame.shape[-1] != 3:
         raise InvalidInput(f"frame must have shape (..., d, 3), got {frame.shape}")
     mean = np.asarray(mean, dtype=float)
-    second = np.asarray(second)
-    if mean.shape[-1:] != (3,) or second.shape != mean.shape + (3,):
+    cov = np.asarray(cov, dtype=float)
+    if mean.shape[-1:] != (3,) or cov.shape != mean.shape + (3,):
         raise InvalidInput(
-            f"spin moments must have shapes (..., 3), (..., 3, 3), got {mean.shape}, {second.shape}"
+            f"spin moments must have shapes (..., 3), (..., 3, 3), got {mean.shape}, {cov.shape}"
         )
-    cov = second.real - mean[..., :, None] * mean[..., None, :]
-    q = 4 * frame @ ((cov + np.swapaxes(cov, -1, -2)) / 2) @ np.swapaxes(frame, -1, -2)
+    q = 4 * frame @ cov @ np.swapaxes(frame, -1, -2)
     q = (q + np.swapaxes(q, -1, -2)) / 2
     cross = np.cross(frame[..., :, None, :], frame[..., None, :, :])
     d = 2 * (cross * mean[..., None, None, :]).sum(axis=-1)
@@ -320,21 +320,22 @@ def holevo_pure(q, d, rel_tol: float = 1e-10):
 
 
 def bounds(q, d, rel_tol: float = 1e-10):
-    """Singular flags, R, SLD cost, Holevo bound and their gap, over leading axes.
+    """Singular flags, R, SLD cost, Holevo bound, their gap and det Q, over leading axes.
 
     ``q`` and ``d`` have shape (..., dim, dim).  Returns
-    ``(singular, r_ai, c_sld, c_h, delta)``, each of the leading shape,
-    with NaN bound values on singular matrices (the rule of
+    ``(singular, r_ai, c_sld, c_h, delta, det_q)``, each of the leading
+    shape, with NaN bound values on singular matrices (the rule of
     :func:`~spinmetro.linalg.singular_mask`); NaN marks a singular matrix
     and nothing else, so a Q or D that is not finite raises
     :class:`NumericalFailure`.  A Q that is not symmetric or a D that is
     not antisymmetric (the rule of :func:`~spinmetro.linalg.require_symmetric`)
-    raises :class:`InvalidInput`.  One ``eigh`` of each Q gives
-    the singular rule, ``Q^-1`` (held to :func:`~spinmetro.linalg.check_inverse`)
-    and ``Q^-1/2``, with ``R`` the largest ``|eigvalsh|`` of the Hermitian
-    ``1j Q^-1/2 D Q^-1/2`` (similar to ``1j Q^-1 D``).  The costs are
-    those of :func:`holevo_pure` and ``R`` that of :func:`ai_measure`,
-    which serve as the scalar references.
+    raises :class:`InvalidInput`.  All comes from one ``eigh``, ``Q = V diag(lam) V^T``:
+    the singular rule, ``det_q = prod max(lam, 0) >= 0``, ``c_sld = tr Q^-1``
+    (``Q^-1`` held to :func:`~spinmetro.linalg.check_inverse`), and with
+    ``D' = V^T D V`` and ``S_ij = sqrt(lam_i lam_j)``, ``R`` the largest
+    ``|eigvalsh|`` of the Hermitian ``1j D' / S`` and the gap ``||Q^-1 D Q^-1||_1``
+    the sum of those of ``1j D' / S^2``.  :func:`ai_measure` and
+    :func:`holevo_pure`, which multiply by inverses, are the scalar references.
     """
     q = np.asarray(q, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -348,6 +349,7 @@ def bounds(q, d, rel_tol: float = 1e-10):
     q, d = q.reshape(-1, dim, dim), d.reshape(-1, dim, dim)
     evals, vecs = np.linalg.eigh(q)
     singular = singular_mask(evals, rel_tol)
+    det_q = np.maximum(evals, 0.0).prod(axis=-1)
     r_ai, c_sld, c_h, delta = np.full((4, singular.size), np.nan)
     regular = ~singular
     if regular.any():
@@ -356,17 +358,18 @@ def bounds(q, d, rel_tol: float = 1e-10):
         q_inv = (vecs / lam[:, None, :]) @ vecs_t
         q_inv = (q_inv + np.swapaxes(q_inv, -1, -2)) / 2
         check_inverse(q, q_inv, lam[:, -1] / lam[:, 0])
-        q_isqrt = (vecs / np.sqrt(lam)[:, None, :]) @ vecs_t
-        m = q_isqrt @ d @ q_isqrt
-        r_ai[regular] = np.abs(
-            np.linalg.eigvalsh(1j * (m - np.swapaxes(m, -1, -2)) / 2)
-        ).max(axis=-1)
+        d = vecs_t @ d @ vecs
+        h = 0.5j * (d - np.swapaxes(d, -1, -2))  # else D''s diagonal residue / lam^2 dominates
+        s = np.sqrt(lam)[:, :, None] * np.sqrt(lam)[:, None, :]  # sqrt each: lam^2 may overflow
+        h /= s
+        r_ai[regular] = np.abs(np.linalg.eigvalsh(h)).max(axis=-1)
+        h /= s
+        gap = np.abs(np.linalg.eigvalsh(h)).sum(axis=-1)
         cost = np.trace(q_inv, axis1=-2, axis2=-1)
-        gap = np.linalg.svd(q_inv @ d @ q_inv, compute_uv=False).sum(axis=-1)
         c_sld[regular] = cost
         c_h[regular] = cost + gap
         delta[regular] = gap / cost
-    return tuple(x.reshape(lead) for x in (singular, r_ai, c_sld, c_h, delta))
+    return tuple(x.reshape(lead) for x in (singular, r_ai, c_sld, c_h, delta, det_q))
 
 
 def submodel(q, d, subset):
@@ -408,13 +411,13 @@ class IncompatReport:
 def incompat_report(gens: GeneratorSet, probe, rel_tol: float = 1e-10) -> IncompatReport:
     """Evaluate the full report for one generator set and probe."""
     q, d = qfim_uhlmann(gens, probe)
-    singular, *values = bounds(q, d, rel_tol=rel_tol)
+    singular, *values, det_q = bounds(q, d, rel_tol=rel_tol)
     r_ai, c_sld, c_h, delta = (None if singular else float(v) for v in values)
     return IncompatReport(
         labels=gens.labels,
         qfim=q,
         uhlmann=d,
-        det_q=float(np.linalg.det(q)),
+        det_q=float(det_q),
         singular=bool(singular),
         c_sld=c_sld,
         c_h=c_h,

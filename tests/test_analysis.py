@@ -104,6 +104,18 @@ class TestRunScan:
         assert first[2] == first[3] == first[4] == ""
         assert first[6] == "1"
 
+    # det_q is the product of Q's eigenvalues clipped at 0, so a singular
+    # cell that rounding leaves indefinite still reports det Q >= 0.
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("n", [2, 3, 4, 12, 40])
+    def test_det_q_is_never_negative(self, rng, kind, n):
+        for _ in range(3):
+            z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            config = ScanConfig(kind=kind, probe=z / np.linalg.norm(z), t=5.0,
+                                model_phi=rng.uniform(0.0, 2 * np.pi),
+                                theta_count=31, b_count=31)
+            assert (run_scan(config).det_q >= 0.0).all()
+
     def test_period_default_range(self):
         res = run_scan(small_scan(t=10.0))
         assert res.b.max() == pytest.approx(2 * np.pi / 10.0)

@@ -162,6 +162,15 @@ class TestMetricsCommand:
         doc = json.loads(out.read_text())
         assert doc["r_ai"] == pytest.approx(1.0, abs=1e-6)
 
+    # N < d: a qubit's three-parameter QFIM has rank 2, so det Q is 0 exactly;
+    # a determinant by LU used to print it as -4.36e-15.
+    def test_three_param_qubit_has_nonnegative_det_q(self, tmp_path):
+        out = tmp_path / "m.json"
+        assert run(["metrics", "--model", "three", "--dim", "2", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["singular"] is True
+        assert 0.0 <= doc["det_q"] <= 1e-12
+
 
 class TestScalingCommand:
     def test_table_written(self, tmp_path):

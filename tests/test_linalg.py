@@ -28,6 +28,8 @@ from spinmetro.models import ProbeSpec, state_from_bloch
 
 from conftest import haar_state, random_hermitian, rep
 
+EPS = np.finfo(float).eps
+
 
 class TestBuildSpinRep:
     def test_qubit_matrices(self):
@@ -74,18 +76,33 @@ class TestSpinMoments:
         jvec = [r.jx, r.jy, r.jz]
         for _ in range(3):
             psi = haar_state(rng, n)
-            mean, second = spin_moments(psi)
-            dense_mean = [(psi.conj() @ jk @ psi).real for jk in jvec]
-            dense_second = [[psi.conj() @ jk @ jm @ psi for jm in jvec] for jk in jvec]
+            mean, cov = spin_moments(psi)
+            dense_mean = np.array([(psi.conj() @ jk @ psi).real for jk in jvec])
+            dense_second = np.array([[psi.conj() @ jk @ jm @ psi for jm in jvec] for jk in jvec])
+            dense_cov = dense_second.real - np.outer(dense_mean, dense_mean)
             scale = (n - 1) ** 2 / 4
             assert np.abs(mean - dense_mean).max() <= 1e-13 * scale
-            assert np.abs(second - np.array(dense_second)).max() <= 1e-13 * scale
+            assert np.abs(cov - dense_cov).max() <= 1e-13 * scale
+            assert np.array_equal(cov, cov.T)
 
     def test_casimir_and_commutator(self, rng):
-        # Tr <J_k J_k> = s(s+1); Im <J_x J_y> = <J_z> / 2 from [Jx, Jy] = 1j Jz
-        mean, second = spin_moments(haar_state(rng, 6))
-        assert np.trace(second).real == pytest.approx(2.5 * 3.5, rel=1e-13)
-        assert second[0, 1].imag == pytest.approx(mean[2] / 2, abs=1e-13)
+        # Tr Cov = s(s+1) - |<J>|^2, and Cov is positive semidefinite with
+        # Cov_xx Cov_yy >= <J_z>^2 / 4 (Robertson, from [Jx, Jy] = 1j Jz)
+        mean, cov = spin_moments(haar_state(rng, 6))
+        assert np.trace(cov) == pytest.approx(2.5 * 3.5 - mean @ mean, rel=1e-13)
+        assert np.linalg.eigvalsh(cov)[0] >= -1e-13
+        assert cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2 >= mean[2] ** 2 / 4 - 1e-13
+
+    # The covariance comes from the centered vectors, so a near-coherent
+    # probe keeps its variance where <J J> - <J><J> would lose it to rounding.
+    @pytest.mark.parametrize("n, alpha", [(10**3, 1e-6), (10**5, 1e-6), (10**5, 1e-4)])
+    def test_extreme_state_covariance(self, n, alpha):
+        j = (n - 1) / 2
+        mean, cov = spin_moments(make_probe(ProbeSpec(dim=n, alpha=alpha)))
+        want = np.diag([j / 2, j / 2, (j * np.sin(2 * alpha)) ** 2])
+        assert np.abs(mean - [0.0, 0.0, j * np.cos(2 * alpha)]).max() <= 4 * EPS * j
+        assert np.abs(cov - want).max() <= 8 * EPS * j
+        assert abs(cov[2, 2] - want[2, 2]) <= 8 * EPS * want[2, 2]
 
     @pytest.mark.parametrize("bad", [np.array([1.0]), np.eye(2)])
     def test_rejects_non_vectors(self, bad):

@@ -1,8 +1,9 @@
 """Estimation-core tests: QFIM/Uhlmann routes, SLD, FIM, bounds."""
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinmetro import (
@@ -175,8 +176,8 @@ class TestFrameKernel:
         moments = [spin_moments(haar_state(rng, n)) for n in (2, 3, 5, 8, 40, 41, 240)]
         q, d = frame_qfim_uhlmann(frame, *(np.stack(m) for m in zip(*moments)))
         assert q.shape == d.shape == (len(moments), len(kind.labels), len(kind.labels))
-        for k, (mean, second) in enumerate(moments):
-            q1, d1 = frame_qfim_uhlmann(frame, mean, second)
+        for k, (mean, cov) in enumerate(moments):
+            q1, d1 = frame_qfim_uhlmann(frame, mean, cov)
             assert np.array_equal(q[k], q1)
             assert np.array_equal(d[k], d1)
 
@@ -538,11 +539,23 @@ class TestBounds:
             q, d = random_model(rng, dim, cond)
             ev = np.linalg.eigvalsh(q)
             tol = 1e3 * eps * ev[-1] / ev[0]
-            singular, r_ai, c_sld, c_h, delta = bounds(q, d)
+            singular, r_ai, c_sld, c_h, delta, _ = bounds(q, d)
             assert not singular and np.shape(r_ai) == ()
             ref = (ai_measure(q, d), *holevo_pure(q, d))
             for got, want in zip((r_ai, c_sld, c_h, delta), ref):
                 assert abs(got - want) <= tol * max(abs(want), 1.0)
+
+    # det_q is the product of the eigenvalues; each carries an error of a few
+    # eps ||Q||_2, so the product is off by a few dim eps ||Q||_2^dim at most,
+    # as is the LU determinant it replaces.
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("cond", [None, 1e6, 1e9])
+    def test_det_q_matches_lu_determinant(self, rng, dim, cond):
+        for _ in range(20):
+            q, d = random_model(rng, dim, cond)
+            det_q = bounds(q, d)[-1]
+            scale = np.linalg.norm(q, 2) ** dim
+            assert abs(det_q - np.linalg.det(q)) <= 4 * dim * np.finfo(float).eps * scale
 
     def test_batch_equals_single_calls(self, rng):
         pairs = [random_model(rng, 3) for _ in range(6)]
@@ -558,16 +571,18 @@ class TestBounds:
 
     def test_singular_cells_carry_nan(self):
         q = np.stack([np.diag([1.0, 1e-14]), np.diag([2.0, 4.0])])
-        singular, *values = bounds(q, np.zeros_like(q))
+        singular, *values, det_q = bounds(q, np.zeros_like(q))
         assert singular.tolist() == [True, False]
         assert all(np.isnan(v[0]) and np.isfinite(v[1]) for v in values)
         assert [float(v[1]) for v in values] == [0.0, 0.75, 0.75, 0.0]
+        # det Q is reported on every cell, singular ones included
+        assert det_q.tolist() == [1e-14, 8.0]
 
     def test_qubit_is_maximally_incompatible(self, rng):
         point = ModelPoint(b=1.2, theta=0.4, t=5.0)
         gens = closed_generators(rep(2), ModelKind.TWO_PARAM, point)
         q, d = qfim_uhlmann(gens, haar_state(rng, 2))
-        _, r_ai, _, _, delta = bounds(q, d)
+        _, r_ai, _, _, delta, _ = bounds(q, d)
         assert r_ai == pytest.approx(ai_two_param(q, d), abs=1e-9)
         assert r_ai == pytest.approx(1.0, abs=1e-9) and 0.0 <= delta <= r_ai
 
@@ -617,11 +632,25 @@ POINTS = dict(seed=st.integers(0, 2**32 - 1), b=st.floats(0.05, 3.0),
               theta=st.floats(0.0, 2 * np.pi), t=st.floats(0.5, 10.0))
 
 
+# Random probes for the gap forms: Haar-random, or an extreme state with a
+# log-uniform mixing angle down to 1e-6 (near-coherent, so D's axial vector
+# lies along Q's soft direction).
+PROBES = dict(n=st.integers(2, 1000), haar=st.booleans(), seed=st.integers(0, 2**32 - 1),
+              log_alpha=st.floats(-6.0, 0.0))
+POINT = dict(b=st.floats(0.05, 3.0), theta=st.floats(0.0, 2 * np.pi), t=st.floats(0.5, 10.0))
+
+
+def drawn_probe(n, haar, seed, log_alpha):
+    if haar:
+        return haar_state(np.random.default_rng(seed), n)
+    return make_probe(ProbeSpec(dim=n, alpha=10.0**log_alpha))
+
+
 def frame_bounds(kind, psi, b, theta, t, phi=None):
-    """Q, its condition number and ``bounds`` on the production frame path."""
+    """Q, D, cond(Q) and ``bounds`` on the production frame path."""
     q, d = frame_qfim_uhlmann(closed_frame(kind, b, theta, t, phi), *spin_moments(psi))
     ev = np.linalg.eigvalsh(q)
-    return q, ev[-1] / ev[0], bounds(q, d)
+    return q, d, ev[-1] / ev[0] if ev[0] > 0 else np.inf, bounds(q, d)
 
 
 class TestClosedMomentForms:
@@ -635,19 +664,27 @@ class TestClosedMomentForms:
         # Delta / R = 2 sqrt(det Q) / tr Q, the geometric over the arithmetic
         # mean of Q's eigenvalues.
         psi = haar_state(np.random.default_rng(seed), n)
-        q, cond, (singular, r_ai, _, _, delta) = frame_bounds(ModelKind.TWO_PARAM, psi, b, theta, t)
+        q, _, cond, (singular, r_ai, _, _, delta, _) = frame_bounds(
+            ModelKind.TWO_PARAM, psi, b, theta, t)
         assume(not singular)
         want = r_ai * 2 * np.sqrt(np.linalg.det(q)) / np.trace(q)
         assert abs(delta - want) <= 1e3 * np.finfo(float).eps * cond * want
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(2, 400), **POINTS)
+    @example(n=89, seed=17579, b=1.26953125, theta=2.486328125, t=2.484375)
     def test_two_param_incompatibility(self, n, seed, b, theta, t):
         # R = 1/2 |<J> . m| / sqrt(m^T adj(Cov) m), m the unit normal of
         # a_B x a_theta: D_12 = 2 <J> . (a_B x a_theta), and by Cauchy-Binet
         # det Q = 16 (a_B x a_theta)^T adj(Cov) (a_B x a_theta).
+        # R is proportional to the dot product <J> . m, which the kernel (as
+        # D_12) and this form both sum in floats.  A sum of terms x_k has a
+        # relative error up to a few eps sum |x_k| / |sum x_k| (Higham 2002,
+        # sec. 3.1), so where the terms cancel both sides carry
+        # eps kappa_D, kappa_D = sum |<J>_k m_k| / |<J> . m|, whatever
+        # cond(Q) is; the example pins a draw with kappa_D = 4.7e3.
         psi = haar_state(np.random.default_rng(seed), n)
-        _, cond, (singular, r_ai, *_) = frame_bounds(ModelKind.TWO_PARAM, psi, b, theta, t)
+        _, _, cond, (singular, r_ai, *_) = frame_bounds(ModelKind.TWO_PARAM, psi, b, theta, t)
         assume(not singular)
         spin = build_spin_rep(n)
         v = np.stack([spin.jx, spin.jy, spin.jz]) @ psi
@@ -658,7 +695,8 @@ class TestClosedMomentForms:
         m = np.cross(*closed_frame(ModelKind.TWO_PARAM, b, theta, t))
         m /= np.linalg.norm(m)
         want = 0.5 * abs(mean @ m) / np.sqrt(m @ adj @ m)
-        assert abs(r_ai - want) <= 1e3 * np.finfo(float).eps * cond * want
+        kappa_d = np.abs(mean * m).sum() / abs(mean @ m)
+        assert abs(r_ai - want) <= 1e3 * np.finfo(float).eps * (cond + kappa_d) * want
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(3, 400), phi=st.floats(0.0, 2 * np.pi), **POINTS)
@@ -666,7 +704,7 @@ class TestClosedMomentForms:
         # R = 1/2 sqrt(<J>^T Cov <J> / det Cov), whatever the point; the
         # moments come from the centered vectors (J_k - <J_k>) psi.
         psi = haar_state(np.random.default_rng(seed), n)
-        _, cond, (singular, r_ai, *_) = frame_bounds(ModelKind.THREE_PARAM, psi, b, theta, t, phi)
+        _, _, cond, (singular, r_ai, *_) = frame_bounds(ModelKind.THREE_PARAM, psi, b, theta, t, phi)
         assume(not singular)
         spin = build_spin_rep(n)
         v = np.stack([spin.jx, spin.jy, spin.jz]) @ psi
@@ -675,6 +713,87 @@ class TestClosedMomentForms:
         cov = (u.conj() @ u.T).real
         want = 0.5 * np.sqrt(mean @ cov @ mean / np.linalg.det(cov))
         assert abs(r_ai - want) <= 1e3 * np.finfo(float).eps * cond * want
+
+    # The Holevo gap ||Q^-1 D Q^-1||_1 in Q and the kernel's own D, with no
+    # product of inverses: for d = 2, Q^-1 D Q^-1 = D / det Q; for d = 3,
+    # with D = [v]x (v = (D_12, D_20, D_01)), M^T [v]x M = [det(M) M^-1 v]x
+    # gives Q^-1 D Q^-1 = [Q v / det Q]x, whose singular values are |Q v| / det Q
+    # twice.  The gap is Delta C_SLD.
+    @settings(max_examples=200, deadline=None)
+    @given(**PROBES, **POINT)
+    def test_two_param_gap(self, n, haar, seed, log_alpha, b, theta, t):
+        psi = drawn_probe(n, haar, seed, log_alpha)
+        q, d, cond, (singular, _, c_sld, _, delta, _) = frame_bounds(
+            ModelKind.TWO_PARAM, psi, b, theta, t)
+        assume(not singular)
+        want = 2 * abs(d[0, 1]) / np.linalg.det(q)
+        assert abs(delta * c_sld - want) <= 1e3 * np.finfo(float).eps * cond * want
+
+    @settings(max_examples=200, deadline=None)
+    @given(**PROBES, **POINT, phi=st.floats(0.0, 2 * np.pi))
+    def test_three_param_gap(self, n, haar, seed, log_alpha, b, theta, t, phi):
+        psi = drawn_probe(n, haar, seed, log_alpha)
+        q, d, cond, (singular, _, c_sld, _, delta, _) = frame_bounds(
+            ModelKind.THREE_PARAM, psi, b, theta, t, phi)
+        assume(not singular)
+        v = np.array([d[1, 2], d[2, 0], d[0, 1]])
+        want = 2 * np.linalg.norm(q @ v) / np.linalg.det(q)
+        assert abs(delta * c_sld - want) <= 1e3 * np.finfo(float).eps * cond * want
+
+
+def exact_moment_bounds(frame, n, alpha):
+    """``(r_ai, c_sld, c_h, delta, det_q)`` of the extreme-state probe to 50
+    digits, from the float ``frame`` (d, 3) and the probe's exact moments
+    ``Cov = diag(J/2, J/2, J^2 sin^2 2 alpha)`` and ``<J> = (0, 0, J cos 2 alpha)``,
+    ``J = (N - 1) / 2`` (exact from N = 4 on).  The forms are those of
+    :class:`TestClosedMomentForms`: for d = 2, ``R = |D_01| / sqrt(det Q)``
+    and gap ``2 |D_01| / det Q``; for d = 3, with ``v`` the axial vector of
+    D, ``R = sqrt(v^T Q v / det Q)`` and gap ``2 |Q v| / det Q``."""
+    with mpmath.workdps(50):
+        j = mpmath.mpf(n - 1) / 2
+        two_alpha = 2 * mpmath.mpf(alpha)
+        a = mpmath.matrix(frame.tolist())
+        q = 4 * a * mpmath.diag([j / 2, j / 2, (j * mpmath.sin(two_alpha)) ** 2]) * a.T
+        # D_lm = 2 <J> . (a_l x a_m), with <J> along z
+        mean_z = j * mpmath.cos(two_alpha)
+        rows = [a[l, :] for l in range(a.rows)]
+        d = mpmath.matrix([[2 * mean_z * (x[0] * y[1] - x[1] * y[0]) for y in rows] for x in rows])
+        det_q = mpmath.det(q)
+        q_inv = q**-1
+        c_sld = sum(q_inv[i, i] for i in range(q.rows))
+        if q.rows == 2:
+            r_ai, gap = abs(d[0, 1]) / mpmath.sqrt(det_q), 2 * abs(d[0, 1]) / det_q
+        else:
+            v = mpmath.matrix([d[1, 2], d[2, 0], d[0, 1]])
+            r_ai = mpmath.sqrt((v.T * q * v)[0] / det_q)
+            gap = 2 * mpmath.norm(q * v) / det_q
+        return tuple(float(x) for x in (r_ai, c_sld, c_sld + gap, gap / c_sld, det_q))
+
+
+class TestExactMomentReference:
+    """The production path at near-coherent extreme-state probes, against
+    :func:`exact_moment_bounds`, to ``1e3 eps cond(Q)``.  Here ``<J>`` is much
+    larger than the spread along it, and the soft direction of Q carries D:
+    the points where ``<J J> - <J><J>`` and an explicit ``Q^-1 D Q^-1`` used
+    to miss that bound (Delta off by 4.6e-2 at N = 10^3; C_SLD and Delta by
+    5e-5 at N = 10^5 with three parameters, by 3e-11 with two)."""
+
+    @pytest.mark.parametrize("kind, n, alpha", [
+        (ModelKind.THREE_PARAM, 10**3, 1e-6),
+        (ModelKind.THREE_PARAM, 10**5, 1e-6),
+        (ModelKind.TWO_PARAM, 10**5, 1e-4),
+    ])
+    def test_bounds_match_exact_moments(self, kind, n, alpha):
+        phi = None if kind is ModelKind.TWO_PARAM else 0.4
+        frame = closed_frame(kind, 0.9, 0.6, 5.0, phi)
+        q, d = frame_qfim_uhlmann(frame, *spin_moments(make_probe(ProbeSpec(dim=n, alpha=alpha))))
+        singular, *got = bounds(q, d)
+        assert not singular
+        ev = np.linalg.eigvalsh(q)
+        tol = 1e3 * np.finfo(float).eps * ev[-1] / ev[0]
+        want = exact_moment_bounds(frame, n, alpha)
+        for name, g, w in zip(("R", "C_SLD", "C_H", "Delta", "det_q"), got, want):
+            assert abs(g - w) <= tol * abs(w), name
 
 
 class TestSubmodel:
