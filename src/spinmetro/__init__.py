@@ -28,7 +28,9 @@ from .encoding import (
     direction_vectors_2p,
     direction_vectors_3p,
     hamiltonian,
+    numeric_frame,
     numeric_generators,
+    series_frame,
     series_generators,
 )
 from .errors import (

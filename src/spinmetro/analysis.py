@@ -26,16 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoding import (
-    GeneratorSet,
-    ModelKind,
-    ModelPoint,
-    closed_frame,
-    numeric_generators,
-    series_generators,
-)
+from .encoding import ModelKind, ModelPoint, closed_frame, numeric_frame, series_frame
 from .errors import InvalidInput, NumericalFailure
-from .linalg import build_spin_rep, spin_moments, sym_inverse
+from .linalg import spin_moments, sym_inverse
 from .metrology import bounds, check_probe, classical_fim, frame_qfim_uhlmann
 from .models import MAX_DIM, ProbeSpec, make_probe
 
@@ -436,27 +429,26 @@ def fim_rank_experiment(config: RankExperimentConfig) -> dict:
     }
 
 
-# The spin-1/2 representation the oracle routes of every report run in.
-_SPIN_HALF = build_spin_rep(2)
-_SPIN_HALF_J = np.stack([_SPIN_HALF.jx, _SPIN_HALF.jy, _SPIN_HALF.jz])
-
-
 def _route_residuals(kind, point, frame) -> dict:
-    """Max relative spectral-norm deviation of the oracle routes, taken in
-    spin-1/2: ``||a . J||_2 = s |a|``, so every irrep gives the same value.
-    The closed route is the report's own ``frame``, as dense generators."""
-    closed = GeneratorSet(kind.labels, np.tensordot(frame, _SPIN_HALF_J, axes=1)).matrices
-    series, numeric = (
-        route(_SPIN_HALF, kind, point).matrices for route in (series_generators, numeric_generators)
-    )
-    norms = np.linalg.norm(
-        np.stack([closed, series, numeric, series - closed, numeric - closed]), 2, axis=(-2, -1)
-    )
-    scale = np.maximum(norms[0], 1e-12)
-    return {
-        "series_vs_closed": float(np.max(norms[3] / np.maximum(norms[1], scale))),
-        "numeric_vs_closed": float(np.max(norms[4] / np.maximum(norms[2], scale))),
-    }
+    """Largest relative deviation of the series and finite-difference routes
+    from the report's closed ``frame``, row by row.
+
+    Each route gives the rows ``a_l`` of its generators ``a_l . J``, and
+    ``||a . J||_2 = s |a|`` in the spin-s irrep, so ``|a - b| / max(|a|, |b|)``
+    is the relative spectral-norm deviation in every irrep; it lies in
+    [0, 2].  Each pair of rows is scaled by its largest entry before the
+    norms are taken, so they cannot overflow and a short row is not lost to
+    underflow beside a long one.  A row shorter than 2e-12, a spin-1/2
+    spectral norm of 1e-12, is measured against that floor.
+    """
+    routes = np.stack([series_frame(kind, point), numeric_frame(kind, point)[0]])
+    top = np.maximum(np.abs(routes).max(axis=-1), np.abs(frame).max(axis=-1))
+    top = np.maximum(top, np.finfo(float).tiny)[..., None]
+    closed, routes = frame / top, routes / top
+    rows = np.stack([closed, routes, routes - closed])
+    norms = np.sqrt((rows * rows).sum(axis=-1))
+    rel = norms[2] / np.maximum(norms[:2].max(axis=0), 2e-12 / top[..., 0])
+    return {"series_vs_closed": float(rel[0].max()), "numeric_vs_closed": float(rel[1].max())}
 
 
 def metrics_report(kind: ModelKind, spec: ProbeSpec, point: ModelPoint, rel_tol=1e-10) -> dict:

@@ -23,7 +23,14 @@ generators can be produced through three independent routes:
 * :func:`numeric_generators` -- central finite differences of ``U``.
 
 The routes are deliberately redundant: the closed forms are the fast path
-and the other two act as oracles for them.
+and the other two act as oracles for them.  Every generator of both models
+is an su(2) element ``a_l . J``, so the series and finite-difference routes
+also have vector forms that return their rows ``a_l`` and build no matrix:
+:func:`series_frame` applies the series kernel to the 3-vectors of
+``d_l H``, and :func:`numeric_frame` differences the spin-1/2 ``U``, an
+exact unit quaternion.  Like the dense routes they use only the field
+direction, ``d_l H`` and ``U``, never the closed frame, so they stay
+independent oracles for it; the report's route residuals come from them.
 
 Parameter ordering is fixed as ``(B, theta, phi)`` everywhere, and all
 matrices built downstream (QFIM, Uhlmann) use this ordering.
@@ -50,7 +57,9 @@ __all__ = [
     "hamiltonian",
     "closed_generators",
     "numeric_generators",
+    "numeric_frame",
     "series_generators",
+    "series_frame",
 ]
 
 
@@ -273,29 +282,76 @@ def numeric_generators(
     resids = np.linalg.norm(raw - raw_dag, axis=(-2, -1)) / (
         2 * np.maximum(np.linalg.norm(raw, axis=(-2, -1)), 1.0)
     )
-    unstable = np.flatnonzero(resids > 1e-4)
-    if unstable.size:
-        l = unstable[0]
-        raise StepInstability(
-            f"finite-difference generator for {kind.labels[l]} is not Hermitian "
-            f"(residual {resids[l]:.3e}); adjust the step"
-        )
+    _raise_if_unstable(kind, resids)
     return GeneratorSet(
         labels=kind.labels, matrices=(raw + raw_dag) / 2, herm_residuals=tuple(resids.tolist())
     )
 
 
-def _hamiltonian_derivatives(rep: SpinRep, kind: ModelKind, point: ModelPoint) -> np.ndarray:
-    # Stack (d, N, N) of d_l H = c_l (m_l . J): unit directions m_l, prefactors c_l.
-    # Rows n_theta, d_theta n and d_phi n / cos(theta), the first d kept.
+def _raise_if_unstable(kind: ModelKind, resids: np.ndarray) -> None:
+    unstable = resids > 1e-4
+    if unstable.any():
+        l = int(unstable.argmax())
+        raise StepInstability(
+            f"finite-difference generator for {kind.labels[l]} is not Hermitian "
+            f"(residual {resids[l]:.3e}); adjust the step"
+        )
+
+
+def numeric_frame(kind: ModelKind, point: ModelPoint, step: float = 1e-5):
+    """Frame of :func:`numeric_generators`, from the exact spin-1/2 unitary.
+
+    In spin-1/2, ``U = w - 1j x . sigma`` is the unit quaternion
+    ``w = cos(Bt/2)``, ``x = sin(Bt/2) n`` with no eigensolver.  Its central
+    differences at the ``2d + 1`` points ``lambda`` and ``lambda +- h_l``
+    give ``d_l U^dag = dw + 1j dx . sigma``, and the quaternion product
+    ``1j (d_l U^dag) U = 1j s - c . sigma`` has ``s = w dw + x . dx`` and
+    ``c = w dx - dw x + dx x x``.  Its Hermitian part is the generator,
+    ``a_l = -2 c`` since ``J = sigma / 2``.  The scalar part ``s`` vanishes
+    for an exact derivative; it gives the Hermitization residual that
+    :func:`numeric_generators` measures in spin-1/2,
+    ``|s| / max(|(s, c)|, 1 / sqrt(2))``.  A residual above 1e-4 raises
+    :class:`StepInstability`, naming the first parameter that exceeds it.
+
+    Returns ``(frame, residuals)``: the ``(d, 3)`` rows ``a_l`` and the
+    ``(d,)`` residuals.
+    """
+    _check_phi(kind, point.phi)
+    if not step > 0:
+        raise InvalidInput("finite-difference step must be positive")
+    values = point.values()
+    steps = _fd_steps(values, step)
+    d = values.size
+    # Rows: lambda, then lambda + h_l for each l, then lambda - h_l.
+    pts = np.concatenate([values[None], values + np.diag(steps), values - np.diag(steps)])
+    b, theta, *phi = pts.T
+    half = np.multiply(b, point.t / 2)
+    ct, sh, phi = np.cos(theta), np.sin(half), phi[0] if phi else 0.0
+    # One column (w, x) per point.
+    q = np.array([np.cos(half), sh * ct * np.cos(phi), sh * ct * np.sin(phi), sh * np.sin(theta)])
+    dq = (q[:, 1 : d + 1] - q[:, d + 1 :]) / (2 * steps)
+    w, x1, x2, x3 = q[:, 0].tolist()
+    # (s, c) = K (dw, dx), the quaternion product with U as a matrix.
+    sc = np.array([[w, x1, x2, x3], [-x1, w, x3, -x2], [-x2, -x3, w, x1], [-x3, x2, -x1, w]]) @ dq
+    resids = np.abs(sc[0]) / np.maximum(np.sqrt((sc * sc).sum(axis=0)), math.sqrt(0.5))
+    _raise_if_unstable(kind, resids)
+    return -2 * sc[1:].T, resids
+
+
+def _derivative_directions(kind: ModelKind, point: ModelPoint):
+    # d_l H = c_l (m_l . J): the (d, 3) unit directions m_l and (d,) prefactors
+    # c_l.  Rows n_theta, d_theta n and d_phi n / cos(theta), the first d kept.
     d = kind.n_params
     b, theta = point.b, point.theta
     phi = 0.0 if point.phi is None else point.phi
     ct, st, cp, sp = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
-    dirs = np.array(
-        [_directions(b, theta, point.t, phi)[0], [-st * cp, -st * sp, ct], [-sp, cp, 0.0]]
-    )[:d]
-    prefactors = np.array([1.0, b, b * ct])[:d]
+    dirs = np.array([[ct * cp, ct * sp, st], [-st * cp, -st * sp, ct], [-sp, cp, 0.0]])[:d]
+    return dirs, np.array([1.0, b, b * ct])[:d]
+
+
+def _hamiltonian_derivatives(rep: SpinRep, kind: ModelKind, point: ModelPoint) -> np.ndarray:
+    # Stack (d, N, N) of d_l H = c_l (m_l . J).
+    dirs, prefactors = _derivative_directions(kind, point)
     return prefactors[:, None, None] * j_direction(rep, dirs)
 
 
@@ -318,3 +374,29 @@ def series_generators(rep: SpinRep, kind: ModelKind, point: ModelPoint) -> Gener
     dh = _hamiltonian_derivatives(rep, kind, point)
     g = v @ ((v.conj().T @ dh @ v) * kernel) @ v.conj().T
     return GeneratorSet(labels=kind.labels, matrices=(g + g.conj().transpose(0, 2, 1)) / 2)
+
+
+def _sinc(x):
+    # sin(x) / x, exactly 1 at x = 0.
+    return np.sin(x) / x if x else 1.0
+
+
+def series_frame(kind: ModelKind, point: ModelPoint) -> np.ndarray:
+    """Frame of :func:`series_generators`, ``G_l = A[l] . J``, with no matrix.
+
+    With ``H = B n . J`` and ``d_l H = v_l . J``, the commutator with ``H``
+    rotates ``v_l`` about ``n``, so the series sums to the Wilcox kernel
+    acting on the 3-vector ``v_l``:
+    ``a_l = -t v_par - (sin(tB) / B) v_perp + ((1 - cos(tB)) / B) n x v_perp``,
+    with ``v_par = (v_l . n) n`` and ``v_perp = v_l - v_par``.  The two
+    coefficients are taken as ``t sinc(tB)`` and ``t sin(tB/2) sinc(tB/2)``,
+    so ``B = 0`` is exact.  The route uses only ``n`` and ``d_l H``.
+    """
+    _check_phi(kind, point.phi)
+    dirs, prefactors = _derivative_directions(kind, point)
+    n1, n2, n3 = n = dirs[0]
+    x = np.multiply(point.b, point.t)
+    along = np.outer(n, n)
+    n_cross = np.array([[0.0, -n3, n2], [n3, 0.0, -n1], [-n2, n1, 0.0]])
+    kernel = along + _sinc(x) * (np.eye(3) - along) - np.sin(x / 2) * _sinc(x / 2) * n_cross
+    return -point.t * (prefactors[:, None] * dirs) @ kernel.T

@@ -240,17 +240,19 @@ def singular_mask(evals, rel_tol: float) -> np.ndarray:
     """Singularity rule for symmetric matrices, over leading axes.
 
     ``evals`` holds each matrix's eigenvalues in ascending order along the
-    last axis.  A matrix counts as singular when its largest eigenvalue is
+    last axis.  A matrix counts as singular when its smallest eigenvalue is
     not positive or the ratio of its smallest to largest eigenvalue falls
     below ``rel_tol``.  The threshold is relative on purpose: the matrices
     this package inverts scale with evolution time and probe dimension.
+    The sign test matters where ``rel_tol * lambda_max`` underflows to 0:
+    there a zero eigenvalue would pass the ratio test.
     A ``rel_tol`` outside (0, 1) raises :class:`InvalidInput`: one of 1 or
     more would flag every matrix except, at most, multiples of the identity.
     """
     if not 0 < rel_tol < 1:
         raise InvalidInput(f"singularity tolerance must lie in (0, 1), got {rel_tol!r}")
-    lam_max = evals[..., -1]
-    return (lam_max <= 0) | (evals[..., 0] < rel_tol * lam_max)
+    lam_min = evals[..., 0]
+    return (lam_min <= 0) | (lam_min < rel_tol * evals[..., -1])
 
 
 def check_inverse(q, q_inv, cond) -> None:

@@ -1,5 +1,7 @@
 """Command-line surface: wire formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import spinmetro
 from spinmetro import ModelPoint, bloch_vector, make_probe, qubit2p_closed
@@ -132,15 +136,28 @@ class TestMetricsCommand:
     @pytest.mark.parametrize("model", ["two", "three"])
     def test_default_point_at_large_dimension(self, tmp_path, capsys, model):
         # The report forms no N x N matrix, and it takes the route residuals
-        # in spin-1/2, where they do not depend on N.  The dense routes at
-        # large N are checked in tests/test_encoding.py.
+        # from su(2) vectors, where they do not depend on N.  The dense routes
+        # at large N are checked in tests/test_encoding.py.
         for n in (60, 100, 400, 100_000):
             out = tmp_path / f"m{n}.json"
             assert run(["metrics", "--model", model, "--dim", str(n), "--out", str(out)]) == 0
             assert "Traceback" not in capsys.readouterr().err
             residuals = json.loads(out.read_text())["generator_route_residuals"]
-            assert residuals["series_vs_closed"] <= 1e-12
-            assert residuals["numeric_vs_closed"] <= 1e-4
+            assert residuals["series_vs_closed"] <= 1e-14
+            assert residuals["numeric_vs_closed"] <= 1e-8
+
+    # The finite-difference route differences the exact spin-1/2 U, so its
+    # Hermitization check no longer trips on eigensolver rounding at a huge
+    # field: every decade of |B| up to 1e300 exits 0.  Far past the field
+    # period the routes can disagree completely, and a route row that points
+    # against the closed one reads up to 2, but never NaN.
+    @pytest.mark.parametrize("model", ["two", "three"])
+    @pytest.mark.parametrize("b", [f"{sign}1e{k}" for sign in ("", "-") for k in range(0, 301, 10)])
+    def test_huge_field_exits_zero(self, tmp_path, model, b):
+        out = tmp_path / "m.json"
+        assert run(["metrics", "--model", model, f"--b={b}", "--out", str(out)]) == 0
+        residuals = json.loads(out.read_text())["generator_route_residuals"]
+        assert all(0.0 <= r <= 2.0 for r in residuals.values())
 
     @pytest.mark.parametrize("model", ["two", "three"])
     def test_memory_at_large_dimension(self, tmp_path, model):
@@ -479,3 +496,44 @@ def test_fuzz_exit_code_contract(tmp_path, capsys, argv):
     assert code in (0, 1, 2)
     assert "Traceback" not in err and "Warning" not in err
     assert code == 0 or not out.exists()
+
+
+# The contract between the table's values: each float flag of scan, metrics
+# and scaling (scaling's probe angle is --alphas), on both models, at
+# magnitudes log-uniform over 1e-310..1e308 with both signs.  Sizes stay at
+# their defaults and scans at 5x5, so no draw allocates more than a default
+# op, and the ops run in this process.
+FLOAT_FLAGS = {
+    "scan": ("--alpha", "--phi", "--time", "--tol", "--model-phi"),
+    "metrics": ("--alpha", "--phi", "--time", "--tol", "--b", "--theta", "--model-phi"),
+    "scaling": ("--alphas", "--phi", "--time", "--tol", "--b", "--theta", "--model-phi"),
+}
+FLOAT_ROWS = [
+    (command, model, flag)
+    for command, flags in FLOAT_FLAGS.items()
+    for model in ("two", "three")
+    for flag in flags
+]
+MAGNITUDES = st.builds(lambda sign, exponent: sign * 10.0**exponent,
+                       st.sampled_from((1.0, -1.0)), st.floats(-310.0, 308.0))
+
+
+@pytest.mark.parametrize("command, model, flag", FLOAT_ROWS, ids=map(" ".join, FLOAT_ROWS))
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(value=MAGNITUDES)
+def test_float_flags_keep_exit_code_contract(tmp_path, command, model, flag, value):
+    out = tmp_path / "x.out"
+    argv = [command, "--model", model, *(["--grid", "5x5"] if command == "scan" else []),
+            f"{flag}={value!r}", "--out", str(out)]
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    assert code == 0 or not out.exists()
+    out.unlink(missing_ok=True)

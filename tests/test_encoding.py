@@ -15,7 +15,9 @@ from spinmetro import (
     direction_vectors_3p,
     hamiltonian,
     j_direction,
+    numeric_frame,
     numeric_generators,
+    series_frame,
     series_generators,
 )
 
@@ -298,6 +300,8 @@ class TestSeriesGenerators:
         series = series_generators(rep(6), kind, point)
         closed = closed_generators(rep(6), kind, point)
         assert np.abs(series.matrices - closed.matrices).max() < 1e-12
+        frame = closed_frame(kind, point.b, point.theta, point.t, point.phi)
+        assert np.abs(series_frame(kind, point) - frame).max() < 1e-12
 
 
 class TestRouteAgreement:
@@ -344,6 +348,62 @@ class TestRouteAgreement:
         _, _, _, n2 = direction_vectors_2p(point)
         expected = -2j * point.t * np.sin(point.b * point.t / 2) * j_direction(rep(5), n2)
         assert np.abs(g_b @ g_theta - g_theta @ g_b - expected).max() < 1e-9
+
+
+def spin_half_matrices(frame):
+    """The spin-1/2 generators ``a_l . J`` of the rows of ``frame``."""
+    spin = rep(2)
+    return np.tensordot(frame, np.stack([spin.jx, spin.jy, spin.jz]), axes=1)
+
+
+class TestVectorRoutes:
+    """The report's matrix-free routes against the dense spin-1/2 routes."""
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_series_frame_matches_dense_series(self, kind):
+        # Both sum the same kernel.  An entry of G_l is O(t |d_l H|) with
+        # |d_l H| <= max(1, |B|), and each route rounds it at a few eps: the
+        # dense one through the eigh of H and three 2x2 products.
+        eps = np.finfo(float).eps
+        for point in points_for(kind):
+            dense = series_generators(rep(2), kind, point).matrices
+            vector = spin_half_matrices(series_frame(kind, point))
+            assert np.abs(vector - dense).max() <= 8 * eps * point.t * max(1.0, abs(point.b))
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_numeric_frame_matches_dense_numeric(self, kind):
+        # Both difference the same U at the same points.  The dense U from
+        # expm_i carries a few eps of eigensolver rounding and the quaternion
+        # U an eps or so, and the difference quotient divides that by 2 h_l.
+        # The Hermitization residuals are that rounding too.
+        eps = np.finfo(float).eps
+        for point in points_for(kind):
+            dense = numeric_generators(rep(2), kind, point)
+            frame, resids = numeric_frame(kind, point)
+            bound = 8 * eps / (1e-5 * np.maximum(1.0, np.abs(point.values())))
+            err = np.abs(spin_half_matrices(frame) - dense.matrices).max(axis=(-2, -1))
+            assert (err <= bound).all()
+            assert (np.abs(resids - dense.herm_residuals) <= bound).all()
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_unstable_step_names_the_same_parameter(self, kind):
+        # In spin-1/2 a central difference of U is Hermitian for any step:
+        # a step in B only moves the phase, and n . n(lambda + h) equals
+        # n . n(lambda - h) for a step in theta or phi.  So a large step
+        # leaves both routes at rounding, and only a step of 1e-15, where
+        # rounding over h outweighs the generator, trips the 1e-4 check; both
+        # routes then name B first.
+        for point in points_for(kind):
+            assert max(numeric_frame(kind, point, step=0.05)[1]) < 1e-13
+            assert max(numeric_generators(rep(2), kind, point, step=0.05).herm_residuals) < 1e-13
+            with pytest.raises(StepInstability, match=r"for B\b"):
+                numeric_frame(kind, point, step=1e-15)
+            with pytest.raises(StepInstability, match=r"for B\b"):
+                numeric_generators(rep(2), kind, point, step=1e-15)
+
+    def test_bad_step(self):
+        with pytest.raises(InvalidInput):
+            numeric_frame(ModelKind.TWO_PARAM, two_param_points()[0], step=0.0)
 
 
 class TestGeneratorSet:

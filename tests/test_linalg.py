@@ -419,3 +419,9 @@ class TestSingularMask:
         evals = np.array([[1e-12, 1.0], [1e-9, 1.0], [0.0, 0.0], [-1.0, -0.5]])
         assert singular_mask(evals, 1e-10).tolist() == [True, False, True, True]
         assert singular_mask(evals, 1e-8).tolist() == [True, True, True, True]
+
+    def test_zero_eigenvalue_is_singular_where_the_threshold_underflows(self):
+        # 1e-294 * 1e-30 underflows to 0, and 0 < 0 would pass a zero
+        # eigenvalue as regular; inverting it divided by zero.
+        evals = np.array([[0.0, 1e-30], [1e-310, 1e-30]])
+        assert singular_mask(evals, 1e-294).tolist() == [True, False]

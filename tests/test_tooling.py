@@ -9,7 +9,8 @@ and every name a module lists in ``__all__`` must exist on it.  These
 tests only read the files, except that the library example is executed.
 Every file the library writes is opened in one place,
 ``analysis._write_text``, and every CSV field is formatted in one place,
-``analysis._write_csv``.
+``analysis._write_csv``.  The report module builds no dense generator
+route: its oracle routes are the su(2) vector forms.
 """
 
 import ast
@@ -145,3 +146,25 @@ def test_one_place_formats_csv_fields():
                 (writer if lineno in span else stray).append(f"{path.name}:{lineno}")
     assert writer
     assert stray == []
+
+
+DENSE_ROUTE_NAMES = {"GeneratorSet", "series_generators", "numeric_generators",
+                     "build_spin_rep", "expm_i"}
+
+
+def test_reports_build_no_dense_routes():
+    # The report's route residuals come from encoding.series_frame and
+    # encoding.numeric_frame; no name of the dense spin-1/2 routes may come
+    # back into analysis.py, as an import, a name or an attribute.
+    path = SRC / "analysis.py"
+    named = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name.rsplit(".", 1)[-1])
+            named.add(node.asname or "")
+    assert named & {"series_frame", "numeric_frame"}
+    assert named & DENSE_ROUTE_NAMES == set()
