@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
+import operator
 import os
 import stat
 from dataclasses import dataclass, field
@@ -112,6 +112,23 @@ def write_json(path, doc) -> None:
     _write_text(path, text + "\n")
 
 
+def _store_int(config, name: str) -> int:
+    """Store field ``name`` of a frozen ``config`` as a Python int and return it.
+
+    A value with ``__index__``, a numpy integer say, is taken; a bool, or a
+    float even if integral, raises :class:`InvalidInput`.
+    """
+    value = getattr(config, name)
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        number = operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
+    object.__setattr__(config, name, number)
+    return number
+
+
 # Largest scan grid, in cells: a scan's traced peak grows by about 870 B a
 # cell for the three-parameter model and 485 B for the two-parameter model,
 # both in run_scan (the CSV writer peaks at about 430 B), so the cap keeps
@@ -128,7 +145,8 @@ class ScanConfig:
     the field strength, B in ``[0, 2 pi / t]``.  The probe can be a
     :class:`ProbeSpec` or an explicit amplitude vector, and it sets the
     dimension.  The grid has 2 or more points per axis and at most
-    :data:`MAX_GRID_CELLS` cells.  ``rel_tol`` is checked when the scan
+    :data:`MAX_GRID_CELLS` cells; the counts are integers, not bools, and
+    are stored as Python ints.  ``rel_tol`` is checked when the scan
     runs, by :func:`~spinmetro.metrology.bounds`.
     """
 
@@ -145,12 +163,11 @@ class ScanConfig:
             raise InvalidInput(f"t and model_phi must be finite, got {self.t}, {self.model_phi}")
         if not self.t > 0:
             raise InvalidInput("evolution time must be positive")
-        if self.theta_count < 2 or self.b_count < 2:
+        theta_count, b_count = (_store_int(self, name) for name in ("theta_count", "b_count"))
+        if theta_count < 2 or b_count < 2:
             raise InvalidInput("grid needs at least 2 points per axis")
-        if self.theta_count * self.b_count > MAX_GRID_CELLS:
-            raise InvalidInput(
-                f"grid has {self.theta_count * self.b_count} cells, at most {MAX_GRID_CELLS}"
-            )
+        if theta_count * b_count > MAX_GRID_CELLS:
+            raise InvalidInput(f"grid has {theta_count * b_count} cells, at most {MAX_GRID_CELLS}")
 
     def probe_state(self) -> np.ndarray:
         if isinstance(self.probe, ProbeSpec):
@@ -320,7 +337,8 @@ class RankExperimentConfig:
     ``n_params`` lies in [1, :data:`MAX_RANK_PARAMS`] and ``n_outcomes`` in
     [2, :data:`MAX_RANK_OUTCOMES`].  ``seed`` must be a non-negative integer
     and ``lam``, the evaluation point (default: the origin), finite with
-    ``n_params`` components.
+    ``n_params`` components.  The counts and the seed are integers, not
+    bools, and are stored as Python ints.
     """
 
     n_params: int
@@ -330,14 +348,16 @@ class RankExperimentConfig:
     lam: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 1 <= self.n_params <= MAX_RANK_PARAMS:
-            raise InvalidInput(f"need 1 to {MAX_RANK_PARAMS} parameters, got {self.n_params}")
-        if not 2 <= self.n_outcomes <= MAX_RANK_OUTCOMES:
-            raise InvalidInput(f"need 2 to {MAX_RANK_OUTCOMES} outcomes, got {self.n_outcomes}")
-        if self.trials < 1:
+        d, n, trials, seed = (_store_int(self, name)
+                              for name in ("n_params", "n_outcomes", "trials", "seed"))
+        if not 1 <= d <= MAX_RANK_PARAMS:
+            raise InvalidInput(f"need 1 to {MAX_RANK_PARAMS} parameters, got {d}")
+        if not 2 <= n <= MAX_RANK_OUTCOMES:
+            raise InvalidInput(f"need 2 to {MAX_RANK_OUTCOMES} outcomes, got {n}")
+        if trials < 1:
             raise InvalidInput("need at least one trial")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise InvalidInput(f"seed must be a non-negative integer, got {self.seed!r}")
+        if seed < 0:
+            raise InvalidInput(f"seed must be a non-negative integer, got {seed}")
         if self.lam is not None:
             lam = np.asarray(self.lam, dtype=float)
             if lam.shape != (self.n_params,):
@@ -349,6 +369,78 @@ class RankExperimentConfig:
         if self.lam is None:
             return np.zeros(self.n_params)
         return np.asarray(self.lam, dtype=float)
+
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(x: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative int; 0 is one word."""
+    words = [x & _MASK32]
+    while x := x >> 32:
+        words.append(x & _MASK32)
+    return words
+
+
+def _seed_sequence_state(entropy: list) -> list:
+    """numpy's ``SeedSequence(words).generate_state(4, np.uint64)`` as its
+    eight little-endian 32-bit words, elementwise over uint32 arrays.
+
+    Each item of ``entropy`` holds one entropy word, and there are at least
+    four, the pool size.  The hash constant runs on as a Python int.
+    """
+    const = 0x43B0D7E5  # INIT_A
+
+    def hashmix(value, mult=0x931E8875):  # MULT_A
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = x * 0xCA01F9DD - y * 0x4973F715  # MIX_MULT_L, MIX_MULT_R
+        return value ^ (value >> 16)
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = 0x8B51F9DD  # INIT_B
+    return [hashmix(pool[k % 4], 0x58F38DED) for k in range(8)]  # MULT_B
+
+
+def _pcg64_states(seed: int, d: int, n: int, trials: range) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``PCG64(SeedSequence((seed, d, n, trial)))``
+    for each trial, from one array pass of the seed hash over the trials.
+
+    The trials go in runs whose seeds share every word but the trial's
+    lowest, so a run straddles no multiple of 2^32, where a trial's word
+    count changes.  The 128-bit seeding step runs on Python ints.
+    """
+    states = []
+    head = _words(seed) + _words(d) + _words(n)
+    lo = trials.start
+    while lo < trials.stop:
+        hi = min(trials.stop, ((lo >> 32) + 1) << 32)
+        entropy = [np.full(hi - lo, w, dtype=np.uint32) for w in head + _words(lo)]
+        entropy[len(head)] += np.arange(hi - lo, dtype=np.uint32)
+        for w0, w1, w2, w3, w4, w5, w6, w7 in zip(
+            *(w.tolist() for w in _seed_sequence_state(entropy))
+        ):
+            # PCG64 seeding: state 0 and inc = 2 initseq + 1; step, add
+            # initstate, step
+            initstate = w1 << 96 | w0 << 64 | w3 << 32 | w2
+            inc = (w5 << 96 | w4 << 64 | w7 << 32 | w6) << 1 & _MASK128 | 1
+            states.append((((inc + initstate) * _PCG64_MULT + inc) & _MASK128, inc))
+        lo = hi
+    return states
 
 
 def _softmax_family(a, b, lam):
@@ -367,12 +459,16 @@ def _softmax_family(a, b, lam):
 def fim_rank_experiment(config: RankExperimentConfig) -> dict:
     """Sample softmax-affine families; verify rank(F) <= min(d, n - 1).
 
-    Each trial draws standard-normal offsets and slopes from a seed derived
-    from (seed, d, n, trial index), so trial i is independent of evaluation
-    order.  The draws of :data:`RANK_BLOCK` trials are stacked and evaluated
-    together.  The FIM is computed two ways: the direct weighted-gradient
-    sum and the product decomposition that eliminates the redundant last
-    outcome; their agreement is recorded as the decomposition residual.
+    Each trial draws standard-normal offsets and slopes as
+    ``default_rng((seed, d, n, trial index))`` would, bit for bit, so trial
+    i is independent of evaluation order; no generator is built per trial.
+    One array pass over a block of :data:`RANK_BLOCK` trials hashes their
+    seeds to PCG64 states, and one PCG64, set to each state in turn, draws
+    each trial's ``n + n d`` normals into its row of the block.  The block's
+    trials are then evaluated together.  The FIM is computed two ways: the
+    direct weighted-gradient sum and the product decomposition that
+    eliminates the redundant last outcome; their agreement is recorded as
+    the decomposition residual.
     """
     d, n = config.n_params, config.n_outcomes
     lam = config.lam_point()
@@ -382,14 +478,16 @@ def fim_rank_experiment(config: RankExperimentConfig) -> dict:
     full_rank = 0
     max_resid = 0.0
     max_det_norm = 0.0
+    bit_generator = np.random.PCG64(0)
+    normal = np.random.Generator(bit_generator).standard_normal
     for first in range(0, config.trials, RANK_BLOCK):
         trials = range(first, min(first + RANK_BLOCK, config.trials))
-        a = np.empty((len(trials), n))
-        b = np.empty((len(trials), n, d))
-        for k, trial in enumerate(trials):
-            rng = np.random.default_rng((config.seed, d, n, trial))
-            a[k] = rng.standard_normal(n)
-            b[k] = rng.standard_normal((n, d))
+        draws = np.empty((len(trials), n + n * d))
+        for row, (state, inc) in zip(draws, _pcg64_states(config.seed, d, n, trials)):
+            bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+            normal(out=row)
+        a, b = draws[:, :n], draws[:, n:].reshape(len(trials), n, d)
         p, grads = _softmax_family(a, b, lam)
         f = classical_fim(p, grads)
         # decomposition route: F = eta . dtil with the last outcome eliminated;

@@ -30,6 +30,7 @@ from spinmetro.analysis import (
     MAX_RANK_OUTCOMES,
     MAX_RANK_PARAMS,
     RANK_BLOCK,
+    _pcg64_states,
     _route_residuals,
 )
 from spinmetro.models import MAX_DIM, ProbeSpec
@@ -145,6 +146,18 @@ class TestRunScan:
             small_scan(counts=(1, 5))
         with pytest.raises(InvalidInput):
             ScanConfig(kind=ModelKind.TWO_PARAM, probe=ProbeSpec(dim=2, alpha=0.2), t=-1.0)
+
+    # A float count used to reach linspace and raise its TypeError.
+    @pytest.mark.parametrize("counts", [(5.5, 5), (5, 5.0), (True, 5), (5, np.True_)])
+    def test_grid_counts_must_be_integers(self, counts):
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            small_scan(counts=counts)
+
+    def test_numpy_grid_counts_are_stored_as_ints(self, tmp_path):
+        config = small_scan(counts=(np.int64(3), np.uint8(4)))
+        assert type(config.theta_count) is int and type(config.b_count) is int
+        run_scan(config).write_csv(tmp_path / "scan.csv")
+        assert len((tmp_path / "scan.csv").read_text().splitlines()) == 1 + 3 * 4
 
     # Only the configurations are built here: no scan runs at the cap.
     def test_grid_cap(self):
@@ -446,6 +459,96 @@ class TestFimRankExperiment:
     def test_bad_seed_or_point_is_invalid(self, kwargs):
         with pytest.raises(InvalidInput):
             RankExperimentConfig(n_params=2, n_outcomes=3, trials=4, **kwargs)
+
+    # A numpy-int count used to run the experiment and then fail in
+    # write_json with a raw TypeError; a float count failed in range, and a
+    # bool seed was echoed as true.
+    @pytest.mark.parametrize("kwargs", [
+        dict(trials=2.5),
+        dict(n_outcomes=3.0),
+        dict(n_params=2.0),
+        dict(seed=True),
+        dict(seed=np.True_),
+        dict(trials=False),
+        dict(seed="7"),
+    ])
+    def test_counts_and_seed_must_be_integers(self, kwargs):
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            RankExperimentConfig(**{**dict(n_params=2, n_outcomes=3, trials=4), **kwargs})
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(n_params=np.int64(2)),
+        dict(n_outcomes=np.int16(3)),
+        dict(trials=np.int32(4)),
+        dict(seed=np.uint64(7)),
+        dict(seed=np.int8(7)),
+    ])
+    def test_numpy_integers_are_stored_as_ints(self, tmp_path, kwargs):
+        config = RankExperimentConfig(**{**dict(n_params=2, n_outcomes=3, trials=4, seed=7),
+                                         **kwargs})
+        fields = (config.n_params, config.n_outcomes, config.trials, config.seed)
+        assert all(type(v) is int for v in fields)
+        assert fields == (2, 3, 4, 7)
+        out = tmp_path / "rank.json"
+        analysis.write_json(out, fim_rank_experiment(config))
+        doc = json.loads(out.read_text())
+        assert doc == fim_rank_loop(RankExperimentConfig(n_params=2, n_outcomes=3, trials=4,
+                                                         seed=7))
+        assert type(doc["seed"]) is int
+
+    # The seed hash against numpy's own SeedSequence and PCG64: seeds of one
+    # to seven 32-bit words, trial windows across a block boundary and across
+    # 2^32, where a trial takes a second word.  Under errstate(all="raise"),
+    # so no uint32 product may overflow as a scalar.
+    @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**70 + 5, 2**200])
+    @pytest.mark.parametrize("d, n", [(1, 2), (2, 3), (128, 128)])
+    @pytest.mark.filterwarnings("error")
+    def test_seed_hash_matches_numpy(self, seed, d, n):
+        for trials in (range(RANK_BLOCK - 5, RANK_BLOCK + 5), range(2**32 - 2, 2**32 + 3)):
+            with np.errstate(all="raise"):
+                got = _pcg64_states(seed, d, n, trials)
+            want = []
+            for trial in trials:
+                state = np.random.PCG64(np.random.SeedSequence((seed, d, n, trial))).state
+                want.append((state["state"]["state"], state["state"]["inc"]))
+            assert got == want
+
+    # One standard_normal call into a trial's row draws what its own
+    # generator draws as the offsets a and then the slopes b.
+    @pytest.mark.parametrize("d, n", [(1, 2), (3, 4), (128, 128)])
+    def test_one_draw_per_row_matches_offsets_then_slopes(self, d, n):
+        trials = range(3)
+        bit_generator = np.random.PCG64(0)
+        rows = np.empty((len(trials), n + n * d))
+        for row, (state, inc) in zip(rows, _pcg64_states(5, d, n, trials)):
+            bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+            np.random.Generator(bit_generator).standard_normal(out=row)
+        for row, trial in zip(rows, trials):
+            rng = np.random.default_rng((5, d, n, trial))
+            assert np.array_equal(row[:n], rng.standard_normal(n))
+            assert np.array_equal(row[n:].reshape(n, d), rng.standard_normal((n, d)))
+
+    def test_trials_share_one_bit_generator(self, monkeypatch):
+        # The trials' seeds are hashed in array passes, not by building a
+        # generator per trial: one PCG64 serves all 1000 trials.
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("default_rng", "SeedSequence", "PCG64"):
+            monkeypatch.setattr(np.random, name, counted(name, getattr(np.random, name)))
+        report = fim_rank_experiment(RankExperimentConfig(n_params=2, n_outcomes=3,
+                                                          trials=1000, seed=5))
+        assert report["trials"] == 1000
+        assert calls["default_rng"] == calls["SeedSequence"] == 0
+        assert calls["PCG64"] <= 1
 
     # Several blocks, the last one partial, so the stacking is exercised
     # across block boundaries.

@@ -22,6 +22,8 @@ from spinmetro.analysis import MAX_RANK_OUTCOMES, MAX_RANK_PARAMS
 from spinmetro.cli import build_parser, main
 from spinmetro.models import MAX_DIM, ProbeSpec
 
+from conftest import fim_rank_loop
+
 
 def run(argv):
     return main(argv)
@@ -537,3 +539,46 @@ def test_float_flags_keep_exit_code_contract(tmp_path, command, model, flag, val
     assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
     assert code == 0 or not out.exists()
     out.unlink(missing_ok=True)
+
+
+# The contract between the table's values for fim-rank's integer flags:
+# --seed log-uniform over [0, 2^256), so seeds of one to eight 32-bit words,
+# and negative a quarter of the time; --params and --outcomes up to their
+# cap + 1 and --trials up to 64, so no draw allocates more than one block at
+# the caps.  An accepted run must equal the per-trial oracle.
+SEEDS = st.builds(lambda sign, magnitude: sign * magnitude, st.sampled_from((1, 1, 1, -1)),
+                  st.integers(0, 256).flatmap(lambda bits: st.integers(0, (1 << bits) - 1)))
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=SEEDS, params=st.integers(0, MAX_RANK_PARAMS + 1),
+       outcomes=st.integers(0, MAX_RANK_OUTCOMES + 1), trials=st.integers(0, 64))
+def test_fim_rank_integer_flags_keep_exit_code_contract(tmp_path, seed, params, outcomes,
+                                                        trials):
+    out = tmp_path / "x.json"
+    argv = ["fim-rank", f"--params={params}", f"--outcomes={outcomes}",
+            f"--trials={trials}", f"--seed={seed}", "--out", str(out)]
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    valid = (1 <= params <= MAX_RANK_PARAMS and 2 <= outcomes <= MAX_RANK_OUTCOMES
+             and trials >= 1 and seed >= 0)
+    assert code == (0 if valid else 2)
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    if not valid:
+        assert not out.exists()
+        return
+    got = json.loads(out.read_text())
+    out.unlink()
+    want = fim_rank_loop(spinmetro.RankExperimentConfig(n_params=params, n_outcomes=outcomes,
+                                                        trials=trials, seed=seed))
+    floats = ("max_normalized_det", "max_decomposition_residual")
+    assert {k: v for k, v in got.items() if k not in floats} == {
+        k: v for k, v in want.items() if k not in floats
+    }
+    assert got["max_normalized_det"] == pytest.approx(want["max_normalized_det"],
+                                                      rel=1e-12, abs=1e-300)
+    assert got["max_decomposition_residual"] <= 1e-13
+    assert want["max_decomposition_residual"] <= 1e-13
