@@ -17,7 +17,6 @@ from .analysis import (
     metrics_report,
     run_scan,
     scaling_table,
-    shrinkage_fractions,
 )
 from .encoding import (
     GeneratorSet,
@@ -50,33 +49,24 @@ from .linalg import (
     trace_norm,
 )
 from .metrology import (
-    IncompatReport,
     ai_measure,
     batched_qfim_uhlmann,
     bounds,
-    born_probabilities,
     classical_fim,
     check_probe,
     frame_qfim_uhlmann,
     holevo_pure,
     incompat_operator,
     incompat_report,
-    qfim_from_slds,
-    qfim_from_state_derivatives,
     qfim_uhlmann,
-    sld_solve,
-    submodel,
-    uhlmann_from_slds,
 )
 from .models import (
     ProbeSpec,
     Qubit2pResult,
-    ai_threeparam_probe,
     bloch_vector,
     make_probe,
     qubit2p_closed,
     qudit2p_closed,
-    state_from_bloch,
     threeparam_uhlmann_closed,
 )
 

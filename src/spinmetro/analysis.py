@@ -8,10 +8,12 @@ trial from its own counter-derived seed so results are independent of
 evaluation order.  Both CSV outputs are grids, written by one grid writer
 that formats each axis value once and the rest of a row with one format
 string: '.' decimals, ',' delimiters, a header row and 17 significant
-digits, so repeated runs are bytewise identical.  NaN is the
-one missing-value marker, from :func:`~spinmetro.metrology.bounds` to the
-file, where it is an empty field: a singular scan cell's R, Delta and T,
-and the Gamma and slope of an alpha with a singular baseline.
+digits, so repeated runs are bytewise identical.  A missing value marks
+a singular QFIM and nothing else.  :func:`~spinmetro.metrology.bounds`
+and :class:`ScanResult` hold it as NaN; :class:`ScalingResult` and the
+report dicts hold it as ``None``.  In a CSV file either is an empty field
+(a singular scan cell's R, Delta and T, and the Gamma and slope of an alpha
+with a singular baseline), and in a JSON report ``null``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 import os
 import stat
 from dataclasses import dataclass, field
@@ -28,8 +29,8 @@ import numpy as np
 
 from .encoding import ModelKind, ModelPoint, closed_frame, numeric_frame, series_frame
 from .errors import InvalidInput, NumericalFailure
-from .linalg import spin_moments, sym_inverse
-from .metrology import bounds, check_probe, classical_fim, frame_qfim_uhlmann
+from .linalg import require_int, spin_moments, sym_inverse
+from .metrology import _report_fields, bounds, check_probe, classical_fim, frame_qfim_uhlmann
 from .models import MAX_DIM, ProbeSpec, make_probe
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
     "ScanConfig",
     "ScanResult",
     "run_scan",
-    "shrinkage_fractions",
     "ScalingResult",
     "scaling_table",
     "RankExperimentConfig",
@@ -113,18 +113,9 @@ def write_json(path, doc) -> None:
 
 
 def _store_int(config, name: str) -> int:
-    """Store field ``name`` of a frozen ``config`` as a Python int and return it.
-
-    A value with ``__index__``, a numpy integer say, is taken; a bool, or a
-    float even if integral, raises :class:`InvalidInput`.
-    """
-    value = getattr(config, name)
-    try:
-        if isinstance(value, (bool, np.bool_)):
-            raise TypeError
-        number = operator.index(value)
-    except TypeError:
-        raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
+    """Store field ``name`` of a frozen ``config`` as a Python int and return
+    it, by the rule of :func:`~spinmetro.linalg.require_int`."""
+    number = require_int(getattr(config, name), name)
     object.__setattr__(config, name, number)
     return number
 
@@ -223,23 +214,6 @@ def run_scan(config: ScanConfig) -> ScanResult:
     )
 
 
-def shrinkage_fractions(res_a: ScanResult, res_b: ScanResult, threshold: float = 0.05):
-    """Fraction of regular cells with T below ``threshold``, per grid.
-
-    Returns ``(f_a, f_b)``; a grid with no regular cells reports ``None``.
-    """
-    if res_a.shape != res_b.shape:
-        raise InvalidInput(f"grid shapes differ: {res_a.shape} vs {res_b.shape}")
-
-    def frac(res: ScanResult):
-        regular = ~res.singular
-        if not regular.any():
-            return None
-        return float((res.t_gap[regular] < threshold).sum() / regular.sum())
-
-    return frac(res_a), frac(res_b)
-
-
 @dataclass(frozen=True)
 class ScalingResult:
     """Gamma values and fitted log-log slopes, one slope per probe angle."""
@@ -259,6 +233,17 @@ class ScalingResult:
                    (gammas.ravel(), np.repeat(slopes, len(self.dims))))
 
 
+def scaling_dim(n) -> int:
+    """One dimension of a scaling table as a Python int: an integer (the rule
+    of :func:`~spinmetro.linalg.require_int`) in [4, :data:`MAX_DIM`], else
+    :class:`InvalidInput`.  The command line holds both ends of a ``LO-HI``
+    range to it before it expands the range."""
+    n = require_int(n, "scaling dimension")
+    if not 4 <= n <= MAX_DIM:
+        raise InvalidInput(f"scaling dimensions must lie in [4, {MAX_DIM}], got {n}")
+    return n
+
+
 def scaling_table(
     kind: ModelKind,
     alphas,
@@ -275,16 +260,14 @@ def scaling_table(
     fitted against log N (versus log(N - 1) for two parameters).  An alpha
     whose baseline QFIM is singular yields empty Gamma and slope fields; a
     Gamma that is not finite raises :class:`NumericalFailure`.
-    A slope needs at least two distinct dimensions, each listed once, and
-    at least one probe angle.  Every dimension is checked before any is
-    computed.  The spin moments of each (alpha, N) probe, baselines
-    included, are taken one probe at a time and stacked, and one
-    :func:`~spinmetro.metrology.frame_qfim_uhlmann` call gives every QFIM
-    of the table.
+    A slope needs at least two distinct dimensions, each listed once (each
+    held to :func:`scaling_dim`), and at least one probe angle.  Every
+    dimension is checked before any is computed.  The spin moments of each
+    (alpha, N) probe, baselines included, are taken one probe at a time and
+    stacked, and one :func:`~spinmetro.metrology.frame_qfim_uhlmann` call
+    gives every QFIM of the table.
     """
-    dims = tuple(int(n) for n in dims)
-    if any(not 4 <= n <= MAX_DIM for n in dims):
-        raise InvalidInput(f"scaling dimensions must lie in [4, {MAX_DIM}], got {dims}")
+    dims = tuple(map(scaling_dim, dims))
     if len(dims) < 2 or len(set(dims)) != len(dims):
         raise InvalidInput(
             f"scaling needs two or more distinct dimensions, each listed once; got {dims}"
@@ -554,15 +537,15 @@ def metrics_report(kind: ModelKind, spec: ProbeSpec, point: ModelPoint, rel_tol=
 
     Carries the QFIM, Uhlmann matrix, determinant, bounds, incompatibility,
     the singularity flag and the generator cross-route residuals; singular
-    points get null bound fields.  It runs :func:`run_scan`'s pipeline on one point.
+    points get null bound fields.  It runs :func:`run_scan`'s pipeline on one
+    point, and its (Q, D) fields come from the helper that also gives those
+    of the dense :func:`~spinmetro.metrology.incompat_report`.
     """
     frame = closed_frame(kind, point.b, point.theta, point.t, point.phi)
     q, d = frame_qfim_uhlmann(frame, *spin_moments(make_probe(spec)))
-    singular, *values, det_q = bounds(q, d, rel_tol=rel_tol)
-    r_ai, c_sld, c_h, delta = (None if singular else float(v) for v in values)
     return {
         "model": kind.value,
-        "dim": int(spec.dim),
+        "dim": spec.dim,
         "probe": {"alpha": float(spec.alpha), "phi": float(spec.phi)},
         "point": {
             "B": float(point.b),
@@ -571,13 +554,6 @@ def metrics_report(kind: ModelKind, spec: ProbeSpec, point: ModelPoint, rel_tol=
             "t": float(point.t),
         },
         "labels": list(kind.labels),
-        "Q": q.tolist(),
-        "D": d.tolist(),
-        "det_q": float(det_q),
-        "singular": bool(singular),
-        "c_sld": c_sld,
-        "c_h": c_h,
-        "delta": delta,
-        "r_ai": r_ai,
+        **_report_fields(q, d, rel_tol),
         "generator_route_residuals": _route_residuals(kind, point, frame),
     }

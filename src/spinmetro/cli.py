@@ -20,6 +20,7 @@ from .analysis import (
     fim_rank_experiment,
     metrics_report,
     run_scan,
+    scaling_dim,
     scaling_table,
     write_json,
 )
@@ -46,13 +47,16 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
+    """Parse ``N,N,...`` or ``LO-HI``.  Both ends of a range are held to the
+    table's dimension rule before the range is expanded, so a range past
+    :data:`~spinmetro.models.MAX_DIM` allocates nothing."""
     try:
-        if "-" in text:
-            lo, hi = text.split("-")
-            return tuple(range(int(lo), int(hi) + 1))
-        return tuple(int(v) for v in text.split(",") if v.strip())
+        if "-" not in text:
+            return tuple(int(v) for v in text.split(",") if v.strip())
+        lo, hi = map(int, text.split("-"))
     except ValueError as exc:
         raise InvalidInput(f"--dims expects N,N,... or LO-HI, got {text!r}") from exc
+    return tuple(range(scaling_dim(lo), scaling_dim(hi) + 1))
 
 
 _FLAGS = {

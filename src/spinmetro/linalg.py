@@ -8,6 +8,7 @@ instances can be shared freely across threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +109,21 @@ def require_unit3(n, tol: float = 1e-10) -> np.ndarray:
     return n
 
 
+def require_int(value, name: str) -> int:
+    """Return ``value`` as a Python int, raising :class:`InvalidInput` unless
+    it is an integer.
+
+    A value with ``__index__``, a numpy integer say, is taken; a bool, or a
+    float even if integral, raises.
+    """
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
+
+
 def require_unit_norm(psi, tol: float = 1e-10) -> np.ndarray:
     """Raise :class:`InvalidInput` unless the state vector ``psi`` has unit
     norm to ``tol``; a NaN norm fails too."""
@@ -152,11 +168,12 @@ def build_spin_rep(N: int) -> SpinRep:
 
     ``jz`` is diagonal with entries ``s, s-1, ..., -s`` and the ladder
     matrix elements are ``<m-1|J-|m> = sqrt(s(s+1) - m(m-1))``; ``jx`` and
-    ``jy`` follow from the ladder combination.
+    ``jy`` follow from the ladder combination.  ``N`` is an integer (the
+    rule of :func:`require_int`) of at least 2.
     """
-    if int(N) != N or N < 2:
-        raise InvalidInput(f"representation dimension must be an integer >= 2, got {N!r}")
-    N = int(N)
+    N = require_int(N, "representation dimension")
+    if N < 2:
+        raise InvalidInput(f"representation dimension must be an integer >= 2, got {N}")
     s = (N - 1) / 2
     m = s - np.arange(N)
     jminus = np.zeros((N, N), dtype=complex)

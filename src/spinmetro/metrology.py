@@ -1,10 +1,13 @@
-"""Estimation-theory core: QFIM, Uhlmann curvature, SLD, bounds.
+"""Estimation-theory core: QFIM, Uhlmann curvature, classical FIM, bounds.
 
-The routines consume generator sets or density matrices and know nothing
-about su(2), except :func:`frame_qfim_uhlmann`, which takes generators
+The routines consume generator sets, pure probes, outcome distributions or
+(Q, D) and know nothing about su(2), except :func:`frame_qfim_uhlmann`, which takes generators
 that are spin components ``a_l . J`` as their (d, 3) frame and the probe's
 spin mean and covariance; scans, scaling tables and reports use it, and
 :func:`incompat_report` is the dense route for any generator set.
+Every single-point report, :func:`incompat_report` and
+:func:`~spinmetro.analysis.metrics_report`, takes its (Q, D) fields from
+one helper, which applies the singular rule once.
 :func:`bounds` takes every bound and ``det Q`` from one ``eigh`` of Q, in
 its eigenbasis, with no ``Q^-1 D Q^-1`` and no negative ``det Q``.
 Near-singular quantum Fisher matrices are never pseudo-inverted: every
@@ -14,8 +17,6 @@ where ``det Q -> 0``, and a silently regularized inverse would hide it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,18 +38,11 @@ __all__ = [
     "qfim_uhlmann",
     "frame_qfim_uhlmann",
     "batched_qfim_uhlmann",
-    "qfim_from_state_derivatives",
-    "sld_solve",
-    "qfim_from_slds",
-    "uhlmann_from_slds",
-    "born_probabilities",
     "classical_fim",
     "incompat_operator",
     "ai_measure",
     "holevo_pure",
     "bounds",
-    "submodel",
-    "IncompatReport",
     "incompat_report",
 ]
 
@@ -124,113 +118,6 @@ def batched_qfim_uhlmann(gen_stack, probes) -> tuple[np.ndarray, np.ndarray]:
     q = 4 * (second.real - means[..., :, None] * means[..., None, :])
     d = 4 * second.imag
     return q, d
-
-
-def qfim_from_state_derivatives(family, values, step: float = 1e-5):
-    """QFIM and Uhlmann matrix from finite differences of the state itself.
-
-    ``family`` maps a parameter vector to a normalized pure state.  This is
-    the generator-free route: with ``|d_j psi>`` from central differences,
-    ``Q_jk = 4 Re(<d_j psi|d_k psi> - <d_j psi|psi><psi|d_k psi>)`` and the
-    Uhlmann matrix is 4 times the imaginary part of the same bracket.
-    Differentiated states whose norm drifts beyond 1e-6 raise
-    :class:`InvalidInput` (the family is then not a pure-state family at
-    the working step).
-    """
-    values = np.asarray(values, dtype=float)
-    if not step > 0:
-        raise InvalidInput("finite-difference step must be positive")
-    psi = check_probe(family(values))
-    steps = step * np.maximum(1.0, np.abs(values))
-    derivs = []
-    for j in range(values.size):
-        up, um = values.copy(), values.copy()
-        up[j] += steps[j]
-        um[j] -= steps[j]
-        psi_p = np.asarray(family(up), dtype=complex)
-        psi_m = np.asarray(family(um), dtype=complex)
-        for vec in (psi_p, psi_m):
-            if abs(np.linalg.norm(vec) - 1.0) > 1e-6:
-                raise InvalidInput(
-                    "state family norm drifted beyond 1e-6 at the working step"
-                )
-        derivs.append((psi_p - psi_m) / (2 * steps[j]))
-    dpsi = np.array(derivs)
-    overlap = dpsi.conj() @ dpsi.T
-    dot_psi = dpsi.conj() @ psi
-    bracket = overlap - np.outer(dot_psi, dot_psi.conj())
-    q = 4 * bracket.real
-    d = 4 * bracket.imag
-    return (q + q.T) / 2, (d - d.T) / 2
-
-
-def sld_solve(rho, drho, support_tol: float = 1e-12) -> np.ndarray:
-    """Symmetric logarithmic derivative: solve ``2 drho = {L, rho}``.
-
-    Solved in the eigenbasis of ``rho`` where the anticommutator equation
-    decouples: ``L_jk = 2 drho_jk / (p_j + p_k)`` on the support
-    (eigenvalue sums above ``support_tol``), zero elsewhere.
-    """
-    rho = require_hermitian(rho, name="density matrix")
-    # derivative inputs often come from finite differences; tolerate their
-    # noise floor, then symmetrize
-    drho = require_hermitian(drho, tol=1e-8, name="density-matrix derivative")
-    drho = (drho + drho.conj().T) / 2
-    if abs(np.trace(rho).real - 1.0) > 1e-10:
-        raise InvalidInput(f"density matrix has trace {np.trace(rho)!r}, expected 1")
-    p, v = np.linalg.eigh(rho)
-    dr = v.conj().T @ drho @ v
-    denom = p[:, None] + p[None, :]
-    on_support = denom > support_tol
-    l_eig = np.zeros_like(dr)
-    l_eig[on_support] = 2 * dr[on_support] / denom[on_support]
-    l_mat = v @ l_eig @ v.conj().T
-    return (l_mat + l_mat.conj().T) / 2
-
-
-def qfim_from_slds(rho, slds) -> np.ndarray:
-    """QFIM from SLD operators: ``Q_jk = Re Tr(rho L_j L_k)``."""
-    rho = np.asarray(rho, dtype=complex)
-    slds = [np.asarray(l, dtype=complex) for l in slds]
-    d = len(slds)
-    q = np.empty((d, d))
-    for j in range(d):
-        for k in range(j, d):
-            q[j, k] = q[k, j] = np.trace(rho @ slds[j] @ slds[k]).real
-    return q
-
-
-def uhlmann_from_slds(rho, slds) -> np.ndarray:
-    """Uhlmann matrix from SLDs: ``D_jk = Im Tr(rho L_j L_k)``."""
-    rho = np.asarray(rho, dtype=complex)
-    slds = [np.asarray(l, dtype=complex) for l in slds]
-    d = len(slds)
-    mat = np.zeros((d, d))
-    for j in range(d):
-        for k in range(j + 1, d):
-            val = np.trace(rho @ slds[j] @ slds[k]).imag
-            mat[j, k] = val
-            mat[k, j] = -val
-    return mat
-
-
-def born_probabilities(rho, povm) -> np.ndarray:
-    """Outcome probabilities ``p_i = Tr(rho Pi_i)`` for a POVM.
-
-    The POVM must resolve the identity to 1e-10; tiny negative
-    probabilities from rounding are clipped at -1e-12.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    povm = [np.asarray(e, dtype=complex) for e in povm]
-    total = sum(povm)
-    if np.abs(total - np.eye(rho.shape[0])).max() > 1e-10:
-        raise InvalidInput("POVM does not sum to the identity")
-    probs = np.array([np.trace(rho @ e).real for e in povm])
-    if probs.min(initial=0.0) < -1e-12:
-        raise NumericalFailure(f"negative Born probability {probs.min():.3e}")
-    if abs(probs.sum() - 1.0) > 1e-10:
-        raise NumericalFailure(f"Born probabilities sum to {probs.sum()!r}")
-    return np.clip(probs, 0.0, None)
 
 
 def classical_fim(probs, grads) -> np.ndarray:
@@ -372,55 +259,30 @@ def bounds(q, d, rel_tol: float = 1e-10):
     return tuple(x.reshape(lead) for x in (singular, r_ai, c_sld, c_h, delta, det_q))
 
 
-def submodel(q, d, subset):
-    """Restrict (Q, D) to a sub-model: principal blocks on ``subset``.
+def _report_fields(q, d, rel_tol: float) -> dict:
+    """The fields every single-point report shares, from one (Q, D).
 
-    ``subset`` must be a nonempty proper subset of the parameter indices.
+    ``Q`` and ``D`` as nested lists, ``det_q``, the ``singular`` flag, and
+    ``c_sld``, ``c_h``, ``delta`` and ``r_ai`` from :func:`bounds`, which are
+    ``None`` on a singular point.
     """
-    q = np.asarray(q, dtype=float)
-    d = np.asarray(d, dtype=float)
-    n = q.shape[0]
-    idx = sorted(set(int(i) for i in subset))
-    if not idx or len(idx) >= n:
-        raise InvalidInput(f"subset must be nonempty and proper, got {subset!r}")
-    if idx[0] < 0 or idx[-1] >= n:
-        raise InvalidInput(f"subset indices out of range for {n} parameters")
-    ix = np.ix_(idx, idx)
-    return q[ix], d[ix]
+    singular, r_ai, c_sld, c_h, delta, det_q = bounds(q, d, rel_tol=rel_tol)
+    values = {"c_sld": c_sld, "c_h": c_h, "delta": delta, "r_ai": r_ai}
+    return {
+        "Q": q.tolist(),
+        "D": d.tolist(),
+        "det_q": float(det_q),
+        "singular": bool(singular),
+        **{name: None if singular else float(v) for name, v in values.items()},
+    }
 
 
-@dataclass(frozen=True)
-class IncompatReport:
-    """Precision and incompatibility summary at one (model, probe, point).
+def incompat_report(gens: GeneratorSet, probe, rel_tol: float = 1e-10) -> dict:
+    """The report fields of :func:`bounds` for one generator set and probe,
+    plus its ``labels``, by the dense route :func:`qfim_uhlmann`.
 
-    On singular points only ``qfim``, ``uhlmann``, ``det_q`` and the flag
-    are meaningful; the bound fields are ``None``.
+    The dict holds the keys of ``spinmetro metrics``'s report that depend on
+    (Q, D) alone; singular points get ``None`` bound values.
     """
-
-    labels: tuple[str, ...]
-    qfim: np.ndarray
-    uhlmann: np.ndarray
-    det_q: float
-    singular: bool
-    c_sld: float | None = None
-    c_h: float | None = None
-    delta: float | None = None
-    r_ai: float | None = None
-
-
-def incompat_report(gens: GeneratorSet, probe, rel_tol: float = 1e-10) -> IncompatReport:
-    """Evaluate the full report for one generator set and probe."""
     q, d = qfim_uhlmann(gens, probe)
-    singular, *values, det_q = bounds(q, d, rel_tol=rel_tol)
-    r_ai, c_sld, c_h, delta = (None if singular else float(v) for v in values)
-    return IncompatReport(
-        labels=gens.labels,
-        qfim=q,
-        uhlmann=d,
-        det_q=float(det_q),
-        singular=bool(singular),
-        c_sld=c_sld,
-        c_h=c_h,
-        delta=delta,
-        r_ai=r_ai,
-    )
+    return {"labels": list(gens.labels), **_report_fields(q, d, rel_tol)}

@@ -2,10 +2,9 @@
 
 The probe family is ``cos(alpha)|J> + e^{1j phi} sin(alpha)|-J>`` over the
 extreme eigenvectors of Jz.  For it, the two-parameter QFIM/Uhlmann
-elements (dimension > 3), the qubit Bloch-vector forms, the
-three-parameter Uhlmann elements and the incompatibility values all admit
-closed expressions, implemented here and cross-checked against the generic
-generator route in the tests.
+elements (dimension > 3), the qubit Bloch-vector forms and the
+three-parameter Uhlmann elements admit closed expressions, implemented
+here and cross-checked against the generic generator route in the tests.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 
 from .encoding import ModelPoint, direction_vectors_2p, direction_vectors_3p
 from .errors import InvalidInput
-from .linalg import SpinRep, j_direction
+from .linalg import SpinRep, j_direction, require_int
 # Bound here for perfbench/tests, which check that the benchmark's tracer
 # wraps every module binding of this pinned function.
 from .linalg import sym_inverse  # noqa: F401
@@ -29,12 +28,10 @@ __all__ = [
     "ProbeSpec",
     "make_probe",
     "bloch_vector",
-    "state_from_bloch",
     "Qubit2pResult",
     "qubit2p_closed",
     "qudit2p_closed",
     "threeparam_uhlmann_closed",
-    "ai_threeparam_probe",
 ]
 
 
@@ -48,7 +45,8 @@ MAX_DIM = 10**6
 class ProbeSpec:
     """Extreme-state superposition probe: dimension, mixing angle, phase.
 
-    ``dim`` is an integer from 2 to :data:`MAX_DIM`.
+    ``dim`` is an integer from 2 to :data:`MAX_DIM` (the rule of
+    :func:`~spinmetro.linalg.require_int`), stored as a Python int.
     """
 
     dim: int
@@ -56,10 +54,12 @@ class ProbeSpec:
     phi: float = 0.0
 
     def __post_init__(self):
-        if int(self.dim) != self.dim or self.dim < 2:
-            raise InvalidInput(f"probe dimension must be an integer >= 2, got {self.dim!r}")
-        if self.dim > MAX_DIM:
-            raise InvalidInput(f"probe dimension must be at most {MAX_DIM}, got {self.dim!r}")
+        dim = require_int(self.dim, "probe dimension")
+        if dim < 2:
+            raise InvalidInput(f"probe dimension must be an integer >= 2, got {dim}")
+        if dim > MAX_DIM:
+            raise InvalidInput(f"probe dimension must be at most {MAX_DIM}, got {dim}")
+        object.__setattr__(self, "dim", dim)
         if not (math.isfinite(self.alpha) and math.isfinite(self.phi)):
             raise InvalidInput(f"probe angles must be finite, got {self!r}")
 
@@ -71,7 +71,7 @@ def make_probe(spec: ProbeSpec) -> np.ndarray:
     eigenvectors are the first and last basis vectors.  The cos/sin
     amplitudes already give unit norm; renormalization is defensive.
     """
-    psi = np.zeros(int(spec.dim), dtype=complex)
+    psi = np.zeros(spec.dim, dtype=complex)
     psi[0] = np.cos(spec.alpha)
     psi[-1] = np.exp(1j * spec.phi) * np.sin(spec.alpha)
     return psi / np.linalg.norm(psi)
@@ -88,16 +88,6 @@ def bloch_vector(state) -> np.ndarray:
             (abs(a) ** 2 - abs(b) ** 2),
         ]
     )
-
-
-def state_from_bloch(r) -> np.ndarray:
-    """Pure qubit state with the given unit Bloch vector."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3,) or abs(np.linalg.norm(r) - 1.0) > 1e-10:
-        raise InvalidInput("state_from_bloch needs a unit 3-vector")
-    beta = np.arccos(np.clip(r[2], -1.0, 1.0))
-    gamma = np.arctan2(r[1], r[0])
-    return np.array([np.cos(beta / 2), np.exp(1j * gamma) * np.sin(beta / 2)])
 
 
 class Qubit2pResult(NamedTuple):
@@ -204,15 +194,3 @@ def threeparam_uhlmann_closed(rep: SpinRep, probe, point: ModelPoint) -> np.ndar
             [-d_bp, -d_tp, 0.0],
         ]
     )
-
-
-def ai_threeparam_probe(n: int, alpha: float) -> float:
-    """Incompatibility of the extreme-state probe, three parameters, N >= 4.
-
-    Equals ``|cos(2 alpha)|`` independently of the phase, the point and the
-    dimension once N >= 4.  Below N = 4 the closed form does not apply
-    (N = 3 is maximally incompatible, N = 2 singular).
-    """
-    if int(n) != n or n < 4:
-        raise InvalidInput(f"closed three-parameter incompatibility needs N >= 4, got {n!r}")
-    return float(abs(np.cos(2 * alpha)))

@@ -19,25 +19,22 @@ from spinmetro import (
     RankExperimentConfig,
     ScanConfig,
     ai_measure,
-    ai_threeparam_probe,
     batched_qfim_uhlmann,
     closed_generators,
     fim_rank_experiment,
     incompat_report,
     make_probe,
     numeric_generators,
-    qfim_from_state_derivatives,
     qfim_uhlmann,
     run_scan,
     scaling_table,
     series_generators,
-    shrinkage_fractions,
-    submodel,
 )
 from spinmetro.cli import main as cli_main
 from spinmetro.models import ProbeSpec
 
 from conftest import evolved_family, haar_state, rep
+from oracles import ai_threeparam_probe, qfim_from_state_derivatives, shrinkage_fractions, submodel
 
 # benchmark grid configurations: (kind, dim, alpha, t)
 BENCHMARK_GRIDS = {
@@ -335,8 +332,8 @@ def test_criterion_6_bound_ordering_on_benchmark_grids(benchmark_grids):
             phi = 0.0 if kind is ModelKind.THREE_PARAM else None
             point = ModelPoint(b=res.b[idx], theta=res.theta[idx], t=t, phi=phi)
             report = incompat_report(closed_generators(rep(dim), kind, point), probe)
-            assert report.c_h >= report.c_sld - 1e-9
-            assert report.delta == pytest.approx(res.delta[idx], rel=1e-9, abs=1e-12)
+            assert report["c_h"] >= report["c_sld"] - 1e-9
+            assert report["delta"] == pytest.approx(res.delta[idx], rel=1e-9, abs=1e-12)
     elapsed = time.perf_counter() - start
     ok = worst_budget < 60.0
     verdict(

@@ -15,14 +15,16 @@ from spinmetro import (
     ModelPoint,
     RankExperimentConfig,
     ScanConfig,
+    closed_frame,
     closed_generators,
     fim_rank_experiment,
+    frame_qfim_uhlmann,
     incompat_report,
     make_probe,
     metrics_report,
     run_scan,
     scaling_table,
-    shrinkage_fractions,
+    spin_moments,
 )
 from spinmetro import analysis, encoding, linalg
 from spinmetro.analysis import (
@@ -35,7 +37,15 @@ from spinmetro.analysis import (
 )
 from spinmetro.models import MAX_DIM, ProbeSpec
 
-from conftest import csv_text_loop, fim_rank_loop, points_for, rep, scaling_table_loop
+from conftest import (
+    csv_text_loop,
+    fim_rank_loop,
+    haar_state,
+    points_for,
+    rep,
+    scaling_table_loop,
+)
+from oracles import shrinkage_fractions
 
 
 def small_scan(kind=ModelKind.TWO_PARAM, dim=2, alpha=np.pi / 4, phi=0.0, t=5.0,
@@ -64,6 +74,24 @@ class TestRunScan:
         assert np.abs(res.r_ai[regular]).max() < 1e-8
         assert np.abs(res.delta[regular]).max() < 1e-8
 
+    def test_three_param_r_column_is_one_number_per_probe(self, rng):
+        # D = 2 A [<J>]x A^T up to sign and Q = 4 A Cov A^T, so Q^-1 D is
+        # similar to Cov^-1 [<J>]x / 2 whatever the (invertible) frame A:
+        # R = 1/2 sqrt(<J>^T Cov <J> / det Cov) on every regular cell.
+        psi = haar_state(rng, 5)
+        config = ScanConfig(kind=ModelKind.THREE_PARAM, probe=psi, t=5.0, model_phi=0.7,
+                            theta_count=21, b_count=21)
+        res = run_scan(config)
+        regular = ~res.singular
+        assert regular.sum() > 300
+        mean, cov = spin_moments(psi)
+        want = 0.5 * np.sqrt(mean @ cov @ mean / np.linalg.det(cov))
+        frame = closed_frame(config.kind, res.b[regular], res.theta[regular], config.t,
+                             config.model_phi)
+        w = np.linalg.eigvalsh(frame_qfim_uhlmann(frame, mean, cov)[0])
+        tol = 1e3 * np.finfo(float).eps * w[:, -1] / w[:, 0] * want
+        assert (np.abs(res.r_ai[regular] - want) <= tol).all()
+
     def test_gap_ordering_cellwise(self):
         for config in (small_scan(t=5.0), small_scan(dim=4, alpha=np.pi / 2, t=10.0),
                        small_scan(kind=ModelKind.THREE_PARAM, dim=4, alpha=2 * np.pi / 3)):
@@ -84,11 +112,11 @@ class TestRunScan:
             report = incompat_report(
                 closed_generators(rep(4), config.kind, point), probe, rel_tol=config.rel_tol
             )
-            assert report.singular == bool(res.singular[idx])
-            assert report.det_q == pytest.approx(res.det_q[idx], rel=1e-9, abs=1e-12)
-            if not report.singular:
-                assert report.r_ai == pytest.approx(res.r_ai[idx], rel=1e-9, abs=1e-12)
-                assert report.delta == pytest.approx(res.delta[idx], rel=1e-9, abs=1e-12)
+            assert report["singular"] == bool(res.singular[idx])
+            assert report["det_q"] == pytest.approx(res.det_q[idx], rel=1e-9, abs=1e-12)
+            if not report["singular"]:
+                assert report["r_ai"] == pytest.approx(res.r_ai[idx], rel=1e-9, abs=1e-12)
+                assert report["delta"] == pytest.approx(res.delta[idx], rel=1e-9, abs=1e-12)
 
     def test_csv_format_and_determinism(self, tmp_path):
         res = run_scan(small_scan(counts=(5, 4)))
@@ -351,6 +379,19 @@ class TestScalingTable:
         point = ModelPoint(b=0.9, theta=0.5, t=5.0)
         with pytest.raises(InvalidInput):
             scaling_table(ModelKind.TWO_PARAM, [0.3], [2, 4], point)
+
+    # Float dimensions were truncated (4.7 ran as 4) and strings were taken.
+    @pytest.mark.parametrize("dims", [[4.7, 8.2], [4.0, 8], ["4", "8"], [4, True]])
+    def test_dimensions_must_be_integers(self, dims):
+        point = ModelPoint(b=0.9, theta=0.5, t=5.0)
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            scaling_table(ModelKind.TWO_PARAM, [0.3], dims, point)
+
+    def test_numpy_dimensions_are_stored_as_ints(self):
+        point = ModelPoint(b=0.9, theta=0.5, t=5.0)
+        table = scaling_table(ModelKind.TWO_PARAM, [0.3], np.array([4, 8]), point)
+        assert table.dims == (4, 8) and all(type(n) is int for n in table.dims)
+        assert list(table.gammas[0.3]) == [4, 8]
 
     def test_dimension_cap_is_checked_before_any_probe(self, monkeypatch):
         built = []
@@ -656,19 +697,23 @@ class TestMetricsReport:
                 spec = ProbeSpec(dim=n, alpha=alpha, phi=phi)
                 doc = metrics_report(kind, spec, point)
                 dense = incompat_report(closed_generators(rep(n), kind, point), make_probe(spec))
-                assert doc["singular"] == dense.singular
-                scale = np.abs(dense.qfim).max()
-                assert np.abs(np.array(doc["Q"]) - dense.qfim).max() <= 1e-12 * scale
-                assert np.abs(np.array(doc["D"]) - dense.uhlmann).max() <= 1e-12 * scale
-                if dense.singular:
+                assert doc.keys() >= dense.keys()
+                assert doc["singular"] == dense["singular"]
+                assert doc["labels"] == dense["labels"]
+                q_dense = np.array(dense["Q"])
+                scale = np.abs(q_dense).max()
+                assert np.abs(np.array(doc["Q"]) - q_dense).max() <= 1e-12 * scale
+                assert np.abs(np.array(doc["D"]) - np.array(dense["D"])).max() <= 1e-12 * scale
+                if dense["singular"]:
                     assert doc["r_ai"] is None and doc["c_h"] is None
+                    assert dense["r_ai"] is None and dense["c_h"] is None
                     continue
-                w = np.linalg.eigvalsh(dense.qfim)
+                w = np.linalg.eigvalsh(q_dense)
                 tol = 1e3 * eps * w[-1] / w[0]
-                assert abs(doc["r_ai"] - dense.r_ai) <= tol
-                assert abs(doc["delta"] - dense.delta) <= tol
-                assert abs(doc["c_sld"] - dense.c_sld) <= tol * dense.c_sld
-                assert abs(doc["c_h"] - dense.c_h) <= tol * dense.c_h
+                assert abs(doc["r_ai"] - dense["r_ai"]) <= tol
+                assert abs(doc["delta"] - dense["delta"]) <= tol
+                assert abs(doc["c_sld"] - dense["c_sld"]) <= tol * dense["c_sld"]
+                assert abs(doc["c_h"] - dense["c_h"]) <= tol * dense["c_h"]
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_closed_route_is_the_report_frame(self, kind):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import spinmetro
 from spinmetro import ModelPoint, bloch_vector, make_probe, qubit2p_closed
 from spinmetro import cli
-from spinmetro.analysis import MAX_RANK_OUTCOMES, MAX_RANK_PARAMS
+from spinmetro.analysis import MAX_GRID_CELLS, MAX_RANK_OUTCOMES, MAX_RANK_PARAMS
 from spinmetro.cli import build_parser, main
 from spinmetro.models import MAX_DIM, ProbeSpec
 
@@ -215,6 +215,20 @@ class TestScalingCommand:
     def test_bad_dims_usage_error(self, tmp_path):
         assert run(["scaling", "--dims", "4..8", "--out", str(tmp_path / "x.csv")]) == 2
 
+    # A LO-HI range is held to the dimension rule at both ends before it is
+    # expanded: 4-20000000 built a 2 * 10^7 tuple (hundreds of MB) first.
+    def test_range_past_the_cap_allocates_nothing(self, tmp_path):
+        out = tmp_path / "x.csv"
+        tracemalloc.start()
+        try:
+            code = run(["scaling", "--dims", "4-20000000", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1_000_000
+        assert not out.exists()
+
     # A slope needs two distinct dimensions and at least one probe angle.
     # The empty --alphas is rejected before the --tol 0 check is reached.
     @pytest.mark.parametrize("argv", [
@@ -272,6 +286,9 @@ def test_non_finite_input_is_usage_error(tmp_path, capsys, argv):
     (["scan", "--grid", "101x9901"], 2),  # MAX_GRID_CELLS + 1 cells
     (["fim-rank", "--params", str(MAX_RANK_PARAMS + 1), "--trials", "1"], 2),
     (["fim-rank", "--outcomes", str(MAX_RANK_OUTCOMES + 1), "--trials", "1"], 2),
+    (["scaling", "--dims", "4-1000001"], 2),
+    (["scaling", "--dims", "4-99999999999"], 2),  # its range was built, then rejected
+    (["scaling", "--model", "three", "--dims", "3-12"], 2),
 ])
 def test_out_of_range_input_leaves_no_output(tmp_path, capsys, argv, code):
     out = tmp_path / "x.out"
@@ -582,3 +599,51 @@ def test_fim_rank_integer_flags_keep_exit_code_contract(tmp_path, seed, params, 
                                                       rel=1e-12, abs=1e-300)
     assert got["max_decomposition_residual"] <= 1e-13
     assert want["max_decomposition_residual"] <= 1e-13
+
+
+# The contract between the table's values for the size flags of metrics,
+# scan and scaling, on both models: metrics --dim, scan --dim and --grid, and
+# scaling --dims in its N,N and LO-HI forms.  Each size is small (-3 to 300)
+# or above every cap (10^6 + 1 to 2^40), so a valid grid has at most
+# 200 x 200 cells and a valid table fewer than 300 dimensions, and a size
+# above a cap is drawn only where it is rejected before anything is
+# allocated.  The ops run in this process.
+SIZES = st.one_of(st.integers(-3, 200), st.integers(MAX_DIM + 1, 1 << 40))
+RANGE_ENDS = st.one_of(st.integers(0, 300), st.integers(MAX_DIM + 1, 1 << 40))
+SIZE_CASES = {
+    "metrics --dim": st.builds(
+        lambda dim: (["metrics", f"--dim={dim}"], 2 <= dim <= MAX_DIM), SIZES),
+    "scan --dim --grid": st.builds(
+        lambda dim, a, b: (["scan", f"--dim={dim}", f"--grid={a}x{b}"],
+                           2 <= dim <= MAX_DIM and 2 <= a and 2 <= b
+                           and a * b <= MAX_GRID_CELLS),
+        SIZES, SIZES, SIZES),
+    "scaling --dims N,N": st.builds(
+        lambda dims: (["scaling", "--dims=" + ",".join(map(str, dims))],
+                      len(set(dims)) == len(dims) >= 2 and all(4 <= n <= MAX_DIM for n in dims)),
+        st.lists(SIZES, min_size=1, max_size=4)),
+    "scaling --dims LO-HI": st.builds(
+        lambda lo, hi: (["scaling", f"--dims={lo}-{hi}"], 4 <= lo < hi <= MAX_DIM),
+        RANGE_ENDS, RANGE_ENDS),
+}
+
+
+@pytest.mark.parametrize("model", ["two", "three"])
+@pytest.mark.parametrize("case", list(SIZE_CASES))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_size_flags_keep_exit_code_contract(tmp_path, model, case, data):
+    (command, *flags), valid = data.draw(SIZE_CASES[case])
+    out = tmp_path / "x.out"
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main([command, "--model", model, *flags, "--out", str(out)])
+    assert code == (0 if valid else 2)
+    if valid:
+        assert err.getvalue() == ""
+        out.unlink()
+    else:
+        assert err.getvalue().startswith("spinmetro: ") and err.getvalue().count("\n") == 1
+        assert not out.exists()

@@ -24,9 +24,10 @@ from spinmetro import (
     trace_norm,
 )
 from spinmetro.linalg import check_inverse, require_hermitian, require_symmetric, singular_mask
-from spinmetro.models import ProbeSpec, state_from_bloch
+from spinmetro.models import ProbeSpec
 
 from conftest import haar_state, random_hermitian, rep
+from oracles import state_from_bloch
 
 EPS = np.finfo(float).eps
 
@@ -58,10 +59,15 @@ class TestBuildSpinRep:
         for j in (r.jx, r.jy, r.jz):
             assert np.abs(j - j.conj().T).max() < 1e-14
 
-    @pytest.mark.parametrize("bad", [1, 0, -3, 2.5])
+    # 3.0 was taken as 3; a float, a string or a bool is not a dimension.
+    @pytest.mark.parametrize("bad", [1, 0, -3, 2.5, 3.0, "3", True])
     def test_invalid_dimension(self, bad):
         with pytest.raises(InvalidInput):
             build_spin_rep(bad)
+
+    def test_numpy_dimension_is_stored_as_int(self):
+        r = build_spin_rep(np.int64(3))
+        assert type(r.N) is int and r.jz.shape == (3, 3)
 
     def test_matrices_frozen(self):
         r = rep(3)

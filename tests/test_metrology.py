@@ -14,7 +14,6 @@ from spinmetro import (
     NumericalFailure,
     ai_measure,
     batched_qfim_uhlmann,
-    born_probabilities,
     bounds,
     build_spin_rep,
     classical_fim,
@@ -28,20 +27,24 @@ from spinmetro import (
     incompat_operator,
     incompat_report,
     make_probe,
-    qfim_from_slds,
-    qfim_from_state_derivatives,
     qfim_uhlmann,
     qubit2p_closed,
-    sld_solve,
     spin_moments,
-    submodel,
     threeparam_uhlmann_closed,
     trace_norm,
-    uhlmann_from_slds,
 )
-from spinmetro.models import ProbeSpec, bloch_vector, state_from_bloch
+from spinmetro.models import ProbeSpec, bloch_vector
 
 from conftest import ai_two_param, evolved_family, haar_state, points_for, rep, three_param_points
+from oracles import (
+    born_probabilities,
+    qfim_from_slds,
+    qfim_from_state_derivatives,
+    sld_solve,
+    state_from_bloch,
+    submodel,
+    uhlmann_from_slds,
+)
 
 
 def fd_density_derivatives(spin, kind, point, probe, step=1e-6):
@@ -838,10 +841,11 @@ class TestIncompatReport:
                 for n in (2, 4, 6):
                     gens = closed_generators(rep(n), kind, point)
                     report = incompat_report(gens, haar_state(rng, n))
-                    if report.singular:
-                        assert report.r_ai is None and report.c_h is None
+                    assert report["labels"] == list(kind.labels)
+                    if report["singular"]:
+                        assert report["r_ai"] is None and report["c_h"] is None
                         continue
-                    assert -1e-12 <= report.delta <= report.r_ai + 1e-9
-                    assert report.r_ai <= 1.0 + 1e-9
-                    assert report.c_h >= report.c_sld - 1e-9
-                    assert report.det_q == pytest.approx(np.linalg.det(report.qfim))
+                    assert -1e-12 <= report["delta"] <= report["r_ai"] + 1e-9
+                    assert report["r_ai"] <= 1.0 + 1e-9
+                    assert report["c_h"] >= report["c_sld"] - 1e-9
+                    assert report["det_q"] == pytest.approx(np.linalg.det(report["Q"]))

@@ -8,20 +8,23 @@ from spinmetro import (
     ModelKind,
     ModelPoint,
     ai_measure,
-    ai_threeparam_probe,
     bloch_vector,
+    bounds,
+    closed_frame,
     closed_generators,
+    frame_qfim_uhlmann,
     make_probe,
     qfim_uhlmann,
     qubit2p_closed,
     qudit2p_closed,
-    state_from_bloch,
+    spin_moments,
     sym_inverse,
     threeparam_uhlmann_closed,
 )
 from spinmetro.models import MAX_DIM, ProbeSpec
 
 from conftest import ai_two_param, haar_state, rep, three_param_points
+from oracles import ai_threeparam_probe, state_from_bloch
 
 
 class TestMakeProbe:
@@ -50,6 +53,18 @@ class TestMakeProbe:
         assert ProbeSpec(dim=MAX_DIM, alpha=0.0).dim == 10**6
         with pytest.raises(InvalidInput, match="at most"):
             ProbeSpec(dim=MAX_DIM + 1, alpha=0.0)
+
+    # A float dimension was accepted and kept as a float.
+    @pytest.mark.parametrize("dim", [4.0, 4.5, "4", True, np.True_, np.float64(4.0)])
+    def test_dimension_must_be_an_integer(self, dim):
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            ProbeSpec(dim=dim, alpha=0.0)
+
+    @pytest.mark.parametrize("dim", [np.int64(5), np.uint16(5), np.int8(5)])
+    def test_numpy_dimension_is_stored_as_int(self, dim):
+        spec = ProbeSpec(dim=dim, alpha=0.3)
+        assert type(spec.dim) is int and spec.dim == 5
+        assert make_probe(spec).shape == (5,)
 
 
 class TestBlochHelpers:
@@ -212,6 +227,19 @@ class TestDimensionLadder:
                 assert r == pytest.approx(1.0, abs=1e-6)
                 hits += 1
         assert hits >= 5
+
+    def test_three_param_qutrit_maximal_for_every_pure_probe(self, rng):
+        # With three parameters R = 1/2 sqrt(<J>^T Cov <J> / det Cov), and
+        # every pure spin-1 state has <J>^T Cov <J> = 4 det Cov, so R = 1
+        # wherever Q is regular, not only on the extreme-state family.
+        for point in three_param_points():
+            frame = closed_frame(ModelKind.THREE_PARAM, point.b, point.theta, point.t, point.phi)
+            for _ in range(10):
+                mean, cov = spin_moments(haar_state(rng, 3))
+                assert mean @ cov @ mean == pytest.approx(4 * np.linalg.det(cov), rel=1e-9)
+                singular, r_ai, *_ = bounds(*frame_qfim_uhlmann(frame, mean, cov))
+                assert not singular
+                assert r_ai == pytest.approx(1.0, abs=1e-9)
 
 
 def gamma_from_model(kind, n, baseline, alpha, point, phi=0.0):

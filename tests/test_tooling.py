@@ -168,3 +168,67 @@ def test_reports_build_no_dense_routes():
             named.add(node.asname or "")
     assert named & {"series_frame", "numeric_frame"}
     assert named & DENSE_ROUTE_NAMES == set()
+
+
+
+def _identifiers(tree) -> set:
+    """Every name, attribute and imported name that the syntax ``tree`` mentions."""
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name.rsplit(".", 1)[-1])
+    return named
+
+
+def _definitions(tree) -> dict:
+    """Each name a module defines at top level, mapped to the identifiers of
+    its definition."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = _identifiers(node)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    defined[target.id] = _identifiers(node.value)
+    return defined
+
+
+def test_exports_are_production_names():
+    # The library's surface is what its production paths reach: each name a
+    # module lists in __all__ is used by another module of the library (the
+    # package's re-exports do not count), by the console entry point, by
+    # README's library example, by perfbench/gate.py or by a per_layer pin of
+    # BENCHMARK.json, or by a definition of its own module that is.  A name
+    # only the tests call belongs in tests/.
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    entry = re.search(r'^spinmetro = "spinmetro\.(\w+):(\w+)"$', pyproject, re.M).groups()
+    section = (ROOT / "README.md").read_text().split("## Library example", 1)[1]
+    example = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    outside = (_identifiers(ast.parse(example))
+               | _identifiers(ast.parse((ROOT / "perfbench" / "gate.py").read_text())))
+    pins = {tuple(m["name"].split(".")[:2])
+            for m in json.loads(BENCHMARK.read_text())["per_layer"]}
+    trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py") if p.stem != "__init__"}
+    assert len(trees) >= 7
+    unused = []
+    for module_name, tree in sorted(trees.items()):
+        defined = _definitions(tree)
+        others = set().union(*(_identifiers(t) for name, t in trees.items()
+                               if name != module_name))
+        reached = {name for name in defined
+                   if name in others | outside or (module_name, name) in pins
+                   or (module_name, name) == entry}
+        frontier = reached
+        while frontier:
+            frontier = set().union(*(defined[name] for name in frontier)) & defined.keys()
+            frontier -= reached
+            reached |= frontier
+        exports = importlib.import_module(f"spinmetro.{module_name}").__dict__.get("__all__", ())
+        unused += [f"{module_name}.{name}" for name in exports if name not in reached]
+    assert unused == []
