@@ -9,27 +9,26 @@ evaluation order.  Both CSV outputs are grids, written by one grid writer
 that formats each axis value once and the rest of a row with one format
 string: '.' decimals, ',' delimiters, a header row and 17 significant
 digits, so repeated runs are bytewise identical.  A missing value marks
-a singular QFIM and nothing else.  :func:`~spinmetro.metrology.bounds`
-and :class:`ScanResult` hold it as NaN; :class:`ScalingResult` and the
-report dicts hold it as ``None``.  In a CSV file either is an empty field
-(a singular scan cell's R, Delta and T, and the Gamma and slope of an alpha
-with a singular baseline), and in a JSON report ``null``.
+a singular QFIM and nothing else.  Every result object holds it as NaN
+(:func:`~spinmetro.metrology.bounds`, :class:`ScanResult`,
+:class:`ScalingResult`); only the JSON report dicts hold ``None``, written
+``null``.  In a CSV file it is an empty field: a singular scan cell's R,
+Delta and T, and the Gamma and slope of an alpha with a singular baseline.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
 import stat
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .encoding import ModelKind, ModelPoint, closed_frame, numeric_frame, series_frame
 from .errors import InvalidInput, NumericalFailure
-from .linalg import require_int, spin_moments, sym_inverse
+from .linalg import eigh_inverse, require_float, require_int, spin_moments
 from .metrology import _report_fields, bounds, check_probe, classical_fim, frame_qfim_uhlmann
 from .models import MAX_DIM, ProbeSpec, make_probe
 
@@ -150,8 +149,8 @@ class ScanConfig:
     rel_tol: float = 1e-10
 
     def __post_init__(self):
-        if not (math.isfinite(self.t) and math.isfinite(self.model_phi)):
-            raise InvalidInput(f"t and model_phi must be finite, got {self.t}, {self.model_phi}")
+        for name in ("t", "model_phi"):
+            require_float(getattr(self, name), name)
         if not self.t > 0:
             raise InvalidInput("evolution time must be positive")
         theta_count, b_count = (_store_int(self, name) for name in ("theta_count", "b_count"))
@@ -184,10 +183,6 @@ class ScanResult:
     def t_gap(self) -> np.ndarray:
         return self.r_ai - self.delta
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.config.theta_count, self.config.b_count)
-
     def write_csv(self, path) -> None:
         n_b = self.config.b_count
         _write_csv(path, self.HEADER, self.theta[::n_b], self.b[:n_b],
@@ -216,21 +211,19 @@ def run_scan(config: ScanConfig) -> ScanResult:
 
 @dataclass(frozen=True)
 class ScalingResult:
-    """Gamma values and fitted log-log slopes, one slope per probe angle."""
+    """Gamma (alphas x dims) and one fitted log-log slope per probe angle,
+    both NaN for an alpha whose baseline QFIM is singular."""
 
     alphas: tuple[float, ...]
     dims: tuple[int, ...]
-    gammas: dict = field(hash=False)
-    slopes: dict = field(hash=False)
+    gamma: np.ndarray
+    slope: np.ndarray
 
     HEADER = ("alpha", "N", "Gamma", "slope")
 
     def write_csv(self, path) -> None:
-        gammas = np.array([[self.gammas[a][n] for n in self.dims] for a in self.alphas],
-                          dtype=float)
-        slopes = np.array([self.slopes[a] for a in self.alphas], dtype=float)
         _write_csv(path, self.HEADER, self.alphas, self.dims,
-                   (gammas.ravel(), np.repeat(slopes, len(self.dims))))
+                   (self.gamma, np.repeat(self.slope, len(self.dims))))
 
 
 def scaling_dim(n) -> int:
@@ -258,14 +251,15 @@ def scaling_table(
     three-parameter model has a singular qubit QFIM, so the smallest
     nonsingular dimension N = 4 serves as baseline instead; its slope is
     fitted against log N (versus log(N - 1) for two parameters).  An alpha
-    whose baseline QFIM is singular yields empty Gamma and slope fields; a
-    Gamma that is not finite raises :class:`NumericalFailure`.
+    whose baseline QFIM is singular gets NaN Gamma and slope (empty CSV
+    fields); a Gamma that is not finite raises :class:`NumericalFailure`.
     A slope needs at least two distinct dimensions, each listed once (each
     held to :func:`scaling_dim`), and at least one probe angle.  Every
     dimension is checked before any is computed.  The spin moments of each
     (alpha, N) probe, baselines included, are taken one probe at a time and
     stacked, and one :func:`~spinmetro.metrology.frame_qfim_uhlmann` call
-    gives every QFIM of the table.
+    gives every QFIM of the table, one :func:`~spinmetro.linalg.eigh_inverse`
+    call every baseline's inverse, and one batched trace every Gamma.
     """
     dims = tuple(map(scaling_dim, dims))
     if len(dims) < 2 or len(set(dims)) != len(dims):
@@ -286,20 +280,16 @@ def scaling_table(
     q = q.reshape(len(alphas), 1 + len(dims), *q.shape[-2:])
     x = np.array(dims, dtype=float)
     x = x - 1.0 if kind is ModelKind.TWO_PARAM else x
-    gammas: dict = {}
-    slopes: dict = {}
-    for alpha, q_alpha in zip(alphas, q):
-        base_inv = sym_inverse(q_alpha[0], rel_tol=rel_tol)
-        if base_inv is None:
-            gammas[alpha] = {n: None for n in dims}
-            slopes[alpha] = None
-            continue
-        y = np.trace(q_alpha[1:] @ base_inv, axis1=-2, axis2=-1)
-        gammas[alpha] = dict(zip(dims, y.tolist()))
-        if not np.isfinite(y).all():
-            raise NumericalFailure(f"Gamma is not finite at alpha = {alpha!r}")
-        slopes[alpha] = float(np.polyfit(np.log(x), np.log(y), 1)[0])
-    return ScalingResult(alphas=alphas, dims=dims, gammas=gammas, slopes=slopes)
+    _, _, singular, base_inv = eigh_inverse(q[:, 0], rel_tol, name="QFIM")
+    regular = np.flatnonzero(~singular)
+    gamma = np.full((len(alphas), len(dims)), np.nan)
+    gamma[regular] = np.trace(q[regular, 1:] @ base_inv[regular, None], axis1=-2, axis2=-1)
+    slope = np.full(len(alphas), np.nan)
+    for k in regular:
+        if not np.isfinite(gamma[k]).all():
+            raise NumericalFailure(f"Gamma is not finite at alpha = {alphas[k]!r}")
+        slope[k] = np.polyfit(np.log(x), np.log(gamma[k]), 1)[0]
+    return ScalingResult(alphas=alphas, dims=dims, gamma=gamma, slope=slope)
 
 
 # Trials per stacked block of the rank experiment: the draws, softmax, FIM,

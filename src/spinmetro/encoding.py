@@ -45,7 +45,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidInput, StepInstability
-from .linalg import SpinRep, expm_i, j_direction, require_hermitian
+from .linalg import SpinRep, expm_i, j_direction, require_float, require_hermitian
 
 __all__ = [
     "ModelKind",
@@ -83,7 +83,8 @@ class ModelPoint:
     """One point in parameter space plus the evolution time.
 
     ``phi`` must be present exactly for the three-parameter family; every
-    value must be finite and the evolution time ``t`` positive.
+    value must be a finite number (the rule of
+    :func:`~spinmetro.linalg.require_float`) and the evolution time ``t`` positive.
     """
 
     b: float
@@ -92,8 +93,8 @@ class ModelPoint:
     phi: float | None = None
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.b, self.theta, self.t, self.phi or 0.0))):
-            raise InvalidInput(f"model point must be finite, got {self!r}")
+        for name in ("b", "theta", "t") + (() if self.phi is None else ("phi",)):
+            require_float(getattr(self, name), f"model point {name}")
         if not self.t > 0:
             raise InvalidInput(f"evolution time must be positive, got {self.t!r}")
 

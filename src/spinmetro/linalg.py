@@ -8,6 +8,7 @@ instances can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ __all__ = [
     "trace_norm",
     "singular_mask",
     "check_inverse",
+    "eigh_inverse",
     "sym_inverse",
 ]
 
@@ -122,6 +124,20 @@ def require_int(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
+
+
+def require_float(value, name: str) -> float:
+    """Return ``value`` as a Python float, raising :class:`InvalidInput` unless
+    it is a finite real number.
+
+    A string, ``None`` or a bool raises, as do a NaN and an infinity.
+    """
+    try:
+        if isinstance(value, (bool, np.bool_)) or not math.isfinite(value):
+            raise TypeError
+    except TypeError:
+        raise InvalidInput(f"{name} must be a finite number, got {value!r}") from None
+    return float(value)
 
 
 def require_unit_norm(psi, tol: float = 1e-10) -> np.ndarray:
@@ -288,18 +304,31 @@ def check_inverse(q, q_inv, cond) -> None:
         )
 
 
-def sym_inverse(q, rel_tol: float = 1e-10) -> np.ndarray | None:
-    """Inverse of a real symmetric matrix, or ``None`` when near singular.
+def eigh_inverse(q, rel_tol: float, name: str = "symmetric matrix"):
+    """The package's one inverse of real symmetric matrices, over leading
+    axes, from one ``eigh``: ``(evals, vecs, singular, q_inv)``.
 
-    Singular means :func:`singular_mask` at ``rel_tol``; the inverse is
-    verified by :func:`check_inverse`.  Asymmetric input raises
-    :class:`InvalidInput` (the rule of :func:`require_symmetric`).
+    ``q = vecs diag(evals) vecs^T`` with ``evals`` ascending; ``singular`` is
+    :func:`singular_mask` at ``rel_tol``; ``q_inv = V diag(1/evals) V^T``,
+    symmetrized and held to :func:`check_inverse`, is NaN where singular.
+    ``q`` is held to :func:`require_symmetric`, ``name`` labelling its error.
     """
-    q = require_symmetric(np.asarray(_as_square(q, "symmetric matrix"), dtype=float))
-    w = np.linalg.eigvalsh(q)
-    if singular_mask(w, rel_tol):
-        return None
-    inv = np.linalg.inv(q)
-    inv = (inv + inv.T) / 2
-    check_inverse(q, inv, w[-1] / w[0])
-    return inv
+    q = require_symmetric(np.asarray(q, dtype=float), name=name)
+    evals, vecs = np.linalg.eigh(q)
+    singular = singular_mask(evals, rel_tol)
+    q_inv = np.full(q.shape, np.nan)
+    regular = ~singular
+    if regular.any():
+        lam, vecs_r = evals[regular], vecs[regular]
+        inv = (vecs_r / lam[:, None, :]) @ np.swapaxes(vecs_r, -1, -2)
+        inv = (inv + np.swapaxes(inv, -1, -2)) / 2
+        check_inverse(q[regular], inv, lam[:, -1] / lam[:, 0])
+        q_inv[regular] = inv
+    return evals, vecs, singular, q_inv
+
+
+def sym_inverse(q, rel_tol: float = 1e-10) -> np.ndarray | None:
+    """Inverse of one real symmetric matrix, or ``None`` when near singular:
+    :func:`eigh_inverse` on a batch of one."""
+    _, _, singular, q_inv = eigh_inverse(_as_square(q, "symmetric matrix")[None], rel_tol)
+    return None if singular[0] else q_inv[0]

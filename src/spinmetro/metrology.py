@@ -7,12 +7,12 @@ spin mean and covariance; scans, scaling tables and reports use it, and
 :func:`incompat_report` is the dense route for any generator set.
 Every single-point report, :func:`incompat_report` and
 :func:`~spinmetro.analysis.metrics_report`, takes its (Q, D) fields from
-one helper, which applies the singular rule once.
+one helper, which turns a singular point's bounds into ``None`` once.
 :func:`bounds` takes every bound and ``det Q`` from one ``eigh`` of Q, in
 its eigenbasis, with no ``Q^-1 D Q^-1`` and no negative ``det Q``.
 Near-singular quantum Fisher matrices are never pseudo-inverted: every
-quantity that needs an inverse returns ``None`` (or sets a flag) instead,
-so callers can mask those points.  The misleading regime is exactly
+quantity that needs an inverse is NaN (``None`` in a report and from the
+scalar references) instead, so callers can mask those points.  The misleading regime is exactly
 where ``det Q -> 0``, and a silently regularized inverse would hide it.
 """
 
@@ -23,11 +23,10 @@ import numpy as np
 from .encoding import GeneratorSet
 from .errors import InvalidInput, NumericalFailure
 from .linalg import (
-    check_inverse,
+    eigh_inverse,
     require_hermitian,
     require_symmetric,
     require_unit_norm,
-    singular_mask,
     spectral_absmax,
     sym_inverse,
     trace_norm,
@@ -216,9 +215,9 @@ def bounds(q, d, rel_tol: float = 1e-10):
     and nothing else, so a Q or D that is not finite raises
     :class:`NumericalFailure`.  A Q that is not symmetric or a D that is
     not antisymmetric (the rule of :func:`~spinmetro.linalg.require_symmetric`)
-    raises :class:`InvalidInput`.  All comes from one ``eigh``, ``Q = V diag(lam) V^T``:
-    the singular rule, ``det_q = prod max(lam, 0) >= 0``, ``c_sld = tr Q^-1``
-    (``Q^-1`` held to :func:`~spinmetro.linalg.check_inverse`), and with
+    raises :class:`InvalidInput`.  All comes from the one ``eigh`` of
+    :func:`~spinmetro.linalg.eigh_inverse`, ``Q = V diag(lam) V^T``: the
+    singular rule, ``det_q = prod max(lam, 0) >= 0``, ``c_sld = tr Q^-1``, and with
     ``D' = V^T D V`` and ``S_ij = sqrt(lam_i lam_j)``, ``R`` the largest
     ``|eigvalsh|`` of the Hermitian ``1j D' / S`` and the gap ``||Q^-1 D Q^-1||_1``
     the sum of those of ``1j D' / S^2``.  :func:`ai_measure` and
@@ -230,21 +229,16 @@ def bounds(q, d, rel_tol: float = 1e-10):
         raise InvalidInput(f"Q and D must be square stacks of one shape, got {q.shape}, {d.shape}")
     if not (np.isfinite(q).all() and np.isfinite(d).all()):
         raise NumericalFailure("QFIM or Uhlmann matrix is not finite")
-    require_symmetric(q, name="QFIM")
     require_symmetric(d, sign=-1, name="Uhlmann matrix")
     lead, dim = q.shape[:-2], q.shape[-1]
-    q, d = q.reshape(-1, dim, dim), d.reshape(-1, dim, dim)
-    evals, vecs = np.linalg.eigh(q)
-    singular = singular_mask(evals, rel_tol)
+    evals, vecs, singular, q_inv = eigh_inverse(q.reshape(-1, dim, dim), rel_tol, name="QFIM")
     det_q = np.maximum(evals, 0.0).prod(axis=-1)
-    r_ai, c_sld, c_h, delta = np.full((4, singular.size), np.nan)
+    c_sld = np.trace(q_inv, axis1=-2, axis2=-1)
+    r_ai, c_h, delta = np.full((3, singular.size), np.nan)
     regular = ~singular
     if regular.any():
-        lam, vecs, q, d = evals[regular], vecs[regular], q[regular], d[regular]
+        lam, vecs, d = evals[regular], vecs[regular], d.reshape(-1, dim, dim)[regular]
         vecs_t = np.swapaxes(vecs, -1, -2)
-        q_inv = (vecs / lam[:, None, :]) @ vecs_t
-        q_inv = (q_inv + np.swapaxes(q_inv, -1, -2)) / 2
-        check_inverse(q, q_inv, lam[:, -1] / lam[:, 0])
         d = vecs_t @ d @ vecs
         h = 0.5j * (d - np.swapaxes(d, -1, -2))  # else D''s diagonal residue / lam^2 dominates
         s = np.sqrt(lam)[:, :, None] * np.sqrt(lam)[:, None, :]  # sqrt each: lam^2 may overflow
@@ -252,8 +246,7 @@ def bounds(q, d, rel_tol: float = 1e-10):
         r_ai[regular] = np.abs(np.linalg.eigvalsh(h)).max(axis=-1)
         h /= s
         gap = np.abs(np.linalg.eigvalsh(h)).sum(axis=-1)
-        cost = np.trace(q_inv, axis1=-2, axis2=-1)
-        c_sld[regular] = cost
+        cost = c_sld[regular]
         c_h[regular] = cost + gap
         delta[regular] = gap / cost
     return tuple(x.reshape(lead) for x in (singular, r_ai, c_sld, c_h, delta, det_q))

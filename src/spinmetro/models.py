@@ -9,7 +9,6 @@ here and cross-checked against the generic generator route in the tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .encoding import ModelPoint, direction_vectors_2p, direction_vectors_3p
 from .errors import InvalidInput
-from .linalg import SpinRep, j_direction, require_int
+from .linalg import SpinRep, j_direction, require_float, require_int
 # Bound here for perfbench/tests, which check that the benchmark's tracer
 # wraps every module binding of this pinned function.
 from .linalg import sym_inverse  # noqa: F401
@@ -46,7 +45,8 @@ class ProbeSpec:
     """Extreme-state superposition probe: dimension, mixing angle, phase.
 
     ``dim`` is an integer from 2 to :data:`MAX_DIM` (the rule of
-    :func:`~spinmetro.linalg.require_int`), stored as a Python int.
+    :func:`~spinmetro.linalg.require_int`), stored as a Python int; the
+    angles are finite numbers (the rule of :func:`~spinmetro.linalg.require_float`).
     """
 
     dim: int
@@ -60,8 +60,8 @@ class ProbeSpec:
         if dim > MAX_DIM:
             raise InvalidInput(f"probe dimension must be at most {MAX_DIM}, got {dim}")
         object.__setattr__(self, "dim", dim)
-        if not (math.isfinite(self.alpha) and math.isfinite(self.phi)):
-            raise InvalidInput(f"probe angles must be finite, got {self!r}")
+        for name in ("alpha", "phi"):
+            require_float(getattr(self, name), f"probe {name}")
 
 
 def make_probe(spec: ProbeSpec) -> np.ndarray:

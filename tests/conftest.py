@@ -105,7 +105,8 @@ def fim_rank_loop(config):
 def scaling_table_loop(kind, alphas, dims, point, probe_phi=0.0, rel_tol=1e-10):
     """Gammas and slopes with one frame-kernel call per (alpha, N), baseline
     first: an oracle for the stacked :func:`~spinmetro.analysis.scaling_table`.
-    Returns ``(gammas, slopes)`` keyed as in its result."""
+    Returns ``(gamma, slope)`` arrays shaped as in its result, NaN for an
+    alpha whose baseline is singular."""
     baseline_dim = 2 if kind is ModelKind.TWO_PARAM else 4
     frame = closed_frame(kind, point.b, point.theta, point.t, point.phi)
 
@@ -113,19 +114,17 @@ def scaling_table_loop(kind, alphas, dims, point, probe_phi=0.0, rel_tol=1e-10):
         probe = make_probe(ProbeSpec(dim=n, alpha=alpha, phi=probe_phi))
         return frame_qfim_uhlmann(frame, *spin_moments(probe))[0]
 
-    gammas, slopes = {}, {}
-    for alpha in alphas:
+    gamma = np.full((len(alphas), len(dims)), np.nan)
+    slope = np.full(len(alphas), np.nan)
+    for k, alpha in enumerate(alphas):
         base_inv = sym_inverse(qfim(baseline_dim, alpha), rel_tol=rel_tol)
         if base_inv is None:
-            gammas[alpha] = {n: None for n in dims}
-            slopes[alpha] = None
             continue
-        gammas[alpha] = {n: float(np.trace(qfim(n, alpha) @ base_inv)) for n in dims}
+        gamma[k] = [float(np.trace(qfim(n, alpha) @ base_inv)) for n in dims]
         x = np.array(dims, dtype=float)
         x = x - 1.0 if kind is ModelKind.TWO_PARAM else x
-        y = np.array([gammas[alpha][n] for n in dims])
-        slopes[alpha] = float(np.polyfit(np.log(x), np.log(y), 1)[0])
-    return gammas, slopes
+        slope[k] = float(np.polyfit(np.log(x), np.log(gamma[k]), 1)[0])
+    return gamma, slope
 
 
 def csv_text_loop(header, columns):

@@ -167,8 +167,9 @@ def shrinkage_fractions(res_a: ScanResult, res_b: ScanResult, threshold: float =
 
     Returns ``(f_a, f_b)``; a grid with no regular cells reports ``None``.
     """
-    if res_a.shape != res_b.shape:
-        raise InvalidInput(f"grid shapes differ: {res_a.shape} vs {res_b.shape}")
+    shape_a, shape_b = ((r.config.theta_count, r.config.b_count) for r in (res_a, res_b))
+    if shape_a != shape_b:
+        raise InvalidInput(f"grid shapes differ: {shape_a} vs {shape_b}")
 
     def frac(res: ScanResult):
         regular = ~res.singular

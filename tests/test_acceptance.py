@@ -253,8 +253,8 @@ def test_criterion_5_gamma_scaling_slopes():
     alpha = np.pi / 4
 
     def slopes(dims):
-        s2 = scaling_table(ModelKind.TWO_PARAM, [alpha], dims, point2).slopes[alpha]
-        s3 = scaling_table(ModelKind.THREE_PARAM, [alpha], dims, point3).slopes[alpha]
+        s2 = scaling_table(ModelKind.TWO_PARAM, [alpha], dims, point2).slope[0]
+        s3 = scaling_table(ModelKind.THREE_PARAM, [alpha], dims, point3).slope[0]
         return s2, s3
 
     desk = np.arange(4, 13, dtype=float)
@@ -300,11 +300,10 @@ def test_gamma_scaling_at_large_n():
     exact3 = (dims - 1.0) * (dims + 5.0) / 9.0
     table2 = scaling_table(ModelKind.TWO_PARAM, [alpha], dims, point2)
     table3 = scaling_table(ModelKind.THREE_PARAM, [alpha], dims, point3)
-    gamma2 = np.array([table2.gammas[alpha][n] for n in dims])
-    gamma3 = np.array([table3.gammas[alpha][n] for n in dims])
+    gamma2, gamma3 = table2.gamma[0], table3.gamma[0]
     assert np.allclose(gamma2, exact2, rtol=1e-9, atol=0.0)
     assert np.allclose(gamma3, exact3, rtol=1e-9, atol=0.0)
-    slope2, slope3 = table2.slopes[alpha], table3.slopes[alpha]
+    slope2, slope3 = table2.slope[0], table3.slope[0]
     assert slope2 == pytest.approx(np.polyfit(np.log(x), np.log(exact2), 1)[0], abs=1e-9)
     assert slope3 == pytest.approx(np.polyfit(np.log(dims), np.log(exact3), 1)[0], abs=1e-9)
     assert abs(slope2 - 2.0) <= 0.005

@@ -240,12 +240,13 @@ class TestCsvWriter:
         assert header == list(table.HEADER)
         expected = [(a, n) for a in table.alphas for n in table.dims]
         assert len(rows) == len(expected)
-        for (alpha_f, n_f, gamma_f, slope_f), (alpha, n) in zip(rows, expected):
+        cells = [(k, j) for k in range(len(table.alphas)) for j in range(len(table.dims))]
+        for (alpha_f, n_f, gamma_f, slope_f), (alpha, n), (k, j) in zip(rows, expected, cells):
             assert same_bits([alpha_f], [alpha])
             assert n_f == str(n)
-            gamma, slope = table.gammas[alpha][n], table.slopes[alpha]
+            gamma, slope = table.gamma[k, j], table.slope[k]
             if alpha == 0.0:
-                assert gamma is None and slope is None
+                assert np.isnan(gamma) and np.isnan(slope)
                 assert gamma_f == slope_f == ""
             else:
                 assert same_bits([gamma_f, slope_f], [gamma, slope])
@@ -286,11 +287,11 @@ class TestCsvWriter:
         # alpha = 0 at theta = pi/2 has a singular qubit baseline.
         point = ModelPoint(b=0.9, theta=np.pi / 2, t=5.0)
         table = scaling_table(ModelKind.TWO_PARAM, [0.0, np.pi / 4, 1.2], [4, 5, 1000], point)
-        assert table.slopes[0.0] is None
+        assert np.isnan(table.slope[0])
         out = tmp_path / "scaling.csv"
         table.write_csv(out)
-        rows = [(a, n, table.gammas[a][n], table.slopes[a]) for a in table.alphas
-                for n in table.dims]
+        rows = [(a, n, table.gamma[k, j], table.slope[k])
+                for k, a in enumerate(table.alphas) for j, n in enumerate(table.dims)]
         assert out.read_text() == csv_text_loop(table.HEADER, np.array(rows, dtype=float).T)
 
 
@@ -345,10 +346,10 @@ class TestScalingTable:
     def test_two_param_table(self, tmp_path):
         point = ModelPoint(b=np.pi / 5, theta=np.pi / 2, t=5.0)
         table = scaling_table(ModelKind.TWO_PARAM, [np.pi / 4], range(4, 13), point)
-        gammas = table.gammas[np.pi / 4]
+        assert table.gamma.shape == (1, 9) and table.slope.shape == (1,)
         x = np.arange(3, 12)
-        assert np.allclose([gammas[n] for n in range(4, 13)], x**2 + x, rtol=1e-9)
-        assert table.slopes[np.pi / 4] == pytest.approx(1.8494, abs=5e-4)
+        assert np.allclose(table.gamma[0], x**2 + x, rtol=1e-9)
+        assert table.slope[0] == pytest.approx(1.8494, abs=5e-4)
         out = tmp_path / "scaling.csv"
         table.write_csv(out)
         lines = out.read_text().strip().split("\n")
@@ -358,18 +359,16 @@ class TestScalingTable:
     def test_three_param_closed_form(self):
         point = ModelPoint(b=0.6, theta=0.8, t=5.0, phi=1.0)
         table = scaling_table(ModelKind.THREE_PARAM, [np.pi / 4], [4, 6, 9, 12], point)
-        for n in (4, 6, 9, 12):
-            assert table.gammas[np.pi / 4][n] == pytest.approx(
-                (n - 1) + (n - 1) * (n - 4) / 9, rel=1e-10
-            )
+        for j, n in enumerate((4, 6, 9, 12)):
+            assert table.gamma[0, j] == pytest.approx((n - 1) + (n - 1) * (n - 4) / 9, rel=1e-10)
 
     def test_singular_baseline_flag_row(self, tmp_path):
         # alpha = 0 probe at theta = pi/2 makes the qubit reference singular.
         point = ModelPoint(b=0.9, theta=np.pi / 2, t=5.0)
         table = scaling_table(ModelKind.TWO_PARAM, [0.0, np.pi / 4], [4, 5], point)
-        assert table.slopes[0.0] is None
-        assert table.gammas[0.0][4] is None
-        assert table.slopes[np.pi / 4] is not None
+        assert np.isnan(table.slope[0])
+        assert np.isnan(table.gamma[0, 0])
+        assert not np.isnan(table.slope[1])
         out = tmp_path / "scaling.csv"
         table.write_csv(out)
         rows = out.read_text().strip().split("\n")[1:]
@@ -391,7 +390,7 @@ class TestScalingTable:
         point = ModelPoint(b=0.9, theta=0.5, t=5.0)
         table = scaling_table(ModelKind.TWO_PARAM, [0.3], np.array([4, 8]), point)
         assert table.dims == (4, 8) and all(type(n) is int for n in table.dims)
-        assert list(table.gammas[0.3]) == [4, 8]
+        assert table.gamma.shape == (1, 2)
 
     def test_dimension_cap_is_checked_before_any_probe(self, monkeypatch):
         built = []
@@ -412,29 +411,30 @@ class TestScalingTable:
     def test_stacked_table_equals_per_probe_loop(self, kind, point):
         alphas, dims = (0.0, np.pi / 4, 0.3, 1.2), (4, 5, 9, 40, 240)
         table = scaling_table(kind, alphas, dims, point, probe_phi=0.7)
-        gammas, slopes = scaling_table_loop(kind, alphas, dims, point, probe_phi=0.7)
-        assert table.gammas == gammas
-        assert table.slopes == slopes
+        gamma, slope = scaling_table_loop(kind, alphas, dims, point, probe_phi=0.7)
+        np.testing.assert_array_equal(table.gamma, gamma, strict=True)
+        np.testing.assert_array_equal(table.slope, slope, strict=True)
         if point.theta == np.pi / 2 or kind is ModelKind.THREE_PARAM:
-            assert slopes[0.0] is None
-        assert all(slopes[a] is not None for a in alphas[1:])
+            assert np.isnan(slope[0])
+        assert not np.isnan(slope[1:]).any()
 
     def test_one_kernel_call_per_table(self, monkeypatch):
         calls = collections.Counter()
 
         def counted(name, fn):
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls[name] += 1
-                return fn(*args)
+                return fn(*args, **kwargs)
             return wrapper
 
         monkeypatch.setattr(analysis, "frame_qfim_uhlmann",
                             counted("kernel", analysis.frame_qfim_uhlmann))
         monkeypatch.setattr(analysis, "spin_moments", counted("moments", analysis.spin_moments))
+        monkeypatch.setattr(analysis, "eigh_inverse", counted("inverse", analysis.eigh_inverse))
         point = ModelPoint(b=0.9, theta=np.pi / 2, t=5.0)
         # alpha = 0 has a singular baseline; its probes are still taken once each
         scaling_table(ModelKind.TWO_PARAM, [0.0, np.pi / 4, 0.3], [4, 8, 12, 16], point)
-        assert calls == {"kernel": 1, "moments": 3 * (1 + 4)}
+        assert calls == {"kernel": 1, "moments": 3 * (1 + 4), "inverse": 1}
 
 
 class TestFimRankExperiment:

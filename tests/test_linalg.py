@@ -18,6 +18,7 @@ from spinmetro import (
     j_direction,
     make_probe,
     qfim_uhlmann,
+    scaling_table,
     spectral_absmax,
     spin_moments,
     sym_inverse,
@@ -397,6 +398,8 @@ class TestInverseCheck:
             assert inv is not None
             assert np.allclose(inv @ q, np.eye(3), atol=1e-4)
 
+    # The inverse of sym_inverse and of a scaling table's baselines comes
+    # from eigh_inverse's eigenvectors: perturbed ones fail check_inverse.
     @pytest.mark.parametrize("cond", [1.0, 1e3, 1e6, 1e9])
     def test_perturbed_inverse_is_caught(self, rng, monkeypatch, cond):
         q = spd_with_condition(rng, 3, cond)
@@ -406,9 +409,18 @@ class TestInverseCheck:
         check_inverse(q, exact, cond)
         with pytest.raises(NumericalFailure):
             check_inverse(q, bad, cond)
-        monkeypatch.setattr(np.linalg, "inv", lambda a: bad)
-        with pytest.raises(NumericalFailure):
+        eigh = np.linalg.eigh
+
+        def noisy_eigh(a):
+            evals, vecs = eigh(a)
+            return evals, vecs * (1 + 1e-6 * rng.standard_normal(vecs.shape))
+
+        monkeypatch.setattr(np.linalg, "eigh", noisy_eigh)
+        with pytest.raises(NumericalFailure, match="inverse verification failed"):
             sym_inverse(q)
+        point = ModelPoint(b=np.pi / 5, theta=np.pi / 2, t=5.0)
+        with pytest.raises(NumericalFailure, match="inverse verification failed"):
+            scaling_table(ModelKind.TWO_PARAM, [np.pi / 4], [4, 5], point)
 
     def test_one_bad_matrix_in_a_stack_is_caught(self, rng):
         q = np.stack([spd_with_condition(rng, 2, c) for c in (1.0, 1e4, 1e8)])

@@ -7,6 +7,7 @@ from spinmetro import (
     InvalidInput,
     ModelKind,
     ModelPoint,
+    ScanConfig,
     ai_measure,
     bloch_vector,
     bounds,
@@ -59,6 +60,27 @@ class TestMakeProbe:
     def test_dimension_must_be_an_integer(self, dim):
         with pytest.raises(InvalidInput, match="must be an integer"):
             ProbeSpec(dim=dim, alpha=0.0)
+
+    # The float fields of the three input classes follow one rule, beside the
+    # integer rule: a string, None or a bool raised a raw TypeError, and a NaN
+    # or an infinity is rejected too.  None is the two-parameter point's phi.
+    @pytest.mark.parametrize("cls, field", [
+        (ProbeSpec, "alpha"), (ProbeSpec, "phi"), (ModelPoint, "b"), (ModelPoint, "theta"),
+        (ModelPoint, "t"), (ModelPoint, "phi"), (ScanConfig, "t"), (ScanConfig, "model_phi"),
+    ], ids=lambda x: x if isinstance(x, str) else x.__name__)
+    @pytest.mark.parametrize("value", ["1", None, True, np.True_, np.nan, -np.inf],
+                             ids=["str", "None", "bool", "np.bool", "nan", "-inf"])
+    def test_float_fields_must_be_finite_numbers(self, cls, field, value):
+        valid = {
+            ProbeSpec: dict(dim=4, alpha=0.3, phi=0.0),
+            ModelPoint: dict(b=1.0, theta=0.5, t=5.0, phi=1.0),
+            ScanConfig: dict(kind=ModelKind.TWO_PARAM, probe=ProbeSpec(dim=2, alpha=0.2), t=5.0),
+        }[cls]
+        if cls is ModelPoint and field == "phi" and value is None:
+            assert cls(**{**valid, field: value}).n_params == 2
+            return
+        with pytest.raises(InvalidInput, match="must be a finite number"):
+            cls(**{**valid, field: value})
 
     @pytest.mark.parametrize("dim", [np.int64(5), np.uint16(5), np.int8(5)])
     def test_numpy_dimension_is_stored_as_int(self, dim):

@@ -10,7 +10,8 @@ tests only read the files, except that the library example is executed.
 Every file the library writes is opened in one place,
 ``analysis._write_text``, and every CSV field is formatted in one place,
 ``analysis._write_csv``.  The report module builds no dense generator
-route: its oracle routes are the su(2) vector forms.
+route: its oracle routes are the su(2) vector forms.  Q^-1 and the
+singular rule are computed in one function, ``linalg.eigh_inverse``.
 """
 
 import ast
@@ -146,6 +147,26 @@ def test_one_place_formats_csv_fields():
                 (writer if lineno in span else stray).append(f"{path.name}:{lineno}")
     assert writer
     assert stray == []
+
+
+def test_one_inverse_rule():
+    # linalg.eigh_inverse is the one place that applies the singular rule and
+    # checks an inverse; np.linalg.inv appears only in the Cholesky reference
+    # metrology.incompat_operator, pinned by the benchmark.  Each entry names
+    # the top-level definition that holds the call.
+    places = {"np.linalg.inv": [], "singular_mask": [], "check_inverse": []}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = f"{path.stem}.{getattr(node, 'name', node.lineno)}"
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Attribute) and sub.attr == "inv":
+                    places.setdefault(ast.unparse(sub), []).append(owner)
+                elif (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                      and sub.func.id in places):
+                    places[sub.func.id].append(owner)
+    assert places == {"np.linalg.inv": ["metrology.incompat_operator"],
+                      "singular_mask": ["linalg.eigh_inverse"],
+                      "check_inverse": ["linalg.eigh_inverse"]}
 
 
 DENSE_ROUTE_NAMES = {"GeneratorSet", "series_generators", "numeric_generators",
