@@ -18,9 +18,12 @@ Delta and T, and the Gamma and slope of an alpha with a singular baseline.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 import os
+import re
 import stat
 from dataclasses import dataclass
 
@@ -28,7 +31,7 @@ import numpy as np
 
 from .encoding import ModelKind, ModelPoint, closed_frame, numeric_frame, series_frame
 from .errors import InvalidInput, NumericalFailure
-from .linalg import eigh_inverse, require_float, require_int, spin_moments
+from .linalg import _TINY, eigh_inverse, require_float, require_int, spin_moments
 from .metrology import _report_fields, bounds, check_probe, classical_fim, frame_qfim_uhlmann
 from .models import MAX_DIM, ProbeSpec, make_probe
 
@@ -98,17 +101,115 @@ def _write_csv(path, header, outer, inner, columns) -> None:
     _write_text(path, ",".join(header) + "\n" + body.replace("nan", ""))
 
 
-def write_json(path, doc) -> None:
-    """Write ``doc`` as sorted, indented JSON.
+# The report of metrics_report as json.dumps(sort_keys=True, indent=2)
+# lays it out: keys sorted, two spaces a level.  Each %s takes the JSON text
+# of one scalar.  LABELS and MATRIX stand for the blocks that depend on the
+# number of parameters d: a list of d scalars and d rows of d scalars.
+_REPORT_LAYOUT = """{
+  "D": MATRIX,
+  "Q": MATRIX,
+  "c_h": %s,
+  "c_sld": %s,
+  "delta": %s,
+  "det_q": %s,
+  "dim": %s,
+  "generator_route_residuals": {
+    "numeric_vs_closed": %s,
+    "series_vs_closed": %s
+  },
+  "labels": LABELS,
+  "model": %s,
+  "point": {
+    "B": %s,
+    "phi": %s,
+    "t": %s,
+    "theta": %s
+  },
+  "probe": {
+    "alpha": %s,
+    "phi": %s
+  },
+  "r_ai": %s,
+  "singular": %s
+}
+"""
+_REPORT_KEYS = frozenset(re.findall(r'^  "(\w+)"', _REPORT_LAYOUT, re.M))
 
-    A NaN or infinity has no JSON form: it raises :class:`NumericalFailure`
-    before the file is opened, so nothing is written.
+# The JSON text of a scalar by its exact type, as json.dumps writes it.  A
+# NaN or an infinity comes out as one of _NON_FINITE, which JSON lacks.
+_JSON_SCALARS = {
+    float: float.__repr__,
+    int: int.__repr__,
+    str: json.encoder.encode_basestring_ascii,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda value: "null",
+}
+_NON_FINITE = frozenset(map(float.__repr__, (math.nan, math.inf, -math.inf)))
+
+
+@functools.cache
+def _report_template(d: int) -> str:
+    """:data:`_REPORT_LAYOUT` for ``d`` parameters, one ``%s`` a scalar."""
+    labels = "[\n" + ",\n".join(["    %s"] * d) + "\n  ]"
+    row = "[\n" + ",\n".join(["      %s"] * d) + "\n    ]"
+    matrix = "[\n    " + ",\n    ".join([row] * d) + "\n  ]"
+    return _REPORT_LAYOUT.replace("LABELS", labels).replace("MATRIX", matrix)
+
+
+def _report_text(doc) -> str | None:
+    """The text of a report whose keys are :data:`_REPORT_KEYS`, or ``None``.
+
+    The text is that of ``json.dumps(doc, sort_keys=True, indent=2)`` and
+    a newline.  ``None`` stands for a doc that the template cannot write as
+    json.dumps would: one whose nested keys, list lengths or value types
+    are not a report's (``d >= 1`` labels, ``d x d`` lists ``Q`` and ``D``,
+    and scalars of the types in :data:`_JSON_SCALARS`), or that holds a NaN
+    or an infinity.
     """
+    point, probe, resid = doc["point"], doc["probe"], doc["generator_route_residuals"]
+    labels, d_rows, q_rows = doc["labels"], doc["D"], doc["Q"]
+    if not (type(point) is type(probe) is type(resid) is dict
+            and type(labels) is type(d_rows) is type(q_rows) is list):
+        return None
+    d, rows = len(labels), d_rows + q_rows
+    if not ((len(point), len(probe), len(resid)) == (4, 2, 2) and d >= 1
+            and len(rows) == 2 * d and all(type(row) is list and len(row) == d for row in rows)):
+        return None
     try:
-        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise NumericalFailure(f"report holds a non-finite number: {exc}") from exc
-    _write_text(path, text + "\n")
+        values = [
+            *itertools.chain.from_iterable(rows),
+            doc["c_h"], doc["c_sld"], doc["delta"], doc["det_q"], doc["dim"],
+            resid["numeric_vs_closed"], resid["series_vs_closed"],
+            *labels, doc["model"],
+            point["B"], point["phi"], point["t"], point["theta"],
+            probe["alpha"], probe["phi"], doc["r_ai"], doc["singular"],
+        ]
+        fields = [_JSON_SCALARS[type(value)](value) for value in values]
+    except KeyError:
+        return None
+    if not _NON_FINITE.isdisjoint(fields):
+        return None
+    return _report_template(d) % tuple(fields)
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` as sorted, indented JSON, the text of
+    ``json.dumps(doc, sort_keys=True, indent=2)`` and a newline.
+
+    A report of :func:`metrics_report` is written from a fixed template
+    (:func:`_report_text`): with an indent, CPython's ``json.dumps`` runs
+    its pure-Python encoder, at more than twice the template's cost.  Any
+    other doc goes through ``json.dumps``.  A NaN or infinity has no JSON
+    form: it raises :class:`NumericalFailure` before the file is opened,
+    so nothing is written.
+    """
+    text = _report_text(doc) if type(doc) is dict and doc.keys() == _REPORT_KEYS else None
+    if text is None:
+        try:
+            text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise NumericalFailure(f"report holds a non-finite number: {exc}") from exc
+    _write_text(path, text)
 
 
 def _store_int(config, name: str) -> int:
@@ -119,11 +220,11 @@ def _store_int(config, name: str) -> int:
     return number
 
 
-# Largest scan grid, in cells: a scan's traced peak grows by about 870 B a
-# cell for the three-parameter model and 485 B for the two-parameter model,
-# both in run_scan (the CSV writer peaks at about 430 B), so the cap keeps
-# it within a 1 GB budget.  A larger grid is rejected before anything is
-# allocated.
+# Largest scan grid, in cells: a scan's traced peak grows by about 794 B a
+# cell for the three-parameter model and 448 B for the two-parameter model
+# (201^2 cells, N = 4), both in run_scan (the CSV writer peaks at about
+# 430 B), so the cap keeps it within a 1 GB budget.  A larger grid is
+# rejected before anything is allocated.
 MAX_GRID_CELLS = 10**6
 
 
@@ -165,9 +266,13 @@ class ScanConfig:
         return check_probe(self.probe)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanResult:
-    """Flattened grid in row-major (theta outer, B inner) order."""
+    """Flattened grid in row-major (theta outer, B inner) order.
+
+    Its fields are arrays, which have no single truth value, so a result
+    compares by identity, as ``object`` does, and hashes by it.
+    """
 
     config: ScanConfig
     theta: np.ndarray
@@ -209,10 +314,13 @@ def run_scan(config: ScanConfig) -> ScanResult:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalingResult:
     """Gamma (alphas x dims) and one fitted log-log slope per probe angle,
-    both NaN for an alpha whose baseline QFIM is singular."""
+    both NaN for an alpha whose baseline QFIM is singular.
+
+    Like :class:`ScanResult`, it compares and hashes by identity.
+    """
 
     alphas: tuple[float, ...]
     dims: tuple[int, ...]
@@ -512,14 +620,15 @@ def _route_residuals(kind, point, frame) -> dict:
     underflow beside a long one.  A row shorter than 2e-12, a spin-1/2
     spectral norm of 1e-12, is measured against that floor.
     """
-    routes = np.stack([series_frame(kind, point), numeric_frame(kind, point)[0]])
+    routes = np.array([series_frame(kind, point), numeric_frame(kind, point)[0]])
     top = np.maximum(np.abs(routes).max(axis=-1), np.abs(frame).max(axis=-1))
-    top = np.maximum(top, np.finfo(float).tiny)[..., None]
+    top = np.maximum(top, _TINY)[..., None]
     closed, routes = frame / top, routes / top
-    rows = np.stack([closed, routes, routes - closed])
+    rows = np.array([closed, routes, routes - closed])
     norms = np.sqrt((rows * rows).sum(axis=-1))
     rel = norms[2] / np.maximum(norms[:2].max(axis=0), 2e-12 / top[..., 0])
-    return {"series_vs_closed": float(rel[0].max()), "numeric_vs_closed": float(rel[1].max())}
+    series, numeric = rel.max(axis=-1).tolist()
+    return {"series_vs_closed": series, "numeric_vs_closed": numeric}
 
 
 def metrics_report(kind: ModelKind, spec: ProbeSpec, point: ModelPoint, rel_tol=1e-10) -> dict:

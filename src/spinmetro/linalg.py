@@ -16,6 +16,9 @@ import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
 
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
 __all__ = [
     "SpinRep",
     "build_spin_rep",
@@ -66,8 +69,8 @@ def require_hermitian(a, tol: float = 1e-12, name: str = "matrix") -> np.ndarray
     ``max(||a||, 1)`` in the Frobenius norm.
     """
     a = _require_finite_square(a, name)
-    a_h = np.swapaxes(a.conj(), -1, -2)
-    if np.array_equal(a, a_h):
+    a_h = a.conj().swapaxes(-1, -2)
+    if (a == a_h).all():
         return a
     resid = np.linalg.norm(a - a_h, axis=(-2, -1))
     if np.any(resid > tol * np.maximum(np.linalg.norm(a, axis=(-2, -1)), 1.0)):
@@ -88,10 +91,10 @@ def require_symmetric(a, sign: int = 1, name: str = "matrix") -> np.ndarray:
     is held to 1e-10 of its scaled norm.  A zero matrix passes.
     """
     a = _require_finite_square(a, name)
-    a_t = np.swapaxes(a, -1, -2)
-    if np.array_equal(a, a_t if sign > 0 else -a_t):
+    a_t = a.swapaxes(-1, -2)
+    if (a == (a_t if sign > 0 else -a_t)).all():
         return a
-    scale = np.maximum(np.abs(a).max(axis=(-2, -1), initial=0.0), np.finfo(float).tiny)
+    scale = np.maximum(np.abs(a).max(axis=(-2, -1), initial=0.0), _TINY)
     scaled = a / scale[..., None, None]
     resid = np.linalg.norm(scaled - sign * np.swapaxes(scaled, -1, -2), axis=(-2, -1))
     if np.any(resid > 1e-10 * np.linalg.norm(scaled, axis=(-2, -1))):
@@ -218,11 +221,11 @@ def spin_moments(psi) -> tuple[np.ndarray, np.ndarray]:
     s = (psi.size - 1) / 2
     m = s - np.arange(psi.size)
     ladder = _ladder_elements(s, m[:-1])
-    jminus_psi = np.zeros_like(psi)
-    jplus_psi = np.zeros_like(psi)
+    jminus_psi = np.zeros(psi.size, dtype=complex)
+    jplus_psi = np.zeros(psi.size, dtype=complex)
     jminus_psi[1:] = ladder * psi[:-1]
     jplus_psi[:-1] = ladder * psi[1:]
-    v = np.stack([(jplus_psi + jminus_psi) / 2, (jplus_psi - jminus_psi) / 2j, m * psi])
+    v = np.array([(jplus_psi + jminus_psi) / 2, (jplus_psi - jminus_psi) / 2j, m * psi])
     mean = (v @ psi.conj()).real
     v -= mean[:, None] * psi
     # Re <u_k|u_m> is the dot product of the (re, im) pairs; numpy forms
@@ -279,9 +282,11 @@ def singular_mask(evals, rel_tol: float) -> np.ndarray:
     this package inverts scale with evolution time and probe dimension.
     The sign test matters where ``rel_tol * lambda_max`` underflows to 0:
     there a zero eigenvalue would pass the ratio test.
-    A ``rel_tol`` outside (0, 1) raises :class:`InvalidInput`: one of 1 or
-    more would flag every matrix except, at most, multiples of the identity.
+    ``rel_tol`` is a finite number (the rule of :func:`require_float`) in
+    (0, 1), else :class:`InvalidInput`: one of 1 or more would flag every
+    matrix except, at most, multiples of the identity.
     """
+    rel_tol = require_float(rel_tol, "singularity tolerance")
     if not 0 < rel_tol < 1:
         raise InvalidInput(f"singularity tolerance must lie in (0, 1), got {rel_tol!r}")
     lam_min = evals[..., 0]
@@ -296,12 +301,27 @@ def check_inverse(q, q_inv, cond) -> None:
     ``1e3 * eps * cond(Q)`` with ``cond`` its condition number.  A NaN
     residual fails too.
     """
-    resid = np.linalg.norm(q @ q_inv - np.eye(q.shape[-1]), axis=(-2, -1))
-    excess = float(np.max(resid / (1e3 * np.finfo(float).eps * np.asarray(cond))))
+    resid = q @ q_inv - np.eye(q.shape[-1])
+    resid = np.sqrt((resid * resid).sum(axis=(-2, -1)))
+    excess = float((resid / (1e3 * _EPS * np.asarray(cond))).max())
     if not excess <= 1:
         raise NumericalFailure(
             f"inverse verification failed (residual {excess:.3g} times 1e3 eps cond(Q))"
         )
+
+
+def _regular_index(singular):
+    """Index of the regular matrices of a stack whose singular flags are
+    ``singular``, or ``None`` if there is none.
+
+    With no singular matrix it is ``...``, so that indexing a stack by it
+    takes a view and no copy; otherwise it is the boolean mask
+    ``~singular``.
+    """
+    count = np.count_nonzero(singular)
+    if count == singular.size:
+        return None
+    return ~singular if count else ...
 
 
 def eigh_inverse(q, rel_tol: float, name: str = "symmetric matrix"):
@@ -317,12 +337,12 @@ def eigh_inverse(q, rel_tol: float, name: str = "symmetric matrix"):
     evals, vecs = np.linalg.eigh(q)
     singular = singular_mask(evals, rel_tol)
     q_inv = np.full(q.shape, np.nan)
-    regular = ~singular
-    if regular.any():
+    regular = _regular_index(singular)
+    if regular is not None:
         lam, vecs_r = evals[regular], vecs[regular]
-        inv = (vecs_r / lam[:, None, :]) @ np.swapaxes(vecs_r, -1, -2)
-        inv = (inv + np.swapaxes(inv, -1, -2)) / 2
-        check_inverse(q[regular], inv, lam[:, -1] / lam[:, 0])
+        inv = (vecs_r / lam[..., None, :]) @ vecs_r.swapaxes(-1, -2)
+        inv = (inv + inv.swapaxes(-1, -2)) / 2
+        check_inverse(q[regular], inv, lam[..., -1] / lam[..., 0])
         q_inv[regular] = inv
     return evals, vecs, singular, q_inv
 

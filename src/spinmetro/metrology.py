@@ -23,6 +23,7 @@ import numpy as np
 from .encoding import GeneratorSet
 from .errors import InvalidInput, NumericalFailure
 from .linalg import (
+    _regular_index,
     eigh_inverse,
     require_hermitian,
     require_symmetric,
@@ -90,11 +91,16 @@ def frame_qfim_uhlmann(frame, mean, cov) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidInput(
             f"spin moments must have shapes (..., 3), (..., 3, 3), got {mean.shape}, {cov.shape}"
         )
-    q = 4 * frame @ cov @ np.swapaxes(frame, -1, -2)
-    q = (q + np.swapaxes(q, -1, -2)) / 2
-    cross = np.cross(frame[..., :, None, :], frame[..., None, :, :])
-    d = 2 * (cross * mean[..., None, None, :]).sum(axis=-1)
-    return q, d
+    q = 4 * frame @ cov @ frame.swapaxes(-1, -2)
+    q = (q + q.swapaxes(-1, -2)) / 2
+    # a_l x a_m by components, each the difference of two products as in
+    # np.cross, then its dot product with <J> summed as numpy sums a last
+    # axis: from +0.0, so that a sum of -0.0 terms is +0.0
+    ax, ay, az = (frame[..., :, None, k] for k in range(3))
+    bx, by, bz = (frame[..., None, :, k] for k in range(3))
+    mx, my, mz = (mean[..., k, None, None] for k in range(3))
+    d = 0.0 + (ay * bz - az * by) * mx + (az * bx - ax * bz) * my + (ax * by - ay * bx) * mz
+    return q, 2 * d
 
 
 def batched_qfim_uhlmann(gen_stack, probes) -> tuple[np.ndarray, np.ndarray]:
@@ -227,21 +233,29 @@ def bounds(q, d, rel_tol: float = 1e-10):
     d = np.asarray(d, dtype=float)
     if q.ndim < 2 or q.shape != d.shape or q.shape[-1] != q.shape[-2]:
         raise InvalidInput(f"Q and D must be square stacks of one shape, got {q.shape}, {d.shape}")
-    if not (np.isfinite(q).all() and np.isfinite(d).all()):
-        raise NumericalFailure("QFIM or Uhlmann matrix is not finite")
-    require_symmetric(d, sign=-1, name="Uhlmann matrix")
     lead, dim = q.shape[:-2], q.shape[-1]
-    evals, vecs, singular, q_inv = eigh_inverse(q.reshape(-1, dim, dim), rel_tol, name="QFIM")
+    d = d.reshape(-1, dim, dim)
+    try:
+        # the symmetric rule checks each matrix once, finiteness first
+        require_symmetric(d, sign=-1, name="Uhlmann matrix")
+        evals, vecs, singular, q_inv = eigh_inverse(q.reshape(-1, dim, dim), rel_tol,
+                                                    name="QFIM")
+    except InvalidInput:
+        # that rule calls a NaN or an infinity invalid input; here it is a
+        # numerical failure, whichever matrix the rule rejected first
+        if np.isfinite(q).all() and np.isfinite(d).all():
+            raise
+        raise NumericalFailure("QFIM or Uhlmann matrix is not finite") from None
     det_q = np.maximum(evals, 0.0).prod(axis=-1)
-    c_sld = np.trace(q_inv, axis1=-2, axis2=-1)
+    c_sld = q_inv.trace(axis1=-2, axis2=-1)
     r_ai, c_h, delta = np.full((3, singular.size), np.nan)
-    regular = ~singular
-    if regular.any():
-        lam, vecs, d = evals[regular], vecs[regular], d.reshape(-1, dim, dim)[regular]
-        vecs_t = np.swapaxes(vecs, -1, -2)
-        d = vecs_t @ d @ vecs
-        h = 0.5j * (d - np.swapaxes(d, -1, -2))  # else D''s diagonal residue / lam^2 dominates
-        s = np.sqrt(lam)[:, :, None] * np.sqrt(lam)[:, None, :]  # sqrt each: lam^2 may overflow
+    regular = _regular_index(singular)
+    if regular is not None:
+        lam, vecs, d = evals[regular], vecs[regular], d[regular]
+        d = vecs.swapaxes(-1, -2) @ d @ vecs
+        h = 0.5j * (d - d.swapaxes(-1, -2))  # else D''s diagonal residue / lam^2 dominates
+        s = np.sqrt(lam)[:, :, None]  # sqrt each: lam^2 may overflow
+        s = s * s.swapaxes(-1, -2)
         h /= s
         r_ai[regular] = np.abs(np.linalg.eigvalsh(h)).max(axis=-1)
         h /= s

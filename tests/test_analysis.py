@@ -2,16 +2,20 @@
 
 import collections
 import json
+import math
 import os
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinmetro import (
     InvalidInput,
     ModelKind,
+    NumericalFailure,
     ModelPoint,
     RankExperimentConfig,
     ScanConfig,
@@ -197,6 +201,33 @@ class TestRunScan:
     def test_tolerance_that_is_not_positive_is_rejected(self):
         with pytest.raises(InvalidInput):
             run_scan(replace(small_scan(counts=(3, 3)), rel_tol=0.0))
+
+    def test_results_compare_by_identity(self):
+        # Fields of arrays have no single truth value: == of two equal
+        # results once raised ValueError and hash raised TypeError.
+        point = ModelPoint(b=0.6, theta=0.8, t=5.0)
+        for make in (lambda: run_scan(small_scan(counts=(3, 3))),
+                     lambda: scaling_table(ModelKind.TWO_PARAM, [0.4], [4, 5], point)):
+            a, b = make(), make()
+            assert a == a and a != b and not (a == b)
+            assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
+# Every entry point reaches the tolerance rule of linalg.singular_mask: a
+# string, None, a bool or a NaN is invalid input, not a raw TypeError.
+@pytest.mark.parametrize("rel_tol", ["1e-10", None, True, math.nan, math.inf, 1.0])
+@pytest.mark.parametrize("entry", ["metrics_report", "run_scan", "scaling_table"])
+def test_tolerance_rule_at_every_entry_point(entry, rel_tol):
+    point = ModelPoint(b=0.6, theta=0.8, t=5.0)
+    calls = {
+        "metrics_report": lambda: metrics_report(ModelKind.TWO_PARAM, ProbeSpec(dim=3, alpha=0.4),
+                                                 point, rel_tol=rel_tol),
+        "run_scan": lambda: run_scan(replace(small_scan(counts=(3, 3)), rel_tol=rel_tol)),
+        "scaling_table": lambda: scaling_table(ModelKind.TWO_PARAM, [0.4], [4, 5], point,
+                                               rel_tol=rel_tol),
+    }
+    with pytest.raises(InvalidInput, match="singularity tolerance"):
+        calls[entry]()
 
 
 def read_csv(path):
@@ -760,3 +791,134 @@ class TestMetricsReport:
         a = json.dumps(metrics_report(*args), sort_keys=True)
         b = json.dumps(metrics_report(*args), sort_keys=True)
         assert a == b
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_uhlmann_diagonal_is_positive_zero(self, kind):
+        # With every component of <J> negative, each term of D's diagonal,
+        # (a_l x a_l)_k <J>_k, is -0.0.  Summed from +0.0, as numpy sums,
+        # the diagonal is +0.0, and a report writes it as 0.0.
+        thetas, bs = np.meshgrid(np.linspace(0.0, 2 * np.pi, 7), np.linspace(0.0, 1.3, 5))
+        phi = None if kind is ModelKind.TWO_PARAM else 1.0
+        frame = closed_frame(kind, bs, thetas, 5.0, phi)
+        _, d = frame_qfim_uhlmann(frame, np.array([-0.3, -0.2, -0.1]), np.eye(3))
+        diagonal = np.diagonal(d, axis1=-2, axis2=-1)
+        assert (diagonal == 0).all() and not np.signbit(diagonal).any()
+        spec = ProbeSpec(dim=2, alpha=1.2, phi=4.0)
+        assert (spin_moments(make_probe(spec))[0] < 0).all()
+        doc = metrics_report(kind, spec, points_for(kind)[0])
+        assert [math.copysign(1.0, doc["D"][l][l]) for l in range(kind.n_params)] == \
+            [1.0] * kind.n_params
+
+
+# Floats a report may hold, with the edges of the float format drawn often:
+# signed zeros, subnormals and the largest finite values.
+REPORT_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e-5]),
+)
+
+
+@st.composite
+def report_docs(draw):
+    """Dicts of the shape of metrics_report's, singular ones with null bounds."""
+    kind = draw(st.sampled_from(list(ModelKind)))
+    d = kind.n_params
+    singular = draw(st.booleans())
+    matrix = st.lists(st.lists(REPORT_FLOATS, min_size=d, max_size=d), min_size=d, max_size=d)
+    bound = st.none() if singular else REPORT_FLOATS
+    return {
+        "model": kind.value,
+        "dim": draw(st.integers(2, MAX_DIM)),
+        "probe": {"alpha": draw(REPORT_FLOATS), "phi": draw(REPORT_FLOATS)},
+        "point": {"B": draw(REPORT_FLOATS), "theta": draw(REPORT_FLOATS),
+                  "phi": None if d == 2 else draw(REPORT_FLOATS), "t": draw(REPORT_FLOATS)},
+        "labels": list(kind.labels),
+        "Q": draw(matrix),
+        "D": draw(matrix),
+        "det_q": draw(REPORT_FLOATS),
+        "singular": singular,
+        **{name: draw(bound) for name in ("c_sld", "c_h", "delta", "r_ai")},
+        "generator_route_residuals": {"series_vs_closed": draw(REPORT_FLOATS),
+                                      "numeric_vs_closed": draw(REPORT_FLOATS)},
+    }
+
+
+def json_text(doc) -> bytes:
+    return (json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n").encode()
+
+
+class TestJsonWriter:
+    # A report is written from a fixed template; its bytes must be those of
+    # json.dumps(sort_keys=True, indent=2) and a newline.
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=report_docs())
+    def test_report_template_matches_json_dumps(self, doc):
+        assert doc.keys() == analysis._REPORT_KEYS
+        assert analysis._report_text(doc).encode() == json_text(doc)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_written_report_matches_json_dumps(self, tmp_path, kind):
+        for point in points_for(kind):
+            for singular_dim in (2, 5):
+                doc = metrics_report(kind, ProbeSpec(dim=singular_dim, alpha=0.3), point)
+                analysis.write_json(tmp_path / "r.json", doc)
+                assert (tmp_path / "r.json").read_bytes() == json_text(doc)
+
+    # A doc with a report's keys but not a report's shape or value types is
+    # written as json.dumps writes it: by the template where it fits, which
+    # writes any JSON scalar, and by json.dumps where it does not.
+    @pytest.mark.parametrize("change", [
+        lambda doc: doc["Q"][0].__setitem__(0, 1),
+        lambda doc: doc["Q"][0].__setitem__(0, np.float64(0.5)),
+        lambda doc: doc["D"][1].__setitem__(1, True),
+        lambda doc: doc["point"].__setitem__("x", 1.0),
+        lambda doc: doc["probe"].pop("phi"),
+        lambda doc: doc["labels"].append("extra"),
+        lambda doc: doc["Q"][1].append(0.0),
+        lambda doc: doc.__setitem__("Q", [tuple(row) for row in doc["Q"]]),
+        lambda doc: doc.__setitem__("labels", []),
+        lambda doc: doc.__setitem__("model", ModelKind.TWO_PARAM),
+        lambda doc: doc.__setitem__("D", 1.0),
+        lambda doc: doc.__setitem__("labels", "B"),
+        lambda doc: doc.__setitem__("point", None),
+    ])
+    def test_other_docs_match_json_dumps(self, tmp_path, change):
+        doc = metrics_report(ModelKind.TWO_PARAM, ProbeSpec(dim=3, alpha=0.3),
+                             points_for(ModelKind.TWO_PARAM)[0])
+        change(doc)
+        try:
+            want = json_text(doc)
+        except TypeError:
+            with pytest.raises(TypeError):
+                analysis.write_json(tmp_path / "r.json", doc)
+            return
+        text = analysis._report_text(doc)
+        assert text is None or text.encode() == want
+        analysis.write_json(tmp_path / "r.json", doc)
+        assert (tmp_path / "r.json").read_bytes() == want
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("path", [("Q", 0, 1), ("D", 1, 0), ("c_h",), ("det_q",),
+                                      ("point", "B"), ("generator_route_residuals",
+                                                       "numeric_vs_closed")])
+    def test_non_finite_report_opens_no_file(self, tmp_path, monkeypatch, path, value):
+        doc = metrics_report(ModelKind.THREE_PARAM, ProbeSpec(dim=4, alpha=0.3),
+                             points_for(ModelKind.THREE_PARAM)[0])
+        *head, last = path
+        owner = doc
+        for key in head:
+            owner = owner[key]
+        owner[last] = value
+        out = tmp_path / "r.json"
+        out.write_bytes(b"earlier report\n")
+        opened = []
+        monkeypatch.setattr(analysis, "_write_text", lambda *args: opened.append(args))
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            analysis.write_json(out, doc)
+        assert opened == []
+        monkeypatch.undo()
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            analysis.write_json(out, doc)
+        assert out.read_bytes() == b"earlier report\n"

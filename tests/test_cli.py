@@ -18,7 +18,12 @@ from hypothesis import strategies as st
 import spinmetro
 from spinmetro import ModelPoint, bloch_vector, make_probe, qubit2p_closed
 from spinmetro import cli
-from spinmetro.analysis import MAX_GRID_CELLS, MAX_RANK_OUTCOMES, MAX_RANK_PARAMS
+from spinmetro.analysis import (
+    MAX_GRID_CELLS,
+    MAX_RANK_OUTCOMES,
+    MAX_RANK_PARAMS,
+    metrics_report,
+)
 from spinmetro.cli import build_parser, main
 from spinmetro.models import MAX_DIM, ProbeSpec
 
@@ -458,6 +463,23 @@ class TestOutputWriter:
         out = tmp_path / "x.json"
         out.write_bytes(b"{}\n")
         assert run(["fim-rank", "--trials", "1", "--out", str(out)]) == 1
+        assert out.read_bytes() == b"{}\n"
+
+    # A metrics report is written from its template, which refuses a NaN or
+    # an infinity in any field before the file is opened.
+    @pytest.mark.parametrize("field, value", [("c_sld", float("nan")), ("det_q", float("inf")),
+                                              ("r_ai", float("-inf"))])
+    def test_non_finite_metrics_report_leaves_existing_file_unchanged(
+            self, tmp_path, capsys, monkeypatch, field, value):
+        def report(**kwargs):
+            return {**metrics_report(**kwargs), field: value}
+
+        monkeypatch.setattr(cli, "metrics_report", report)
+        out = tmp_path / "x.json"
+        out.write_bytes(b"{}\n")
+        assert run(["metrics", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "Traceback" not in err
         assert out.read_bytes() == b"{}\n"
 
 

@@ -617,6 +617,21 @@ class TestBounds:
         with pytest.raises(NumericalFailure):
             bounds(*q_and_d)
 
+    # Each matrix is checked once, by the symmetric rule, whose non-finite
+    # verdict bounds turns into a numerical failure: a NaN or an infinity
+    # in either matrix outranks any asymmetry, and D's asymmetry outranks
+    # Q's, whichever matrix the rule met first.
+    @pytest.mark.parametrize("q, d, error, match", [
+        ([[1.0, np.nan], [np.nan, 1.0]], [[0.0, 0.3], [0.3, 0.0]], NumericalFailure, "not finite"),
+        ([[2.0, 0.5], [0.0, 1.0]], [[0.0, np.inf], [-np.inf, 0.0]], NumericalFailure,
+         "not finite"),
+        ([[2.0, 0.5], [0.0, 1.0]], [[0.0, 0.3], [0.3, 0.0]], InvalidInput, "Uhlmann matrix"),
+        ([[np.inf, 0.0], [0.0, 1.0]], np.zeros((2, 2)), NumericalFailure, "not finite"),
+    ])
+    def test_input_faults_keep_their_order(self, q, d, error, match):
+        with pytest.raises(error, match=match):
+            bounds(q, d)
+
     def test_perturbed_eigenvectors_fail_the_inverse_check(self, rng, monkeypatch):
         q, d = random_model(rng, 3, cond=1e4)
         eigh = np.linalg.eigh

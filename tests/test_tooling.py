@@ -8,8 +8,9 @@ library example must run, every `` `module.name` `` it cites must exist,
 and every name a module lists in ``__all__`` must exist on it.  These
 tests only read the files, except that the library example is executed.
 Every file the library writes is opened in one place,
-``analysis._write_text``, and every CSV field is formatted in one place,
-``analysis._write_csv``.  The report module builds no dense generator
+``analysis._write_text``, every CSV field is formatted in one place,
+``analysis._write_csv``, and JSON is formatted by ``analysis.write_json``
+alone, from one report layout.  The report module builds no dense generator
 route: its oracle routes are the su(2) vector forms.  Q^-1 and the
 singular rule are computed in one function, ``linalg.eigh_inverse``.
 """
@@ -147,6 +148,49 @@ def test_one_place_formats_csv_fields():
                 (writer if lineno in span else stray).append(f"{path.name}:{lineno}")
     assert writer
     assert stray == []
+
+
+def _skeleton(value):
+    """``value`` with every scalar replaced by ``None``: dict keys and list
+    lengths are kept."""
+    if isinstance(value, dict):
+        return {key: _skeleton(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_skeleton(item) for item in value]
+    return None
+
+
+def test_one_place_formats_json():
+    # json.dumps is called in analysis.write_json alone; the report layout
+    # is one string constant, analysis._REPORT_LAYOUT, and it holds the
+    # keys, nesting and list lengths of metrics_report's dict for both
+    # models, so a new report field fails here until the layout has it.
+    dumps, layouts = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            targets = getattr(node, "targets", [])
+            name = getattr(node, "name", None) or ",".join(map(ast.unparse, targets))
+            owner = f"{path.stem}.{name}"
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Attribute) and sub.attr == "dumps":
+                    dumps.append(owner)
+                elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+                      and '"generator_route_residuals"' in sub.value):
+                    layouts.append(owner)
+    assert dumps == ["analysis.write_json"]
+    assert layouts == ["analysis._REPORT_LAYOUT"]
+    from spinmetro import analysis
+    from spinmetro.encoding import ModelKind, ModelPoint
+    from spinmetro.models import ProbeSpec
+
+    for kind in ModelKind:
+        phi = None if kind is ModelKind.TWO_PARAM else 1.0
+        doc = analysis.metrics_report(kind, ProbeSpec(dim=3, alpha=0.4),
+                                      ModelPoint(b=0.6, theta=0.8, t=5.0, phi=phi))
+        template = analysis._report_template(kind.n_params)
+        laid_out = json.loads(template % (("null",) * template.count("%s")))
+        assert _skeleton(laid_out) == _skeleton(doc)
+        assert laid_out.keys() == analysis._REPORT_KEYS
 
 
 def test_one_inverse_rule():
