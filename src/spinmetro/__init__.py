@@ -41,6 +41,7 @@ from .errors import (
 from .linalg import (
     SpinRep,
     build_spin_rep,
+    check_probe,
     expm_i,
     j_direction,
     spectral_absmax,
@@ -53,7 +54,6 @@ from .metrology import (
     batched_qfim_uhlmann,
     bounds,
     classical_fim,
-    check_probe,
     frame_qfim_uhlmann,
     holevo_pure,
     incompat_operator,

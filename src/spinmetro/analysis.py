@@ -32,11 +32,12 @@ import numpy as np
 from .encoding import ModelKind, ModelPoint, closed_frame, numeric_frame, series_frame
 from .errors import InvalidInput, NumericalFailure
 from .linalg import _TINY, eigh_inverse, require_float, require_int, spin_moments
-from .metrology import _report_fields, bounds, check_probe, classical_fim, frame_qfim_uhlmann
-from .models import MAX_DIM, ProbeSpec, make_probe
+from .metrology import _report_fields, bounds, classical_fim, frame_qfim_uhlmann
+from .models import MAX_DIM, ProbeSpec, extreme_moments
 
 __all__ = [
     "MAX_GRID_CELLS",
+    "MAX_TABLE_PROBES",
     "MAX_RANK_PARAMS",
     "MAX_RANK_OUTCOMES",
     "ScanConfig",
@@ -200,14 +201,23 @@ def write_json(path, doc) -> None:
     (:func:`_report_text`): with an indent, CPython's ``json.dumps`` runs
     its pure-Python encoder, at more than twice the template's cost.  Any
     other doc goes through ``json.dumps``.  A NaN or infinity has no JSON
-    form: it raises :class:`NumericalFailure` before the file is opened,
-    so nothing is written.
+    form: it raises :class:`NumericalFailure`.  A circular reference raises
+    :class:`InvalidInput`.  Either is raised before the file is opened, so
+    nothing is written.
     """
     text = _report_text(doc) if type(doc) is dict and doc.keys() == _REPORT_KEYS else None
     if text is None:
+        encode = functools.partial(json.dumps, doc, sort_keys=True, indent=2)
         try:
-            text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+            text = encode(allow_nan=False) + "\n"
         except ValueError as exc:
+            # json.dumps raises ValueError for a non-finite number and for a
+            # circular reference alike: only a doc that encodes once NaN is
+            # allowed held a non-finite number
+            try:
+                encode(allow_nan=True)
+            except ValueError:
+                raise InvalidInput(f"report cannot be written as JSON: {exc}") from None
             raise NumericalFailure(f"report holds a non-finite number: {exc}") from exc
     _write_text(path, text)
 
@@ -260,10 +270,13 @@ class ScanConfig:
         if theta_count * b_count > MAX_GRID_CELLS:
             raise InvalidInput(f"grid has {theta_count * b_count} cells, at most {MAX_GRID_CELLS}")
 
-    def probe_state(self) -> np.ndarray:
+    def probe_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Spin mean and covariance of the probe: from its support for a
+        :class:`ProbeSpec`, else :func:`~spinmetro.linalg.spin_moments` of
+        the explicit state."""
         if isinstance(self.probe, ProbeSpec):
-            return make_probe(self.probe)
-        return check_probe(self.probe)
+            return self.probe.moments()
+        return spin_moments(self.probe)
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,7 +320,7 @@ def run_scan(config: ScanConfig) -> ScanResult:
     b = b_grid.ravel()
     phi = None if config.kind is ModelKind.TWO_PARAM else config.model_phi
     frame = closed_frame(config.kind, b, theta, config.t, phi)
-    q, d = frame_qfim_uhlmann(frame, *spin_moments(config.probe_state()))
+    q, d = frame_qfim_uhlmann(frame, *config.probe_moments())
     singular, r_ai, _, _, delta, det_q = bounds(q, d, rel_tol=config.rel_tol)
     return ScanResult(
         config=config, theta=theta, b=b, r_ai=r_ai, delta=delta, det_q=det_q, singular=singular
@@ -338,11 +351,34 @@ def scaling_dim(n) -> int:
     """One dimension of a scaling table as a Python int: an integer (the rule
     of :func:`~spinmetro.linalg.require_int`) in [4, :data:`MAX_DIM`], else
     :class:`InvalidInput`.  The command line holds both ends of a ``LO-HI``
-    range to it before it expands the range."""
+    range to it before it hands the range over."""
     n = require_int(n, "scaling dimension")
     if not 4 <= n <= MAX_DIM:
         raise InvalidInput(f"scaling dimensions must lie in [4, {MAX_DIM}], got {n}")
     return n
+
+
+# Largest scaling table, in probes: len(alphas) * (1 + len(dims)), the
+# baselines included.  A table's traced peak grows by about 860 B a probe
+# (one alpha and 2 * 10^4 to 2 * 10^5 dimensions, either model; about 700 B
+# with 40 alphas), mostly the stacked windows and moments of the moments
+# kernel, so the cap keeps it within a 1 GB budget.  A larger table is
+# rejected before anything is allocated.
+MAX_TABLE_PROBES = 10**6
+
+
+def _sized(values, name: str):
+    """``values`` itself if it has a length, as a list or a range has, else
+    a tuple of it; :class:`InvalidInput` if it is not iterable."""
+    try:
+        len(values)
+        return values
+    except TypeError:
+        pass
+    try:
+        return tuple(values)
+    except TypeError:
+        raise InvalidInput(f"{name} must be a sequence, got {values!r}") from None
 
 
 def scaling_table(
@@ -362,30 +398,36 @@ def scaling_table(
     whose baseline QFIM is singular gets NaN Gamma and slope (empty CSV
     fields); a Gamma that is not finite raises :class:`NumericalFailure`.
     A slope needs at least two distinct dimensions, each listed once (each
-    held to :func:`scaling_dim`), and at least one probe angle.  Every
-    dimension is checked before any is computed.  The spin moments of each
-    (alpha, N) probe, baselines included, are taken one probe at a time and
-    stacked, and one :func:`~spinmetro.metrology.frame_qfim_uhlmann` call
-    gives every QFIM of the table, one :func:`~spinmetro.linalg.eigh_inverse`
-    call every baseline's inverse, and one batched trace every Gamma.
+    held to :func:`scaling_dim`), and at least one probe angle; each angle
+    and ``probe_phi`` is a finite number (the rule of
+    :func:`~spinmetro.linalg.require_float`).  The table has at most
+    :data:`MAX_TABLE_PROBES` probes, counted from the lengths of ``alphas``
+    and ``dims`` before either is expanded, and every dimension is checked
+    before any is computed.  One :func:`~spinmetro.models.extreme_moments`
+    call gives the spin moments of every (alpha, N) probe, baselines
+    included, from their supports; one
+    :func:`~spinmetro.metrology.frame_qfim_uhlmann` call every QFIM of the
+    table, one :func:`~spinmetro.linalg.eigh_inverse` call every baseline's
+    inverse, and one batched trace every Gamma.
     """
+    alphas, dims = _sized(alphas, "probe angles"), _sized(dims, "scaling dimensions")
+    probes = len(alphas) * (1 + len(dims))
+    if probes > MAX_TABLE_PROBES:
+        raise InvalidInput(f"scaling table has {probes} probes, at most {MAX_TABLE_PROBES}")
     dims = tuple(map(scaling_dim, dims))
     if len(dims) < 2 or len(set(dims)) != len(dims):
         raise InvalidInput(
             f"scaling needs two or more distinct dimensions, each listed once; got {dims}"
         )
-    alphas = tuple(float(a) for a in alphas)
+    alphas = tuple(require_float(alpha, "probe alpha") for alpha in alphas)
     if not alphas:
         raise InvalidInput("scaling needs at least one probe angle")
+    probe_phi = require_float(probe_phi, "probe phi")
     baseline_dim = 2 if kind is ModelKind.TWO_PARAM else 4
     frame = closed_frame(kind, point.b, point.theta, point.t, point.phi)
-    moments = [
-        spin_moments(make_probe(ProbeSpec(dim=n, alpha=alpha, phi=probe_phi)))
-        for alpha in alphas
-        for n in (baseline_dim, *dims)
-    ]
-    q = frame_qfim_uhlmann(frame, *(np.stack(m) for m in zip(*moments)))[0]
-    q = q.reshape(len(alphas), 1 + len(dims), *q.shape[-2:])
+    moments = extreme_moments(np.array((baseline_dim, *dims)), np.array(alphas)[:, None],
+                              probe_phi)
+    q = frame_qfim_uhlmann(frame, *moments)[0]
     x = np.array(dims, dtype=float)
     x = x - 1.0 if kind is ModelKind.TWO_PARAM else x
     _, _, singular, base_inv = eigh_inverse(q[:, 0], rel_tol, name="QFIM")
@@ -641,7 +683,7 @@ def metrics_report(kind: ModelKind, spec: ProbeSpec, point: ModelPoint, rel_tol=
     of the dense :func:`~spinmetro.metrology.incompat_report`.
     """
     frame = closed_frame(kind, point.b, point.theta, point.t, point.phi)
-    q, d = frame_qfim_uhlmann(frame, *spin_moments(make_probe(spec)))
+    q, d = frame_qfim_uhlmann(frame, *spec.moments())
     return {
         "model": kind.value,
         "dim": spec.dim,

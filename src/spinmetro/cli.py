@@ -46,17 +46,18 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         raise InvalidInput(f"expected comma-separated numbers, got {text!r}") from exc
 
 
-def _parse_dims(text: str) -> tuple[int, ...]:
+def _parse_dims(text: str) -> tuple[int, ...] | range:
     """Parse ``N,N,...`` or ``LO-HI``.  Both ends of a range are held to the
-    table's dimension rule before the range is expanded, so a range past
-    :data:`~spinmetro.models.MAX_DIM` allocates nothing."""
+    table's dimension rule, and the range is returned unexpanded, so a
+    range past :data:`~spinmetro.models.MAX_DIM` or a table past
+    :data:`~spinmetro.analysis.MAX_TABLE_PROBES` allocates nothing."""
     try:
         if "-" not in text:
             return tuple(int(v) for v in text.split(",") if v.strip())
         lo, hi = map(int, text.split("-"))
     except ValueError as exc:
         raise InvalidInput(f"--dims expects N,N,... or LO-HI, got {text!r}") from exc
-    return tuple(range(scaling_dim(lo), scaling_dim(hi) + 1))
+    return range(scaling_dim(lo), scaling_dim(hi) + 1)
 
 
 _FLAGS = {

@@ -22,6 +22,7 @@ _TINY = np.finfo(float).tiny
 __all__ = [
     "SpinRep",
     "build_spin_rep",
+    "check_probe",
     "spin_moments",
     "j_direction",
     "expm_i",
@@ -144,11 +145,12 @@ def require_float(value, name: str) -> float:
 
 
 def require_unit_norm(psi, tol: float = 1e-10) -> np.ndarray:
-    """Raise :class:`InvalidInput` unless the state vector ``psi`` has unit
-    norm to ``tol``; a NaN norm fails too."""
-    norm = np.linalg.norm(psi)
-    if not abs(norm - 1.0) <= tol:
-        raise InvalidInput(f"probe is not normalized (norm {norm!r})")
+    """Raise :class:`InvalidInput` unless each state vector along the last
+    axis of ``psi`` has unit norm to ``tol``; a NaN norm fails too."""
+    norm = np.hypot.reduce(np.abs(psi), axis=-1)
+    good = np.abs(norm - 1.0) <= tol
+    if np.count_nonzero(good) != good.size:
+        raise InvalidInput(f"probe is not normalized (norm {norm[~good].flat[0]!r})")
     return psi
 
 
@@ -204,34 +206,93 @@ def build_spin_rep(N: int) -> SpinRep:
     return SpinRep(N=N, jx=jx, jy=jy, jz=jz)
 
 
+def _as_state(psi, dim: int | None = None) -> np.ndarray:
+    """``psi`` as a complex vector, of dimension ``dim`` if given: the shape
+    and type half of :func:`check_probe`."""
+    try:
+        psi = np.asarray(psi)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"probe must be a vector of numbers: {exc}") from None
+    if psi.dtype.kind not in "iufc":
+        raise InvalidInput(f"probe must be a vector of numbers, got dtype {psi.dtype}")
+    if psi.ndim != 1:
+        raise InvalidInput(f"probe must be a vector, got shape {psi.shape}")
+    if dim is not None and psi.size != dim:
+        raise InvalidInput(f"probe has dimension {psi.size}, expected {dim}")
+    return psi.astype(complex, copy=False)
+
+
+def check_probe(psi, dim: int | None = None) -> np.ndarray:
+    """Return the pure probe state ``psi`` as a complex vector, the one rule
+    for a state: a vector of numbers (integer, real or complex; not bool,
+    string or object), of dimension ``dim`` if given, with unit norm (the
+    rule of :func:`require_unit_norm`).  Anything else raises
+    :class:`InvalidInput`."""
+    return require_unit_norm(_as_state(psi, dim))
+
+
+# The rows (J+ + J-) / 2, (J+ - J-) / 2j and Jz over the rows J+ psi,
+# J- psi and Jz psi: each entry is 0, a power of 2 or i times one, so the
+# product rounds as the sums and quotients it stands for.
+_SPIN_ROWS = np.array([[0.5, 0.5, 0.0], [-0.5j, 0.5j, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _window_moments(amp, m, ladder) -> tuple[np.ndarray, np.ndarray]:
+    """Spin mean and covariance of states given on windows of their
+    support, over broadcast leading axes: the one moments kernel.
+
+    A window is a run of adjacent basis vectors; every basis vector within
+    one entry of a nonzero amplitude lies in one.  ``amp (..., L)`` holds a
+    state's amplitudes on its windows laid end to end, slot by slot, and
+    ``m (..., L)`` the Jz eigenvalue of each slot.  ``ladder (..., L - 1)``
+    holds the element ``<k+1|J-|k>`` between each slot and the next where
+    their basis vectors are adjacent, and 0 across a seam between windows
+    or beside a pad, a slot of amplitude 0 that only fills a stack.  Then
+    ``J+ psi`` and ``J- psi`` are ``amp`` shifted by one slot and scaled by
+    ``ladder``, and the moments are those of :func:`spin_moments`, at a
+    cost of O(L) a state.  A state without unit norm raises
+    :class:`InvalidInput`.
+    """
+    require_unit_norm(amp)
+    rows = np.zeros(amp.shape[:-1] + (3, amp.shape[-1]), dtype=complex)
+    np.multiply(ladder, amp[..., 1:], out=rows[..., 0, :-1])
+    np.multiply(ladder, amp[..., :-1], out=rows[..., 1, 1:])
+    np.multiply(m, amp, out=rows[..., 2, :])
+    v = _SPIN_ROWS @ rows
+    mean = (v @ amp.conj()[..., None])[..., 0].real
+    v -= mean[..., None] * amp[..., None, :]
+    # Re <u_k|u_m> is the dot product of the (re, im) pairs; numpy forms
+    # w w^T by one symmetric rank-k update, so cov comes out exactly symmetric
+    w = v.view(float)
+    return mean, w @ w.swapaxes(-1, -2)
+
+
 def spin_moments(psi) -> tuple[np.ndarray, np.ndarray]:
     """Spin mean and covariance of a state, without forming any N x N matrix.
 
     Returns ``(mean, cov)``: ``mean[k] = <J_k>`` and ``cov[k, m] = Re <u_k|u_m>``
     of the centered ``u_k = (J_k - <J_k>) psi``, free of the cancellation
-    in ``<J_k J_m> - <J_k><J_m>``.  In the basis of
-    :func:`build_spin_rep`, ``J+ psi`` and ``J- psi`` are ``psi`` shifted by
-    one entry and scaled by the ladder elements, so the cost is O(N).  A state
-    without unit norm raises :class:`InvalidInput` (:func:`require_unit_norm`).
+    in ``<J_k J_m> - <J_k><J_m>``.  In the basis of :func:`build_spin_rep`,
+    ``J_k psi`` is nonzero only within one entry of a nonzero amplitude, so
+    the state is cut to those windows, merged where they touch (a state
+    with no zero amplitude is one window), and :func:`_window_moments`
+    takes the moments there: the cost is O(N) to find the windows and
+    O(size of the windows) after.  ``psi`` is held to :func:`check_probe`,
+    its norm on the windows, and has dimension 2 or more, else
+    :class:`InvalidInput`.
     """
-    psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 1 or psi.size < 2:
+    psi = _as_state(psi)
+    if psi.size < 2:
         raise InvalidInput(f"state must be a vector of dimension >= 2, got shape {psi.shape}")
-    require_unit_norm(psi)
+    nonzero = psi != 0
+    near = nonzero.copy()
+    near[1:] |= nonzero[:-1]
+    near[:-1] |= nonzero[1:]
+    index = np.flatnonzero(near)
     s = (psi.size - 1) / 2
-    m = s - np.arange(psi.size)
-    ladder = _ladder_elements(s, m[:-1])
-    jminus_psi = np.zeros(psi.size, dtype=complex)
-    jplus_psi = np.zeros(psi.size, dtype=complex)
-    jminus_psi[1:] = ladder * psi[:-1]
-    jplus_psi[:-1] = ladder * psi[1:]
-    v = np.array([(jplus_psi + jminus_psi) / 2, (jplus_psi - jminus_psi) / 2j, m * psi])
-    mean = (v @ psi.conj()).real
-    v -= mean[:, None] * psi
-    # Re <u_k|u_m> is the dot product of the (re, im) pairs; numpy forms
-    # w w^T by one symmetric rank-k update, so cov comes out exactly symmetric
-    w = v.view(float)
-    return mean, w @ w.T
+    m = s - index
+    ladder = np.where(index[1:] - index[:-1] == 1, _ladder_elements(s, m[:-1]), 0.0)
+    return _window_moments(psi[index], m, ladder)
 
 
 def j_direction(rep: SpinRep, n) -> np.ndarray:

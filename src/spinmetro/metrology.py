@@ -24,17 +24,16 @@ from .encoding import GeneratorSet
 from .errors import InvalidInput, NumericalFailure
 from .linalg import (
     _regular_index,
+    check_probe,
     eigh_inverse,
     require_hermitian,
     require_symmetric,
-    require_unit_norm,
     spectral_absmax,
     sym_inverse,
     trace_norm,
 )
 
 __all__ = [
-    "check_probe",
     "qfim_uhlmann",
     "frame_qfim_uhlmann",
     "batched_qfim_uhlmann",
@@ -45,16 +44,6 @@ __all__ = [
     "bounds",
     "incompat_report",
 ]
-
-
-def check_probe(psi, dim: int | None = None) -> np.ndarray:
-    """Validate a pure probe state: complex vector with unit norm."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 1:
-        raise InvalidInput(f"probe must be a vector, got shape {psi.shape}")
-    if dim is not None and psi.size != dim:
-        raise InvalidInput(f"probe has dimension {psi.size}, expected {dim}")
-    return require_unit_norm(psi)
 
 
 def qfim_uhlmann(gens: GeneratorSet, probe) -> tuple[np.ndarray, np.ndarray]:

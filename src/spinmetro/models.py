@@ -16,16 +16,16 @@ import numpy as np
 
 from .encoding import ModelPoint, direction_vectors_2p, direction_vectors_3p
 from .errors import InvalidInput
-from .linalg import SpinRep, j_direction, require_float, require_int
+from .linalg import SpinRep, _window_moments, check_probe, j_direction, require_float, require_int
 # Bound here for perfbench/tests, which check that the benchmark's tracer
 # wraps every module binding of this pinned function.
 from .linalg import sym_inverse  # noqa: F401
-from .metrology import check_probe
 
 __all__ = [
     "MAX_DIM",
     "ProbeSpec",
     "make_probe",
+    "extreme_moments",
     "bloch_vector",
     "Qubit2pResult",
     "qubit2p_closed",
@@ -34,9 +34,13 @@ __all__ = [
 ]
 
 
-# Largest probe dimension: the O(N) spin-moment kernel of a report peaks
-# near 160 MB of traced memory there, and a larger N is rejected before
-# any allocation.
+# Largest probe dimension.  An extreme-state probe costs the same at any N,
+# since its moments come from its support (:func:`extreme_moments`), and
+# its Jz eigenvalues and squared ladder elements stay exact in float64.
+# What N bounds is an explicit state, the N-vector of make_probe or of a
+# caller, which spin_moments cuts to its windows in O(N): a dense state at
+# 10^6 peaks near 190 MB of traced memory there.  A larger N is rejected
+# before any allocation.
 MAX_DIM = 10**6
 
 
@@ -63,18 +67,80 @@ class ProbeSpec:
         for name in ("alpha", "phi"):
             require_float(getattr(self, name), f"probe {name}")
 
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """The basis positions ``(0, N - 1)`` of the probe and its two
+        amplitudes there, with no N-vector."""
+        return np.array([0, self.dim - 1]), np.array(_extreme_amplitudes(self.alpha, self.phi))
+
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Spin mean and covariance of the probe: :func:`extreme_moments` on
+        a batch of one."""
+        return extreme_moments(self.dim, self.alpha, self.phi)
+
+
+def _extreme_amplitudes(alpha, phi) -> tuple[np.ndarray, np.ndarray]:
+    """The amplitudes of ``|J>`` and ``|-J>``, ``cos(alpha)`` and
+    ``e^{1j phi} sin(alpha)`` divided by their norm, elementwise.  The norm
+    sums the squares as ``np.linalg.norm`` of the N-vector does, real parts
+    first; it is 1 but for rounding, and dividing by it keeps the digits of
+    the probe that was normalized as an N-vector."""
+    first, last = np.cos(alpha), np.exp(1j * phi) * np.sin(alpha)
+    norm = np.sqrt((first * first + last.real * last.real) + last.imag * last.imag)
+    return first / norm, last / norm
+
 
 def make_probe(spec: ProbeSpec) -> np.ndarray:
-    """Build ``cos(alpha)|J> + e^{1j phi} sin(alpha)|-J>``, unit norm.
+    """Build ``cos(alpha)|J> + e^{1j phi} sin(alpha)|-J>`` as an N-vector.
 
     In the Jz-diagonal basis (entries s down to -s) the extreme
-    eigenvectors are the first and last basis vectors.  The cos/sin
-    amplitudes already give unit norm; renormalization is defensive.
+    eigenvectors are the first and last basis vectors, so the support is
+    ``{0, N - 1}`` (:meth:`ProbeSpec.support`).  The library takes a
+    probe's moments from that support (:func:`extreme_moments`) and builds
+    no N-vector.
     """
+    index, amp = spec.support()
     psi = np.zeros(spec.dim, dtype=complex)
-    psi[0] = np.cos(spec.alpha)
-    psi[-1] = np.exp(1j * spec.phi) * np.sin(spec.alpha)
-    return psi / np.linalg.norm(psi)
+    psi[index] = amp
+    return psi
+
+
+# The window layout of extreme-state probes, by min(N, 5).  The four slots
+# hold the basis positions p = (0, 1, N - 2, N - 1): (0, 1, 2, 3) at N = 4,
+# and (0, 1, 2, 2) at 3 and (0, 1, 1, 1) at 2, where a repeated position is
+# a pad.  Each row of _SCALE N + _SHIFT holds, as exact affine functions
+# of N, each slot's Jz eigenvalue (N - 1) / 2 - p and then the squared
+# ladder element (p + 1)(N - 1 - p) from each slot to the next, 0 across
+# the seam (N >= 5) or beside a pad: exactly the values that s - p and
+# linalg._ladder_elements give.  _LAST marks the slot of |-J>'s
+# amplitude; |J>'s is slot 0.
+_SCALE = np.array([[0.5, -0.5, -0.5, -0.5, 1, 0, 0]] * 3
+                  + [[0.5, 0.5, -0.5, -0.5, 1, 2, 0], [0.5, 0.5, -0.5, -0.5, 1, 2, 1],
+                     [0.5, 0.5, -0.5, -0.5, 1, 0, 1]])
+_SHIFT = np.array([[-0.5, 0.5, 0.5, 0.5, -1, 0, 0]] * 3
+                  + [[-0.5, -1.5, 0.5, 0.5, -1, -4, 0], [-0.5, -1.5, 1.5, 0.5, -1, -4, -1],
+                     [-0.5, -1.5, 1.5, 0.5, -1, 0, -1]])
+_LAST = np.eye(4, dtype=bool)[[3, 3, 1, 2, 3, 3]]
+
+
+def extreme_moments(dim, alpha, phi=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Spin mean and covariance of extreme-state probes from their support,
+    over the broadcast shape of ``dim``, ``alpha`` and ``phi``.
+
+    The support ``{0, N - 1}`` has the windows ``[0, 1]`` and
+    ``[N - 2, N - 1]``: two from N = 5 on, one at N = 4 where they touch,
+    and one at N = 3 and 2 where they overlap.  They fill four slots, so
+    :func:`~spinmetro.linalg._window_moments` runs once on the stack and a
+    probe costs the same at any N.  The arguments are taken as they are:
+    a :class:`ProbeSpec` or :func:`~spinmetro.analysis.scaling_table` has
+    checked them.
+    """
+    kind = np.minimum(dim, 5)
+    layout = _SCALE[kind] * np.asarray(dim)[..., None] + _SHIFT[kind]
+    first, last = _extreme_amplitudes(alpha, phi)
+    amp = np.zeros(np.broadcast(kind, last).shape + (4,), dtype=complex)
+    amp[..., 0] = first
+    np.copyto(amp, last[..., None], where=_LAST[kind])
+    return _window_moments(amp, layout[..., :4], np.sqrt(layout[..., 4:]))
 
 
 def bloch_vector(state) -> np.ndarray:

@@ -4,7 +4,8 @@ Each is an independent oracle or a statistic that only the tests read:
 the state-derivative QFIM, the SLD machinery (solver, SLD-based QFIM and
 Uhlmann matrix, Born probabilities), sub-model restriction, the qubit
 state of a Bloch vector, the closed three-parameter incompatibility of
-the extreme-state probe and the scan shrinkage statistic.  Tests import
+the extreme-state probe, the scan shrinkage statistic and the dense
+spin-moment formula that the windowed kernel replaced.  Tests import
 them the way they import ``conftest``.
 """
 
@@ -178,3 +179,25 @@ def shrinkage_fractions(res_a: ScanResult, res_b: ScanResult, threshold: float =
         return float((res.t_gap[regular] < threshold).sum() / regular.sum())
 
     return frac(res_a), frac(res_b)
+
+
+def dense_spin_moments(psi):
+    """Spin mean and covariance of a unit-norm state by the dense formula:
+    ``J+ psi`` and ``J- psi`` over the whole N-vector, then ``mean = v psi*``
+    and ``cov = w w^T`` of the centered rows.  A frozen copy of the formula
+    that :func:`~spinmetro.linalg.spin_moments` used before it cut a state
+    to the windows of its support; on a state with no zero amplitude (one
+    window) the two agree bit for bit."""
+    psi = np.asarray(psi, dtype=complex)
+    s = (psi.size - 1) / 2
+    m = s - np.arange(psi.size)
+    ladder = np.sqrt(s * (s + 1) - m[:-1] * (m[:-1] - 1))
+    jminus_psi = np.zeros(psi.size, dtype=complex)
+    jplus_psi = np.zeros(psi.size, dtype=complex)
+    jminus_psi[1:] = ladder * psi[:-1]
+    jplus_psi[:-1] = ladder * psi[1:]
+    v = np.array([(jplus_psi + jminus_psi) / 2, (jplus_psi - jminus_psi) / 2j, m * psi])
+    mean = (v @ psi.conj()).real
+    v -= mean[:, None] * psi
+    w = v.view(float)
+    return mean, w @ w.T

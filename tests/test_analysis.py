@@ -33,6 +33,7 @@ from spinmetro import (
 from spinmetro import analysis, encoding, linalg
 from spinmetro.analysis import (
     MAX_GRID_CELLS,
+    MAX_TABLE_PROBES,
     MAX_RANK_OUTCOMES,
     MAX_RANK_PARAMS,
     RANK_BLOCK,
@@ -96,6 +97,24 @@ class TestRunScan:
         tol = 1e3 * np.finfo(float).eps * w[:, -1] / w[:, 0] * want
         assert (np.abs(res.r_ai[regular] - want) <= tol).all()
 
+    # The anticoherent tetrahedral spin-2 state (|2,2> + sqrt(2)|2,-1>)/sqrt(3)
+    # has <J> = 0 and Cov = 2 I, so D = 0 and the three-parameter model is
+    # compatible at every regular cell, outside the extreme-state family.  Its
+    # support {0, 3} at N = 5 has windows that touch.
+    def test_tetrahedral_state_is_compatible_everywhere(self):
+        psi = np.zeros(5, dtype=complex)
+        psi[[0, 3]] = [1 / np.sqrt(3), np.sqrt(2 / 3)]
+        mean, cov = spin_moments(psi)
+        assert np.abs(mean).max() <= 1e-15
+        assert np.abs(cov - 2 * np.eye(3)).max() <= 4 * np.finfo(float).eps * 2
+        config = ScanConfig(kind=ModelKind.THREE_PARAM, probe=psi, t=5.0, model_phi=0.7,
+                            theta_count=21, b_count=21)
+        res = run_scan(config)
+        regular = ~res.singular
+        assert regular.sum() > 300
+        assert res.r_ai[regular].max() <= 1e-15
+        assert res.delta[regular].max() <= 1e-15
+
     def test_gap_ordering_cellwise(self):
         for config in (small_scan(t=5.0), small_scan(dim=4, alpha=np.pi / 2, t=10.0),
                        small_scan(kind=ModelKind.THREE_PARAM, dim=4, alpha=2 * np.pi / 3)):
@@ -109,7 +128,7 @@ class TestRunScan:
         config = small_scan(kind=ModelKind.THREE_PARAM, dim=4, alpha=2 * np.pi / 3,
                             model_phi=0.4)
         res = run_scan(config)
-        probe = config.probe_state()
+        probe = make_probe(config.probe)
         for idx in rng.choice(res.theta.size, size=12, replace=False):
             point = ModelPoint(b=res.b[idx], theta=res.theta[idx], t=config.t,
                                phi=config.model_phi)
@@ -425,11 +444,54 @@ class TestScalingTable:
 
     def test_dimension_cap_is_checked_before_any_probe(self, monkeypatch):
         built = []
-        monkeypatch.setattr(analysis, "make_probe", built.append)
+        monkeypatch.setattr(analysis, "extreme_moments", lambda *args: built.append(args))
         point = ModelPoint(b=0.9, theta=0.5, t=5.0)
         with pytest.raises(InvalidInput, match=str(MAX_DIM)):
             scaling_table(ModelKind.TWO_PARAM, [0.3], [4, MAX_DIM + 1], point)
         assert built == []
+
+    # Each angle and the phase are held to the float rule: a string of
+    # angles raised a plain ValueError, None a TypeError, and "0.3" was
+    # taken as 0.3.
+    @pytest.mark.parametrize("alphas, probe_phi", [
+        ("ab", 0.0), ([None], 0.0), (["0.3"], 0.0), ([0.3, math.nan], 0.0), ([True], 0.0),
+        (0.3, 0.0), ([0.3], "0.7"), ([0.3], math.inf),
+    ])
+    def test_angles_must_be_finite_numbers(self, alphas, probe_phi):
+        point = ModelPoint(b=0.9, theta=0.5, t=5.0)
+        with pytest.raises(InvalidInput):
+            scaling_table(ModelKind.TWO_PARAM, alphas, [4, 8], point, probe_phi=probe_phi)
+
+    # The probe count is checked from the lengths before a dimension is
+    # expanded or checked, so a range past the cap allocates nothing.
+    def test_probe_cap_is_checked_before_anything_is_allocated(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(analysis, "extreme_moments", lambda *args: built.append(args))
+        point = ModelPoint(b=0.9, theta=0.5, t=5.0)
+        dims = range(4, 4 + MAX_TABLE_PROBES // 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInput, match=str(MAX_TABLE_PROBES)):
+                scaling_table(ModelKind.TWO_PARAM, [0.3, 0.4], dims, point)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built == [] and peak < 100_000
+
+    # The cap keeps a table's traced peak within 1 GB: the peak per probe,
+    # measured on a table of 20 000 probes, times the cap.
+    @pytest.mark.parametrize("alphas, count", [(1, 20_000), (40, 500)])
+    def test_probe_cap_fits_the_memory_budget(self, alphas, count):
+        point = ModelPoint(b=0.6, theta=0.8, t=5.0, phi=1.0)
+        tracemalloc.start()
+        try:
+            table = scaling_table(ModelKind.THREE_PARAM, np.linspace(0.2, 1.2, alphas),
+                                  range(4, 4 + count), point)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(table.gamma).all()
+        assert peak / (alphas * (1 + count)) * MAX_TABLE_PROBES <= 1e9
 
     # alpha = 0 makes the baseline singular at the first and last points: the
     # qubit reference at theta = pi/2, and the N = 4 three-parameter one
@@ -460,12 +522,14 @@ class TestScalingTable:
 
         monkeypatch.setattr(analysis, "frame_qfim_uhlmann",
                             counted("kernel", analysis.frame_qfim_uhlmann))
-        monkeypatch.setattr(analysis, "spin_moments", counted("moments", analysis.spin_moments))
+        monkeypatch.setattr(analysis, "extreme_moments",
+                            counted("moments", analysis.extreme_moments))
         monkeypatch.setattr(analysis, "eigh_inverse", counted("inverse", analysis.eigh_inverse))
         point = ModelPoint(b=0.9, theta=np.pi / 2, t=5.0)
-        # alpha = 0 has a singular baseline; its probes are still taken once each
+        # alpha = 0 has a singular baseline; its probes are still in the one
+        # moments call
         scaling_table(ModelKind.TWO_PARAM, [0.0, np.pi / 4, 0.3], [4, 8, 12, 16], point)
-        assert calls == {"kernel": 1, "moments": 3 * (1 + 4), "inverse": 1}
+        assert calls == {"kernel": 1, "moments": 1, "inverse": 1}
 
 
 class TestFimRankExperiment:
@@ -898,6 +962,23 @@ class TestJsonWriter:
         assert text is None or text.encode() == want
         analysis.write_json(tmp_path / "r.json", doc)
         assert (tmp_path / "r.json").read_bytes() == want
+
+    # json.dumps raises ValueError for a circular reference as for a NaN:
+    # only the NaN is a numerical failure, and neither opens the file.
+    @pytest.mark.parametrize("make, error, match", [
+        (lambda doc: doc["point"].__setitem__("loop", doc["point"]), InvalidInput, "Circular"),
+        (lambda doc: doc.__setitem__("extra", [doc]), InvalidInput, "Circular"),
+        (lambda doc: doc.__setitem__("extra", [math.nan]), NumericalFailure, "non-finite"),
+    ], ids=["circular-dict", "circular-list", "nan"])
+    def test_unwritable_doc_opens_no_file(self, tmp_path, monkeypatch, make, error, match):
+        doc = metrics_report(ModelKind.TWO_PARAM, ProbeSpec(dim=3, alpha=0.3),
+                             points_for(ModelKind.TWO_PARAM)[0])
+        make(doc)
+        opened = []
+        monkeypatch.setattr(analysis, "_write_text", lambda *args: opened.append(args))
+        with pytest.raises(error, match=match):
+            analysis.write_json(tmp_path / "r.json", doc)
+        assert opened == []
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("path", [("Q", 0, 1), ("D", 1, 0), ("c_h",), ("det_q",),

@@ -28,7 +28,7 @@ from spinmetro.linalg import check_inverse, require_hermitian, require_symmetric
 from spinmetro.models import ProbeSpec
 
 from conftest import haar_state, random_hermitian, rep
-from oracles import state_from_bloch
+from oracles import dense_spin_moments, state_from_bloch
 
 EPS = np.finfo(float).eps
 
@@ -125,6 +125,38 @@ class TestSpinMoments:
 
     def test_accepts_rounding_off_unit_norm(self, rng):
         spin_moments((1 + 1e-12) * haar_state(rng, 5))
+
+    # A state with no zero amplitude is one window, on which the kernel runs
+    # the dense formula's operations in its order.
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 12, 40, 241, 1000, 10**5])
+    def test_dense_states_match_the_dense_formula_bit_for_bit(self, rng, n):
+        for _ in range(3):
+            psi = haar_state(rng, n)
+            mean, cov = spin_moments(psi)
+            want_mean, want_cov = dense_spin_moments(psi)
+            assert mean.tobytes() == want_mean.tobytes()
+            assert cov.tobytes() == want_cov.tobytes()
+
+    # Windows apart, touching and overlapping, seams and the ends of the
+    # basis: J psi stays within one entry of the support.
+    @pytest.mark.parametrize("support", [(0,), (4,), (9,), (0, 9), (0, 3), (0, 2), (0, 1),
+                                         (2, 5, 6), (1, 4, 8), (0, 1, 2, 7, 9)])
+    def test_sparse_states_match_the_dense_formula(self, rng, support):
+        psi = np.zeros(10, dtype=complex)
+        psi[list(support)] = haar_state(rng, len(support))
+        mean, cov = spin_moments(psi)
+        want_mean, want_cov = dense_spin_moments(psi)
+        assert np.abs(mean - want_mean).max() <= 4 * EPS * 4.5
+        assert np.abs(cov - want_cov).max() <= 8 * EPS * 4.5**2
+        assert np.array_equal(cov, cov.T)
+
+    # A string, None, a bool or an object is not a state: each is invalid
+    # input, where numpy raised ValueError or TypeError or took a string.
+    @pytest.mark.parametrize("bad", ["ab", [None], ["0.3", "0.9"], [True, False],
+                                     [[1.0], [0.0, 1.0]], np.array([1, 0], dtype=object), 1.0])
+    def test_rejects_what_is_not_a_vector_of_numbers(self, bad):
+        with pytest.raises(InvalidInput):
+            spin_moments(bad)
 
 
 class TestJDirection:

@@ -22,10 +22,13 @@ from spinmetro import (
     sym_inverse,
     threeparam_uhlmann_closed,
 )
-from spinmetro.models import MAX_DIM, ProbeSpec
+from spinmetro import models
+from spinmetro.models import MAX_DIM, ProbeSpec, extreme_moments
 
 from conftest import ai_two_param, haar_state, rep, three_param_points
 from oracles import ai_threeparam_probe, state_from_bloch
+
+EPS = np.finfo(float).eps
 
 
 class TestMakeProbe:
@@ -87,6 +90,51 @@ class TestMakeProbe:
         spec = ProbeSpec(dim=dim, alpha=0.3)
         assert type(spec.dim) is int and spec.dim == 5
         assert make_probe(spec).shape == (5,)
+
+
+class TestProbeSupport:
+    # A probe's moments come from its support {0, N - 1}: windows apart
+    # (N >= 5), touching (4) or overlapping (3, 2), and at the dimension cap.
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, MAX_DIM])
+    @pytest.mark.parametrize("alpha, phi", [(0.3, 0.0), (1e-6, 0.7), (np.pi / 4, 4.0),
+                                            (1.2, 2.1), (0.0, 0.0), (np.pi / 2, 1.0)])
+    def test_moments_match_the_explicit_state(self, n, alpha, phi):
+        spec = ProbeSpec(dim=n, alpha=alpha, phi=phi)
+        mean, cov = spec.moments()
+        want_mean, want_cov = spin_moments(make_probe(spec))
+        j = (n - 1) / 2
+        assert np.abs(mean - want_mean).max() <= 4 * EPS * j
+        assert np.abs(cov - want_cov).max() <= 8 * EPS * max(j, 1.0) ** 2
+        assert np.array_equal(cov, cov.T)
+
+    # The layout's Jz eigenvalues and ladder elements, affine in N, are
+    # exactly those of the positions (0, 1, N - 2, N - 1).
+    @pytest.mark.parametrize("n", [*range(2, 13), 10**3, MAX_DIM - 1, MAX_DIM])
+    def test_layout_is_that_of_the_positions(self, n):
+        positions = np.array({2: [0, 1, 1, 1], 3: [0, 1, 2, 2]}.get(n, [0, 1, n - 2, n - 1]))
+        s = (n - 1) / 2
+        m = s - positions
+        ladder = np.where(np.diff(positions) == 1, np.sqrt(s * (s + 1) - m[:-1] * (m[:-1] - 1)), 0.0)
+        layout = models._SCALE[min(n, 5)] * n + models._SHIFT[min(n, 5)]
+        assert layout[:4].tobytes() == m.tobytes()
+        assert np.sqrt(layout[4:]).tobytes() == ladder.tobytes()
+
+    def test_support_is_two_amplitudes(self):
+        index, amp = ProbeSpec(dim=MAX_DIM, alpha=0.4, phi=1.1).support()
+        assert index.tolist() == [0, MAX_DIM - 1]
+        assert np.allclose(amp, [np.cos(0.4), np.exp(1.1j) * np.sin(0.4)], rtol=0, atol=EPS)
+
+    # One moments call over a stack of (alpha, N) probes gives each probe's
+    # moments of its own call.
+    def test_stacked_probes_match_one_at_a_time(self):
+        dims, alphas = np.array([2, 3, 4, 5, 9, 240]), np.array([[0.0], [0.3], [1.2]])
+        mean, cov = extreme_moments(dims, alphas, 0.7)
+        assert mean.shape == (3, 6, 3) and cov.shape == (3, 6, 3, 3)
+        for k, alpha in enumerate(alphas[:, 0]):
+            for j, n in enumerate(dims):
+                one = ProbeSpec(dim=int(n), alpha=float(alpha), phi=0.7).moments()
+                assert np.abs(mean[k, j] - one[0]).max() <= 4 * EPS * n
+                assert np.abs(cov[k, j] - one[1]).max() <= 8 * EPS * n**2
 
 
 class TestBlochHelpers:
