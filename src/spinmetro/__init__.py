@@ -20,7 +20,6 @@ from .analysis import (
 )
 from .encoding import (
     GeneratorSet,
-    ModelKind,
     ModelPoint,
     closed_frame,
     closed_generators,

@@ -29,9 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import ModelKind, ModelPoint, closed_frame, numeric_frame, series_frame
+from .encoding import ModelPoint, closed_frame, numeric_frame, require_point, series_frame
 from .errors import InvalidInput, NumericalFailure
-from .linalg import _TINY, eigh_inverse, require_float, require_int, spin_moments
+from .linalg import (_TINY, eigh_inverse, require_float, require_floats, require_int,
+                     require_positive, spin_moments)
 from .metrology import _report_fields, bounds, classical_fim, frame_qfim_uhlmann
 from .models import MAX_DIM, ProbeSpec, extreme_moments
 
@@ -201,15 +202,17 @@ def write_json(path, doc) -> None:
     (:func:`_report_text`): with an indent, CPython's ``json.dumps`` runs
     its pure-Python encoder, at more than twice the template's cost.  Any
     other doc goes through ``json.dumps``.  A NaN or infinity has no JSON
-    form: it raises :class:`NumericalFailure`.  A circular reference raises
-    :class:`InvalidInput`.  Either is raised before the file is opened, so
-    nothing is written.
+    form: it raises :class:`NumericalFailure`.  A circular reference, a value
+    of no JSON type or keys that cannot be sorted raise :class:`InvalidInput`.
+    Each is raised before the file is opened, so nothing is written.
     """
     text = _report_text(doc) if type(doc) is dict and doc.keys() == _REPORT_KEYS else None
     if text is None:
         encode = functools.partial(json.dumps, doc, sort_keys=True, indent=2)
         try:
             text = encode(allow_nan=False) + "\n"
+        except TypeError as exc:
+            raise InvalidInput(f"report cannot be written as JSON: {exc}") from None
         except ValueError as exc:
             # json.dumps raises ValueError for a non-finite number and for a
             # circular reference alike: only a doc that encodes once NaN is
@@ -243,7 +246,9 @@ class ScanConfig:
     """Configuration of one T(theta, B) grid scan.
 
     The grid covers theta in ``[0, 2 pi]`` and one period of the model in
-    the field strength, B in ``[0, 2 pi / t]``.  The probe can be a
+    the field strength, B in ``[0, 2 pi / t]``.  The model is a
+    :class:`~spinmetro.encoding.ModelPoint`'s with ``phi = model_phi``
+    (``None`` for the two-parameter model).  The probe can be a
     :class:`ProbeSpec` or an explicit amplitude vector, and it sets the
     dimension.  The grid has 2 or more points per axis and at most
     :data:`MAX_GRID_CELLS` cells; the counts are integers, not bools, and
@@ -251,32 +256,22 @@ class ScanConfig:
     runs, by :func:`~spinmetro.metrology.bounds`.
     """
 
-    kind: ModelKind
     probe: ProbeSpec | np.ndarray
     t: float
-    model_phi: float = 0.0
+    model_phi: float | None = None
     theta_count: int = 101
     b_count: int = 101
     rel_tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("t", "model_phi"):
-            require_float(getattr(self, name), name)
-        if not self.t > 0:
-            raise InvalidInput("evolution time must be positive")
+        require_positive(self.t, "t", "evolution time")
+        if self.model_phi is not None:
+            require_float(self.model_phi, "model_phi")
         theta_count, b_count = (_store_int(self, name) for name in ("theta_count", "b_count"))
         if theta_count < 2 or b_count < 2:
             raise InvalidInput("grid needs at least 2 points per axis")
         if theta_count * b_count > MAX_GRID_CELLS:
             raise InvalidInput(f"grid has {theta_count * b_count} cells, at most {MAX_GRID_CELLS}")
-
-    def probe_moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Spin mean and covariance of the probe: from its support for a
-        :class:`ProbeSpec`, else :func:`~spinmetro.linalg.spin_moments` of
-        the explicit state."""
-        if isinstance(self.probe, ProbeSpec):
-            return self.probe.moments()
-        return spin_moments(self.probe)
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,9 +313,10 @@ def run_scan(config: ScanConfig) -> ScanResult:
     th_grid, b_grid = np.meshgrid(thetas, bs, indexing="ij")
     theta = th_grid.ravel()
     b = b_grid.ravel()
-    phi = None if config.kind is ModelKind.TWO_PARAM else config.model_phi
-    frame = closed_frame(config.kind, b, theta, config.t, phi)
-    q, d = frame_qfim_uhlmann(frame, *config.probe_moments())
+    frame = closed_frame(b, theta, config.t, config.model_phi)
+    probe = config.probe
+    moments = probe.moments() if isinstance(probe, ProbeSpec) else spin_moments(probe)
+    q, d = frame_qfim_uhlmann(frame, *moments)
     singular, r_ai, _, _, delta, det_q = bounds(q, d, rel_tol=config.rel_tol)
     return ScanResult(
         config=config, theta=theta, b=b, r_ai=r_ai, delta=delta, det_q=det_q, singular=singular
@@ -359,8 +355,8 @@ def scaling_dim(n) -> int:
 
 
 # Largest scaling table, in probes: len(alphas) * (1 + len(dims)), the
-# baselines included.  A table's traced peak grows by about 860 B a probe
-# (one alpha and 2 * 10^4 to 2 * 10^5 dimensions, either model; about 700 B
+# baselines included.  A table's traced peak grows by about 710 B a probe
+# (one alpha and 2 * 10^4 to 2 * 10^5 dimensions, either model; about 570 B
 # with 40 alphas), mostly the stacked windows and moments of the moments
 # kernel, so the cap keeps it within a 1 GB budget.  A larger table is
 # rejected before anything is allocated.
@@ -382,7 +378,6 @@ def _sized(values, name: str):
 
 
 def scaling_table(
-    kind: ModelKind,
     alphas,
     dims,
     point: ModelPoint,
@@ -391,12 +386,13 @@ def scaling_table(
 ) -> ScalingResult:
     """Gamma = Tr(Q_N Q_baseline^-1) across dimensions, with fitted slopes.
 
-    The baseline is the qubit (N = 2) for the two-parameter model.  The
-    three-parameter model has a singular qubit QFIM, so the smallest
-    nonsingular dimension N = 4 serves as baseline instead; its slope is
-    fitted against log N (versus log(N - 1) for two parameters).  An alpha
-    whose baseline QFIM is singular gets NaN Gamma and slope (empty CSV
-    fields); a Gamma that is not finite raises :class:`NumericalFailure`.
+    The model is the ``point``'s.  The baseline is the qubit (N = 2) for
+    the two-parameter model.  The three-parameter model has a singular
+    qubit QFIM, so the smallest nonsingular dimension N = 4 serves as
+    baseline instead; its slope is fitted against log N (versus log(N - 1)
+    for two parameters).  An alpha whose baseline QFIM is singular gets NaN
+    Gamma and slope (empty CSV fields); a Gamma that is not finite raises
+    :class:`NumericalFailure`.
     A slope needs at least two distinct dimensions, each listed once (each
     held to :func:`scaling_dim`), and at least one probe angle; each angle
     and ``probe_phi`` is a finite number (the rule of
@@ -410,6 +406,7 @@ def scaling_table(
     table, one :func:`~spinmetro.linalg.eigh_inverse` call every baseline's
     inverse, and one batched trace every Gamma.
     """
+    point = require_point(point)
     alphas, dims = _sized(alphas, "probe angles"), _sized(dims, "scaling dimensions")
     probes = len(alphas) * (1 + len(dims))
     if probes > MAX_TABLE_PROBES:
@@ -423,13 +420,13 @@ def scaling_table(
     if not alphas:
         raise InvalidInput("scaling needs at least one probe angle")
     probe_phi = require_float(probe_phi, "probe phi")
-    baseline_dim = 2 if kind is ModelKind.TWO_PARAM else 4
-    frame = closed_frame(kind, point.b, point.theta, point.t, point.phi)
+    two_param = point.phi is None
+    baseline_dim = 2 if two_param else 4
+    frame = closed_frame(point.b, point.theta, point.t, point.phi)
     moments = extreme_moments(np.array((baseline_dim, *dims)), np.array(alphas)[:, None],
                               probe_phi)
     q = frame_qfim_uhlmann(frame, *moments)[0]
-    x = np.array(dims, dtype=float)
-    x = x - 1.0 if kind is ModelKind.TWO_PARAM else x
+    x = np.array(dims, dtype=float) - (1.0 if two_param else 0.0)
     _, _, singular, base_inv = eigh_inverse(q[:, 0], rel_tol, name="QFIM")
     regular = np.flatnonzero(~singular)
     gamma = np.full((len(alphas), len(dims)), np.nan)
@@ -482,7 +479,7 @@ class RankExperimentConfig:
         if seed < 0:
             raise InvalidInput(f"seed must be a non-negative integer, got {seed}")
         if self.lam is not None:
-            lam = np.asarray(self.lam, dtype=float)
+            lam = require_floats(self.lam, "evaluation point")
             if lam.shape != (self.n_params,):
                 raise InvalidInput(f"evaluation point must have {self.n_params} components")
             if not np.isfinite(lam).all():
@@ -650,7 +647,7 @@ def fim_rank_experiment(config: RankExperimentConfig) -> dict:
     }
 
 
-def _route_residuals(kind, point, frame) -> dict:
+def _route_residuals(point, frame) -> dict:
     """Largest relative deviation of the series and finite-difference routes
     from the report's closed ``frame``, row by row.
 
@@ -662,7 +659,7 @@ def _route_residuals(kind, point, frame) -> dict:
     underflow beside a long one.  A row shorter than 2e-12, a spin-1/2
     spectral norm of 1e-12, is measured against that floor.
     """
-    routes = np.array([series_frame(kind, point), numeric_frame(kind, point)[0]])
+    routes = np.array([series_frame(point), numeric_frame(point)[0]])
     top = np.maximum(np.abs(routes).max(axis=-1), np.abs(frame).max(axis=-1))
     top = np.maximum(top, _TINY)[..., None]
     closed, routes = frame / top, routes / top
@@ -673,19 +670,23 @@ def _route_residuals(kind, point, frame) -> dict:
     return {"series_vs_closed": series, "numeric_vs_closed": numeric}
 
 
-def metrics_report(kind: ModelKind, spec: ProbeSpec, point: ModelPoint, rel_tol=1e-10) -> dict:
-    """Machine-readable report for one (model, probe, point).
+def metrics_report(spec: ProbeSpec, point: ModelPoint, rel_tol=1e-10) -> dict:
+    """Machine-readable report for one probe and point; the model is the point's.
 
     Carries the QFIM, Uhlmann matrix, determinant, bounds, incompatibility,
     the singularity flag and the generator cross-route residuals; singular
     points get null bound fields.  It runs :func:`run_scan`'s pipeline on one
     point, and its (Q, D) fields come from the helper that also gives those
-    of the dense :func:`~spinmetro.metrology.incompat_report`.
+    of the dense :func:`~spinmetro.metrology.incompat_report`.  A ``spec``
+    that is not a :class:`ProbeSpec` raises :class:`InvalidInput`.
     """
-    frame = closed_frame(kind, point.b, point.theta, point.t, point.phi)
+    if not isinstance(spec, ProbeSpec):
+        raise InvalidInput(f"probe must be a ProbeSpec, got {spec!r}")
+    point = require_point(point)
+    frame = closed_frame(point.b, point.theta, point.t, point.phi)
     q, d = frame_qfim_uhlmann(frame, *spec.moments())
     return {
-        "model": kind.value,
+        "model": "two" if point.phi is None else "three",
         "dim": spec.dim,
         "probe": {"alpha": float(spec.alpha), "phi": float(spec.phi)},
         "point": {
@@ -694,7 +695,7 @@ def metrics_report(kind: ModelKind, spec: ProbeSpec, point: ModelPoint, rel_tol=
             "phi": None if point.phi is None else float(point.phi),
             "t": float(point.t),
         },
-        "labels": list(kind.labels),
+        "labels": list(point.labels),
         **_report_fields(q, d, rel_tol),
-        "generator_route_residuals": _route_residuals(kind, point, frame),
+        "generator_route_residuals": _route_residuals(point, frame),
     }

@@ -24,8 +24,9 @@ from .analysis import (
     scaling_table,
     write_json,
 )
-from .encoding import ModelKind, ModelPoint
+from .encoding import ModelPoint
 from .errors import InvalidInput, NumericalFailure
+from .linalg import require_float
 from .models import ProbeSpec
 
 __all__ = ["build_parser", "main"]
@@ -131,11 +132,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_scan(args) -> None:
     theta_count, b_count = _parse_grid(args.grid)
+    # a non-finite --model-phi is a usage error under --model two too
+    model_phi = require_float(args.model_phi, "model_phi")
     config = ScanConfig(
-        kind=ModelKind(args.model),
         probe=ProbeSpec(dim=args.dim, alpha=args.alpha, phi=args.phi),
         t=args.time,
-        model_phi=args.model_phi,
+        model_phi=model_phi if args.model == "three" else None,
         theta_count=theta_count,
         b_count=b_count,
         rel_tol=args.tol,
@@ -145,7 +147,6 @@ def _cmd_scan(args) -> None:
 
 def _cmd_metrics(args) -> None:
     doc = metrics_report(
-        kind=ModelKind(args.model),
         spec=ProbeSpec(dim=args.dim, alpha=args.alpha, phi=args.phi),
         point=_model_point(args),
         rel_tol=args.tol,
@@ -155,7 +156,6 @@ def _cmd_metrics(args) -> None:
 
 def _cmd_scaling(args) -> None:
     table = scaling_table(
-        kind=ModelKind(args.model),
         alphas=_parse_floats(args.alphas),
         dims=_parse_dims(args.dims),
         point=_model_point(args),

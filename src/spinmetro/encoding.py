@@ -40,15 +40,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import InvalidInput, StepInstability
-from .linalg import SpinRep, expm_i, j_direction, require_float, require_hermitian
+from .linalg import (SpinRep, expm_i, j_direction, require_float, require_floats,
+                     require_hermitian, require_positive)
 
 __all__ = [
-    "ModelKind",
     "ModelPoint",
     "GeneratorSet",
     "direction_vectors_2p",
@@ -63,28 +62,15 @@ __all__ = [
 ]
 
 
-class ModelKind(Enum):
-    """Which unitary family is being estimated."""
-
-    TWO_PARAM = "two"
-    THREE_PARAM = "three"
-
-    @property
-    def n_params(self) -> int:
-        return 2 if self is ModelKind.TWO_PARAM else 3
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return ("B", "theta") if self is ModelKind.TWO_PARAM else ("B", "theta", "phi")
-
-
 @dataclass(frozen=True)
 class ModelPoint:
     """One point in parameter space plus the evolution time.
 
-    ``phi`` must be present exactly for the three-parameter family; every
-    value must be a finite number (the rule of
-    :func:`~spinmetro.linalg.require_float`) and the evolution time ``t`` positive.
+    The point carries the model: with no ``phi`` it is a point of the
+    two-parameter family, with one a point of the three-parameter family.
+    Every value must be a finite number (the rule of
+    :func:`~spinmetro.linalg.require_float`) and the evolution time ``t``
+    positive (:func:`~spinmetro.linalg.require_positive`).
     """
 
     b: float
@@ -93,28 +79,33 @@ class ModelPoint:
     phi: float | None = None
 
     def __post_init__(self):
-        for name in ("b", "theta", "t") + (() if self.phi is None else ("phi",)):
+        for name in ("b", "theta") + (() if self.phi is None else ("phi",)):
             require_float(getattr(self, name), f"model point {name}")
-        if not self.t > 0:
-            raise InvalidInput(f"evolution time must be positive, got {self.t!r}")
+        require_positive(self.t, "model point t", "evolution time")
 
     @property
     def n_params(self) -> int:
         return 2 if self.phi is None else 3
 
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """Parameter names in the fixed ordering."""
+        return ("B", "theta", "phi")[: self.n_params]
+
     def values(self) -> np.ndarray:
         """Parameter values in the fixed ordering."""
-        if self.phi is None:
-            return np.array([self.b, self.theta])
-        return np.array([self.b, self.theta, self.phi])
+        return np.array([self.b, self.theta, self.phi][: self.n_params])
 
 
-def _check_phi(kind: ModelKind, phi) -> None:
-    if (phi is None) != (kind is ModelKind.TWO_PARAM):
-        raise InvalidInput(
-            f"{kind.value}-parameter model needs phi "
-            f"{'absent' if kind is ModelKind.TWO_PARAM else 'present'}, got phi={phi!r}"
-        )
+def require_point(point, n_params: int | None = None) -> ModelPoint:
+    """Return ``point``, raising :class:`InvalidInput` unless it is a
+    :class:`ModelPoint`, of the model with ``n_params`` parameters if given."""
+    if not isinstance(point, ModelPoint):
+        raise InvalidInput(f"model point must be a ModelPoint, got {point!r}")
+    if n_params not in (None, point.n_params):
+        need = "absent" if n_params == 2 else "present"
+        raise InvalidInput(f"{n_params}-parameter model needs phi {need}, got phi={point.phi!r}")
+    return point
 
 
 @dataclass(frozen=True)
@@ -139,10 +130,6 @@ class GeneratorSet:
         require_hermitian(m, tol=1e-10, name="generator")
         m.flags.writeable = False
         object.__setattr__(self, "matrices", m)
-
-    @property
-    def n_params(self) -> int:
-        return len(self.labels)
 
     @property
     def dim(self) -> int:
@@ -185,7 +172,7 @@ def direction_vectors_2p(point: ModelPoint):
     phi = 0, where the three-parameter ``n2`` is ``n1 x n_theta``.  A
     point with a ``phi`` raises :class:`InvalidInput`.
     """
-    _check_phi(ModelKind.TWO_PARAM, point.phi)
+    require_point(point, 2)
     n_theta, n1, n2 = _directions(point.b, point.theta, point.t, 0.0)
     return n_theta, np.array([-np.sin(point.theta), 0.0, np.cos(point.theta)]), n1, -n2
 
@@ -198,11 +185,11 @@ def direction_vectors_3p(point: ModelPoint):
     The triple is orthonormal with ``n_theta x n2 = n1``.  A point with
     no ``phi`` raises :class:`InvalidInput`.
     """
-    _check_phi(ModelKind.THREE_PARAM, point.phi)
+    require_point(point, 3)
     return tuple(_directions(point.b, point.theta, point.t, point.phi))
 
 
-def closed_frame(kind: ModelKind, b, theta, t: float, phi=None) -> np.ndarray:
+def closed_frame(b, theta, t: float, phi=None) -> np.ndarray:
     """Frame ``A`` of the closed-form generators, ``G_l = A[..., l, :] . J``.
 
     Two parameters: ``G_B = -t J_{n_theta}`` and
@@ -212,51 +199,55 @@ def closed_frame(kind: ModelKind, b, theta, t: float, phi=None) -> np.ndarray:
     so its generator must vanish there.  All three forms are checked
     against the series and finite-difference routes in the tests.
 
-    The two-parameter frame is the first two rows of the three-parameter
-    frame at phi = 0.  ``b`` and ``theta`` (and ``phi``) broadcast against
-    each other, so a scalar point is a batch of one; the result has shape
-    ``(..., d, 3)``.  ``phi`` must be given exactly for the three-parameter
-    model.
+    The model is that of a point with this ``phi``: two parameters with
+    none, three with one.  The two-parameter frame is the first two rows
+    of the three-parameter frame at phi = 0.  ``b`` and ``theta`` (and
+    ``phi``) broadcast against each other, so a scalar point is a batch of
+    one; the result has shape ``(..., d, 3)``.  ``t`` is held to
+    :func:`~spinmetro.linalg.require_positive` and the angles and field to
+    :func:`~spinmetro.linalg.require_floats`.
     """
-    _check_phi(kind, phi)
-    if not t > 0:
-        raise InvalidInput(f"evolution time must be positive, got {t!r}")
-    d = kind.n_params
+    d = 2 if phi is None else 3
+    t = require_positive(t, "evolution time")
+    b, theta = require_floats(b, "field strength"), require_floats(theta, "field angle")
+    phi = 0.0 if phi is None else require_floats(phi, "field azimuth")
     sh = np.sin(np.multiply(b, t / 2))
-    frame = _directions(b, theta, t, 0.0 if phi is None else phi)[..., :d, :]
+    frame = _directions(b, theta, t, phi)[..., :d, :]
     for l, pref in enumerate((-t, 2 * sh, 2 * sh * np.cos(theta))[:d]):
         frame[..., l, :] *= np.asarray(pref)[..., None]
     return frame
 
 
-def _field_hamiltonians(rep: SpinRep, kind: ModelKind, b, theta, t: float, phi=None):
+def _field_hamiltonians(rep: SpinRep, b, theta, t: float, phi=None):
     # B n . J over the broadcast leading axes of b, theta (and phi): (..., N, N).
-    _check_phi(kind, phi)
     n = _directions(b, theta, t, 0.0 if phi is None else phi)[..., 0, :]
     return np.asarray(b)[..., None, None] * j_direction(rep, n)
 
 
-def hamiltonian(rep: SpinRep, kind: ModelKind, point: ModelPoint) -> np.ndarray:
+def hamiltonian(rep: SpinRep, point: ModelPoint) -> np.ndarray:
     """Field Hamiltonian ``B * n . J`` at the given point."""
-    return _field_hamiltonians(rep, kind, point.b, point.theta, point.t, point.phi)
+    point = require_point(point)
+    return _field_hamiltonians(rep, point.b, point.theta, point.t, point.phi)
 
 
-def closed_generators(rep: SpinRep, kind: ModelKind, point: ModelPoint) -> GeneratorSet:
+def closed_generators(rep: SpinRep, point: ModelPoint) -> GeneratorSet:
     """Dense closed-form generators ``G_l = a_l . J`` from :func:`closed_frame`."""
-    frame = closed_frame(kind, point.b, point.theta, point.t, point.phi)
+    point = require_point(point)
+    frame = closed_frame(point.b, point.theta, point.t, point.phi)
     jvec = np.stack([rep.jx, rep.jy, rep.jz])
-    return GeneratorSet(labels=kind.labels, matrices=np.tensordot(frame, jvec, axes=1))
+    return GeneratorSet(labels=point.labels, matrices=np.tensordot(frame, jvec, axes=1))
 
 
-def _fd_steps(values: np.ndarray, step: float) -> np.ndarray:
-    # Per-parameter step h = step * max(1, |lambda_l|): balances truncation
-    # against roundoff for double precision at step ~ 1e-5.
-    return step * np.maximum(1.0, np.abs(values))
+def _fd_points(point: ModelPoint, step: float):
+    # The steps h_l = step * max(1, |lambda_l|), which balance truncation
+    # against roundoff at step ~ 1e-5, and the columns (b, theta[, phi]) of
+    # the points lambda, then lambda + h_l for each l, then lambda - h_l.
+    values = require_point(point).values()
+    steps = require_positive(step, "finite-difference step") * np.maximum(1.0, np.abs(values))
+    return steps, np.concatenate([values[None], values + np.diag(steps), values - np.diag(steps)]).T
 
 
-def numeric_generators(
-    rep: SpinRep, kind: ModelKind, point: ModelPoint, step: float = 1e-5
-) -> GeneratorSet:
+def numeric_generators(rep: SpinRep, point: ModelPoint, step: float = 1e-5) -> GeneratorSet:
     """Generators by central finite differences of the evolution unitary.
 
     For each parameter, ``d_l U^dag`` is approximated with a central
@@ -265,17 +256,11 @@ def numeric_generators(
     and ``lambda +- h_l`` are exponentiated as one stack.  The Hermitization
     residual is recorded on the returned set; a residual above 1e-4 raises
     :class:`StepInstability`, naming the first parameter that exceeds it.
+    ``step`` is held to :func:`~spinmetro.linalg.require_positive`.
     """
-    _check_phi(kind, point.phi)
-    if not step > 0:
-        raise InvalidInput("finite-difference step must be positive")
-    values = point.values()
-    steps = _fd_steps(values, step)
-    d = values.size
-    # Rows: lambda, then lambda + h_l for each l, then lambda - h_l.
-    pts = np.concatenate([values[None], values + np.diag(steps), values - np.diag(steps)])
-    b, theta, *phi = pts.T
-    u = expm_i(_field_hamiltonians(rep, kind, b, theta, point.t, *phi), point.t)
+    steps, (b, theta, *phi) = _fd_points(point, step)
+    d = steps.size
+    u = expm_i(_field_hamiltonians(rep, b, theta, point.t, *phi), point.t)
     u_dag = np.swapaxes(u.conj(), -1, -2)
     du_dag = (u_dag[1 : d + 1] - u_dag[d + 1 :]) / (2 * steps)[:, None, None]
     raw = 1j * du_dag @ u[0]
@@ -283,23 +268,23 @@ def numeric_generators(
     resids = np.linalg.norm(raw - raw_dag, axis=(-2, -1)) / (
         2 * np.maximum(np.linalg.norm(raw, axis=(-2, -1)), 1.0)
     )
-    _raise_if_unstable(kind, resids)
+    _raise_if_unstable(point.labels, resids)
     return GeneratorSet(
-        labels=kind.labels, matrices=(raw + raw_dag) / 2, herm_residuals=tuple(resids.tolist())
+        labels=point.labels, matrices=(raw + raw_dag) / 2, herm_residuals=tuple(resids.tolist())
     )
 
 
-def _raise_if_unstable(kind: ModelKind, resids: np.ndarray) -> None:
+def _raise_if_unstable(labels: tuple[str, ...], resids: np.ndarray) -> None:
     unstable = resids > 1e-4
     if unstable.any():
         l = int(unstable.argmax())
         raise StepInstability(
-            f"finite-difference generator for {kind.labels[l]} is not Hermitian "
+            f"finite-difference generator for {labels[l]} is not Hermitian "
             f"(residual {resids[l]:.3e}); adjust the step"
         )
 
 
-def numeric_frame(kind: ModelKind, point: ModelPoint, step: float = 1e-5):
+def numeric_frame(point: ModelPoint, step: float = 1e-5):
     """Frame of :func:`numeric_generators`, from the exact spin-1/2 unitary.
 
     In spin-1/2, ``U = w - 1j x . sigma`` is the unit quaternion
@@ -313,19 +298,13 @@ def numeric_frame(kind: ModelKind, point: ModelPoint, step: float = 1e-5):
     :func:`numeric_generators` measures in spin-1/2,
     ``|s| / max(|(s, c)|, 1 / sqrt(2))``.  A residual above 1e-4 raises
     :class:`StepInstability`, naming the first parameter that exceeds it.
+    ``step`` is held to :func:`~spinmetro.linalg.require_positive`.
 
     Returns ``(frame, residuals)``: the ``(d, 3)`` rows ``a_l`` and the
     ``(d,)`` residuals.
     """
-    _check_phi(kind, point.phi)
-    if not step > 0:
-        raise InvalidInput("finite-difference step must be positive")
-    values = point.values()
-    steps = _fd_steps(values, step)
-    d = values.size
-    # Rows: lambda, then lambda + h_l for each l, then lambda - h_l.
-    pts = np.concatenate([values[None], values + np.diag(steps), values - np.diag(steps)])
-    b, theta, *phi = pts.T
+    steps, (b, theta, *phi) = _fd_points(point, step)
+    d = steps.size
     half = np.multiply(b, point.t / 2)
     ct, sh, phi = np.cos(theta), np.sin(half), phi[0] if phi else 0.0
     # One column (w, x) per point.
@@ -335,14 +314,14 @@ def numeric_frame(kind: ModelKind, point: ModelPoint, step: float = 1e-5):
     # (s, c) = K (dw, dx), the quaternion product with U as a matrix.
     sc = np.array([[w, x1, x2, x3], [-x1, w, x3, -x2], [-x2, -x3, w, x1], [-x3, x2, -x1, w]]) @ dq
     resids = np.abs(sc[0]) / np.maximum(np.sqrt((sc * sc).sum(axis=0)), math.sqrt(0.5))
-    _raise_if_unstable(kind, resids)
+    _raise_if_unstable(point.labels, resids)
     return -2 * sc[1:].T, resids
 
 
-def _derivative_directions(kind: ModelKind, point: ModelPoint):
+def _derivative_directions(point: ModelPoint):
     # d_l H = c_l (m_l . J): the (d, 3) unit directions m_l and (d,) prefactors
     # c_l.  Rows n_theta, d_theta n and d_phi n / cos(theta), the first d kept.
-    d = kind.n_params
+    d = point.n_params
     b, theta = point.b, point.theta
     phi = 0.0 if point.phi is None else point.phi
     ct, st, cp, sp = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
@@ -350,13 +329,13 @@ def _derivative_directions(kind: ModelKind, point: ModelPoint):
     return dirs, np.array([1.0, b, b * ct])[:d]
 
 
-def _hamiltonian_derivatives(rep: SpinRep, kind: ModelKind, point: ModelPoint) -> np.ndarray:
+def _hamiltonian_derivatives(rep: SpinRep, point: ModelPoint) -> np.ndarray:
     # Stack (d, N, N) of d_l H = c_l (m_l . J).
-    dirs, prefactors = _derivative_directions(kind, point)
+    dirs, prefactors = _derivative_directions(point)
     return prefactors[:, None, None] * j_direction(rep, dirs)
 
 
-def series_generators(rep: SpinRep, kind: ModelKind, point: ModelPoint) -> GeneratorSet:
+def series_generators(rep: SpinRep, point: ModelPoint) -> GeneratorSet:
     """Generators from the nested-commutator series, summed exactly.
 
     ``G_l = 1j * sum_n f_n ad_H^n(d_l H)`` with
@@ -368,13 +347,12 @@ def series_generators(rep: SpinRep, kind: ModelKind, point: ModelPoint) -> Gener
     The route uses only ``H`` and ``d_l H``, so it stays independent of
     the closed frame and of finite differences.
     """
-    _check_phi(kind, point.phi)
-    e, v = np.linalg.eigh(hamiltonian(rep, kind, point))
+    e, v = np.linalg.eigh(hamiltonian(rep, point))
     tw = point.t * (e[:, None] - e[None, :])
     kernel = -point.t * np.exp(0.5j * tw) * np.sinc(tw / (2 * np.pi))
-    dh = _hamiltonian_derivatives(rep, kind, point)
+    dh = _hamiltonian_derivatives(rep, point)
     g = v @ ((v.conj().T @ dh @ v) * kernel) @ v.conj().T
-    return GeneratorSet(labels=kind.labels, matrices=(g + g.conj().transpose(0, 2, 1)) / 2)
+    return GeneratorSet(labels=point.labels, matrices=(g + g.conj().transpose(0, 2, 1)) / 2)
 
 
 def _sinc(x):
@@ -382,7 +360,7 @@ def _sinc(x):
     return np.sin(x) / x if x else 1.0
 
 
-def series_frame(kind: ModelKind, point: ModelPoint) -> np.ndarray:
+def series_frame(point: ModelPoint) -> np.ndarray:
     """Frame of :func:`series_generators`, ``G_l = A[l] . J``, with no matrix.
 
     With ``H = B n . J`` and ``d_l H = v_l . J``, the commutator with ``H``
@@ -393,8 +371,7 @@ def series_frame(kind: ModelKind, point: ModelPoint) -> np.ndarray:
     coefficients are taken as ``t sinc(tB)`` and ``t sin(tB/2) sinc(tB/2)``,
     so ``B = 0`` is exact.  The route uses only ``n`` and ``d_l H``.
     """
-    _check_phi(kind, point.phi)
-    dirs, prefactors = _derivative_directions(kind, point)
+    dirs, prefactors = _derivative_directions(require_point(point))
     n1, n2, n3 = n = dirs[0]
     x = np.multiply(point.b, point.t)
     along = np.outer(n, n)

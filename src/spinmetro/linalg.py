@@ -144,6 +144,28 @@ def require_float(value, name: str) -> float:
     return float(value)
 
 
+def require_positive(value, name: str, what: str | None = None) -> float:
+    """:func:`require_float` of ``value``, which must also be positive, else
+    :class:`InvalidInput` naming ``what`` (by default ``name``)."""
+    value = require_float(value, name)
+    if not value > 0:
+        raise InvalidInput(f"{what or name} must be positive, got {value!r}")
+    return value
+
+
+def require_floats(values, name: str) -> np.ndarray:
+    """``values`` as a float array, else :class:`InvalidInput`: the one rule for
+    an array of real numbers, which integers pass and bools, strings, objects
+    and complex numbers (a cast would drop their imaginary parts) do not."""
+    try:
+        values = np.asarray(values)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"{name} must be an array of numbers: {exc}") from None
+    if values.dtype.kind not in "iuf":
+        raise InvalidInput(f"{name} must be an array of real numbers, got dtype {values.dtype}")
+    return values.astype(float, copy=False)
+
+
 def require_unit_norm(psi, tol: float = 1e-10) -> np.ndarray:
     """Raise :class:`InvalidInput` unless each state vector along the last
     axis of ``psi`` has unit norm to ``tol``; a NaN norm fails too."""
@@ -260,7 +282,7 @@ def _window_moments(amp, m, ladder) -> tuple[np.ndarray, np.ndarray]:
     np.multiply(m, amp, out=rows[..., 2, :])
     v = _SPIN_ROWS @ rows
     mean = (v @ amp.conj()[..., None])[..., 0].real
-    v -= mean[..., None] * amp[..., None, :]
+    v -= np.multiply(mean[..., None], amp[..., None, :], out=rows)
     # Re <u_k|u_m> is the dot product of the (re, im) pairs; numpy forms
     # w w^T by one symmetric rank-k update, so cov comes out exactly symmetric
     w = v.view(float)
@@ -289,10 +311,18 @@ def spin_moments(psi) -> tuple[np.ndarray, np.ndarray]:
     near[1:] |= nonzero[:-1]
     near[:-1] |= nonzero[1:]
     index = np.flatnonzero(near)
-    s = (psi.size - 1) / 2
+    return _slot_moments((psi.size - 1) / 2, index, psi[index])
+
+
+def _slot_moments(s, index, amp) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_window_moments` of spin-``s`` states (``s`` a number, or
+    broadcast against ``index``) with the slots ``amp (..., L)`` at the
+    ascending basis positions ``index (..., L)``: Jz eigenvalues ``s - index``,
+    and the ladder element to the next slot where it is adjacent, else 0 (a
+    seam, or a pad: a repeated position of amplitude 0)."""
     m = s - index
-    ladder = np.where(index[1:] - index[:-1] == 1, _ladder_elements(s, m[:-1]), 0.0)
-    return _window_moments(psi[index], m, ladder)
+    ladder = np.where(index[..., 1:] - index[..., :-1] == 1, _ladder_elements(s, m[..., :-1]), 0.0)
+    return _window_moments(amp, m, ladder)
 
 
 def j_direction(rep: SpinRep, n) -> np.ndarray:

@@ -26,6 +26,7 @@ from .linalg import (
     _regular_index,
     check_probe,
     eigh_inverse,
+    require_floats,
     require_hermitian,
     require_symmetric,
     spectral_absmax,
@@ -71,11 +72,10 @@ def frame_qfim_uhlmann(frame, mean, cov) -> tuple[np.ndarray, np.ndarray]:
     symmetric and D exactly antisymmetric by construction.  Returns
     ``(Q, D)`` of shape (..., d, d) over the broadcast leading axes.
     """
-    frame = np.asarray(frame, dtype=float)
+    frame = require_floats(frame, "frame")
     if frame.ndim < 2 or frame.shape[-1] != 3:
         raise InvalidInput(f"frame must have shape (..., d, 3), got {frame.shape}")
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
+    mean, cov = require_floats(mean, "spin mean"), require_floats(cov, "spin covariance")
     if mean.shape[-1:] != (3,) or cov.shape != mean.shape + (3,):
         raise InvalidInput(
             f"spin moments must have shapes (..., 3), (..., 3, 3), got {mean.shape}, {cov.shape}"
@@ -218,8 +218,7 @@ def bounds(q, d, rel_tol: float = 1e-10):
     the sum of those of ``1j D' / S^2``.  :func:`ai_measure` and
     :func:`holevo_pure`, which multiply by inverses, are the scalar references.
     """
-    q = np.asarray(q, dtype=float)
-    d = np.asarray(d, dtype=float)
+    q, d = require_floats(q, "QFIM"), require_floats(d, "Uhlmann matrix")
     if q.ndim < 2 or q.shape != d.shape or q.shape[-1] != q.shape[-2]:
         raise InvalidInput(f"Q and D must be square stacks of one shape, got {q.shape}, {d.shape}")
     lead, dim = q.shape[:-2], q.shape[-1]

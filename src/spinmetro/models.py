@@ -14,9 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoding import ModelPoint, direction_vectors_2p, direction_vectors_3p
+from .encoding import ModelPoint, direction_vectors_2p, direction_vectors_3p, require_point
 from .errors import InvalidInput
-from .linalg import SpinRep, _window_moments, check_probe, j_direction, require_float, require_int
+from .linalg import SpinRep, _slot_moments, check_probe, j_direction, require_float, require_int
 # Bound here for perfbench/tests, which check that the benchmark's tracer
 # wraps every module binding of this pinned function.
 from .linalg import sym_inverse  # noqa: F401
@@ -39,7 +39,7 @@ __all__ = [
 # its Jz eigenvalues and squared ladder elements stay exact in float64.
 # What N bounds is an explicit state, the N-vector of make_probe or of a
 # caller, which spin_moments cuts to its windows in O(N): a dense state at
-# 10^6 peaks near 190 MB of traced memory there.  A larger N is rejected
+# 10^6 peaks near 155 MB of traced memory there.  A larger N is rejected
 # before any allocation.
 MAX_DIM = 10**6
 
@@ -104,22 +104,10 @@ def make_probe(spec: ProbeSpec) -> np.ndarray:
     return psi
 
 
-# The window layout of extreme-state probes, by min(N, 5).  The four slots
-# hold the basis positions p = (0, 1, N - 2, N - 1): (0, 1, 2, 3) at N = 4,
-# and (0, 1, 2, 2) at 3 and (0, 1, 1, 1) at 2, where a repeated position is
-# a pad.  Each row of _SCALE N + _SHIFT holds, as exact affine functions
-# of N, each slot's Jz eigenvalue (N - 1) / 2 - p and then the squared
-# ladder element (p + 1)(N - 1 - p) from each slot to the next, 0 across
-# the seam (N >= 5) or beside a pad: exactly the values that s - p and
-# linalg._ladder_elements give.  _LAST marks the slot of |-J>'s
-# amplitude; |J>'s is slot 0.
-_SCALE = np.array([[0.5, -0.5, -0.5, -0.5, 1, 0, 0]] * 3
-                  + [[0.5, 0.5, -0.5, -0.5, 1, 2, 0], [0.5, 0.5, -0.5, -0.5, 1, 2, 1],
-                     [0.5, 0.5, -0.5, -0.5, 1, 0, 1]])
-_SHIFT = np.array([[-0.5, 0.5, 0.5, 0.5, -1, 0, 0]] * 3
-                  + [[-0.5, -1.5, 0.5, 0.5, -1, -4, 0], [-0.5, -1.5, 1.5, 0.5, -1, -4, -1],
-                     [-0.5, -1.5, 1.5, 0.5, -1, 0, -1]])
-_LAST = np.eye(4, dtype=bool)[[3, 3, 1, 2, 3, 3]]
+# Slot k of extreme_moments sits at max(k, N - back_k), at most N - 1, held
+# as a float (exact) so the layout runs only float64 loops, as the kernel does.
+_SLOTS = np.arange(4.0)
+_BACK = np.array([MAX_DIM, MAX_DIM, 2, 1], dtype=float)
 
 
 def extreme_moments(dim, alpha, phi=0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -128,19 +116,21 @@ def extreme_moments(dim, alpha, phi=0.0) -> tuple[np.ndarray, np.ndarray]:
 
     The support ``{0, N - 1}`` has the windows ``[0, 1]`` and
     ``[N - 2, N - 1]``: two from N = 5 on, one at N = 4 where they touch,
-    and one at N = 3 and 2 where they overlap.  They fill four slots, so
-    :func:`~spinmetro.linalg._window_moments` runs once on the stack and a
-    probe costs the same at any N.  The arguments are taken as they are:
-    a :class:`ProbeSpec` or :func:`~spinmetro.analysis.scaling_table` has
-    checked them.
+    and one at N = 3 and 2 where they overlap.  They fill four slots at the
+    positions ``min((0, 1, max(2, N - 2), max(3, N - 1)), N - 1)``, a
+    repeated position a pad, so the moments kernel runs once on the stack
+    and a probe costs the same at any N; ``|-J>`` takes the first slot at
+    N - 1.  The arguments are taken as they are: a :class:`ProbeSpec` or
+    :func:`~spinmetro.analysis.scaling_table` has checked them.
     """
-    kind = np.minimum(dim, 5)
-    layout = _SCALE[kind] * np.asarray(dim)[..., None] + _SHIFT[kind]
+    n = np.asarray(dim, dtype=float)[..., None]
+    end = n - 1
+    index = np.minimum(np.maximum(_SLOTS, n - _BACK), end)
     first, last = _extreme_amplitudes(alpha, phi)
-    amp = np.zeros(np.broadcast(kind, last).shape + (4,), dtype=complex)
+    amp = np.zeros(np.broadcast(n[..., 0], last).shape + (4,), dtype=complex)
     amp[..., 0] = first
-    np.copyto(amp, last[..., None], where=_LAST[kind])
-    return _window_moments(amp, layout[..., :4], np.sqrt(layout[..., 4:]))
+    np.copyto(amp, last[..., None], where=_SLOTS == np.minimum(end, 3))
+    return _slot_moments(end / 2, index, amp)
 
 
 def bloch_vector(state) -> np.ndarray:
@@ -176,7 +166,7 @@ def qubit2p_closed(r0, point: ModelPoint, tol: float = 1e-12) -> Qubit2pResult:
     r0 = np.asarray(r0, dtype=float)
     if r0.shape != (3,) or np.linalg.norm(r0) > 1.0 + 1e-12:
         raise InvalidInput("Bloch vector must be a 3-vector with norm <= 1")
-    if point.n_params != 2:
+    if require_point(point).n_params != 2:
         raise InvalidInput("qubit2p_closed needs a two-parameter point")
     n_theta, _, n1, n2 = direction_vectors_2p(point)
     t = point.t
@@ -211,7 +201,7 @@ def qudit2p_closed(spec: ProbeSpec, point: ModelPoint):
     n = spec.dim
     if n <= 3:
         raise InvalidInput("closed qudit forms need dimension > 3; use the generic route")
-    if point.n_params != 2:
+    if require_point(point).n_params != 2:
         raise InvalidInput("qudit2p_closed needs a two-parameter point")
     t = point.t
     half = point.b * t / 2
@@ -239,7 +229,7 @@ def threeparam_uhlmann_closed(rep: SpinRep, probe, point: ModelPoint) -> np.ndar
     the frame's cross products; the tests pin this matrix against the
     generic commutator route.
     """
-    if point.n_params != 3:
+    if require_point(point).n_params != 3:
         raise InvalidInput("threeparam_uhlmann_closed needs a three-parameter point")
     psi = check_probe(probe, rep.N)
     n_theta, n1, n2 = direction_vectors_3p(point)

@@ -8,7 +8,6 @@ import pytest
 
 from spinmetro import (
     GeneratorSet,
-    ModelKind,
     ModelPoint,
     ProbeSpec,
     build_spin_rep,
@@ -102,13 +101,13 @@ def fim_rank_loop(config):
     }
 
 
-def scaling_table_loop(kind, alphas, dims, point, probe_phi=0.0, rel_tol=1e-10):
+def scaling_table_loop(alphas, dims, point, probe_phi=0.0, rel_tol=1e-10):
     """Gammas and slopes with one frame-kernel call per (alpha, N), baseline
     first: an oracle for the stacked :func:`~spinmetro.analysis.scaling_table`.
     Returns ``(gamma, slope)`` arrays shaped as in its result, NaN for an
     alpha whose baseline is singular."""
-    baseline_dim = 2 if kind is ModelKind.TWO_PARAM else 4
-    frame = closed_frame(kind, point.b, point.theta, point.t, point.phi)
+    baseline_dim = 2 if point.phi is None else 4
+    frame = closed_frame(point.b, point.theta, point.t, point.phi)
 
     def qfim(n, alpha):
         probe = make_probe(ProbeSpec(dim=n, alpha=alpha, phi=probe_phi))
@@ -122,7 +121,7 @@ def scaling_table_loop(kind, alphas, dims, point, probe_phi=0.0, rel_tol=1e-10):
             continue
         gamma[k] = [float(np.trace(qfim(n, alpha) @ base_inv)) for n in dims]
         x = np.array(dims, dtype=float)
-        x = x - 1.0 if kind is ModelKind.TWO_PARAM else x
+        x = x - 1.0 if point.phi is None else x
         slope[k] = float(np.polyfit(np.log(x), np.log(gamma[k]), 1)[0])
     return gamma, slope
 
@@ -160,38 +159,38 @@ def point_at(point, values):
     return ModelPoint(*values[:2], t=point.t, phi=values[2] if len(values) == 3 else None)
 
 
-def evolved_family(spin, kind, point, probe):
-    """Map parameter values to the evolved pure state of the model."""
+def evolved_family(spin, point, probe):
+    """Map parameter values to the evolved pure state of the point's model."""
 
     def family(values):
-        return expm_i(hamiltonian(spin, kind, point_at(point, values)), point.t) @ probe
+        return expm_i(hamiltonian(spin, point_at(point, values)), point.t) @ probe
 
     return family
 
 
-def numeric_generators_loop(spin, kind, point, step=1e-5):
+def numeric_generators_loop(spin, point, step=1e-5):
     """Finite-difference generators one parameter and one unitary at a
     time: an oracle for the stacked
     :func:`~spinmetro.encoding.numeric_generators`."""
     values = point.values()
     steps = step * np.maximum(1.0, np.abs(values))
-    u = expm_i(hamiltonian(spin, kind, point), point.t)
+    u = expm_i(hamiltonian(spin, point), point.t)
     mats, resids = [], []
     for l in range(values.size):
         up = values.copy()
         um = values.copy()
         up[l] += steps[l]
         um[l] -= steps[l]
-        u_plus = expm_i(hamiltonian(spin, kind, point_at(point, up)), point.t)
-        u_minus = expm_i(hamiltonian(spin, kind, point_at(point, um)), point.t)
+        u_plus = expm_i(hamiltonian(spin, point_at(point, up)), point.t)
+        u_minus = expm_i(hamiltonian(spin, point_at(point, um)), point.t)
         du_dag = (u_plus.conj().T - u_minus.conj().T) / (2 * steps[l])
         raw = 1j * du_dag @ u
         resid = float(np.linalg.norm(raw - raw.conj().T) / (2 * max(np.linalg.norm(raw), 1.0)))
         if resid > 1e-4:
-            raise StepInstability(f"finite-difference generator for {kind.labels[l]}")
+            raise StepInstability(f"finite-difference generator for {point.labels[l]}")
         mats.append((raw + raw.conj().T) / 2)
         resids.append(resid)
-    return GeneratorSet(labels=kind.labels, matrices=np.stack(mats), herm_residuals=tuple(resids))
+    return GeneratorSet(labels=point.labels, matrices=np.stack(mats), herm_residuals=tuple(resids))
 
 
 def two_param_points():
@@ -211,5 +210,13 @@ def three_param_points():
     ]
 
 
-def points_for(kind):
-    return two_param_points() if kind is ModelKind.TWO_PARAM else three_param_points()
+# The two models by the names of the command line's --model.  A point
+# carries its model (a two-parameter point has no phi); a test that runs on
+# both takes its points from points_for.  The ids are the ones these
+# parametrized tests have always been listed under.
+MODELS = [pytest.param("two", id="ModelKind.TWO_PARAM"),
+          pytest.param("three", id="ModelKind.THREE_PARAM")]
+
+
+def points_for(model):
+    return two_param_points() if model == "two" else three_param_points()

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from spinmetro import (
-    ModelKind,
     ModelPoint,
     RankExperimentConfig,
     ScanConfig,
@@ -36,14 +35,15 @@ from spinmetro.models import ProbeSpec
 from conftest import evolved_family, haar_state, rep
 from oracles import ai_threeparam_probe, qfim_from_state_derivatives, shrinkage_fractions, submodel
 
-# benchmark grid configurations: (kind, dim, alpha, t)
+# benchmark grid configurations: (model_phi, dim, alpha, t); a model_phi of
+# None is the two-parameter model
 BENCHMARK_GRIDS = {
-    "qubit_t5": (ModelKind.TWO_PARAM, 2, np.pi / 4, 5.0),
-    "qubit_t10": (ModelKind.TWO_PARAM, 2, np.pi / 4, 10.0),
-    "qudit4_t5": (ModelKind.TWO_PARAM, 4, np.pi / 2, 5.0),
-    "qudit4_t10": (ModelKind.TWO_PARAM, 4, np.pi / 2, 10.0),
-    "threeparam_a": (ModelKind.THREE_PARAM, 4, 3 * np.pi / 5, 5.0),
-    "threeparam_b": (ModelKind.THREE_PARAM, 4, 2 * np.pi / 3, 5.0),
+    "qubit_t5": (None, 2, np.pi / 4, 5.0),
+    "qubit_t10": (None, 2, np.pi / 4, 10.0),
+    "qudit4_t5": (None, 4, np.pi / 2, 5.0),
+    "qudit4_t10": (None, 4, np.pi / 2, 10.0),
+    "threeparam_a": (0.0, 4, 3 * np.pi / 5, 5.0),
+    "threeparam_b": (0.0, 4, 2 * np.pi / 3, 5.0),
 }
 
 # frozen first-computation goldens for the qubit shrinkage fractions
@@ -61,8 +61,9 @@ def verdict(num, ok, detail, elapsed, budget):
 @pytest.fixture(scope="module")
 def benchmark_grids():
     results = {}
-    for name, (kind, dim, alpha, t) in BENCHMARK_GRIDS.items():
-        config = ScanConfig(kind=kind, probe=ProbeSpec(dim=dim, alpha=alpha, phi=0.0), t=t)
+    for name, (model_phi, dim, alpha, t) in BENCHMARK_GRIDS.items():
+        config = ScanConfig(probe=ProbeSpec(dim=dim, alpha=alpha, phi=0.0), t=t,
+                            model_phi=model_phi)
         start = time.perf_counter()
         results[name] = (run_scan(config), time.perf_counter() - start)
     return results
@@ -78,7 +79,7 @@ def test_criterion_1_qubit_universality():
             point = ModelPoint(
                 b=rng.uniform(0.0, 2 * np.pi / t), theta=rng.uniform(0.0, 2 * np.pi), t=t
             )
-            gen_stacks.append(closed_generators(rep(2), ModelKind.TWO_PARAM, point).matrices)
+            gen_stacks.append(closed_generators(rep(2), point).matrices)
     gens = np.array(gen_stacks)  # (100, 2, 2, 2)
     q, d = batched_qfim_uhlmann(gens[:, None], probes[None, :, :])
     evals = np.linalg.eigvalsh(q)
@@ -108,22 +109,21 @@ def test_criterion_2_cross_route_consistency():
     bs = np.linspace(0.25, 1.15, 5)
     worst_gen = 0.0
     worst_state = 0.0
-    for kind in ModelKind:
+    for phi in (None, 0.9):
         for n in range(2, 7):
             spin = rep(n)
             probe = haar_state(rng, n)
             for theta in thetas:
                 for b in bs:
-                    phi = 0.9 if kind is ModelKind.THREE_PARAM else None
                     point = ModelPoint(b=b, theta=theta, t=5.0, phi=phi)
                     routes = [
-                        closed_generators(spin, kind, point).matrices,
-                        series_generators(spin, kind, point).matrices,
-                        numeric_generators(spin, kind, point).matrices,
+                        closed_generators(spin, point).matrices,
+                        series_generators(spin, point).matrices,
+                        numeric_generators(spin, point).matrices,
                     ]
                     for i in range(3):
                         for j in range(i + 1, 3):
-                            for l in range(kind.n_params):
+                            for l in range(point.n_params):
                                 scale = max(
                                     np.linalg.norm(routes[i][l], 2),
                                     np.linalg.norm(routes[j][l], 2),
@@ -132,7 +132,7 @@ def test_criterion_2_cross_route_consistency():
                                 gap = np.linalg.norm(routes[i][l] - routes[j][l], 2) / scale
                                 worst_gen = max(worst_gen, gap)
                     q_gen, d_gen = batched_qfim_uhlmann(routes[0], probe)
-                    family = evolved_family(spin, kind, point, probe)
+                    family = evolved_family(spin, point, probe)
                     q_fd, d_fd = qfim_from_state_derivatives(family, point.values())
                     scale = max(np.linalg.norm(q_gen, 2), 1e-12)
                     worst_state = max(
@@ -161,7 +161,7 @@ def test_criterion_3_qudit_compatibility_point():
     worst_r = 0.0
     for n in range(4, 9):
         probe = make_probe(ProbeSpec(dim=n, alpha=np.pi / 4, phi=0.6))
-        q, d = qfim_uhlmann(closed_generators(rep(n), ModelKind.TWO_PARAM, point), probe)
+        q, d = qfim_uhlmann(closed_generators(rep(n), point), probe)
         worst_d = max(worst_d, abs(d[1, 0]))
         assert np.linalg.det(q) > 0
         r = ai_measure(q, d)
@@ -186,7 +186,7 @@ def test_criterion_4_three_parameter_dimension_ladder():
     # N = 2: singular everywhere
     worst_det = 0.0
     for point in points:
-        gens = closed_generators(rep(2), ModelKind.THREE_PARAM, point)
+        gens = closed_generators(rep(2), point)
         for _ in range(7):
             q, _ = qfim_uhlmann(gens, haar_state(rng, 2))
             worst_det = max(
@@ -197,7 +197,7 @@ def test_criterion_4_three_parameter_dimension_ladder():
     n3_hits = 0
     worst_n3 = 0.0
     for point in points:
-        gens = closed_generators(rep(3), ModelKind.THREE_PARAM, point)
+        gens = closed_generators(rep(3), point)
         for alpha, phi in zip(rng.uniform(0.15, 1.4, 5), rng.uniform(0, 2 * np.pi, 5)):
             q, d = qfim_uhlmann(gens, make_probe(ProbeSpec(dim=3, alpha=alpha, phi=phi)))
             r = ai_measure(q, d)
@@ -212,7 +212,7 @@ def test_criterion_4_three_parameter_dimension_ladder():
     # reports the limit value |cos 2 alpha| = 1 there).
     worst_ladder = 0.0
     for n in range(4, 9):
-        gens = closed_generators(rep(n), ModelKind.THREE_PARAM, points[0])
+        gens = closed_generators(rep(n), points[0])
         for alpha in (0.0, np.pi / 6, np.pi / 4, np.pi / 3, np.pi / 2):
             probe = make_probe(ProbeSpec(dim=n, alpha=alpha, phi=0.8))
             q, d = qfim_uhlmann(gens, probe)
@@ -253,8 +253,8 @@ def test_criterion_5_gamma_scaling_slopes():
     alpha = np.pi / 4
 
     def slopes(dims):
-        s2 = scaling_table(ModelKind.TWO_PARAM, [alpha], dims, point2).slope[0]
-        s3 = scaling_table(ModelKind.THREE_PARAM, [alpha], dims, point3).slope[0]
+        s2 = scaling_table([alpha], dims, point2).slope[0]
+        s3 = scaling_table([alpha], dims, point3).slope[0]
         return s2, s3
 
     desk = np.arange(4, 13, dtype=float)
@@ -298,8 +298,8 @@ def test_gamma_scaling_at_large_n():
     x = dims - 1.0
     exact2 = x**2 + x
     exact3 = (dims - 1.0) * (dims + 5.0) / 9.0
-    table2 = scaling_table(ModelKind.TWO_PARAM, [alpha], dims, point2)
-    table3 = scaling_table(ModelKind.THREE_PARAM, [alpha], dims, point3)
+    table2 = scaling_table([alpha], dims, point2)
+    table3 = scaling_table([alpha], dims, point3)
     gamma2, gamma3 = table2.gamma[0], table3.gamma[0]
     assert np.allclose(gamma2, exact2, rtol=1e-9, atol=0.0)
     assert np.allclose(gamma3, exact3, rtol=1e-9, atol=0.0)
@@ -324,13 +324,12 @@ def test_criterion_6_bound_ordering_on_benchmark_grids(benchmark_grids):
         assert (delta <= r_ai + 1e-9).all(), name
         assert (r_ai <= 1.0 + 1e-9).all(), name
         # explicit Holevo-vs-SLD ordering on sampled cells
-        kind, dim, alpha, t = BENCHMARK_GRIDS[name]
+        model_phi, dim, alpha, t = BENCHMARK_GRIDS[name]
         probe = make_probe(ProbeSpec(dim=dim, alpha=alpha, phi=0.0))
         reg_idx = np.flatnonzero(regular)
         for idx in rng.choice(reg_idx, size=15, replace=False):
-            phi = 0.0 if kind is ModelKind.THREE_PARAM else None
-            point = ModelPoint(b=res.b[idx], theta=res.theta[idx], t=t, phi=phi)
-            report = incompat_report(closed_generators(rep(dim), kind, point), probe)
+            point = ModelPoint(b=res.b[idx], theta=res.theta[idx], t=t, phi=model_phi)
+            report = incompat_report(closed_generators(rep(dim), point), probe)
             assert report["c_h"] >= report["c_sld"] - 1e-9
             assert report["delta"] == pytest.approx(res.delta[idx], rel=1e-9, abs=1e-12)
     elapsed = time.perf_counter() - start
@@ -404,7 +403,7 @@ def test_criterion_9_submodel_monotonicity():
             phi=rng.uniform(0.0, 2 * np.pi),
         )
         probe = haar_state(rng, n)
-        q, d = qfim_uhlmann(closed_generators(rep(n), ModelKind.THREE_PARAM, point), probe)
+        q, d = qfim_uhlmann(closed_generators(rep(n), point), probe)
         r_full = ai_measure(q, d)
         if r_full is None:
             continue

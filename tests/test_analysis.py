@@ -1,6 +1,7 @@
 """Experiment drivers: grid scans, scaling, rank experiment, reports."""
 
 import collections
+import functools
 import json
 import math
 import os
@@ -14,11 +15,11 @@ from hypothesis import strategies as st
 
 from spinmetro import (
     InvalidInput,
-    ModelKind,
     NumericalFailure,
     ModelPoint,
     RankExperimentConfig,
     ScanConfig,
+    bounds,
     closed_frame,
     closed_generators,
     fim_rank_experiment,
@@ -30,7 +31,7 @@ from spinmetro import (
     scaling_table,
     spin_moments,
 )
-from spinmetro import analysis, encoding, linalg
+from spinmetro import analysis, encoding, linalg, models
 from spinmetro.analysis import (
     MAX_GRID_CELLS,
     MAX_TABLE_PROBES,
@@ -43,6 +44,7 @@ from spinmetro.analysis import (
 from spinmetro.models import MAX_DIM, ProbeSpec
 
 from conftest import (
+    MODELS,
     csv_text_loop,
     fim_rank_loop,
     haar_state,
@@ -53,10 +55,8 @@ from conftest import (
 from oracles import shrinkage_fractions
 
 
-def small_scan(kind=ModelKind.TWO_PARAM, dim=2, alpha=np.pi / 4, phi=0.0, t=5.0,
-               counts=(21, 21), model_phi=0.0):
+def small_scan(dim=2, alpha=np.pi / 4, phi=0.0, t=5.0, counts=(21, 21), model_phi=None):
     return ScanConfig(
-        kind=kind,
         probe=ProbeSpec(dim=dim, alpha=alpha, phi=phi),
         t=t,
         model_phi=model_phi,
@@ -84,15 +84,13 @@ class TestRunScan:
         # similar to Cov^-1 [<J>]x / 2 whatever the (invertible) frame A:
         # R = 1/2 sqrt(<J>^T Cov <J> / det Cov) on every regular cell.
         psi = haar_state(rng, 5)
-        config = ScanConfig(kind=ModelKind.THREE_PARAM, probe=psi, t=5.0, model_phi=0.7,
-                            theta_count=21, b_count=21)
+        config = ScanConfig(probe=psi, t=5.0, model_phi=0.7, theta_count=21, b_count=21)
         res = run_scan(config)
         regular = ~res.singular
         assert regular.sum() > 300
         mean, cov = spin_moments(psi)
         want = 0.5 * np.sqrt(mean @ cov @ mean / np.linalg.det(cov))
-        frame = closed_frame(config.kind, res.b[regular], res.theta[regular], config.t,
-                             config.model_phi)
+        frame = closed_frame(res.b[regular], res.theta[regular], config.t, config.model_phi)
         w = np.linalg.eigvalsh(frame_qfim_uhlmann(frame, mean, cov)[0])
         tol = 1e3 * np.finfo(float).eps * w[:, -1] / w[:, 0] * want
         assert (np.abs(res.r_ai[regular] - want) <= tol).all()
@@ -107,8 +105,7 @@ class TestRunScan:
         mean, cov = spin_moments(psi)
         assert np.abs(mean).max() <= 1e-15
         assert np.abs(cov - 2 * np.eye(3)).max() <= 4 * np.finfo(float).eps * 2
-        config = ScanConfig(kind=ModelKind.THREE_PARAM, probe=psi, t=5.0, model_phi=0.7,
-                            theta_count=21, b_count=21)
+        config = ScanConfig(probe=psi, t=5.0, model_phi=0.7, theta_count=21, b_count=21)
         res = run_scan(config)
         regular = ~res.singular
         assert regular.sum() > 300
@@ -117,7 +114,7 @@ class TestRunScan:
 
     def test_gap_ordering_cellwise(self):
         for config in (small_scan(t=5.0), small_scan(dim=4, alpha=np.pi / 2, t=10.0),
-                       small_scan(kind=ModelKind.THREE_PARAM, dim=4, alpha=2 * np.pi / 3)):
+                       small_scan(dim=4, alpha=2 * np.pi / 3, model_phi=0.0)):
             res = run_scan(config)
             regular = ~res.singular
             assert (res.delta[regular] <= res.r_ai[regular] + 1e-9).all()
@@ -125,15 +122,14 @@ class TestRunScan:
             assert (res.delta[regular] >= -1e-12).all()
 
     def test_matches_pointwise_route(self, rng):
-        config = small_scan(kind=ModelKind.THREE_PARAM, dim=4, alpha=2 * np.pi / 3,
-                            model_phi=0.4)
+        config = small_scan(dim=4, alpha=2 * np.pi / 3, model_phi=0.4)
         res = run_scan(config)
         probe = make_probe(config.probe)
         for idx in rng.choice(res.theta.size, size=12, replace=False):
             point = ModelPoint(b=res.b[idx], theta=res.theta[idx], t=config.t,
                                phi=config.model_phi)
             report = incompat_report(
-                closed_generators(rep(4), config.kind, point), probe, rel_tol=config.rel_tol
+                closed_generators(rep(4), point), probe, rel_tol=config.rel_tol
             )
             assert report["singular"] == bool(res.singular[idx])
             assert report["det_q"] == pytest.approx(res.det_q[idx], rel=1e-9, abs=1e-12)
@@ -158,13 +154,14 @@ class TestRunScan:
 
     # det_q is the product of Q's eigenvalues clipped at 0, so a singular
     # cell that rounding leaves indefinite still reports det Q >= 0.
-    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("model", MODELS)
     @pytest.mark.parametrize("n", [2, 3, 4, 12, 40])
-    def test_det_q_is_never_negative(self, rng, kind, n):
+    def test_det_q_is_never_negative(self, rng, model, n):
         for _ in range(3):
             z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            config = ScanConfig(kind=kind, probe=z / np.linalg.norm(z), t=5.0,
-                                model_phi=rng.uniform(0.0, 2 * np.pi),
+            model_phi = rng.uniform(0.0, 2 * np.pi)
+            config = ScanConfig(probe=z / np.linalg.norm(z), t=5.0,
+                                model_phi=model_phi if model == "three" else None,
                                 theta_count=31, b_count=31)
             assert (run_scan(config).det_q >= 0.0).all()
 
@@ -181,8 +178,7 @@ class TestRunScan:
         # At N = 200 a dense (G, d, N, N) generator stack for this 5x5 grid
         # would take 25 * 3 * 200**2 * 16 B = 48 MB; the moment kernel never
         # forms an N x N matrix.
-        config = small_scan(kind=ModelKind.THREE_PARAM, dim=200, alpha=0.4, counts=(5, 5),
-                            model_phi=0.3)
+        config = small_scan(dim=200, alpha=0.4, counts=(5, 5), model_phi=0.3)
         tracemalloc.start()
         try:
             res = run_scan(config)
@@ -196,7 +192,7 @@ class TestRunScan:
         with pytest.raises(InvalidInput):
             small_scan(counts=(1, 5))
         with pytest.raises(InvalidInput):
-            ScanConfig(kind=ModelKind.TWO_PARAM, probe=ProbeSpec(dim=2, alpha=0.2), t=-1.0)
+            ScanConfig(probe=ProbeSpec(dim=2, alpha=0.2), t=-1.0)
 
     # A float count used to reach linspace and raise its TypeError.
     @pytest.mark.parametrize("counts", [(5.5, 5), (5, 5.0), (True, 5), (5, np.True_)])
@@ -226,7 +222,7 @@ class TestRunScan:
         # results once raised ValueError and hash raised TypeError.
         point = ModelPoint(b=0.6, theta=0.8, t=5.0)
         for make in (lambda: run_scan(small_scan(counts=(3, 3))),
-                     lambda: scaling_table(ModelKind.TWO_PARAM, [0.4], [4, 5], point)):
+                     lambda: scaling_table([0.4], [4, 5], point)):
             a, b = make(), make()
             assert a == a and a != b and not (a == b)
             assert hash(a) == hash(a) and len({a, b, a}) == 2
@@ -239,14 +235,64 @@ class TestRunScan:
 def test_tolerance_rule_at_every_entry_point(entry, rel_tol):
     point = ModelPoint(b=0.6, theta=0.8, t=5.0)
     calls = {
-        "metrics_report": lambda: metrics_report(ModelKind.TWO_PARAM, ProbeSpec(dim=3, alpha=0.4),
-                                                 point, rel_tol=rel_tol),
+        "metrics_report": lambda: metrics_report(ProbeSpec(dim=3, alpha=0.4), point,
+                                                 rel_tol=rel_tol),
         "run_scan": lambda: run_scan(replace(small_scan(counts=(3, 3)), rel_tol=rel_tol)),
-        "scaling_table": lambda: scaling_table(ModelKind.TWO_PARAM, [0.4], [4, 5], point,
-                                               rel_tol=rel_tol),
+        "scaling_table": lambda: scaling_table([0.4], [4, 5], point, rel_tol=rel_tol),
     }
     with pytest.raises(InvalidInput, match="singularity tolerance"):
         calls[entry]()
+
+
+# Calls that once escaped as a raw AttributeError, TypeError or ValueError,
+# each against the rule that now holds it: the model is the point's (a
+# stray model name lands where a probe or point belongs), a point and a
+# probe spec must be of their types, a time or a step is a positive number
+# and an array argument an array of real numbers.  Only the library's own
+# errors may escape.
+POINT = ModelPoint(b=0.6, theta=0.8, t=5.0)
+SPEC = ProbeSpec(dim=3, alpha=0.4)
+LIBRARY_ERROR_CALLS = {
+    "metrics_report-model-name": lambda: metrics_report("two", SPEC, POINT),
+    "metrics_report-spec-array": lambda: metrics_report(make_probe(SPEC), POINT),
+    "metrics_report-no-point": lambda: metrics_report(SPEC, None),
+    "scaling_table-model-name": lambda: scaling_table("two", [0.3], [4, 5], POINT),
+    "scaling_table-no-point": lambda: scaling_table([0.3], [4, 5], None),
+    "run_scan-model-name": lambda: run_scan(ScanConfig(probe=SPEC, t=5.0, model_phi="two")),
+    "frame_qfim_uhlmann-strings": lambda: frame_qfim_uhlmann("ab", np.zeros(3), np.eye(3)),
+    "bounds-strings": lambda: bounds("ab", "cd"),
+    "bounds-complex": lambda: bounds(np.eye(2), np.array([[0, 1j], [-1j, 0]])),
+    "frame_qfim_uhlmann-ragged": lambda: frame_qfim_uhlmann([[1.0], [1.0, 2.0]], np.zeros(3),
+                                                            np.eye(3)),
+    "rank-lam-strings": lambda: RankExperimentConfig(2, 3, lam=["a", "b"]),
+    "closed_frame-time-string": lambda: closed_frame(0.6, 0.8, t="x"),
+    "closed_frame-field-string": lambda: closed_frame("a", 0.8, 5.0),
+    "numeric_frame-step-string": lambda: encoding.numeric_frame(POINT, step="x"),
+    "numeric_generators-step-string": lambda: encoding.numeric_generators(rep(2), POINT,
+                                                                          step="x"),
+    "write_json-numpy-scalar": lambda: analysis.write_json(os.devnull, {"a": np.int64(1)}),
+    "write_json-mixed-keys": lambda: analysis.write_json(os.devnull, {1: 2, "a": 3}),
+    **{f"{name}-no-point": functools.partial(fn, None)
+       for name, fn in [("direction_vectors_2p", encoding.direction_vectors_2p),
+                        ("direction_vectors_3p", encoding.direction_vectors_3p),
+                        ("series_frame", encoding.series_frame),
+                        ("numeric_frame", encoding.numeric_frame)]},
+    **{f"{name}-no-point": functools.partial(fn, rep(2), None)
+       for name, fn in [("hamiltonian", encoding.hamiltonian),
+                        ("closed_generators", encoding.closed_generators),
+                        ("series_generators", encoding.series_generators),
+                        ("numeric_generators", encoding.numeric_generators)]},
+    "qubit2p_closed-no-point": lambda: models.qubit2p_closed([0.0, 0.0, 1.0], None),
+    "qudit2p_closed-no-point": lambda: models.qudit2p_closed(ProbeSpec(dim=5, alpha=0.3), None),
+    "threeparam_uhlmann_closed-no-point":
+        lambda: models.threeparam_uhlmann_closed(rep(2), np.array([1.0, 0.0]), None),
+}
+
+
+@pytest.mark.parametrize("call", LIBRARY_ERROR_CALLS.values(), ids=LIBRARY_ERROR_CALLS.keys())
+def test_only_library_errors_escape(call):
+    with pytest.raises((InvalidInput, NumericalFailure)):
+        call()
 
 
 def read_csv(path):
@@ -283,7 +329,7 @@ class TestCsvWriter:
     def test_scaling_columns_round_trip(self, tmp_path):
         # alpha = 0 at theta = pi/2 has a singular qubit baseline.
         point = ModelPoint(b=0.9, theta=np.pi / 2, t=5.0)
-        table = scaling_table(ModelKind.TWO_PARAM, [0.0, np.pi / 4], [4, 5, 7], point)
+        table = scaling_table([0.0, np.pi / 4], [4, 5, 7], point)
         out = tmp_path / "scaling.csv"
         table.write_csv(out)
         header, rows = read_csv(out)
@@ -322,11 +368,11 @@ class TestCsvWriter:
         small_scan(counts=(3, 7)),
         small_scan(counts=(7, 3)),
         small_scan(counts=(2, 2)),
-        small_scan(kind=ModelKind.THREE_PARAM, dim=2, counts=(5, 4), model_phi=0.3),
+        small_scan(dim=2, counts=(5, 4), model_phi=0.3),
     ], ids=["3x7", "7x3", "2x2", "three-qubit-all-singular"])
     def test_scan_matches_field_formatter(self, tmp_path, config):
         res = run_scan(config)
-        if config.kind is ModelKind.THREE_PARAM:
+        if config.model_phi is not None:
             assert res.singular.all()
         out = tmp_path / "scan.csv"
         res.write_csv(out)
@@ -336,7 +382,7 @@ class TestCsvWriter:
     def test_scaling_matches_field_formatter(self, tmp_path):
         # alpha = 0 at theta = pi/2 has a singular qubit baseline.
         point = ModelPoint(b=0.9, theta=np.pi / 2, t=5.0)
-        table = scaling_table(ModelKind.TWO_PARAM, [0.0, np.pi / 4, 1.2], [4, 5, 1000], point)
+        table = scaling_table([0.0, np.pi / 4, 1.2], [4, 5, 1000], point)
         assert np.isnan(table.slope[0])
         out = tmp_path / "scaling.csv"
         table.write_csv(out)
@@ -381,7 +427,7 @@ class TestShrinkage:
         assert f10 < f5
 
     def test_all_singular_grid_reports_none(self):
-        res = run_scan(small_scan(kind=ModelKind.THREE_PARAM, dim=2, counts=(7, 7)))
+        res = run_scan(small_scan(dim=2, counts=(7, 7), model_phi=0.0))
         assert res.singular.all()
         f1, f2 = shrinkage_fractions(res, res)
         assert f1 is None and f2 is None
@@ -395,7 +441,7 @@ class TestShrinkage:
 class TestScalingTable:
     def test_two_param_table(self, tmp_path):
         point = ModelPoint(b=np.pi / 5, theta=np.pi / 2, t=5.0)
-        table = scaling_table(ModelKind.TWO_PARAM, [np.pi / 4], range(4, 13), point)
+        table = scaling_table([np.pi / 4], range(4, 13), point)
         assert table.gamma.shape == (1, 9) and table.slope.shape == (1,)
         x = np.arange(3, 12)
         assert np.allclose(table.gamma[0], x**2 + x, rtol=1e-9)
@@ -408,14 +454,14 @@ class TestScalingTable:
 
     def test_three_param_closed_form(self):
         point = ModelPoint(b=0.6, theta=0.8, t=5.0, phi=1.0)
-        table = scaling_table(ModelKind.THREE_PARAM, [np.pi / 4], [4, 6, 9, 12], point)
+        table = scaling_table([np.pi / 4], [4, 6, 9, 12], point)
         for j, n in enumerate((4, 6, 9, 12)):
             assert table.gamma[0, j] == pytest.approx((n - 1) + (n - 1) * (n - 4) / 9, rel=1e-10)
 
     def test_singular_baseline_flag_row(self, tmp_path):
         # alpha = 0 probe at theta = pi/2 makes the qubit reference singular.
         point = ModelPoint(b=0.9, theta=np.pi / 2, t=5.0)
-        table = scaling_table(ModelKind.TWO_PARAM, [0.0, np.pi / 4], [4, 5], point)
+        table = scaling_table([0.0, np.pi / 4], [4, 5], point)
         assert np.isnan(table.slope[0])
         assert np.isnan(table.gamma[0, 0])
         assert not np.isnan(table.slope[1])
@@ -427,18 +473,18 @@ class TestScalingTable:
     def test_dimension_validation(self):
         point = ModelPoint(b=0.9, theta=0.5, t=5.0)
         with pytest.raises(InvalidInput):
-            scaling_table(ModelKind.TWO_PARAM, [0.3], [2, 4], point)
+            scaling_table([0.3], [2, 4], point)
 
     # Float dimensions were truncated (4.7 ran as 4) and strings were taken.
     @pytest.mark.parametrize("dims", [[4.7, 8.2], [4.0, 8], ["4", "8"], [4, True]])
     def test_dimensions_must_be_integers(self, dims):
         point = ModelPoint(b=0.9, theta=0.5, t=5.0)
         with pytest.raises(InvalidInput, match="must be an integer"):
-            scaling_table(ModelKind.TWO_PARAM, [0.3], dims, point)
+            scaling_table([0.3], dims, point)
 
     def test_numpy_dimensions_are_stored_as_ints(self):
         point = ModelPoint(b=0.9, theta=0.5, t=5.0)
-        table = scaling_table(ModelKind.TWO_PARAM, [0.3], np.array([4, 8]), point)
+        table = scaling_table([0.3], np.array([4, 8]), point)
         assert table.dims == (4, 8) and all(type(n) is int for n in table.dims)
         assert table.gamma.shape == (1, 2)
 
@@ -447,7 +493,7 @@ class TestScalingTable:
         monkeypatch.setattr(analysis, "extreme_moments", lambda *args: built.append(args))
         point = ModelPoint(b=0.9, theta=0.5, t=5.0)
         with pytest.raises(InvalidInput, match=str(MAX_DIM)):
-            scaling_table(ModelKind.TWO_PARAM, [0.3], [4, MAX_DIM + 1], point)
+            scaling_table([0.3], [4, MAX_DIM + 1], point)
         assert built == []
 
     # Each angle and the phase are held to the float rule: a string of
@@ -460,7 +506,7 @@ class TestScalingTable:
     def test_angles_must_be_finite_numbers(self, alphas, probe_phi):
         point = ModelPoint(b=0.9, theta=0.5, t=5.0)
         with pytest.raises(InvalidInput):
-            scaling_table(ModelKind.TWO_PARAM, alphas, [4, 8], point, probe_phi=probe_phi)
+            scaling_table(alphas, [4, 8], point, probe_phi=probe_phi)
 
     # The probe count is checked from the lengths before a dimension is
     # expanded or checked, so a range past the cap allocates nothing.
@@ -472,7 +518,7 @@ class TestScalingTable:
         tracemalloc.start()
         try:
             with pytest.raises(InvalidInput, match=str(MAX_TABLE_PROBES)):
-                scaling_table(ModelKind.TWO_PARAM, [0.3, 0.4], dims, point)
+                scaling_table([0.3, 0.4], dims, point)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -485,7 +531,7 @@ class TestScalingTable:
         point = ModelPoint(b=0.6, theta=0.8, t=5.0, phi=1.0)
         tracemalloc.start()
         try:
-            table = scaling_table(ModelKind.THREE_PARAM, np.linspace(0.2, 1.2, alphas),
+            table = scaling_table(np.linspace(0.2, 1.2, alphas),
                                   range(4, 4 + count), point)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -496,18 +542,19 @@ class TestScalingTable:
     # alpha = 0 makes the baseline singular at the first and last points: the
     # qubit reference at theta = pi/2, and the N = 4 three-parameter one
     # everywhere (its spin covariance has rank 2).
-    @pytest.mark.parametrize("kind, point", [
-        (ModelKind.TWO_PARAM, ModelPoint(b=0.9, theta=np.pi / 2, t=5.0)),
-        (ModelKind.TWO_PARAM, ModelPoint(b=1.1, theta=2.6, t=5.0)),
-        (ModelKind.THREE_PARAM, ModelPoint(b=0.9, theta=0.7, t=5.0, phi=1.1)),
+    @pytest.mark.parametrize("point", [
+        pytest.param(ModelPoint(b=0.9, theta=np.pi / 2, t=5.0), id="ModelKind.TWO_PARAM-point0"),
+        pytest.param(ModelPoint(b=1.1, theta=2.6, t=5.0), id="ModelKind.TWO_PARAM-point1"),
+        pytest.param(ModelPoint(b=0.9, theta=0.7, t=5.0, phi=1.1),
+                     id="ModelKind.THREE_PARAM-point2"),
     ])
-    def test_stacked_table_equals_per_probe_loop(self, kind, point):
+    def test_stacked_table_equals_per_probe_loop(self, point):
         alphas, dims = (0.0, np.pi / 4, 0.3, 1.2), (4, 5, 9, 40, 240)
-        table = scaling_table(kind, alphas, dims, point, probe_phi=0.7)
-        gamma, slope = scaling_table_loop(kind, alphas, dims, point, probe_phi=0.7)
+        table = scaling_table(alphas, dims, point, probe_phi=0.7)
+        gamma, slope = scaling_table_loop(alphas, dims, point, probe_phi=0.7)
         np.testing.assert_array_equal(table.gamma, gamma, strict=True)
         np.testing.assert_array_equal(table.slope, slope, strict=True)
-        if point.theta == np.pi / 2 or kind is ModelKind.THREE_PARAM:
+        if point.theta == np.pi / 2 or point.n_params == 3:
             assert np.isnan(slope[0])
         assert not np.isnan(slope[1:]).any()
 
@@ -528,7 +575,7 @@ class TestScalingTable:
         point = ModelPoint(b=0.9, theta=np.pi / 2, t=5.0)
         # alpha = 0 has a singular baseline; its probes are still in the one
         # moments call
-        scaling_table(ModelKind.TWO_PARAM, [0.0, np.pi / 4, 0.3], [4, 8, 12, 16], point)
+        scaling_table([0.0, np.pi / 4, 0.3], [4, 8, 12, 16], point)
         assert calls == {"kernel": 1, "moments": 1, "inverse": 1}
 
 
@@ -743,10 +790,7 @@ class TestFimRankExperiment:
 
 class TestMetricsReport:
     def test_qubit_regular_point(self):
-        doc = metrics_report(
-            ModelKind.TWO_PARAM, ProbeSpec(dim=2, alpha=np.pi / 4),
-            ModelPoint(b=0.9, theta=0.7, t=5.0),
-        )
+        doc = metrics_report(ProbeSpec(dim=2, alpha=np.pi / 4), ModelPoint(b=0.9, theta=0.7, t=5.0))
         assert doc["singular"] is False
         assert doc["r_ai"] == pytest.approx(1.0, abs=1e-6)
         assert doc["c_h"] >= doc["c_sld"]
@@ -758,40 +802,33 @@ class TestMetricsReport:
         assert resid["numeric_vs_closed"] < 1e-8
 
     def test_three_param_cosine(self):
-        doc = metrics_report(
-            ModelKind.THREE_PARAM, ProbeSpec(dim=6, alpha=np.pi / 3),
-            ModelPoint(b=0.9, theta=0.6, t=5.0, phi=0.4),
-        )
+        doc = metrics_report(ProbeSpec(dim=6, alpha=np.pi / 3),
+                             ModelPoint(b=0.9, theta=0.6, t=5.0, phi=0.4))
         assert doc["r_ai"] == pytest.approx(0.5, abs=1e-6)
 
     def test_compatible_configuration(self):
-        doc = metrics_report(
-            ModelKind.TWO_PARAM, ProbeSpec(dim=4, alpha=np.pi / 4),
-            ModelPoint(b=0.9, theta=0.8, t=5.0),
-        )
+        doc = metrics_report(ProbeSpec(dim=4, alpha=np.pi / 4), ModelPoint(b=0.9, theta=0.8, t=5.0))
         assert doc["delta"] == pytest.approx(0.0, abs=1e-10)
         assert doc["c_h"] == pytest.approx(doc["c_sld"], rel=1e-10)
 
     def test_singular_point_partial_report(self):
-        doc = metrics_report(
-            ModelKind.THREE_PARAM, ProbeSpec(dim=2, alpha=0.3),
-            ModelPoint(b=0.9, theta=0.7, t=5.0, phi=1.0),
-        )
+        doc = metrics_report(ProbeSpec(dim=2, alpha=0.3),
+                             ModelPoint(b=0.9, theta=0.7, t=5.0, phi=1.0))
         assert doc["singular"] is True
         assert doc["c_sld"] is None and doc["r_ai"] is None
         assert doc["det_q"] == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("model", MODELS)
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 40])
-    def test_matches_dense_oracle(self, kind, n):
+    def test_matches_dense_oracle(self, model, n):
         # The report takes (Q, D) from the frame kernel; the dense generators
         # and incompat_report are its oracle.
         eps = np.finfo(float).eps
-        for point in points_for(kind):
+        for point in points_for(model):
             for alpha, phi in ((0.3, 0.0), (np.pi / 4, 1.7), (1.2, 4.0)):
                 spec = ProbeSpec(dim=n, alpha=alpha, phi=phi)
-                doc = metrics_report(kind, spec, point)
-                dense = incompat_report(closed_generators(rep(n), kind, point), make_probe(spec))
+                doc = metrics_report(spec, point)
+                dense = incompat_report(closed_generators(rep(n), point), make_probe(spec))
                 assert doc.keys() >= dense.keys()
                 assert doc["singular"] == dense["singular"]
                 assert doc["labels"] == dense["labels"]
@@ -810,20 +847,20 @@ class TestMetricsReport:
                 assert abs(doc["c_sld"] - dense["c_sld"]) <= tol * dense["c_sld"]
                 assert abs(doc["c_h"] - dense["c_h"]) <= tol * dense["c_h"]
 
-    @pytest.mark.parametrize("kind", list(ModelKind))
-    def test_closed_route_is_the_report_frame(self, kind):
+    @pytest.mark.parametrize("model", MODELS)
+    def test_closed_route_is_the_report_frame(self, model):
         # The routes are measured against the frame they are given: scaled by
         # 1 + 1e-6, it sits 1e-6 / (1 + 1e-6) from both.
-        for point in points_for(kind):
-            frame = encoding.closed_frame(kind, point.b, point.theta, point.t, point.phi)
-            exact = _route_residuals(kind, point, frame)
-            moved = _route_residuals(kind, point, frame * (1 + 1e-6))
+        for point in points_for(model):
+            frame = encoding.closed_frame(point.b, point.theta, point.t, point.phi)
+            exact = _route_residuals(point, frame)
+            moved = _route_residuals(point, frame * (1 + 1e-6))
             assert exact["series_vs_closed"] < 1e-14 and exact["numeric_vs_closed"] < 1e-8
             assert moved["series_vs_closed"] == pytest.approx(1e-6 / (1 + 1e-6), rel=1e-6)
             assert moved["numeric_vs_closed"] == pytest.approx(1e-6 / (1 + 1e-6), rel=1e-3)
 
-    @pytest.mark.parametrize("kind", list(ModelKind))
-    def test_report_builds_no_dense_route(self, monkeypatch, kind):
+    @pytest.mark.parametrize("model", MODELS)
+    def test_report_builds_no_dense_route(self, monkeypatch, model):
         # One eigh, of Q in bounds.  The oracle routes are vector forms, so a
         # report exponentiates nothing and builds no spin representation,
         # generator set or dense route; it computes its frame once.
@@ -844,34 +881,32 @@ class TestMetricsReport:
         frame_fn = encoding.closed_frame
         for module in (analysis, encoding):
             monkeypatch.setattr(module, "closed_frame", counted("closed_frame", frame_fn))
-        metrics_report(kind, ProbeSpec(dim=5, alpha=0.3, phi=0.2), points_for(kind)[0])
+        metrics_report(ProbeSpec(dim=5, alpha=0.3, phi=0.2), points_for(model)[0])
         assert calls == {"eigh": 1, "closed_frame": 1}
 
     def test_deterministic_serialization(self):
-        args = (
-            ModelKind.TWO_PARAM, ProbeSpec(dim=3, alpha=0.4, phi=0.2),
-            ModelPoint(b=0.8, theta=1.1, t=5.0),
-        )
+        args = (ProbeSpec(dim=3, alpha=0.4, phi=0.2), ModelPoint(b=0.8, theta=1.1, t=5.0))
         a = json.dumps(metrics_report(*args), sort_keys=True)
         b = json.dumps(metrics_report(*args), sort_keys=True)
         assert a == b
 
-    @pytest.mark.parametrize("kind", list(ModelKind))
-    def test_uhlmann_diagonal_is_positive_zero(self, kind):
+    @pytest.mark.parametrize("model", MODELS)
+    def test_uhlmann_diagonal_is_positive_zero(self, model):
         # With every component of <J> negative, each term of D's diagonal,
         # (a_l x a_l)_k <J>_k, is -0.0.  Summed from +0.0, as numpy sums,
         # the diagonal is +0.0, and a report writes it as 0.0.
         thetas, bs = np.meshgrid(np.linspace(0.0, 2 * np.pi, 7), np.linspace(0.0, 1.3, 5))
-        phi = None if kind is ModelKind.TWO_PARAM else 1.0
-        frame = closed_frame(kind, bs, thetas, 5.0, phi)
+        phi = None if model == "two" else 1.0
+        frame = closed_frame(bs, thetas, 5.0, phi)
         _, d = frame_qfim_uhlmann(frame, np.array([-0.3, -0.2, -0.1]), np.eye(3))
         diagonal = np.diagonal(d, axis1=-2, axis2=-1)
         assert (diagonal == 0).all() and not np.signbit(diagonal).any()
         spec = ProbeSpec(dim=2, alpha=1.2, phi=4.0)
         assert (spin_moments(make_probe(spec))[0] < 0).all()
-        doc = metrics_report(kind, spec, points_for(kind)[0])
-        assert [math.copysign(1.0, doc["D"][l][l]) for l in range(kind.n_params)] == \
-            [1.0] * kind.n_params
+        point = points_for(model)[0]
+        doc = metrics_report(spec, point)
+        assert [math.copysign(1.0, doc["D"][l][l]) for l in range(point.n_params)] == \
+            [1.0] * point.n_params
 
 
 # Floats a report may hold, with the edges of the float format drawn often:
@@ -886,18 +921,17 @@ REPORT_FLOATS = st.one_of(
 @st.composite
 def report_docs(draw):
     """Dicts of the shape of metrics_report's, singular ones with null bounds."""
-    kind = draw(st.sampled_from(list(ModelKind)))
-    d = kind.n_params
+    d = draw(st.sampled_from([2, 3]))
     singular = draw(st.booleans())
     matrix = st.lists(st.lists(REPORT_FLOATS, min_size=d, max_size=d), min_size=d, max_size=d)
     bound = st.none() if singular else REPORT_FLOATS
     return {
-        "model": kind.value,
+        "model": "two" if d == 2 else "three",
         "dim": draw(st.integers(2, MAX_DIM)),
         "probe": {"alpha": draw(REPORT_FLOATS), "phi": draw(REPORT_FLOATS)},
         "point": {"B": draw(REPORT_FLOATS), "theta": draw(REPORT_FLOATS),
                   "phi": None if d == 2 else draw(REPORT_FLOATS), "t": draw(REPORT_FLOATS)},
-        "labels": list(kind.labels),
+        "labels": ["B", "theta", "phi"][:d],
         "Q": draw(matrix),
         "D": draw(matrix),
         "det_q": draw(REPORT_FLOATS),
@@ -922,11 +956,11 @@ class TestJsonWriter:
         assert doc.keys() == analysis._REPORT_KEYS
         assert analysis._report_text(doc).encode() == json_text(doc)
 
-    @pytest.mark.parametrize("kind", list(ModelKind))
-    def test_written_report_matches_json_dumps(self, tmp_path, kind):
-        for point in points_for(kind):
+    @pytest.mark.parametrize("model", MODELS)
+    def test_written_report_matches_json_dumps(self, tmp_path, model):
+        for point in points_for(model):
             for singular_dim in (2, 5):
-                doc = metrics_report(kind, ProbeSpec(dim=singular_dim, alpha=0.3), point)
+                doc = metrics_report(ProbeSpec(dim=singular_dim, alpha=0.3), point)
                 analysis.write_json(tmp_path / "r.json", doc)
                 assert (tmp_path / "r.json").read_bytes() == json_text(doc)
 
@@ -943,19 +977,18 @@ class TestJsonWriter:
         lambda doc: doc["Q"][1].append(0.0),
         lambda doc: doc.__setitem__("Q", [tuple(row) for row in doc["Q"]]),
         lambda doc: doc.__setitem__("labels", []),
-        lambda doc: doc.__setitem__("model", ModelKind.TWO_PARAM),
+        lambda doc: doc.__setitem__("model", object()),
         lambda doc: doc.__setitem__("D", 1.0),
         lambda doc: doc.__setitem__("labels", "B"),
         lambda doc: doc.__setitem__("point", None),
     ])
     def test_other_docs_match_json_dumps(self, tmp_path, change):
-        doc = metrics_report(ModelKind.TWO_PARAM, ProbeSpec(dim=3, alpha=0.3),
-                             points_for(ModelKind.TWO_PARAM)[0])
+        doc = metrics_report(ProbeSpec(dim=3, alpha=0.3), points_for("two")[0])
         change(doc)
         try:
             want = json_text(doc)
         except TypeError:
-            with pytest.raises(TypeError):
+            with pytest.raises(InvalidInput, match="cannot be written as JSON"):
                 analysis.write_json(tmp_path / "r.json", doc)
             return
         text = analysis._report_text(doc)
@@ -963,16 +996,18 @@ class TestJsonWriter:
         analysis.write_json(tmp_path / "r.json", doc)
         assert (tmp_path / "r.json").read_bytes() == want
 
-    # json.dumps raises ValueError for a circular reference as for a NaN:
-    # only the NaN is a numerical failure, and neither opens the file.
+    # json.dumps raises ValueError for a circular reference as for a NaN,
+    # and TypeError for a value of no JSON type or keys it cannot sort: only
+    # the NaN is a numerical failure, and none opens the file.
     @pytest.mark.parametrize("make, error, match", [
         (lambda doc: doc["point"].__setitem__("loop", doc["point"]), InvalidInput, "Circular"),
         (lambda doc: doc.__setitem__("extra", [doc]), InvalidInput, "Circular"),
         (lambda doc: doc.__setitem__("extra", [math.nan]), NumericalFailure, "non-finite"),
-    ], ids=["circular-dict", "circular-list", "nan"])
+        (lambda doc: (doc.clear(), doc.update({"a": np.int64(1)})), InvalidInput, "int64"),
+        (lambda doc: (doc.clear(), doc.update({1: 2, "a": 3})), InvalidInput, "not supported"),
+    ], ids=["circular-dict", "circular-list", "nan", "numpy-scalar", "unsortable-keys"])
     def test_unwritable_doc_opens_no_file(self, tmp_path, monkeypatch, make, error, match):
-        doc = metrics_report(ModelKind.TWO_PARAM, ProbeSpec(dim=3, alpha=0.3),
-                             points_for(ModelKind.TWO_PARAM)[0])
+        doc = metrics_report(ProbeSpec(dim=3, alpha=0.3), points_for("two")[0])
         make(doc)
         opened = []
         monkeypatch.setattr(analysis, "_write_text", lambda *args: opened.append(args))
@@ -985,8 +1020,7 @@ class TestJsonWriter:
                                       ("point", "B"), ("generator_route_residuals",
                                                        "numeric_vs_closed")])
     def test_non_finite_report_opens_no_file(self, tmp_path, monkeypatch, path, value):
-        doc = metrics_report(ModelKind.THREE_PARAM, ProbeSpec(dim=4, alpha=0.3),
-                             points_for(ModelKind.THREE_PARAM)[0])
+        doc = metrics_report(ProbeSpec(dim=4, alpha=0.3), points_for("three")[0])
         *head, last = path
         owner = doc
         for key in head:

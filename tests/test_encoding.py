@@ -6,7 +6,6 @@ import pytest
 from spinmetro import (
     GeneratorSet,
     InvalidInput,
-    ModelKind,
     ModelPoint,
     build_spin_rep,
     closed_frame,
@@ -25,6 +24,7 @@ from spinmetro.encoding import _hamiltonian_derivatives
 from spinmetro.errors import StepInstability
 
 from conftest import (
+    MODELS,
     directions_2p_reference,
     numeric_generators_loop,
     points_for,
@@ -82,7 +82,7 @@ class TestTwoParamAgainstPlanarReference:
         ref = directions_2p_reference(b, theta, t)
         sh = np.sin(b * (t / 2))
         want = np.stack([-t * ref[..., 0, :], 2 * sh[..., None] * ref[..., 2, :]], axis=-2)
-        assert np.array_equal(closed_frame(ModelKind.TWO_PARAM, b, theta, t), want)
+        assert np.array_equal(closed_frame(b, theta, t), want)
 
     def test_direction_vectors(self):
         for point in reference_points():
@@ -94,7 +94,7 @@ class TestTwoParamAgainstPlanarReference:
         for point in reference_points():
             n_theta = directions_2p_reference(point.b, point.theta, point.t)[0]
             want = point.b * j_direction(rep(n), n_theta)
-            assert np.array_equal(hamiltonian(rep(n), ModelKind.TWO_PARAM, point), want)
+            assert np.array_equal(hamiltonian(rep(n), point), want)
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_series_route_hamiltonian_derivatives(self, n):
@@ -102,7 +102,7 @@ class TestTwoParamAgainstPlanarReference:
         for point in reference_points():
             ref = directions_2p_reference(point.b, point.theta, point.t)
             want = np.array([1.0, point.b])[:, None, None] * j_direction(rep(n), ref[:2])
-            got = _hamiltonian_derivatives(rep(n), ModelKind.TWO_PARAM, point)
+            got = _hamiltonian_derivatives(rep(n), point)
             assert np.array_equal(got, want)
 
 
@@ -138,90 +138,77 @@ class TestDirectionVectors3p:
 
 class TestHamiltonian:
     def test_zero_field(self):
-        h = hamiltonian(rep(3), ModelKind.TWO_PARAM, ModelPoint(b=0.0, theta=0.4, t=1.0))
+        h = hamiltonian(rep(3), ModelPoint(b=0.0, theta=0.4, t=1.0))
         assert np.abs(h).max() == 0.0
 
     def test_qubit_x_field(self):
-        h = hamiltonian(rep(2), ModelKind.TWO_PARAM, ModelPoint(b=1.7, theta=0.0, t=1.0))
+        h = hamiltonian(rep(2), ModelPoint(b=1.7, theta=0.0, t=1.0))
         assert np.allclose(h, 1.7 * np.asarray(rep(2).jx))
 
-    @pytest.mark.parametrize("kind", list(ModelKind))
-    def test_spectrum_is_field_times_spin(self, kind):
+    @pytest.mark.parametrize("model", MODELS)
+    def test_spectrum_is_field_times_spin(self, model):
         n = 5
-        point = points_for(kind)[0]
-        h = hamiltonian(rep(n), kind, point)
+        point = points_for(model)[0]
+        h = hamiltonian(rep(n), point)
         s = (n - 1) / 2
         expected = point.b * np.arange(-s, s + 1)
         assert np.allclose(np.linalg.eigvalsh(h), expected, atol=1e-12)
-
-    def test_point_kind_mismatch(self):
-        with pytest.raises(InvalidInput):
-            hamiltonian(rep(2), ModelKind.THREE_PARAM, ModelPoint(b=1.0, theta=0.0, t=1.0))
-        with pytest.raises(InvalidInput):
-            hamiltonian(rep(2), ModelKind.TWO_PARAM, ModelPoint(b=1.0, theta=0.0, t=1.0, phi=0.2))
 
 
 class TestClosedGenerators:
     def test_full_period_kills_theta_generator(self):
         point = ModelPoint(b=2 * np.pi / 5, theta=0.8, t=5.0)
-        gens = closed_generators(rep(4), ModelKind.TWO_PARAM, point)
+        gens = closed_generators(rep(4), point)
         assert np.abs(gens.matrices[1]).max() < 1e-12
 
     def test_qubit_theta_generator_spectrum(self):
         point = ModelPoint(b=0.9, theta=1.3, t=5.0)
-        gens = closed_generators(rep(2), ModelKind.TWO_PARAM, point)
+        gens = closed_generators(rep(2), point)
         sh = abs(np.sin(0.9 * 5 / 2))
         assert np.allclose(np.linalg.eigvalsh(gens.matrices[1]), [-sh, sh], atol=1e-12)
 
     def test_three_param_reduces_at_phi_zero(self):
         point3 = ModelPoint(b=0.9, theta=0.7, t=5.0, phi=0.0)
         point2 = ModelPoint(b=0.9, theta=0.7, t=5.0)
-        g3 = closed_generators(rep(5), ModelKind.THREE_PARAM, point3)
-        g2 = closed_generators(rep(5), ModelKind.TWO_PARAM, point2)
+        g3 = closed_generators(rep(5), point3)
+        g2 = closed_generators(rep(5), point2)
         assert np.abs(g3.matrices[0] - g2.matrices[0]).max() < 1e-12
         assert np.abs(g3.matrices[1] - g2.matrices[1]).max() < 1e-12
 
     def test_full_period_kills_both_angle_generators(self):
         point = ModelPoint(b=2 * np.pi / 5, theta=0.8, t=5.0, phi=1.2)
-        gens = closed_generators(rep(3), ModelKind.THREE_PARAM, point)
+        gens = closed_generators(rep(3), point)
         assert np.abs(gens.matrices[1]).max() < 1e-12
         assert np.abs(gens.matrices[2]).max() < 1e-12
 
     def test_phi_generator_vanishes_at_polar_angle(self):
         # At theta = pi/2 the Hamiltonian is independent of phi.
         point = ModelPoint(b=0.9, theta=np.pi / 2, t=5.0, phi=0.7)
-        gens = closed_generators(rep(4), ModelKind.THREE_PARAM, point)
+        gens = closed_generators(rep(4), point)
         assert np.abs(gens.matrices[2]).max() < 1e-12
-        numeric = numeric_generators(rep(4), ModelKind.THREE_PARAM, point)
+        numeric = numeric_generators(rep(4), point)
         assert np.abs(numeric.matrices[2]).max() < 1e-7
-
-    def test_point_kind_mismatch(self):
-        with pytest.raises(InvalidInput):
-            closed_generators(rep(2), ModelKind.THREE_PARAM, ModelPoint(b=1.0, theta=0.0, t=1.0))
-        with pytest.raises(InvalidInput):
-            closed_generators(rep(2), ModelKind.TWO_PARAM,
-                              ModelPoint(b=1.0, theta=0.0, t=1.0, phi=0.2))
 
 
 class TestNumericGenerators:
     def test_matches_closed_two_param(self):
         point = ModelPoint(b=1.0, theta=0.7, t=5.0)
-        closed = closed_generators(rep(3), ModelKind.TWO_PARAM, point)
-        numeric = numeric_generators(rep(3), ModelKind.TWO_PARAM, point)
+        closed = closed_generators(rep(3), point)
+        numeric = numeric_generators(rep(3), point)
         for i in range(2):
             assert spectral_gap(closed.matrices[i], numeric.matrices[i]) < 1e-6
         assert all(r < 1e-8 for r in numeric.herm_residuals)
 
     def test_matches_closed_three_param(self):
         point = ModelPoint(b=1.3, theta=0.4, t=5.0, phi=1.1)
-        closed = closed_generators(rep(4), ModelKind.THREE_PARAM, point)
-        numeric = numeric_generators(rep(4), ModelKind.THREE_PARAM, point)
+        closed = closed_generators(rep(4), point)
+        numeric = numeric_generators(rep(4), point)
         for i in range(3):
             assert spectral_gap(closed.matrices[i], numeric.matrices[i]) < 1e-6
 
     def test_static_field_has_no_angle_dependence(self):
         point = ModelPoint(b=0.0, theta=0.4, t=5.0, phi=0.3)
-        numeric = numeric_generators(rep(3), ModelKind.THREE_PARAM, point)
+        numeric = numeric_generators(rep(3), point)
         assert np.abs(numeric.matrices[1]).max() < 1e-10
         assert np.abs(numeric.matrices[2]).max() < 1e-10
 
@@ -229,10 +216,10 @@ class TestNumericGenerators:
         # Central differences: halving the step cuts the error ~4x.  Use a
         # large step so truncation dominates roundoff.
         point = ModelPoint(b=1.0, theta=0.7, t=5.0)
-        closed = closed_generators(rep(3), ModelKind.TWO_PARAM, point)
+        closed = closed_generators(rep(3), point)
 
         def err(step):
-            num = numeric_generators(rep(3), ModelKind.TWO_PARAM, point, step=step)
+            num = numeric_generators(rep(3), point, step=step)
             return max(
                 np.linalg.norm(num.matrices[i] - closed.matrices[i], 2) for i in range(2)
             )
@@ -242,33 +229,32 @@ class TestNumericGenerators:
 
     def test_bad_step(self):
         with pytest.raises(InvalidInput):
-            numeric_generators(rep(2), ModelKind.TWO_PARAM, two_param_points()[0], step=0.0)
+            numeric_generators(rep(2), two_param_points()[0], step=0.0)
 
-    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("model", MODELS)
     @pytest.mark.parametrize("n", [2, 3, 8, 40])
-    def test_stacked_differences_match_per_parameter_loop(self, kind, n):
-        for point in points_for(kind):
-            stacked = numeric_generators(rep(n), kind, point)
-            loop = numeric_generators_loop(rep(n), kind, point)
+    def test_stacked_differences_match_per_parameter_loop(self, model, n):
+        for point in points_for(model):
+            stacked = numeric_generators(rep(n), point)
+            loop = numeric_generators_loop(rep(n), point)
             assert np.array_equal(stacked.matrices, loop.matrices)
             assert np.allclose(stacked.herm_residuals, loop.herm_residuals, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize(
-        "kind, phi", [(ModelKind.TWO_PARAM, None), (ModelKind.THREE_PARAM, 1.1)]
-    )
-    def test_unstable_step_names_first_unstable_parameter(self, kind, phi):
+    @pytest.mark.parametrize("phi", [pytest.param(None, id="ModelKind.TWO_PARAM-None"),
+                                     pytest.param(1.1, id="ModelKind.THREE_PARAM-1.1")])
+    def test_unstable_step_names_first_unstable_parameter(self, phi):
         # At this step the theta residual is 6.0e-4 and, with three
         # parameters, the phi residual a larger 6.2e-4; theta comes first.
         point = ModelPoint(b=1.0, theta=0.7, t=5.0, phi=phi)
         for route in (numeric_generators, numeric_generators_loop):
             with pytest.raises(StepInstability, match=r"for theta\b"):
-                route(rep(3), kind, point, step=0.05)
+                route(rep(3), point, step=0.05)
 
 
 class TestSeriesGenerators:
     def test_short_time_leading_order(self):
         point = ModelPoint(b=1.4, theta=0.9, t=0.01)
-        gens = series_generators(rep(3), ModelKind.TWO_PARAM, point)
+        gens = series_generators(rep(3), point)
         n_theta, n_theta_prime, _, _ = direction_vectors_2p(point)
         lead_b = -point.t * j_direction(rep(3), n_theta)
         lead_theta = -point.t * point.b * j_direction(rep(3), n_theta_prime)
@@ -278,72 +264,72 @@ class TestSeriesGenerators:
 
     def test_matches_closed_qubit(self):
         point = ModelPoint(b=2.0, theta=1.0, t=3.0)
-        series = series_generators(rep(2), ModelKind.TWO_PARAM, point)
-        closed = closed_generators(rep(2), ModelKind.TWO_PARAM, point)
+        series = series_generators(rep(2), point)
+        closed = closed_generators(rep(2), point)
         for i in range(2):
             assert spectral_gap(series.matrices[i], closed.matrices[i]) < 1e-10
 
     def test_matches_numeric_three_param(self):
         point = ModelPoint(b=0.8, theta=1.1, t=5.0, phi=2.3)
-        series = series_generators(rep(4), ModelKind.THREE_PARAM, point)
-        numeric = numeric_generators(rep(4), ModelKind.THREE_PARAM, point)
+        series = series_generators(rep(4), point)
+        numeric = numeric_generators(rep(4), point)
         for i in range(3):
             assert spectral_gap(series.matrices[i], numeric.matrices[i]) < 1e-6
 
-    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("model", MODELS)
     @pytest.mark.parametrize("b", [0.0, 1e-12])
-    def test_degenerate_and_near_degenerate_field(self, kind, b):
+    def test_degenerate_and_near_degenerate_field(self, model, b):
         # At B = 0 every level of H coincides and the kernel takes its
         # w = 0 value -t; at B = 1e-12 the gaps are tiny but nonzero.
-        phi = None if kind is ModelKind.TWO_PARAM else 2.3
+        phi = None if model == "two" else 2.3
         point = ModelPoint(b=b, theta=0.9, t=5.0, phi=phi)
-        series = series_generators(rep(6), kind, point)
-        closed = closed_generators(rep(6), kind, point)
+        series = series_generators(rep(6), point)
+        closed = closed_generators(rep(6), point)
         assert np.abs(series.matrices - closed.matrices).max() < 1e-12
-        frame = closed_frame(kind, point.b, point.theta, point.t, point.phi)
-        assert np.abs(series_frame(kind, point) - frame).max() < 1e-12
+        frame = closed_frame(point.b, point.theta, point.t, point.phi)
+        assert np.abs(series_frame(point) - frame).max() < 1e-12
 
 
 class TestRouteAgreement:
-    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("model", MODELS)
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 40])
-    def test_three_routes_pairwise(self, kind, n):
-        for point in points_for(kind):
-            closed = closed_generators(rep(n), kind, point)
-            series = series_generators(rep(n), kind, point)
-            numeric = numeric_generators(rep(n), kind, point)
-            for i in range(kind.n_params):
+    def test_three_routes_pairwise(self, model, n):
+        for point in points_for(model):
+            closed = closed_generators(rep(n), point)
+            series = series_generators(rep(n), point)
+            numeric = numeric_generators(rep(n), point)
+            for i in range(point.n_params):
                 assert spectral_gap(closed.matrices[i], series.matrices[i]) < 1e-6
                 assert spectral_gap(closed.matrices[i], numeric.matrices[i]) < 1e-6
 
-    @pytest.mark.parametrize("kind", list(ModelKind))
-    def test_dense_routes_at_large_dimension(self, kind):
+    @pytest.mark.parametrize("model", MODELS)
+    def test_dense_routes_at_large_dimension(self, model):
         # The oracles must hold where t ||H|| is large: about 600 at N = 400
         # at the command line's default point.  The series route sums
         # exactly, and the finite-difference step rule still resolves the
         # closed generators.
-        phi = None if kind is ModelKind.TWO_PARAM else 1.0
+        phi = None if model == "two" else 1.0
         point = ModelPoint(b=0.6, theta=0.8, t=5.0, phi=phi)
         for n in (60, 100, 400):
             spin = build_spin_rep(n)
-            closed = closed_generators(spin, kind, point)
-            series = series_generators(spin, kind, point)
-            numeric = numeric_generators(spin, kind, point)
-            for i in range(kind.n_params):
+            closed = closed_generators(spin, point)
+            series = series_generators(spin, point)
+            numeric = numeric_generators(spin, point)
+            for i in range(point.n_params):
                 assert spectral_gap(series.matrices[i], closed.matrices[i]) <= 1e-12
                 assert spectral_gap(numeric.matrices[i], closed.matrices[i]) <= 1e-4
 
-    @pytest.mark.parametrize("kind", list(ModelKind))
-    def test_field_generator_proportional_to_hamiltonian(self, kind):
-        for point in points_for(kind):
-            gens = closed_generators(rep(4), kind, point)
-            h = hamiltonian(rep(4), kind, point)
+    @pytest.mark.parametrize("model", MODELS)
+    def test_field_generator_proportional_to_hamiltonian(self, model):
+        for point in points_for(model):
+            gens = closed_generators(rep(4), point)
+            h = hamiltonian(rep(4), point)
             assert np.abs(gens.matrices[0] + point.t * h / point.b).max() < 1e-9
 
     @pytest.mark.parametrize("point", two_param_points())
     def test_generator_commutator_identity(self, point):
         # [G_B, G_theta] = -2j t sin(Bt/2) J_{n2} for the planar model.
-        gens = closed_generators(rep(5), ModelKind.TWO_PARAM, point)
+        gens = closed_generators(rep(5), point)
         g_b, g_theta = gens.matrices
         _, _, _, n2 = direction_vectors_2p(point)
         expected = -2j * point.t * np.sin(point.b * point.t / 2) * j_direction(rep(5), n2)
@@ -359,51 +345,51 @@ def spin_half_matrices(frame):
 class TestVectorRoutes:
     """The report's matrix-free routes against the dense spin-1/2 routes."""
 
-    @pytest.mark.parametrize("kind", list(ModelKind))
-    def test_series_frame_matches_dense_series(self, kind):
+    @pytest.mark.parametrize("model", MODELS)
+    def test_series_frame_matches_dense_series(self, model):
         # Both sum the same kernel.  An entry of G_l is O(t |d_l H|) with
         # |d_l H| <= max(1, |B|), and each route rounds it at a few eps: the
         # dense one through the eigh of H and three 2x2 products.
         eps = np.finfo(float).eps
-        for point in points_for(kind):
-            dense = series_generators(rep(2), kind, point).matrices
-            vector = spin_half_matrices(series_frame(kind, point))
+        for point in points_for(model):
+            dense = series_generators(rep(2), point).matrices
+            vector = spin_half_matrices(series_frame(point))
             assert np.abs(vector - dense).max() <= 8 * eps * point.t * max(1.0, abs(point.b))
 
-    @pytest.mark.parametrize("kind", list(ModelKind))
-    def test_numeric_frame_matches_dense_numeric(self, kind):
+    @pytest.mark.parametrize("model", MODELS)
+    def test_numeric_frame_matches_dense_numeric(self, model):
         # Both difference the same U at the same points.  The dense U from
         # expm_i carries a few eps of eigensolver rounding and the quaternion
         # U an eps or so, and the difference quotient divides that by 2 h_l.
         # The Hermitization residuals are that rounding too.
         eps = np.finfo(float).eps
-        for point in points_for(kind):
-            dense = numeric_generators(rep(2), kind, point)
-            frame, resids = numeric_frame(kind, point)
+        for point in points_for(model):
+            dense = numeric_generators(rep(2), point)
+            frame, resids = numeric_frame(point)
             bound = 8 * eps / (1e-5 * np.maximum(1.0, np.abs(point.values())))
             err = np.abs(spin_half_matrices(frame) - dense.matrices).max(axis=(-2, -1))
             assert (err <= bound).all()
             assert (np.abs(resids - dense.herm_residuals) <= bound).all()
 
-    @pytest.mark.parametrize("kind", list(ModelKind))
-    def test_unstable_step_names_the_same_parameter(self, kind):
+    @pytest.mark.parametrize("model", MODELS)
+    def test_unstable_step_names_the_same_parameter(self, model):
         # In spin-1/2 a central difference of U is Hermitian for any step:
         # a step in B only moves the phase, and n . n(lambda + h) equals
         # n . n(lambda - h) for a step in theta or phi.  So a large step
         # leaves both routes at rounding, and only a step of 1e-15, where
         # rounding over h outweighs the generator, trips the 1e-4 check; both
         # routes then name B first.
-        for point in points_for(kind):
-            assert max(numeric_frame(kind, point, step=0.05)[1]) < 1e-13
-            assert max(numeric_generators(rep(2), kind, point, step=0.05).herm_residuals) < 1e-13
+        for point in points_for(model):
+            assert max(numeric_frame(point, step=0.05)[1]) < 1e-13
+            assert max(numeric_generators(rep(2), point, step=0.05).herm_residuals) < 1e-13
             with pytest.raises(StepInstability, match=r"for B\b"):
-                numeric_frame(kind, point, step=1e-15)
+                numeric_frame(point, step=1e-15)
             with pytest.raises(StepInstability, match=r"for B\b"):
-                numeric_generators(rep(2), kind, point, step=1e-15)
+                numeric_generators(rep(2), point, step=1e-15)
 
     def test_bad_step(self):
         with pytest.raises(InvalidInput):
-            numeric_frame(ModelKind.TWO_PARAM, two_param_points()[0], step=0.0)
+            numeric_frame(two_param_points()[0], step=0.0)
 
 
 class TestGeneratorSet:
@@ -432,3 +418,14 @@ class TestModelPoint:
     def test_values_ordering(self):
         point = ModelPoint(b=1.0, theta=2.0, t=3.0, phi=4.0)
         assert np.allclose(point.values(), [1.0, 2.0, 4.0])
+
+    # The point carries the model: its phi sets the parameter count and
+    # labels, and every route labels its generators with them.
+    @pytest.mark.parametrize("phi, labels", [(None, ("B", "theta")),
+                                             (0.0, ("B", "theta", "phi"))])
+    def test_phi_sets_the_model(self, phi, labels):
+        point = ModelPoint(b=0.9, theta=0.7, t=5.0, phi=phi)
+        assert point.labels == labels and point.n_params == len(labels)
+        assert closed_frame(point.b, point.theta, point.t, point.phi).shape == (len(labels), 3)
+        for route in (closed_generators, series_generators, numeric_generators):
+            assert route(rep(3), point).labels == labels

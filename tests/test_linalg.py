@@ -8,7 +8,6 @@ from scipy.linalg import expm
 
 from spinmetro import (
     InvalidInput,
-    ModelKind,
     NumericalFailure,
     ModelPoint,
     build_spin_rep,
@@ -333,7 +332,7 @@ class TestSpectralAbsmax:
     def test_qubit_incompatibility_is_one(self):
         # i Q^-1 D for a sampled pure qubit model has extreme eigenvalue 1.
         point = ModelPoint(b=0.8, theta=0.9, t=5.0)
-        gens = closed_generators(rep(2), ModelKind.TWO_PARAM, point)
+        gens = closed_generators(rep(2), point)
         probe = state_from_bloch(np.array([0.48, -0.6, 0.64]))
         q, d = qfim_uhlmann(gens, probe)
         val = spectral_absmax(incompat_operator(q, d))
@@ -378,7 +377,7 @@ class TestSymInverse:
         from spinmetro import qubit2p_closed
 
         point = ModelPoint(b=0.8, theta=np.pi / 2, t=5.0)
-        gens = closed_generators(rep(2), ModelKind.TWO_PARAM, point)
+        gens = closed_generators(rep(2), point)
         probe = make_probe(ProbeSpec(dim=2, alpha=0.0))  # bloch vector +z
         q, _ = qfim_uhlmann(gens, probe)
         assert sym_inverse(q) is None
@@ -452,7 +451,7 @@ class TestInverseCheck:
             sym_inverse(q)
         point = ModelPoint(b=np.pi / 5, theta=np.pi / 2, t=5.0)
         with pytest.raises(NumericalFailure, match="inverse verification failed"):
-            scaling_table(ModelKind.TWO_PARAM, [np.pi / 4], [4, 5], point)
+            scaling_table([np.pi / 4], [4, 5], point)
 
     def test_one_bad_matrix_in_a_stack_is_caught(self, rng):
         q = np.stack([spd_with_condition(rng, 2, c) for c in (1.0, 1e4, 1e8)])

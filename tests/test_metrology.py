@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from spinmetro import (
     GeneratorSet,
     InvalidInput,
-    ModelKind,
     ModelPoint,
     NumericalFailure,
     ai_measure,
@@ -35,7 +34,15 @@ from spinmetro import (
 )
 from spinmetro.models import ProbeSpec, bloch_vector
 
-from conftest import ai_two_param, evolved_family, haar_state, points_for, rep, three_param_points
+from conftest import (
+    MODELS,
+    ai_two_param,
+    evolved_family,
+    haar_state,
+    points_for,
+    rep,
+    three_param_points,
+)
 from oracles import (
     born_probabilities,
     qfim_from_slds,
@@ -47,9 +54,9 @@ from oracles import (
 )
 
 
-def fd_density_derivatives(spin, kind, point, probe, step=1e-6):
+def fd_density_derivatives(spin, point, probe, step=1e-6):
     """Finite-difference derivatives of the evolved density matrix."""
-    family = evolved_family(spin, kind, point, probe)
+    family = evolved_family(spin, point, probe)
     values = point.values()
     rho = np.outer(family(values), family(values).conj())
     drhos = []
@@ -79,7 +86,7 @@ class TestQfimFromGenerators:
     def test_qubit_matches_bloch_closed_form(self):
         point = ModelPoint(b=1.0, theta=0.3, t=5.0)
         probe = make_probe(ProbeSpec(dim=2, alpha=np.pi / 4))
-        gens = closed_generators(rep(2), ModelKind.TWO_PARAM, point)
+        gens = closed_generators(rep(2), point)
         q, d = qfim_uhlmann(gens, probe)
         closed = qubit2p_closed(bloch_vector(probe), point)
         assert np.abs(q - closed.qfim).max() < 1e-9
@@ -93,9 +100,9 @@ class TestQfimFromGenerators:
             qfim_uhlmann(gens, np.array([1.0, 0.0]))  # wrong dimension
 
     def test_symmetry_and_psd(self, rng):
-        for kind in ModelKind:
-            for point in points_for(kind):
-                gens = closed_generators(rep(5), kind, point)
+        for model in ("two", "three"):
+            for point in points_for(model):
+                gens = closed_generators(rep(5), point)
                 q, d = qfim_uhlmann(gens, haar_state(rng, 5))
                 assert np.abs(q - q.T).max() < 1e-10
                 assert np.abs(d + d.T).max() < 1e-10
@@ -128,7 +135,7 @@ class TestUhlmannFromGenerators:
         r0 = rng.standard_normal(3)
         r0 /= np.linalg.norm(r0)
         probe = state_from_bloch(r0)
-        gens = closed_generators(rep(2), ModelKind.TWO_PARAM, point)
+        gens = closed_generators(rep(2), point)
         _, d = qfim_uhlmann(gens, probe)
         n2 = direction_vectors_2p(point)[3]
         expected = 2 * point.t * np.sin(point.b * point.t / 2) * (n2 @ r0)
@@ -137,19 +144,19 @@ class TestUhlmannFromGenerators:
     def test_three_param_closed_elements(self, rng):
         point = ModelPoint(b=0.8, theta=0.5, t=5.0, phi=1.9)
         probe = haar_state(rng, 5)
-        gens = closed_generators(rep(5), ModelKind.THREE_PARAM, point)
+        gens = closed_generators(rep(5), point)
         _, d = qfim_uhlmann(gens, probe)
         closed = threeparam_uhlmann_closed(rep(5), probe, point)
         assert np.abs(d - closed).max() < 1e-8
 
 
 class TestFrameKernel:
-    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("model", MODELS)
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 12])
-    def test_matches_dense_generator_route(self, rng, kind, n):
-        for point in points_for(kind):
-            frame = closed_frame(kind, point.b, point.theta, point.t, point.phi)
-            gens = closed_generators(rep(n), kind, point)
+    def test_matches_dense_generator_route(self, rng, model, n):
+        for point in points_for(model):
+            frame = closed_frame(point.b, point.theta, point.t, point.phi)
+            gens = closed_generators(rep(n), point)
             for _ in range(3):
                 probe = haar_state(rng, n)
                 q, d = frame_qfim_uhlmann(frame, *spin_moments(probe))
@@ -161,24 +168,24 @@ class TestFrameKernel:
     def test_broadcast_batch_equals_single_points(self, rng):
         b = rng.uniform(0.0, 2.0, size=(4, 5))
         theta = rng.uniform(0.0, 2 * np.pi, size=(4, 1))
-        frame = closed_frame(ModelKind.THREE_PARAM, b, theta, 5.0, 0.3)
+        frame = closed_frame(b, theta, 5.0, 0.3)
         assert frame.shape == (4, 5, 3, 3)
         moments = spin_moments(haar_state(rng, 5))
         q, d = frame_qfim_uhlmann(frame, *moments)
         for i, j in [(0, 0), (2, 3), (3, 4)]:
-            one = closed_frame(ModelKind.THREE_PARAM, b[i, j], theta[i, 0], 5.0, 0.3)
+            one = closed_frame(b[i, j], theta[i, 0], 5.0, 0.3)
             q1, d1 = frame_qfim_uhlmann(one, *moments)
             assert np.allclose(q[i, j], q1, rtol=1e-14, atol=0.0)
             assert np.allclose(d[i, j], d1, rtol=1e-14, atol=0.0)
 
     # A scaling table stacks the moments of all its probes against one frame.
-    @pytest.mark.parametrize("kind", list(ModelKind))
-    def test_stacked_moments_equal_single_calls_bitwise(self, rng, kind):
-        point = points_for(kind)[0]
-        frame = closed_frame(kind, point.b, point.theta, point.t, point.phi)
+    @pytest.mark.parametrize("model", MODELS)
+    def test_stacked_moments_equal_single_calls_bitwise(self, rng, model):
+        point = points_for(model)[0]
+        frame = closed_frame(point.b, point.theta, point.t, point.phi)
         moments = [spin_moments(haar_state(rng, n)) for n in (2, 3, 5, 8, 40, 41, 240)]
         q, d = frame_qfim_uhlmann(frame, *(np.stack(m) for m in zip(*moments)))
-        assert q.shape == d.shape == (len(moments), len(kind.labels), len(kind.labels))
+        assert q.shape == d.shape == (len(moments), point.n_params, point.n_params)
         for k, (mean, cov) in enumerate(moments):
             q1, d1 = frame_qfim_uhlmann(frame, mean, cov)
             assert np.array_equal(q[k], q1)
@@ -195,9 +202,8 @@ class TestFrameKernel:
         moments = spin_moments(make_probe(ProbeSpec(dim=n, alpha=np.pi / 4, phi=0.9)))
         b = rng.uniform(0.0, 2.0, size=20)
         theta = rng.uniform(0.0, 2 * np.pi, size=20)
-        for kind in ModelKind:
-            phi = None if kind is ModelKind.TWO_PARAM else 1.3
-            q, d = frame_qfim_uhlmann(closed_frame(kind, b, theta, 5.0, phi), *moments)
+        for phi in (None, 1.3):
+            q, d = frame_qfim_uhlmann(closed_frame(b, theta, 5.0, phi), *moments)
             assert np.abs(d).max() <= 1e-14 * np.abs(q).max()
 
     def test_frame_validation(self):
@@ -209,10 +215,6 @@ class TestFrameKernel:
         # the unit-norm rule now runs where the moments are taken
         with pytest.raises(InvalidInput, match="not normalized"):
             spin_moments(np.array([1, 1], complex))
-        with pytest.raises(InvalidInput):
-            closed_frame(ModelKind.TWO_PARAM, 0.5, 0.5, 5.0, phi=0.3)
-        with pytest.raises(InvalidInput):
-            closed_frame(ModelKind.THREE_PARAM, 0.5, 0.5, 5.0)
 
 
 class TestStateDerivativeRoute:
@@ -224,9 +226,9 @@ class TestStateDerivativeRoute:
     def test_agrees_with_generators_two_param(self, rng):
         point = ModelPoint(b=0.9, theta=0.7, t=5.0)
         probe = haar_state(rng, 3)
-        family = evolved_family(rep(3), ModelKind.TWO_PARAM, point, probe)
+        family = evolved_family(rep(3), point, probe)
         q_fd, d_fd = qfim_from_state_derivatives(family, point.values())
-        q, d = qfim_uhlmann(closed_generators(rep(3), ModelKind.TWO_PARAM, point), probe)
+        q, d = qfim_uhlmann(closed_generators(rep(3), point), probe)
         scale = np.linalg.norm(q, 2)
         assert np.abs(q_fd - q).max() < 1e-5 * scale
         assert np.abs(d_fd - d).max() < 1e-5 * scale
@@ -234,9 +236,9 @@ class TestStateDerivativeRoute:
     def test_agrees_with_generators_three_param(self):
         point = ModelPoint(b=1.1, theta=0.5, t=5.0, phi=0.9)
         probe = make_probe(ProbeSpec(dim=4, alpha=0.9, phi=1.3))
-        family = evolved_family(rep(4), ModelKind.THREE_PARAM, point, probe)
+        family = evolved_family(rep(4), point, probe)
         q_fd, d_fd = qfim_from_state_derivatives(family, point.values())
-        q, d = qfim_uhlmann(closed_generators(rep(4), ModelKind.THREE_PARAM, point), probe)
+        q, d = qfim_uhlmann(closed_generators(rep(4), point), probe)
         scale = np.linalg.norm(q, 2)
         assert np.abs(q_fd - q).max() < 1e-5 * scale
         assert np.abs(d_fd - d).max() < 1e-5 * scale
@@ -252,8 +254,8 @@ class TestSldSolve:
     def test_pure_state_reproduces_qfim(self, rng):
         point = ModelPoint(b=0.9, theta=0.7, t=5.0)
         probe = haar_state(rng, 4)
-        rho, drhos = fd_density_derivatives(rep(4), ModelKind.TWO_PARAM, point, probe)
-        q, _ = qfim_uhlmann(closed_generators(rep(4), ModelKind.TWO_PARAM, point), probe)
+        rho, drhos = fd_density_derivatives(rep(4), point, probe)
+        q, _ = qfim_uhlmann(closed_generators(rep(4), point), probe)
         for j, drho in enumerate(drhos):
             sld = sld_solve(rho, drho)
             q_jj = np.trace(rho @ sld @ sld).real
@@ -272,7 +274,7 @@ class TestSldSolve:
     def test_lyapunov_residual_on_support(self, rng):
         point = ModelPoint(b=0.7, theta=1.2, t=5.0)
         probe = haar_state(rng, 3)
-        rho, drhos = fd_density_derivatives(rep(3), ModelKind.TWO_PARAM, point, probe)
+        rho, drhos = fd_density_derivatives(rep(3), point, probe)
         p, v = np.linalg.eigh(rho)
         proj = v[:, p > 1e-12] @ v[:, p > 1e-12].conj().T
         for drho in drhos:
@@ -286,15 +288,15 @@ class TestSldSolve:
 
 
 class TestSldMatrixRoutes:
-    @pytest.mark.parametrize("kind", list(ModelKind))
-    def test_sld_route_equals_generator_route(self, rng, kind):
-        point = points_for(kind)[0]
+    @pytest.mark.parametrize("model", MODELS)
+    def test_sld_route_equals_generator_route(self, rng, model):
+        point = points_for(model)[0]
         probe = haar_state(rng, 4)
-        rho, drhos = fd_density_derivatives(rep(4), kind, point, probe)
+        rho, drhos = fd_density_derivatives(rep(4), point, probe)
         slds = [sld_solve(rho, drho) for drho in drhos]
         q_sld = qfim_from_slds(rho, slds)
         d_sld = uhlmann_from_slds(rho, slds)
-        q, d = qfim_uhlmann(closed_generators(rep(4), kind, point), probe)
+        q, d = qfim_uhlmann(closed_generators(rep(4), point), probe)
         scale = np.linalg.norm(q, 2)
         assert np.abs(q_sld - q).max() < 1e-6 * scale
         assert np.abs(d_sld - d).max() < 1e-6 * scale
@@ -353,7 +355,7 @@ class TestClassicalFim:
         # two-parameter qubit model with finite-difference gradients.
         point = ModelPoint(b=0.9, theta=0.8, t=5.0)
         probe = haar_state(rng, 2)
-        family = evolved_family(rep(2), ModelKind.TWO_PARAM, point, probe)
+        family = evolved_family(rep(2), point, probe)
         povm = random_povm(rng, 2, 3)
         step = 1e-5
 
@@ -369,7 +371,7 @@ class TestClassicalFim:
             um[j] -= step
             grads.append((probs(up) - probs(um)) / (2 * step))
         f = classical_fim(probs(values), np.array(grads))
-        q, _ = qfim_uhlmann(closed_generators(rep(2), ModelKind.TWO_PARAM, point), probe)
+        q, _ = qfim_uhlmann(closed_generators(rep(2), point), probe)
         assert np.linalg.eigvalsh(q - f)[0] > -1e-8
 
     def test_row_sum_validation(self):
@@ -415,7 +417,7 @@ class TestAiMeasure:
 
     def test_qubit_always_maximal(self, rng):
         point = ModelPoint(b=0.7, theta=1.9, t=5.0)
-        gens = closed_generators(rep(2), ModelKind.TWO_PARAM, point)
+        gens = closed_generators(rep(2), point)
         for _ in range(20):
             q, d = qfim_uhlmann(gens, haar_state(rng, 2))
             r = ai_measure(q, d)
@@ -425,7 +427,7 @@ class TestAiMeasure:
     def test_three_param_cosine_value(self):
         point = ModelPoint(b=0.9, theta=0.6, t=5.0, phi=0.4)
         probe = make_probe(ProbeSpec(dim=6, alpha=np.pi / 3))
-        q, d = qfim_uhlmann(closed_generators(rep(6), ModelKind.THREE_PARAM, point), probe)
+        q, d = qfim_uhlmann(closed_generators(rep(6), point), probe)
         assert ai_measure(q, d) == pytest.approx(0.5, abs=1e-9)
 
     def test_singular_flag(self):
@@ -474,7 +476,7 @@ class TestAiTwoParam:
 
     def test_qubit_instance(self, rng):
         point = ModelPoint(b=1.2, theta=0.4, t=5.0)
-        gens = closed_generators(rep(2), ModelKind.TWO_PARAM, point)
+        gens = closed_generators(rep(2), point)
         q, d = qfim_uhlmann(gens, haar_state(rng, 2))
         assert ai_two_param(q, d) == pytest.approx(1.0, abs=1e-9)
 
@@ -492,7 +494,7 @@ class TestHolevoPure:
     def test_identity_weight_gap_formula(self, rng):
         point = ModelPoint(b=0.8, theta=0.9, t=5.0, phi=1.4)
         probe = make_probe(ProbeSpec(dim=5, alpha=0.5, phi=0.7))
-        q, d = qfim_uhlmann(closed_generators(rep(5), ModelKind.THREE_PARAM, point), probe)
+        q, d = qfim_uhlmann(closed_generators(rep(5), point), probe)
         c_sld, c_h, delta = holevo_pure(q, d)
         q_inv = np.linalg.inv(q)
         assert delta == pytest.approx(trace_norm(q_inv @ d @ q_inv) / np.trace(q_inv), rel=1e-12)
@@ -501,7 +503,7 @@ class TestHolevoPure:
     def test_qubit_gap_bounded_by_incompatibility(self):
         point = ModelPoint(b=1.0, theta=0.5, t=5.0)
         probe = make_probe(ProbeSpec(dim=2, alpha=np.pi / 4))
-        q, d = qfim_uhlmann(closed_generators(rep(2), ModelKind.TWO_PARAM, point), probe)
+        q, d = qfim_uhlmann(closed_generators(rep(2), point), probe)
         _, _, delta = holevo_pure(q, d)
         r = ai_measure(q, d)
         assert 0.0 <= delta <= 1.0 and delta <= r + 1e-9
@@ -583,7 +585,7 @@ class TestBounds:
 
     def test_qubit_is_maximally_incompatible(self, rng):
         point = ModelPoint(b=1.2, theta=0.4, t=5.0)
-        gens = closed_generators(rep(2), ModelKind.TWO_PARAM, point)
+        gens = closed_generators(rep(2), point)
         q, d = qfim_uhlmann(gens, haar_state(rng, 2))
         _, r_ai, _, _, delta, _ = bounds(q, d)
         assert r_ai == pytest.approx(ai_two_param(q, d), abs=1e-9)
@@ -664,9 +666,9 @@ def drawn_probe(n, haar, seed, log_alpha):
     return make_probe(ProbeSpec(dim=n, alpha=10.0**log_alpha))
 
 
-def frame_bounds(kind, psi, b, theta, t, phi=None):
+def frame_bounds(psi, b, theta, t, phi=None):
     """Q, D, cond(Q) and ``bounds`` on the production frame path."""
-    q, d = frame_qfim_uhlmann(closed_frame(kind, b, theta, t, phi), *spin_moments(psi))
+    q, d = frame_qfim_uhlmann(closed_frame(b, theta, t, phi), *spin_moments(psi))
     ev = np.linalg.eigvalsh(q)
     return q, d, ev[-1] / ev[0] if ev[0] > 0 else np.inf, bounds(q, d)
 
@@ -682,8 +684,7 @@ class TestClosedMomentForms:
         # Delta / R = 2 sqrt(det Q) / tr Q, the geometric over the arithmetic
         # mean of Q's eigenvalues.
         psi = haar_state(np.random.default_rng(seed), n)
-        q, _, cond, (singular, r_ai, _, _, delta, _) = frame_bounds(
-            ModelKind.TWO_PARAM, psi, b, theta, t)
+        q, _, cond, (singular, r_ai, _, _, delta, _) = frame_bounds(psi, b, theta, t)
         assume(not singular)
         want = r_ai * 2 * np.sqrt(np.linalg.det(q)) / np.trace(q)
         assert abs(delta - want) <= 1e3 * np.finfo(float).eps * cond * want
@@ -702,7 +703,7 @@ class TestClosedMomentForms:
         # eps kappa_D, kappa_D = sum |<J>_k m_k| / |<J> . m|, whatever
         # cond(Q) is; the example pins a draw with kappa_D = 4.7e3.
         psi = haar_state(np.random.default_rng(seed), n)
-        _, _, cond, (singular, r_ai, *_) = frame_bounds(ModelKind.TWO_PARAM, psi, b, theta, t)
+        _, _, cond, (singular, r_ai, *_) = frame_bounds(psi, b, theta, t)
         assume(not singular)
         spin = build_spin_rep(n)
         v = np.stack([spin.jx, spin.jy, spin.jz]) @ psi
@@ -710,7 +711,7 @@ class TestClosedMomentForms:
         u = v - mean[:, None] * psi
         cov = (u.conj() @ u.T).real
         adj = np.cross(cov[[1, 2, 0]], cov[[2, 0, 1]])
-        m = np.cross(*closed_frame(ModelKind.TWO_PARAM, b, theta, t))
+        m = np.cross(*closed_frame(b, theta, t))
         m /= np.linalg.norm(m)
         want = 0.5 * abs(mean @ m) / np.sqrt(m @ adj @ m)
         kappa_d = np.abs(mean * m).sum() / abs(mean @ m)
@@ -722,7 +723,7 @@ class TestClosedMomentForms:
         # R = 1/2 sqrt(<J>^T Cov <J> / det Cov), whatever the point; the
         # moments come from the centered vectors (J_k - <J_k>) psi.
         psi = haar_state(np.random.default_rng(seed), n)
-        _, _, cond, (singular, r_ai, *_) = frame_bounds(ModelKind.THREE_PARAM, psi, b, theta, t, phi)
+        _, _, cond, (singular, r_ai, *_) = frame_bounds(psi, b, theta, t, phi)
         assume(not singular)
         spin = build_spin_rep(n)
         v = np.stack([spin.jx, spin.jy, spin.jz]) @ psi
@@ -741,8 +742,7 @@ class TestClosedMomentForms:
     @given(**PROBES, **POINT)
     def test_two_param_gap(self, n, haar, seed, log_alpha, b, theta, t):
         psi = drawn_probe(n, haar, seed, log_alpha)
-        q, d, cond, (singular, _, c_sld, _, delta, _) = frame_bounds(
-            ModelKind.TWO_PARAM, psi, b, theta, t)
+        q, d, cond, (singular, _, c_sld, _, delta, _) = frame_bounds(psi, b, theta, t)
         assume(not singular)
         want = 2 * abs(d[0, 1]) / np.linalg.det(q)
         assert abs(delta * c_sld - want) <= 1e3 * np.finfo(float).eps * cond * want
@@ -751,8 +751,7 @@ class TestClosedMomentForms:
     @given(**PROBES, **POINT, phi=st.floats(0.0, 2 * np.pi))
     def test_three_param_gap(self, n, haar, seed, log_alpha, b, theta, t, phi):
         psi = drawn_probe(n, haar, seed, log_alpha)
-        q, d, cond, (singular, _, c_sld, _, delta, _) = frame_bounds(
-            ModelKind.THREE_PARAM, psi, b, theta, t, phi)
+        q, d, cond, (singular, _, c_sld, _, delta, _) = frame_bounds(psi, b, theta, t, phi)
         assume(not singular)
         v = np.array([d[1, 2], d[2, 0], d[0, 1]])
         want = 2 * np.linalg.norm(q @ v) / np.linalg.det(q)
@@ -796,14 +795,13 @@ class TestExactMomentReference:
     to miss that bound (Delta off by 4.6e-2 at N = 10^3; C_SLD and Delta by
     5e-5 at N = 10^5 with three parameters, by 3e-11 with two)."""
 
-    @pytest.mark.parametrize("kind, n, alpha", [
-        (ModelKind.THREE_PARAM, 10**3, 1e-6),
-        (ModelKind.THREE_PARAM, 10**5, 1e-6),
-        (ModelKind.TWO_PARAM, 10**5, 1e-4),
+    @pytest.mark.parametrize("phi, n, alpha", [
+        pytest.param(0.4, 10**3, 1e-6, id="ModelKind.THREE_PARAM-1000-1e-06"),
+        pytest.param(0.4, 10**5, 1e-6, id="ModelKind.THREE_PARAM-100000-1e-06"),
+        pytest.param(None, 10**5, 1e-4, id="ModelKind.TWO_PARAM-100000-0.0001"),
     ])
-    def test_bounds_match_exact_moments(self, kind, n, alpha):
-        phi = None if kind is ModelKind.TWO_PARAM else 0.4
-        frame = closed_frame(kind, 0.9, 0.6, 5.0, phi)
+    def test_bounds_match_exact_moments(self, phi, n, alpha):
+        frame = closed_frame(0.9, 0.6, 5.0, phi)
         q, d = frame_qfim_uhlmann(frame, *spin_moments(make_probe(ProbeSpec(dim=n, alpha=alpha))))
         singular, *got = bounds(q, d)
         assert not singular
@@ -826,7 +824,7 @@ class TestSubmodel:
         for point in three_param_points():
             for n in (4, 5):
                 probe = haar_state(rng, n)
-                q, d = qfim_uhlmann(closed_generators(rep(n), ModelKind.THREE_PARAM, point), probe)
+                q, d = qfim_uhlmann(closed_generators(rep(n), point), probe)
                 r_full = ai_measure(q, d)
                 if r_full is None:
                     continue
@@ -851,12 +849,12 @@ class TestSubmodel:
 
 class TestIncompatReport:
     def test_invariants_on_sampled_instances(self, rng):
-        for kind in ModelKind:
-            for point in points_for(kind):
+        for model in ("two", "three"):
+            for point in points_for(model):
                 for n in (2, 4, 6):
-                    gens = closed_generators(rep(n), kind, point)
+                    gens = closed_generators(rep(n), point)
                     report = incompat_report(gens, haar_state(rng, n))
-                    assert report["labels"] == list(kind.labels)
+                    assert report["labels"] == list(point.labels)
                     if report["singular"]:
                         assert report["r_ai"] is None and report["c_h"] is None
                         continue

@@ -5,7 +5,6 @@ import pytest
 
 from spinmetro import (
     InvalidInput,
-    ModelKind,
     ModelPoint,
     ScanConfig,
     ai_measure,
@@ -22,7 +21,7 @@ from spinmetro import (
     sym_inverse,
     threeparam_uhlmann_closed,
 )
-from spinmetro import models
+from spinmetro import linalg, models
 from spinmetro.models import MAX_DIM, ProbeSpec, extreme_moments
 
 from conftest import ai_two_param, haar_state, rep, three_param_points
@@ -46,7 +45,7 @@ class TestMakeProbe:
         # alpha = pi/4 is the unique compatibility angle of the planar model.
         point = ModelPoint(b=0.9, theta=0.8, t=5.0)
         psi = make_probe(ProbeSpec(dim=5, alpha=np.pi / 4, phi=0.3))
-        _, d = qfim_uhlmann(closed_generators(rep(5), ModelKind.TWO_PARAM, point), psi)
+        _, d = qfim_uhlmann(closed_generators(rep(5), point), psi)
         assert np.abs(d).max() < 1e-12
 
     def test_bad_dimension(self):
@@ -77,10 +76,11 @@ class TestMakeProbe:
         valid = {
             ProbeSpec: dict(dim=4, alpha=0.3, phi=0.0),
             ModelPoint: dict(b=1.0, theta=0.5, t=5.0, phi=1.0),
-            ScanConfig: dict(kind=ModelKind.TWO_PARAM, probe=ProbeSpec(dim=2, alpha=0.2), t=5.0),
+            ScanConfig: dict(probe=ProbeSpec(dim=2, alpha=0.2), t=5.0, model_phi=1.0),
         }[cls]
-        if cls is ModelPoint and field == "phi" and value is None:
-            assert cls(**{**valid, field: value}).n_params == 2
+        if field in ("phi", "model_phi") and cls is not ProbeSpec and value is None:
+            # no field azimuth: the two-parameter model
+            cls(**{**valid, field: value})
             return
         with pytest.raises(InvalidInput, match="must be a finite number"):
             cls(**{**valid, field: value})
@@ -107,17 +107,22 @@ class TestProbeSupport:
         assert np.abs(cov - want_cov).max() <= 8 * EPS * max(j, 1.0) ** 2
         assert np.array_equal(cov, cov.T)
 
-    # The layout's Jz eigenvalues and ladder elements, affine in N, are
-    # exactly those of the positions (0, 1, N - 2, N - 1).
+    # The four slots sit at the positions (0, 1, N - 2, N - 1), a repeated
+    # position a pad, with |-J> in the first slot at N - 1: the moments are
+    # bit for bit the kernel's on those positions' Jz eigenvalues and
+    # ladder elements.
     @pytest.mark.parametrize("n", [*range(2, 13), 10**3, MAX_DIM - 1, MAX_DIM])
     def test_layout_is_that_of_the_positions(self, n):
         positions = np.array({2: [0, 1, 1, 1], 3: [0, 1, 2, 2]}.get(n, [0, 1, n - 2, n - 1]))
         s = (n - 1) / 2
         m = s - positions
         ladder = np.where(np.diff(positions) == 1, np.sqrt(s * (s + 1) - m[:-1] * (m[:-1] - 1)), 0.0)
-        layout = models._SCALE[min(n, 5)] * n + models._SHIFT[min(n, 5)]
-        assert layout[:4].tobytes() == m.tobytes()
-        assert np.sqrt(layout[4:]).tobytes() == ladder.tobytes()
+        amp = np.zeros(4, dtype=complex)
+        amp[0], amp[positions.tolist().index(n - 1)] = models._extreme_amplitudes(0.4, 1.1)
+        want = linalg._window_moments(amp, m, ladder)
+        got = ProbeSpec(dim=n, alpha=0.4, phi=1.1).moments()
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
 
     def test_support_is_two_amplitudes(self):
         index, amp = ProbeSpec(dim=MAX_DIM, alpha=0.4, phi=1.1).support()
@@ -173,7 +178,7 @@ class TestQubitClosedForm:
 
     def test_matches_generic_route(self, rng):
         point = ModelPoint(b=1.1, theta=1.7, t=5.0)
-        gens = closed_generators(rep(2), ModelKind.TWO_PARAM, point)
+        gens = closed_generators(rep(2), point)
         for _ in range(20):
             probe = haar_state(rng, 2)
             res = qubit2p_closed(bloch_vector(probe), point)
@@ -207,7 +212,7 @@ class TestQuditClosedForm:
         spec = ProbeSpec(dim=n, alpha=0.3, phi=0.9)
         point = ModelPoint(b=1.1, theta=0.6, t=5.0)
         q_closed, d_tb = qudit2p_closed(spec, point)
-        q, d = qfim_uhlmann(closed_generators(rep(n), ModelKind.TWO_PARAM, point), make_probe(spec))
+        q, d = qfim_uhlmann(closed_generators(rep(n), point), make_probe(spec))
         scale = np.linalg.norm(q, 2)
         assert np.abs(q_closed - q).max() < 1e-7 * scale
         assert abs(d_tb - d[1, 0]) < 1e-7 * scale
@@ -221,7 +226,7 @@ class TestQuditClosedForm:
     def test_phase_independence(self):
         point = ModelPoint(b=1.1, theta=0.6, t=5.0)
         q1, d1 = qudit2p_closed(ProbeSpec(dim=5, alpha=0.4, phi=0.0), point)
-        gens = closed_generators(rep(5), ModelKind.TWO_PARAM, point)
+        gens = closed_generators(rep(5), point)
         for phi in (0.9, 4.1):
             q, d = qfim_uhlmann(gens, make_probe(ProbeSpec(dim=5, alpha=0.4, phi=phi)))
             assert np.abs(q - q1).max() < 1e-10
@@ -244,14 +249,14 @@ class TestThreeParamUhlmannClosed:
         for point in three_param_points():
             probe = haar_state(rng, 4)
             closed = threeparam_uhlmann_closed(rep(4), probe, point)
-            _, d = qfim_uhlmann(closed_generators(rep(4), ModelKind.THREE_PARAM, point), probe)
+            _, d = qfim_uhlmann(closed_generators(rep(4), point), probe)
             assert np.abs(closed - d).max() < 1e-8
 
     def test_balanced_probe_is_compatible(self):
         point = ModelPoint(b=0.9, theta=0.7, t=5.0, phi=0.8)
         for n in (4, 6):
             probe = make_probe(ProbeSpec(dim=n, alpha=np.pi / 4, phi=1.1))
-            q, d = qfim_uhlmann(closed_generators(rep(n), ModelKind.THREE_PARAM, point), probe)
+            q, d = qfim_uhlmann(closed_generators(rep(n), point), probe)
             assert np.abs(d).max() < 1e-12
             assert ai_measure(q, d) == pytest.approx(0.0, abs=1e-10)
 
@@ -269,7 +274,7 @@ class TestAiThreeParamProbe:
         point = ModelPoint(b=0.9, theta=0.6, t=5.0, phi=0.4)
         for alpha in (0.3, np.pi / 3, 1.1):
             probe = make_probe(ProbeSpec(dim=n, alpha=alpha, phi=0.7))
-            q, d = qfim_uhlmann(closed_generators(rep(n), ModelKind.THREE_PARAM, point), probe)
+            q, d = qfim_uhlmann(closed_generators(rep(n), point), probe)
             r = ai_measure(q, d)
             assert r == pytest.approx(ai_threeparam_probe(n, alpha), abs=1e-6)
 
@@ -283,7 +288,7 @@ class TestDimensionLadder:
         for point in three_param_points():
             for _ in range(5):
                 probe = haar_state(rng, 2)
-                q, _ = qfim_uhlmann(closed_generators(rep(2), ModelKind.THREE_PARAM, point), probe)
+                q, _ = qfim_uhlmann(closed_generators(rep(2), point), probe)
                 assert abs(np.linalg.det(q)) <= 1e-10 * max(np.linalg.norm(q, 2) ** 3, 1e-30)
 
     def test_three_param_qutrit_maximal(self, rng):
@@ -291,7 +296,7 @@ class TestDimensionLadder:
         hits = 0
         for alpha, phi in zip(rng.uniform(0.2, 1.3, 10), rng.uniform(0, 2 * np.pi, 10)):
             probe = make_probe(ProbeSpec(dim=3, alpha=alpha, phi=phi))
-            q, d = qfim_uhlmann(closed_generators(rep(3), ModelKind.THREE_PARAM, point), probe)
+            q, d = qfim_uhlmann(closed_generators(rep(3), point), probe)
             r = ai_measure(q, d)
             if r is not None:
                 assert r == pytest.approx(1.0, abs=1e-6)
@@ -303,7 +308,7 @@ class TestDimensionLadder:
         # every pure spin-1 state has <J>^T Cov <J> = 4 det Cov, so R = 1
         # wherever Q is regular, not only on the extreme-state family.
         for point in three_param_points():
-            frame = closed_frame(ModelKind.THREE_PARAM, point.b, point.theta, point.t, point.phi)
+            frame = closed_frame(point.b, point.theta, point.t, point.phi)
             for _ in range(10):
                 mean, cov = spin_moments(haar_state(rng, 3))
                 assert mean @ cov @ mean == pytest.approx(4 * np.linalg.det(cov), rel=1e-9)
@@ -312,10 +317,10 @@ class TestDimensionLadder:
                 assert r_ai == pytest.approx(1.0, abs=1e-9)
 
 
-def gamma_from_model(kind, n, baseline, alpha, point, phi=0.0):
+def gamma_from_model(n, baseline, alpha, point, phi=0.0):
     """Gamma = Tr(Q_N Q_baseline^-1) through the dense generator route."""
     q_n, q_b = (
-        qfim_uhlmann(closed_generators(rep(m), kind, point),
+        qfim_uhlmann(closed_generators(rep(m), point),
                      make_probe(ProbeSpec(dim=m, alpha=alpha, phi=phi)))[0]
         for m in (n, baseline)
     )
@@ -328,7 +333,7 @@ class TestGammaScaling:
         # exactly (N - 1) + (N - 1)(N - 4) / 9, independent of the point.
         point = ModelPoint(b=0.6, theta=0.8, t=5.0, phi=1.0)
         for n in (5, 8, 12):
-            got = gamma_from_model(ModelKind.THREE_PARAM, n, 4, np.pi / 4, point, phi=0.3)
+            got = gamma_from_model(n, 4, np.pi / 4, point, phi=0.3)
             assert got == pytest.approx((n - 1) + (n - 1) * (n - 4) / 9, rel=1e-10)
 
     def test_two_param_desk_scale_slope(self):
@@ -336,7 +341,7 @@ class TestGammaScaling:
         # x = N - 1, whose log-log least-squares slope over N = 4..12 is
         # 1.8494; the quadratic term dominates only asymptotically.
         point = ModelPoint(b=np.pi / 5, theta=np.pi / 2, t=5.0)
-        gammas = [gamma_from_model(ModelKind.TWO_PARAM, n, 2, np.pi / 4, point) for n in range(4, 13)]
+        gammas = [gamma_from_model(n, 2, np.pi / 4, point) for n in range(4, 13)]
         x = np.arange(3, 12)
         assert np.allclose(gammas, x**2 + x, rtol=1e-9)
         slope = np.polyfit(np.log(x), np.log(gammas), 1)[0]
@@ -346,6 +351,6 @@ class TestGammaScaling:
         # The leading-order quadratic growth shows cleanly at larger N.
         point = ModelPoint(b=np.pi / 5, theta=np.pi / 2, t=5.0)
         dims = [40, 70, 100]
-        gammas = [gamma_from_model(ModelKind.TWO_PARAM, n, 2, np.pi / 4, point) for n in dims]
+        gammas = [gamma_from_model(n, 2, np.pi / 4, point) for n in dims]
         slope = np.polyfit(np.log(np.array(dims) - 1.0), np.log(gammas), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.02)

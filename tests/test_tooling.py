@@ -180,14 +180,13 @@ def test_one_place_formats_json():
     assert dumps == ["analysis.write_json"]
     assert layouts == ["analysis._REPORT_LAYOUT"]
     from spinmetro import analysis
-    from spinmetro.encoding import ModelKind, ModelPoint
+    from spinmetro.encoding import ModelPoint
     from spinmetro.models import ProbeSpec
 
-    for kind in ModelKind:
-        phi = None if kind is ModelKind.TWO_PARAM else 1.0
-        doc = analysis.metrics_report(kind, ProbeSpec(dim=3, alpha=0.4),
-                                      ModelPoint(b=0.6, theta=0.8, t=5.0, phi=phi))
-        template = analysis._report_template(kind.n_params)
+    for phi in (None, 1.0):
+        point = ModelPoint(b=0.6, theta=0.8, t=5.0, phi=phi)
+        doc = analysis.metrics_report(ProbeSpec(dim=3, alpha=0.4), point)
+        template = analysis._report_template(point.n_params)
         laid_out = json.loads(template % (("null",) * template.count("%s")))
         assert _skeleton(laid_out) == _skeleton(doc)
         assert laid_out.keys() == analysis._REPORT_KEYS
@@ -297,3 +296,26 @@ def test_exports_are_production_names():
         exports = importlib.import_module(f"spinmetro.{module_name}").__dict__.get("__all__", ())
         unused += [f"{module_name}.{name}" for name in exports if name not in reached]
     assert unused == []
+
+
+def test_the_model_is_the_points():
+    # A point (or a scan's model_phi) is the one carrier of the model: no
+    # function of the library takes the model as an argument named kind, and
+    # no ModelKind type is defined, so a model cannot again disagree with
+    # the point it is given with.
+    kind_params, model_types = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                         *filter(None, (args.vararg, args.kwarg)))]
+                if "kind" in names:
+                    kind_params.append(f"{path.stem}.{getattr(node, 'name', 'lambda')}")
+            elif isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "kind":
+                kind_params.append(f"{path.stem}: field kind")
+            defined = ({node.name} if isinstance(node, ast.ClassDef)
+                       else {t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)})
+            if "ModelKind" in defined:
+                model_types.append(path.stem)
+    assert kind_params == [] and model_types == []
