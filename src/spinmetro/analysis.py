@@ -234,7 +234,7 @@ def _store_int(config, name: str) -> int:
 
 
 # Largest scan grid, in cells: a scan's traced peak grows by about 794 B a
-# cell for the three-parameter model and 448 B for the two-parameter model
+# cell for the three-parameter model and 424 B for the two-parameter model
 # (201^2 cells, N = 4), both in run_scan (the CSV writer peaks at about
 # 430 B), so the cap keeps it within a 1 GB budget.  A larger grid is
 # rejected before anything is allocated.
@@ -659,14 +659,20 @@ def _route_residuals(point, frame) -> dict:
     underflow beside a long one.  A row shorter than 2e-12, a spin-1/2
     spectral norm of 1e-12, is measured against that floor.
     """
-    routes = np.array([series_frame(point), numeric_frame(point)[0]])
-    top = np.maximum(np.abs(routes).max(axis=-1), np.abs(frame).max(axis=-1))
+    # rows[:, k] holds, for route k, the closed rows, the route's and their
+    # difference, each pair scaled
+    rows = np.empty((3, 2) + frame.shape)
+    closed, routes, diff = rows
+    routes[0], routes[1] = series_frame(point), numeric_frame(point)[0]
+    top = np.maximum(np.maximum.reduce(np.abs(routes), axis=-1),
+                     np.maximum.reduce(np.abs(frame), axis=-1))
     top = np.maximum(top, _TINY)[..., None]
-    closed, routes = frame / top, routes / top
-    rows = np.array([closed, routes, routes - closed])
-    norms = np.sqrt((rows * rows).sum(axis=-1))
-    rel = norms[2] / np.maximum(norms[:2].max(axis=0), 2e-12 / top[..., 0])
-    series, numeric = rel.max(axis=-1).tolist()
+    np.divide(frame, top, out=closed)
+    routes /= top
+    np.subtract(routes, closed, out=diff)
+    norms = np.sqrt(np.add.reduce(rows * rows, axis=-1))
+    rel = norms[2] / np.maximum(np.maximum(norms[0], norms[1]), 2e-12 / top[..., 0])
+    series, numeric = np.maximum.reduce(rel, axis=-1).tolist()
     return {"series_vs_closed": series, "numeric_vs_closed": numeric}
 
 

@@ -4,6 +4,12 @@ Exit codes: 0 on success, 2 on usage/configuration errors, 1 on numerical
 consistency failures (a stray ``LinAlgError`` counts as one, and so does a
 floating-point overflow or invalid operation: commands run with numpy set to
 raise them as ``FloatingPointError``) and on file-system errors.
+
+An argv that names a subcommand first is parsed by that subcommand's own
+parser alone; the top-level parser runs only to report a problem that is
+its own to report (no subcommand, an unknown one, a top-level ``-h``) and
+arguments the subcommand left over.  Either way the namespace, messages
+and exit codes are those of ``build_parser().parse_args(argv)``.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from gettext import gettext
 
 import numpy as np
 
@@ -84,19 +91,35 @@ def _add_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
         parser.add_argument(flag, **_FLAGS[flag])
 
 
+def _model_phi(args) -> float | None:
+    """The field azimuth of ``--model three``, ``None`` under ``--model two``.
+
+    ``--model-phi`` is held to the float rule under either model, so a NaN
+    or an infinity is a usage error even where the model does not read it.
+    """
+    phi = require_float(args.model_phi, "--model-phi")
+    return phi if args.model == "three" else None
+
+
 def _model_point(args) -> ModelPoint:
-    phi = args.model_phi if args.model == "three" else None
-    return ModelPoint(b=args.b, theta=args.theta, t=args.time, phi=phi)
+    return ModelPoint(b=args.b, theta=args.theta, t=args.time, phi=_model_phi(args))
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``spinmetro`` argument parser, built once per process.
 
     Parsing keeps no state in the parser: each call returns a fresh
     namespace, so :func:`main` reuses this one parser for every call.
     Every caller gets the same object, to parse with and not to change.
+    :func:`main` parses a known subcommand's flags with that subcommand's
+    own parser, built and cached with this one and keyed like its commands.
     """
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser by its name."""
     parser = argparse.ArgumentParser(
         prog="spinmetro",
         description="Precision bounds and measurement incompatibility for "
@@ -127,17 +150,34 @@ def build_parser() -> argparse.ArgumentParser:
     rank.add_argument("--outcomes", type=int, default=3, help="number of outcomes n")
     rank.add_argument("--trials", type=int, default=1000, help="number of trials")
     rank.add_argument("--seed", type=int, default=0, help="RNG seed")
-    return parser
+    return parser, {"scan": scan, "metrics": metrics, "scaling": scaling, "fim-rank": rank}
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with a known subcommand's flags
+    parsed by its own parser alone.
+
+    The top-level parser's pass over them does no work: its subcommand
+    action hands every argument after the name to the subcommand's parser
+    and reports what that leaves over, as done here.
+    """
+    parser, commands = _parsers()
+    command = argv[0] if argv else None
+    if command not in commands:
+        return parser.parse_args(argv)
+    args, extras = commands[command].parse_known_args(argv[1:])
+    if extras:
+        parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+    args.command = command
+    return args
 
 
 def _cmd_scan(args) -> None:
     theta_count, b_count = _parse_grid(args.grid)
-    # a non-finite --model-phi is a usage error under --model two too
-    model_phi = require_float(args.model_phi, "model_phi")
     config = ScanConfig(
         probe=ProbeSpec(dim=args.dim, alpha=args.alpha, phi=args.phi),
         t=args.time,
-        model_phi=model_phi if args.model == "three" else None,
+        model_phi=_model_phi(args),
         theta_count=theta_count,
         b_count=b_count,
         rel_tol=args.tol,
@@ -184,7 +224,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         with np.errstate(over="raise", invalid="raise"):
             _COMMANDS[args.command](args)

@@ -44,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, StepInstability
-from .linalg import (SpinRep, expm_i, j_direction, require_float, require_floats,
-                     require_hermitian, require_positive)
+from .linalg import (SpinRep, expm_i, j_direction, require_broadcast, require_float,
+                     require_floats, require_hermitian, require_positive)
 
 __all__ = [
     "ModelPoint",
@@ -146,20 +146,21 @@ def _vectors(shape, rows) -> np.ndarray:
     return out
 
 
-def _directions(b, theta, t, phi) -> np.ndarray:
+def _directions(b, theta, t, phi, scales=None) -> np.ndarray:
     # Rows n_theta, n1, n2 of the three-parameter model, broadcast over b,
     # theta and phi.  The two-parameter model takes its rows at phi = 0.
+    # With scales, the first len(scales) rows, each times its scale.
     half = np.multiply(b, t / 2)
     ch, sh, ct, st = np.cos(half), np.sin(half), np.cos(theta), np.sin(theta)
     cp, sp = np.cos(phi), np.sin(phi)
-    return _vectors(
-        np.broadcast(b, theta, phi).shape,
-        [
-            (ct * cp, ct * sp, st),
-            (sh * sp + ch * st * cp, -sh * cp + ch * st * sp, -ch * ct),
-            (ch * sp - sh * st * cp, -ch * cp - sh * st * sp, sh * ct),
-        ],
-    )
+    rows = [
+        (ct * cp, ct * sp, st),
+        (sh * sp + ch * st * cp, -sh * cp + ch * st * sp, -ch * ct),
+        (ch * sp - sh * st * cp, -ch * cp - sh * st * sp, sh * ct),
+    ]
+    if scales is not None:
+        rows = [[c * scale for c in row] for row, scale in zip(rows, scales)]
+    return _vectors(np.broadcast(b, theta, phi).shape, rows)
 
 
 def direction_vectors_2p(point: ModelPoint):
@@ -202,8 +203,9 @@ def closed_frame(b, theta, t: float, phi=None) -> np.ndarray:
     The model is that of a point with this ``phi``: two parameters with
     none, three with one.  The two-parameter frame is the first two rows
     of the three-parameter frame at phi = 0.  ``b`` and ``theta`` (and
-    ``phi``) broadcast against each other, so a scalar point is a batch of
-    one; the result has shape ``(..., d, 3)``.  ``t`` is held to
+    ``phi``) broadcast against each other (the rule of
+    :func:`~spinmetro.linalg.require_broadcast`), so a scalar point is a
+    batch of one; the result has shape ``(..., d, 3)``.  ``t`` is held to
     :func:`~spinmetro.linalg.require_positive` and the angles and field to
     :func:`~spinmetro.linalg.require_floats`.
     """
@@ -211,11 +213,9 @@ def closed_frame(b, theta, t: float, phi=None) -> np.ndarray:
     t = require_positive(t, "evolution time")
     b, theta = require_floats(b, "field strength"), require_floats(theta, "field angle")
     phi = 0.0 if phi is None else require_floats(phi, "field azimuth")
+    require_broadcast("field strength, angle and azimuth", b, theta, phi)
     sh = np.sin(np.multiply(b, t / 2))
-    frame = _directions(b, theta, t, phi)[..., :d, :]
-    for l, pref in enumerate((-t, 2 * sh, 2 * sh * np.cos(theta))[:d]):
-        frame[..., l, :] *= np.asarray(pref)[..., None]
-    return frame
+    return _directions(b, theta, t, phi, (-t, 2 * sh, 2 * sh * np.cos(theta))[:d])
 
 
 def _field_hamiltonians(rep: SpinRep, b, theta, t: float, phi=None):
@@ -244,7 +244,9 @@ def _fd_points(point: ModelPoint, step: float):
     # the points lambda, then lambda + h_l for each l, then lambda - h_l.
     values = require_point(point).values()
     steps = require_positive(step, "finite-difference step") * np.maximum(1.0, np.abs(values))
-    return steps, np.concatenate([values[None], values + np.diag(steps), values - np.diag(steps)]).T
+    shift = np.zeros((steps.size, steps.size))
+    shift.flat[:: steps.size + 1] = steps
+    return steps, np.concatenate([values[None], values + shift, values - shift]).T
 
 
 def numeric_generators(rep: SpinRep, point: ModelPoint, step: float = 1e-5) -> GeneratorSet:
@@ -306,27 +308,38 @@ def numeric_frame(point: ModelPoint, step: float = 1e-5):
     steps, (b, theta, *phi) = _fd_points(point, step)
     d = steps.size
     half = np.multiply(b, point.t / 2)
-    ct, sh, phi = np.cos(theta), np.sin(half), phi[0] if phi else 0.0
+    sh, phi = np.sin(half), phi[0] if phi else 0.0
+    sh_ct = sh * np.cos(theta)
     # One column (w, x) per point.
-    q = np.array([np.cos(half), sh * ct * np.cos(phi), sh * ct * np.sin(phi), sh * np.sin(theta)])
+    q = np.empty((4, 2 * d + 1))
+    np.cos(half, out=q[0])
+    np.multiply(sh_ct, np.cos(phi), out=q[1])
+    np.multiply(sh_ct, np.sin(phi), out=q[2])
+    np.multiply(sh, np.sin(theta), out=q[3])
     dq = (q[:, 1 : d + 1] - q[:, d + 1 :]) / (2 * steps)
-    w, x1, x2, x3 = q[:, 0].tolist()
     # (s, c) = K (dw, dx), the quaternion product with U as a matrix.
-    sc = np.array([[w, x1, x2, x3], [-x1, w, x3, -x2], [-x2, -x3, w, x1], [-x3, x2, -x1, w]]) @ dq
-    resids = np.abs(sc[0]) / np.maximum(np.sqrt((sc * sc).sum(axis=0)), math.sqrt(0.5))
+    sc = _QUATERNION_SIGNS * q[_QUATERNION_INDEX, 0] @ dq
+    resids = np.abs(sc[0]) / np.maximum(np.sqrt(np.add.reduce(sc * sc)), math.sqrt(0.5))
     _raise_if_unstable(point.labels, resids)
     return -2 * sc[1:].T, resids
+
+
+# K of numeric_frame, the matrix of the quaternion product with U = (w, x):
+# rows (w, x1, x2, x3), (-x1, w, x3, -x2), (-x2, -x3, w, x1), (-x3, x2, -x1, w).
+_QUATERNION_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_QUATERNION_SIGNS = np.array([[1, 1, 1, 1], [-1, 1, 1, -1], [-1, -1, 1, 1], [-1, 1, -1, 1.0]])
 
 
 def _derivative_directions(point: ModelPoint):
     # d_l H = c_l (m_l . J): the (d, 3) unit directions m_l and (d,) prefactors
     # c_l.  Rows n_theta, d_theta n and d_phi n / cos(theta), the first d kept.
+    # The products are of Python floats, which round as numpy's do.
     d = point.n_params
     b, theta = point.b, point.theta
     phi = 0.0 if point.phi is None else point.phi
-    ct, st, cp, sp = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
-    dirs = np.array([[ct * cp, ct * sp, st], [-st * cp, -st * sp, ct], [-sp, cp, 0.0]])[:d]
-    return dirs, np.array([1.0, b, b * ct])[:d]
+    ct, st, cp, sp = map(float, (np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)))
+    dirs = np.array([[ct * cp, ct * sp, st], [-st * cp, -st * sp, ct], [-sp, cp, 0.0]][:d])
+    return dirs, np.array([1.0, b, b * ct][:d])
 
 
 def _hamiltonian_derivatives(rep: SpinRep, point: ModelPoint) -> np.ndarray:
@@ -355,6 +368,9 @@ def series_generators(rep: SpinRep, point: ModelPoint) -> GeneratorSet:
     return GeneratorSet(labels=point.labels, matrices=(g + g.conj().transpose(0, 2, 1)) / 2)
 
 
+_EYE3 = np.eye(3)
+
+
 def _sinc(x):
     # sin(x) / x, exactly 1 at x = 0.
     return np.sin(x) / x if x else 1.0
@@ -372,9 +388,10 @@ def series_frame(point: ModelPoint) -> np.ndarray:
     so ``B = 0`` is exact.  The route uses only ``n`` and ``d_l H``.
     """
     dirs, prefactors = _derivative_directions(require_point(point))
-    n1, n2, n3 = n = dirs[0]
+    n = dirs[0]
+    n1, n2, n3 = n.tolist()
     x = np.multiply(point.b, point.t)
-    along = np.outer(n, n)
+    along = n[:, None] * n
     n_cross = np.array([[0.0, -n3, n2], [n3, 0.0, -n1], [-n2, n1, 0.0]])
-    kernel = along + _sinc(x) * (np.eye(3) - along) - np.sin(x / 2) * _sinc(x / 2) * n_cross
+    kernel = along + _sinc(x) * (_EYE3 - along) - np.sin(x / 2) * _sinc(x / 2) * n_cross
     return -point.t * (prefactors[:, None] * dirs) @ kernel.T

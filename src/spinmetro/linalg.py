@@ -166,6 +166,16 @@ def require_floats(values, name: str) -> np.ndarray:
     return values.astype(float, copy=False)
 
 
+def require_broadcast(name: str, *arrays) -> tuple[int, ...]:
+    """The shape ``arrays`` broadcast to, else :class:`InvalidInput` naming
+    ``name``: the one rule for array arguments that must broadcast together."""
+    try:
+        return np.broadcast(*arrays).shape
+    except ValueError:
+        shapes = ", ".join(str(np.shape(a)) for a in arrays)
+        raise InvalidInput(f"{name} must broadcast together, got shapes {shapes}") from None
+
+
 def require_unit_norm(psi, tol: float = 1e-10) -> np.ndarray:
     """Raise :class:`InvalidInput` unless each state vector along the last
     axis of ``psi`` has unit norm to ``tol``; a NaN norm fails too."""

@@ -26,6 +26,7 @@ from .linalg import (
     _regular_index,
     check_probe,
     eigh_inverse,
+    require_broadcast,
     require_floats,
     require_hermitian,
     require_symmetric,
@@ -66,11 +67,13 @@ def frame_qfim_uhlmann(frame, mean, cov) -> tuple[np.ndarray, np.ndarray]:
     ``G_l = a_l . J``.  The probe enters only through its spin mean
     ``mean`` (..., 3) and covariance ``cov`` (..., 3, 3), as returned by
     :func:`~spinmetro.linalg.spin_moments`, whose leading axes broadcast
-    against the frame's.  Then ``Q = 4 A Cov A^T`` and, because
-    ``[J_k, J_m] = 1j eps_kmn J_n``, ``D_lm = 2 <J> . (a_l x a_m)``.  The
-    cost per frame and probe is independent of the dimension N.  Q is
-    symmetric and D exactly antisymmetric by construction.  Returns
-    ``(Q, D)`` of shape (..., d, d) over the broadcast leading axes.
+    against the frame's (the rule of
+    :func:`~spinmetro.linalg.require_broadcast`).  Then
+    ``Q = 4 A Cov A^T`` and, because ``[J_k, J_m] = 1j eps_kmn J_n``,
+    ``D_lm = 2 <J> . (a_l x a_m)``.  The cost per frame and probe is
+    independent of the dimension N.  Q is symmetric and D exactly
+    antisymmetric by construction.  Returns ``(Q, D)`` of shape
+    (..., d, d) over the broadcast leading axes.
     """
     frame = require_floats(frame, "frame")
     if frame.ndim < 2 or frame.shape[-1] != 3:
@@ -80,6 +83,8 @@ def frame_qfim_uhlmann(frame, mean, cov) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidInput(
             f"spin moments must have shapes (..., 3), (..., 3, 3), got {mean.shape}, {cov.shape}"
         )
+    require_broadcast("the leading axes of the frame and the spin moments",
+                      frame[..., 0, 0], mean[..., 0])
     q = 4 * frame @ cov @ frame.swapaxes(-1, -2)
     q = (q + q.swapaxes(-1, -2)) / 2
     # a_l x a_m by components, each the difference of two products as in
@@ -215,7 +220,7 @@ def bounds(q, d, rel_tol: float = 1e-10):
     singular rule, ``det_q = prod max(lam, 0) >= 0``, ``c_sld = tr Q^-1``, and with
     ``D' = V^T D V`` and ``S_ij = sqrt(lam_i lam_j)``, ``R`` the largest
     ``|eigvalsh|`` of the Hermitian ``1j D' / S`` and the gap ``||Q^-1 D Q^-1||_1``
-    the sum of those of ``1j D' / S^2``.  :func:`ai_measure` and
+    the sum of those of ``1j D' / S^2``, both spectra from one ``eigvalsh``.  :func:`ai_measure` and
     :func:`holevo_pure`, which multiply by inverses, are the scalar references.
     """
     q, d = require_floats(q, "QFIM"), require_floats(d, "Uhlmann matrix")
@@ -234,20 +239,31 @@ def bounds(q, d, rel_tol: float = 1e-10):
         if np.isfinite(q).all() and np.isfinite(d).all():
             raise
         raise NumericalFailure("QFIM or Uhlmann matrix is not finite") from None
-    det_q = np.maximum(evals, 0.0).prod(axis=-1)
+    det_q = np.multiply.reduce(np.maximum(evals, 0.0), axis=-1)
     c_sld = q_inv.trace(axis1=-2, axis2=-1)
+    # Q^-1, V and D' are dropped before the two-matrix buffer below is
+    # allocated, so a scan peaks no higher than with one matrix at a time
+    del q_inv
     r_ai, c_h, delta = np.full((3, singular.size), np.nan)
     regular = _regular_index(singular)
     if regular is not None:
         lam, vecs, d = evals[regular], vecs[regular], d[regular]
         d = vecs.swapaxes(-1, -2) @ d @ vecs
-        h = 0.5j * (d - d.swapaxes(-1, -2))  # else D''s diagonal residue / lam^2 dominates
+        del vecs
         s = np.sqrt(lam)[:, :, None]  # sqrt each: lam^2 may overflow
         s = s * s.swapaxes(-1, -2)
-        h /= s
-        r_ai[regular] = np.abs(np.linalg.eigvalsh(h)).max(axis=-1)
-        h /= s
-        gap = np.abs(np.linalg.eigvalsh(h)).sum(axis=-1)
+        # 1j D' / S and 1j D' / S^2 side by side, for one eigvalsh of both;
+        # D' enters by its antisymmetric part, else its diagonal residue
+        # / lam^2 dominates
+        h = np.empty((2,) + d.shape, dtype=complex)
+        np.subtract(d, d.swapaxes(-1, -2), out=h[0])
+        del d
+        h[0] *= 0.5j
+        h[0] /= s
+        np.divide(h[0], s, out=h[1])
+        spectra = np.abs(np.linalg.eigvalsh(h))
+        r_ai[regular] = np.maximum.reduce(spectra[0], axis=-1)
+        gap = np.add.reduce(spectra[1], axis=-1)
         cost = c_sld[regular]
         c_h[regular] = cost + gap
         delta[regular] = gap / cost

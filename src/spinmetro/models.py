@@ -16,7 +16,8 @@ import numpy as np
 
 from .encoding import ModelPoint, direction_vectors_2p, direction_vectors_3p, require_point
 from .errors import InvalidInput
-from .linalg import SpinRep, _slot_moments, check_probe, j_direction, require_float, require_int
+from .linalg import (SpinRep, _window_moments, check_probe, j_direction, require_float,
+                     require_int)
 # Bound here for perfbench/tests, which check that the benchmark's tracer
 # wraps every module binding of this pinned function.
 from .linalg import sym_inverse  # noqa: F401
@@ -104,10 +105,26 @@ def make_probe(spec: ProbeSpec) -> np.ndarray:
     return psi
 
 
-# Slot k of extreme_moments sits at max(k, N - back_k), at most N - 1, held
-# as a float (exact) so the layout runs only float64 loops, as the kernel does.
-_SLOTS = np.arange(4.0)
-_BACK = np.array([MAX_DIM, MAX_DIM, 2, 1], dtype=float)
+def _slot_layout(n: int) -> np.ndarray:
+    # The four slots of extreme_moments at dimension n: their Jz eigenvalues
+    # m = s - p at the positions p = min((0, 1, max(2, n - 2), max(3, n - 1)), n - 1),
+    # then the squared ladder elements s(s + 1) - m(m - 1) from each slot
+    # to the next, 0 across a seam or beside a pad (a repeated position).
+    p = np.minimum([0, 1, max(2, n - 2), max(3, n - 1)], n - 1)
+    s = (n - 1) / 2
+    m = s - p
+    return np.concatenate([m, np.where(np.diff(p) == 1, s * (s + 1) - m[:-1] * (m[:-1] - 1), 0)])
+
+
+# _slot_layout by min(N, 5), as affine functions of N: constant below 5,
+# and from 5 on each entry is a half-integer multiple of N plus a
+# half-integer, so _SCALE[k] N + _SHIFT[k] is exact and has the bits of
+# _slot_layout(N).  _LAST marks the slot of |-J>, min(N - 1, 3).
+_SHIFT = np.array([_slot_layout(n) for n in (2, 2, 2, 3, 4, 5)])
+_SCALE = np.zeros_like(_SHIFT)
+_SCALE[5] = _slot_layout(6) - _SHIFT[5]
+_SHIFT[5] -= 5 * _SCALE[5]
+_LAST = np.arange(4) == np.minimum(np.arange(6) - 1, 3)[:, None]
 
 
 def extreme_moments(dim, alpha, phi=0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -118,19 +135,20 @@ def extreme_moments(dim, alpha, phi=0.0) -> tuple[np.ndarray, np.ndarray]:
     ``[N - 2, N - 1]``: two from N = 5 on, one at N = 4 where they touch,
     and one at N = 3 and 2 where they overlap.  They fill four slots at the
     positions ``min((0, 1, max(2, N - 2), max(3, N - 1)), N - 1)``, a
-    repeated position a pad, so the moments kernel runs once on the stack
-    and a probe costs the same at any N; ``|-J>`` takes the first slot at
-    N - 1.  The arguments are taken as they are: a :class:`ProbeSpec` or
+    repeated position a pad, so :func:`~spinmetro.linalg._window_moments`
+    runs once on the stack and a probe costs the same at any N; ``|-J>``
+    takes the first slot at N - 1.  The slots' Jz eigenvalues and ladder
+    elements come from constant tables indexed by ``min(N, 5)``.  The
+    arguments are taken as they are: a :class:`ProbeSpec` or
     :func:`~spinmetro.analysis.scaling_table` has checked them.
     """
-    n = np.asarray(dim, dtype=float)[..., None]
-    end = n - 1
-    index = np.minimum(np.maximum(_SLOTS, n - _BACK), end)
+    row = np.minimum(dim, 5)
+    layout = _SCALE[row] * np.asarray(dim, dtype=float)[..., None] + _SHIFT[row]
     first, last = _extreme_amplitudes(alpha, phi)
-    amp = np.zeros(np.broadcast(n[..., 0], last).shape + (4,), dtype=complex)
+    amp = np.zeros(np.broadcast(row, last).shape + (4,), dtype=complex)
     amp[..., 0] = first
-    np.copyto(amp, last[..., None], where=_SLOTS == np.minimum(end, 3))
-    return _slot_moments(end / 2, index, amp)
+    np.copyto(amp, last[..., None], where=_LAST[row])
+    return _window_moments(amp, layout[..., :4], np.sqrt(layout[..., 4:]))
 
 
 def bloch_vector(state) -> np.ndarray:

@@ -247,9 +247,9 @@ def test_tolerance_rule_at_every_entry_point(entry, rel_tol):
 # Calls that once escaped as a raw AttributeError, TypeError or ValueError,
 # each against the rule that now holds it: the model is the point's (a
 # stray model name lands where a probe or point belongs), a point and a
-# probe spec must be of their types, a time or a step is a positive number
-# and an array argument an array of real numbers.  Only the library's own
-# errors may escape.
+# probe spec must be of their types, a time or a step is a positive number,
+# an array argument an array of real numbers, and arrays that combine must
+# broadcast together.  Only the library's own errors may escape.
 POINT = ModelPoint(b=0.6, theta=0.8, t=5.0)
 SPEC = ProbeSpec(dim=3, alpha=0.4)
 LIBRARY_ERROR_CALLS = {
@@ -267,6 +267,10 @@ LIBRARY_ERROR_CALLS = {
     "rank-lam-strings": lambda: RankExperimentConfig(2, 3, lam=["a", "b"]),
     "closed_frame-time-string": lambda: closed_frame(0.6, 0.8, t="x"),
     "closed_frame-field-string": lambda: closed_frame("a", 0.8, 5.0),
+    "closed_frame-no-broadcast": lambda: closed_frame([1.0, 2.0], [1.0, 2.0, 3.0], 5.0),
+    "frame_qfim_uhlmann-no-broadcast": lambda: frame_qfim_uhlmann(np.ones((2, 2, 3)),
+                                                                  np.zeros((3, 3)),
+                                                                  np.zeros((3, 3, 3))),
     "numeric_frame-step-string": lambda: encoding.numeric_frame(POINT, step="x"),
     "numeric_generators-step-string": lambda: encoding.numeric_generators(rep(2), POINT,
                                                                           step="x"),
@@ -861,9 +865,10 @@ class TestMetricsReport:
 
     @pytest.mark.parametrize("model", MODELS)
     def test_report_builds_no_dense_route(self, monkeypatch, model):
-        # One eigh, of Q in bounds.  The oracle routes are vector forms, so a
-        # report exponentiates nothing and builds no spin representation,
-        # generator set or dense route; it computes its frame once.
+        # One eigh, of Q in bounds, and one eigvalsh, of both Hermitian forms
+        # of bounds at once.  The oracle routes are vector forms, so a report
+        # exponentiates nothing and builds no spin representation, generator
+        # set or dense route; it computes its frame once.
         calls = collections.Counter()
 
         def counted(name, fn):
@@ -873,7 +878,8 @@ class TestMetricsReport:
 
             return wrapper
 
-        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         for module, name in ((linalg, "expm_i"), (encoding, "expm_i"),
                              (linalg, "build_spin_rep"), (encoding, "GeneratorSet"),
                              (encoding, "series_generators"), (encoding, "numeric_generators")):
@@ -882,7 +888,7 @@ class TestMetricsReport:
         for module in (analysis, encoding):
             monkeypatch.setattr(module, "closed_frame", counted("closed_frame", frame_fn))
         metrics_report(ProbeSpec(dim=5, alpha=0.3, phi=0.2), points_for(model)[0])
-        assert calls == {"eigh": 1, "closed_frame": 1}
+        assert calls == {"eigh": 1, "eigvalsh": 1, "closed_frame": 1}
 
     def test_deterministic_serialization(self):
         args = (ProbeSpec(dim=3, alpha=0.4, phi=0.2), ModelPoint(b=0.8, theta=1.1, t=5.0))

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -290,12 +291,14 @@ class TestScalingCommand:
 
 
 # A non-finite number is a usage error: exit 2, no traceback, no output.
+# So is a non-finite --model-phi under --model two, which does not read it.
 @pytest.mark.parametrize("argv", [
     ["metrics", "--b", "nan"],
     ["metrics", "--time", "inf"],
     ["metrics", "--alpha", "nan"],
     ["metrics", "--theta", "inf"],
     ["metrics", "--model", "three", "--model-phi", "nan"],
+    ["metrics", "--model", "two", "--model-phi", "nan"],
     ["scan", "--alpha", "nan"],
     ["scan", "--time", "inf"],
     ["scan", "--dim", "3", "--phi", "inf"],
@@ -304,6 +307,7 @@ class TestScalingCommand:
     ["scaling", "--time", "inf"],
     ["scaling", "--alphas", "nan"],
     ["scaling", "--phi", "inf"],
+    ["scaling", "--model", "two", "--model-phi", "inf"],
 ])
 def test_non_finite_input_is_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "x.out"
@@ -411,6 +415,24 @@ class TestFimRankCommand:
         assert run(["fim-rank", "--trials", "0", "--out", str(tmp_path / "x.json")]) == 2
 
 
+# A subcommand rejects flags it does not read.  (scaling --dim and --alpha
+# are absent: argparse reads them as abbreviations of --dims and --alphas.)
+IGNORED_FLAG_ROWS = [
+    ["scan", "--seed", "1"],
+    ["metrics", "--seed", "1"],
+    ["metrics", "--grid", "3x3"],
+    ["scaling", "--seed", "1"],
+    ["scaling", "--grid", "3x3"],
+    ["fim-rank", "--model", "two"],
+    ["fim-rank", "--dim", "4"],
+    ["fim-rank", "--alpha", "0.5"],
+    ["fim-rank", "--phi", "0.5"],
+    ["fim-rank", "--time", "5"],
+    ["fim-rank", "--grid", "3x3"],
+    ["fim-rank", "--tol", "1"],
+]
+
+
 class TestParser:
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
@@ -438,23 +460,7 @@ class TestParser:
             main(["scan", "--nope", "--out", "x.csv"])
         assert exc.value.code == 2
 
-    # A subcommand rejects flags it does not read.  (scaling --dim and
-    # --alpha are absent: argparse reads them as abbreviations of --dims
-    # and --alphas.)
-    @pytest.mark.parametrize("argv", [
-        ["scan", "--seed", "1"],
-        ["metrics", "--seed", "1"],
-        ["metrics", "--grid", "3x3"],
-        ["scaling", "--seed", "1"],
-        ["scaling", "--grid", "3x3"],
-        ["fim-rank", "--model", "two"],
-        ["fim-rank", "--dim", "4"],
-        ["fim-rank", "--alpha", "0.5"],
-        ["fim-rank", "--phi", "0.5"],
-        ["fim-rank", "--time", "5"],
-        ["fim-rank", "--grid", "3x3"],
-        ["fim-rank", "--tol", "1"],
-    ])
+    @pytest.mark.parametrize("argv", IGNORED_FLAG_ROWS)
     def test_ignored_flags_are_gone(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(tmp_path / "x.out")])
@@ -484,6 +490,34 @@ class TestOutputWriter:
     @pytest.mark.parametrize("command", sorted(OPS))
     def test_dev_null_output(self, command):
         assert run([*OPS[command], "--out", "/dev/null"]) == 0
+
+    def test_pipe_output_matches_file(self, tmp_path):
+        # A CSV larger than a pipe's 64 KiB buffer, so the writer blocks
+        # until the reader drains it.
+        argv = ["scan", "--model", "three", "--dim", "3", "--grid", "41x41"]
+        fifo, regular = tmp_path / "scan.fifo", tmp_path / "scan.csv"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            code = run([*argv, "--out", str(fifo)])
+        finally:
+            # unblock a reader still waiting for a writer to open the pipe
+            with contextlib.suppress(OSError):
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=60)
+        assert code == 0 and not reader.is_alive()
+        assert run([*argv, "--out", str(regular)]) == 0
+        assert len(received[0]) > 64 * 1024
+        assert received[0] == regular.read_bytes()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", sorted(OPS))
+    def test_full_device_is_file_system_error(self, capsys, command):
+        assert run([*OPS[command], "--out", "/dev/full"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spinmetro: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("argv, code", [
         (["scan", "--tol", "0"], 2),
@@ -579,6 +613,43 @@ def test_fuzz_exit_code_contract(tmp_path, capsys, argv):
     assert code in (0, 1, 2)
     assert "Traceback" not in err and "Warning" not in err
     assert code == 0 or not out.exists()
+
+
+# cli.main parses a known subcommand's flags with that subcommand's parser
+# alone.  Over the fuzz table, the parser tests above and the top-level
+# parser's own cases (no subcommand, an unknown one, -h, "--", leftover and
+# abbreviated arguments), it gives the namespace of the full parser, or
+# exits with its code, stdout and stderr.
+PARSE_ROWS = [
+    *([*argv, "--out", "x.out"] for argv in (*_fuzz_rows(), *IGNORED_FLAG_ROWS)),
+    ["metrics", "--model", "three", "--dim", "5", "--alpha", "0.3", "--b", "0.2",
+     "--tol", "1e-8", "--out", "a.json"],
+    ["metrics", "--dim", "three", "--out", "b.json"],
+    ["metrics", "--out", "c.json"],
+    ["scan", "--nope", "--out", "x.csv"],
+    [], ["-h"], ["--help"], ["nope"], ["nope", "--out", "x"], ["-x", "metrics"],
+    ["--", "metrics", "--out", "x"], ["metrics", "--help"], ["metrics", "--he"],
+    ["metrics", "-h", "extra"], ["metrics", "--", "x"], ["metrics", "--out", "x", "--", "y"],
+    ["metrics", "--out", "x", "extra"], ["metrics", "--ou", "x", "extra", "-z"],
+    ["metrics", "--out=x", "--model=three"], ["fim-rank", "--out", "x", "--seed", "-1"],
+    ["scan", "--dim", "-1", "--out", "x"], ["scaling", "--di", "4,5", "--out", "x"],
+]
+
+
+def _parse_outcome(parse, argv):
+    # a namespace as its sorted (name, repr) pairs, so that NaN values compare
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = sorted((name, repr(value)) for name, value in vars(parse(list(argv))).items())
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSE_ROWS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_subcommand_parse_matches_full_parse(argv):
+    assert _parse_outcome(cli._parse, argv) == _parse_outcome(build_parser().parse_args, argv)
 
 
 # The contract between the table's values: each float flag of scan, metrics

@@ -3,7 +3,8 @@
 ``perfbench/spans.py`` resolves each ``per_layer`` target of
 ``BENCHMARK.json`` as ``spinmetro.<module>`` followed by attribute lookups;
 a library name that disappears makes ``perfbench/run.py --trace 1`` fail.
-README's command-line examples must parse with the current parser, its
+README's command-line examples must parse with the current parser, and
+each command must have its own cached parser to be parsed by; README's
 library example must run, every `` `module.name` `` it cites must exist,
 and every name a module lists in ``__all__`` must exist on it.  These
 tests only read the files, except that the library example is executed.
@@ -26,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+from spinmetro import cli
 from spinmetro.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -77,6 +79,14 @@ def test_readme_command_lines_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_subcommand_parsers_match_commands():
+    # cli.main parses a known subcommand with that subcommand's own cached
+    # parser, so every command has one and every parser a command.
+    parser, commands = cli._parsers()
+    assert parser is build_parser()
+    assert commands.keys() == cli._COMMANDS.keys()
 
 
 def test_readme_library_example_runs():
