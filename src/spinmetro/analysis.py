@@ -6,13 +6,13 @@ N-independent frame kernel, with no N x N matrix; the dense generator route
 matches it to rounding (the tests pin this).  Random experiments draw each
 trial from its own counter-derived seed so results are independent of
 evaluation order.  Both CSV outputs are grids, written by one grid writer
-that formats each axis value once and the rest of a row with one format
-string: '.' decimals, ',' delimiters, a header row and 17 significant
-digits, so repeated runs are bytewise identical.  A missing value marks
-a singular QFIM and nothing else.  Every result object holds it as NaN
-(:func:`~spinmetro.metrology.bounds`, :class:`ScanResult`,
-:class:`ScalingResult`); only the JSON report dicts hold ``None``, written
-``null``.  In a CSV file it is an empty field: a singular scan cell's R,
+that lays out the whole body once, axis values as text, and then formats
+every other value with one ``%``: '.' decimals, ',' delimiters, a header
+row and 17 significant digits, so repeated runs are bytewise identical.
+A missing value marks a singular QFIM and nothing else.  Every result
+object holds it as NaN (:func:`~spinmetro.metrology.bounds`,
+:class:`ScanResult`, :class:`ScalingResult`); only the JSON report dicts
+hold ``None``, written ``null``.  In a CSV file it is an empty field: a singular scan cell's R,
 Delta and T, and the Gamma and slope of an alpha with a singular baseline.
 """
 
@@ -63,12 +63,18 @@ def _write_text(path, text: str) -> None:
     ``O_TRUNC`` keeps ext4 from flushing the file on close, a flush the next
     overwrite of it would wait for.  Only a regular file is cut, so a
     character device such as ``/dev/null`` or a pipe works as a path too.
+    The text is written as UTF-8 by ``os.write``, repeated on a short write.
     """
+    data = text.encode()
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", newline="") as fh:
-        fh.write(text)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
         if stat.S_ISREG(os.fstat(fd).st_mode):
-            fh.truncate()
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _write_csv(path, header, outer, inner, columns) -> None:
@@ -78,29 +84,29 @@ def _write_csv(path, header, outer, inner, columns) -> None:
     each of ``columns``, each of which holds ``len(outer) * len(inner)``
     values in row order.
     Floats get 17 significant digits and NaN an empty field; a boolean
-    column is written as 1/0.  Each axis value is formatted once: the
-    inner ones up front, and each outer one into the row format of its
-    block of rows, which takes the inner text as ``%s``; a row is then one
-    ``%`` format of its inner text and column values.  ``%.17g`` writes a
-    NaN as ``nan`` and no other value with those letters, so one replace
-    on the body empties the NaN fields, axis fields included.
+    column is written as 1/0.  The layout of the whole body is built once,
+    each axis value formatted into it as text, so that one ``%`` format
+    then writes every column value.  ``%.17g`` writes a NaN as ``nan`` and
+    no other value with those letters, so one replace on the body empties
+    the NaN fields, axis fields included.
     """
 
     def field(values: np.ndarray) -> str:
         return "%d" if values.dtype == bool else "%.17g"
 
     outer, inner = np.asarray(outer), np.asarray(inner)
-    columns = [np.asarray(column).reshape(outer.size, inner.size) for column in columns]
-    inner_text = list(map(field(inner).__mod__, inner.tolist()))
-    tail = ",%s," + ",".join(map(field, columns)) + "\n"
-    outer_format = field(outer)
-    blocks = (
-        map((outer_format % x + tail).__mod__,
-            zip(inner_text, *(column[k].tolist() for column in columns)))
-        for k, x in enumerate(outer.tolist())
-    )
-    body = "".join(itertools.chain.from_iterable(blocks))
-    _write_text(path, ",".join(header) + "\n" + body.replace("nan", ""))
+    columns = [np.asarray(column).ravel() for column in columns]
+    tail = "," + ",".join(map(field, columns)) + "\n"
+    rows = [text + tail for text in map(field(inner).__mod__, inner.tolist())]
+    # each block of rows is "x,row" for every row of the inner axis, outer text x
+    prefixes = (text + "," for text in map(field(outer).__mod__, outer.tolist()))
+    layout = "".join(prefix + prefix.join(rows) for prefix in prefixes)
+    values = tuple(itertools.chain.from_iterable(zip(*(column.tolist() for column in columns))))
+    body = layout % values
+    # from here the body and one copy of it at a time set the peak
+    del layout, values
+    body = body.replace("nan", "")
+    _write_text(path, ",".join(header) + "\n" + body)
 
 
 # The report of metrics_report as json.dumps(sort_keys=True, indent=2)
@@ -233,10 +239,10 @@ def _store_int(config, name: str) -> int:
     return number
 
 
-# Largest scan grid, in cells: a scan's traced peak grows by about 794 B a
-# cell for the three-parameter model and 424 B for the two-parameter model
+# Largest scan grid, in cells: a scan's traced peak grows by about 801 B a
+# cell for the three-parameter model and 407 B for the two-parameter model
 # (201^2 cells, N = 4), both in run_scan (the CSV writer peaks at about
-# 430 B), so the cap keeps it within a 1 GB budget.  A larger grid is
+# 370 B), so the cap keeps it within a 1 GB budget.  A larger grid is
 # rejected before anything is allocated.
 MAX_GRID_CELLS = 10**6
 
@@ -440,7 +446,7 @@ def scaling_table(
 
 
 # Trials per stacked block of the rank experiment: the draws, softmax, FIM,
-# svd and det of one block are single array calls, and peak memory stays
+# eigvalsh and det of one block are single array calls, and peak memory stays
 # that of one block however many trials run.
 RANK_BLOCK = 256
 # Largest parameter and outcome counts of the rank experiment: a block's
@@ -619,8 +625,10 @@ def fim_rank_experiment(config: RankExperimentConfig) -> dict:
                          where=keep[:, -1:])
         f_decomp = (eta + last[..., None]) @ np.swapaxes(dtil, -1, -2)
         f_norm = np.linalg.norm(f, axis=(-2, -1))
-        svals = np.linalg.svd(f, compute_uv=False)
-        rank = (svals > 1e-10 * np.maximum(svals[:, :1], 1e-300)).sum(axis=-1)
+        # F is symmetric, so its singular values are its |eigenvalues|
+        svals = np.abs(np.linalg.eigvalsh(f))
+        top = np.maximum.reduce(svals, axis=-1, keepdims=True)
+        rank = (svals > 1e-10 * np.maximum(top, 1e-300)).sum(axis=-1)
         max_rank = max(max_rank, int(rank.max()))
         violations += int((rank > rank_bound).sum())
         full_rank += int((rank == d).sum())

@@ -9,7 +9,8 @@ Every single-point report, :func:`incompat_report` and
 :func:`~spinmetro.analysis.metrics_report`, takes its (Q, D) fields from
 one helper, which turns a singular point's bounds into ``None`` once.
 :func:`bounds` takes every bound and ``det Q`` from one ``eigh`` of Q, in
-its eigenbasis, with no ``Q^-1 D Q^-1`` and no negative ``det Q``.
+its eigenbasis, with no ``Q^-1 D Q^-1`` and no negative ``det Q``, and both
+incompatibility spectra from one real ``eigvalsh`` of tridiagonal forms.
 Near-singular quantum Fisher matrices are never pseudo-inverted: every
 quantity that needs an inverse is NaN (``None`` in a report and from the
 scalar references) instead, so callers can mask those points.  The misleading regime is exactly
@@ -23,7 +24,7 @@ import numpy as np
 from .encoding import GeneratorSet
 from .errors import InvalidInput, NumericalFailure
 from .linalg import (
-    _regular_index,
+    antisym_tridiagonal,
     check_probe,
     eigh_inverse,
     require_broadcast,
@@ -218,9 +219,14 @@ def bounds(q, d, rel_tol: float = 1e-10):
     raises :class:`InvalidInput`.  All comes from the one ``eigh`` of
     :func:`~spinmetro.linalg.eigh_inverse`, ``Q = V diag(lam) V^T``: the
     singular rule, ``det_q = prod max(lam, 0) >= 0``, ``c_sld = tr Q^-1``, and with
-    ``D' = V^T D V`` and ``S_ij = sqrt(lam_i lam_j)``, ``R`` the largest
-    ``|eigvalsh|`` of the Hermitian ``1j D' / S`` and the gap ``||Q^-1 D Q^-1||_1``
-    the sum of those of ``1j D' / S^2``, both spectra from one ``eigvalsh``.  :func:`ai_measure` and
+    ``D' = V^T D V``, ``S_ij = sqrt(lam_i lam_j)`` and the real antisymmetric
+    ``K = D' / S``, ``R`` the largest ``|eigvalsh|`` of the Hermitian ``1j K``
+    and the gap ``||Q^-1 D Q^-1||_1`` the sum of those of ``1j K / S``.
+    :func:`~spinmetro.linalg.antisym_tridiagonal` takes both to real
+    symmetric tridiagonal matrices with those spectra, in one real
+    ``(2, G, dim, dim)`` buffer over the G regular matrices, gathered once
+    by their positions, so one real ``eigvalsh`` gives both spectra and no
+    complex array reaches LAPACK.  :func:`ai_measure` and
     :func:`holevo_pure`, which multiply by inverses, are the scalar references.
     """
     q, d = require_floats(q, "QFIM"), require_floats(d, "Uhlmann matrix")
@@ -245,26 +251,26 @@ def bounds(q, d, rel_tol: float = 1e-10):
     # allocated, so a scan peaks no higher than with one matrix at a time
     del q_inv
     r_ai, c_h, delta = np.full((3, singular.size), np.nan)
-    regular = _regular_index(singular)
-    if regular is not None:
-        lam, vecs, d = evals[regular], vecs[regular], d[regular]
+    regular = (~singular).nonzero()[0]
+    if regular.size:
+        lam, vecs, d = (x.take(regular, axis=0) for x in (evals, vecs, d))
         d = vecs.swapaxes(-1, -2) @ d @ vecs
         del vecs
         s = np.sqrt(lam)[:, :, None]  # sqrt each: lam^2 may overflow
         s = s * s.swapaxes(-1, -2)
-        # 1j D' / S and 1j D' / S^2 side by side, for one eigvalsh of both;
-        # D' enters by its antisymmetric part, else its diagonal residue
-        # / lam^2 dominates
-        h = np.empty((2,) + d.shape, dtype=complex)
-        np.subtract(d, d.swapaxes(-1, -2), out=h[0])
+        # K = D' / S and K / S side by side, for one eigvalsh of both
+        # spectra; D' enters by its antisymmetric part, else its diagonal
+        # residue / lam^2 dominates
+        k = np.empty((2,) + d.shape)
+        np.subtract(d, d.swapaxes(-1, -2), out=k[0])
         del d
-        h[0] *= 0.5j
-        h[0] /= s
-        np.divide(h[0], s, out=h[1])
-        spectra = np.abs(np.linalg.eigvalsh(h))
+        k[0] *= 0.5
+        k[0] /= s
+        np.divide(k[0], s, out=k[1])
+        spectra = np.abs(np.linalg.eigvalsh(antisym_tridiagonal(k)))
         r_ai[regular] = np.maximum.reduce(spectra[0], axis=-1)
         gap = np.add.reduce(spectra[1], axis=-1)
-        cost = c_sld[regular]
+        cost = c_sld.take(regular)
         c_h[regular] = cost + gap
         delta[regular] = gap / cost
     return tuple(x.reshape(lead) for x in (singular, r_ai, c_sld, c_h, delta, det_q))

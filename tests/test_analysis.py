@@ -865,15 +865,19 @@ class TestMetricsReport:
 
     @pytest.mark.parametrize("model", MODELS)
     def test_report_builds_no_dense_route(self, monkeypatch, model):
-        # One eigh, of Q in bounds, and one eigvalsh, of both Hermitian forms
-        # of bounds at once.  The oracle routes are vector forms, so a report
-        # exponentiates nothing and builds no spin representation, generator
-        # set or dense route; it computes its frame once.
+        # One eigh, of Q in bounds, and one eigvalsh, of the real tridiagonal
+        # forms of both spectra of bounds at once.  The oracle routes are
+        # vector forms, so a report exponentiates nothing and builds no spin
+        # representation, generator set or dense route; it computes its
+        # frame once.
         calls = collections.Counter()
+        dtypes = []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                if name == "eigvalsh":
+                    dtypes.append(np.asarray(args[0]).dtype)
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -889,6 +893,7 @@ class TestMetricsReport:
             monkeypatch.setattr(module, "closed_frame", counted("closed_frame", frame_fn))
         metrics_report(ProbeSpec(dim=5, alpha=0.3, phi=0.2), points_for(model)[0])
         assert calls == {"eigh": 1, "eigvalsh": 1, "closed_frame": 1}
+        assert dtypes == [np.dtype(float)]
 
     def test_deterministic_serialization(self):
         args = (ProbeSpec(dim=3, alpha=0.4, phi=0.2), ModelPoint(b=0.8, theta=1.1, t=5.0))

@@ -23,7 +23,8 @@ from spinmetro import (
     sym_inverse,
     trace_norm,
 )
-from spinmetro.linalg import check_inverse, require_hermitian, require_symmetric, singular_mask
+from spinmetro.linalg import (antisym_tridiagonal, check_inverse, require_hermitian,
+                              require_symmetric, singular_mask)
 from spinmetro.models import ProbeSpec
 
 from conftest import haar_state, random_hermitian, rep
@@ -346,6 +347,47 @@ class TestSpectralAbsmax:
     def test_rejects_complex_spectrum(self):
         with pytest.raises(InvalidInput, match="not Hermitian"):
             spectral_absmax(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+
+class TestAntisymTridiagonal:
+    """The real tridiagonal form against the complex ``eigvalsh(1j K)``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 7),
+        kind=st.sampled_from(["random", "zero", "rank-deficient", "zero-row"]),
+        exponent=st.sampled_from([-150, 0, 150]),
+    )
+    def test_spectrum_of_i_k(self, seed, n, kind, exponent):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((2, 3, n, n))
+        if kind == "zero":
+            m[...] = 0.0
+        elif kind == "rank-deficient":
+            # b a b^T has rank at most n - 1 (at most n - 2 once antisymmetric)
+            b = rng.standard_normal((2, 3, n, max(n - 1, 1)))
+            m = b @ rng.standard_normal(b.shape[:-2] + (b.shape[-1],) * 2) @ b.swapaxes(-1, -2)
+        elif kind == "zero-row":
+            row = rng.integers(n)
+            m[..., row, :] = m[..., :, row] = 0.0
+        k = (m - m.swapaxes(-1, -2)) * 10.0**exponent
+        want = np.linalg.eigvalsh(1j * k)
+        t = antisym_tridiagonal(k.copy())
+        assert t.dtype == float and t.shape == k.shape
+        band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) == 1
+        assert np.array_equal(t, t.swapaxes(-1, -2)) and not t[..., ~band].any()
+        assert (t >= 0).all()
+        # a backward-stable reduction and eigensolver, each a few n eps of
+        # the largest eigenvalue magnitude
+        scale = np.abs(want).max(axis=-1, keepdims=True)
+        assert (np.abs(np.linalg.eigvalsh(t) - want) <= 8 * n * EPS * scale).all()
+
+    def test_written_over_its_input(self, rng):
+        m = rng.standard_normal((4, 5, 5))
+        k = m - m.swapaxes(-1, -2)
+        assert antisym_tridiagonal(k) is k
+        assert not np.triu(k, 2).any() and not np.diagonal(k, axis1=-2, axis2=-1).any()
 
 
 class TestTraceNorm:

@@ -574,6 +574,19 @@ class TestBounds:
             for got, want in zip(batch, single):
                 np.testing.assert_allclose(np.ravel(got)[k], want, rtol=1e-12)
 
+    # Each matrix of a stack takes the steps of a single call, so a scan cell
+    # and a metrics report at its point agree bit for bit.
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stack_gives_the_bits_of_single_calls(self, rng, dim):
+        pairs = [random_model(rng, dim, cond) for cond in (None, None, 1e3, 1e6, 1e9)]
+        pairs.insert(2, (np.diag([1.0] * (dim - 1) + [1e-14]), pairs[0][1]))
+        q, d = (np.stack(x) for x in zip(*pairs))
+        batch = bounds(q, d)
+        assert batch[0].tolist() == [k == 2 for k in range(len(pairs))]
+        for k, (qk, dk) in enumerate(pairs):
+            for got, want in zip(batch, bounds(qk, dk)):
+                assert got[k].tobytes() == want.tobytes()
+
     def test_singular_cells_carry_nan(self):
         q = np.stack([np.diag([1.0, 1e-14]), np.diag([2.0, 4.0])])
         singular, *values, det_q = bounds(q, np.zeros_like(q))

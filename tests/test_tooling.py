@@ -136,7 +136,7 @@ def test_one_place_opens_files():
                 writer += _opens(node)
             else:
                 stray += [f"{path.name}:{line}" for line in _opens(node)]
-    assert len(writer) == 2  # os.open and the file object over its descriptor
+    assert len(writer) == 1  # os.open, whose descriptor os.write writes
     assert stray == []
 
 
