@@ -3,12 +3,13 @@
 Everything here is deterministic given its configuration.  Scans, scaling
 tables and reports take (Q, D) from the probe's spin moments through the
 N-independent frame kernel, with no N x N matrix; the dense generator route
-matches it to rounding (the tests pin this).  Random experiments draw each
-trial from its own counter-derived seed so results are independent of
-evaluation order.  Both CSV outputs are grids, written by one grid writer
-that lays out the whole body once, axis values as text, and then formats
-every other value with one ``%``: '.' decimals, ',' delimiters, a header
-row and 17 significant digits, so repeated runs are bytewise identical.
+matches it to rounding (the tests pin this).  The rank experiment draws its
+trials in order from one generator seeded by its configuration, so a run's
+draws are a prefix of any longer run's.  Both CSV outputs are grids,
+written by one grid writer that lays out the whole body once, axis values
+as text, and then formats every other value with one ``%``: '.' decimals,
+',' delimiters, a header row and 17 significant digits, so repeated runs
+are bytewise identical.
 A missing value marks a singular QFIM and nothing else.  Every result
 object holds it as NaN (:func:`~spinmetro.metrology.bounds`,
 :class:`ScanResult`, :class:`ScalingResult`); only the JSON report dicts
@@ -497,78 +498,6 @@ class RankExperimentConfig:
         return np.asarray(self.lam, dtype=float)
 
 
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _words(x: int) -> list[int]:
-    """Little-endian 32-bit words of a non-negative int; 0 is one word."""
-    words = [x & _MASK32]
-    while x := x >> 32:
-        words.append(x & _MASK32)
-    return words
-
-
-def _seed_sequence_state(entropy: list) -> list:
-    """numpy's ``SeedSequence(words).generate_state(4, np.uint64)`` as its
-    eight little-endian 32-bit words, elementwise over uint32 arrays.
-
-    Each item of ``entropy`` holds one entropy word, and there are at least
-    four, the pool size.  The hash constant runs on as a Python int.
-    """
-    const = 0x43B0D7E5  # INIT_A
-
-    def hashmix(value, mult=0x931E8875):  # MULT_A
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _MASK32
-        value = value * const
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        value = x * 0xCA01F9DD - y * 0x4973F715  # MIX_MULT_L, MIX_MULT_R
-        return value ^ (value >> 16)
-
-    pool = [hashmix(word) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    const = 0x8B51F9DD  # INIT_B
-    return [hashmix(pool[k % 4], 0x58F38DED) for k in range(8)]  # MULT_B
-
-
-def _pcg64_states(seed: int, d: int, n: int, trials: range) -> list[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of ``PCG64(SeedSequence((seed, d, n, trial)))``
-    for each trial, from one array pass of the seed hash over the trials.
-
-    The trials go in runs whose seeds share every word but the trial's
-    lowest, so a run straddles no multiple of 2^32, where a trial's word
-    count changes.  The 128-bit seeding step runs on Python ints.
-    """
-    states = []
-    head = _words(seed) + _words(d) + _words(n)
-    lo = trials.start
-    while lo < trials.stop:
-        hi = min(trials.stop, ((lo >> 32) + 1) << 32)
-        entropy = [np.full(hi - lo, w, dtype=np.uint32) for w in head + _words(lo)]
-        entropy[len(head)] += np.arange(hi - lo, dtype=np.uint32)
-        for w0, w1, w2, w3, w4, w5, w6, w7 in zip(
-            *(w.tolist() for w in _seed_sequence_state(entropy))
-        ):
-            # PCG64 seeding: state 0 and inc = 2 initseq + 1; step, add
-            # initstate, step
-            initstate = w1 << 96 | w0 << 64 | w3 << 32 | w2
-            inc = (w5 << 96 | w4 << 64 | w7 << 32 | w6) << 1 & _MASK128 | 1
-            states.append((((inc + initstate) * _PCG64_MULT + inc) & _MASK128, inc))
-        lo = hi
-    return states
-
-
 def _softmax_family(a, b, lam):
     """Probabilities and analytic gradients of p_i  propto  exp(a_i + b_i . lam),
     over leading axes: ``a (..., n)`` and ``b (..., n, d)`` give ``p (..., n)``
@@ -585,16 +514,17 @@ def _softmax_family(a, b, lam):
 def fim_rank_experiment(config: RankExperimentConfig) -> dict:
     """Sample softmax-affine families; verify rank(F) <= min(d, n - 1).
 
-    Each trial draws standard-normal offsets and slopes as
-    ``default_rng((seed, d, n, trial index))`` would, bit for bit, so trial
-    i is independent of evaluation order; no generator is built per trial.
-    One array pass over a block of :data:`RANK_BLOCK` trials hashes their
-    seeds to PCG64 states, and one PCG64, set to each state in turn, draws
-    each trial's ``n + n d`` normals into its row of the block.  The block's
-    trials are then evaluated together.  The FIM is computed two ways: the
-    direct weighted-gradient sum and the product decomposition that
-    eliminates the redundant last outcome; their agreement is recorded as
-    the decomposition residual.
+    One generator, ``default_rng((seed, d, n))``, draws every trial's
+    standard-normal offsets ``a (n)`` and then slopes ``b (n, d)`` in trial
+    order, a block of :data:`RANK_BLOCK` trials in one ``(trials, n + n d)``
+    call, so a k-trial run's draws are a prefix of any longer run's and the
+    result does not depend on the block size.  The block's trials are
+    evaluated together.  The FIM is computed two ways: the direct
+    weighted-gradient sum and the product decomposition that eliminates the
+    redundant last outcome; their agreement is recorded as the
+    decomposition residual.  A trial with fewer than two outcomes at
+    ``p >= 1e-14`` has a vanishing FIM, up to rounding, and is left out of
+    both float maxima.
     """
     d, n = config.n_params, config.n_outcomes
     lam = config.lam_point()
@@ -604,16 +534,11 @@ def fim_rank_experiment(config: RankExperimentConfig) -> dict:
     full_rank = 0
     max_resid = 0.0
     max_det_norm = 0.0
-    bit_generator = np.random.PCG64(0)
-    normal = np.random.Generator(bit_generator).standard_normal
+    normal = np.random.default_rng((config.seed, d, n)).standard_normal
     for first in range(0, config.trials, RANK_BLOCK):
-        trials = range(first, min(first + RANK_BLOCK, config.trials))
-        draws = np.empty((len(trials), n + n * d))
-        for row, (state, inc) in zip(draws, _pcg64_states(config.seed, d, n, trials)):
-            bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-            normal(out=row)
-        a, b = draws[:, :n], draws[:, n:].reshape(len(trials), n, d)
+        count = min(RANK_BLOCK, config.trials - first)
+        draws = normal((count, n + n * d))
+        a, b = draws[:, :n], draws[:, n:].reshape(count, n, d)
         p, grads = _softmax_family(a, b, lam)
         f = classical_fim(p, grads)
         # decomposition route: F = eta . dtil with the last outcome eliminated;
@@ -632,10 +557,11 @@ def fim_rank_experiment(config: RankExperimentConfig) -> dict:
         max_rank = max(max_rank, int(rank.max()))
         violations += int((rank > rank_bound).sum())
         full_rank += int((rank == d).sum())
-        # a trial whose FIM vanishes (so does its norm**d) has no relative
-        # residual or normalized det, and is left out of both maxima
+        # a trial whose FIM vanishes has no relative residual or normalized
+        # det, and is left out of both maxima: one with fewer than two
+        # outcomes kept (its FIM is rounding at most) or a zero norm**d
         scale = f_norm**d
-        live = scale > 0
+        live = (keep.sum(axis=-1) >= 2) & (scale > 0)
         resid = np.linalg.norm(f[live] - f_decomp[live], axis=(-2, -1)) / f_norm[live]
         max_resid = max(max_resid, float(resid.max(initial=0.0)))
         det_norm = np.abs(np.linalg.det(f[live])) / scale[live]

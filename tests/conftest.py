@@ -52,17 +52,19 @@ def ai_two_param(q, d):
 
 
 def fim_rank_loop(config):
-    """The rank experiment one trial at a time, with the FIM and its
-    decomposition summed over the outcomes with ``p >= 1e-14`` and a trial
-    whose FIM vanishes left out of both maxima: an oracle for the stacked
+    """The rank experiment one trial at a time, each drawing its offsets and
+    then its slopes from one generator for the whole run, with the FIM and
+    its decomposition summed over the outcomes with ``p >= 1e-14`` and a
+    trial whose FIM vanishes, or that keeps a single outcome, left out of
+    both maxima: an oracle for the stacked
     :func:`~spinmetro.analysis.fim_rank_experiment`."""
     d, n = config.n_params, config.n_outcomes
     lam = config.lam_point()
     rank_bound = min(d, n - 1)
     max_rank = violations = full_rank = 0
     max_resid = max_det_norm = 0.0
-    for trial in range(config.trials):
-        rng = np.random.default_rng((config.seed, d, n, trial))
+    rng = np.random.default_rng((config.seed, d, n))
+    for _ in range(config.trials):
         a = rng.standard_normal(n)
         b = rng.standard_normal((n, d))
         z = a + b @ lam
@@ -83,7 +85,7 @@ def fim_rank_loop(config):
         violations += rank > rank_bound
         full_rank += rank == d
         scale = np.linalg.norm(f)
-        if scale**d > 0:
+        if np.count_nonzero(keep) > 1 and scale**d > 0:
             max_resid = max(max_resid, float(np.linalg.norm(f - f_decomp) / scale))
             max_det_norm = max(max_det_norm, float(abs(np.linalg.det(f)) / scale**d))
     return {

@@ -37,13 +37,19 @@ def run(argv):
     return main(argv)
 
 
-def run_fresh(argv, cwd):
-    """Run the command line in a new interpreter; return the finished process."""
-    env = dict(os.environ)
+def run_python(args, cwd, **env_vars):
+    """Run a new interpreter with ``args`` and ``env_vars`` added to the
+    environment; return the finished process."""
+    env = dict(os.environ, **env_vars)
     src = str(Path(spinmetro.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "spinmetro.cli", *argv], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def run_fresh(argv, cwd, **env_vars):
+    """Run the command line in a new interpreter; return the finished process."""
+    return run_python(["-m", "spinmetro.cli", *argv], cwd, **env_vars)
 
 
 class TestScanCommand:
@@ -413,6 +419,63 @@ class TestFimRankCommand:
 
     def test_bad_trials_usage_error(self, tmp_path):
         assert run(["fim-rank", "--trials", "0", "--out", str(tmp_path / "x.json")]) == 2
+
+
+# Primary outputs are the same bytes under one and two BLAS threads.  Each
+# run is a new interpreter, since OpenBLAS reads its thread count when numpy
+# is imported.  The ops are the benchmark's heaviest of each command: the
+# scan at N = 40, the scaling table up to N = 240.  With one CPU both runs
+# would use one thread and show nothing.
+THREAD_OPS = {
+    "scan": ["scan", "--model", "three", "--dim", "40", "--alpha", "0.4", "--phi", "1.3",
+             "--model-phi", "2.2", "--time", "5", "--grid", "51x51"],
+    "metrics": ["metrics", "--model", "three", "--dim", "12", "--alpha", "0.4", "--phi", "1.3",
+                "--b", "0.8", "--theta", "0.6", "--model-phi", "2.2", "--time", "5"],
+    "scaling": ["scaling", "--model", "three", "--alphas", "0.7853981633974483,0.3",
+                "--dims", ",".join(map(str, range(4, 241, 4))), "--b", "0.8", "--theta", "0.6",
+                "--model-phi", "2.2", "--time", "5"],
+    "fim-rank": ["fim-rank", "--params", "8", "--outcomes", "16", "--trials", "1000",
+                 "--seed", "3"],
+}
+
+DENSE_PROBE_SCAN = """
+import sys
+import numpy as np
+from spinmetro import ScanConfig, run_scan
+rng = np.random.default_rng(7)
+z = rng.standard_normal(10**5) + 1j * rng.standard_normal(10**5)
+for k, phi in enumerate((None, 1.1)):
+    config = ScanConfig(probe=z / np.linalg.norm(z), t=5.0, model_phi=phi,
+                        theta_count=21, b_count=21)
+    run_scan(config).write_csv(f"{sys.argv[1]}.{k}.csv")
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+class TestBlasThreads:
+    @pytest.mark.parametrize("command", sorted(THREAD_OPS))
+    def test_command_output_bytes(self, tmp_path, command):
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.out"
+            done = run_fresh([*THREAD_OPS[command], "--out", str(out)], cwd=tmp_path,
+                             OPENBLAS_NUM_THREADS=threads)
+            assert done.returncode == 0, done.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 18: the moments kernel's BLAS products over long windows "
+        "of a dense probe round differently under two threads"))
+    def test_dense_probe_scan_bytes(self, tmp_path):
+        outputs = []
+        for threads in ("1", "2"):
+            stem = tmp_path / f"threads{threads}"
+            done = run_python(["-c", DENSE_PROBE_SCAN, str(stem)], cwd=tmp_path,
+                              OPENBLAS_NUM_THREADS=threads)
+            assert done.returncode == 0, done.stderr
+            outputs.append([Path(f"{stem}.{k}.csv").read_bytes() for k in range(2)])
+        assert outputs[0] == outputs[1]
 
 
 # A subcommand rejects flags it does not read.  (scaling --dim and --alpha

@@ -329,3 +329,31 @@ def test_the_model_is_the_points():
             if "ModelKind" in defined:
                 model_types.append(path.stem)
     assert kind_params == [] and model_types == []
+
+
+def test_one_random_stream():
+    # The library's one source of randomness is a numpy Generator made by
+    # np.random.default_rng: no other np.random name (a bit generator, a
+    # SeedSequence, the legacy functions) and no write to a generator's
+    # .state, so no hand-made seeding can grow back beside it.
+    random_names, state_writes = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute)
+                    and ast.unparse(node.value) in ("np.random", "numpy.random")):
+                random_names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                # an import of numpy.random, or of a name from it, counts as
+                # that name: the module path itself for an import of it
+                module = getattr(node, "module", None)
+                paths = [f"{module}.{alias.name}" if module else alias.name
+                         for alias in node.names]
+                random_names.update(path.removeprefix("numpy.random.") for path in paths
+                                    if path.startswith("numpy.random"))
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                state_writes += [f"{path.stem}:{node.lineno}" for target in targets
+                                 for sub in ast.walk(target)
+                                 if isinstance(sub, ast.Attribute) and sub.attr == "state"]
+    assert random_names == {"default_rng"}
+    assert state_writes == []
