@@ -26,13 +26,14 @@ import math
 import os
 import re
 import stat
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .encoding import ModelPoint, closed_frame, numeric_frame, require_point, series_frame
 from .errors import InvalidInput, NumericalFailure
-from .linalg import (_TINY, eigh_inverse, require_float, require_floats, require_int,
+from .linalg import (eigh_inverse, require_float, require_floats, require_int,
                      require_positive, spin_moments)
 from .metrology import _report_fields, bounds, classical_fim, frame_qfim_uhlmann
 from .models import MAX_DIM, ProbeSpec, extreme_moments
@@ -591,23 +592,22 @@ def _route_residuals(point, frame) -> dict:
     [0, 2].  Each pair of rows is scaled by its largest entry before the
     norms are taken, so they cannot overflow and a short row is not lost to
     underflow beside a long one.  A row shorter than 2e-12, a spin-1/2
-    spectral norm of 1e-12, is measured against that floor.
+    spectral norm of 1e-12, is measured against that floor.  The rows are
+    3-vectors and at most three, so the arithmetic is in Python floats.
     """
-    # rows[:, k] holds, for route k, the closed rows, the route's and their
-    # difference, each pair scaled
-    rows = np.empty((3, 2) + frame.shape)
-    closed, routes, diff = rows
-    routes[0], routes[1] = series_frame(point), numeric_frame(point)[0]
-    top = np.maximum(np.maximum.reduce(np.abs(routes), axis=-1),
-                     np.maximum.reduce(np.abs(frame), axis=-1))
-    top = np.maximum(top, _TINY)[..., None]
-    np.divide(frame, top, out=closed)
-    routes /= top
-    np.subtract(routes, closed, out=diff)
-    norms = np.sqrt(np.add.reduce(rows * rows, axis=-1))
-    rel = norms[2] / np.maximum(np.maximum(norms[0], norms[1]), 2e-12 / top[..., 0])
-    series, numeric = np.maximum.reduce(rel, axis=-1).tolist()
-    return {"series_vs_closed": series, "numeric_vs_closed": numeric}
+    closed = frame.tolist()
+    worst = []
+    for route in (series_frame(point), numeric_frame(point)[0]):
+        rel = 0.0
+        for (a1, a2, a3), (b1, b2, b3) in zip(route.tolist(), closed):
+            top = max(abs(a1), abs(a2), abs(a3), abs(b1), abs(b2), abs(b3), sys.float_info.min)
+            a1, a2, a3, b1, b2, b3 = a1 / top, a2 / top, a3 / top, b1 / top, b2 / top, b3 / top
+            c1, c2, c3 = a1 - b1, a2 - b2, a3 - b3
+            floor = max(math.sqrt(a1 * a1 + a2 * a2 + a3 * a3),
+                        math.sqrt(b1 * b1 + b2 * b2 + b3 * b3), 2e-12 / top)
+            rel = max(rel, math.sqrt(c1 * c1 + c2 * c2 + c3 * c3) / floor)
+        worst.append(rel)
+    return {"series_vs_closed": worst[0], "numeric_vs_closed": worst[1]}
 
 
 def metrics_report(spec: ProbeSpec, point: ModelPoint, rel_tol=1e-10) -> dict:
@@ -628,13 +628,8 @@ def metrics_report(spec: ProbeSpec, point: ModelPoint, rel_tol=1e-10) -> dict:
     return {
         "model": "two" if point.phi is None else "three",
         "dim": spec.dim,
-        "probe": {"alpha": float(spec.alpha), "phi": float(spec.phi)},
-        "point": {
-            "B": float(point.b),
-            "theta": float(point.theta),
-            "phi": None if point.phi is None else float(point.phi),
-            "t": float(point.t),
-        },
+        "probe": {"alpha": spec.alpha, "phi": spec.phi},
+        "point": {"B": point.b, "theta": point.theta, "phi": point.phi, "t": point.t},
         "labels": list(point.labels),
         **_report_fields(q, d, rel_tol),
         "generator_route_residuals": _route_residuals(point, frame),

@@ -31,6 +31,11 @@ also have vector forms that return their rows ``a_l`` and build no matrix:
 exact unit quaternion.  Like the dense routes they use only the field
 direction, ``d_l H`` and ``U``, never the closed frame, so they stay
 independent oracles for it; the report's route residuals come from them.
+They take one point and do their arithmetic in Python floats, since on
+3-vectors and d <= 3 rows a numpy call costs more than the arithmetic it
+does; only their returned arrays are numpy.  Python floats ignore
+``np.errstate``, so both raise :class:`NumericalFailure` themselves where
+a product or a shifted point overflows.
 
 Parameter ordering is fixed as ``(B, theta, phi)`` everywhere, and all
 matrices built downstream (QFIM, Uhlmann) use this ordering.
@@ -43,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, StepInstability
+from .errors import InvalidInput, NumericalFailure, StepInstability
 from .linalg import (SpinRep, expm_i, j_direction, require_broadcast, require_float,
                      require_floats, require_hermitian, require_positive)
 
@@ -70,7 +75,8 @@ class ModelPoint:
     two-parameter family, with one a point of the three-parameter family.
     Every value must be a finite number (the rule of
     :func:`~spinmetro.linalg.require_float`) and the evolution time ``t``
-    positive (:func:`~spinmetro.linalg.require_positive`).
+    positive (:func:`~spinmetro.linalg.require_positive`); each is stored
+    as the Python float those rules return.
     """
 
     b: float
@@ -80,8 +86,9 @@ class ModelPoint:
 
     def __post_init__(self):
         for name in ("b", "theta") + (() if self.phi is None else ("phi",)):
-            require_float(getattr(self, name), f"model point {name}")
-        require_positive(self.t, "model point t", "evolution time")
+            value = require_float(getattr(self, name), f"model point {name}")
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "t", require_positive(self.t, "model point t", "evolution time"))
 
     @property
     def n_params(self) -> int:
@@ -276,14 +283,30 @@ def numeric_generators(rep: SpinRep, point: ModelPoint, step: float = 1e-5) -> G
     )
 
 
-def _raise_if_unstable(labels: tuple[str, ...], resids: np.ndarray) -> None:
-    unstable = resids > 1e-4
-    if unstable.any():
-        l = int(unstable.argmax())
-        raise StepInstability(
-            f"finite-difference generator for {labels[l]} is not Hermitian "
-            f"(residual {resids[l]:.3e}); adjust the step"
-        )
+def _raise_if_unstable(labels: tuple[str, ...], resids) -> None:
+    for label, resid in zip(labels, resids):
+        if resid > 1e-4:
+            raise StepInstability(
+                f"finite-difference generator for {label} is not Hermitian "
+                f"(residual {resid:.3e}); adjust the step"
+            )
+
+
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _quaternion(half: float, theta: float, phi: float) -> tuple[float, float, float, float]:
+    # The spin-1/2 U = w - 1j x . sigma at phase half = B t / 2, as (w, x).
+    # math raises ValueError on an infinite argument, which here can only
+    # come from a phase or a shifted point that overflowed.
+    try:
+        sh = math.sin(half)
+        sh_ct = sh * math.cos(theta)
+        return math.cos(half), sh_ct * math.cos(phi), sh_ct * math.sin(phi), sh * math.sin(theta)
+    except ValueError:
+        raise NumericalFailure(
+            f"finite-difference point overflows: phase {half!r}, angles {theta!r}, {phi!r}"
+        ) from None
 
 
 def numeric_frame(point: ModelPoint, step: float = 1e-5):
@@ -291,8 +314,9 @@ def numeric_frame(point: ModelPoint, step: float = 1e-5):
 
     In spin-1/2, ``U = w - 1j x . sigma`` is the unit quaternion
     ``w = cos(Bt/2)``, ``x = sin(Bt/2) n`` with no eigensolver.  Its central
-    differences at the ``2d + 1`` points ``lambda`` and ``lambda +- h_l``
-    give ``d_l U^dag = dw + 1j dx . sigma``, and the quaternion product
+    differences at the ``2d + 1`` points ``lambda`` and ``lambda +- h_l``,
+    with ``h_l = step * max(1, |lambda_l|)``, give
+    ``d_l U^dag = dw + 1j dx . sigma``, and the quaternion product
     ``1j (d_l U^dag) U = 1j s - c . sigma`` has ``s = w dw + x . dx`` and
     ``c = w dx - dw x + dx x x``.  Its Hermitian part is the generator,
     ``a_l = -2 c`` since ``J = sigma / 2``.  The scalar part ``s`` vanishes
@@ -302,50 +326,59 @@ def numeric_frame(point: ModelPoint, step: float = 1e-5):
     :class:`StepInstability`, naming the first parameter that exceeds it.
     ``step`` is held to :func:`~spinmetro.linalg.require_positive`.
 
+    The route works in Python floats, one parameter at a time.  A step, a
+    shifted point, a phase or a norm that overflows raises
+    :class:`NumericalFailure`.
+
     Returns ``(frame, residuals)``: the ``(d, 3)`` rows ``a_l`` and the
     ``(d,)`` residuals.
     """
-    steps, (b, theta, *phi) = _fd_points(point, step)
-    d = steps.size
-    half = np.multiply(b, point.t / 2)
-    sh, phi = np.sin(half), phi[0] if phi else 0.0
-    sh_ct = sh * np.cos(theta)
-    # One column (w, x) per point.
-    q = np.empty((4, 2 * d + 1))
-    np.cos(half, out=q[0])
-    np.multiply(sh_ct, np.cos(phi), out=q[1])
-    np.multiply(sh_ct, np.sin(phi), out=q[2])
-    np.multiply(sh, np.sin(theta), out=q[3])
-    dq = (q[:, 1 : d + 1] - q[:, d + 1 :]) / (2 * steps)
-    # (s, c) = K (dw, dx), the quaternion product with U as a matrix.
-    sc = _QUATERNION_SIGNS * q[_QUATERNION_INDEX, 0] @ dq
-    resids = np.abs(sc[0]) / np.maximum(np.sqrt(np.add.reduce(sc * sc)), math.sqrt(0.5))
+    point = require_point(point)
+    step = require_positive(step, "finite-difference step")
+    half_t = point.t / 2
+    base = [point.b, point.theta, 0.0 if point.phi is None else point.phi]
+    w, x1, x2, x3 = _quaternion(base[0] * half_t, base[1], base[2])
+    rows, resids = [], []
+    for l, label in enumerate(point.labels):
+        h = step * max(1.0, abs(base[l]))
+        plus, minus = base.copy(), base.copy()
+        plus[l] += h
+        minus[l] -= h
+        pw, p1, p2, p3 = _quaternion(plus[0] * half_t, plus[1], plus[2])
+        mw, m1, m2, m3 = _quaternion(minus[0] * half_t, minus[1], minus[2])
+        two_h = 2 * h
+        dw, d1, d2, d3 = (pw - mw) / two_h, (p1 - m1) / two_h, (p2 - m2) / two_h, (p3 - m3) / two_h
+        # (s, c) is the quaternion product of (dw, dx) with U = (w, x)
+        s = w * dw + x1 * d1 + x2 * d2 + x3 * d3
+        c1 = -x1 * dw + w * d1 + x3 * d2 - x2 * d3
+        c2 = -x2 * dw - x3 * d1 + w * d2 + x1 * d3
+        c3 = -x3 * dw + x2 * d1 - x1 * d2 + w * d3
+        norm = math.sqrt(s * s + c1 * c1 + c2 * c2 + c3 * c3)
+        if not (math.isfinite(norm) and math.isfinite(two_h)):
+            raise NumericalFailure(
+                f"finite-difference generator for {label} overflows (step {step!r})")
+        rows.append((-2 * c1, -2 * c2, -2 * c3))
+        resids.append(abs(s) / max(norm, _SQRT_HALF))
     _raise_if_unstable(point.labels, resids)
-    return -2 * sc[1:].T, resids
-
-
-# K of numeric_frame, the matrix of the quaternion product with U = (w, x):
-# rows (w, x1, x2, x3), (-x1, w, x3, -x2), (-x2, -x3, w, x1), (-x3, x2, -x1, w).
-_QUATERNION_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
-_QUATERNION_SIGNS = np.array([[1, 1, 1, 1], [-1, 1, 1, -1], [-1, -1, 1, 1], [-1, 1, -1, 1.0]])
+    return np.array(rows), np.array(resids)
 
 
 def _derivative_directions(point: ModelPoint):
-    # d_l H = c_l (m_l . J): the (d, 3) unit directions m_l and (d,) prefactors
-    # c_l.  Rows n_theta, d_theta n and d_phi n / cos(theta), the first d kept.
-    # The products are of Python floats, which round as numpy's do.
+    # d_l H = c_l (m_l . J): the d unit directions m_l, three floats each,
+    # and the d prefactors c_l.  Rows n_theta, d_theta n and
+    # d_phi n / cos(theta), the first d kept.
     d = point.n_params
     b, theta = point.b, point.theta
     phi = 0.0 if point.phi is None else point.phi
-    ct, st, cp, sp = map(float, (np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)))
-    dirs = np.array([[ct * cp, ct * sp, st], [-st * cp, -st * sp, ct], [-sp, cp, 0.0]][:d])
-    return dirs, np.array([1.0, b, b * ct][:d])
+    ct, st, cp, sp = math.cos(theta), math.sin(theta), math.cos(phi), math.sin(phi)
+    dirs = [(ct * cp, ct * sp, st), (-st * cp, -st * sp, ct), (-sp, cp, 0.0)][:d]
+    return dirs, [1.0, b, b * ct][:d]
 
 
 def _hamiltonian_derivatives(rep: SpinRep, point: ModelPoint) -> np.ndarray:
     # Stack (d, N, N) of d_l H = c_l (m_l . J).
     dirs, prefactors = _derivative_directions(point)
-    return prefactors[:, None, None] * j_direction(rep, dirs)
+    return np.array(prefactors)[:, None, None] * j_direction(rep, np.array(dirs))
 
 
 def series_generators(rep: SpinRep, point: ModelPoint) -> GeneratorSet:
@@ -368,12 +401,9 @@ def series_generators(rep: SpinRep, point: ModelPoint) -> GeneratorSet:
     return GeneratorSet(labels=point.labels, matrices=(g + g.conj().transpose(0, 2, 1)) / 2)
 
 
-_EYE3 = np.eye(3)
-
-
-def _sinc(x):
+def _sinc(x: float) -> float:
     # sin(x) / x, exactly 1 at x = 0.
-    return np.sin(x) / x if x else 1.0
+    return math.sin(x) / x if x else 1.0
 
 
 def series_frame(point: ModelPoint) -> np.ndarray:
@@ -386,12 +416,25 @@ def series_frame(point: ModelPoint) -> np.ndarray:
     with ``v_par = (v_l . n) n`` and ``v_perp = v_l - v_par``.  The two
     coefficients are taken as ``t sinc(tB)`` and ``t sin(tB/2) sinc(tB/2)``,
     so ``B = 0`` is exact.  The route uses only ``n`` and ``d_l H``.
+
+    The kernel acts in Python floats on each unit direction ``m_l`` of
+    ``d_l H = c_l m_l . J``, and ``-t c_l`` scales the result.  A ``tB``
+    that overflows raises :class:`NumericalFailure`.  Returns the ``(d, 3)``
+    rows.
     """
     dirs, prefactors = _derivative_directions(require_point(point))
-    n = dirs[0]
-    n1, n2, n3 = n.tolist()
-    x = np.multiply(point.b, point.t)
-    along = n[:, None] * n
-    n_cross = np.array([[0.0, -n3, n2], [n3, 0.0, -n1], [-n2, n1, 0.0]])
-    kernel = along + _sinc(x) * (_EYE3 - along) - np.sin(x / 2) * _sinc(x / 2) * n_cross
-    return -point.t * (prefactors[:, None] * dirs) @ kernel.T
+    x = point.b * point.t
+    if not math.isfinite(x):
+        raise NumericalFailure(f"series route: B t overflows at {point!r}")
+    s, c = _sinc(x), math.sin(x / 2) * _sinc(x / 2)
+    n1, n2, n3 = dirs[0]
+    rows = []
+    for (m1, m2, m3), prefactor in zip(dirs, prefactors):
+        along = n1 * m1 + n2 * m2 + n3 * m3
+        # K m = (m . n) n + s (m - (m . n) n) - c n x m
+        k1 = along * n1 + s * (m1 - along * n1) - c * (n2 * m3 - n3 * m2)
+        k2 = along * n2 + s * (m2 - along * n2) - c * (n3 * m1 - n1 * m3)
+        k3 = along * n3 + s * (m3 - along * n3) - c * (n1 * m2 - n2 * m1)
+        scale = -point.t * prefactor
+        rows.append((scale * k1, scale * k2, scale * k3))
+    return np.array(rows)

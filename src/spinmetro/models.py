@@ -51,7 +51,8 @@ class ProbeSpec:
 
     ``dim`` is an integer from 2 to :data:`MAX_DIM` (the rule of
     :func:`~spinmetro.linalg.require_int`), stored as a Python int; the
-    angles are finite numbers (the rule of :func:`~spinmetro.linalg.require_float`).
+    angles are finite numbers (the rule of :func:`~spinmetro.linalg.require_float`),
+    stored as Python floats.
     """
 
     dim: int
@@ -66,7 +67,7 @@ class ProbeSpec:
             raise InvalidInput(f"probe dimension must be at most {MAX_DIM}, got {dim}")
         object.__setattr__(self, "dim", dim)
         for name in ("alpha", "phi"):
-            require_float(getattr(self, name), f"probe {name}")
+            object.__setattr__(self, name, require_float(getattr(self, name), f"probe {name}"))
 
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         """The basis positions ``(0, N - 1)`` of the probe and its two

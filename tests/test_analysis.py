@@ -275,6 +275,18 @@ LIBRARY_ERROR_CALLS = {
                                                                           step="x"),
     "write_json-numpy-scalar": lambda: analysis.write_json(os.devnull, {"a": np.int64(1)}),
     "write_json-mixed-keys": lambda: analysis.write_json(os.devnull, {1: 2, "a": 3}),
+    # Python floats overflow to inf silently, so the oracle routes raise
+    # NumericalFailure themselves: at B t, at a point lambda + h_l, at 2 h_l
+    # and at the norm of a difference quotient.
+    "series_frame-overflow": lambda: encoding.series_frame(ModelPoint(b=5e307, theta=0.8, t=5.0)),
+    "numeric_frame-point-overflow":
+        lambda: encoding.numeric_frame(ModelPoint(b=1.79769e308, theta=0.8, t=1.0)),
+    "numeric_frame-step-overflow":
+        lambda: encoding.numeric_frame(ModelPoint(b=0.6, theta=0.8, t=1e-10), step=1e308),
+    "numeric_frame-norm-overflow":
+        lambda: encoding.numeric_frame(ModelPoint(b=0.0, theta=0.8, t=1e300), step=1e-200),
+    "metrics_report-route-overflow":
+        lambda: metrics_report(SPEC, ModelPoint(b=5e307, theta=0.8, t=5.0)),
     **{f"{name}-no-point": functools.partial(fn, None)
        for name, fn in [("direction_vectors_2p", encoding.direction_vectors_2p),
                         ("direction_vectors_3p", encoding.direction_vectors_3p),
@@ -845,6 +857,16 @@ class TestMetricsReport:
             assert moved["numeric_vs_closed"] == pytest.approx(1e-6 / (1 + 1e-6), rel=1e-3)
 
     @pytest.mark.parametrize("model", MODELS)
+    def test_short_rows_are_measured_against_the_floor(self, model):
+        # At a full field period, B t = 2 pi, the angle rows of every route
+        # are rounding, about 1e-16 long.  Against the 2e-12 floor their
+        # differences read below 1e-3; against their own lengths, about 1.
+        point = ModelPoint(b=2 * np.pi / 5, theta=0.7, t=5.0, phi=None if model == "two" else 1.1)
+        frame = encoding.closed_frame(point.b, point.theta, point.t, point.phi)
+        assert np.abs(frame[1:]).max() < 1e-15
+        assert max(_route_residuals(point, frame).values()) < 1e-3
+
+    @pytest.mark.parametrize("model", MODELS)
     def test_report_builds_no_dense_route(self, monkeypatch, model):
         # One eigh, of Q in bounds, and one eigvalsh, of the real tridiagonal
         # forms of both spectra of bounds at once.  The oracle routes are
@@ -875,6 +897,31 @@ class TestMetricsReport:
         metrics_report(ProbeSpec(dim=5, alpha=0.3, phi=0.2), points_for(model)[0])
         assert calls == {"eigh": 1, "eigvalsh": 1, "closed_frame": 1}
         assert dtypes == [np.dtype(float)]
+
+    # ModelPoint and ProbeSpec store each real field as the Python float of
+    # require_float.  So a float32, int or np.float64 field gives the bytes
+    # of the report of float(value): no float32 trig reaches the probe's
+    # amplitudes or the oracle routes.
+    @pytest.mark.parametrize("cast", [np.float32, int, np.float64], ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("field", ["b", "theta", "t", "phi", "alpha", "probe_phi"])
+    def test_typed_fields_give_the_float_report(self, tmp_path, field, cast):
+        values = {"b": 0.6, "theta": 0.8, "t": 5.0, "phi": 1.1, "alpha": 0.3, "probe_phi": 0.2}
+
+        def report(values, path):
+            spec = ProbeSpec(4, values["alpha"], values["probe_phi"])
+            point = ModelPoint(b=values["b"], theta=values["theta"], t=values["t"],
+                               phi=values["phi"])
+            assert {type(v) for v in (spec.alpha, spec.phi, point.b, point.theta, point.t,
+                                      point.phi)} == {float}
+            doc = metrics_report(spec, point)
+            analysis.write_json(path, doc)
+            return path.read_bytes(), doc["generator_route_residuals"]
+
+        typed = cast(values[field])
+        typed_bytes, resid = report({**values, field: typed}, tmp_path / "typed.json")
+        plain_bytes, _ = report({**values, field: float(typed)}, tmp_path / "plain.json")
+        assert typed_bytes == plain_bytes
+        assert resid["series_vs_closed"] <= 1e-14
 
     def test_deterministic_serialization(self):
         args = (ProbeSpec(dim=3, alpha=0.4, phi=0.2), ModelPoint(b=0.8, theta=1.1, t=5.0))

@@ -354,6 +354,27 @@ def test_out_of_range_input_leaves_no_output(tmp_path, capsys, argv, code):
     assert not out.exists()
 
 
+# Inputs where only an oracle route overflows: the closed frame's B t / 2 is
+# finite, but the series route's B t (|B| = 5e307 at t = 5) or a point
+# lambda + h_l of the finite-difference route (a value past 1.797675e308)
+# is not.  The route raises NumericalFailure: exit 1, with no traceback and
+# no output.  At t = 1 and |B| = 1.7976e308 every route is finite: exit 0.
+@pytest.mark.parametrize("argv, code", [
+    *((["metrics", "--model", model, f"--b={b}"], 1)
+      for model in ("two", "three") for b in ("5e307", "-5e307")),
+    *((["metrics", "--model", model, "--time=1", f"--b={b}"], 0)
+      for model in ("two", "three") for b in ("1.7976e308", "-1.7976e308")),
+    (["metrics", "--model", "two", "--time=1", "--b=1.79769e308"], 1),
+    (["metrics", "--model", "three", "--theta=1.79769e308"], 1),
+    (["metrics", "--model", "three", "--model-phi=-1.79769e308"], 1),
+], ids=lambda row: " ".join(row) if isinstance(row, list) else str(row))
+def test_oracle_route_overflow_exit_code(tmp_path, capsys, argv, code):
+    out = tmp_path / "x.json"
+    assert run([*argv, "--out", str(out)]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    assert out.exists() == (code == 0)
+
+
 # Any numpy linear-algebra or floating-point error that escapes the library's
 # own checks is a numerical failure too.
 @pytest.mark.parametrize("error", [np.linalg.LinAlgError("SVD did not converge"),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinmetro import (
     GeneratorSet,
@@ -342,34 +344,60 @@ def spin_half_matrices(frame):
     return np.tensordot(frame, np.stack([spin.jx, spin.jy, spin.jz]), axes=1)
 
 
+# Drawn fields for the vector routes: B = 0, +-1e-12, every decade of |B|
+# from 1e-10 to 1e10 times a mantissa in [1, 10), or any B in [-10, 10];
+# theta anywhere in a turn or within 1e-9 of pi/2, where the phi generator
+# vanishes; phi anywhere in a turn.
+FIELDS = st.one_of(
+    st.sampled_from([0.0, 1e-12, -1e-12]),
+    st.builds(lambda sign, k, mantissa: sign * mantissa * 10.0**k, st.sampled_from([1.0, -1.0]),
+              st.integers(-10, 10), st.floats(1.0, 10.0, exclude_max=True)),
+    st.floats(-10.0, 10.0),
+)
+ANGLES = st.floats(0.0, 2 * np.pi)
+THETAS = st.one_of(ANGLES, st.floats(-1e-9, 1e-9).map(lambda offset: np.pi / 2 + offset))
+
+
+def drawn_point(model, b, theta, phi, t=5.0):
+    return ModelPoint(b=b, theta=theta, t=t, phi=None if model == "two" else phi)
+
+
 class TestVectorRoutes:
     """The report's matrix-free routes against the dense spin-1/2 routes."""
 
     @pytest.mark.parametrize("model", MODELS)
-    def test_series_frame_matches_dense_series(self, model):
+    @settings(max_examples=200, deadline=None)
+    @given(b=FIELDS, theta=THETAS, phi=ANGLES)
+    def test_series_frame_matches_dense_series(self, model, b, theta, phi):
         # Both sum the same kernel.  An entry of G_l is O(t |d_l H|) with
         # |d_l H| <= max(1, |B|), and each route rounds it at a few eps: the
         # dense one through the eigh of H and three 2x2 products.
         eps = np.finfo(float).eps
-        for point in points_for(model):
-            dense = series_generators(rep(2), point).matrices
-            vector = spin_half_matrices(series_frame(point))
-            assert np.abs(vector - dense).max() <= 8 * eps * point.t * max(1.0, abs(point.b))
+        point = drawn_point(model, b, theta, phi)
+        dense = series_generators(rep(2), point).matrices
+        vector = spin_half_matrices(series_frame(point))
+        assert np.abs(vector - dense).max() <= 8 * eps * point.t * max(1.0, abs(point.b))
 
     @pytest.mark.parametrize("model", MODELS)
-    def test_numeric_frame_matches_dense_numeric(self, model):
+    @settings(max_examples=200, deadline=None)
+    @given(b=FIELDS, theta=THETAS, phi=ANGLES)
+    def test_numeric_frame_matches_dense_numeric(self, model, b, theta, phi):
         # Both difference the same U at the same points.  The dense U from
         # expm_i carries a few eps of eigensolver rounding and the quaternion
         # U an eps or so, and the difference quotient divides that by 2 h_l.
-        # The Hermitization residuals are that rounding too.
+        # The Hermitization residuals are that rounding too.  A few eps holds
+        # while the phase B t is O(1): expm_i rounds its phase t E to about
+        # eps |B t|, which the bound leaves out.  So a field past 0.4 runs at
+        # t = 2 / |B|, where every decade of B still tests the step rule
+        # h_l = step * max(1, |lambda_l|) at a phase |B t| <= 2.
         eps = np.finfo(float).eps
-        for point in points_for(model):
-            dense = numeric_generators(rep(2), point)
-            frame, resids = numeric_frame(point)
-            bound = 8 * eps / (1e-5 * np.maximum(1.0, np.abs(point.values())))
-            err = np.abs(spin_half_matrices(frame) - dense.matrices).max(axis=(-2, -1))
-            assert (err <= bound).all()
-            assert (np.abs(resids - dense.herm_residuals) <= bound).all()
+        point = drawn_point(model, b, theta, phi, t=5.0 if abs(b) <= 0.4 else 2 / abs(b))
+        dense = numeric_generators(rep(2), point)
+        frame, resids = numeric_frame(point)
+        bound = 8 * eps / (1e-5 * np.maximum(1.0, np.abs(point.values())))
+        err = np.abs(spin_half_matrices(frame) - dense.matrices).max(axis=(-2, -1))
+        assert (err <= bound).all()
+        assert (np.abs(resids - dense.herm_residuals) <= bound).all()
 
     @pytest.mark.parametrize("model", MODELS)
     def test_unstable_step_names_the_same_parameter(self, model):

@@ -357,3 +357,30 @@ def test_one_random_stream():
                                  if isinstance(sub, ast.Attribute) and sub.attr == "state"]
     assert random_names == {"default_rng"}
     assert state_writes == []
+
+
+def test_scalar_oracle_routes():
+    # The oracle routes take one point, and on 3-vectors and d <= 3 rows a
+    # numpy call costs more than the arithmetic it does.  So series_frame,
+    # numeric_frame and _route_residuals call no numpy function but the
+    # np.array that builds an array they return, and numpy dispatch cannot
+    # creep back into them unnoticed.
+    routes = {"encoding.py": {"series_frame", "numeric_frame"}, "analysis.py": {"_route_residuals"}}
+    found, calls = set(), []
+    for file, names in routes.items():
+        tree = ast.parse((SRC / file).read_text(), filename=file)
+        for fn in tree.body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name in names):
+                continue
+            found.add(fn.name)
+            returned = {id(node) for ret in ast.walk(fn) if isinstance(ret, ast.Return)
+                        for node in ast.walk(ret)}
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = ast.unparse(node.func)
+                if func.split(".")[0] in ("np", "numpy") and not (
+                        func == "np.array" and id(node) in returned):
+                    calls.append(f"{fn.name}: {ast.unparse(node)}")
+    assert found == set().union(*routes.values())
+    assert calls == []
