@@ -245,12 +245,20 @@ def closed_generators(rep: SpinRep, point: ModelPoint) -> GeneratorSet:
     return GeneratorSet(labels=point.labels, matrices=np.tensordot(frame, jvec, axes=1))
 
 
-def _fd_points(point: ModelPoint, step: float):
+def _fd_steps(point: ModelPoint, step: float) -> list[float]:
     # The steps h_l = step * max(1, |lambda_l|), which balance truncation
-    # against roundoff at step ~ 1e-5, and the columns (b, theta[, phi]) of
-    # the points lambda, then lambda + h_l for each l, then lambda - h_l.
-    values = require_point(point).values()
-    steps = require_positive(step, "finite-difference step") * np.maximum(1.0, np.abs(values))
+    # against roundoff at step ~ 1e-5, as Python floats in the order of
+    # point.labels.
+    point = require_point(point)
+    step = require_positive(step, "finite-difference step")
+    values = (point.b, point.theta, point.phi)[: point.n_params]
+    return [step * max(1.0, abs(value)) for value in values]
+
+
+def _fd_points(point: ModelPoint, step: float):
+    # The steps h_l of _fd_steps and the columns (b, theta[, phi]) of the
+    # points lambda, then lambda + h_l for each l, then lambda - h_l.
+    steps, values = np.array(_fd_steps(point, step)), point.values()
     shift = np.zeros((steps.size, steps.size))
     shift.flat[:: steps.size + 1] = steps
     return steps, np.concatenate([values[None], values + shift, values - shift]).T
@@ -333,14 +341,12 @@ def numeric_frame(point: ModelPoint, step: float = 1e-5):
     Returns ``(frame, residuals)``: the ``(d, 3)`` rows ``a_l`` and the
     ``(d,)`` residuals.
     """
-    point = require_point(point)
-    step = require_positive(step, "finite-difference step")
+    steps = _fd_steps(point, step)
     half_t = point.t / 2
     base = [point.b, point.theta, 0.0 if point.phi is None else point.phi]
     w, x1, x2, x3 = _quaternion(base[0] * half_t, base[1], base[2])
     rows, resids = [], []
-    for l, label in enumerate(point.labels):
-        h = step * max(1.0, abs(base[l]))
+    for l, (label, h) in enumerate(zip(point.labels, steps)):
         plus, minus = base.copy(), base.copy()
         plus[l] += h
         minus[l] -= h

@@ -378,26 +378,39 @@ class TestVectorRoutes:
         vector = spin_half_matrices(series_frame(point))
         assert np.abs(vector - dense).max() <= 8 * eps * point.t * max(1.0, abs(point.b))
 
-    @pytest.mark.parametrize("model", MODELS)
-    @settings(max_examples=200, deadline=None)
-    @given(b=FIELDS, theta=THETAS, phi=ANGLES)
-    def test_numeric_frame_matches_dense_numeric(self, model, b, theta, phi):
+    @staticmethod
+    def assert_numeric_routes_agree(point):
         # Both difference the same U at the same points.  The dense U from
         # expm_i carries a few eps of eigensolver rounding and the quaternion
         # U an eps or so, and the difference quotient divides that by 2 h_l.
-        # The Hermitization residuals are that rounding too.  A few eps holds
-        # while the phase B t is O(1): expm_i rounds its phase t E to about
-        # eps |B t|, which the bound leaves out.  So a field past 0.4 runs at
-        # t = 2 / |B|, where every decade of B still tests the step rule
-        # h_l = step * max(1, |lambda_l|) at a phase |B t| <= 2.
+        # The Hermitization residuals are that rounding too.
         eps = np.finfo(float).eps
-        point = drawn_point(model, b, theta, phi, t=5.0 if abs(b) <= 0.4 else 2 / abs(b))
         dense = numeric_generators(rep(2), point)
         frame, resids = numeric_frame(point)
         bound = 8 * eps / (1e-5 * np.maximum(1.0, np.abs(point.values())))
         err = np.abs(spin_half_matrices(frame) - dense.matrices).max(axis=(-2, -1))
         assert (err <= bound).all()
         assert (np.abs(resids - dense.herm_residuals) <= bound).all()
+
+    @pytest.mark.parametrize("model", MODELS)
+    @settings(max_examples=200, deadline=None)
+    @given(b=FIELDS, theta=THETAS, phi=ANGLES)
+    def test_numeric_frame_matches_dense_numeric(self, model, b, theta, phi):
+        # A few eps holds while the phase B t is O(1): expm_i rounds its
+        # phase t E to about eps |B t|, which the bound leaves out, so at
+        # some phases between 2 and 2 pi the theta and phi rows differ by up
+        # to 1.4 times the bound.  So a field past 0.4 runs at t = 2 / |B|,
+        # where every decade of B still tests the step rule
+        # h_l = step * max(1, |lambda_l|) at a phase |B t| <= 2.
+        t = 5.0 if abs(b) <= 0.4 else 2 / abs(b)
+        self.assert_numeric_routes_agree(drawn_point(model, b, theta, phi, t=t))
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_numeric_frame_matches_dense_numeric_at_fixed_points(self, model):
+        # The fixed points run at t = 5, phases B t of 2.25, 4.5 and 5.5:
+        # past the drawn phases, and past pi, where w = cos(Bt/2) < 0.
+        for point in points_for(model):
+            self.assert_numeric_routes_agree(point)
 
     @pytest.mark.parametrize("model", MODELS)
     def test_unstable_step_names_the_same_parameter(self, model):
