@@ -5,11 +5,15 @@ tables and reports take (Q, D) from the probe's spin moments through the
 N-independent frame kernel, with no N x N matrix; the dense generator route
 matches it to rounding (the tests pin this).  The rank experiment draws its
 trials in order from one generator seeded by its configuration, so a run's
-draws are a prefix of any longer run's.  Both CSV outputs are grids,
-written by one grid writer that lays out the whole body once, axis values
-as text, and then formats every other value with one ``%``: '.' decimals,
-',' delimiters, a header row and 17 significant digits, so repeated runs
-are bytewise identical.
+draws are a prefix of any longer run's.  A scaling table fits every
+alpha's log-log slope in one centered least-squares pass, each row summed
+on its own, so a slope does not depend on the other alphas.  Both CSV
+outputs are grids, written by one grid writer that lays out the whole body
+once, as text the axis values and the values of a column that holds one
+value per outer axis value (a scaling table's slope, one per alpha), and
+then formats every other value with one ``%``: '.' decimals, ','
+delimiters, a header row and 17 significant digits, so repeated runs are
+bytewise identical.
 A missing value marks a singular QFIM and nothing else.  Every result
 object holds it as NaN (:func:`~spinmetro.metrology.bounds`,
 :class:`ScanResult`, :class:`ScalingResult`); only the JSON report dicts
@@ -79,30 +83,43 @@ def _write_text(path, text: str) -> None:
         os.close(fd)
 
 
-def _write_csv(path, header, outer, inner, columns) -> None:
+def _write_csv(path, header, outer, inner, columns, outer_columns=()) -> None:
     """Write a grid: one row per (outer, inner) pair of axis values, outer-major.
 
-    A row holds its outer and inner axis values and then one value from
-    each of ``columns``, each of which holds ``len(outer) * len(inner)``
-    values in row order.
+    A row holds its outer and inner axis values, then one value from each
+    of ``columns``, each of which holds ``len(outer) * len(inner)`` values
+    in row order, and last one value from each of ``outer_columns``, each
+    of which holds one value per outer axis value, the same on every row of
+    its block.
     Floats get 17 significant digits and NaN an empty field; a boolean
     column is written as 1/0.  The layout of the whole body is built once,
-    each axis value formatted into it as text, so that one ``%`` format
-    then writes every column value.  ``%.17g`` writes a NaN as ``nan`` and
-    no other value with those letters, so one replace on the body empties
-    the NaN fields, axis fields included.
+    each axis value and each ``outer_columns`` value formatted into it as
+    text, so that one ``%`` format then writes every value of ``columns``.
+    ``%.17g`` writes a NaN as ``nan`` and no other value with those letters,
+    so one replace on the body empties the NaN fields, axis fields included.
     """
 
     def field(values: np.ndarray) -> str:
         return "%d" if values.dtype == bool else "%.17g"
 
-    outer, inner = np.asarray(outer), np.asarray(inner)
+    def texts(values) -> list[str]:
+        values = np.asarray(values)
+        return list(map(field(values).__mod__, values.tolist()))
+
     columns = [np.asarray(column).ravel() for column in columns]
-    tail = "," + ",".join(map(field, columns)) + "\n"
-    rows = [text + tail for text in map(field(inner).__mod__, inner.tolist())]
-    # each block of rows is "x,row" for every row of the inner axis, outer text x
-    prefixes = (text + "," for text in map(field(outer).__mod__, outer.tolist()))
-    layout = "".join(prefix + prefix.join(rows) for prefix in prefixes)
+    cells = "".join("," + field(column) for column in columns)
+    rows = [text + cells for text in texts(inner)]
+
+    def block(x: str, *ends: str) -> tuple[str, str, str]:
+        # the parts of "x," + row + tail for every row of the inner axis: x
+        # is the text of an outer value, tail that of its outer_columns
+        # values and "\n"; the rows are joined once, here, and the parts of
+        # every block once, into the layout
+        tail = "".join("," + text for text in ends) + "\n"
+        return x + ",", (tail + x + ",").join(rows), tail
+
+    blocks = itertools.starmap(block, zip(texts(outer), *map(texts, outer_columns)))
+    layout = "".join(itertools.chain.from_iterable(blocks))
     values = tuple(itertools.chain.from_iterable(zip(*(column.tolist() for column in columns))))
     body = layout % values
     # from here the body and one copy of it at a time set the peak
@@ -347,8 +364,7 @@ class ScalingResult:
     HEADER = ("alpha", "N", "Gamma", "slope")
 
     def write_csv(self, path) -> None:
-        _write_csv(path, self.HEADER, self.alphas, self.dims,
-                   (self.gamma, np.repeat(self.slope, len(self.dims))))
+        _write_csv(path, self.HEADER, self.alphas, self.dims, (self.gamma,), (self.slope,))
 
 
 def scaling_dim(n) -> int:
@@ -438,12 +454,21 @@ def scaling_table(
     _, _, singular, base_inv = eigh_inverse(q[:, 0], rel_tol, name="QFIM")
     regular = np.flatnonzero(~singular)
     gamma = np.full((len(alphas), len(dims)), np.nan)
-    gamma[regular] = np.trace(q[regular, 1:] @ base_inv[regular, None], axis1=-2, axis2=-1)
+    gamma[regular] = rows = np.trace(q[regular, 1:] @ base_inv[regular, None],
+                                     axis1=-2, axis2=-1)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        first = regular[finite.argmin()]
+        raise NumericalFailure(f"Gamma is not finite at alpha = {alphas[first]!r}")
+    # least-squares slopes of log Gamma against log x, every row at once, by
+    # the centered two-pass formula sum(dx dy) / sum(dx^2); np.add.reduce
+    # sums each row pairwise with no BLAS call, so a row's slope depends
+    # neither on the other rows nor on the BLAS thread count
+    lx, ly = np.log(x), np.log(rows)
+    dx = lx - np.add.reduce(lx) / lx.size
+    dy = ly - np.add.reduce(ly, axis=1, keepdims=True) / lx.size
     slope = np.full(len(alphas), np.nan)
-    for k in regular:
-        if not np.isfinite(gamma[k]).all():
-            raise NumericalFailure(f"Gamma is not finite at alpha = {alphas[k]!r}")
-        slope[k] = np.polyfit(np.log(x), np.log(gamma[k]), 1)[0]
+    slope[regular] = np.add.reduce(dx * dy, axis=1) / np.add.reduce(dx * dx)
     return ScalingResult(alphas=alphas, dims=dims, gamma=gamma, slope=slope)
 
 

@@ -138,13 +138,18 @@ def require_float(value, name: str) -> float:
     """Return ``value`` as a Python float, raising :class:`InvalidInput` unless
     it is a finite real number.
 
-    A string, ``None`` or a bool raises, as do a NaN and an infinity.
+    A string, ``None`` or a bool raises, as do a NaN, an infinity and an
+    integer too large for a float.
     """
     try:
         if isinstance(value, (bool, np.bool_)) or not math.isfinite(value):
             raise TypeError
     except TypeError:
         raise InvalidInput(f"{name} must be a finite number, got {value!r}") from None
+    except OverflowError:
+        # a huge int: its repr can itself fail, past the int-to-str limit
+        message = f"{name} must be a finite number, got a value too large for a float"
+        raise InvalidInput(message) from None
     return float(value)
 
 

@@ -105,9 +105,11 @@ def fim_rank_loop(config):
 
 def scaling_table_loop(alphas, dims, point, probe_phi=0.0, rel_tol=1e-10):
     """Gammas and slopes with one frame-kernel call per (alpha, N), baseline
-    first: an oracle for the stacked :func:`~spinmetro.analysis.scaling_table`.
-    Returns ``(gamma, slope)`` arrays shaped as in its result, NaN for an
-    alpha whose baseline is singular."""
+    first, and each alpha's slope fitted alone by the centered formula
+    ``sum(dx dy) / sum(dx^2)`` of the logs: an oracle for the stacked
+    :func:`~spinmetro.analysis.scaling_table`.  Returns ``(gamma, slope)``
+    arrays shaped as in its result, NaN for an alpha whose baseline is
+    singular."""
     baseline_dim = 2 if point.phi is None else 4
     frame = closed_frame(point.b, point.theta, point.t, point.phi)
 
@@ -123,8 +125,10 @@ def scaling_table_loop(alphas, dims, point, probe_phi=0.0, rel_tol=1e-10):
             continue
         gamma[k] = [float(np.trace(qfim(n, alpha) @ base_inv)) for n in dims]
         x = np.array(dims, dtype=float)
-        x = x - 1.0 if point.phi is None else x
-        slope[k] = float(np.polyfit(np.log(x), np.log(gamma[k]), 1)[0])
+        lx = np.log(x - 1.0 if point.phi is None else x)
+        ly = np.log(gamma[k])
+        dx, dy = lx - np.add.reduce(lx) / len(dims), ly - np.add.reduce(ly) / len(dims)
+        slope[k] = float(np.add.reduce(dx * dy) / np.add.reduce(dx * dx))
     return gamma, slope
 
 

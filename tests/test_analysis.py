@@ -8,6 +8,7 @@ import os
 import tracemalloc
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -275,6 +276,11 @@ LIBRARY_ERROR_CALLS = {
                                                                           step="x"),
     "write_json-numpy-scalar": lambda: analysis.write_json(os.devnull, {"a": np.int64(1)}),
     "write_json-mixed-keys": lambda: analysis.write_json(os.devnull, {1: 2, "a": 3}),
+    # An int too large for a float is not a finite number.
+    "ModelPoint-huge-int": lambda: ModelPoint(b=10**400, theta=0.1, t=5.0),
+    "ProbeSpec-huge-int": lambda: ProbeSpec(3, 10**400),
+    "ScanConfig-huge-int": lambda: ScanConfig(ProbeSpec(3, 0.1), t=10**400),
+    "scaling_table-huge-int": lambda: scaling_table([10**400], [4, 5], POINT),
     # Python floats overflow to inf silently, so the oracle routes raise
     # NumericalFailure themselves: at B t, at a point lambda + h_l, at 2 h_l
     # and at the norm of a difference quotient.
@@ -363,7 +369,8 @@ class TestCsvWriter:
                 assert same_bits([gamma_f, slope_f], [gamma, slope])
 
     # The grid writer writes exactly what the per-field formatter does, for
-    # the values whose text is special as row values and as axis values.
+    # the values whose text is special as row values, as axis values and as
+    # values of a column that holds one value per outer axis value.
     def test_row_format_matches_field_formatter(self, tmp_path):
         special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300,
                             -1e300, 2 * np.pi, 0.1, 12345678901234567.0, 1e-7])
@@ -371,11 +378,13 @@ class TestCsvWriter:
         cells = outer.size * inner.size
         columns = [np.resize(np.roll(special, k), cells) for k in range(3)]
         columns += [np.full(cells, np.nan), np.arange(cells) % 3 == 0]
-        header = ("outer", "inner", "a", "nan_count", "c", "d", "flag")
+        per_outer = np.resize([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1], outer.size)
+        header = ("outer", "inner", "a", "nan_count", "c", "d", "flag", "per_outer")
         out = tmp_path / "x.csv"
-        analysis._write_csv(out, header, outer, inner, columns)
+        analysis._write_csv(out, header, outer, inner, columns, (per_outer,))
         axes = [np.repeat(outer, inner.size), np.tile(inner, outer.size)]
-        assert out.read_text() == csv_text_loop(header, axes + columns)
+        repeated = [np.repeat(per_outer, inner.size)]
+        assert out.read_text() == csv_text_loop(header, axes + columns + repeated)
 
     # Each result type writes the text of its columns in full, one field at
     # a time; non-square grids catch a swap of the outer and inner axes.
@@ -572,6 +581,50 @@ class TestScalingTable:
         if point.theta == np.pi / 2 or point.n_params == 3:
             assert np.isnan(slope[0])
         assert not np.isnan(slope[1:]).any()
+
+    # Each slope against a 50-digit fit of the same float logs, within the
+    # first-order rounding bound of the centered formula derived in README:
+    # (k + 4) u (kappa + 1) + n (k + 1)^2 u^2 (X Y / |Sxy| + X^2 / Sxx), with
+    # k = 16 + ceil(log2 n) bounding numpy's pairwise sum, u = 2^-53,
+    # kappa = sum|dx dy| / |Sxy| and X, Y the largest |log x|, |log Gamma|.
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("dims", [tuple(range(4, 241, 4)), (4, 5, 9, 40, 240, 5000),
+                                      (7, 4)], ids=["every-fourth", "sparse", "two"])
+    def test_slopes_match_a_50_digit_fit(self, model, dims):
+        u, n = 2.0**-53, len(dims)
+        k = 16 + math.ceil(math.log2(n))
+        lx = np.log(np.array(dims, dtype=float) - (1.0 if model == "two" else 0.0))
+        big_x = np.abs(lx).max()
+        for point in points_for(model):
+            table = scaling_table((0.3, np.pi / 4, 1.2), dims, point, probe_phi=0.7)
+            for slope, gamma in zip(table.slope.tolist(), table.gamma):
+                ly = np.log(gamma)
+                big_y = np.abs(ly).max()
+                with mpmath.workdps(50):
+                    mx, my = (mpmath.fsum(map(mpmath.mpf, v)) / n for v in (lx, ly))
+                    dx = [mpmath.mpf(v) - mx for v in lx.tolist()]
+                    dy = [mpmath.mpf(v) - my for v in ly.tolist()]
+                    sxy = mpmath.fsum(a * b for a, b in zip(dx, dy))
+                    sxx = mpmath.fsum(a * a for a in dx)
+                    kappa = mpmath.fsum(abs(a * b) for a, b in zip(dx, dy)) / abs(sxy)
+                    rel = float(abs(slope - sxy / sxx) / abs(sxy / sxx))
+                    bound = float((k + 4) * u * (kappa + 1) + n * (k + 1)**2 * u * u
+                                  * (big_x * big_y / abs(sxy) + big_x**2 / sxx))
+                assert rel <= bound
+
+    # A slope is fitted from its own row alone: the slope of a one-alpha
+    # table is bitwise that alpha's slope in any larger table.
+    @pytest.mark.parametrize("model", MODELS)
+    def test_slope_does_not_depend_on_the_other_alphas(self, model, rng):
+        for _ in range(25):
+            point = ModelPoint(b=rng.uniform(0.1, 1.2), theta=rng.uniform(0.0, np.pi), t=5.0,
+                               phi=None if model == "two" else rng.uniform(0.0, 2 * np.pi))
+            alphas = rng.uniform(0.05, 1.5, rng.integers(2, 41))
+            dims = rng.choice(np.arange(4, 400), rng.integers(2, 81), replace=False)
+            k = rng.integers(alphas.size)
+            table = scaling_table(alphas, dims, point)
+            alone = scaling_table(alphas[k:k + 1], dims, point)
+            assert alone.slope.tobytes() == table.slope[k:k + 1].tobytes()
 
     def test_one_kernel_call_per_table(self, monkeypatch):
         calls = collections.Counter()

@@ -445,8 +445,9 @@ class TestFimRankCommand:
 # Primary outputs are the same bytes under one and two BLAS threads.  Each
 # run is a new interpreter, since OpenBLAS reads its thread count when numpy
 # is imported.  The ops are the benchmark's heaviest of each command: the
-# scan at N = 40, the scaling table up to N = 240.  With one CPU both runs
-# would use one thread and show nothing.
+# scan at N = 40, the scaling table up to N = 240; and a table of each model
+# up to N = 20000, whose slopes each sum 19997 dimensions.  With one CPU both
+# runs would use one thread and show nothing.
 THREAD_OPS = {
     "scan": ["scan", "--model", "three", "--dim", "40", "--alpha", "0.4", "--phi", "1.3",
              "--model-phi", "2.2", "--time", "5", "--grid", "51x51"],
@@ -457,6 +458,11 @@ THREAD_OPS = {
                 "--model-phi", "2.2", "--time", "5"],
     "fim-rank": ["fim-rank", "--params", "8", "--outcomes", "16", "--trials", "1000",
                  "--seed", "3"],
+    "scaling-4-20000-two": ["scaling", "--model", "two", "--alphas", "0.7853981633974483,0.3",
+                            "--dims", "4-20000", "--b", "0.8", "--theta", "0.6", "--time", "5"],
+    "scaling-4-20000-three": ["scaling", "--model", "three", "--alphas", "0.7853981633974483,0.3",
+                              "--dims", "4-20000", "--b", "0.8", "--theta", "0.6",
+                              "--model-phi", "2.2", "--time", "5"],
 }
 
 DENSE_PROBE_SCAN = """

@@ -359,6 +359,20 @@ def test_one_random_stream():
     assert state_writes == []
 
 
+def test_no_general_least_squares():
+    # A scaling slope is the centered two-pass formula over each row, so a
+    # per-alpha np.polyfit, or a least-squares solve, cannot grow back.
+    fits = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if isinstance(node, ast.alias):
+                name = node.name.rpartition(".")[2]
+            if name in ("polyfit", "lstsq"):
+                fits.append(f"{path.stem}:{node.lineno}")
+    assert fits == []
+
+
 def test_scalar_oracle_routes():
     # The oracle routes take one point, and on 3-vectors and d <= 3 rows a
     # numpy call costs more than the arithmetic it does.  So series_frame,
