@@ -258,8 +258,8 @@ def _store_int(config, name: str) -> int:
     return number
 
 
-# Largest scan grid, in cells: a scan's traced peak grows by about 801 B a
-# cell for the three-parameter model and 407 B for the two-parameter model
+# Largest scan grid, in cells: a scan's traced peak grows by about 657 B a
+# cell for the three-parameter model and 345 B for the two-parameter model
 # (201^2 cells, N = 4), both in run_scan (the CSV writer peaks at about
 # 370 B), so the cap keeps it within a 1 GB budget.  A larger grid is
 # rejected before anything is allocated.
@@ -451,11 +451,9 @@ def scaling_table(
                               probe_phi)
     q = frame_qfim_uhlmann(frame, *moments)[0]
     x = np.array(dims, dtype=float) - (1.0 if two_param else 0.0)
-    _, _, singular, base_inv = eigh_inverse(q[:, 0], rel_tol, name="QFIM")
-    regular = np.flatnonzero(~singular)
+    _, _, regular, _, base_inv = eigh_inverse(q[:, 0], rel_tol, name="QFIM")
     gamma = np.full((len(alphas), len(dims)), np.nan)
-    gamma[regular] = rows = np.trace(q[regular, 1:] @ base_inv[regular, None],
-                                     axis1=-2, axis2=-1)
+    gamma[regular] = rows = np.trace(q[regular, 1:] @ base_inv[:, None], axis1=-2, axis2=-1)
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         first = regular[finite.argmin()]

@@ -153,11 +153,17 @@ def _vectors(shape, rows) -> np.ndarray:
     return out
 
 
+def _half_phase(b, t: float):
+    # B t / 2 for every route.  Below t = 1, where B t cannot overflow, the
+    # product is halved: a subnormal t / 2 loses digits (same bits otherwise).
+    return b * t / 2 if t < 1 else b * (t / 2)
+
+
 def _directions(b, theta, t, phi, scales=None) -> np.ndarray:
     # Rows n_theta, n1, n2 of the three-parameter model, broadcast over b,
     # theta and phi.  The two-parameter model takes its rows at phi = 0.
     # With scales, the first len(scales) rows, each times its scale.
-    half = np.multiply(b, t / 2)
+    half = _half_phase(b, t)
     ch, sh, ct, st = np.cos(half), np.sin(half), np.cos(theta), np.sin(theta)
     cp, sp = np.cos(phi), np.sin(phi)
     rows = [
@@ -221,7 +227,7 @@ def closed_frame(b, theta, t: float, phi=None) -> np.ndarray:
     b, theta = require_floats(b, "field strength"), require_floats(theta, "field angle")
     phi = 0.0 if phi is None else require_floats(phi, "field azimuth")
     require_broadcast("field strength, angle and azimuth", b, theta, phi)
-    sh = np.sin(np.multiply(b, t / 2))
+    sh = np.sin(_half_phase(b, t))
     return _directions(b, theta, t, phi, (-t, 2 * sh, 2 * sh * np.cos(theta))[:d])
 
 
@@ -342,16 +348,15 @@ def numeric_frame(point: ModelPoint, step: float = 1e-5):
     ``(d,)`` residuals.
     """
     steps = _fd_steps(point, step)
-    half_t = point.t / 2
     base = [point.b, point.theta, 0.0 if point.phi is None else point.phi]
-    w, x1, x2, x3 = _quaternion(base[0] * half_t, base[1], base[2])
+    w, x1, x2, x3 = _quaternion(_half_phase(base[0], point.t), base[1], base[2])
     rows, resids = [], []
     for l, (label, h) in enumerate(zip(point.labels, steps)):
         plus, minus = base.copy(), base.copy()
         plus[l] += h
         minus[l] -= h
-        pw, p1, p2, p3 = _quaternion(plus[0] * half_t, plus[1], plus[2])
-        mw, m1, m2, m3 = _quaternion(minus[0] * half_t, minus[1], minus[2])
+        pw, p1, p2, p3 = _quaternion(_half_phase(plus[0], point.t), plus[1], plus[2])
+        mw, m1, m2, m3 = _quaternion(_half_phase(minus[0], point.t), minus[1], minus[2])
         two_h = 2 * h
         dw, d1, d2, d3 = (pw - mw) / two_h, (p1 - m1) / two_h, (p2 - m2) / two_h, (p3 - m3) / two_h
         # (s, c) is the quaternion product of (dw, dx) with U = (w, x)

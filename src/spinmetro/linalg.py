@@ -108,13 +108,13 @@ def require_symmetric(a, sign: int = 1, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def require_unit3(n, tol: float = 1e-10) -> np.ndarray:
-    """Validate real direction vectors of unit norm, shape ``(..., 3)``."""
+def require_unit3(n) -> np.ndarray:
+    """Validate real direction vectors of unit norm to 1e-10, shape ``(..., 3)``."""
     n = np.asarray(n, dtype=float)
     if n.ndim < 1 or n.shape[-1] != 3:
         raise InvalidInput(f"direction vector must have 3 components, got shape {n.shape}")
     norm = np.sqrt((n * n).sum(axis=-1))
-    if np.any(np.abs(norm - 1.0) > tol):
+    if np.any(np.abs(norm - 1.0) > 1e-10):
         raise InvalidInput(f"direction vector has norm {norm.tolist()!r}, expected 1")
     return n
 
@@ -185,11 +185,11 @@ def require_broadcast(name: str, *arrays) -> tuple[int, ...]:
         raise InvalidInput(f"{name} must broadcast together, got shapes {shapes}") from None
 
 
-def require_unit_norm(psi, tol: float = 1e-10) -> np.ndarray:
+def require_unit_norm(psi) -> np.ndarray:
     """Raise :class:`InvalidInput` unless each state vector along the last
-    axis of ``psi`` has unit norm to ``tol``; a NaN norm fails too."""
+    axis of ``psi`` has unit norm to 1e-10; a NaN norm fails too."""
     norm = np.hypot.reduce(np.abs(psi), axis=-1)
-    good = np.abs(norm - 1.0) <= tol
+    good = np.abs(norm - 1.0) <= 1e-10
     if np.count_nonzero(good) != good.size:
         raise InvalidInput(f"probe is not normalized (norm {norm[~good].flat[0]!r})")
     return psi
@@ -220,9 +220,14 @@ class SpinRep:
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
 
-def _ladder_elements(s: float, m: np.ndarray) -> np.ndarray:
-    """``<m-1|J-|m> = sqrt(s(s+1) - m(m-1))`` for each ``m`` given."""
-    return np.sqrt(s * (s + 1) - m * (m - 1))
+def _slot_rule(s, index) -> tuple[np.ndarray, np.ndarray]:
+    """Jz eigenvalues ``m = s - index`` of spin ``s`` at the ascending basis
+    positions ``index (..., L)``, and the squared ladder elements
+    ``s(s + 1) - m(m - 1)`` from each position to the next where adjacent,
+    else 0 (a seam, or a pad: a repeated position of amplitude 0)."""
+    m = s - index
+    adjacent = index[..., 1:] - index[..., :-1] == 1
+    return m, np.where(adjacent, s * (s + 1) - m[..., :-1] * (m[..., :-1] - 1), 0.0)
 
 
 def build_spin_rep(N: int) -> SpinRep:
@@ -236,10 +241,9 @@ def build_spin_rep(N: int) -> SpinRep:
     N = require_int(N, "representation dimension")
     if N < 2:
         raise InvalidInput(f"representation dimension must be an integer >= 2, got {N}")
-    s = (N - 1) / 2
-    m = s - np.arange(N)
+    m, ladder_sq = _slot_rule((N - 1) / 2, np.arange(N))
     jminus = np.zeros((N, N), dtype=complex)
-    jminus[np.arange(1, N), np.arange(N - 1)] = _ladder_elements(s, m[:-1])
+    jminus[np.arange(1, N), np.arange(N - 1)] = np.sqrt(ladder_sq)
     jplus = jminus.conj().T
     jx = (jplus + jminus) / 2
     jy = (jplus - jminus) / 2j
@@ -334,14 +338,10 @@ def spin_moments(psi) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _slot_moments(s, index, amp) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_window_moments` of spin-``s`` states (``s`` a number, or
-    broadcast against ``index``) with the slots ``amp (..., L)`` at the
-    ascending basis positions ``index (..., L)``: Jz eigenvalues ``s - index``,
-    and the ladder element to the next slot where it is adjacent, else 0 (a
-    seam, or a pad: a repeated position of amplitude 0)."""
-    m = s - index
-    ladder = np.where(index[..., 1:] - index[..., :-1] == 1, _ladder_elements(s, m[..., :-1]), 0.0)
-    return _window_moments(amp, m, ladder)
+    """:func:`_window_moments` of spin-``s`` states with the slots
+    ``amp (..., L)`` at the positions ``index``, laid out by :func:`_slot_rule`."""
+    m, ladder_sq = _slot_rule(s, index)
+    return _window_moments(amp, m, np.sqrt(ladder_sq))
 
 
 def j_direction(rep: SpinRep, n) -> np.ndarray:
@@ -449,11 +449,11 @@ def check_inverse(q, q_inv, cond) -> None:
     A correct inverse leaves a residual ``||Q Q^-1 - I||`` of a few
     ``eps * cond(Q)``, so each matrix of the stack is held to
     ``1e3 * eps * cond(Q)`` with ``cond`` its condition number.  A NaN
-    residual fails too.
+    residual fails too; an empty stack passes.
     """
     resid = q @ q_inv - np.eye(q.shape[-1])
     resid = np.sqrt((resid * resid).sum(axis=(-2, -1)))
-    excess = float((resid / (1e3 * _EPS * np.asarray(cond))).max())
+    excess = float((resid / (1e3 * _EPS * np.asarray(cond))).max(initial=0.0))
     if not excess <= 1:
         raise NumericalFailure(
             f"inverse verification failed (residual {excess:.3g} times 1e3 eps cond(Q))"
@@ -462,30 +462,28 @@ def check_inverse(q, q_inv, cond) -> None:
 
 def eigh_inverse(q, rel_tol: float, name: str = "symmetric matrix"):
     """The package's one inverse of real symmetric matrices, over a stack
-    ``q (G, n, n)``, from one ``eigh``: ``(evals, vecs, singular, q_inv)``.
+    ``q (G, n, n)``, from one ``eigh``: ``(evals, singular, regular, vecs, q_inv)``.
 
-    ``q = vecs diag(evals) vecs^T`` with ``evals`` ascending; ``singular`` is
-    :func:`singular_mask` at ``rel_tol``; ``q_inv = V diag(1/evals) V^T``,
-    symmetrized and held to :func:`check_inverse`, is NaN where singular.
-    The regular matrices are gathered once, by their positions in the stack.
-    ``q`` is held to :func:`require_symmetric`, ``name`` labelling its error.
+    ``evals`` are ascending; ``singular`` is :func:`singular_mask` at
+    ``rel_tol``; ``regular`` holds the other matrices' positions, and ``vecs``
+    and ``q_inv = vecs diag(1/evals[regular]) vecs^T`` (symmetrized, held to
+    :func:`check_inverse`) their eigenvectors and inverses in that order,
+    empty if none is regular.  ``q`` is held to :func:`require_symmetric`,
+    ``name`` labelling its error.
     """
     q = require_symmetric(np.asarray(q, dtype=float), name=name)
     evals, vecs = np.linalg.eigh(q)
     singular = singular_mask(evals, rel_tol)
-    q_inv = np.full(q.shape, np.nan)
     regular = (~singular).nonzero()[0]
-    if regular.size:
-        lam, vecs_r, q_r = (x.take(regular, axis=0) for x in (evals, vecs, q))
-        inv = (vecs_r / lam[..., None, :]) @ vecs_r.swapaxes(-1, -2)
-        inv = (inv + inv.swapaxes(-1, -2)) / 2
-        check_inverse(q_r, inv, lam[..., -1] / lam[..., 0])
-        q_inv[regular] = inv
-    return evals, vecs, singular, q_inv
+    lam, vecs, q = (x.take(regular, axis=0) for x in (evals, vecs, q))
+    q_inv = (vecs / lam[..., None, :]) @ vecs.swapaxes(-1, -2)
+    q_inv = (q_inv + q_inv.swapaxes(-1, -2)) / 2
+    check_inverse(q, q_inv, lam[..., -1] / lam[..., 0])
+    return evals, singular, regular, vecs, q_inv
 
 
 def sym_inverse(q, rel_tol: float = 1e-10) -> np.ndarray | None:
     """Inverse of one real symmetric matrix, or ``None`` when near singular:
     :func:`eigh_inverse` on a batch of one."""
-    _, _, singular, q_inv = eigh_inverse(_as_square(q, "symmetric matrix")[None], rel_tol)
-    return None if singular[0] else q_inv[0]
+    q_inv = eigh_inverse(_as_square(q, "symmetric matrix")[None], rel_tol)[-1]
+    return q_inv[0] if len(q_inv) else None

@@ -224,10 +224,12 @@ def bounds(q, d, rel_tol: float = 1e-10):
     and the gap ``||Q^-1 D Q^-1||_1`` the sum of those of ``1j K / S``.
     :func:`~spinmetro.linalg.antisym_tridiagonal` takes both to real
     symmetric tridiagonal matrices with those spectra, in one real
-    ``(2, G, dim, dim)`` buffer over the G regular matrices, gathered once
-    by their positions, so one real ``eigvalsh`` gives both spectra and no
-    complex array reaches LAPACK.  :func:`ai_measure` and
-    :func:`holevo_pure`, which multiply by inverses, are the scalar references.
+    ``(2, G, dim, dim)`` buffer over the G regular matrices, at the
+    positions and with the eigenvectors and inverses that
+    :func:`~spinmetro.linalg.eigh_inverse` gathered, so one real
+    ``eigvalsh`` gives both spectra and no complex array reaches LAPACK.
+    :func:`ai_measure` and :func:`holevo_pure`, which multiply by inverses,
+    are the scalar references.
     """
     q, d = require_floats(q, "QFIM"), require_floats(d, "Uhlmann matrix")
     if q.ndim < 2 or q.shape != d.shape or q.shape[-1] != q.shape[-2]:
@@ -237,8 +239,8 @@ def bounds(q, d, rel_tol: float = 1e-10):
     try:
         # the symmetric rule checks each matrix once, finiteness first
         require_symmetric(d, sign=-1, name="Uhlmann matrix")
-        evals, vecs, singular, q_inv = eigh_inverse(q.reshape(-1, dim, dim), rel_tol,
-                                                    name="QFIM")
+        evals, singular, regular, vecs, q_inv = eigh_inverse(q.reshape(-1, dim, dim),
+                                                             rel_tol, name="QFIM")
     except InvalidInput:
         # that rule calls a NaN or an infinity invalid input; here it is a
         # numerical failure, whichever matrix the rule rejected first
@@ -246,33 +248,31 @@ def bounds(q, d, rel_tol: float = 1e-10):
             raise
         raise NumericalFailure("QFIM or Uhlmann matrix is not finite") from None
     det_q = np.multiply.reduce(np.maximum(evals, 0.0), axis=-1)
-    c_sld = q_inv.trace(axis1=-2, axis2=-1)
-    # Q^-1, V and D' are dropped before the two-matrix buffer below is
-    # allocated, so a scan peaks no higher than with one matrix at a time
+    r_ai, c_sld, c_h, delta = np.full((4, singular.size), np.nan)
+    c_sld[regular] = cost = q_inv.trace(axis1=-2, axis2=-1)
+    # Q^-1, V, D' and S are each dropped once used, so a scan peaks no
+    # higher than with one matrix at a time
     del q_inv
-    r_ai, c_h, delta = np.full((3, singular.size), np.nan)
-    regular = (~singular).nonzero()[0]
-    if regular.size:
-        lam, vecs, d = (x.take(regular, axis=0) for x in (evals, vecs, d))
-        d = vecs.swapaxes(-1, -2) @ d @ vecs
-        del vecs
-        s = np.sqrt(lam)[:, :, None]  # sqrt each: lam^2 may overflow
-        s = s * s.swapaxes(-1, -2)
-        # K = D' / S and K / S side by side, for one eigvalsh of both
-        # spectra; D' enters by its antisymmetric part, else its diagonal
-        # residue / lam^2 dominates
-        k = np.empty((2,) + d.shape)
-        np.subtract(d, d.swapaxes(-1, -2), out=k[0])
-        del d
-        k[0] *= 0.5
-        k[0] /= s
-        np.divide(k[0], s, out=k[1])
-        spectra = np.abs(np.linalg.eigvalsh(antisym_tridiagonal(k)))
-        r_ai[regular] = np.maximum.reduce(spectra[0], axis=-1)
-        gap = np.add.reduce(spectra[1], axis=-1)
-        cost = c_sld.take(regular)
-        c_h[regular] = cost + gap
-        delta[regular] = gap / cost
+    lam = evals.take(regular, axis=0)
+    d = vecs.swapaxes(-1, -2) @ d.take(regular, axis=0) @ vecs
+    del vecs
+    s = np.sqrt(lam)[:, :, None]  # sqrt each: lam^2 may overflow
+    s = s * s.swapaxes(-1, -2)
+    # K = D' / S and K / S side by side, for one eigvalsh of both
+    # spectra; D' enters by its antisymmetric part, else its diagonal
+    # residue / lam^2 dominates
+    k = np.empty((2,) + d.shape)
+    np.subtract(d, d.swapaxes(-1, -2), out=k[0])
+    del d
+    k[0] *= 0.5
+    k[0] /= s
+    np.divide(k[0], s, out=k[1])
+    del s
+    spectra = np.abs(np.linalg.eigvalsh(antisym_tridiagonal(k)))
+    r_ai[regular] = np.maximum.reduce(spectra[0], axis=-1)
+    gap = np.add.reduce(spectra[1], axis=-1)
+    c_h[regular] = cost + gap
+    delta[regular] = gap / cost
     return tuple(x.reshape(lead) for x in (singular, r_ai, c_sld, c_h, delta, det_q))
 
 

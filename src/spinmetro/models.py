@@ -16,8 +16,8 @@ import numpy as np
 
 from .encoding import ModelPoint, direction_vectors_2p, direction_vectors_3p, require_point
 from .errors import InvalidInput
-from .linalg import (SpinRep, _window_moments, check_probe, j_direction, require_float,
-                     require_int)
+from .linalg import (SpinRep, _slot_rule, _window_moments, check_probe, j_direction,
+                     require_float, require_int)
 # Bound here for perfbench/tests, which check that the benchmark's tracer
 # wraps every module binding of this pinned function.
 from .linalg import sym_inverse  # noqa: F401
@@ -107,14 +107,11 @@ def make_probe(spec: ProbeSpec) -> np.ndarray:
 
 
 def _slot_layout(n: int) -> np.ndarray:
-    # The four slots of extreme_moments at dimension n: their Jz eigenvalues
-    # m = s - p at the positions p = min((0, 1, max(2, n - 2), max(3, n - 1)), n - 1),
-    # then the squared ladder elements s(s + 1) - m(m - 1) from each slot
-    # to the next, 0 across a seam or beside a pad (a repeated position).
+    # The four slots of extreme_moments at dimension n, at the positions
+    # min((0, 1, max(2, n - 2), max(3, n - 1)), n - 1): their Jz eigenvalues,
+    # then the squared ladder elements between them, by the one slot rule.
     p = np.minimum([0, 1, max(2, n - 2), max(3, n - 1)], n - 1)
-    s = (n - 1) / 2
-    m = s - p
-    return np.concatenate([m, np.where(np.diff(p) == 1, s * (s + 1) - m[:-1] * (m[:-1] - 1), 0)])
+    return np.concatenate(_slot_rule((n - 1) / 2, p))
 
 
 # _slot_layout by min(N, 5), as affine functions of N: constant below 5,
@@ -172,15 +169,16 @@ class Qubit2pResult(NamedTuple):
     singular: bool
 
 
-def qubit2p_closed(r0, point: ModelPoint, tol: float = 1e-12) -> Qubit2pResult:
+def qubit2p_closed(r0, point: ModelPoint) -> Qubit2pResult:
     """Two-parameter qubit model in Bloch form.
 
     For a probe with Bloch vector ``r0`` (``|r0| <= 1``; the algebra
     extends below the sphere, but the incompatibility claims hold for pure
     probes) the QFIM, the single Uhlmann element ``D_{theta B}`` and the
     incompatibility ``R = sqrt((n2.r0)^2 / (1 - (n1.r0)^2 - (nth.r0)^2))``
-    are closed functions of the frame vectors.  When the QFIM is singular
-    the result carries ``r_ai = None`` and the flag.
+    are closed functions of the frame vectors.  When R's denominator or
+    ``det Q / max(||Q||_2^2, 1)`` is at most 1e-12, the QFIM is singular
+    and the result carries ``r_ai = None`` and the flag.
     """
     r0 = np.asarray(r0, dtype=float)
     if r0.shape != (3,) or np.linalg.norm(r0) > 1.0 + 1e-12:
@@ -202,7 +200,7 @@ def qubit2p_closed(r0, point: ModelPoint, tol: float = 1e-12) -> Qubit2pResult:
     d_theta_b = 2 * t * sh * c
     denom = 1 - a**2 - b**2
     det_q = 4 * t**2 * sh**2 * denom
-    if denom <= tol or det_q <= tol * max(np.linalg.norm(q, 2) ** 2, 1.0):
+    if denom <= 1e-12 or det_q <= 1e-12 * max(np.linalg.norm(q, 2) ** 2, 1.0):
         return Qubit2pResult(qfim=q, d_theta_b=d_theta_b, r_ai=None, singular=True)
     return Qubit2pResult(
         qfim=q, d_theta_b=d_theta_b, r_ai=float(np.sqrt(c**2 / denom)), singular=False

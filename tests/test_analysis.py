@@ -188,6 +188,19 @@ class TestRunScan:
         assert res.theta.size == 25
         assert peak < 1_000_000
 
+    # linalg.eigh_inverse returns the inverses of the regular cells alone;
+    # with a NaN-padded (G, 3, 3) inverse stack this scan peaked at 794 B a
+    # cell.  MAX_GRID_CELLS rests on this figure.
+    def test_memory_per_cell(self):
+        config = small_scan(dim=4, alpha=0.4, phi=0.3, counts=(101, 101), model_phi=1.0)
+        tracemalloc.start()
+        try:
+            run_scan(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 700 * 101**2
+
     def test_config_validation(self):
         with pytest.raises(InvalidInput):
             small_scan(counts=(1, 5))

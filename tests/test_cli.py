@@ -375,6 +375,19 @@ def test_oracle_route_overflow_exit_code(tmp_path, capsys, argv, code):
     assert out.exists() == (code == 0)
 
 
+# At a subnormal time, halving t first underflows it to 0: the closed frame's
+# theta row read 0 where the series route's read 6.4e-16, a residual of
+# 4.4e-4.  Every route takes B t / 2 by one rule, encoding._half_phase.
+@pytest.mark.parametrize("model", ["two", "three"])
+def test_subnormal_time_routes_agree(tmp_path, model):
+    out = tmp_path / "m.json"
+    argv = ["metrics", "--model", model, "--time=5e-324", "--b=1.7976e308", "--out", str(out)]
+    assert run(argv) == 0
+    residuals = json.loads(out.read_text())["generator_route_residuals"]
+    assert residuals["series_vs_closed"] <= 1e-12
+    assert residuals["numeric_vs_closed"] <= 1e-12
+
+
 # Any numpy linear-algebra or floating-point error that escapes the library's
 # own checks is a numerical failure too.
 @pytest.mark.parametrize("error", [np.linalg.LinAlgError("SVD did not converge"),

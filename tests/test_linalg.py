@@ -23,8 +23,8 @@ from spinmetro import (
     sym_inverse,
     trace_norm,
 )
-from spinmetro.linalg import (antisym_tridiagonal, check_inverse, require_hermitian,
-                              require_symmetric, singular_mask)
+from spinmetro.linalg import (antisym_tridiagonal, check_inverse, eigh_inverse,
+                              require_hermitian, require_symmetric, singular_mask)
 from spinmetro.models import ProbeSpec
 
 from conftest import haar_state, random_hermitian, rep
@@ -453,6 +453,33 @@ class TestSymInverse:
                 sym_inverse(np.eye(2), rel_tol=rel_tol)
 
 
+class TestEighInverse:
+    """Only the regular matrices come back: their positions, eigenvectors
+    and inverses, in stack order, with no padding for singular ones."""
+
+    def test_all_singular_stack_gives_empty_arrays(self):
+        q = np.stack([np.zeros((3, 3)), np.diag([1.0, 1.0, 1e-14])])
+        evals, singular, regular, vecs, q_inv = eigh_inverse(q, 1e-10)
+        assert evals.shape == (2, 3) and singular.tolist() == [True, True]
+        assert regular.shape == (0,) and vecs.shape == q_inv.shape == (0, 3, 3)
+
+    def test_mixed_stack_matches_single_calls(self, rng):
+        q = np.stack([spd_with_condition(rng, 3, cond) for cond in (1e2, 1e14, 1.0, 1e6)]
+                     + [np.zeros((3, 3))])
+        evals, singular, regular, vecs, q_inv = eigh_inverse(q, 1e-10)
+        assert singular.tolist() == [False, True, False, False, True]
+        assert regular.tolist() == [0, 2, 3]
+        assert np.allclose((vecs * evals[regular, None, :]) @ vecs.swapaxes(-1, -2), q[regular])
+        for k, position in enumerate(regular):
+            one_evals, one_singular, one_regular, one_vecs, one_inv = eigh_inverse(
+                q[position:position + 1], 1e-10)
+            assert one_regular.tolist() == [0] and not one_singular[0]
+            assert one_evals[0].tobytes() == evals[position].tobytes()
+            assert one_vecs[0].tobytes() == vecs[k].tobytes()
+            assert one_inv[0].tobytes() == q_inv[k].tobytes()
+            assert sym_inverse(q[position]).tobytes() == q_inv[k].tobytes()
+
+
 def spd_with_condition(rng, n, cond):
     """Random symmetric positive definite matrix with the given condition number."""
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -503,6 +530,11 @@ class TestInverseCheck:
         inv[1] *= 1 + 1e-6
         with pytest.raises(NumericalFailure):
             check_inverse(q, inv, cond)
+
+    def test_empty_stack_passes_and_nan_fails(self):
+        check_inverse(np.zeros((0, 2, 2)), np.zeros((0, 2, 2)), np.zeros(0))
+        with pytest.raises(NumericalFailure):
+            check_inverse(np.eye(2)[None], np.full((1, 2, 2), np.nan), np.ones(1))
 
 
 class TestSingularMask:
