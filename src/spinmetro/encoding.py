@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import InvalidInput, NumericalFailure, StepInstability
 from .linalg import (SpinRep, expm_i, j_direction, require_broadcast, require_float,
-                     require_floats, require_hermitian, require_positive)
+                     require_floats, require_positive, require_symmetric)
 
 __all__ = [
     "ModelPoint",
@@ -122,8 +122,8 @@ class GeneratorSet:
     ``matrices`` has shape (d, N, N) in the fixed ``(B, theta[, phi])``
     ordering.  ``herm_residuals`` is populated only by the finite-difference
     route and records the Hermitization residual per parameter.  A
-    generator that is not Hermitian to 1e-10 of its own norm (the rule of
-    :func:`~spinmetro.linalg.require_hermitian`) raises :class:`InvalidInput`.
+    generator that is not Hermitian (the rule of
+    :func:`~spinmetro.linalg.require_symmetric`) raises :class:`InvalidInput`.
     """
 
     labels: tuple[str, ...]
@@ -131,10 +131,10 @@ class GeneratorSet:
     herm_residuals: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.matrices, dtype=complex)
-        if m.ndim != 3 or m.shape[0] != len(self.labels) or m.shape[1] != m.shape[2]:
+        m = require_symmetric(self.matrices, name="generator")
+        if m.ndim != 3 or m.shape[0] != len(self.labels):
             raise InvalidInput(f"generator stack has shape {m.shape}, labels {self.labels}")
-        require_hermitian(m, tol=1e-10, name="generator")
+        m = np.ascontiguousarray(m, dtype=complex)
         m.flags.writeable = False
         object.__setattr__(self, "matrices", m)
 

@@ -45,76 +45,73 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _as_square(a, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidInput(f"{name} must be square, got shape {a.shape}")
-    return a
+def _as_array(values, name: str, kinds: str, what: str) -> np.ndarray:
+    """``values`` as an array whose dtype kind is one of ``kinds``, else
+    :class:`InvalidInput` saying that ``name`` must be ``what``."""
+    try:
+        values = np.asarray(values)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"{name} must be {what}: {exc}") from None
+    if values.dtype.kind not in kinds:
+        raise InvalidInput(f"{name} must be {what}, got dtype {values.dtype}")
+    return values
 
 
 def _require_finite_square(a, name: str) -> np.ndarray:
-    # A NaN residual compares False against any tolerance, so the Hermitian
-    # and symmetric rules reject a non-finite matrix before measuring one.
-    a = np.asarray(a)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise InvalidInput(f"{name} must be square, got shape {a.shape}")
+    # The shape, type and finiteness half of the matrix rule.  A NaN
+    # residual compares False against any tolerance, so a non-finite matrix
+    # is rejected before one is measured.  Integers become floats, whose
+    # negation cannot wrap.
+    a = _as_array(a, name, "iufc", "an array of numbers")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
+        raise InvalidInput(f"{name} must be square and nonempty, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise InvalidInput(f"{name} holds a NaN or an infinity")
-    return a
+    return a.astype(float) if a.dtype.kind in "iu" else a
 
 
-def require_hermitian(a, tol: float = 1e-12, name: str = "matrix") -> np.ndarray:
-    """Return ``a`` as an array, raising if it is not Hermitian.
-
-    ``a`` is one matrix or a stack ``(..., N, N)``, checked in one pass.
-    A stack that holds a NaN or an infinity raises.  A finite stack that
-    is exactly Hermitian, as every generator and Hamiltonian this package
-    builds is, passes at the cost of one comparison.  Otherwise each
-    matrix's residual ``||a - a^dag||`` is measured relative to its own
-    ``max(||a||, 1)`` in the Frobenius norm.
-    """
+def _as_square(a, name: str = "matrix") -> np.ndarray:
     a = _require_finite_square(a, name)
-    a_h = a.conj().swapaxes(-1, -2)
-    if (a == a_h).all():
-        return a
-    resid = np.linalg.norm(a - a_h, axis=(-2, -1))
-    if np.any(resid > tol * np.maximum(np.linalg.norm(a, axis=(-2, -1)), 1.0)):
-        raise InvalidInput(f"{name} is not Hermitian (residual {np.max(resid):.3e})")
+    if a.ndim != 2:
+        raise InvalidInput(f"{name} must be one square matrix, got shape {a.shape}")
     return a
 
 
 def require_symmetric(a, sign: int = 1, name: str = "matrix") -> np.ndarray:
-    """Return ``a`` as an array, raising unless each matrix equals ``sign``
-    times its transpose: symmetric for ``sign`` 1, antisymmetric for -1.
+    """Return ``a`` as an array, raising :class:`InvalidInput` unless each
+    matrix equals ``sign`` times its conjugate transpose: the one matrix
+    rule.  A real matrix must be symmetric for ``sign`` 1 and antisymmetric
+    for -1, a complex one Hermitian or anti-Hermitian.
 
-    ``a`` is one real matrix or a stack ``(..., n, n)``, checked in one
-    pass; any other shape, a NaN or an infinity raises
-    :class:`InvalidInput`.  A stack that is exactly (anti)symmetric, as
-    the frame kernel's Q and D are, passes at the cost of one comparison.
-    Otherwise each matrix is scaled to a largest entry of 1, so the
-    Frobenius norms cannot overflow, and its residual ``||a - sign a^T||``
-    is held to 1e-10 of its scaled norm.  A zero matrix passes.
+    ``a`` is one matrix or a stack ``(..., n, n)`` of integers, real or
+    complex numbers, checked in one pass; any other shape or type, an empty
+    matrix, a NaN or an infinity raises.  A stack that is exact, as the
+    frame kernel's Q and D and every generator this package builds are,
+    passes at the cost of one comparison.  Otherwise each matrix is scaled
+    to a largest entry of magnitude 1, so the Frobenius norms cannot
+    overflow, and its residual ``||a - sign a^dag||`` is held to 1e-10 of
+    its scaled norm.  A zero matrix passes.
     """
     a = _require_finite_square(a, name)
-    a_t = a.swapaxes(-1, -2)
-    if (a == (a_t if sign > 0 else -a_t)).all():
+    a_h = a.conj().swapaxes(-1, -2)
+    if (a == (a_h if sign > 0 else -a_h)).all():
         return a
     scale = np.maximum(np.abs(a).max(axis=(-2, -1), initial=0.0), _TINY)
     scaled = a / scale[..., None, None]
-    resid = np.linalg.norm(scaled - sign * np.swapaxes(scaled, -1, -2), axis=(-2, -1))
+    resid = np.linalg.norm(scaled - sign * scaled.conj().swapaxes(-1, -2), axis=(-2, -1))
     if np.any(resid > 1e-10 * np.linalg.norm(scaled, axis=(-2, -1))):
-        kind = "symmetric" if sign > 0 else "antisymmetric"
-        raise InvalidInput(f"{name} is not {kind}")
+        kinds = ("symmetric", "antisymmetric", "Hermitian", "anti-Hermitian")
+        raise InvalidInput(f"{name} is not {kinds[2 * (a.dtype.kind == 'c') + (sign < 0)]}")
     return a
 
 
 def require_unit3(n) -> np.ndarray:
     """Validate real direction vectors of unit norm to 1e-10, shape ``(..., 3)``."""
-    n = np.asarray(n, dtype=float)
+    n = require_floats(n, "direction vector")
     if n.ndim < 1 or n.shape[-1] != 3:
         raise InvalidInput(f"direction vector must have 3 components, got shape {n.shape}")
     norm = np.sqrt((n * n).sum(axis=-1))
-    if np.any(np.abs(norm - 1.0) > 1e-10):
+    if not (np.abs(norm - 1.0) <= 1e-10).all():
         raise InvalidInput(f"direction vector has norm {norm.tolist()!r}, expected 1")
     return n
 
@@ -166,13 +163,7 @@ def require_floats(values, name: str) -> np.ndarray:
     """``values`` as a float array, else :class:`InvalidInput`: the one rule for
     an array of real numbers, which integers pass and bools, strings, objects
     and complex numbers (a cast would drop their imaginary parts) do not."""
-    try:
-        values = np.asarray(values)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"{name} must be an array of numbers: {exc}") from None
-    if values.dtype.kind not in "iuf":
-        raise InvalidInput(f"{name} must be an array of real numbers, got dtype {values.dtype}")
-    return values.astype(float, copy=False)
+    return _as_array(values, name, "iuf", "an array of real numbers").astype(float, copy=False)
 
 
 def require_broadcast(name: str, *arrays) -> tuple[int, ...]:
@@ -254,12 +245,7 @@ def build_spin_rep(N: int) -> SpinRep:
 def _as_state(psi, dim: int | None = None) -> np.ndarray:
     """``psi`` as a complex vector, of dimension ``dim`` if given: the shape
     and type half of :func:`check_probe`."""
-    try:
-        psi = np.asarray(psi)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"probe must be a vector of numbers: {exc}") from None
-    if psi.dtype.kind not in "iufc":
-        raise InvalidInput(f"probe must be a vector of numbers, got dtype {psi.dtype}")
+    psi = _as_array(psi, "probe", "iufc", "a vector of numbers")
     if psi.ndim != 1:
         raise InvalidInput(f"probe must be a vector, got shape {psi.shape}")
     if dim is not None and psi.size != dim:
@@ -359,20 +345,20 @@ def expm_i(a, c: float) -> np.ndarray:
     Computed through the eigendecomposition, which keeps the result unitary
     to the accuracy of the eigensolver regardless of ``|c| * ||a||``.  A
     stack ``(..., N, N)`` is checked and decomposed in one call each; a
-    single matrix is a stack of one.  Non-Hermitian input raises
-    :class:`InvalidInput`.
+    single matrix is a stack of one.  Input that is not Hermitian (the rule
+    of :func:`require_symmetric`) raises :class:`InvalidInput`.
     """
-    evals, vecs = np.linalg.eigh(require_hermitian(a))
+    evals, vecs = np.linalg.eigh(require_symmetric(a))
     return (vecs * np.exp(-1j * c * evals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
 
 
 def spectral_absmax(a) -> float:
     """Largest eigenvalue magnitude of a Hermitian matrix, by ``eigvalsh``.
 
-    Input that is not Hermitian (the rule of :func:`require_hermitian`)
-    raises :class:`InvalidInput`.
+    Input that is not one Hermitian matrix (the rule of
+    :func:`require_symmetric`) raises :class:`InvalidInput`.
     """
-    a = require_hermitian(_as_square(a))
+    a = require_symmetric(_as_square(a))
     return float(np.abs(np.linalg.eigvalsh(a)).max(initial=0.0))
 
 
@@ -417,7 +403,9 @@ def antisym_tridiagonal(k) -> np.ndarray:
 
 
 def trace_norm(a) -> float:
-    """Sum of singular values of a square matrix."""
+    """Sum of singular values of a square matrix, which is nonempty and
+    finite (the square check of :func:`require_symmetric`), else
+    :class:`InvalidInput`."""
     a = _as_square(a)
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
@@ -462,16 +450,18 @@ def check_inverse(q, q_inv, cond) -> None:
 
 def eigh_inverse(q, rel_tol: float, name: str = "symmetric matrix"):
     """The package's one inverse of real symmetric matrices, over a stack
-    ``q (G, n, n)``, from one ``eigh``: ``(evals, singular, regular, vecs, q_inv)``.
+    ``q (..., n, n)`` taken as ``(G, n, n)``, from one ``eigh``:
+    ``(evals, singular, regular, vecs, q_inv)``.
 
     ``evals`` are ascending; ``singular`` is :func:`singular_mask` at
     ``rel_tol``; ``regular`` holds the other matrices' positions, and ``vecs``
     and ``q_inv = vecs diag(1/evals[regular]) vecs^T`` (symmetrized, held to
     :func:`check_inverse`) their eigenvectors and inverses in that order,
-    empty if none is regular.  ``q`` is held to :func:`require_symmetric`,
-    ``name`` labelling its error.
+    empty if none is regular.  ``q`` is held to :func:`require_floats` and
+    :func:`require_symmetric`, ``name`` labelling its error.
     """
-    q = require_symmetric(np.asarray(q, dtype=float), name=name)
+    q = require_symmetric(require_floats(q, name), name=name)
+    q = q.reshape((-1,) + q.shape[-2:])
     evals, vecs = np.linalg.eigh(q)
     singular = singular_mask(evals, rel_tol)
     regular = (~singular).nonzero()[0]
@@ -485,5 +475,5 @@ def eigh_inverse(q, rel_tol: float, name: str = "symmetric matrix"):
 def sym_inverse(q, rel_tol: float = 1e-10) -> np.ndarray | None:
     """Inverse of one real symmetric matrix, or ``None`` when near singular:
     :func:`eigh_inverse` on a batch of one."""
-    q_inv = eigh_inverse(_as_square(q, "symmetric matrix")[None], rel_tol)[-1]
+    q_inv = eigh_inverse(_as_square(q, "symmetric matrix"), rel_tol)[-1]
     return q_inv[0] if len(q_inv) else None

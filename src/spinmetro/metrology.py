@@ -29,7 +29,6 @@ from .linalg import (
     eigh_inverse,
     require_broadcast,
     require_floats,
-    require_hermitian,
     require_symmetric,
     spectral_absmax,
     sym_inverse,
@@ -105,13 +104,14 @@ def batched_qfim_uhlmann(gen_stack, probes) -> tuple[np.ndarray, np.ndarray]:
     leading axes broadcast against each other.  Returns ``(Q, D)`` with
     shape (..., d, d).  Probes must be pre-normalized.  Scans and scaling
     tables use :func:`frame_qfim_uhlmann`; this dense form is its test
-    oracle.  A generator that is not Hermitian to 1e-10 of its own norm
-    (the rule of :func:`~spinmetro.linalg.require_hermitian`) raises
-    :class:`InvalidInput`.
+    oracle.  A stack of fewer than three axes, or a generator that is not
+    Hermitian (the rule of :func:`~spinmetro.linalg.require_symmetric`),
+    raises :class:`InvalidInput`.
     """
-    gen_stack = require_hermitian(np.asarray(gen_stack, dtype=complex), tol=1e-10,
-                                  name="generator")
-    probes = np.asarray(probes, dtype=complex)
+    gen_stack = require_symmetric(gen_stack, name="generator")
+    if gen_stack.ndim < 3:
+        raise InvalidInput(f"generator stack must have shape (..., d, N, N), got {gen_stack.shape}")
+    probes = np.asarray(probes)
     v = np.einsum("...lij,...j->...li", gen_stack, probes)
     means = np.einsum("...i,...li->...l", probes.conj(), v).real
     second = np.einsum("...li,...mi->...lm", v.conj(), v)
@@ -124,17 +124,20 @@ def classical_fim(probs, grads) -> np.ndarray:
     """Classical Fisher information matrix of a finite distribution, over leading axes.
 
     ``probs (..., n)`` and ``grads (..., d, n)``, with ``grads[..., j, i] =
-    d p_i / d lambda_j``, give ``F (..., d, d)``.  Each distribution must be
-    nonnegative and sum to 1, and its gradient rows must sum to zero
-    (probability is conserved); outcomes with ``p_i < 1e-14`` contribute
-    nothing.
+    d p_i / d lambda_j``, give ``F (..., d, d)``.  Both are finite arrays of
+    real numbers (the rule of :func:`~spinmetro.linalg.require_floats`).
+    Each distribution must be nonnegative and sum to 1, and its gradient
+    rows must sum to zero (probability is conserved), else
+    :class:`InvalidInput`; outcomes with ``p_i < 1e-14`` contribute nothing.
     """
-    probs = np.atleast_1d(np.asarray(probs, dtype=float))
-    grads = np.atleast_2d(np.asarray(grads, dtype=float))
+    probs = np.atleast_1d(require_floats(probs, "probabilities"))
+    grads = np.atleast_2d(require_floats(grads, "probability gradients"))
     if grads.shape[:-2] != probs.shape[:-1] or grads.shape[-1] != probs.shape[-1]:
         raise InvalidInput(
             f"gradient stack of shape {grads.shape} does not match probabilities {probs.shape}"
         )
+    if not (np.isfinite(probs).all() and np.isfinite(grads).all()):
+        raise InvalidInput("probabilities and their gradients must be finite")
     normalized = (probs >= -1e-12).all(axis=-1) & (abs(probs.sum(axis=-1) - 1.0) <= 1e-10)
     if not normalized.all():
         raise InvalidInput("probabilities must be nonnegative and sum to 1")
@@ -165,24 +168,41 @@ def incompat_operator(q, d) -> np.ndarray:
     return 1j * (m - np.swapaxes(m, -1, -2)) / 2
 
 
+def _checked_pair(q, d, invert):
+    """``(Q, D, invert(Q))``, with Q and D held to the one input rule of
+    :func:`bounds`, :func:`ai_measure` and :func:`holevo_pure`.
+
+    Q and D are arrays of real numbers (the rule of
+    :func:`~spinmetro.linalg.require_floats`) of one shape.  D must be
+    antisymmetric and Q symmetric (the matrix rule,
+    :func:`~spinmetro.linalg.require_symmetric`, which ``invert`` applies
+    to Q), D checked first: those faults raise :class:`InvalidInput`.  The
+    matrix rule calls a NaN or an infinity invalid input; here it is a
+    :class:`NumericalFailure`, whichever matrix the rule rejected first, as
+    NaN bound values mean "singular" and nothing else.
+    """
+    q, d = require_floats(q, "QFIM"), require_floats(d, "Uhlmann matrix")
+    if q.shape != d.shape:
+        raise InvalidInput(f"Q and D must be square stacks of one shape, got {q.shape}, {d.shape}")
+    try:
+        require_symmetric(d, sign=-1, name="Uhlmann matrix")
+        return q, d, invert(q)
+    except InvalidInput:
+        if np.isfinite(q).all() and np.isfinite(d).all():
+            raise
+        raise NumericalFailure("QFIM or Uhlmann matrix is not finite") from None
+
+
 def ai_measure(q, d, rel_tol: float = 1e-10) -> float | None:
     """Asymptotic incompatibility: largest eigenvalue magnitude of ``1j Q^-1 D``.
 
     Evaluated on the Hermitian :func:`incompat_operator`, the same form the
     grid scan uses.  Returns ``None`` when Q is singular at ``rel_tol``;
-    otherwise a number in [0, 1] up to rounding.  A D that is not real
-    antisymmetric (the rule of :func:`~spinmetro.linalg.require_symmetric`)
-    raises :class:`InvalidInput`.
+    otherwise a number in [0, 1] up to rounding.  Q and D are one matrix
+    each, held to the input rule of :func:`bounds` (:func:`_checked_pair`).
     """
-    q = np.asarray(q, dtype=float)
-    d = np.asarray(d)
-    if np.iscomplexobj(d) and np.any(d.imag):
-        raise InvalidInput("Uhlmann matrix must be real")
-    d = np.asarray(d.real, dtype=float)
-    if q.shape != d.shape:
-        raise InvalidInput(f"shape mismatch: Q {q.shape} vs D {d.shape}")
-    require_symmetric(d, sign=-1, name="Uhlmann matrix")
-    if sym_inverse(q, rel_tol=rel_tol) is None:
+    q, d, q_inv = _checked_pair(q, d, lambda q: sym_inverse(q, rel_tol=rel_tol))
+    if q_inv is None:
         return None
     return spectral_absmax(incompat_operator(q, d))
 
@@ -191,13 +211,11 @@ def holevo_pure(q, d, rel_tol: float = 1e-10):
     """Scalar SLD cost, pure-model Holevo bound and their normalized gap.
 
     Returns ``(c_sld, c_h, delta)`` or ``None`` for singular Q, where
-    ``c_sld = tr Q^-1`` and ``c_h = c_sld + ||Q^-1 D Q^-1||_1``.  A D that
-    is not antisymmetric (the rule of
-    :func:`~spinmetro.linalg.require_symmetric`) raises :class:`InvalidInput`.
+    ``c_sld = tr Q^-1`` and ``c_h = c_sld + ||Q^-1 D Q^-1||_1``.  Q and D
+    are one matrix each, held to the input rule of :func:`bounds`
+    (:func:`_checked_pair`).
     """
-    q = np.asarray(q, dtype=float)
-    d = require_symmetric(np.asarray(d, dtype=float), sign=-1, name="Uhlmann matrix")
-    q_inv = sym_inverse(q, rel_tol=rel_tol)
+    _, d, q_inv = _checked_pair(q, d, lambda q: sym_inverse(q, rel_tol=rel_tol))
     if q_inv is None:
         return None
     c_sld = float(np.trace(q_inv))
@@ -215,8 +233,8 @@ def bounds(q, d, rel_tol: float = 1e-10):
     :func:`~spinmetro.linalg.singular_mask`); NaN marks a singular matrix
     and nothing else, so a Q or D that is not finite raises
     :class:`NumericalFailure`.  A Q that is not symmetric or a D that is
-    not antisymmetric (the rule of :func:`~spinmetro.linalg.require_symmetric`)
-    raises :class:`InvalidInput`.  All comes from the one ``eigh`` of
+    not antisymmetric raises :class:`InvalidInput` (the rule of
+    :func:`_checked_pair`).  All comes from the one ``eigh`` of
     :func:`~spinmetro.linalg.eigh_inverse`, ``Q = V diag(lam) V^T``: the
     singular rule, ``det_q = prod max(lam, 0) >= 0``, ``c_sld = tr Q^-1``, and with
     ``D' = V^T D V``, ``S_ij = sqrt(lam_i lam_j)`` and the real antisymmetric
@@ -231,22 +249,10 @@ def bounds(q, d, rel_tol: float = 1e-10):
     :func:`ai_measure` and :func:`holevo_pure`, which multiply by inverses,
     are the scalar references.
     """
-    q, d = require_floats(q, "QFIM"), require_floats(d, "Uhlmann matrix")
-    if q.ndim < 2 or q.shape != d.shape or q.shape[-1] != q.shape[-2]:
-        raise InvalidInput(f"Q and D must be square stacks of one shape, got {q.shape}, {d.shape}")
+    q, d, (evals, singular, regular, vecs, q_inv) = _checked_pair(
+        q, d, lambda q: eigh_inverse(q, rel_tol, name="QFIM"))
     lead, dim = q.shape[:-2], q.shape[-1]
     d = d.reshape(-1, dim, dim)
-    try:
-        # the symmetric rule checks each matrix once, finiteness first
-        require_symmetric(d, sign=-1, name="Uhlmann matrix")
-        evals, singular, regular, vecs, q_inv = eigh_inverse(q.reshape(-1, dim, dim),
-                                                             rel_tol, name="QFIM")
-    except InvalidInput:
-        # that rule calls a NaN or an infinity invalid input; here it is a
-        # numerical failure, whichever matrix the rule rejected first
-        if np.isfinite(q).all() and np.isfinite(d).all():
-            raise
-        raise NumericalFailure("QFIM or Uhlmann matrix is not finite") from None
     det_q = np.multiply.reduce(np.maximum(evals, 0.0), axis=-1)
     r_ai, c_sld, c_h, delta = np.full((4, singular.size), np.nan)
     c_sld[regular] = cost = q_inv.trace(axis1=-2, axis2=-1)

@@ -14,10 +14,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoding import ModelPoint, direction_vectors_2p, direction_vectors_3p, require_point
+from .encoding import (ModelPoint, _half_phase, direction_vectors_2p, direction_vectors_3p,
+                       require_point)
 from .errors import InvalidInput
 from .linalg import (SpinRep, _slot_rule, _window_moments, check_probe, j_direction,
-                     require_float, require_int)
+                     require_float, require_floats, require_int)
 # Bound here for perfbench/tests, which check that the benchmark's tracer
 # wraps every module binding of this pinned function.
 from .linalg import sym_inverse  # noqa: F401
@@ -141,7 +142,7 @@ def extreme_moments(dim, alpha, phi=0.0) -> tuple[np.ndarray, np.ndarray]:
     :func:`~spinmetro.analysis.scaling_table` has checked them.
     """
     row = np.minimum(dim, 5)
-    layout = _SCALE[row] * np.asarray(dim, dtype=float)[..., None] + _SHIFT[row]
+    layout = _SCALE[row] * np.asarray(dim)[..., None] + _SHIFT[row]
     first, last = _extreme_amplitudes(alpha, phi)
     amp = np.zeros(np.broadcast(row, last).shape + (4,), dtype=complex)
     amp[..., 0] = first
@@ -180,14 +181,14 @@ def qubit2p_closed(r0, point: ModelPoint) -> Qubit2pResult:
     ``det Q / max(||Q||_2^2, 1)`` is at most 1e-12, the QFIM is singular
     and the result carries ``r_ai = None`` and the flag.
     """
-    r0 = np.asarray(r0, dtype=float)
-    if r0.shape != (3,) or np.linalg.norm(r0) > 1.0 + 1e-12:
+    r0 = require_floats(r0, "Bloch vector")
+    if r0.shape != (3,) or not np.linalg.norm(r0) <= 1.0 + 1e-12:
         raise InvalidInput("Bloch vector must be a 3-vector with norm <= 1")
     if require_point(point).n_params != 2:
         raise InvalidInput("qubit2p_closed needs a two-parameter point")
     n_theta, _, n1, n2 = direction_vectors_2p(point)
     t = point.t
-    sh = np.sin(point.b * t / 2)
+    sh = np.sin(_half_phase(point.b, t))
     a = float(n_theta @ r0)
     b = float(n1 @ r0)
     c = float(n2 @ r0)
@@ -221,7 +222,7 @@ def qudit2p_closed(spec: ProbeSpec, point: ModelPoint):
     if require_point(point).n_params != 2:
         raise InvalidInput("qudit2p_closed needs a two-parameter point")
     t = point.t
-    half = point.b * t / 2
+    half = _half_phase(point.b, t)
     sh, ch = np.sin(half), np.cos(half)
     ct, st = np.cos(point.theta), np.sin(point.theta)
     s2a = np.sin(2 * spec.alpha)
@@ -229,7 +230,7 @@ def qudit2p_closed(spec: ProbeSpec, point: ModelPoint):
     c4a = np.cos(4 * spec.alpha)
     q_bb = (n - 1) * t**2 * (ct**2 + (n - 1) * s2a**2 * st**2)
     q_tt = 4 * (n - 1) * sh**2 * (sh**2 + ch**2 * ((n - 1) * ct**2 * s2a**2 + st**2))
-    q_bt = (n - 1) * (t / 4) * (n - 3 - (n - 1) * c4a) * np.sin(point.b * t) * np.sin(2 * point.theta)
+    q_bt = (n - 1) * (t / 2) * (n - 3 - (n - 1) * c4a) * sh * ch * np.sin(2 * point.theta)
     d_theta_b = -2 * t * (n - 1) * c2a * ct * sh**2
     q = np.array([[q_bb, q_bt], [q_bt, q_tt]])
     return q, float(d_theta_b)
@@ -251,7 +252,7 @@ def threeparam_uhlmann_closed(rep: SpinRep, probe, point: ModelPoint) -> np.ndar
     psi = check_probe(probe, rep.N)
     n_theta, n1, n2 = direction_vectors_3p(point)
     t = point.t
-    sh = np.sin(point.b * t / 2)
+    sh = np.sin(_half_phase(point.b, t))
     ct = np.cos(point.theta)
 
     def mean(nvec):

@@ -2,6 +2,7 @@
 
 import collections
 import functools
+import itertools
 import json
 import math
 import os
@@ -32,7 +33,7 @@ from spinmetro import (
     scaling_table,
     spin_moments,
 )
-from spinmetro import analysis, encoding, linalg, models
+from spinmetro import analysis, encoding, linalg, metrology, models
 from spinmetro.analysis import (
     MAX_GRID_CELLS,
     MAX_TABLE_PROBES,
@@ -320,6 +321,41 @@ LIBRARY_ERROR_CALLS = {
     "qudit2p_closed-no-point": lambda: models.qudit2p_closed(ProbeSpec(dim=5, alpha=0.3), None),
     "threeparam_uhlmann_closed-no-point":
         lambda: models.threeparam_uhlmann_closed(rep(2), np.array([1.0, 0.0]), None),
+    # Matrices once cast bare, or taken unchecked: an empty, string or
+    # object matrix escaped as an IndexError, ValueError or TypeError or came
+    # back with a result, a NaN escaped svd as a LinAlgError, and a complex
+    # Q or D, or bool probabilities, lost what the cast to float dropped.
+    # The matrix rule, linalg.require_symmetric, and require_floats hold
+    # them now.
+    **{f"{name}-{kind}": functools.partial(fn, m)
+       for name, fn in [("sym_inverse", linalg.sym_inverse),
+                        ("eigh_inverse", lambda q: linalg.eigh_inverse([q], 1e-10)),
+                        ("trace_norm", linalg.trace_norm),
+                        ("spectral_absmax", linalg.spectral_absmax),
+                        ("expm_i", lambda a: linalg.expm_i(a, 1.0)),
+                        ("ai_measure", lambda q: metrology.ai_measure(q, np.zeros(np.shape(q)))),
+                        ("holevo_pure", lambda q: metrology.holevo_pure(q, np.zeros(np.shape(q))))]
+       for kind, m in [("empty", np.zeros((0, 0))), ("strings", np.array([["a", "b"]] * 2)),
+                       ("objects", np.eye(2, dtype=object))]},
+    "bounds-empty": lambda: bounds(np.zeros((0, 0)), np.zeros((0, 0))),
+    "trace_norm-nan": lambda: linalg.trace_norm([[np.nan, 0.0], [0.0, 1.0]]),
+    **{f"{name}-complex": functools.partial(fn, np.array([[2.0, 1j], [-1j, 2.0]]))
+       for name, fn in [("sym_inverse", linalg.sym_inverse),
+                        ("eigh_inverse", lambda q: linalg.eigh_inverse([q], 1e-10)),
+                        ("ai_measure", lambda q: metrology.ai_measure(q, np.zeros((2, 2)))),
+                        ("holevo_pure", lambda q: metrology.holevo_pure(q, np.zeros((2, 2))))]},
+    "holevo_pure-complex-d":
+        lambda: metrology.holevo_pure(np.eye(2), np.array([[0, 0.3 + 0.2j], [-0.3 - 0.2j, 0]])),
+    **{f"classical_fim-{kind}": functools.partial(metrology.classical_fim, p, g)
+       for kind, p, g in [("strings", ["a", "b"], [[1.0, -1.0]]),
+                          ("object-probabilities", np.array([0.5, 0.5], object), [[1.0, -1.0]]),
+                          ("object-gradients", [0.5, 0.5], np.array([[1.0, -1.0]], object)),
+                          ("bool", [True, False], [[1.0, -1.0]]),
+                          ("complex-probabilities", np.array([0.5 + 0.1j, 0.5 - 0.1j]),
+                           [[1.0, -1.0]]),
+                          ("complex-gradients", [0.5, 0.5], np.array([[1j, -1j]])),
+                          ("infinite-probabilities", [np.inf, -np.inf], [[1.0, -1.0]]),
+                          ("infinite-gradients", [0.5, 0.5], [[np.inf, -np.inf]])]},
 }
 
 
@@ -327,6 +363,87 @@ LIBRARY_ERROR_CALLS = {
 def test_only_library_errors_escape(call):
     with pytest.raises((InvalidInput, NumericalFailure)):
         call()
+
+
+# A first slice of the contract on every input (ROADMAP item 14): each
+# matrix or real-array argument of the library, drawn in any of these
+# shapes and dtypes, filled at random or to pass the rules it meets first
+# (symmetric, antisymmetric, positive definite, unit rows, distributions,
+# rows summing to zero), and holding up to two NaNs or infinities, lets
+# only the library's own errors escape.  RuntimeWarnings are errors here.
+SHAPES = [(), (0, 0), (3,), (2, 3), (2, 2), (3, 3), (2, 2, 2), (1, 3, 3), (2, 0, 0)]
+DTYPES = [bool, int, float, complex, str, object]
+FILLS = ["random", "zeros", "symmetric", "antisymmetric", "positive", "unit", "distribution",
+         "centered"]
+# An array is drawn as its dtype and fill, a seed for its entries and for
+# where its non-finite values go, and those values: few draws an example.
+ARRAYS = st.tuples(st.sampled_from(list(itertools.product(DTYPES, FILLS))),
+                   st.integers(0, 2**32 - 1),
+                   st.sampled_from([(), (np.nan,), (np.inf,), (-np.inf,), (np.inf, -np.inf),
+                                    (np.nan, np.inf)]))
+
+
+def make_array(shape, kind, seed, specials):
+    (dtype, fill), rng = kind, np.random.default_rng(seed)
+    a = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if dtype is complex else 0)
+    if a.ndim and a.size:
+        a_h = a.conj().swapaxes(-1, -2) if a.ndim >= 2 else a
+        square = a.shape == a_h.shape
+        if fill == "zeros":
+            a = 0 * a
+        elif fill in ("symmetric", "antisymmetric") and square:
+            a = (a + (a_h if fill == "symmetric" else -a_h)) / 2
+        elif fill == "positive" and square:
+            a = a @ a_h + np.eye(a.shape[-1])
+        elif fill == "unit":
+            a = a / np.sqrt((np.abs(a) ** 2).sum(axis=-1, keepdims=True))
+        elif fill == "distribution":
+            a = np.abs(a) / np.abs(a).sum(axis=-1, keepdims=True)
+        elif fill == "centered":
+            a = a - a.mean(axis=-1, keepdims=True)
+    if dtype in (bool, int):
+        return a.real > 0 if dtype is bool else np.rint(4 * a.real).astype(int)
+    if a.size:
+        a.flat[rng.integers(a.size, size=len(specials))] = specials
+    return a.astype(dtype)
+
+
+def unit_probe(gens):
+    probe = np.zeros(np.shape(gens)[-1] if np.ndim(gens) else 1)
+    probe[:1] = 1.0
+    return probe
+
+
+# Each takes two drawn arrays of one shape, and uses the first alone if it
+# has one array argument; classical_fim's probabilities drop the shape's
+# next-to-last axis.
+ARRAY_ENTRY_POINTS = {
+    "eigh_inverse": lambda q, _: linalg.eigh_inverse(q, 1e-10),
+    "sym_inverse": lambda q, _: linalg.sym_inverse(q),
+    "trace_norm": lambda a, _: linalg.trace_norm(a),
+    "spectral_absmax": lambda a, _: linalg.spectral_absmax(a),
+    "expm_i": lambda a, _: linalg.expm_i(a, 1.0),
+    "require_unit3": lambda n, _: linalg.require_unit3(n),
+    "qubit2p_closed": lambda r0, _: models.qubit2p_closed(r0, POINT),
+    "GeneratorSet": lambda m, _: encoding.GeneratorSet(
+        ("B", "theta", "phi")[:np.shape(m)[0] if np.ndim(m) else 0], m),
+    "batched_qfim_uhlmann": lambda g, _: metrology.batched_qfim_uhlmann(g, unit_probe(g)),
+    "bounds": bounds,
+    "ai_measure": metrology.ai_measure,
+    "holevo_pure": metrology.holevo_pure,
+    "classical_fim": lambda grads, probs: metrology.classical_fim(probs, grads),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_ENTRY_POINTS)
+@settings(max_examples=200, deadline=None)
+@given(shape=st.sampled_from(SHAPES), first=ARRAYS, second=ARRAYS)
+def test_any_array_lets_only_library_errors_escape(name, shape, first, second):
+    second_shape = shape[:-2] + shape[-1:] if name == "classical_fim" else shape
+    try:
+        ARRAY_ENTRY_POINTS[name](make_array(shape, *first), make_array(second_shape, *second))
+    except (InvalidInput, NumericalFailure):
+        pass
 
 
 def read_csv(path):

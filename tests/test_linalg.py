@@ -1,5 +1,7 @@
 """Spin construction and Hermitian kernel tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from spinmetro import (
     trace_norm,
 )
 from spinmetro.linalg import (antisym_tridiagonal, check_inverse, eigh_inverse,
-                              require_hermitian, require_symmetric, singular_mask)
+                              require_symmetric, singular_mask)
 from spinmetro.models import ProbeSpec
 
 from conftest import haar_state, random_hermitian, rep
@@ -261,66 +263,87 @@ class TestExpmI:
         assert np.array_equal(expm_i(a.reshape(5, 1, n, n), 1.7), u.reshape(5, 1, n, n))
 
 
-class TestRequireHermitian:
+# The one matrix rule holds a real stack as (anti)symmetric and a complex
+# one as (anti-)Hermitian: each case runs on both, and its message names
+# the kind.
+KINDS = {float: "symmetric", complex: "Hermitian"}
+
+
+def random_self_adjoint(rng, dtype, n, scale=1.0):
+    a = random_hermitian(rng, n, scale)
+    return a if dtype is complex else a.real
+
+
+class TestRequireSymmetric:
     def test_stack_passes_through(self, rng):
-        a = np.stack([random_hermitian(rng, 3) for _ in range(4)])
-        assert require_hermitian(a) is a
+        for dtype in KINDS:
+            a = np.stack([random_self_adjoint(rng, dtype, 3) for _ in range(4)])
+            assert require_symmetric(a) is a
 
     @pytest.mark.parametrize("bad", [0, 2])
-    def test_rejects_stack_with_one_non_hermitian_matrix(self, rng, bad):
-        a = np.stack([random_hermitian(rng, 3) for _ in range(3)])
-        a[bad, 0, 1] += 1e-6
-        with pytest.raises(InvalidInput, match="not Hermitian"):
-            require_hermitian(a)
-        with pytest.raises(InvalidInput):
-            expm_i(a, 1.0)
+    def test_rejects_stack_with_one_bad_matrix(self, rng, bad):
+        for dtype, kind in KINDS.items():
+            a = np.stack([random_self_adjoint(rng, dtype, 3) for _ in range(3)])
+            a[bad, 0, 1] += 1e-6
+            with pytest.raises(InvalidInput, match=f"not {kind}"):
+                require_symmetric(a)
+            with pytest.raises(InvalidInput):
+                expm_i(a, 1.0)
 
     def test_tolerance_is_per_matrix(self, rng):
         # A residual of 1e-9 is within tolerance of a matrix of norm 1e6 but
         # not of one of norm ~1, which must fail in a stack with the large one.
-        big = random_hermitian(rng, 3, scale=1e6)
-        small = random_hermitian(rng, 3)
-        big[0, 1] += 1e-9
-        small[0, 1] += 1e-9
-        require_hermitian(big)
-        with pytest.raises(InvalidInput):
-            require_hermitian(np.stack([big, small]))
+        for dtype in KINDS:
+            big = random_self_adjoint(rng, dtype, 3, scale=1e6)
+            small = random_self_adjoint(rng, dtype, 3)
+            big[0, 1] += 1e-9
+            small[0, 1] += 1e-9
+            require_symmetric(big)
+            with pytest.raises(InvalidInput):
+                require_symmetric(np.stack([big, small]))
 
-    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
-    def test_rejects_non_square(self, shape):
-        with pytest.raises(InvalidInput, match="square"):
-            require_hermitian(np.zeros(shape))
+    def test_antisymmetric(self, rng):
+        for dtype, kind in KINDS.items():
+            h = random_self_adjoint(rng, dtype, 3)
+            a = 1j * h if dtype is complex else np.triu(h, 1) - np.triu(h, 1).T
+            assert require_symmetric(a, sign=-1) is a
+            with pytest.raises(InvalidInput, match=f"not anti-?{kind}"):
+                require_symmetric(a + np.eye(3), sign=-1)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3), (0, 0), (3, 0, 0)])
+    def test_rejects_non_square(self, shape, sign):
+        for dtype in KINDS:
+            with pytest.raises(InvalidInput, match="square"):
+                require_symmetric(np.zeros(shape, dtype), sign=sign)
 
     # A NaN residual compares False against the tolerance, and an exactly
-    # Hermitian matrix with an infinity passes the equality shortcut.
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
-    def test_rejects_non_finite(self, value, where):
-        a = np.eye(2, dtype=complex)
-        a[where] = a[where[::-1]] = value
-        with pytest.raises(InvalidInput, match="NaN or an infinity"):
-            require_hermitian(a)
-        with pytest.raises(InvalidInput, match="NaN or an infinity"):
-            require_hermitian(np.stack([np.eye(2), a]))
-
-
-class TestRequireSymmetric:
-    @pytest.mark.parametrize("sign", [1, -1])
-    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
-    def test_rejects_non_square(self, shape, sign):
-        with pytest.raises(InvalidInput, match="square"):
-            require_symmetric(np.zeros(shape), sign=sign)
-
+    # symmetric matrix with an infinity passes the equality shortcut: on
+    # the diagonal, and off it.
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, value, sign):
-        a = np.zeros((2, 2))
-        a[0, 1], a[1, 0] = value, sign * value
-        with pytest.raises(InvalidInput, match="NaN or an infinity"):
-            require_symmetric(a, sign=sign)
-        with pytest.raises(InvalidInput, match="NaN or an infinity"):
-            require_symmetric(np.stack([np.zeros((2, 2)), a]), sign=sign)
+        for dtype, where in itertools.product(KINDS, [(0, 0), (0, 1)]):
+            a = np.zeros((2, 2), dtype)
+            a[where], a[where[::-1]] = value, sign * value
+            with pytest.raises(InvalidInput, match="NaN or an infinity"):
+                require_symmetric(a, sign=sign)
+            with pytest.raises(InvalidInput, match="NaN or an infinity"):
+                require_symmetric(np.stack([np.zeros((2, 2)), a]), sign=sign)
+
+    @pytest.mark.parametrize("a", [np.eye(2, dtype=bool), [["a", "b"], ["b", "a"]],
+                                   np.eye(2, dtype=object), [[1.0, 2.0], [3.0]]],
+                             ids=["bool", "str", "object", "ragged"])
+    def test_rejects_anything_but_numbers(self, a):
+        with pytest.raises(InvalidInput, match="array of numbers"):
+            require_symmetric(a)
+
+    # Integers are taken as floats, so that an unsigned negation cannot wrap
+    # [[0, 1], [255, 0]] round to an antisymmetric matrix.
+    def test_integers_are_taken_as_floats(self):
+        with pytest.raises(InvalidInput, match="not antisymmetric"):
+            require_symmetric(np.array([[0, 1], [255, 0]], np.uint8), sign=-1)
+        assert require_symmetric(np.eye(2, dtype=int)).dtype == float
 
 
 class TestSpectralAbsmax:
@@ -345,7 +368,8 @@ class TestSpectralAbsmax:
             assert spectral_absmax(1j * m) == pytest.approx(abs(a), abs=1e-12)
 
     def test_rejects_complex_spectrum(self):
-        with pytest.raises(InvalidInput, match="not Hermitian"):
+        # a real matrix is held to the matrix rule as symmetric
+        with pytest.raises(InvalidInput, match="not symmetric"):
             spectral_absmax(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 

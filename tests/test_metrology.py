@@ -632,10 +632,11 @@ class TestBounds:
         with pytest.raises(NumericalFailure):
             bounds(*q_and_d)
 
-    # Each matrix is checked once, by the symmetric rule, whose non-finite
-    # verdict bounds turns into a numerical failure: a NaN or an infinity
-    # in either matrix outranks any asymmetry, and D's asymmetry outranks
-    # Q's, whichever matrix the rule met first.
+    # Each matrix is checked once, by the matrix rule, whose non-finite
+    # verdict becomes a numerical failure: a NaN or an infinity in either
+    # matrix outranks any asymmetry, and D's asymmetry outranks Q's,
+    # whichever matrix the rule met first.  The scalar references take
+    # (Q, D) by the same rule, so each pair raises the same error in all three.
     @pytest.mark.parametrize("q, d, error, match", [
         ([[1.0, np.nan], [np.nan, 1.0]], [[0.0, 0.3], [0.3, 0.0]], NumericalFailure, "not finite"),
         ([[2.0, 0.5], [0.0, 1.0]], [[0.0, np.inf], [-np.inf, 0.0]], NumericalFailure,
@@ -644,8 +645,9 @@ class TestBounds:
         ([[np.inf, 0.0], [0.0, 1.0]], np.zeros((2, 2)), NumericalFailure, "not finite"),
     ])
     def test_input_faults_keep_their_order(self, q, d, error, match):
-        with pytest.raises(error, match=match):
-            bounds(q, d)
+        for fn in (bounds, ai_measure, holevo_pure):
+            with pytest.raises(error, match=match):
+                fn(q, d)
 
     def test_perturbed_eigenvectors_fail_the_inverse_check(self, rng, monkeypatch):
         q, d = random_model(rng, 3, cond=1e4)

@@ -354,3 +354,41 @@ class TestGammaScaling:
         gammas = [gamma_from_model(n, 2, np.pi / 4, point) for n in dims]
         slope = np.polyfit(np.log(np.array(dims) - 1.0), np.log(gammas), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.02)
+
+
+class TestClosedFormsAtHugeField:
+    """At ``B t`` past the largest float, ``B t / 2`` taken as written
+    overflowed and the closed forms came out NaN where the frame kernel is
+    finite; they take the phase by the frame's rule, so they agree with it
+    there."""
+
+    B, T = 1.7976e308, 2.0
+
+    def frame(self, psi, point):
+        return frame_qfim_uhlmann(closed_frame(point.b, point.theta, point.t, point.phi),
+                                  *spin_moments(psi))
+
+    def test_qubit(self, rng):
+        point = ModelPoint(b=self.B, theta=0.6, t=self.T)
+        for _ in range(5):
+            probe = haar_state(rng, 2)
+            res = qubit2p_closed(bloch_vector(probe), point)
+            q, d = self.frame(probe, point)
+            assert np.abs(res.qfim - q).max() < 1e-12
+            assert abs(res.d_theta_b - d[1, 0]) < 1e-12
+
+    @pytest.mark.parametrize("n", [4, 5, 7])
+    def test_qudit(self, n):
+        spec = ProbeSpec(dim=n, alpha=0.3, phi=0.9)
+        point = ModelPoint(b=self.B, theta=0.6, t=self.T)
+        q_closed, d_tb = qudit2p_closed(spec, point)
+        q, d = self.frame(make_probe(spec), point)
+        scale = np.linalg.norm(q, 2)
+        assert np.abs(q_closed - q).max() < 1e-12 * scale
+        assert abs(d_tb - d[1, 0]) < 1e-12 * scale
+
+    def test_three_parameter_uhlmann(self, rng):
+        point = ModelPoint(b=self.B, theta=0.7, t=self.T, phi=1.3)
+        probe = haar_state(rng, 4)
+        closed = threeparam_uhlmann_closed(rep(4), probe, point)
+        assert np.abs(closed - self.frame(probe, point)[1]).max() < 1e-12

@@ -13,7 +13,8 @@ Every file the library writes is opened in one place,
 ``analysis._write_csv``, and JSON is formatted by ``analysis.write_json``
 alone, from one report layout.  The report module builds no dense generator
 route: its oracle routes are the su(2) vector forms.  Q^-1 and the
-singular rule are computed in one function, ``linalg.eigh_inverse``.
+singular rule are computed in one function, ``linalg.eigh_inverse``, and
+every matrix argument is checked by one rule, ``linalg.require_symmetric``.
 """
 
 import ast
@@ -220,6 +221,39 @@ def test_one_inverse_rule():
     assert places == {"np.linalg.inv": ["metrology.incompat_operator"],
                       "singular_mask": ["linalg.eigh_inverse"],
                       "check_inverse": ["linalg.eigh_inverse"]}
+
+
+def test_one_matrix_rule():
+    # linalg.require_symmetric is the one matrix rule: its square check,
+    # linalg._require_finite_square, is called by it and by linalg._as_square
+    # (that check for one matrix) alone.  No function in the library casts
+    # one of its own arguments with np.asarray(..., dtype=float or complex):
+    # a real array goes through linalg.require_floats and a matrix through
+    # the matrix rule.  No require_* rule is passed a tol=, in the library
+    # or in the test oracles.  Each entry names the function that holds the
+    # call.
+    places = {"_require_finite_square": set(), "cast": set(), "tol=": set()}
+    for path in [*sorted(SRC.glob("*.py")), ROOT / "tests" / "oracles.py"]:
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(func, (ast.FunctionDef, ast.Lambda)):
+                continue
+            owner = f"{path.stem}.{getattr(func, 'name', 'lambda')}"
+            params = {arg.arg for arg in ast.walk(func.args) if isinstance(arg, ast.arg)}
+            for call in ast.walk(func):
+                if not isinstance(call, ast.Call):
+                    continue
+                callee = ast.unparse(call.func)
+                keywords = {k.arg: ast.unparse(k.value) for k in call.keywords}
+                if callee == "_require_finite_square":
+                    places[callee].add(owner)
+                elif callee.rsplit(".", 1)[-1].startswith("require_") and "tol" in keywords:
+                    places["tol="].add(owner)
+                elif (path.parent == SRC and callee == "np.asarray"
+                      and keywords.get("dtype") in ("float", "complex")
+                      and call.args and ast.unparse(call.args[0]) in params):
+                    places["cast"].add(owner)
+    assert places == {"_require_finite_square": {"linalg._as_square", "linalg.require_symmetric"},
+                      "cast": set(), "tol=": set()}
 
 
 DENSE_ROUTE_NAMES = {"GeneratorSet", "series_generators", "numeric_generators",
