@@ -1,7 +1,5 @@
 """Spin construction and Hermitian kernel tests."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -274,6 +272,28 @@ def random_self_adjoint(rng, dtype, n, scale=1.0):
     return a if dtype is complex else a.real
 
 
+SHAPES = [(3,), (2, 3), (4, 2, 3), (0, 0), (3, 0, 0)]
+VALUES = [np.nan, np.inf, -np.inf]
+WHERE = [(0, 0), (0, 1)]
+
+
+def rejects_non_square(dtype, shape, sign):
+    with pytest.raises(InvalidInput, match="square"):
+        require_symmetric(np.zeros(shape, dtype), sign=sign)
+
+
+# A NaN residual compares False against the tolerance, and an exactly
+# symmetric matrix with an infinity passes the equality shortcut: on the
+# diagonal, and off it.
+def rejects_non_finite(dtype, value, where, sign):
+    a = np.zeros((2, 2), dtype)
+    a[where], a[where[::-1]] = value, sign * value
+    with pytest.raises(InvalidInput, match="NaN or an infinity"):
+        require_symmetric(a, sign=sign)
+    with pytest.raises(InvalidInput, match="NaN or an infinity"):
+        require_symmetric(np.stack([np.zeros((2, 2)), a]), sign=sign)
+
+
 class TestRequireSymmetric:
     def test_stack_passes_through(self, rng):
         for dtype in KINDS:
@@ -311,25 +331,15 @@ class TestRequireSymmetric:
                 require_symmetric(a + np.eye(3), sign=-1)
 
     @pytest.mark.parametrize("sign", [1, -1])
-    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3), (0, 0), (3, 0, 0)])
+    @pytest.mark.parametrize("shape", SHAPES)
     def test_rejects_non_square(self, shape, sign):
-        for dtype in KINDS:
-            with pytest.raises(InvalidInput, match="square"):
-                require_symmetric(np.zeros(shape, dtype), sign=sign)
+        rejects_non_square(float, shape, sign)
 
-    # A NaN residual compares False against the tolerance, and an exactly
-    # symmetric matrix with an infinity passes the equality shortcut: on
-    # the diagonal, and off it.
     @pytest.mark.parametrize("sign", [1, -1])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("value", VALUES)
     def test_rejects_non_finite(self, value, sign):
-        for dtype, where in itertools.product(KINDS, [(0, 0), (0, 1)]):
-            a = np.zeros((2, 2), dtype)
-            a[where], a[where[::-1]] = value, sign * value
-            with pytest.raises(InvalidInput, match="NaN or an infinity"):
-                require_symmetric(a, sign=sign)
-            with pytest.raises(InvalidInput, match="NaN or an infinity"):
-                require_symmetric(np.stack([np.zeros((2, 2)), a]), sign=sign)
+        for where in WHERE:
+            rejects_non_finite(float, value, where, sign)
 
     @pytest.mark.parametrize("a", [np.eye(2, dtype=bool), [["a", "b"], ["b", "a"]],
                                    np.eye(2, dtype=object), [[1.0, 2.0], [3.0]]],
@@ -344,6 +354,21 @@ class TestRequireSymmetric:
         with pytest.raises(InvalidInput, match="not antisymmetric"):
             require_symmetric(np.array([[0, 1], [255, 0]], np.uint8), sign=-1)
         assert require_symmetric(np.eye(2, dtype=int)).dtype == float
+
+
+# The same shape and finiteness cases on complex input, where the one rule
+# is a Hermitian (sign 1) or anti-Hermitian (sign -1) check.
+class TestRequireHermitian:
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_rejects_non_square(self, shape):
+        for sign in (1, -1):
+            rejects_non_square(complex, shape, sign)
+
+    @pytest.mark.parametrize("value", VALUES)
+    @pytest.mark.parametrize("where", WHERE)
+    def test_rejects_non_finite(self, value, where):
+        for sign in (1, -1):
+            rejects_non_finite(complex, value, where, sign)
 
 
 class TestSpectralAbsmax:
