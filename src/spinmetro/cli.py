@@ -5,11 +5,20 @@ consistency failures (a stray ``LinAlgError`` counts as one, and so does a
 floating-point overflow or invalid operation: commands run with numpy set to
 raise them as ``FloatingPointError``) and on file-system errors.
 
-An argv that names a subcommand first is parsed by that subcommand's own
-parser alone; the top-level parser runs only to report a problem that is
-its own to report (no subcommand, an unknown one, a top-level ``-h``) and
-arguments the subcommand left over.  Either way the namespace, messages
-and exit codes are those of ``build_parser().parse_args(argv)``.
+An argv that names a subcommand first is parsed by that subcommand alone.
+One of the plain form ``CMD (--flag VALUE)*`` is read from CMD's flag
+table: each flag one of CMD's exact option strings (a repeated one keeps
+its last value), no VALUE starting with ``-``, each VALUE of its flag's
+type and among its choices, and ``--out`` given.  Every other such argv
+goes to CMD's own parser: ``-h``, an abbreviation, ``--flag=value``, a
+negative value, ``--``, a leftover or missing value, a bad type or choice.
+argparse stays the only grammar and the only source of help, usage and
+error text.  The top-level parser runs only to report a problem that is its
+own to report (no subcommand, an unknown one, a top-level ``-h``) and
+arguments the subcommand left over.  Either way the namespace, messages and
+exit codes are those of ``build_parser().parse_args(argv)``.  Each
+subcommand's flags are declared once, in ``_SUBCOMMANDS``, which both its
+parser and its flag table are built from.
 """
 
 from __future__ import annotations
@@ -86,9 +95,36 @@ _FLAGS = {
 }
 
 
-def _add_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
-    for flag in flags:
-        parser.add_argument(flag, **_FLAGS[flag])
+def _pick(*flags: str) -> dict:
+    return {flag: _FLAGS[flag] for flag in flags}
+
+
+# Each subcommand's help line and its flags, in help order, as
+# ``add_argument`` keywords: the one declaration that both the subcommand's
+# parser and its flag table are built from.
+_SUBCOMMANDS = {
+    "scan": ("T(theta,B) grid scan to CSV", {
+        **_pick("--model", "--dim", "--alpha", "--phi", "--time", "--tol", "--out"),
+        "--model-phi": dict(type=float, default=0.0,
+                            help="fixed field azimuth for the three-parameter model"),
+        "--grid": dict(default="101x101", help="grid counts THETAxB"),
+    }),
+    "metrics": ("single-point JSON report", _pick(
+        "--model", "--dim", "--alpha", "--phi", "--time", "--tol", "--out",
+        "--b", "--theta", "--model-phi")),
+    "scaling": ("Gamma scaling table to CSV", {
+        **_pick("--model", "--phi", "--time", "--tol", "--out", "--b", "--theta", "--model-phi"),
+        "--alphas": dict(default="0.7853981633974483", help="comma-separated probe angles"),
+        "--dims": dict(default="4-12", help="dimensions, N,N,... or LO-HI"),
+    }),
+    "fim-rank": ("FIM rank Monte-Carlo report to JSON", {
+        **_pick("--out"),
+        "--params": dict(type=int, default=2, help="number of parameters d"),
+        "--outcomes": dict(type=int, default=3, help="number of outcomes n"),
+        "--trials": dict(type=int, default=1000, help="number of trials"),
+        "--seed": dict(type=int, default=0, help="RNG seed"),
+    }),
+}
 
 
 def _model_phi(args) -> float | None:
@@ -112,50 +148,81 @@ def build_parser() -> argparse.ArgumentParser:
     namespace, so :func:`main` reuses this one parser for every call.
     Every caller gets the same object, to parse with and not to change.
     :func:`main` parses a known subcommand's flags with that subcommand's
-    own parser, built and cached with this one and keyed like its commands.
+    flag table or its own parser, built and cached with this one and keyed
+    like its commands.
     """
     return _parsers()[0]
 
 
+class _FlagTable:
+    """One subcommand's flags as :meth:`parse` reads them, from the
+    ``add_argument`` keywords its parser is built with: each option
+    string's destination (argparse's: the string without its leading
+    ``--``, with ``_`` for ``-``), type and choices, the defaults and the
+    required destinations."""
+
+    def __init__(self, flags: dict):
+        self.flags = {flag: (flag[2:].replace("-", "_"), keywords.get("type", str),
+                             keywords.get("choices"))
+                      for flag, keywords in flags.items()}
+        self.defaults = {self.flags[flag][0]: keywords.get("default")
+                         for flag, keywords in flags.items()}
+        self.required = {self.flags[flag][0]
+                         for flag, keywords in flags.items() if keywords.get("required")}
+
+    def parse(self, args: list[str]) -> argparse.Namespace | None:
+        """The subcommand parser's namespace for ``args`` of the plain form
+        ``(--flag VALUE)*``, else ``None``.
+
+        Plain means: each flag is one of the table's exact option strings
+        (a repeated one keeps its last value), no value starts with ``-``,
+        each value converts by its flag's type and lies in its choices, and
+        every required flag is given.  Such an argv has one reading in
+        argparse's grammar, which this is; any other goes to the parser.
+        """
+        if len(args) % 2:
+            return None
+        values = dict(self.defaults)
+        missing = set(self.required)
+        for flag, text in zip(args[::2], args[1::2]):
+            if flag not in self.flags or text.startswith("-"):
+                return None
+            dest, convert, choices = self.flags[flag]
+            try:
+                value = convert(text)
+            except (TypeError, ValueError):
+                return None
+            if choices is not None and value not in choices:
+                return None
+            values[dest] = value
+            missing.discard(dest)
+        return None if missing else argparse.Namespace(**values)
+
+
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each subcommand's parser by its name."""
+def _parsers() -> tuple[argparse.ArgumentParser,
+                        dict[str, tuple[argparse.ArgumentParser, _FlagTable]]]:
+    """The top-level parser, and each subcommand's parser and flag table by
+    its name, both built from :data:`_SUBCOMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="spinmetro",
         description="Precision bounds and measurement incompatibility for "
         "su(2) unitary estimation models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    scan = sub.add_parser("scan", help="T(theta,B) grid scan to CSV")
-    _add_flags(scan, "--model", "--dim", "--alpha", "--phi", "--time", "--tol", "--out")
-    scan.add_argument("--model-phi", type=float, default=0.0,
-                      help="fixed field azimuth for the three-parameter model")
-    scan.add_argument("--grid", default="101x101", help="grid counts THETAxB")
-
-    metrics = sub.add_parser("metrics", help="single-point JSON report")
-    _add_flags(metrics, "--model", "--dim", "--alpha", "--phi", "--time", "--tol", "--out",
-               "--b", "--theta", "--model-phi")
-
-    scaling = sub.add_parser("scaling", help="Gamma scaling table to CSV")
-    _add_flags(scaling, "--model", "--phi", "--time", "--tol", "--out",
-               "--b", "--theta", "--model-phi")
-    scaling.add_argument("--alphas", default="0.7853981633974483",
-                         help="comma-separated probe angles")
-    scaling.add_argument("--dims", default="4-12", help="dimensions, N,N,... or LO-HI")
-
-    rank = sub.add_parser("fim-rank", help="FIM rank Monte-Carlo report to JSON")
-    _add_flags(rank, "--out")
-    rank.add_argument("--params", type=int, default=2, help="number of parameters d")
-    rank.add_argument("--outcomes", type=int, default=3, help="number of outcomes n")
-    rank.add_argument("--trials", type=int, default=1000, help="number of trials")
-    rank.add_argument("--seed", type=int, default=0, help="RNG seed")
-    return parser, {"scan": scan, "metrics": metrics, "scaling": scaling, "fim-rank": rank}
+    commands = {}
+    for name, (help_line, flags) in _SUBCOMMANDS.items():
+        subparser = sub.add_parser(name, help=help_line)
+        for flag, keywords in flags.items():
+            subparser.add_argument(flag, **keywords)
+        commands[name] = subparser, _FlagTable(flags)
+    return parser, commands
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``, with a known subcommand's flags
-    parsed by its own parser alone.
+    parsed by its flag table, or by its own parser alone where the table
+    declines them.
 
     The top-level parser's pass over them does no work: its subcommand
     action hands every argument after the name to the subcommand's parser
@@ -165,9 +232,12 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     command = argv[0] if argv else None
     if command not in commands:
         return parser.parse_args(argv)
-    args, extras = commands[command].parse_known_args(argv[1:])
-    if extras:
-        parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+    subparser, table = commands[command]
+    args = table.parse(argv[1:])
+    if args is None:
+        args, extras = subparser.parse_known_args(argv[1:])
+        if extras:
+            parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
     args.command = command
     return args
 

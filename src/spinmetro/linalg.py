@@ -242,24 +242,26 @@ def build_spin_rep(N: int) -> SpinRep:
     return SpinRep(N=N, jx=jx, jy=jy, jz=jz)
 
 
-def _as_state(psi, dim: int | None = None) -> np.ndarray:
-    """``psi`` as a complex vector, of dimension ``dim`` if given: the shape
-    and type half of :func:`check_probe`."""
+def _as_state(psi, dim: int | None = None, stack: bool = False) -> np.ndarray:
+    """``psi`` as a complex vector, of dimension ``dim`` if given, or with
+    ``stack`` a stack of them over leading axes: the shape and type half
+    of :func:`check_probe`."""
     psi = _as_array(psi, "probe", "iufc", "a vector of numbers")
-    if psi.ndim != 1:
+    if psi.ndim != 1 and not (stack and psi.ndim > 1):
         raise InvalidInput(f"probe must be a vector, got shape {psi.shape}")
-    if dim is not None and psi.size != dim:
-        raise InvalidInput(f"probe has dimension {psi.size}, expected {dim}")
+    if dim is not None and psi.shape[-1] != dim:
+        raise InvalidInput(f"probe has dimension {psi.shape[-1]}, expected {dim}")
     return psi.astype(complex, copy=False)
 
 
-def check_probe(psi, dim: int | None = None) -> np.ndarray:
+def check_probe(psi, dim: int | None = None, stack: bool = False) -> np.ndarray:
     """Return the pure probe state ``psi`` as a complex vector, the one rule
     for a state: a vector of numbers (integer, real or complex; not bool,
     string or object), of dimension ``dim`` if given, with unit norm (the
-    rule of :func:`require_unit_norm`).  Anything else raises
+    rule of :func:`require_unit_norm`).  With ``stack``, ``psi`` may also
+    be a stack of such vectors along its last axis.  Anything else raises
     :class:`InvalidInput`."""
-    return require_unit_norm(_as_state(psi, dim))
+    return require_unit_norm(_as_state(psi, dim, stack))
 
 
 # The rows (J+ + J-) / 2, (J+ - J-) / 2j and Jz over the rows J+ psi,

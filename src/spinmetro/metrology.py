@@ -102,16 +102,21 @@ def batched_qfim_uhlmann(gen_stack, probes) -> tuple[np.ndarray, np.ndarray]:
 
     ``gen_stack`` has shape (..., d, N, N) and ``probes`` (..., N); the
     leading axes broadcast against each other.  Returns ``(Q, D)`` with
-    shape (..., d, d).  Probes must be pre-normalized.  Scans and scaling
-    tables use :func:`frame_qfim_uhlmann`; this dense form is its test
-    oracle.  A stack of fewer than three axes, or a generator that is not
-    Hermitian (the rule of :func:`~spinmetro.linalg.require_symmetric`),
-    raises :class:`InvalidInput`.
+    shape (..., d, d).  Scans and scaling tables use
+    :func:`frame_qfim_uhlmann`; this dense form is its test oracle.  A
+    stack of fewer than three axes, a generator that is not Hermitian (the
+    rule of :func:`~spinmetro.linalg.require_symmetric`), a probe that is
+    not a unit vector of dimension N (the rule of
+    :func:`~spinmetro.linalg.check_probe`) or leading axes that do not
+    broadcast (that of :func:`~spinmetro.linalg.require_broadcast`) raise
+    :class:`InvalidInput`.
     """
     gen_stack = require_symmetric(gen_stack, name="generator")
     if gen_stack.ndim < 3:
         raise InvalidInput(f"generator stack must have shape (..., d, N, N), got {gen_stack.shape}")
-    probes = np.asarray(probes)
+    probes = check_probe(probes, gen_stack.shape[-1], stack=True)
+    require_broadcast("the leading axes of the generator stack and the probes",
+                      gen_stack[..., 0, 0, 0], probes[..., 0])
     v = np.einsum("...lij,...j->...li", gen_stack, probes)
     means = np.einsum("...i,...li->...l", probes.conj(), v).real
     second = np.einsum("...li,...mi->...lm", v.conj(), v)
@@ -213,15 +218,22 @@ def holevo_pure(q, d, rel_tol: float = 1e-10):
     Returns ``(c_sld, c_h, delta)`` or ``None`` for singular Q, where
     ``c_sld = tr Q^-1`` and ``c_h = c_sld + ||Q^-1 D Q^-1||_1``.  Q and D
     are one matrix each, held to the input rule of :func:`bounds`
-    (:func:`_checked_pair`).
+    (:func:`_checked_pair`).  A regular Q whose values are not finite
+    raises :class:`NumericalFailure`, as in :func:`bounds`.
     """
-    _, d, q_inv = _checked_pair(q, d, lambda q: sym_inverse(q, rel_tol=rel_tol))
-    if q_inv is None:
-        return None
-    c_sld = float(np.trace(q_inv))
-    gap = trace_norm(q_inv @ d @ q_inv)
-    c_h = c_sld + gap
-    return c_sld, c_h, gap / c_sld
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        _, d, q_inv = _checked_pair(q, d, lambda q: sym_inverse(q, rel_tol=rel_tol))
+        if q_inv is None:
+            return None
+        x = q_inv @ d @ q_inv
+        if not np.isfinite(x).all():
+            raise NumericalFailure("Q^-1 D Q^-1 is not finite")
+        c_sld = float(np.trace(q_inv))
+        gap = trace_norm(x)
+        values = c_sld, c_sld + gap, gap / c_sld
+    if not np.isfinite(values).all():
+        raise NumericalFailure("Holevo bound is not finite on a regular QFIM")
+    return values
 
 
 def bounds(q, d, rel_tol: float = 1e-10):
@@ -247,38 +259,51 @@ def bounds(q, d, rel_tol: float = 1e-10):
     :func:`~spinmetro.linalg.eigh_inverse` gathered, so one real
     ``eigvalsh`` gives both spectra and no complex array reaches LAPACK.
     :func:`ai_measure` and :func:`holevo_pure`, which multiply by inverses,
-    are the scalar references.
+    are the scalar references.  A regular matrix whose bound is not finite,
+    as a finite but extreme (Q, D) can give, raises
+    :class:`NumericalFailure` whatever numpy's error state.
     """
-    q, d, (evals, singular, regular, vecs, q_inv) = _checked_pair(
-        q, d, lambda q: eigh_inverse(q, rel_tol, name="QFIM"))
-    lead, dim = q.shape[:-2], q.shape[-1]
-    d = d.reshape(-1, dim, dim)
+    # A finite but extreme (Q, D) may overflow anywhere below; the regular
+    # matrices' bounds are checked once at the end instead, so no numpy
+    # warning or error state decides what a caller sees
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        q, d, (evals, singular, regular, vecs, q_inv) = _checked_pair(
+            q, d, lambda q: eigh_inverse(q, rel_tol, name="QFIM"))
+        lead, dim = q.shape[:-2], q.shape[-1]
+        d = d.reshape(-1, dim, dim)
+        r_ai, c_sld, c_h, delta = values = np.full((4, singular.size), np.nan)
+        c_sld[regular] = cost = q_inv.trace(axis1=-2, axis2=-1)
+        # Q^-1, V, D' and S are each dropped once used, so a scan peaks no
+        # higher than with one matrix at a time
+        del q_inv
+        lam = evals.take(regular, axis=0)
+        d = vecs.swapaxes(-1, -2) @ d.take(regular, axis=0) @ vecs
+        del vecs
+        s = np.sqrt(lam)[:, :, None]  # sqrt each: lam^2 may overflow
+        s = s * s.swapaxes(-1, -2)
+        # K = D' / S and K / S side by side, for one eigvalsh of both
+        # spectra; D' enters by its antisymmetric part, else its diagonal
+        # residue / lam^2 dominates
+        k = np.empty((2,) + d.shape)
+        np.subtract(d, d.swapaxes(-1, -2), out=k[0])
+        del d
+        k[0] *= 0.5
+        k[0] /= s
+        np.divide(k[0], s, out=k[1])
+        del s
+        k = antisym_tridiagonal(k)
+        # eigvalsh returns silently on NaN or infinite input
+        if not np.isfinite(k).all():
+            raise NumericalFailure("incompatibility operator is not finite on a regular QFIM")
+        spectra = np.abs(np.linalg.eigvalsh(k))
+        r_ai[regular] = np.maximum.reduce(spectra[0], axis=-1)
+        gap = np.add.reduce(spectra[1], axis=-1)
+        c_h[regular] = cost + gap
+        delta[regular] = gap / cost
+    # every bound of a regular matrix is finite, and of a singular one NaN
+    if np.count_nonzero(np.isfinite(values)) != values.shape[0] * regular.size:
+        raise NumericalFailure("a bound is not finite on a regular QFIM")
     det_q = np.multiply.reduce(np.maximum(evals, 0.0), axis=-1)
-    r_ai, c_sld, c_h, delta = np.full((4, singular.size), np.nan)
-    c_sld[regular] = cost = q_inv.trace(axis1=-2, axis2=-1)
-    # Q^-1, V, D' and S are each dropped once used, so a scan peaks no
-    # higher than with one matrix at a time
-    del q_inv
-    lam = evals.take(regular, axis=0)
-    d = vecs.swapaxes(-1, -2) @ d.take(regular, axis=0) @ vecs
-    del vecs
-    s = np.sqrt(lam)[:, :, None]  # sqrt each: lam^2 may overflow
-    s = s * s.swapaxes(-1, -2)
-    # K = D' / S and K / S side by side, for one eigvalsh of both
-    # spectra; D' enters by its antisymmetric part, else its diagonal
-    # residue / lam^2 dominates
-    k = np.empty((2,) + d.shape)
-    np.subtract(d, d.swapaxes(-1, -2), out=k[0])
-    del d
-    k[0] *= 0.5
-    k[0] /= s
-    np.divide(k[0], s, out=k[1])
-    del s
-    spectra = np.abs(np.linalg.eigvalsh(antisym_tridiagonal(k)))
-    r_ai[regular] = np.maximum.reduce(spectra[0], axis=-1)
-    gap = np.add.reduce(spectra[1], axis=-1)
-    c_h[regular] = cost + gap
-    delta[regular] = gap / cost
     return tuple(x.reshape(lead) for x in (singular, r_ai, c_sld, c_h, delta, det_q))
 
 

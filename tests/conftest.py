@@ -1,7 +1,9 @@
 """Shared helpers for the spinmetro test suite."""
 
 import functools
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,23 @@ from spinmetro import (
     sym_inverse,
 )
 from spinmetro.errors import StepInstability
+
+
+WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@functools.cache
+def workload_ops() -> tuple:
+    """Every op of the benchmark's workloads (``perfbench/workloads.py``,
+    imported and left as it is) at seeds 1 and 2, as ``(name, argv)`` with
+    ``name`` ``<workload>/<seed>/<output file>``: 554 argvs."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return tuple((f"{workload}/{seed}/{Path(argv[-1]).name}", argv)
+                 for workload in sorted(workloads.WORKLOADS)
+                 for seed in (1, 2)
+                 for argv in workloads.build_ops(workload, seed))
 
 
 @functools.lru_cache(maxsize=None)

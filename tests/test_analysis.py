@@ -356,6 +356,18 @@ LIBRARY_ERROR_CALLS = {
                           ("complex-gradients", [0.5, 0.5], np.array([[1j, -1j]])),
                           ("infinite-probabilities", [np.inf, -np.inf], [[1.0, -1.0]]),
                           ("infinite-gradients", [0.5, 0.5], [[np.inf, -np.inf]])]},
+    # A finite pair whose regular Q overflows a bound warned and returned an
+    # infinite bound (bounds) or warned and called it invalid (holevo_pure);
+    # probes that broke the probe rule escaped einsum or were used as given.
+    **{f"{name}-overflow": functools.partial(fn, np.diag([1e-160, 1e-160]),
+                                             np.array([[0.0, 1.0], [-1.0, 0.0]]))
+       for name, fn in [("bounds", bounds), ("holevo_pure", metrology.holevo_pure)]},
+    **{f"batched_qfim_uhlmann-{kind}": functools.partial(metrology.batched_qfim_uhlmann, g, p)
+       for kind, g, p in [("probe-dimension", np.stack([np.eye(2)]), np.ones(3)),
+                          ("probe-norm", np.stack([np.eye(2)]), 5 * np.ones(2)),
+                          ("probe-strings", np.stack([np.eye(2)]), np.array(["a", "b"])),
+                          ("no-broadcast", np.stack([np.stack([np.eye(2)])] * 2),
+                           np.tile([1.0, 0.0], (3, 1)))]},
 }
 
 

@@ -30,7 +30,7 @@ from spinmetro.analysis import (
 from spinmetro.cli import build_parser, main
 from spinmetro.models import MAX_DIM, ProbeSpec
 
-from conftest import fim_rank_loop
+from conftest import fim_rank_loop, workload_ops
 
 
 def run(argv):
@@ -736,6 +736,12 @@ PARSE_ROWS = [
     ["metrics", "--out", "x", "extra"], ["metrics", "--ou", "x", "extra", "-z"],
     ["metrics", "--out=x", "--model=three"], ["fim-rank", "--out", "x", "--seed", "-1"],
     ["scan", "--dim", "-1", "--out", "x"], ["scaling", "--di", "4,5", "--out", "x"],
+    # the plain form, which the flag table reads or declines
+    ["metrics", "--model", "four", "--out", "x"], ["metrics", "--dim", "2.0", "--out", "x"],
+    ["metrics", "--model", "three", "--dim", "3", "--model", "two", "--out", "x", "--out", "y"],
+    ["metrics", "--alpha", "nan", "--b", "1e400", "--dim", " 3", "--out", ""],
+    ["fim-rank", "--seed", "1_0", "--out", "x"], ["scan", "--out", "-h"],
+    ["scan", "--out", "x", "--grid"], ["scaling", "--out", "--", "x"],
 ]
 
 
@@ -753,6 +759,94 @@ def _parse_outcome(parse, argv):
 @pytest.mark.parametrize("argv", PARSE_ROWS, ids=lambda argv: " ".join(argv) or "(none)")
 def test_subcommand_parse_matches_full_parse(argv):
     assert _parse_outcome(cli._parse, argv) == _parse_outcome(build_parser().parse_args, argv)
+
+
+# The flag table takes a subcommand's argv of the plain form (--flag VALUE)*
+# and hands any other to the subcommand's parser; either way the outcome is
+# the full parser's.  Argvs are drawn from canonical pairs of each
+# subcommand, in random order and with repeats, and half of them perturbed
+# the ways the table must decline: an abbreviated flag, --flag=value, an odd
+# value (some of which convert), no --out, an inserted --, -h, unknown flag
+# or leftover, and a dropped word.
+CANONICAL = {
+    "--model": ("two", "three"), "--dim": ("2", "5"), "--alpha": ("0.3", "1e-4"),
+    "--phi": ("0.1",), "--time": ("5.0",), "--tol": ("1e-8",), "--b": ("0.6", "3"),
+    "--theta": ("0.8",), "--model-phi": ("0.4",), "--out": ("x.out", "y"),
+    "--grid": ("5x5",), "--alphas": ("0.1,0.2",), "--dims": ("4-8", "4,6"),
+    "--params": ("3",), "--outcomes": ("4",), "--trials": ("10",), "--seed": ("7", "0"),
+}
+PLAIN_FLAGS = {
+    "scan": ("--model", "--dim", "--alpha", "--phi", "--time", "--tol", "--out",
+             "--model-phi", "--grid"),
+    "metrics": ("--model", "--dim", "--alpha", "--phi", "--time", "--tol", "--out", "--b",
+                "--theta", "--model-phi"),
+    "scaling": ("--model", "--phi", "--time", "--tol", "--out", "--b", "--theta",
+                "--model-phi", "--alphas", "--dims"),
+    "fim-rank": ("--out", "--params", "--outcomes", "--trials", "--seed"),
+}
+ODD_VALUES = ("-0.5", "nan", "1_0", " 3", "", "1e400")
+INSERTED = ("--", "-h", "--help", "--nope", "x")
+
+
+@st.composite
+def table_argvs(draw):
+    command = draw(st.sampled_from(sorted(PLAIN_FLAGS)))
+    pair = st.sampled_from(PLAIN_FLAGS[command]).flatmap(
+        lambda flag: st.tuples(st.just(flag), st.sampled_from(CANONICAL[flag])))
+    pairs = draw(st.lists(pair, max_size=8)) + [("--out", "x.out")] * draw(st.integers(1, 2))
+    pairs = [list(p) for p in draw(st.permutations(pairs))]
+    if draw(st.booleans()):  # half the draws are plain
+        return [command, *(word for p in pairs for word in p)]
+    kinds = st.sampled_from(["abbreviate", "join", "odd value", "no --out"])
+    for i, kind in draw(st.dictionaries(st.integers(0, len(pairs) - 1), kinds,
+                                        max_size=2)).items():
+        flag, value = pairs[i]
+        if kind == "abbreviate":
+            pairs[i] = [flag[:draw(st.integers(2, len(flag) - 1))], value]
+        elif kind == "join":
+            pairs[i] = [f"{flag}={value}"]
+        elif kind == "odd value":
+            pairs[i] = [flag, draw(st.sampled_from(ODD_VALUES))]
+        else:
+            pairs = [p for p in pairs if p[0] != "--out"]
+            break
+    words = [word for p in pairs for word in p]
+    for kind in draw(st.lists(st.sampled_from(["insert", "drop"]), max_size=2)):
+        i = draw(st.integers(0, len(words)))
+        if kind == "insert":
+            words.insert(i, draw(st.sampled_from(INSERTED)))
+        elif i < len(words):
+            del words[i]
+    return [command, *words]
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=table_argvs())
+def test_flag_table_matches_full_parse(argv):
+    assert _parse_outcome(cli._parse, argv) == _parse_outcome(build_parser().parse_args, argv)
+
+
+# Every op of the benchmark's workloads takes the flag table: neither the
+# subcommand parsers nor the top-level one is asked.  A silent fall-back to
+# argparse would leave every output as it is and only cost time.
+def test_workload_argvs_take_the_flag_table(monkeypatch):
+    parser, commands = cli._parsers()
+    ops = [argv for _, argv in workload_ops()]
+    want = [vars(parser.parse_args(argv)) for argv in ops]
+    asked = []
+
+    def counted(name, parse):
+        def counting(*args):
+            asked.append(name)
+            return parse(*args)
+        return counting
+
+    for name, (subparser, _) in commands.items():
+        monkeypatch.setattr(subparser, "parse_known_args",
+                            counted(name, subparser.parse_known_args))
+    monkeypatch.setattr(parser, "parse_args", counted("spinmetro", parser.parse_args))
+    assert [vars(cli._parse(argv)) for argv in ops] == want
+    assert len(ops) == 554 and asked == []
 
 
 # The contract between the table's values: each float flag of scan, metrics

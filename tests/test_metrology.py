@@ -121,6 +121,20 @@ class TestBatchedDenseRoute:
                                     haar_state(rng, 4))
         assert q.shape == d.shape == (3, 3)
 
+    # The probes are held to the one probe rule and the leading axes to the
+    # broadcast rule: a wrong dimension and unbroadcastable axes escaped as
+    # einsum's ValueError, and a probe of norm 5 gave Q = -9800.
+    @pytest.mark.parametrize("probes, match", [
+        (np.ones(3), "dimension 3, expected 2"),
+        (5 * np.ones(2), "not normalized"),
+        (np.array(["a", "b"]), "vector of numbers"),
+        (np.array(1.0), "must be a vector"),
+        (np.tile([1.0, 0.0], (3, 1)), "must broadcast together"),
+    ])
+    def test_rejects_probes_outside_the_probe_rule(self, probes, match):
+        with pytest.raises(InvalidInput, match=match):
+            batched_qfim_uhlmann(np.stack([np.stack([np.eye(2)])] * 2), probes)
+
 
 class TestUhlmannFromGenerators:
     def test_commuting_generators(self, rng):
@@ -648,6 +662,21 @@ class TestBounds:
         for fn in (bounds, ai_measure, holevo_pure):
             with pytest.raises(error, match=match):
                 fn(q, d)
+
+    # A finite but extreme pair whose regular Q overflows a bound: both
+    # raise the failure themselves, under numpy's default error state and
+    # with RuntimeWarnings as errors, where they used to warn and return an
+    # infinite or NaN bound (bounds) or call it invalid input (holevo_pure).
+    # ai_measure's R = 1e160 is finite, and right for this unphysical pair.
+    @pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-310])
+    def test_overflowing_bounds_are_a_numerical_failure(self, scale):
+        q, d = np.diag([scale, scale]), np.array([[0.0, 1.0], [-1.0, 0.0]])
+        for fn in (bounds, holevo_pure):
+            with pytest.raises(NumericalFailure):
+                fn(q, d)
+        stack = np.stack([np.eye(2), q]), np.stack([0.5 * d, d])
+        with pytest.raises(NumericalFailure):
+            bounds(*stack)
 
     def test_perturbed_eigenvectors_fail_the_inverse_check(self, rng, monkeypatch):
         q, d = random_model(rng, 3, cond=1e4)

@@ -90,6 +90,47 @@ def test_subcommand_parsers_match_commands():
     assert commands.keys() == cli._COMMANDS.keys()
 
 
+def test_cli_reads_no_private_argparse_name():
+    # The flag table reads only the keywords the parsers are built from, so
+    # cli.py reads no underscore name of argparse, whether an attribute of a
+    # parser or action (_actions, _option_string_actions) or of the module
+    # (_StoreAction) or imported from it; nor does it look names up by
+    # getattr or vars.
+    tree = ast.parse((SRC / "cli.py").read_text())
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("getattr", "vars"):
+            private.append(f"line {node.lineno}: {ast.unparse(node)}")  # no lookup by name
+            continue
+        names = ([node.attr] if isinstance(node, ast.Attribute) else
+                 [alias.name for alias in node.names]
+                 if isinstance(node, ast.ImportFrom) and node.module == "argparse" else [])
+        private += [f"line {node.lineno}: {name}" for name in names
+                    if name.startswith("_") and not name.startswith("__")]
+    assert private == []
+
+
+def test_flag_tables_match_parsers():
+    # Each subcommand's flags are declared once, in cli._SUBCOMMANDS: its
+    # parser's options and its flag table must say the same of every flag
+    # (destination, default, type, choices, required), so the table path
+    # cannot drift from the parser.
+    _, commands = cli._parsers()
+    assert commands.keys() == cli._SUBCOMMANDS.keys()
+    for name, (subparser, table) in commands.items():
+        actions = [a for a in subparser._actions if a.dest != "help"]
+        declared = cli._SUBCOMMANDS[name][1]
+        assert [a.option_strings for a in actions] == [[flag] for flag in declared]
+        for action in actions:
+            flag = action.option_strings[0]
+            assert table.flags[flag] == (action.dest, action.type or str, action.choices)
+            assert table.defaults[action.dest] == action.default
+            assert (action.dest in table.required) == action.required
+            assert action.nargs is None and action.const is None
+            assert not (isinstance(action.default, str) and action.type), flag
+        assert len(table.flags) == len(table.defaults) == len(actions)
+
+
 def test_readme_library_example_runs():
     section = (ROOT / "README.md").read_text().split("## Library example", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
