@@ -5,20 +5,16 @@ consistency failures (a stray ``LinAlgError`` counts as one, and so does a
 floating-point overflow or invalid operation: commands run with numpy set to
 raise them as ``FloatingPointError``) and on file-system errors.
 
-An argv that names a subcommand first is parsed by that subcommand alone.
-One of the plain form ``CMD (--flag VALUE)*`` is read from CMD's flag
-table: each flag one of CMD's exact option strings (a repeated one keeps
-its last value), no VALUE starting with ``-``, each VALUE of its flag's
-type and among its choices, and ``--out`` given.  Every other such argv
-goes to CMD's own parser: ``-h``, an abbreviation, ``--flag=value``, a
-negative value, ``--``, a leftover or missing value, a bad type or choice.
-argparse stays the only grammar and the only source of help, usage and
-error text.  The top-level parser runs only to report a problem that is its
-own to report (no subcommand, an unknown one, a top-level ``-h``) and
-arguments the subcommand left over.  Either way the namespace, messages and
-exit codes are those of ``build_parser().parse_args(argv)``.  Each
-subcommand's flags are declared once, in ``_SUBCOMMANDS``, which both its
-parser and its flag table are built from.
+Each subcommand is declared once, in ``_SUBCOMMANDS``: its help line,
+handler and flags.  Its parser and its flag table are built from that, and
+an argv takes one of two routes.  A known subcommand's argv of the plain
+form ``CMD (--flag VALUE)*`` is read from CMD's flag table: each flag one
+of CMD's exact option strings (a repeated one keeps its last value), no
+VALUE starting with ``-``, each VALUE of its flag's type and among its
+choices, and ``--out`` given.  Every other argv goes to
+``build_parser().parse_args(argv)``, the only source of help, usage and
+error text.  The table gives argparse's namespace, so the route shows in no
+namespace, message or exit code.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from gettext import gettext
 
 import numpy as np
 
@@ -99,34 +94,6 @@ def _pick(*flags: str) -> dict:
     return {flag: _FLAGS[flag] for flag in flags}
 
 
-# Each subcommand's help line and its flags, in help order, as
-# ``add_argument`` keywords: the one declaration that both the subcommand's
-# parser and its flag table are built from.
-_SUBCOMMANDS = {
-    "scan": ("T(theta,B) grid scan to CSV", {
-        **_pick("--model", "--dim", "--alpha", "--phi", "--time", "--tol", "--out"),
-        "--model-phi": dict(type=float, default=0.0,
-                            help="fixed field azimuth for the three-parameter model"),
-        "--grid": dict(default="101x101", help="grid counts THETAxB"),
-    }),
-    "metrics": ("single-point JSON report", _pick(
-        "--model", "--dim", "--alpha", "--phi", "--time", "--tol", "--out",
-        "--b", "--theta", "--model-phi")),
-    "scaling": ("Gamma scaling table to CSV", {
-        **_pick("--model", "--phi", "--time", "--tol", "--out", "--b", "--theta", "--model-phi"),
-        "--alphas": dict(default="0.7853981633974483", help="comma-separated probe angles"),
-        "--dims": dict(default="4-12", help="dimensions, N,N,... or LO-HI"),
-    }),
-    "fim-rank": ("FIM rank Monte-Carlo report to JSON", {
-        **_pick("--out"),
-        "--params": dict(type=int, default=2, help="number of parameters d"),
-        "--outcomes": dict(type=int, default=3, help="number of outcomes n"),
-        "--trials": dict(type=int, default=1000, help="number of trials"),
-        "--seed": dict(type=int, default=0, help="RNG seed"),
-    }),
-}
-
-
 def _model_phi(args) -> float | None:
     """The field azimuth of ``--model three``, ``None`` under ``--model two``.
 
@@ -139,107 +106,6 @@ def _model_phi(args) -> float | None:
 
 def _model_point(args) -> ModelPoint:
     return ModelPoint(b=args.b, theta=args.theta, t=args.time, phi=_model_phi(args))
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The ``spinmetro`` argument parser, built once per process.
-
-    Parsing keeps no state in the parser: each call returns a fresh
-    namespace, so :func:`main` reuses this one parser for every call.
-    Every caller gets the same object, to parse with and not to change.
-    :func:`main` parses a known subcommand's flags with that subcommand's
-    flag table or its own parser, built and cached with this one and keyed
-    like its commands.
-    """
-    return _parsers()[0]
-
-
-class _FlagTable:
-    """One subcommand's flags as :meth:`parse` reads them, from the
-    ``add_argument`` keywords its parser is built with: each option
-    string's destination (argparse's: the string without its leading
-    ``--``, with ``_`` for ``-``), type and choices, the defaults and the
-    required destinations."""
-
-    def __init__(self, flags: dict):
-        self.flags = {flag: (flag[2:].replace("-", "_"), keywords.get("type", str),
-                             keywords.get("choices"))
-                      for flag, keywords in flags.items()}
-        self.defaults = {self.flags[flag][0]: keywords.get("default")
-                         for flag, keywords in flags.items()}
-        self.required = {self.flags[flag][0]
-                         for flag, keywords in flags.items() if keywords.get("required")}
-
-    def parse(self, args: list[str]) -> argparse.Namespace | None:
-        """The subcommand parser's namespace for ``args`` of the plain form
-        ``(--flag VALUE)*``, else ``None``.
-
-        Plain means: each flag is one of the table's exact option strings
-        (a repeated one keeps its last value), no value starts with ``-``,
-        each value converts by its flag's type and lies in its choices, and
-        every required flag is given.  Such an argv has one reading in
-        argparse's grammar, which this is; any other goes to the parser.
-        """
-        if len(args) % 2:
-            return None
-        values = dict(self.defaults)
-        missing = set(self.required)
-        for flag, text in zip(args[::2], args[1::2]):
-            if flag not in self.flags or text.startswith("-"):
-                return None
-            dest, convert, choices = self.flags[flag]
-            try:
-                value = convert(text)
-            except (TypeError, ValueError):
-                return None
-            if choices is not None and value not in choices:
-                return None
-            values[dest] = value
-            missing.discard(dest)
-        return None if missing else argparse.Namespace(**values)
-
-
-@functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser,
-                        dict[str, tuple[argparse.ArgumentParser, _FlagTable]]]:
-    """The top-level parser, and each subcommand's parser and flag table by
-    its name, both built from :data:`_SUBCOMMANDS`."""
-    parser = argparse.ArgumentParser(
-        prog="spinmetro",
-        description="Precision bounds and measurement incompatibility for "
-        "su(2) unitary estimation models.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
-    for name, (help_line, flags) in _SUBCOMMANDS.items():
-        subparser = sub.add_parser(name, help=help_line)
-        for flag, keywords in flags.items():
-            subparser.add_argument(flag, **keywords)
-        commands[name] = subparser, _FlagTable(flags)
-    return parser, commands
-
-
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, with a known subcommand's flags
-    parsed by its flag table, or by its own parser alone where the table
-    declines them.
-
-    The top-level parser's pass over them does no work: its subcommand
-    action hands every argument after the name to the subcommand's parser
-    and reports what that leaves over, as done here.
-    """
-    parser, commands = _parsers()
-    command = argv[0] if argv else None
-    if command not in commands:
-        return parser.parse_args(argv)
-    subparser, table = commands[command]
-    args = table.parse(argv[1:])
-    if args is None:
-        args, extras = subparser.parse_known_args(argv[1:])
-        if extras:
-            parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
-    args.command = command
-    return args
 
 
 def _cmd_scan(args) -> None:
@@ -285,19 +151,110 @@ def _cmd_fim_rank(args) -> None:
     write_json(args.out, fim_rank_experiment(config))
 
 
-_COMMANDS = {
-    "scan": _cmd_scan,
-    "metrics": _cmd_metrics,
-    "scaling": _cmd_scaling,
-    "fim-rank": _cmd_fim_rank,
+# Each subcommand's help line, handler and flags, in help order, as
+# ``add_argument`` keywords: the one declaration that both its parser and
+# its flag table are built from.
+_SUBCOMMANDS = {
+    "scan": ("T(theta,B) grid scan to CSV", _cmd_scan, {
+        **_pick("--model", "--dim", "--alpha", "--phi", "--time", "--tol", "--out"),
+        "--model-phi": dict(type=float, default=0.0,
+                            help="fixed field azimuth for the three-parameter model"),
+        "--grid": dict(default="101x101", help="grid counts THETAxB"),
+    }),
+    "metrics": ("single-point JSON report", _cmd_metrics, _pick(
+        "--model", "--dim", "--alpha", "--phi", "--time", "--tol", "--out",
+        "--b", "--theta", "--model-phi")),
+    "scaling": ("Gamma scaling table to CSV", _cmd_scaling, {
+        **_pick("--model", "--phi", "--time", "--tol", "--out", "--b", "--theta", "--model-phi"),
+        "--alphas": dict(default="0.7853981633974483", help="comma-separated probe angles"),
+        "--dims": dict(default="4-12", help="dimensions, N,N,... or LO-HI"),
+    }),
+    "fim-rank": ("FIM rank Monte-Carlo report to JSON", _cmd_fim_rank, {
+        **_pick("--out"),
+        "--params": dict(type=int, default=2, help="number of parameters d"),
+        "--outcomes": dict(type=int, default=3, help="number of outcomes n"),
+        "--trials": dict(type=int, default=1000, help="number of trials"),
+        "--seed": dict(type=int, default=0, help="RNG seed"),
+    }),
 }
+
+
+class _FlagTable:
+    """One subcommand's flags as :meth:`parse` reads them, from the
+    ``add_argument`` keywords its parser is built with: each option
+    string's destination (argparse's: the string without its leading
+    ``--``, with ``_`` for ``-``), type and choices, the defaults and the
+    required destinations."""
+
+    def __init__(self, flags: dict):
+        self.flags = {flag: (flag[2:].replace("-", "_"), keywords.get("type", str),
+                             keywords.get("choices"))
+                      for flag, keywords in flags.items()}
+        self.defaults = {self.flags[flag][0]: keywords.get("default")
+                         for flag, keywords in flags.items()}
+        self.required = {self.flags[flag][0]
+                         for flag, keywords in flags.items() if keywords.get("required")}
+
+    def parse(self, args: list[str]) -> argparse.Namespace | None:
+        """The subcommand parser's namespace for ``args`` of the plain form
+        ``(--flag VALUE)*`` (see the module docstring), else ``None``.  Such
+        an argv has one reading in argparse's grammar, which this is."""
+        if len(args) % 2:
+            return None
+        values = dict(self.defaults)
+        missing = set(self.required)
+        for flag, text in zip(args[::2], args[1::2]):
+            if flag not in self.flags or text.startswith("-"):
+                return None
+            dest, convert, choices = self.flags[flag]
+            try:
+                value = convert(text)
+            except (TypeError, ValueError):
+                return None
+            if choices is not None and value not in choices:
+                return None
+            values[dest] = value
+            missing.discard(dest)
+        return None if missing else argparse.Namespace(**values)
+
+
+_TABLES = {name: _FlagTable(flags) for name, (_, _, flags) in _SUBCOMMANDS.items()}
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The ``spinmetro`` argument parser, built from :data:`_SUBCOMMANDS`
+    on first use.  It keeps no state between parses, so every caller gets
+    the same object, to parse with and not to change."""
+    parser = argparse.ArgumentParser(
+        prog="spinmetro",
+        description="Precision bounds and measurement incompatibility for "
+        "su(2) unitary estimation models.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, _, flags) in _SUBCOMMANDS.items():
+        subparser = sub.add_parser(name, help=help_line)
+        for flag, keywords in flags.items():
+            subparser.add_argument(flag, **keywords)
+    return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, read from a known subcommand's
+    flag table where that takes the flags."""
+    table = _TABLES.get(argv[0]) if argv else None
+    args = table.parse(argv[1:]) if table else None
+    if args is None:
+        return build_parser().parse_args(argv)
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         with np.errstate(over="raise", invalid="raise"):
-            _COMMANDS[args.command](args)
+            _SUBCOMMANDS[args.command][1](args)
     except InvalidInput as exc:
         print(f"spinmetro: {exc}", file=sys.stderr)
         return 2

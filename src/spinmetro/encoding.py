@@ -261,40 +261,36 @@ def _fd_steps(point: ModelPoint, step: float) -> list[float]:
     return [step * max(1.0, abs(value)) for value in values]
 
 
-def _fd_points(point: ModelPoint, step: float):
-    # The steps h_l of _fd_steps and the columns (b, theta[, phi]) of the
-    # points lambda, then lambda + h_l for each l, then lambda - h_l.
-    steps, values = np.array(_fd_steps(point, step)), point.values()
-    shift = np.zeros((steps.size, steps.size))
-    shift.flat[:: steps.size + 1] = steps
-    return steps, np.concatenate([values[None], values + shift, values - shift]).T
-
-
 def numeric_generators(rep: SpinRep, point: ModelPoint, step: float = 1e-5) -> GeneratorSet:
     """Generators by central finite differences of the evolution unitary.
 
     For each parameter, ``d_l U^dag`` is approximated with a central
-    difference, then ``G_l = 1j (d_l U^dag) U`` is explicitly Hermitized as
-    ``(A + A^dag)/2``.  The unitaries at the ``2d + 1`` points ``lambda``
-    and ``lambda +- h_l`` are exponentiated as one stack.  The Hermitization
-    residual is recorded on the returned set; a residual above 1e-4 raises
-    :class:`StepInstability`, naming the first parameter that exceeds it.
-    ``step`` is held to :func:`~spinmetro.linalg.require_positive`.
+    difference over the unitaries at ``lambda +- h_l``, then
+    ``G_l = 1j (d_l U^dag) U`` is explicitly Hermitized as
+    ``(A + A^dag)/2``.  The Hermitization residual is recorded on the
+    returned set; a residual above 1e-4 raises :class:`StepInstability`,
+    naming the first parameter that exceeds it.  ``step`` is held to
+    :func:`~spinmetro.linalg.require_positive`.
     """
-    steps, (b, theta, *phi) = _fd_points(point, step)
-    d = steps.size
-    u = expm_i(_field_hamiltonians(rep, b, theta, point.t, *phi), point.t)
-    u_dag = np.swapaxes(u.conj(), -1, -2)
-    du_dag = (u_dag[1 : d + 1] - u_dag[d + 1 :]) / (2 * steps)[:, None, None]
-    raw = 1j * du_dag @ u[0]
-    raw_dag = np.swapaxes(raw.conj(), -1, -2)
-    resids = np.linalg.norm(raw - raw_dag, axis=(-2, -1)) / (
-        2 * np.maximum(np.linalg.norm(raw, axis=(-2, -1)), 1.0)
-    )
+    steps = _fd_steps(point, step)
+    values = point.values()
+
+    def unitary(at):
+        b, theta, *phi = at
+        return expm_i(_field_hamiltonians(rep, b, theta, point.t, *phi), point.t)
+
+    u = unitary(values)
+    mats, resids = [], []
+    for l, h in enumerate(steps):
+        plus, minus = values.copy(), values.copy()
+        plus[l] += h
+        minus[l] -= h
+        raw = 1j * ((unitary(plus) - unitary(minus)).conj().T / (2 * h)) @ u
+        raw_dag = raw.conj().T
+        resids.append(float(np.linalg.norm(raw - raw_dag) / (2 * max(np.linalg.norm(raw), 1.0))))
+        mats.append((raw + raw_dag) / 2)
     _raise_if_unstable(point.labels, resids)
-    return GeneratorSet(
-        labels=point.labels, matrices=(raw + raw_dag) / 2, herm_residuals=tuple(resids.tolist())
-    )
+    return GeneratorSet(labels=point.labels, matrices=np.stack(mats), herm_residuals=tuple(resids))
 
 
 def _raise_if_unstable(labels: tuple[str, ...], resids) -> None:

@@ -322,14 +322,8 @@ def spin_moments(psi) -> tuple[np.ndarray, np.ndarray]:
     near[1:] |= nonzero[:-1]
     near[:-1] |= nonzero[1:]
     index = np.flatnonzero(near)
-    return _slot_moments((psi.size - 1) / 2, index, psi[index])
-
-
-def _slot_moments(s, index, amp) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_window_moments` of spin-``s`` states with the slots
-    ``amp (..., L)`` at the positions ``index``, laid out by :func:`_slot_rule`."""
-    m, ladder_sq = _slot_rule(s, index)
-    return _window_moments(amp, m, np.sqrt(ladder_sq))
+    m, ladder_sq = _slot_rule((psi.size - 1) / 2, index)
+    return _window_moments(psi[index], m, np.sqrt(ladder_sq))
 
 
 def j_direction(rep: SpinRep, n) -> np.ndarray:
@@ -468,9 +462,12 @@ def eigh_inverse(q, rel_tol: float, name: str = "symmetric matrix"):
     singular = singular_mask(evals, rel_tol)
     regular = (~singular).nonzero()[0]
     lam, vecs, q = (x.take(regular, axis=0) for x in (evals, vecs, q))
-    q_inv = (vecs / lam[..., None, :]) @ vecs.swapaxes(-1, -2)
-    q_inv = (q_inv + q_inv.swapaxes(-1, -2)) / 2
-    check_inverse(q, q_inv, lam[..., -1] / lam[..., 0])
+    # a subnormal eigenvalue overflows 1 / lam; the NaN residual it leaves
+    # is then the one outcome, a NumericalFailure and no numpy warning
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        q_inv = (vecs / lam[..., None, :]) @ vecs.swapaxes(-1, -2)
+        q_inv = (q_inv + q_inv.swapaxes(-1, -2)) / 2
+        check_inverse(q, q_inv, lam[..., -1] / lam[..., 0])
     return evals, singular, regular, vecs, q_inv
 
 

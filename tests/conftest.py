@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from spinmetro import (
-    GeneratorSet,
     ModelPoint,
     ProbeSpec,
     build_spin_rep,
@@ -21,7 +20,6 @@ from spinmetro import (
     spin_moments,
     sym_inverse,
 )
-from spinmetro.errors import StepInstability
 
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -191,31 +189,6 @@ def evolved_family(spin, point, probe):
         return expm_i(hamiltonian(spin, point_at(point, values)), point.t) @ probe
 
     return family
-
-
-def numeric_generators_loop(spin, point, step=1e-5):
-    """Finite-difference generators one parameter and one unitary at a
-    time: an oracle for the stacked
-    :func:`~spinmetro.encoding.numeric_generators`."""
-    values = point.values()
-    steps = step * np.maximum(1.0, np.abs(values))
-    u = expm_i(hamiltonian(spin, point), point.t)
-    mats, resids = [], []
-    for l in range(values.size):
-        up = values.copy()
-        um = values.copy()
-        up[l] += steps[l]
-        um[l] -= steps[l]
-        u_plus = expm_i(hamiltonian(spin, point_at(point, up)), point.t)
-        u_minus = expm_i(hamiltonian(spin, point_at(point, um)), point.t)
-        du_dag = (u_plus.conj().T - u_minus.conj().T) / (2 * steps[l])
-        raw = 1j * du_dag @ u
-        resid = float(np.linalg.norm(raw - raw.conj().T) / (2 * max(np.linalg.norm(raw), 1.0)))
-        if resid > 1e-4:
-            raise StepInstability(f"finite-difference generator for {point.labels[l]}")
-        mats.append((raw + raw.conj().T) / 2)
-        resids.append(resid)
-    return GeneratorSet(labels=point.labels, matrices=np.stack(mats), herm_residuals=tuple(resids))
 
 
 def two_param_points():

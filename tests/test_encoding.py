@@ -28,7 +28,6 @@ from spinmetro.errors import StepInstability
 from conftest import (
     MODELS,
     directions_2p_reference,
-    numeric_generators_loop,
     points_for,
     rep,
     three_param_points,
@@ -233,24 +232,14 @@ class TestNumericGenerators:
         with pytest.raises(InvalidInput):
             numeric_generators(rep(2), two_param_points()[0], step=0.0)
 
-    @pytest.mark.parametrize("model", MODELS)
-    @pytest.mark.parametrize("n", [2, 3, 8, 40])
-    def test_stacked_differences_match_per_parameter_loop(self, model, n):
-        for point in points_for(model):
-            stacked = numeric_generators(rep(n), point)
-            loop = numeric_generators_loop(rep(n), point)
-            assert np.array_equal(stacked.matrices, loop.matrices)
-            assert np.allclose(stacked.herm_residuals, loop.herm_residuals, rtol=1e-12, atol=0)
-
     @pytest.mark.parametrize("phi", [pytest.param(None, id="ModelKind.TWO_PARAM-None"),
                                      pytest.param(1.1, id="ModelKind.THREE_PARAM-1.1")])
     def test_unstable_step_names_first_unstable_parameter(self, phi):
         # At this step the theta residual is 6.0e-4 and, with three
         # parameters, the phi residual a larger 6.2e-4; theta comes first.
         point = ModelPoint(b=1.0, theta=0.7, t=5.0, phi=phi)
-        for route in (numeric_generators, numeric_generators_loop):
-            with pytest.raises(StepInstability, match=r"for theta\b"):
-                route(rep(3), point, step=0.05)
+        with pytest.raises(StepInstability, match=r"for theta\b"):
+            numeric_generators(rep(3), point, step=0.05)
 
 
 class TestSeriesGenerators:

@@ -1,5 +1,7 @@
 """Spin construction and Hermitian kernel tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from spinmetro import (
     InvalidInput,
     NumericalFailure,
     ModelPoint,
+    ai_measure,
     build_spin_rep,
     closed_generators,
     expm_i,
@@ -584,6 +587,27 @@ class TestInverseCheck:
         check_inverse(np.zeros((0, 2, 2)), np.zeros((0, 2, 2)), np.zeros(0))
         with pytest.raises(NumericalFailure):
             check_inverse(np.eye(2)[None], np.full((1, 2, 2), np.nan), np.ones(1))
+
+
+# Q = diag(1e-310, 1e-310) is regular at any rel_tol, and 1 / 1e-310
+# overflows: the inverse's NaN residual fails the check, with no numpy
+# warning on the way and no FloatingPointError under the commands' error
+# state.  Each once warned "overflow encountered in divide" and twice
+# "invalid value encountered in matmul" before it raised.
+SUBNORMAL_Q = np.diag([1e-310, 1e-310])
+
+
+@pytest.mark.parametrize("inverse", [
+    pytest.param(lambda q: eigh_inverse(q, 1e-10), id="eigh_inverse"),
+    pytest.param(sym_inverse, id="sym_inverse"),
+    pytest.param(lambda q: ai_measure(q, np.zeros((2, 2))), id="ai_measure"),
+])
+@pytest.mark.parametrize("errors", ["warn", "raise"])
+def test_overflowing_inverse_fails_without_a_warning(inverse, errors):
+    with warnings.catch_warnings(), np.errstate(over=errors, divide=errors, invalid=errors):
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match="inverse verification failed"):
+            inverse(SUBNORMAL_Q)
 
 
 class TestSingularMask:

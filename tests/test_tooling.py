@@ -17,6 +17,7 @@ singular rule are computed in one function, ``linalg.eigh_inverse``, and
 every matrix argument is checked by one rule, ``linalg.require_symmetric``.
 """
 
+import argparse
 import ast
 import contextlib
 import importlib
@@ -82,14 +83,6 @@ def test_readme_command_lines_parse():
         parser.parse_args(argv)
 
 
-def test_subcommand_parsers_match_commands():
-    # cli.main parses a known subcommand with that subcommand's own cached
-    # parser, so every command has one and every parser a command.
-    parser, commands = cli._parsers()
-    assert parser is build_parser()
-    assert commands.keys() == cli._COMMANDS.keys()
-
-
 def test_cli_reads_no_private_argparse_name():
     # The flag table reads only the keywords the parsers are built from, so
     # cli.py reads no underscore name of argparse, whether an attribute of a
@@ -115,11 +108,13 @@ def test_flag_tables_match_parsers():
     # parser's options and its flag table must say the same of every flag
     # (destination, default, type, choices, required), so the table path
     # cannot drift from the parser.
-    _, commands = cli._parsers()
-    assert commands.keys() == cli._SUBCOMMANDS.keys()
-    for name, (subparser, table) in commands.items():
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert subparsers.choices.keys() == cli._SUBCOMMANDS.keys() == cli._TABLES.keys()
+    for name, subparser in subparsers.choices.items():
+        table = cli._TABLES[name]
         actions = [a for a in subparser._actions if a.dest != "help"]
-        declared = cli._SUBCOMMANDS[name][1]
+        declared = cli._SUBCOMMANDS[name][2]
         assert [a.option_strings for a in actions] == [[flag] for flag in declared]
         for action in actions:
             flag = action.option_strings[0]
