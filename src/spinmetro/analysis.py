@@ -8,12 +8,14 @@ trials in order from one generator seeded by its configuration, so a run's
 draws are a prefix of any longer run's.  A scaling table fits every
 alpha's log-log slope in one centered least-squares pass, each row summed
 on its own, so a slope does not depend on the other alphas.  Both CSV
-outputs are grids, written by one grid writer that lays out the whole body
-once, as text the axis values and the values of a column that holds one
-value per outer axis value (a scaling table's slope, one per alpha), and
-then formats every other value with one ``%``: '.' decimals, ','
-delimiters, a header row and 17 significant digits, so repeated runs are
-bytewise identical.
+outputs are grids, written by one grid writer as bytes, a block of whole
+outer rows at a time (:data:`CSV_BLOCK` cells), so that its memory beyond
+one float copy of the columns does not grow with the grid.  Each block is
+laid out once, as text the axis values and the values of a column that
+holds one value per outer axis value (a scaling table's slope, one per
+alpha), and then every other value of the block is formatted with one
+``%``: '.' decimals, ',' delimiters, a header row and 17 significant
+digits, so repeated runs are bytewise identical, whatever the block size.
 A missing value marks a singular QFIM and nothing else.  Every result
 object holds it as NaN (:func:`~spinmetro.metrology.bounds`,
 :class:`ScanResult`, :class:`ScalingResult`); only the JSON report dicts
@@ -61,24 +63,35 @@ __all__ = [
 TWO_PI = 2 * np.pi
 
 
-def _write_text(path, text: str) -> None:
-    """Write ``text`` to ``path``, the one place the library opens a file.
+# Cells per block of the grid writer: each block of whole outer rows is laid
+# out and formatted on its own, so beyond one float copy of the columns the
+# writer holds one block's text at a time, however large the grid.
+CSV_BLOCK = 4096
 
-    An existing file is overwritten in place and then cut to the length of
-    ``text``; the write is not atomic and not synced.  Opening without
-    ``O_TRUNC`` keeps ext4 from flushing the file on close, a flush the next
-    overwrite of it would wait for.  Only a regular file is cut, so a
-    character device such as ``/dev/null`` or a pipe works as a path too.
-    The text is written as UTF-8 by ``os.write``, repeated on a short write.
+
+def _write_text(path, chunks) -> None:
+    """Write the bytes ``chunks`` to ``path`` in order, the one place the
+    library opens a file.
+
+    An existing file is overwritten in place and then cut to the total
+    length of the chunks; the write is not atomic and not synced.  Opening
+    without ``O_TRUNC`` keeps ext4 from flushing the file on close, a flush
+    the next overwrite of it would wait for.  Only a regular file is cut, so
+    a character device such as ``/dev/null`` or a pipe works as a path too.
+    Each chunk is written by ``os.write``, repeated on a short write, as it
+    comes, so ``chunks`` may be a generator that makes the next chunk only
+    once the last one is written.
     """
-    data = text.encode()
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
-        rest = memoryview(data)
-        while rest:
-            rest = rest[os.write(fd, rest):]
+        size = 0
+        for chunk in chunks:
+            size += len(chunk)
+            rest = memoryview(chunk)
+            while rest:
+                rest = rest[os.write(fd, rest):]
         if stat.S_ISREG(os.fstat(fd).st_mode):
-            os.ftruncate(fd, len(data))
+            os.ftruncate(fd, size)
     finally:
         os.close(fd)
 
@@ -92,40 +105,46 @@ def _write_csv(path, header, outer, inner, columns, outer_columns=()) -> None:
     of which holds one value per outer axis value, the same on every row of
     its block.
     Floats get 17 significant digits and NaN an empty field; a boolean
-    column is written as 1/0.  The layout of the whole body is built once,
-    each axis value and each ``outer_columns`` value formatted into it as
-    text, so that one ``%`` format then writes every value of ``columns``.
+    column is written as 1/0.  The rows go to the file as bytes, a block of
+    whole outer rows of about :data:`CSV_BLOCK` cells at a time.  A block's
+    layout holds its axis values and ``outer_columns`` values formatted as
+    text, so that one bytes ``%`` then writes the block's slice of one
+    float stack of ``columns`` (``%d`` prints a flag's 1.0/0.0 as 1/0).
     ``%.17g`` writes a NaN as ``nan`` and no other value with those letters,
-    so one replace on the body empties the NaN fields, axis fields included.
+    so one replace on each block empties its NaN fields, axis fields
+    included.  The header is written as it is.
     """
 
-    def field(values: np.ndarray) -> str:
-        return "%d" if values.dtype == bool else "%.17g"
+    def field(values: np.ndarray) -> bytes:
+        return b"%d" if values.dtype == bool else b"%.17g"
 
-    def texts(values) -> list[str]:
+    def texts(values) -> list[bytes]:
         values = np.asarray(values)
         return list(map(field(values).__mod__, values.tolist()))
 
     columns = [np.asarray(column).ravel() for column in columns]
-    cells = "".join("," + field(column) for column in columns)
+    cells = b"".join(b"," + field(column) for column in columns)
     rows = [text + cells for text in texts(inner)]
+    heads = list(zip(texts(outer), *map(texts, outer_columns)))
+    values = np.stack(columns, axis=-1)
+    step = max(1, CSV_BLOCK // len(rows))
 
-    def block(x: str, *ends: str) -> tuple[str, str, str]:
+    def block(x: bytes, *ends: bytes) -> tuple[bytes, bytes, bytes]:
         # the parts of "x," + row + tail for every row of the inner axis: x
         # is the text of an outer value, tail that of its outer_columns
-        # values and "\n"; the rows are joined once, here, and the parts of
-        # every block once, into the layout
-        tail = "".join("," + text for text in ends) + "\n"
-        return x + ",", (tail + x + ",").join(rows), tail
+        # values and "\n"
+        tail = b"".join(b"," + text for text in ends) + b"\n"
+        return x + b",", (tail + x + b",").join(rows), tail
 
-    blocks = itertools.starmap(block, zip(texts(outer), *map(texts, outer_columns)))
-    layout = "".join(itertools.chain.from_iterable(blocks))
-    values = tuple(itertools.chain.from_iterable(zip(*(column.tolist() for column in columns))))
-    body = layout % values
-    # from here the body and one copy of it at a time set the peak
-    del layout, values
-    body = body.replace("nan", "")
-    _write_text(path, ",".join(header) + "\n" + body)
+    def chunks():
+        yield (",".join(header) + "\n").encode()
+        for first in range(0, len(heads), step):
+            layout = b"".join(itertools.chain.from_iterable(
+                itertools.starmap(block, heads[first:first + step])))
+            flat = values[first * len(rows):(first + step) * len(rows)].ravel().tolist()
+            yield (layout % tuple(flat)).replace(b"nan", b"")
+
+    _write_text(path, chunks())
 
 
 # The report of metrics_report as json.dumps(sort_keys=True, indent=2)
@@ -247,7 +266,7 @@ def write_json(path, doc) -> None:
             except ValueError:
                 raise InvalidInput(f"report cannot be written as JSON: {exc}") from None
             raise NumericalFailure(f"report holds a non-finite number: {exc}") from exc
-    _write_text(path, text)
+    _write_text(path, (text.encode(),))
 
 
 def _store_int(config, name: str) -> int:
@@ -259,10 +278,14 @@ def _store_int(config, name: str) -> int:
 
 
 # Largest scan grid, in cells: a scan's traced peak grows by about 657 B a
-# cell for the three-parameter model and 345 B for the two-parameter model
-# (201^2 cells, N = 4), both in run_scan (the CSV writer peaks at about
-# 370 B), so the cap keeps it within a 1 GB budget.  A larger grid is
-# rejected before anything is allocated.
+# cell for the three-parameter model and 343 B for the two-parameter model
+# (201^2 cells, N = 4), both in run_scan, so the cap keeps it within a 1 GB
+# budget.  Writing it holds T = R - Delta and one float stack of the five
+# value columns, 48 B a cell, and one block of about 2.4 MB: the writer's
+# traced peak is 280 B a cell at 101^2, 107 B at 201^2 and 74 B at 301^2
+# on either model (360 to 370 B a cell on every grid when it was not
+# blocked), so run_scan's peak sets the cap.  A larger grid is rejected
+# before anything is allocated.
 MAX_GRID_CELLS = 10**6
 
 
@@ -338,7 +361,9 @@ def run_scan(config: ScanConfig) -> ScanResult:
     th_grid, b_grid = np.meshgrid(thetas, bs, indexing="ij")
     theta = th_grid.ravel()
     b = b_grid.ravel()
-    frame = closed_frame(b, theta, config.t, config.model_phi)
+    # the frame from the axes, broadcast: its trig runs once per axis value
+    frame = closed_frame(bs, thetas[:, None], config.t, config.model_phi)
+    frame = frame.reshape((-1,) + frame.shape[-2:])
     probe = config.probe
     moments = probe.moments() if isinstance(probe, ProbeSpec) else spin_moments(probe)
     q, d = frame_qfim_uhlmann(frame, *moments)

@@ -465,7 +465,7 @@ def eigh_inverse(q, rel_tol: float, name: str = "symmetric matrix"):
     # a subnormal eigenvalue overflows 1 / lam; the NaN residual it leaves
     # is then the one outcome, a NumericalFailure and no numpy warning
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        q_inv = (vecs / lam[..., None, :]) @ vecs.swapaxes(-1, -2)
+        q_inv = (vecs / lam[..., None, :]) @ np.ascontiguousarray(vecs.swapaxes(-1, -2))
         q_inv = (q_inv + q_inv.swapaxes(-1, -2)) / 2
         check_inverse(q, q_inv, lam[..., -1] / lam[..., 0])
     return evals, singular, regular, vecs, q_inv

@@ -85,7 +85,8 @@ def frame_qfim_uhlmann(frame, mean, cov) -> tuple[np.ndarray, np.ndarray]:
         )
     require_broadcast("the leading axes of the frame and the spin moments",
                       frame[..., 0, 0], mean[..., 0])
-    q = 4 * frame @ cov @ frame.swapaxes(-1, -2)
+    # a contiguous A^T: numpy's stacked @ on a transposed view is slower
+    q = 4 * frame @ cov @ np.ascontiguousarray(frame.swapaxes(-1, -2))
     q = (q + q.swapaxes(-1, -2)) / 2
     # a_l x a_m by components, each the difference of two products as in
     # np.cross, then its dot product with <J> summed as numpy sums a last
@@ -261,7 +262,8 @@ def bounds(q, d, rel_tol: float = 1e-10):
     :func:`ai_measure` and :func:`holevo_pure`, which multiply by inverses,
     are the scalar references.  A regular matrix whose bound is not finite,
     as a finite but extreme (Q, D) can give, raises
-    :class:`NumericalFailure` whatever numpy's error state.
+    :class:`NumericalFailure` whatever numpy's error state, and so does a
+    ``det_q`` that is not finite, on a regular or a singular matrix.
     """
     # A finite but extreme (Q, D) may overflow anywhere below; the regular
     # matrices' bounds are checked once at the end instead, so no numpy
@@ -300,10 +302,12 @@ def bounds(q, d, rel_tol: float = 1e-10):
         gap = np.add.reduce(spectra[1], axis=-1)
         c_h[regular] = cost + gap
         delta[regular] = gap / cost
+        det_q = np.multiply.reduce(np.maximum(evals, 0.0), axis=-1)
     # every bound of a regular matrix is finite, and of a singular one NaN
     if np.count_nonzero(np.isfinite(values)) != values.shape[0] * regular.size:
         raise NumericalFailure("a bound is not finite on a regular QFIM")
-    det_q = np.multiply.reduce(np.maximum(evals, 0.0), axis=-1)
+    if not np.isfinite(det_q).all():
+        raise NumericalFailure("det Q is not finite")
     return tuple(x.reshape(lead) for x in (singular, r_ai, c_sld, c_h, delta, det_q))
 
 

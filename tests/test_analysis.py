@@ -362,6 +362,11 @@ LIBRARY_ERROR_CALLS = {
     **{f"{name}-overflow": functools.partial(fn, np.diag([1e-160, 1e-160]),
                                              np.array([[0.0, 1.0], [-1.0, 0.0]]))
        for name, fn in [("bounds", bounds), ("holevo_pure", metrology.holevo_pure)]},
+    # A det Q that overflows warned and came back infinite, on a singular
+    # matrix beside its NaN bounds and on a regular one beside finite ones.
+    "bounds-det-overflow-singular":
+        lambda: bounds(np.diag([1e-10, 1e160, 1e160]), np.zeros((3, 3))),
+    "bounds-det-overflow-regular": lambda: bounds(np.diag([1e160, 1e160]), np.zeros((2, 2))),
     **{f"batched_qfim_uhlmann-{kind}": functools.partial(metrology.batched_qfim_uhlmann, g, p)
        for kind, g, p in [("probe-dimension", np.stack([np.eye(2)]), np.ones(3)),
                           ("probe-norm", np.stack([np.eye(2)]), 5 * np.ones(2)),
@@ -556,6 +561,70 @@ class TestCsvWriter:
                 for k, a in enumerate(table.alphas) for j, n in enumerate(table.dims)]
         assert out.read_text() == csv_text_loop(table.HEADER, np.array(rows, dtype=float).T)
 
+    # A grid larger than one block is written block by block, and reads as
+    # one: rows of NaN on both sides of a block edge and in the last, short
+    # block, the flag column, and the writer's chunks one per block.
+    def test_blocks_match_field_formatter(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(analysis, "CSV_BLOCK", 500)  # 7 outer rows of 70
+        outer, inner = np.linspace(0.0, 1.0, 130), np.linspace(-1.0, 2.0, 70)
+        cells = outer.size * inner.size
+        rng = np.random.default_rng(33)
+        singular = np.zeros((outer.size, inner.size), dtype=bool)
+        singular[[6, 7, 13, 14, 129]] = True
+        singular[:, [0, -1]] = True
+        values = rng.standard_normal((3, cells)) * 10.0 ** rng.integers(-300, 300, (3, cells))
+        values[:2, singular.ravel()] = np.nan
+        columns = [*values, singular.ravel()]
+        header = ("outer", "inner", "r", "delta", "det_q", "singular")
+        chunks = []
+        monkeypatch.setattr(analysis, "_write_text",
+                            lambda path, parts: chunks.extend(parts))
+        analysis._write_csv(tmp_path / "x.csv", header, outer, inner, columns)
+        assert len(chunks) == 1 + math.ceil(130 / 7)
+        axes = [np.repeat(outer, inner.size), np.tile(inner, outer.size)]
+        assert b"".join(chunks).decode() == csv_text_loop(header, axes + columns)
+
+    @pytest.mark.parametrize("model_phi", [None, 0.4], ids=["two", "three"])
+    def test_scan_blocks_match_field_formatter(self, tmp_path, monkeypatch, model_phi):
+        monkeypatch.setattr(analysis, "CSV_BLOCK", 300)
+        # the columns B = 0 and B = 2 pi / t are singular, so every block
+        # edge has singular cells on both sides
+        res = run_scan(small_scan(dim=4, alpha=0.4, phi=0.3, counts=(130, 70),
+                                  model_phi=model_phi))
+        assert res.singular.any() and not res.singular.all()
+        out = tmp_path / "scan.csv"
+        res.write_csv(out)
+        columns = (res.theta, res.b, res.r_ai, res.delta, res.t_gap, res.det_q, res.singular)
+        assert out.read_text() == csv_text_loop(res.HEADER, columns)
+
+    # One outer row a block: each alpha's slope, NaN for the singular
+    # baseline, is written on every row of its own block.
+    def test_scaling_blocks_match_field_formatter(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(analysis, "CSV_BLOCK", 1)
+        point = ModelPoint(b=0.9, theta=np.pi / 2, t=5.0)
+        table = scaling_table([np.pi / 4, 0.0, 1.2], range(4, 40, 3), point)
+        assert np.isnan(table.slope[1]) and not np.isnan(table.slope[[0, 2]]).any()
+        out = tmp_path / "scaling.csv"
+        table.write_csv(out)
+        rows = [(a, n, table.gamma[k, j], table.slope[k])
+                for k, a in enumerate(table.alphas) for j, n in enumerate(table.dims)]
+        assert out.read_text() == csv_text_loop(table.HEADER, np.array(rows, dtype=float).T)
+
+    # Beyond one float copy of the columns the writer holds one block at a
+    # time.  Unblocked, it peaked at about 370 B a cell, so this bound, half
+    # of that, fails there; the blocked writer peaks at about 107 B a cell.
+    @pytest.mark.parametrize("model_phi", [None, 1.0], ids=["two", "three"])
+    def test_memory_per_cell(self, tmp_path, model_phi):
+        res = run_scan(small_scan(dim=4, alpha=0.4, phi=0.3, counts=(201, 201),
+                                  model_phi=model_phi))
+        tracemalloc.start()
+        try:
+            res.write_csv(tmp_path / "scan.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 185 * 201**2
+
 
 class TestWriteText:
     # Every output goes through analysis._write_text: an existing file is
@@ -565,19 +634,31 @@ class TestWriteText:
     def test_overwrite_leaves_no_stale_tail(self, tmp_path):
         out = tmp_path / "x.txt"
         out.write_text("stale " * 1000)
-        analysis._write_text(out, "short\n")
+        analysis._write_text(out, (b"short\n",))
         assert out.read_bytes() == b"short\n"
-        analysis._write_text(out, "longer text\n")
+        analysis._write_text(out, (b"longer text\n",))
         assert out.read_bytes() == b"longer text\n"
+
+    # The length cut to is that of all chunks, not of the last one.
+    def test_chunks_cut_a_longer_file_to_their_total(self, tmp_path):
+        out = tmp_path / "x.txt"
+        out.write_bytes(b"stale " * 1000)
+        chunks = (b"first,", b"", b"second\n" * 50, b"last\n")
+        analysis._write_text(out, iter(chunks))
+        assert out.read_bytes() == b"".join(chunks)
 
     def test_pipe(self):
         read_end, write_end = os.pipe()
         try:
-            analysis._write_text(f"/dev/fd/{write_end}", "through a pipe\n")
+            analysis._write_text(f"/dev/fd/{write_end}", (b"through ", b"a pipe\n"))
             assert os.read(read_end, 100) == b"through a pipe\n"
         finally:
             os.close(read_end)
             os.close(write_end)
+
+    def test_dev_null(self):
+        analysis._write_text(os.devnull, (b"nowhere,", b"at all\n"))
+        run_scan(small_scan(counts=(3, 4))).write_csv(os.devnull)
 
 
 class TestShrinkage:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import spinmetro
 from spinmetro import ModelPoint, bloch_vector, make_probe, qubit2p_closed
-from spinmetro import cli
+from spinmetro import analysis, cli
 from spinmetro.analysis import (
     MAX_GRID_CELLS,
     MAX_TABLE_PROBES,
@@ -624,6 +624,16 @@ class TestOutputWriter:
         assert run([*OPS[command], "--out", "/dev/full"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("spinmetro: ") and "Traceback" not in err
+
+    # A scan that fails does so in run_scan, before its writer, which makes
+    # the file's bytes as it writes them, is handed the path.
+    @pytest.mark.parametrize("model", ["two", "three"])
+    def test_failed_scan_opens_no_file(self, tmp_path, monkeypatch, model):
+        opened = []
+        monkeypatch.setattr(analysis, "_write_text", lambda *args: opened.append(args))
+        out = tmp_path / "x.csv"
+        assert run(["scan", "--model", model, "--time", "1e300", "--out", str(out)]) == 1
+        assert opened == [] and not out.exists()
 
     @pytest.mark.parametrize("argv, code", [
         (["scan", "--tol", "0"], 2),

@@ -678,6 +678,18 @@ class TestBounds:
         with pytest.raises(NumericalFailure):
             bounds(*stack)
 
+    # det Q is the product of the eigenvalues, and may overflow where no
+    # bound does, on a singular Q as on a regular one: it used to warn and
+    # come back infinite.  A stack fails as a whole.
+    @pytest.mark.parametrize("q", [np.diag([1e-10, 1e160, 1e160]), np.diag([1e160, 1e160])],
+                             ids=["singular", "regular"])
+    def test_overflowing_det_is_a_numerical_failure(self, q):
+        d = np.zeros_like(q)
+        with pytest.raises(NumericalFailure, match="det Q"):
+            bounds(q, d)
+        with pytest.raises(NumericalFailure, match="det Q"):
+            bounds(np.stack([np.eye(len(q)), q]), np.stack([d, d]))
+
     def test_perturbed_eigenvectors_fail_the_inverse_check(self, rng, monkeypatch):
         q, d = random_model(rng, 3, cond=1e4)
         eigh = np.linalg.eigh

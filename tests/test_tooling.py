@@ -15,6 +15,8 @@ alone, from one report layout.  The report module builds no dense generator
 route: its oracle routes are the su(2) vector forms.  Q^-1 and the
 singular rule are computed in one function, ``linalg.eigh_inverse``, and
 every matrix argument is checked by one rule, ``linalg.require_symmetric``.
+No stacked ``@`` takes a transposed view as an operand, except where a
+named exception says why.
 """
 
 import argparse
@@ -290,6 +292,45 @@ def test_one_matrix_rule():
                     places["cast"].add(owner)
     assert places == {"_require_finite_square": {"linalg._as_square", "linalg.require_symmetric"},
                       "cast": set(), "tol=": set()}
+
+
+# Each top-level definition whose stacked @ may take a transposed view as
+# an operand, and why.  numpy runs A @ B^T on a stack of small matrices
+# through a slower kernel than A @ C with C = B^T made contiguous (at
+# (2601, 3, 3), about 0.3 ms against 0.2 ms, the copy included), and on
+# the d <= 3 matrices of every command the two give the same bits.  A site
+# stays on the view where the copy gains nothing or would change bits, or
+# in a dense oracle.
+TRANSPOSED_OPERANDS = {
+    # w @ w^T is one symmetric rank-k update, so cov is exactly symmetric
+    "linalg._window_moments",
+    # dense oracle routes, which no command runs
+    "linalg.expm_i",
+    "metrology.incompat_operator",
+    # V^T D V: the view is the left operand, where the copy gained nothing
+    # (0.20 against 0.22 ms at (2601, 3, 3))
+    "metrology.bounds",
+    # the rank experiment's gradients are laid out transposed, so their
+    # view is already contiguous; on other layouts a copy changes the bits
+    # of a product over 16 or more outcomes
+    "metrology.classical_fim",
+    # f_decomp: the same transposed gradients, and the copy was slower
+    "analysis.fim_rank_experiment",
+}
+
+
+def test_stacked_matmuls_take_no_transposed_view():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.MatMult):
+                    for operand in (sub.left, sub.right):
+                        if (isinstance(operand, ast.Call)
+                                and isinstance(operand.func, ast.Attribute)
+                                and operand.func.attr == "swapaxes"):
+                            found.add(f"{path.stem}.{getattr(node, 'name', node.lineno)}")
+    assert found == TRANSPOSED_OPERANDS
 
 
 DENSE_ROUTE_NAMES = {"GeneratorSet", "series_generators", "numeric_generators",
