@@ -8,14 +8,15 @@ trials in order from one generator seeded by its configuration, so a run's
 draws are a prefix of any longer run's.  A scaling table fits every
 alpha's log-log slope in one centered least-squares pass, each row summed
 on its own, so a slope does not depend on the other alphas.  Both CSV
-outputs are grids, written by one grid writer as bytes, a block of whole
-outer rows at a time (:data:`CSV_BLOCK` cells), so that its memory beyond
-one float copy of the columns does not grow with the grid.  Each block is
-laid out once, as text the axis values and the values of a column that
-holds one value per outer axis value (a scaling table's slope, one per
-alpha), and then every other value of the block is formatted with one
-``%``: '.' decimals, ',' delimiters, a header row and 17 significant
-digits, so repeated runs are bytewise identical, whatever the block size.
+outputs are grids, written by one grid writer as bytes, a block of at most
+:data:`CSV_BLOCK` cells at a time (whole outer rows, or a slice of one), so
+that its memory beyond one float copy of the columns does not grow with the
+grid.  Each block is laid out once, as text the axis values and the values
+of a column that holds one value per outer axis value (a scaling table's
+slope, one per alpha), and then every other value of the block is
+formatted with one ``%``: '.' decimals, ',' delimiters, a header row and
+17 significant digits, so repeated runs are bytewise identical, whatever
+the block size.
 A missing value marks a singular QFIM and nothing else.  Every result
 object holds it as NaN (:func:`~spinmetro.metrology.bounds`,
 :class:`ScanResult`, :class:`ScalingResult`); only the JSON report dicts
@@ -63,9 +64,10 @@ __all__ = [
 TWO_PI = 2 * np.pi
 
 
-# Cells per block of the grid writer: each block of whole outer rows is laid
-# out and formatted on its own, so beyond one float copy of the columns the
-# writer holds one block's text at a time, however large the grid.
+# Cells per block of the grid writer: each block of whole outer rows, or
+# slice of an outer row longer than this, is laid out and formatted on its
+# own, so beyond one float copy of the columns the writer holds one block's
+# text at a time, however large the grid and whatever its shape.
 CSV_BLOCK = 4096
 
 
@@ -106,10 +108,12 @@ def _write_csv(path, header, outer, inner, columns, outer_columns=()) -> None:
     its block.
     Floats get 17 significant digits and NaN an empty field; a boolean
     column is written as 1/0.  The rows go to the file as bytes, a block of
-    whole outer rows of about :data:`CSV_BLOCK` cells at a time.  A block's
-    layout holds its axis values and ``outer_columns`` values formatted as
-    text, so that one bytes ``%`` then writes the block's slice of one
-    float stack of ``columns`` (``%d`` prints a flag's 1.0/0.0 as 1/0).
+    whole outer rows of about :data:`CSV_BLOCK` cells at a time, or, where
+    one outer row holds more, a slice of at most ``CSV_BLOCK`` of its cells.
+    A block's layout holds its axis values and ``outer_columns`` values,
+    formatted as text for that block alone, so that one bytes ``%`` then
+    writes the block's slice of one float stack of ``columns`` (``%d``
+    prints a flag's 1.0/0.0 as 1/0).
     ``%.17g`` writes a NaN as ``nan`` and no other value with those letters,
     so one replace on each block empties its NaN fields, axis fields
     included.  The header is written as it is.
@@ -124,25 +128,29 @@ def _write_csv(path, header, outer, inner, columns, outer_columns=()) -> None:
 
     columns = [np.asarray(column).ravel() for column in columns]
     cells = b"".join(b"," + field(column) for column in columns)
-    rows = [text + cells for text in texts(inner)]
-    heads = list(zip(texts(outer), *map(texts, outer_columns)))
+    inner, outers = np.asarray(inner), [np.asarray(axis) for axis in (outer, *outer_columns)]
     values = np.stack(columns, axis=-1)
-    step = max(1, CSV_BLOCK // len(rows))
+    n = len(inner)
+    # a block is step whole outer rows, or a slice of span inner rows of one
+    step, span = max(1, CSV_BLOCK // n), min(n, CSV_BLOCK)
 
-    def block(x: bytes, *ends: bytes) -> tuple[bytes, bytes, bytes]:
-        # the parts of "x," + row + tail for every row of the inner axis: x
-        # is the text of an outer value, tail that of its outer_columns
-        # values and "\n"
+    def block(rows: list[bytes], x: bytes, *ends: bytes) -> tuple[bytes, bytes, bytes]:
+        # the parts of "x," + row + tail for each of rows: x is the text of
+        # an outer value, tail that of its outer_columns values and "\n"
         tail = b"".join(b"," + text for text in ends) + b"\n"
         return x + b",", (tail + x + b",").join(rows), tail
 
     def chunks():
         yield (",".join(header) + "\n").encode()
-        for first in range(0, len(heads), step):
-            layout = b"".join(itertools.chain.from_iterable(
-                itertools.starmap(block, heads[first:first + step])))
-            flat = values[first * len(rows):(first + step) * len(rows)].ravel().tolist()
-            yield (layout % tuple(flat)).replace(b"nan", b"")
+        for first in range(0, len(outers[0]), step):
+            group = list(zip(*(texts(axis[first:first + step]) for axis in outers)))
+            for lo in range(0, n, span):
+                hi = min(lo + span, n)
+                rows = [text + cells for text in texts(inner[lo:hi])]
+                layout = b"".join(itertools.chain.from_iterable(
+                    block(rows, *head) for head in group))
+                flat = values[first * n + lo:(first + len(group) - 1) * n + hi].ravel().tolist()
+                yield (layout % tuple(flat)).replace(b"nan", b"")
 
     _write_text(path, chunks())
 
@@ -631,7 +639,7 @@ def fim_rank_experiment(config: RankExperimentConfig) -> dict:
 
 
 def _route_residuals(point, frame) -> dict:
-    """Largest relative deviation of the series and finite-difference routes
+    """Largest relative deviation of the series and complex-step routes
     from the report's closed ``frame``, row by row.
 
     Each route gives the rows ``a_l`` of its generators ``a_l . J``, and

@@ -24,18 +24,18 @@ generators can be produced through three independent routes:
 
 The routes are deliberately redundant: the closed forms are the fast path
 and the other two act as oracles for them.  Every generator of both models
-is an su(2) element ``a_l . J``, so the series and finite-difference routes
-also have vector forms that return their rows ``a_l`` and build no matrix:
-:func:`series_frame` applies the series kernel to the 3-vectors of
-``d_l H``, and :func:`numeric_frame` differences the spin-1/2 ``U``, an
-exact unit quaternion.  Like the dense routes they use only the field
-direction, ``d_l H`` and ``U``, never the closed frame, so they stay
-independent oracles for it; the report's route residuals come from them.
-They take one point and do their arithmetic in Python floats, since on
-3-vectors and d <= 3 rows a numpy call costs more than the arithmetic it
-does; only their returned arrays are numpy.  Python floats ignore
-``np.errstate``, so both raise :class:`NumericalFailure` themselves where
-a product or a shifted point overflows.
+is an su(2) element ``a_l . J``, so two routes also have vector forms that
+return the rows ``a_l`` and build no matrix: :func:`series_frame` applies
+the series kernel to the 3-vectors of ``d_l H``, and :func:`numeric_frame`
+takes complex-step derivatives of the spin-1/2 ``U``, an exact unit
+quaternion.  Like the dense routes they use only the field direction,
+``d_l H`` and ``U``, never the closed frame, so they stay independent
+oracles for it; the report's route residuals come from them.  They take
+one point and do their arithmetic in Python numbers, since on 3-vectors
+and d <= 3 rows a numpy call costs more than the arithmetic it does; only
+their returned arrays are numpy.  Python numbers ignore ``np.errstate``,
+so both raise :class:`NumericalFailure` themselves where a phase
+overflows.
 
 Parameter ordering is fixed as ``(B, theta, phi)`` everywhere, and all
 matrices built downstream (QFIM, Uhlmann) use this ordering.
@@ -43,6 +43,7 @@ matrices built downstream (QFIM, Uhlmann) use this ordering.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -251,28 +252,19 @@ def closed_generators(rep: SpinRep, point: ModelPoint) -> GeneratorSet:
     return GeneratorSet(labels=point.labels, matrices=np.tensordot(frame, jvec, axes=1))
 
 
-def _fd_steps(point: ModelPoint, step: float) -> list[float]:
-    # The steps h_l = step * max(1, |lambda_l|), which balance truncation
-    # against roundoff at step ~ 1e-5, as Python floats in the order of
-    # point.labels.
-    point = require_point(point)
-    step = require_positive(step, "finite-difference step")
-    values = (point.b, point.theta, point.phi)[: point.n_params]
-    return [step * max(1.0, abs(value)) for value in values]
-
-
 def numeric_generators(rep: SpinRep, point: ModelPoint, step: float = 1e-5) -> GeneratorSet:
     """Generators by central finite differences of the evolution unitary.
 
     For each parameter, ``d_l U^dag`` is approximated with a central
-    difference over the unitaries at ``lambda +- h_l``, then
-    ``G_l = 1j (d_l U^dag) U`` is explicitly Hermitized as
-    ``(A + A^dag)/2``.  The Hermitization residual is recorded on the
-    returned set; a residual above 1e-4 raises :class:`StepInstability`,
-    naming the first parameter that exceeds it.  ``step`` is held to
-    :func:`~spinmetro.linalg.require_positive`.
+    difference over the unitaries at ``lambda +- h_l``, with
+    ``h_l = step * max(1, |lambda_l|)``, then ``G_l = 1j (d_l U^dag) U`` is
+    explicitly Hermitized as ``(A + A^dag)/2``.  The Hermitization residual
+    is recorded on the returned set; a residual above 1e-4 raises
+    :class:`StepInstability`, naming the first parameter that exceeds it.
+    ``step`` is held to :func:`~spinmetro.linalg.require_positive`.
     """
-    steps = _fd_steps(point, step)
+    point = require_point(point)
+    step = require_positive(step, "finite-difference step")
     values = point.values()
 
     def unitary(at):
@@ -281,7 +273,8 @@ def numeric_generators(rep: SpinRep, point: ModelPoint, step: float = 1e-5) -> G
 
     u = unitary(values)
     mats, resids = [], []
-    for l, h in enumerate(steps):
+    for l, value in enumerate(values):
+        h = step * max(1.0, abs(value))
         plus, minus = values.copy(), values.copy()
         plus[l] += h
         minus[l] -= h
@@ -289,84 +282,76 @@ def numeric_generators(rep: SpinRep, point: ModelPoint, step: float = 1e-5) -> G
         raw_dag = raw.conj().T
         resids.append(float(np.linalg.norm(raw - raw_dag) / (2 * max(np.linalg.norm(raw), 1.0))))
         mats.append((raw + raw_dag) / 2)
-    _raise_if_unstable(point.labels, resids)
-    return GeneratorSet(labels=point.labels, matrices=np.stack(mats), herm_residuals=tuple(resids))
-
-
-def _raise_if_unstable(labels: tuple[str, ...], resids) -> None:
-    for label, resid in zip(labels, resids):
+    for label, resid in zip(point.labels, resids):
         if resid > 1e-4:
             raise StepInstability(
                 f"finite-difference generator for {label} is not Hermitian "
                 f"(residual {resid:.3e}); adjust the step"
             )
+    return GeneratorSet(labels=point.labels, matrices=np.stack(mats), herm_residuals=tuple(resids))
 
 
 _SQRT_HALF = math.sqrt(0.5)
 
 
-def _quaternion(half: float, theta: float, phi: float) -> tuple[float, float, float, float]:
-    # The spin-1/2 U = w - 1j x . sigma at phase half = B t / 2, as (w, x).
-    # math raises ValueError on an infinite argument, which here can only
-    # come from a phase or a shifted point that overflowed.
+def _quaternion(half: complex, theta: complex, phi: complex) -> tuple[complex, ...]:
+    # The spin-1/2 U = w - 1j x . sigma at phase half = B t / 2, as (w, x),
+    # continued to complex arguments.  cmath raises ValueError on an
+    # infinite argument, which here can only come from a phase that overflowed.
     try:
-        sh = math.sin(half)
-        sh_ct = sh * math.cos(theta)
-        return math.cos(half), sh_ct * math.cos(phi), sh_ct * math.sin(phi), sh * math.sin(theta)
+        sh = cmath.sin(half)
+        sh_ct = sh * cmath.cos(theta)
+        return cmath.cos(half), sh_ct * cmath.cos(phi), sh_ct * cmath.sin(phi), sh * cmath.sin(theta)
     except ValueError:
-        raise NumericalFailure(
-            f"finite-difference point overflows: phase {half!r}, angles {theta!r}, {phi!r}"
-        ) from None
+        raise NumericalFailure(f"complex-step route: phase B t / 2 overflows ({half!r})") from None
 
 
-def numeric_frame(point: ModelPoint, step: float = 1e-5):
-    """Frame of :func:`numeric_generators`, from the exact spin-1/2 unitary.
+def numeric_frame(point: ModelPoint):
+    """Frame ``G_l = A[l] . J`` by complex-step derivatives of the spin-1/2 unitary.
 
     In spin-1/2, ``U = w - 1j x . sigma`` is the unit quaternion
-    ``w = cos(Bt/2)``, ``x = sin(Bt/2) n`` with no eigensolver.  Its central
-    differences at the ``2d + 1`` points ``lambda`` and ``lambda +- h_l``,
-    with ``h_l = step * max(1, |lambda_l|)``, give
-    ``d_l U^dag = dw + 1j dx . sigma``, and the quaternion product
-    ``1j (d_l U^dag) U = 1j s - c . sigma`` has ``s = w dw + x . dx`` and
-    ``c = w dx - dw x + dx x x``.  Its Hermitian part is the generator,
-    ``a_l = -2 c`` since ``J = sigma / 2``.  The scalar part ``s`` vanishes
-    for an exact derivative; it gives the Hermitization residual that
-    :func:`numeric_generators` measures in spin-1/2,
-    ``|s| / max(|(s, c)|, 1 / sqrt(2))``.  A residual above 1e-4 raises
-    :class:`StepInstability`, naming the first parameter that exceeds it.
-    ``step`` is held to :func:`~spinmetro.linalg.require_positive`.
+    ``w = cos(Bt/2)``, ``x = sin(Bt/2) n`` with no eigensolver.  It is
+    analytic in each parameter, so evaluated with ``cmath`` at the point
+    shifted by ``1j h_l`` along parameter ``l`` it gives ``Re q = U`` and
+    ``Im q / h_l = d_l U`` to ``O(h_l^2)``, with no difference taken
+    (J. N. Lyness and C. B. Moler, SIAM J. Numer. Anal. 4, 202 (1967)).
+    The steps are exact powers of two: ``2**-50`` for the angles, and for
+    ``B`` the one that makes ``h_B t`` about ``2**-50``, so that ``h^2``
+    terms lie far below rounding at every ``t`` and no step underflows.
+    The derivative gives ``d_l U^dag = dw + 1j dx . sigma``, and the
+    quaternion product ``1j (d_l U^dag) U = 1j s - c . sigma`` has
+    ``s = w dw + x . dx`` and ``c = w dx - dw x + dx x x``.  Its Hermitian
+    part is the generator, ``a_l = -2 c`` since ``J = sigma / 2``.  The
+    scalar part ``s`` vanishes for an exact derivative, so the residual
+    ``|s| / max(|(s, c)|, 1 / sqrt(2))`` stays at rounding level; it is the
+    Hermitization residual that :func:`numeric_generators` measures in
+    spin-1/2.
 
-    The route works in Python floats, one parameter at a time.  A step, a
-    shifted point, a phase or a norm that overflows raises
-    :class:`NumericalFailure`.
+    The route works in Python complex numbers, one parameter at a time, and
+    uses only the field direction and ``U``, never the closed frame.  A
+    phase ``B t / 2`` that overflows raises :class:`NumericalFailure`.
 
     Returns ``(frame, residuals)``: the ``(d, 3)`` rows ``a_l`` and the
     ``(d,)`` residuals.
     """
-    steps = _fd_steps(point, step)
-    base = [point.b, point.theta, 0.0 if point.phi is None else point.phi]
-    w, x1, x2, x3 = _quaternion(_half_phase(base[0], point.t), base[1], base[2])
+    point = require_point(point)
+    base = (point.b, point.theta, 0.0 if point.phi is None else point.phi)
+    steps = (math.ldexp(1.0, -50 - math.frexp(point.t)[1]), 2.0**-50, 2.0**-50)
     rows, resids = [], []
-    for l, (label, h) in enumerate(zip(point.labels, steps)):
-        plus, minus = base.copy(), base.copy()
-        plus[l] += h
-        minus[l] -= h
-        pw, p1, p2, p3 = _quaternion(_half_phase(plus[0], point.t), plus[1], plus[2])
-        mw, m1, m2, m3 = _quaternion(_half_phase(minus[0], point.t), minus[1], minus[2])
-        two_h = 2 * h
-        dw, d1, d2, d3 = (pw - mw) / two_h, (p1 - m1) / two_h, (p2 - m2) / two_h, (p3 - m3) / two_h
+    for l in range(point.n_params):
+        h = steps[l]
+        at = list(base)
+        at[l] = complex(base[l], h)
+        qw, q1, q2, q3 = _quaternion(_half_phase(at[0], point.t), at[1], at[2])
+        w, x1, x2, x3 = qw.real, q1.real, q2.real, q3.real
+        dw, d1, d2, d3 = qw.imag / h, q1.imag / h, q2.imag / h, q3.imag / h
         # (s, c) is the quaternion product of (dw, dx) with U = (w, x)
         s = w * dw + x1 * d1 + x2 * d2 + x3 * d3
         c1 = -x1 * dw + w * d1 + x3 * d2 - x2 * d3
         c2 = -x2 * dw - x3 * d1 + w * d2 + x1 * d3
         c3 = -x3 * dw + x2 * d1 - x1 * d2 + w * d3
-        norm = math.sqrt(s * s + c1 * c1 + c2 * c2 + c3 * c3)
-        if not (math.isfinite(norm) and math.isfinite(two_h)):
-            raise NumericalFailure(
-                f"finite-difference generator for {label} overflows (step {step!r})")
         rows.append((-2 * c1, -2 * c2, -2 * c3))
-        resids.append(abs(s) / max(norm, _SQRT_HALF))
-    _raise_if_unstable(point.labels, resids)
+        resids.append(abs(s) / max(math.hypot(s, c1, c2, c3), _SQRT_HALF))
     return np.array(rows), np.array(resids)
 
 

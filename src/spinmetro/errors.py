@@ -21,4 +21,4 @@ class NumericalFailure(SpinMetroError, RuntimeError):
 
 
 class StepInstability(NumericalFailure):
-    """A finite-difference result failed its stability check."""
+    """A dense finite-difference generator failed its stability check."""

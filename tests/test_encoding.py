@@ -1,8 +1,10 @@
 """Direction vectors and the three generator routes against each other."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinmetro import (
@@ -22,6 +24,7 @@ from spinmetro import (
     series_generators,
 )
 
+from spinmetro.analysis import _route_residuals
 from spinmetro.encoding import _hamiltonian_derivatives
 from spinmetro.errors import StepInstability
 
@@ -345,6 +348,14 @@ FIELDS = st.one_of(
 )
 ANGLES = st.floats(0.0, 2 * np.pi)
 THETAS = st.one_of(ANGLES, st.floats(-1e-9, 1e-9).map(lambda offset: np.pi / 2 + offset))
+# Wide fields: 0, or every decade of |B| from 1e-300 to 1e299 times a
+# mantissa in [1, 10), or any B in [-10, 10].
+WIDE_FIELDS = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, k, mantissa: sign * mantissa * 10.0**k, st.sampled_from([1.0, -1.0]),
+              st.integers(-300, 299), st.floats(1.0, 10.0, exclude_max=True)),
+    st.floats(-10.0, 10.0),
+)
 
 
 def drawn_point(model, b, theta, phi, t=5.0):
@@ -369,28 +380,34 @@ class TestVectorRoutes:
 
     @staticmethod
     def assert_numeric_routes_agree(point):
-        # Both difference the same U at the same points.  The dense U from
-        # expm_i carries a few eps of eigensolver rounding and the quaternion
-        # U an eps or so, and the difference quotient divides that by 2 h_l.
-        # The Hermitization residuals are that rounding too.
+        # The frame's complex step is exact to rounding: within a few eps of
+        # the closed rows (B row t long, angle rows at most 2), with residuals
+        # at rounding.  The dense route differences U at lambda +- h_l, so it
+        # differs from the frame by its own rounding, a few eps over h_l, and
+        # its truncation h_l^2 |d_l^3 U| / 3 in the row, where |d_B^3 U| is
+        # (t/2)^3 and an angle's third derivative is at most 1.  In spin-1/2 a
+        # central difference of U is Hermitian for any step, so the
+        # Hermitization residuals differ by rounding only.
         eps = np.finfo(float).eps
         dense = numeric_generators(rep(2), point)
         frame, resids = numeric_frame(point)
-        bound = 8 * eps / (1e-5 * np.maximum(1.0, np.abs(point.values())))
+        closed = closed_frame(point.b, point.theta, point.t, point.phi)
+        scale = np.array([point.t, 2.0, 2.0])[: point.n_params]
+        assert (np.abs(frame - closed).max(axis=-1) <= 4 * eps * scale).all()
+        assert (resids <= 4 * eps).all()
+        h = 1e-5 * np.maximum(1.0, np.abs(point.values()))
+        third = np.array([(point.t / 2) ** 3, 1.0, 1.0])[: point.n_params]
         err = np.abs(spin_half_matrices(frame) - dense.matrices).max(axis=(-2, -1))
-        assert (err <= bound).all()
-        assert (np.abs(resids - dense.herm_residuals) <= bound).all()
+        assert (err <= 8 * eps / h + h**2 * third / 3).all()
+        assert (np.abs(resids - dense.herm_residuals) <= 8 * eps / h).all()
 
     @pytest.mark.parametrize("model", MODELS)
     @settings(max_examples=200, deadline=None)
     @given(b=FIELDS, theta=THETAS, phi=ANGLES)
     def test_numeric_frame_matches_dense_numeric(self, model, b, theta, phi):
-        # A few eps holds while the phase B t is O(1): expm_i rounds its
-        # phase t E to about eps |B t|, which the bound leaves out, so at
-        # some phases between 2 and 2 pi the theta and phi rows differ by up
-        # to 1.4 times the bound.  So a field past 0.4 runs at t = 2 / |B|,
-        # where every decade of B still tests the step rule
-        # h_l = step * max(1, |lambda_l|) at a phase |B t| <= 2.
+        # A field past 0.4 runs at t = 2 / |B|, a phase |B t| <= 2, where the
+        # dense route's step rule h_l = step * max(1, |lambda_l|) keeps its
+        # Hermitization check below 1e-4 at every decade of B.
         t = 5.0 if abs(b) <= 0.4 else 2 / abs(b)
         self.assert_numeric_routes_agree(drawn_point(model, b, theta, phi, t=t))
 
@@ -402,24 +419,35 @@ class TestVectorRoutes:
             self.assert_numeric_routes_agree(point)
 
     @pytest.mark.parametrize("model", MODELS)
+    @settings(max_examples=300, deadline=None)
+    @given(j=st.integers(-1000, 1000), b=WIDE_FIELDS, per_time=st.booleans(), theta=THETAS,
+           phi=ANGLES)
+    def test_numeric_frame_exact_over_the_float_range(self, model, j, b, per_time, theta, phi):
+        # The complex step has no difference to round and an exact power of
+        # two for a step, so the route stays at rounding for every t = 2^j
+        # and every |B| <= 1e300 where the series route's B t is finite (and
+        # so the closed frame's B t / 2).  per_time draws the phase B t.
+        eps = np.finfo(float).eps
+        t = 2.0**j
+        b = b / t if per_time else b
+        assume(abs(b) <= 1e300 and math.isfinite(b * t))
+        point = drawn_point(model, b, theta, phi, t=t)
+        frame = closed_frame(point.b, point.theta, point.t, point.phi)
+        assert _route_residuals(point, frame)["numeric_vs_closed"] <= 4 * eps
+        assert (numeric_frame(point)[1] <= 4 * eps).all()
+
+    @pytest.mark.parametrize("model", MODELS)
     def test_unstable_step_names_the_same_parameter(self, model):
         # In spin-1/2 a central difference of U is Hermitian for any step:
         # a step in B only moves the phase, and n . n(lambda + h) equals
         # n . n(lambda - h) for a step in theta or phi.  So a large step
-        # leaves both routes at rounding, and only a step of 1e-15, where
-        # rounding over h outweighs the generator, trips the 1e-4 check; both
-        # routes then name B first.
+        # leaves the dense route at rounding, and only a step of 1e-15, where
+        # rounding over h outweighs the generator, trips the 1e-4 check; it
+        # names B first.
         for point in points_for(model):
-            assert max(numeric_frame(point, step=0.05)[1]) < 1e-13
             assert max(numeric_generators(rep(2), point, step=0.05).herm_residuals) < 1e-13
             with pytest.raises(StepInstability, match=r"for B\b"):
-                numeric_frame(point, step=1e-15)
-            with pytest.raises(StepInstability, match=r"for B\b"):
                 numeric_generators(rep(2), point, step=1e-15)
-
-    def test_bad_step(self):
-        with pytest.raises(InvalidInput):
-            numeric_frame(two_param_points()[0], step=0.0)
 
 
 class TestGeneratorSet:

@@ -491,7 +491,7 @@ def test_scalar_oracle_routes():
     # arithmetic call no numpy function but the np.array that builds an
     # array they return, and numpy dispatch cannot creep back into them
     # unnoticed.
-    routes = {"encoding.py": {"series_frame", "numeric_frame", "_fd_steps", "_quaternion",
+    routes = {"encoding.py": {"series_frame", "numeric_frame", "_half_phase", "_quaternion",
                               "_derivative_directions", "_sinc"},
               "analysis.py": {"_route_residuals"}}
     found, calls = set(), []
