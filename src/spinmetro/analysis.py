@@ -8,10 +8,13 @@ trials in order from one generator seeded by its configuration, so a run's
 draws are a prefix of any longer run's.  A scaling table fits every
 alpha's log-log slope in one centered least-squares pass, each row summed
 on its own, so a slope does not depend on the other alphas.  Both CSV
-outputs are grids, written by one grid writer as bytes, a block of at most
-:data:`CSV_BLOCK` cells at a time (whole outer rows, or a slice of one), so
-that its memory beyond one float copy of the columns does not grow with the
-grid.  Each block is laid out once, as text the axis values and the values
+outputs are grids.  A scan computes its grid, and one grid writer writes
+either as bytes, in the blocks of one rule, :func:`_grid_blocks`: at most
+:data:`GRID_BLOCK` cells, whole outer rows or a slice of one.  Beyond the
+result columns each holds one block at a time, so a whole scan op peaks at
+about 61 B a cell at 301^2 (the table at :data:`MAX_GRID_CELLS`), and a
+cell's work and text do not depend on its block, so neither do the results.
+Each block is laid out once, as text the axis values and the values
 of a column that holds one value per outer axis value (a scaling table's
 slope, one per alpha), and then every other value of the block is
 formatted with one ``%``: '.' decimals, ',' delimiters, a header row and
@@ -64,11 +67,34 @@ __all__ = [
 TWO_PI = 2 * np.pi
 
 
-# Cells per block of the grid writer: each block of whole outer rows, or
-# slice of an outer row longer than this, is laid out and formatted on its
-# own, so beyond one float copy of the columns the writer holds one block's
-# text at a time, however large the grid and whatever its shape.
-CSV_BLOCK = 4096
+# Most cells in one block of a grid, by the rule of _grid_blocks: a scan
+# computes its cells and the grid writer formats them a block at a time, so
+# beyond their columns each holds one block's arrays or text at a time,
+# however large the grid and whatever its shape.  A block adds about 0.2 ms
+# of fixed call overhead to a scan (closed_frame, frame_qfim_uhlmann and
+# bounds, on a shared 2-vCPU host), about 2% of a 51^2 scan op at N = 40,
+# which takes two blocks.
+GRID_BLOCK = 2048
+
+
+def _grid_blocks(rows: int, n: int):
+    """The blocks of a grid of ``rows`` outer rows of ``n`` cells, in row
+    order, each as three slices: of its outer rows, of its cells of each
+    of those rows, and of its cells in the grid's row order.
+
+    A block holds at most :data:`GRID_BLOCK` cells: the fewest blocks of
+    whole outer rows, their row counts at most one apart, or, where one
+    outer row holds more, slices of at most ``GRID_BLOCK`` cells of each
+    row in turn, the last one short.
+    """
+    if n > GRID_BLOCK:
+        spans = [(first, first + 1, lo, min(lo + GRID_BLOCK, n))
+                 for first in range(rows) for lo in range(0, n, GRID_BLOCK)]
+    else:
+        count = -(-rows // (GRID_BLOCK // n))
+        spans = [(rows * k // count, rows * (k + 1) // count, 0, n) for k in range(count)]
+    for first, stop, lo, hi in spans:
+        yield slice(first, stop), slice(lo, hi), slice(first * n + lo, (stop - 1) * n + hi)
 
 
 def _write_text(path, chunks) -> None:
@@ -108,12 +134,14 @@ def _write_csv(path, header, outer, inner, columns, outer_columns=()) -> None:
     its block.
     Floats get 17 significant digits and NaN an empty field; a boolean
     column is written as 1/0.  The rows go to the file as bytes, a block of
-    whole outer rows of about :data:`CSV_BLOCK` cells at a time, or, where
-    one outer row holds more, a slice of at most ``CSV_BLOCK`` of its cells.
-    A block's layout holds its axis values and ``outer_columns`` values,
-    formatted as text for that block alone, so that one bytes ``%`` then
-    writes the block's slice of one float stack of ``columns`` (``%d``
-    prints a flag's 1.0/0.0 as 1/0).
+    :func:`_grid_blocks` at a time: whole outer rows, at most
+    :data:`GRID_BLOCK` cells, or, where one outer row holds more, a slice of
+    at most ``GRID_BLOCK`` of its cells.  A block's layout holds its axis
+    values and ``outer_columns`` values, formatted as text for that block
+    alone, so that one bytes ``%`` then writes one float stack of the
+    block's slices of ``columns`` (``%d`` prints a flag's 1.0/0.0 as 1/0).
+    Beyond ``columns`` the writer holds one block's stack and text, about
+    20 B a cell of a 301^2 scan (the table at :data:`MAX_GRID_CELLS`).
     ``%.17g`` writes a NaN as ``nan`` and no other value with those letters,
     so one replace on each block empties its NaN fields, axis fields
     included.  The header is written as it is.
@@ -129,10 +157,6 @@ def _write_csv(path, header, outer, inner, columns, outer_columns=()) -> None:
     columns = [np.asarray(column).ravel() for column in columns]
     cells = b"".join(b"," + field(column) for column in columns)
     inner, outers = np.asarray(inner), [np.asarray(axis) for axis in (outer, *outer_columns)]
-    values = np.stack(columns, axis=-1)
-    n = len(inner)
-    # a block is step whole outer rows, or a slice of span inner rows of one
-    step, span = max(1, CSV_BLOCK // n), min(n, CSV_BLOCK)
 
     def block(rows: list[bytes], x: bytes, *ends: bytes) -> tuple[bytes, bytes, bytes]:
         # the parts of "x," + row + tail for each of rows: x is the text of
@@ -142,15 +166,12 @@ def _write_csv(path, header, outer, inner, columns, outer_columns=()) -> None:
 
     def chunks():
         yield (",".join(header) + "\n").encode()
-        for first in range(0, len(outers[0]), step):
-            group = list(zip(*(texts(axis[first:first + step]) for axis in outers)))
-            for lo in range(0, n, span):
-                hi = min(lo + span, n)
-                rows = [text + cells for text in texts(inner[lo:hi])]
-                layout = b"".join(itertools.chain.from_iterable(
-                    block(rows, *head) for head in group))
-                flat = values[first * n + lo:(first + len(group) - 1) * n + hi].ravel().tolist()
-                yield (layout % tuple(flat)).replace(b"nan", b"")
+        for outer_rows, inner_cells, grid_cells in _grid_blocks(len(outers[0]), len(inner)):
+            group = zip(*(texts(axis[outer_rows]) for axis in outers))
+            rows = [text + cells for text in texts(inner[inner_cells])]
+            layout = b"".join(itertools.chain.from_iterable(block(rows, *head) for head in group))
+            values = np.stack([column[grid_cells] for column in columns], axis=-1)
+            yield (layout % tuple(values.ravel().tolist())).replace(b"nan", b"")
 
     _write_text(path, chunks())
 
@@ -285,15 +306,20 @@ def _store_int(config, name: str) -> int:
     return number
 
 
-# Largest scan grid, in cells: a scan's traced peak grows by about 657 B a
-# cell for the three-parameter model and 343 B for the two-parameter model
-# (201^2 cells, N = 4), both in run_scan, so the cap keeps it within a 1 GB
-# budget.  Writing it holds T = R - Delta and one float stack of the five
-# value columns, 48 B a cell, and one block of about 2.4 MB: the writer's
-# traced peak is 280 B a cell at 101^2, 107 B at 201^2 and 74 B at 301^2
-# on either model (360 to 370 B a cell on every grid when it was not
-# blocked), so run_scan's peak sets the cap.  A larger grid is rejected
-# before anything is allocated.
+# Largest scan grid, in cells.  A whole scan op, run_scan and then its
+# writer, holds the grid's theta and B (16 B a cell), R, Delta, det_q and
+# the flags (25 B) and the writer's T = R - Delta (8 B), and one block of at
+# most GRID_BLOCK cells at a time.  Its traced peak, in B a cell at N = 4:
+#
+#     grid     two parameters    three parameters
+#     101^2         149                160
+#     201^2          79                 79
+#     301^2          61                 61
+#
+# and 50 at the cap (1000^2, 50 MB), so the cap keeps a scan within a 64 MB
+# budget.  Computed in one batch, run_scan peaked at 343 and 657 B a cell,
+# about 0.66 GB at the cap, within a 1 GB budget.  A larger grid is
+# rejected before anything is allocated.
 MAX_GRID_CELLS = 10**6
 
 
@@ -362,20 +388,30 @@ def run_scan(config: ScanConfig) -> ScanResult:
     """Evaluate R, Delta and T = R - Delta over the (theta, B) grid.
 
     Cells with a singular QFIM (relative eigenvalue ratio below
-    ``config.rel_tol``) are flagged and carry no bound values.
+    ``config.rel_tol``) are flagged and carry no bound values.  The probe's
+    spin moments are taken once; then each block of :func:`_grid_blocks`,
+    at most :data:`GRID_BLOCK` cells, gets its frame, (Q, D) and bounds in
+    turn, written by slice into the result columns, so beyond those, 41 B
+    a cell, the scan holds one block's arrays at a time (the table at
+    :data:`MAX_GRID_CELLS`).  A cell's arithmetic does not depend on its
+    block, so the results are the same bits whatever the block size.  Every
+    block is computed before the result exists, so a scan that fails in
+    any block leaves no result for a writer.
     """
     thetas = np.linspace(0.0, TWO_PI, config.theta_count)
     bs = np.linspace(0.0, TWO_PI / config.t, config.b_count)
-    th_grid, b_grid = np.meshgrid(thetas, bs, indexing="ij")
-    theta = th_grid.ravel()
-    b = b_grid.ravel()
-    # the frame from the axes, broadcast: its trig runs once per axis value
-    frame = closed_frame(bs, thetas[:, None], config.t, config.model_phi)
-    frame = frame.reshape((-1,) + frame.shape[-2:])
+    theta, b = np.repeat(thetas, bs.size), np.tile(bs, thetas.size)
+    r_ai, delta, det_q = (np.empty(theta.size) for _ in range(3))
+    singular = np.empty(theta.size, dtype=bool)
     probe = config.probe
     moments = probe.moments() if isinstance(probe, ProbeSpec) else spin_moments(probe)
-    q, d = frame_qfim_uhlmann(frame, *moments)
-    singular, r_ai, _, _, delta, det_q = bounds(q, d, rel_tol=config.rel_tol)
+    for rows, row_cells, cells in _grid_blocks(thetas.size, bs.size):
+        # the block's frame from its axis slices, broadcast: its trig runs
+        # once per axis value of the block
+        frame = closed_frame(bs[row_cells], thetas[rows, None], config.t, config.model_phi)
+        q, d = frame_qfim_uhlmann(frame.reshape((-1,) + frame.shape[-2:]), *moments)
+        singular[cells], r_ai[cells], _, _, delta[cells], det_q[cells] = bounds(
+            q, d, rel_tol=config.rel_tol)
     return ScanResult(
         config=config, theta=theta, b=b, r_ai=r_ai, delta=delta, det_q=det_q, singular=singular
     )

@@ -189,9 +189,11 @@ class TestRunScan:
         assert res.theta.size == 25
         assert peak < 1_000_000
 
-    # linalg.eigh_inverse returns the inverses of the regular cells alone;
-    # with a NaN-padded (G, 3, 3) inverse stack this scan peaked at 794 B a
-    # cell.  MAX_GRID_CELLS rests on this figure.
+    # run_scan holds its result columns, 41 B a cell, and one block of
+    # analysis.GRID_BLOCK cells at a time: it peaks at 160 B a cell here.
+    # Computed in one batch it peaked at 650 B a cell (794 with a NaN-padded
+    # (G, 3, 3) inverse stack).  MAX_GRID_CELLS rests on the whole scan op,
+    # held to its own bound below.
     def test_memory_per_cell(self):
         config = small_scan(dim=4, alpha=0.4, phi=0.3, counts=(101, 101), model_phi=1.0)
         tracemalloc.start()
@@ -200,7 +202,51 @@ class TestRunScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 700 * 101**2
+        assert peak < 200 * 101**2
+
+    # A whole scan op, run_scan and then its writer, peaks at about 79 B a
+    # cell at 201^2 on either model (657 B for three parameters when the
+    # scan ran in one batch), and MAX_GRID_CELLS rests on this figure.
+    @pytest.mark.parametrize("model_phi", [None, 1.0], ids=["two", "three"])
+    def test_whole_scan_memory_per_cell(self, tmp_path, model_phi):
+        config = small_scan(dim=4, alpha=0.4, phi=0.3, counts=(201, 201), model_phi=model_phi)
+        tracemalloc.start()
+        try:
+            run_scan(config).write_csv(tmp_path / "scan.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 150 * 201**2
+
+    # A cell's work does not depend on the block it is computed in, so every
+    # field and the CSV bytes are the same whatever the block size: one cell
+    # a block, blocks that are slices of a row, of a few rows, and the whole
+    # grid in one.  The B = 0 and B = 2 pi / t columns are singular, so NaN
+    # cells lie on block edges.
+    @pytest.mark.parametrize("model_phi", [None, 0.4], ids=["two", "three"])
+    @pytest.mark.parametrize("probe", ["spec", "explicit"])
+    @pytest.mark.parametrize("counts", [(31, 31), (3, 3000), (3000, 3), (130, 70)],
+                             ids=lambda counts: "x".join(map(str, counts)))
+    def test_results_do_not_depend_on_the_block_size(self, tmp_path, monkeypatch,
+                                                       model_phi, probe, counts):
+        config = small_scan(dim=4, alpha=0.4, phi=0.3, counts=counts, model_phi=model_phi)
+        if probe == "explicit":
+            config = replace(config, probe=haar_state(np.random.default_rng(35), 5))
+        fields = ("theta", "b", "r_ai", "delta", "det_q", "singular")
+        runs = []
+        for block in (10**9, 1, 7, 50):
+            monkeypatch.setattr(analysis, "GRID_BLOCK", block)
+            res = run_scan(config)
+            res.write_csv(tmp_path / "scan.csv")
+            runs.append(([getattr(res, name) for name in fields],
+                         (tmp_path / "scan.csv").read_bytes()))
+        (whole, text), *blocked = runs
+        assert whole[-1].any() and not whole[-1].all()
+        for columns, csv in blocked:
+            for name, want, got in zip(fields, whole, columns):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+                assert got.tobytes() == want.tobytes(), name
+            assert csv == text
 
     def test_config_validation(self):
         with pytest.raises(InvalidInput):
@@ -559,7 +605,7 @@ class TestCsvWriter:
     # one: rows of NaN on both sides of a block edge and in the last, short
     # block, the flag column, and the writer's chunks one per block.
     def test_blocks_match_field_formatter(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(analysis, "CSV_BLOCK", 500)  # 7 outer rows of 70
+        monkeypatch.setattr(analysis, "GRID_BLOCK", 500)  # 6 or 7 outer rows of 70
         outer, inner = np.linspace(0.0, 1.0, 130), np.linspace(-1.0, 2.0, 70)
         cells = outer.size * inner.size
         rng = np.random.default_rng(33)
@@ -580,7 +626,7 @@ class TestCsvWriter:
 
     @pytest.mark.parametrize("model_phi", [None, 0.4], ids=["two", "three"])
     def test_scan_blocks_match_field_formatter(self, tmp_path, monkeypatch, model_phi):
-        monkeypatch.setattr(analysis, "CSV_BLOCK", 300)
+        monkeypatch.setattr(analysis, "GRID_BLOCK", 300)
         # the columns B = 0 and B = 2 pi / t are singular, so every block
         # edge has singular cells on both sides
         res = run_scan(small_scan(dim=4, alpha=0.4, phi=0.3, counts=(130, 70),
@@ -594,7 +640,7 @@ class TestCsvWriter:
     # One outer row a block: each alpha's slope, NaN for the singular
     # baseline, is written on every row of its own block.
     def test_scaling_blocks_match_field_formatter(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(analysis, "CSV_BLOCK", 1)
+        monkeypatch.setattr(analysis, "GRID_BLOCK", 1)
         point = ModelPoint(b=0.9, theta=np.pi / 2, t=5.0)
         table = scaling_table([np.pi / 4, 0.0, 1.2], range(4, 40, 3), point)
         assert np.isnan(table.slope[1]) and not np.isnan(table.slope[[0, 2]]).any()
@@ -604,9 +650,11 @@ class TestCsvWriter:
                 for k, a in enumerate(table.alphas) for j, n in enumerate(table.dims)]
         assert out.read_text() == csv_text_loop(table.HEADER, np.array(rows, dtype=float).T)
 
-    # Beyond one float copy of the columns the writer holds one block at a
-    # time.  Unblocked, it peaked at about 370 B a cell, so this bound, half
-    # of that, fails there; the blocked writer peaks at about 107 B a cell.
+    # Beyond the columns it is handed the writer holds one block at a time,
+    # its float stack and text, and a scan's T = R - Delta, 8 B a cell: it
+    # peaks at about 38 B a cell.  Unblocked it peaked at about 370 B a
+    # cell, and with one float stack of the whole grid at 107, so this
+    # bound fails on both.
     @pytest.mark.parametrize("model_phi", [None, 1.0], ids=["two", "three"])
     def test_memory_per_cell(self, tmp_path, model_phi):
         res = run_scan(small_scan(dim=4, alpha=0.4, phi=0.3, counts=(201, 201),
@@ -617,10 +665,10 @@ class TestCsvWriter:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 185 * 201**2
+        assert peak < 60 * 201**2
 
     # An outer row longer than a block is written in slices of at most
-    # CSV_BLOCK cells, with the bytes of one block over the whole grid: NaN
+    # GRID_BLOCK cells, with the bytes of one block over the whole grid: NaN
     # cells on both sides of a slice edge, the short last slice, a NaN outer
     # value and a column of one value per outer row.
     def test_long_rows_are_sliced(self, tmp_path, monkeypatch):
@@ -634,7 +682,7 @@ class TestCsvWriter:
         header = ("outer", "inner", "a", "b", "flag", "per_outer")
         written = {}
         for block in (300, 10**9):
-            monkeypatch.setattr(analysis, "CSV_BLOCK", block)
+            monkeypatch.setattr(analysis, "GRID_BLOCK", block)
             chunks = written[block] = []
             monkeypatch.setattr(analysis, "_write_text", lambda path, parts: chunks.extend(parts))
             analysis._write_csv(tmp_path / "x.csv", header, outer, inner, columns, (per_outer,))
@@ -647,10 +695,10 @@ class TestCsvWriter:
 
     # A grid with one long axis holds one block's text at a time, as a square
     # grid of the same size does.  Every grid here has 2^16 cells in blocks
-    # of exactly CSV_BLOCK cells: at N = 4 the square one peaks at 85 B a
-    # cell, two thetas by 2^15 fields at 90 (a slice lays out 4096 row
+    # of exactly GRID_BLOCK cells: at N = 4 the square one peaks at 27 B a
+    # cell, two thetas by 2^15 fields at 29 (a slice lays out 2048 row
     # texts, the square grid's blocks 256) and 2^15 thetas by two fields at
-    # 87.  Blocked by whole outer rows, the first peaked at 376 B a cell, and
+    # 25.  Blocked by whole outer rows, the first peaked at 376 B a cell, and
     # the second, whose outer texts were laid out at once, at 136.
     def test_memory_per_cell_on_a_long_axis(self, tmp_path):
         def peak_per_cell(counts):
@@ -666,6 +714,38 @@ class TestCsvWriter:
         square = peak_per_cell((2**8, 2**8))
         assert peak_per_cell((2, 2**15)) <= 1.1 * square
         assert peak_per_cell((2**15, 2)) <= 1.1 * square
+
+
+class TestGridBlocks:
+    # Scans and the grid writer share one block rule: blocks cover the cells
+    # once, in row order, each of at most GRID_BLOCK cells, with the fewest
+    # blocks of whole rows, their row counts at most one apart, or, for a
+    # row longer than a block, the fewest slices of each row.
+    @pytest.mark.parametrize("rows, n", [(1, 1), (51, 51), (130, 70), (7, 300), (3, 1000),
+                                         (1000, 3), (2, 301), (300, 300)])
+    @pytest.mark.parametrize("block", [1, 7, 300, 2048])
+    def test_blocks_cover_the_grid_in_order(self, monkeypatch, rows, n, block):
+        monkeypatch.setattr(analysis, "GRID_BLOCK", block)
+        blocks = list(analysis._grid_blocks(rows, n))
+        grid = np.arange(rows * n)
+        assert np.array_equal(np.concatenate([grid[cells] for _, _, cells in blocks]), grid)
+        for outer_rows, inner_cells, cells in blocks:
+            assert 0 < cells.stop - cells.start <= block
+            assert np.array_equal(grid.reshape(rows, n)[outer_rows, inner_cells].ravel(),
+                                  grid[cells])
+        sizes = [outer_rows.stop - outer_rows.start for outer_rows, _, _ in blocks]
+        if n <= block:
+            assert all(inner_cells == slice(0, n) for _, inner_cells, _ in blocks)
+            assert len(blocks) == math.ceil(rows / (block // n))
+            assert max(sizes) - min(sizes) <= 1
+        else:
+            assert set(sizes) == {1}
+            assert len(blocks) == rows * math.ceil(n / block)
+
+    # The grids of the benchmark's scans take two blocks.
+    def test_a_51_by_51_grid_is_two_blocks(self):
+        assert [outer_rows for outer_rows, _, _ in analysis._grid_blocks(51, 51)] == [
+            slice(0, 25), slice(25, 51)]
 
 
 class TestWriteText:

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import spinmetro
-from spinmetro import ModelPoint, bloch_vector, make_probe, qubit2p_closed
+from spinmetro import NumericalFailure, ModelPoint, bloch_vector, bounds, make_probe, qubit2p_closed
 from spinmetro import analysis, cli
 from spinmetro.analysis import (
     MAX_GRID_CELLS,
@@ -634,14 +634,36 @@ class TestOutputWriter:
         assert err.startswith("spinmetro: ") and "Traceback" not in err
 
     # A scan that fails does so in run_scan, before its writer, which makes
-    # the file's bytes as it writes them, is handed the path.
+    # the file's bytes as it writes them, is handed the path: run_scan
+    # computes every block of the grid before it returns, so a failure in
+    # a later block than the first opens no file either, and an existing
+    # file keeps its bytes.
     @pytest.mark.parametrize("model", ["two", "three"])
     def test_failed_scan_opens_no_file(self, tmp_path, monkeypatch, model):
-        opened = []
-        monkeypatch.setattr(analysis, "_write_text", lambda *args: opened.append(args))
+        opened, write_text = [], analysis._write_text
+        monkeypatch.setattr(analysis, "_write_text",
+                            lambda *args: opened.append(args) or write_text(*args))
         out = tmp_path / "x.csv"
         assert run(["scan", "--model", model, "--time", "1e300", "--out", str(out)]) == 1
         assert opened == [] and not out.exists()
+
+        calls = []
+
+        def second_block_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise NumericalFailure("a bound is not finite on a regular QFIM")
+            return bounds(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "bounds", second_block_fails)
+        argv = ["scan", "--model", model, "--grid", "101x101"]
+        assert run([*argv, "--out", str(out)]) == 1
+        assert len(calls) == 2 and opened == [] and not out.exists()
+        out.write_bytes(b"earlier result\n" * 100)
+        calls.clear()
+        assert run([*argv, "--out", str(out)]) == 1
+        assert len(calls) == 2 and opened == []
+        assert out.read_bytes() == b"earlier result\n" * 100
 
     @pytest.mark.parametrize("argv, code", [
         (["scan", "--tol", "0"], 2),

@@ -16,7 +16,8 @@ route: its oracle routes are the su(2) vector forms.  Q^-1 and the
 singular rule are computed in one function, ``linalg.eigh_inverse``, and
 every matrix argument is checked by one rule, ``linalg.require_symmetric``.
 No stacked ``@`` takes a transposed view as an operand, except where a
-named exception says why.
+named exception says why.  A grid is cut into blocks by one rule,
+``analysis._grid_blocks``, for the scan and the writer alike.
 """
 
 import argparse
@@ -512,3 +513,29 @@ def test_scalar_oracle_routes():
                     calls.append(f"{fn.name}: {ast.unparse(node)}")
     assert found == set().union(*routes.values())
     assert calls == []
+
+
+def test_one_block_rule():
+    # run_scan and the grid writer take their blocks from one helper,
+    # analysis._grid_blocks, and name the block constant nowhere else: no
+    # other function of the library divides by it, or divides it, so a
+    # second block geometry cannot grow back beside the first.
+    divisions = (ast.Div, ast.FloorDiv, ast.Mod)
+    callers, namers, dividers = set(), set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            owner = f"{path.stem}.{fn.name}"
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "_grid_blocks":
+                    callers.add(owner)
+                elif isinstance(node, ast.Name) and node.id == "GRID_BLOCK":
+                    namers.add(owner)
+                if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                        and isinstance(node.op, divisions)
+                        and "GRID_BLOCK" in {sub.id for sub in ast.walk(node)
+                                             if isinstance(sub, ast.Name)}):
+                    dividers.add(owner)
+    assert callers == {"analysis.run_scan", "analysis._write_csv"}
+    assert namers == dividers == {"analysis._grid_blocks"}
