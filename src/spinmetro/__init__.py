@@ -23,8 +23,7 @@ from .encoding import (
     ModelPoint,
     closed_frame,
     closed_generators,
-    direction_vectors_2p,
-    direction_vectors_3p,
+    direction_vectors,
     hamiltonian,
     numeric_frame,
     numeric_generators,
@@ -35,7 +34,6 @@ from .errors import (
     InvalidInput,
     NumericalFailure,
     SpinMetroError,
-    StepInstability,
 )
 from .linalg import (
     SpinRep,

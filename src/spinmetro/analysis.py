@@ -14,12 +14,11 @@ either as bytes, in the blocks of one rule, :func:`_grid_blocks`: at most
 result columns each holds one block at a time, so a whole scan op peaks at
 about 61 B a cell at 301^2 (the table at :data:`MAX_GRID_CELLS`), and a
 cell's work and text do not depend on its block, so neither do the results.
-Each block is laid out once, as text the axis values and the values
-of a column that holds one value per outer axis value (a scaling table's
-slope, one per alpha), and then every other value of the block is
-formatted with one ``%``: '.' decimals, ',' delimiters, a header row and
-17 significant digits, so repeated runs are bytewise identical, whatever
-the block size.
+Each block's axis values are laid out once as text, and then every other
+value of the block is formatted with one ``%``: '.' decimals, ','
+delimiters, a header row and 17 significant digits, so repeated runs are
+bytewise identical, whatever the block size.  A scaling table writes its
+slopes as a cell column, each alpha's slope repeated on its rows.
 A missing value marks a singular QFIM and nothing else.  Every result
 object holds it as NaN (:func:`~spinmetro.metrology.bounds`,
 :class:`ScanResult`, :class:`ScalingResult`); only the JSON report dicts
@@ -43,8 +42,7 @@ import numpy as np
 
 from .encoding import ModelPoint, closed_frame, numeric_frame, require_point, series_frame
 from .errors import InvalidInput, NumericalFailure
-from .linalg import (eigh_inverse, require_float, require_floats, require_int,
-                     require_positive, spin_moments)
+from .linalg import eigh_inverse, require_float, require_int, require_positive, spin_moments
 from .metrology import _report_fields, bounds, classical_fim, frame_qfim_uhlmann
 from .models import MAX_DIM, ProbeSpec, extreme_moments
 
@@ -124,23 +122,19 @@ def _write_text(path, chunks) -> None:
         os.close(fd)
 
 
-def _write_csv(path, header, outer, inner, columns, outer_columns=()) -> None:
+def _write_csv(path, header, outer, inner, columns) -> None:
     """Write a grid: one row per (outer, inner) pair of axis values, outer-major.
 
     A row holds its outer and inner axis values, then one value from each
     of ``columns``, each of which holds ``len(outer) * len(inner)`` values
-    in row order, and last one value from each of ``outer_columns``, each
-    of which holds one value per outer axis value, the same on every row of
-    its block.
-    Floats get 17 significant digits and NaN an empty field; a boolean
-    column is written as 1/0.  The rows go to the file as bytes, a block of
-    :func:`_grid_blocks` at a time: whole outer rows, at most
+    in row order.  Floats get 17 significant digits and NaN an empty field;
+    a boolean column is written as 1/0.  The rows go to the file as bytes,
+    a block of :func:`_grid_blocks` at a time: whole outer rows, at most
     :data:`GRID_BLOCK` cells, or, where one outer row holds more, a slice of
     at most ``GRID_BLOCK`` of its cells.  A block's layout holds its axis
-    values and ``outer_columns`` values, formatted as text for that block
-    alone, so that one bytes ``%`` then writes one float stack of the
-    block's slices of ``columns`` (``%d`` prints a flag's 1.0/0.0 as 1/0).
-    Beyond ``columns`` the writer holds one block's stack and text, about
+    values, formatted as text for that block alone, so that one bytes ``%``
+    then writes one float stack of the block's slices of ``columns``
+    (``%d`` prints a flag's 1.0/0.0 as 1/0).  Beyond ``columns`` the writer holds one block's stack and text, about
     20 B a cell of a 301^2 scan (the table at :data:`MAX_GRID_CELLS`).
     ``%.17g`` writes a NaN as ``nan`` and no other value with those letters,
     so one replace on each block empties its NaN fields, axis fields
@@ -156,20 +150,19 @@ def _write_csv(path, header, outer, inner, columns, outer_columns=()) -> None:
 
     columns = [np.asarray(column).ravel() for column in columns]
     cells = b"".join(b"," + field(column) for column in columns)
-    inner, outers = np.asarray(inner), [np.asarray(axis) for axis in (outer, *outer_columns)]
+    outer, inner = np.asarray(outer), np.asarray(inner)
 
-    def block(rows: list[bytes], x: bytes, *ends: bytes) -> tuple[bytes, bytes, bytes]:
-        # the parts of "x," + row + tail for each of rows: x is the text of
-        # an outer value, tail that of its outer_columns values and "\n"
-        tail = b"".join(b"," + text for text in ends) + b"\n"
-        return x + b",", (tail + x + b",").join(rows), tail
+    def block(rows: list[bytes], x: bytes) -> tuple[bytes, bytes, bytes]:
+        # the parts of "x," + row + "\n" for each of rows, x the text of an
+        # outer value
+        return x + b",", (b"\n" + x + b",").join(rows), b"\n"
 
     def chunks():
         yield (",".join(header) + "\n").encode()
-        for outer_rows, inner_cells, grid_cells in _grid_blocks(len(outers[0]), len(inner)):
-            group = zip(*(texts(axis[outer_rows]) for axis in outers))
+        for outer_rows, inner_cells, grid_cells in _grid_blocks(len(outer), len(inner)):
             rows = [text + cells for text in texts(inner[inner_cells])]
-            layout = b"".join(itertools.chain.from_iterable(block(rows, *head) for head in group))
+            layout = b"".join(itertools.chain.from_iterable(
+                block(rows, x) for x in texts(outer[outer_rows])))
             values = np.stack([column[grid_cells] for column in columns], axis=-1)
             yield (layout % tuple(values.ravel().tolist())).replace(b"nan", b"")
 
@@ -396,10 +389,15 @@ def run_scan(config: ScanConfig) -> ScanResult:
     :data:`MAX_GRID_CELLS`).  A cell's arithmetic does not depend on its
     block, so the results are the same bits whatever the block size.  Every
     block is computed before the result exists, so a scan that fails in
-    any block leaves no result for a writer.
+    any block leaves no result for a writer.  A field period ``2 pi / t``
+    that is not a finite float (``t`` below about 3.5e-308) raises
+    :class:`NumericalFailure` before any axis is built.
     """
+    period = TWO_PI / float(config.t)
+    if not math.isfinite(period):
+        raise NumericalFailure(f"field period 2 pi / t is not a finite float at t = {config.t!r}")
     thetas = np.linspace(0.0, TWO_PI, config.theta_count)
-    bs = np.linspace(0.0, TWO_PI / config.t, config.b_count)
+    bs = np.linspace(0.0, period, config.b_count)
     theta, b = np.repeat(thetas, bs.size), np.tile(bs, thetas.size)
     r_ai, delta, det_q = (np.empty(theta.size) for _ in range(3))
     singular = np.empty(theta.size, dtype=bool)
@@ -433,7 +431,8 @@ class ScalingResult:
     HEADER = ("alpha", "N", "Gamma", "slope")
 
     def write_csv(self, path) -> None:
-        _write_csv(path, self.HEADER, self.alphas, self.dims, (self.gamma,), (self.slope,))
+        _write_csv(path, self.HEADER, self.alphas, self.dims,
+                   (self.gamma, np.repeat(self.slope, len(self.dims))))
 
 
 def scaling_dim(n) -> int:
@@ -456,20 +455,6 @@ def scaling_dim(n) -> int:
 MAX_TABLE_PROBES = 10**6
 
 
-def _sized(values, name: str):
-    """``values`` itself if it has a length, as a list or a range has, else
-    a tuple of it; :class:`InvalidInput` if it is not iterable."""
-    try:
-        len(values)
-        return values
-    except TypeError:
-        pass
-    try:
-        return tuple(values)
-    except TypeError:
-        raise InvalidInput(f"{name} must be a sequence, got {values!r}") from None
-
-
 def scaling_table(
     alphas,
     dims,
@@ -489,19 +474,24 @@ def scaling_table(
     A slope needs at least two distinct dimensions, each listed once (each
     held to :func:`scaling_dim`), and at least one probe angle; each angle
     and ``probe_phi`` is a finite number (the rule of
-    :func:`~spinmetro.linalg.require_float`).  The table has at most
-    :data:`MAX_TABLE_PROBES` probes, counted from the lengths of ``alphas``
-    and ``dims`` before either is expanded, and every dimension is checked
-    before any is computed.  One :func:`~spinmetro.models.extreme_moments`
-    call gives the spin moments of every (alpha, N) probe, baselines
-    included, from their supports; one
+    :func:`~spinmetro.linalg.require_float`).  ``alphas`` and ``dims`` are
+    sequences, anything with a ``len()``; anything else raises
+    :class:`InvalidInput`.  The table has at most :data:`MAX_TABLE_PROBES`
+    probes, counted from those lengths before either is expanded, so a
+    ``range`` of dimensions stays unexpanded until the cap check passes, and
+    every dimension is checked before any is computed.  One
+    :func:`~spinmetro.models.extreme_moments` call gives the spin moments of
+    every (alpha, N) probe, baselines included, from their supports; one
     :func:`~spinmetro.metrology.frame_qfim_uhlmann` call every QFIM of the
     table, one :func:`~spinmetro.linalg.eigh_inverse` call every baseline's
     inverse, and one batched trace every Gamma.
     """
     point = require_point(point)
-    alphas, dims = _sized(alphas, "probe angles"), _sized(dims, "scaling dimensions")
-    probes = len(alphas) * (1 + len(dims))
+    try:
+        probes = len(alphas) * (1 + len(dims))
+    except TypeError:
+        raise InvalidInput(f"probe angles and scaling dimensions must be sequences, "
+                           f"got {alphas!r} and {dims!r}") from None
     if probes > MAX_TABLE_PROBES:
         raise InvalidInput(f"scaling table has {probes} probes, at most {MAX_TABLE_PROBES}")
     dims = tuple(map(scaling_dim, dims))
@@ -555,17 +545,15 @@ class RankExperimentConfig:
     """Monte-Carlo check of the outcome-count rank bound on the FIM.
 
     ``n_params`` lies in [1, :data:`MAX_RANK_PARAMS`] and ``n_outcomes`` in
-    [2, :data:`MAX_RANK_OUTCOMES`].  ``seed`` must be a non-negative integer
-    and ``lam``, the evaluation point (default: the origin), finite with
-    ``n_params`` components.  The counts and the seed are integers, not
-    bools, and are stored as Python ints.
+    [2, :data:`MAX_RANK_OUTCOMES`], and ``seed`` is a non-negative integer.
+    The counts and the seed are integers, not bools, and are stored as
+    Python ints.
     """
 
     n_params: int
     n_outcomes: int
     trials: int = 1000
     seed: int = 0
-    lam: np.ndarray | None = None
 
     def __post_init__(self):
         d, n, trials, seed = (_store_int(self, name)
@@ -578,25 +566,14 @@ class RankExperimentConfig:
             raise InvalidInput("need at least one trial")
         if seed < 0:
             raise InvalidInput(f"seed must be a non-negative integer, got {seed}")
-        if self.lam is not None:
-            lam = require_floats(self.lam, "evaluation point")
-            if lam.shape != (self.n_params,):
-                raise InvalidInput(f"evaluation point must have {self.n_params} components")
-            if not np.isfinite(lam).all():
-                raise InvalidInput(f"evaluation point must be finite, got {lam.tolist()}")
-
-    def lam_point(self) -> np.ndarray:
-        if self.lam is None:
-            return np.zeros(self.n_params)
-        return np.asarray(self.lam, dtype=float)
 
 
-def _softmax_family(a, b, lam):
-    """Probabilities and analytic gradients of p_i  propto  exp(a_i + b_i . lam),
-    over leading axes: ``a (..., n)`` and ``b (..., n, d)`` give ``p (..., n)``
-    and ``grads (..., d, n)`` with ``grads[..., j, i] = d p_i / d lam_j``."""
-    z = a + b @ lam
-    z -= z.max(axis=-1, keepdims=True)
+def _softmax_family(a, b):
+    """Probabilities and analytic gradients of p_i  propto  exp(a_i + b_i . lam)
+    at lam = 0, over leading axes: ``a (..., n)`` and ``b (..., n, d)`` give
+    ``p (..., n)`` and ``grads (..., d, n)`` with
+    ``grads[..., j, i] = d p_i / d lam_j``."""
+    z = a - a.max(axis=-1, keepdims=True)
     p = np.exp(z)
     p /= p.sum(axis=-1, keepdims=True)
     mean_b = (p[..., None, :] @ b)[..., 0, :]  # (..., d)
@@ -612,7 +589,8 @@ def fim_rank_experiment(config: RankExperimentConfig) -> dict:
     order, a block of :data:`RANK_BLOCK` trials in one ``(trials, n + n d)``
     call, so a k-trial run's draws are a prefix of any longer run's and the
     result does not depend on the block size.  The block's trials are
-    evaluated together.  The FIM is computed two ways: the direct
+    evaluated together, each at the origin ``lam = 0`` of its family, where
+    its logits are ``a``.  The FIM is computed two ways: the direct
     weighted-gradient sum and the product decomposition that eliminates the
     redundant last outcome; their agreement is recorded as the
     decomposition residual.  A trial with fewer than two outcomes at
@@ -620,7 +598,6 @@ def fim_rank_experiment(config: RankExperimentConfig) -> dict:
     both float maxima.
     """
     d, n = config.n_params, config.n_outcomes
-    lam = config.lam_point()
     rank_bound = min(d, n - 1)
     max_rank = 0
     violations = 0
@@ -632,7 +609,7 @@ def fim_rank_experiment(config: RankExperimentConfig) -> dict:
         count = min(RANK_BLOCK, config.trials - first)
         draws = normal((count, n + n * d))
         a, b = draws[:, :n], draws[:, n:].reshape(count, n, d)
-        p, grads = _softmax_family(a, b, lam)
+        p, grads = _softmax_family(a, b)
         f = classical_fim(p, grads)
         # decomposition route: F = eta . dtil with the last outcome eliminated;
         # like classical_fim, outcomes with p < 1e-14 contribute nothing
@@ -664,7 +641,6 @@ def fim_rank_experiment(config: RankExperimentConfig) -> dict:
         "n_outcomes": n,
         "trials": config.trials,
         "seed": config.seed,
-        "lam": [float(v) for v in lam],
         "rank_bound": rank_bound,
         "max_rank": max_rank,
         "rank_violations": violations,

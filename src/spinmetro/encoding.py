@@ -8,6 +8,9 @@ evolves as ``U = exp(-1j t H)``.  The two-parameter family is the
 three-parameter one at ``phi = 0``: every two-parameter quantity is built
 as the (B, theta) rows of the three-parameter construction there, so its
 (Q, D) is the (B, theta) block of the three-parameter (Q, D) at ``phi = 0``.
+Both models share one field frame ``(n_theta, n1, n2)``
+(:func:`direction_vectors`), with one sign convention,
+``n_theta x n2 = n1``.
 
 For each estimated parameter ``l`` the Hermitian generator
 ``G_l = 1j (d_l U^dag) U`` converts the unitary family into expectation
@@ -49,15 +52,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalFailure, StepInstability
+from .errors import InvalidInput, NumericalFailure
 from .linalg import (SpinRep, expm_i, j_direction, require_broadcast, require_float,
                      require_floats, require_positive, require_symmetric)
 
 __all__ = [
     "ModelPoint",
     "GeneratorSet",
-    "direction_vectors_2p",
-    "direction_vectors_3p",
+    "direction_vectors",
     "closed_frame",
     "hamiltonian",
     "closed_generators",
@@ -105,14 +107,11 @@ class ModelPoint:
         return np.array([self.b, self.theta, self.phi][: self.n_params])
 
 
-def require_point(point, n_params: int | None = None) -> ModelPoint:
+def require_point(point) -> ModelPoint:
     """Return ``point``, raising :class:`InvalidInput` unless it is a
-    :class:`ModelPoint`, of the model with ``n_params`` parameters if given."""
+    :class:`ModelPoint`."""
     if not isinstance(point, ModelPoint):
         raise InvalidInput(f"model point must be a ModelPoint, got {point!r}")
-    if n_params not in (None, point.n_params):
-        need = "absent" if n_params == 2 else "present"
-        raise InvalidInput(f"{n_params}-parameter model needs phi {need}, got phi={point.phi!r}")
     return point
 
 
@@ -177,31 +176,19 @@ def _directions(b, theta, t, phi, scales=None) -> np.ndarray:
     return _vectors(np.broadcast(b, theta, phi).shape, rows)
 
 
-def direction_vectors_2p(point: ModelPoint):
-    """Unit direction vectors of the two-parameter model.
+def direction_vectors(point: ModelPoint):
+    """Unit direction vectors ``(n_theta, n1, n2)`` of the point's model.
 
-    Returns ``(n_theta, n_theta_prime, n1, n2)`` where ``n_theta`` is the
-    field direction, ``n_theta_prime`` its theta-derivative, and ``n1``,
-    ``n2`` span the plane the theta-generator rotates in; ``n2`` equals
-    ``n_theta x n1`` identically.  They are the three-parameter rows at
-    phi = 0, where the three-parameter ``n2`` is ``n1 x n_theta``.  A
-    point with a ``phi`` raises :class:`InvalidInput`.
+    ``n_theta`` is the field direction, and ``n1`` and ``n2`` are the
+    rotating-frame directions of the theta and phi generators.  The triple
+    is orthonormal with ``n_theta x n2 = n1``, one sign convention for both
+    models: a two-parameter point takes the three-parameter rows at
+    phi = 0, where its theta generator rotates in the plane of ``n1`` and
+    ``n2``.
     """
-    require_point(point, 2)
-    n_theta, n1, n2 = _directions(point.b, point.theta, point.t, 0.0)
-    return n_theta, np.array([-np.sin(point.theta), 0.0, np.cos(point.theta)]), n1, -n2
-
-
-def direction_vectors_3p(point: ModelPoint):
-    """Unit direction vectors of the three-parameter model.
-
-    Returns ``(n_theta, n1, n2)``: the field direction and the two
-    rotating-frame directions attached to the theta and phi generators.
-    The triple is orthonormal with ``n_theta x n2 = n1``.  A point with
-    no ``phi`` raises :class:`InvalidInput`.
-    """
-    require_point(point, 3)
-    return tuple(_directions(point.b, point.theta, point.t, point.phi))
+    point = require_point(point)
+    return tuple(_directions(point.b, point.theta, point.t,
+                             0.0 if point.phi is None else point.phi))
 
 
 def closed_frame(b, theta, t: float, phi=None) -> np.ndarray:
@@ -260,7 +247,7 @@ def numeric_generators(rep: SpinRep, point: ModelPoint, step: float = 1e-5) -> G
     ``h_l = step * max(1, |lambda_l|)``, then ``G_l = 1j (d_l U^dag) U`` is
     explicitly Hermitized as ``(A + A^dag)/2``.  The Hermitization residual
     is recorded on the returned set; a residual above 1e-4 raises
-    :class:`StepInstability`, naming the first parameter that exceeds it.
+    :class:`NumericalFailure`, naming the first parameter that exceeds it.
     ``step`` is held to :func:`~spinmetro.linalg.require_positive`.
     """
     point = require_point(point)
@@ -284,7 +271,7 @@ def numeric_generators(rep: SpinRep, point: ModelPoint, step: float = 1e-5) -> G
         mats.append((raw + raw_dag) / 2)
     for label, resid in zip(point.labels, resids):
         if resid > 1e-4:
-            raise StepInstability(
+            raise NumericalFailure(
                 f"finite-difference generator for {label} is not Hermitian "
                 f"(residual {resid:.3e}); adjust the step"
             )

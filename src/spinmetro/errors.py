@@ -3,7 +3,8 @@
 Two broad classes matter for callers: :class:`InvalidInput` covers bad
 arguments and malformed configurations (the CLI maps these to exit code 2),
 while :class:`NumericalFailure` covers runtime numerical-consistency
-violations (exit code 1).  Singular matrices are *not* errors anywhere in
+violations (exit code 1); it has no subclasses, and its message names the
+check that failed.  Singular matrices are *not* errors anywhere in
 this package; they are reported through flags or ``None`` returns.
 """
 
@@ -18,7 +19,3 @@ class InvalidInput(SpinMetroError, ValueError):
 
 class NumericalFailure(SpinMetroError, RuntimeError):
     """A numerical consistency check failed at runtime."""
-
-
-class StepInstability(NumericalFailure):
-    """A dense finite-difference generator failed its stability check."""

@@ -14,8 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoding import (ModelPoint, _half_phase, direction_vectors_2p, direction_vectors_3p,
-                       require_point)
+from .encoding import ModelPoint, _half_phase, direction_vectors, require_point
 from .errors import InvalidInput
 from .linalg import (SpinRep, _slot_rule, _window_moments, check_probe, j_direction,
                      require_float, require_floats, require_int)
@@ -70,11 +69,6 @@ class ProbeSpec:
         for name in ("alpha", "phi"):
             object.__setattr__(self, name, require_float(getattr(self, name), f"probe {name}"))
 
-    def support(self) -> tuple[np.ndarray, np.ndarray]:
-        """The basis positions ``(0, N - 1)`` of the probe and its two
-        amplitudes there, with no N-vector."""
-        return np.array([0, self.dim - 1]), np.array(_extreme_amplitudes(self.alpha, self.phi))
-
     def moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Spin mean and covariance of the probe: :func:`extreme_moments` on
         a batch of one."""
@@ -97,13 +91,12 @@ def make_probe(spec: ProbeSpec) -> np.ndarray:
 
     In the Jz-diagonal basis (entries s down to -s) the extreme
     eigenvectors are the first and last basis vectors, so the support is
-    ``{0, N - 1}`` (:meth:`ProbeSpec.support`).  The library takes a
-    probe's moments from that support (:func:`extreme_moments`) and builds
-    no N-vector.
+    ``{0, N - 1}``, with the amplitudes of :func:`_extreme_amplitudes`.  The
+    library takes a probe's moments from that support
+    (:func:`extreme_moments`) and builds no N-vector.
     """
-    index, amp = spec.support()
     psi = np.zeros(spec.dim, dtype=complex)
-    psi[index] = amp
+    psi[0], psi[-1] = _extreme_amplitudes(spec.alpha, spec.phi)
     return psi
 
 
@@ -175,23 +168,24 @@ def qubit2p_closed(r0, point: ModelPoint) -> Qubit2pResult:
 
     For a probe with Bloch vector ``r0`` (``|r0| <= 1``; the algebra
     extends below the sphere, but the incompatibility claims hold for pure
-    probes) the QFIM, the single Uhlmann element ``D_{theta B}`` and the
-    incompatibility ``R = sqrt((n2.r0)^2 / (1 - (n1.r0)^2 - (nth.r0)^2))``
-    are closed functions of the frame vectors.  When R's denominator or
-    ``det Q / max(||Q||_2^2, 1)`` is at most 1e-12, the QFIM is singular
-    and the result carries ``r_ai = None`` and the flag.
+    probes) the QFIM, the single Uhlmann element
+    ``D_{theta B} = -2 t sin(Bt/2) n2.r0`` and the incompatibility
+    ``R = sqrt((n2.r0)^2 / (1 - (n1.r0)^2 - (nth.r0)^2))`` are closed
+    functions of the frame of :func:`~spinmetro.encoding.direction_vectors`.
+    When R's denominator or ``det Q / max(||Q||_2^2, 1)`` is at most 1e-12,
+    the QFIM is singular and the result carries ``r_ai = None`` and the flag.
     """
     r0 = require_floats(r0, "Bloch vector")
     if r0.shape != (3,) or not np.linalg.norm(r0) <= 1.0 + 1e-12:
         raise InvalidInput("Bloch vector must be a 3-vector with norm <= 1")
     if require_point(point).n_params != 2:
         raise InvalidInput("qubit2p_closed needs a two-parameter point")
-    n_theta, _, n1, n2 = direction_vectors_2p(point)
+    n_theta, n1, n2 = direction_vectors(point)
     t = point.t
     sh = np.sin(_half_phase(point.b, t))
     a = float(n_theta @ r0)
     b = float(n1 @ r0)
-    c = float(n2 @ r0)
+    c = float(-n2 @ r0)
     q = np.array(
         [
             [t**2 * (1 - a**2), 2 * t * sh * a * b],
@@ -250,7 +244,7 @@ def threeparam_uhlmann_closed(rep: SpinRep, probe, point: ModelPoint) -> np.ndar
     if require_point(point).n_params != 3:
         raise InvalidInput("threeparam_uhlmann_closed needs a three-parameter point")
     psi = check_probe(probe, rep.N)
-    n_theta, n1, n2 = direction_vectors_3p(point)
+    n_theta, n1, n2 = direction_vectors(point)
     t = point.t
     sh = np.sin(_half_phase(point.b, t))
     ct = np.cos(point.theta)

@@ -76,7 +76,6 @@ def fim_rank_loop(config):
     both maxima: an oracle for the stacked
     :func:`~spinmetro.analysis.fim_rank_experiment`."""
     d, n = config.n_params, config.n_outcomes
-    lam = config.lam_point()
     rank_bound = min(d, n - 1)
     max_rank = violations = full_rank = 0
     max_resid = max_det_norm = 0.0
@@ -84,8 +83,7 @@ def fim_rank_loop(config):
     for _ in range(config.trials):
         a = rng.standard_normal(n)
         b = rng.standard_normal((n, d))
-        z = a + b @ lam
-        p = np.exp(z - z.max())
+        p = np.exp(a - a.max())
         p /= p.sum()
         grads = p[None, :] * (b.T - (p @ b)[:, None])
         keep = p >= 1e-14
@@ -110,7 +108,6 @@ def fim_rank_loop(config):
         "n_outcomes": n,
         "trials": config.trials,
         "seed": config.seed,
-        "lam": [float(v) for v in lam],
         "rank_bound": rank_bound,
         "max_rank": max_rank,
         "rank_violations": int(violations),
@@ -166,9 +163,10 @@ def csv_text_loop(header, columns):
 
 def directions_2p_reference(b, theta, t):
     """Rows ``n_theta, n_theta_prime, n1, n2`` of the two-parameter model,
-    broadcast over ``b`` and ``theta``, in the model's own planar form: an
-    independent reference for the library, which takes these rows from the
-    three-parameter frame at ``phi = 0``."""
+    broadcast over ``b`` and ``theta``, in the model's own planar form, with
+    ``n2 = n_theta x n1``: an independent reference for the library, which
+    takes ``n_theta``, ``n1`` and ``-n2`` from the three-parameter frame at
+    ``phi = 0`` and computes no ``n_theta_prime``."""
     b, theta = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(theta, dtype=float))
     half = b * (t / 2)
     ch, sh, ct, st = np.cos(half), np.sin(half), np.cos(theta), np.sin(theta)

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import tracemalloc
+import types
 from dataclasses import replace
 
 import mpmath
@@ -220,9 +221,11 @@ class TestRunScan:
 
     # A cell's work does not depend on the block it is computed in, so every
     # field and the CSV bytes are the same whatever the block size: one cell
-    # a block, blocks that are slices of a row, of a few rows, and the whole
-    # grid in one.  The B = 0 and B = 2 pi / t columns are singular, so NaN
-    # cells lie on block edges.
+    # a block (on the 31^2 grid only, where it costs 961 blocks and not
+    # 9000), blocks that are slices of a row with a short last slice (3x3000
+    # at 7), blocks of a few rows (3000x3), and the whole grid in one.  The
+    # B = 0 and B = 2 pi / t columns are singular, so NaN cells lie on block
+    # edges.
     @pytest.mark.parametrize("model_phi", [None, 0.4], ids=["two", "three"])
     @pytest.mark.parametrize("probe", ["spec", "explicit"])
     @pytest.mark.parametrize("counts", [(31, 31), (3, 3000), (3000, 3), (130, 70)],
@@ -234,7 +237,7 @@ class TestRunScan:
             config = replace(config, probe=haar_state(np.random.default_rng(35), 5))
         fields = ("theta", "b", "r_ai", "delta", "det_q", "singular")
         runs = []
-        for block in (10**9, 1, 7, 50):
+        for block in (10**9, 1, 7, 50) if counts == (31, 31) else (10**9, 7, 50):
             monkeypatch.setattr(analysis, "GRID_BLOCK", block)
             res = run_scan(config)
             res.write_csv(tmp_path / "scan.csv")
@@ -247,6 +250,14 @@ class TestRunScan:
                 assert (got.dtype, got.shape) == (want.dtype, want.shape), name
                 assert got.tobytes() == want.tobytes(), name
             assert csv == text
+
+    # Below t of about 3.5e-308 the field period 2 pi / t is not a finite
+    # float: linspace, cos and sin warned, and the scan then failed as if
+    # its QFIM were not finite.  It fails on the period, before any axis.
+    @pytest.mark.parametrize("t", [5e-324, 1e-320, 3.4e-308])
+    def test_period_that_overflows_is_a_numerical_failure(self, t):
+        with pytest.raises(NumericalFailure, match=r"field period 2 pi / t .* t = "):
+            run_scan(small_scan(t=t, counts=(2, 2)))
 
     def test_config_validation(self):
         with pytest.raises(InvalidInput):
@@ -324,7 +335,6 @@ LIBRARY_ERROR_CALLS = {
     "bounds-complex": lambda: bounds(np.eye(2), np.array([[0, 1j], [-1j, 0]])),
     "frame_qfim_uhlmann-ragged": lambda: frame_qfim_uhlmann([[1.0], [1.0, 2.0]], np.zeros(3),
                                                             np.eye(3)),
-    "rank-lam-strings": lambda: RankExperimentConfig(2, 3, lam=["a", "b"]),
     "closed_frame-time-string": lambda: closed_frame(0.6, 0.8, t="x"),
     "closed_frame-field-string": lambda: closed_frame("a", 0.8, 5.0),
     "closed_frame-no-broadcast": lambda: closed_frame([1.0, 2.0], [1.0, 2.0, 3.0], 5.0),
@@ -340,6 +350,9 @@ LIBRARY_ERROR_CALLS = {
     "ProbeSpec-huge-int": lambda: ProbeSpec(3, 10**400),
     "ScanConfig-huge-int": lambda: ScanConfig(ProbeSpec(3, 0.1), t=10**400),
     "scaling_table-huge-int": lambda: scaling_table([10**400], [4, 5], POINT),
+    # scaling_table takes sequences: an iterator has no length to cap.
+    "scaling_table-alphas-iterator": lambda: scaling_table(iter([0.4]), [4, 5], POINT),
+    "scaling_table-dims-generator": lambda: scaling_table([0.4], (n for n in (4, 5)), POINT),
     # Python floats overflow to inf silently, so the oracle routes raise
     # NumericalFailure themselves: at B t and at the phase B t / 2.
     "series_frame-overflow": lambda: encoding.series_frame(ModelPoint(b=5e307, theta=0.8, t=5.0)),
@@ -348,8 +361,7 @@ LIBRARY_ERROR_CALLS = {
     "metrics_report-route-overflow":
         lambda: metrics_report(SPEC, ModelPoint(b=5e307, theta=0.8, t=5.0)),
     **{f"{name}-no-point": functools.partial(fn, None)
-       for name, fn in [("direction_vectors_2p", encoding.direction_vectors_2p),
-                        ("direction_vectors_3p", encoding.direction_vectors_3p),
+       for name, fn in [("direction_vectors", encoding.direction_vectors),
                         ("series_frame", encoding.series_frame),
                         ("numeric_frame", encoding.numeric_frame)]},
     **{f"{name}-no-point": functools.partial(fn, rep(2), None)
@@ -557,21 +569,22 @@ class TestCsvWriter:
 
     # The grid writer writes exactly what the per-field formatter does, for
     # the values whose text is special as row values, as axis values and as
-    # values of a column that holds one value per outer axis value.
+    # values of a column that repeats one value per outer axis value, as a
+    # scaling table's slope does.
     def test_row_format_matches_field_formatter(self, tmp_path):
         special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300,
                             -1e300, 2 * np.pi, 0.1, 12345678901234567.0, 1e-7])
         outer, inner = special, np.roll(special[:-1], 4)
         cells = outer.size * inner.size
-        columns = [np.resize(np.roll(special, k), cells) for k in range(3)]
-        columns += [np.full(cells, np.nan), np.arange(cells) % 3 == 0]
         per_outer = np.resize([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1], outer.size)
+        columns = [np.resize(np.roll(special, k), cells) for k in range(3)]
+        columns += [np.full(cells, np.nan), np.arange(cells) % 3 == 0,
+                    np.repeat(per_outer, inner.size)]
         header = ("outer", "inner", "a", "nan_count", "c", "d", "flag", "per_outer")
         out = tmp_path / "x.csv"
-        analysis._write_csv(out, header, outer, inner, columns, (per_outer,))
+        analysis._write_csv(out, header, outer, inner, columns)
         axes = [np.repeat(outer, inner.size), np.tile(inner, outer.size)]
-        repeated = [np.repeat(per_outer, inner.size)]
-        assert out.read_text() == csv_text_loop(header, axes + columns + repeated)
+        assert out.read_text() == csv_text_loop(header, axes + columns)
 
     # Each result type writes the text of its columns in full, one field at
     # a time; non-square grids catch a swap of the outer and inner axes.
@@ -670,28 +683,26 @@ class TestCsvWriter:
     # An outer row longer than a block is written in slices of at most
     # GRID_BLOCK cells, with the bytes of one block over the whole grid: NaN
     # cells on both sides of a slice edge, the short last slice, a NaN outer
-    # value and a column of one value per outer row.
+    # value and a column that repeats one value per outer row.
     def test_long_rows_are_sliced(self, tmp_path, monkeypatch):
         outer, inner = np.array([0.5, np.nan, 2.0]), np.linspace(-1.0, 2.0, 1000)
         cells = outer.size * inner.size
         rng = np.random.default_rng(34)
         values = rng.standard_normal((2, cells)) * 10.0 ** rng.integers(-300, 300, (2, cells))
         values[0, [k * 1000 + i for k in range(3) for i in (299, 300, 599, 600, 999)]] = np.nan
-        columns = [*values, np.isnan(values[0])]
         per_outer = np.array([np.nan, 1.5, -0.0])
+        columns = [*values, np.isnan(values[0]), np.repeat(per_outer, inner.size)]
         header = ("outer", "inner", "a", "b", "flag", "per_outer")
         written = {}
         for block in (300, 10**9):
             monkeypatch.setattr(analysis, "GRID_BLOCK", block)
             chunks = written[block] = []
             monkeypatch.setattr(analysis, "_write_text", lambda path, parts: chunks.extend(parts))
-            analysis._write_csv(tmp_path / "x.csv", header, outer, inner, columns, (per_outer,))
+            analysis._write_csv(tmp_path / "x.csv", header, outer, inner, columns)
         assert [chunk.count(b"\n") for chunk in written[300][1:]] == [300, 300, 300, 100] * 3
         assert b"".join(written[300]) == b"".join(written[10**9])
         axes = [np.repeat(outer, inner.size), np.tile(inner, outer.size)]
-        repeated = [np.repeat(per_outer, inner.size)]
-        assert b"".join(written[300]).decode() == csv_text_loop(header,
-                                                               axes + columns + repeated)
+        assert b"".join(written[300]).decode() == csv_text_loop(header, axes + columns)
 
     # A grid with one long axis holds one block's text at a time, as a square
     # grid of the same size does.  Every grid here has 2^16 cells in blocks
@@ -992,6 +1003,19 @@ class TestScalingTable:
         assert calls == {"kernel": 1, "moments": 1, "inverse": 1}
 
 
+def scale_draws(monkeypatch, scale):
+    """Make every generator from ``np.random.default_rng`` draw its standard
+    normals times ``scale``, for the rank experiment and its per-trial loop
+    alike: scaled logits put the outcome probabilities far apart."""
+    default_rng = np.random.default_rng
+
+    def scaled(seed):
+        normal = default_rng(seed).standard_normal
+        return types.SimpleNamespace(standard_normal=lambda size: scale * normal(size))
+
+    monkeypatch.setattr(np.random, "default_rng", scaled)
+
+
 class TestFimRankExperiment:
     def test_too_few_outcomes_always_singular(self):
         report = fim_rank_experiment(RankExperimentConfig(n_params=2, n_outcomes=2, trials=1000, seed=5))
@@ -1021,14 +1045,6 @@ class TestFimRankExperiment:
         short = fim_rank_experiment(RankExperimentConfig(n_params=2, n_outcomes=4, trials=10, seed=9))
         assert short["max_rank"] <= fim_rank_experiment(config)["max_rank"]
 
-    def test_nondefault_evaluation_point(self):
-        config = RankExperimentConfig(
-            n_params=2, n_outcomes=4, trials=20, seed=3, lam=np.array([0.4, -1.2])
-        )
-        report = fim_rank_experiment(config)
-        assert report["lam"] == [0.4, -1.2]
-        assert report["rank_violations"] == 0
-
     def test_config_validation(self):
         with pytest.raises(InvalidInput):
             RankExperimentConfig(n_params=0, n_outcomes=3)
@@ -1043,14 +1059,10 @@ class TestFimRankExperiment:
         with pytest.raises(InvalidInput, match=str(MAX_RANK_OUTCOMES)):
             RankExperimentConfig(n_params=2, n_outcomes=MAX_RANK_OUTCOMES + 1)
 
-    # A negative seed used to escape as numpy's ValueError, and a NaN in lam
-    # gave max_rank 0 and no violations, as if the bound held.
+    # A negative seed used to escape as numpy's ValueError.
     @pytest.mark.parametrize("kwargs", [
         dict(seed=-1),
         dict(seed=1.5),
-        dict(lam=[np.nan, 1.0]),
-        dict(lam=[0.0, np.inf]),
-        dict(lam=[0.0, 1.0, 2.0]),
     ])
     def test_bad_seed_or_point_is_invalid(self, kwargs):
         with pytest.raises(InvalidInput):
@@ -1097,8 +1109,7 @@ class TestFimRankExperiment:
     # last block or the default.
     @pytest.mark.parametrize("d, n", [(2, 3), (3, 4)])
     def test_block_size_does_not_change_results(self, monkeypatch, d, n):
-        config = RankExperimentConfig(n_params=d, n_outcomes=n, trials=300, seed=21,
-                                      lam=np.linspace(-0.5, 0.5, d))
+        config = RankExperimentConfig(n_params=d, n_outcomes=n, trials=300, seed=21)
         results = []
         for block in (1, 37, 256):
             monkeypatch.setattr(analysis, "RANK_BLOCK", block)
@@ -1126,7 +1137,7 @@ class TestFimRankExperiment:
     @pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (3, 4), (4, 6)])
     def test_stacked_trials_match_per_trial_loop(self, d, n):
         config = RankExperimentConfig(n_params=d, n_outcomes=n, trials=2 * RANK_BLOCK + 37,
-                                      seed=17, lam=np.linspace(-0.5, 0.5, d))
+                                      seed=17)
         got, want = fim_rank_experiment(config), fim_rank_loop(config)
         floats = ("max_normalized_det", "max_decomposition_residual")
         assert {k: v for k, v in got.items() if k not in floats} == {
@@ -1137,16 +1148,16 @@ class TestFimRankExperiment:
         assert got["max_decomposition_residual"] <= 1e-13
         assert want["max_decomposition_residual"] <= 1e-13
 
-    # Far from the origin some trials put p below 1e-14 on all outcomes but
-    # one: their FIM vanishes, up to rounding, which must skip that trial
-    # only, as the loop does, and not the rest of its block.  Enough blocks
-    # run that some trials keep two or more outcomes and are informative.
-    def test_vanishing_fim_skips_only_its_own_trial(self):
-        config = RankExperimentConfig(n_params=2, n_outcomes=3, trials=4 * RANK_BLOCK,
-                                      seed=1, lam=[40.0, -40.0])
-        rng = np.random.default_rng((1, 2, 3))
-        draws = rng.standard_normal((config.trials, 3 + 3 * 2))
-        z = draws[:, :3] + draws[:, 3:].reshape(-1, 3, 2) @ config.lam_point()
+    # With every draw scaled by 40 the logits spread so far that some trials
+    # put p below 1e-14 on all outcomes but one: their FIM vanishes, up to
+    # rounding, which must skip that trial only, as the loop does, and not
+    # the rest of its block.  Enough blocks run that some trials keep two or
+    # more outcomes and are informative.
+    def test_vanishing_fim_skips_only_its_own_trial(self, monkeypatch):
+        scale_draws(monkeypatch, 40.0)
+        config = RankExperimentConfig(n_params=2, n_outcomes=3, trials=4 * RANK_BLOCK, seed=1)
+        draws = np.random.default_rng((1, 2, 3)).standard_normal((config.trials, 3 + 3 * 2))
+        z = draws[:, :3]
         p = np.exp(z - z.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
         assert ((p >= 1e-14).sum(axis=1) == 1).any()
@@ -1160,11 +1171,14 @@ class TestFimRankExperiment:
     # residual of a vanishing FIM by 1e-300: it came out inf, which no JSON
     # can hold, after numpy overflow warnings.
     @pytest.mark.filterwarnings("error")
-    def test_far_point_fields_are_finite(self):
-        config = RankExperimentConfig(n_params=2, n_outcomes=3, trials=1000, seed=1,
-                                      lam=[40.0, -40.0])
+    def test_far_point_fields_are_finite(self, monkeypatch):
+        scale_draws(monkeypatch, 40.0)
+        config = RankExperimentConfig(n_params=2, n_outcomes=3, trials=1000, seed=1)
         got, want = fim_rank_experiment(config), fim_rank_loop(config)
-        assert got == want
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert got[key] == (pytest.approx(value, rel=1e-12) if type(value) is float
+                                else value), key
         json.dumps(got, allow_nan=False)
         assert 0 < got["max_decomposition_residual"] < 2
         assert 0.1 < got["max_normalized_det"] < 1

@@ -665,6 +665,22 @@ class TestOutputWriter:
         assert len(calls) == 2 and opened == []
         assert out.read_bytes() == b"earlier result\n" * 100
 
+    # At a time whose field period 2 pi / t is not a finite float, the scan
+    # failed with numpy's "invalid value encountered in multiply" from its
+    # B axis; it fails now on the period itself, before any axis is built
+    # or any file opened.
+    @pytest.mark.parametrize("model", ["two", "three"])
+    def test_period_overflow_opens_no_file(self, tmp_path, monkeypatch, capsys, model):
+        opened = []
+        monkeypatch.setattr(analysis, "_write_text", lambda *args: opened.append(args))
+        out = tmp_path / "x.csv"
+        argv = ["scan", "--model", model, "--grid", "2x2", "--time", "1e-320"]
+        assert run([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spinmetro: numerical consistency failure: field period")
+        assert "invalid value" not in err and "Traceback" not in err
+        assert opened == [] and not out.exists()
+
     @pytest.mark.parametrize("argv, code", [
         (["scan", "--tol", "0"], 2),
         (["scan", "--time", "1e300"], 1),

@@ -14,8 +14,7 @@ from spinmetro import (
     build_spin_rep,
     closed_frame,
     closed_generators,
-    direction_vectors_2p,
-    direction_vectors_3p,
+    direction_vectors,
     hamiltonian,
     j_direction,
     numeric_frame,
@@ -26,7 +25,7 @@ from spinmetro import (
 
 from spinmetro.analysis import _route_residuals
 from spinmetro.encoding import _hamiltonian_derivatives
-from spinmetro.errors import StepInstability
+from spinmetro.errors import NumericalFailure
 
 from conftest import (
     MODELS,
@@ -56,23 +55,21 @@ class TestDirectionVectors2p:
     def test_reference_values(self):
         # theta = 0 and Bt = 0 pins the frame exactly.
         point = ModelPoint(b=0.0, theta=0.0, t=1.0)
-        n_theta, n_theta_prime, n1, n2 = direction_vectors_2p(point)
+        n_theta, n1, n2 = direction_vectors(point)
         assert np.allclose(n_theta, [1, 0, 0])
-        assert np.allclose(n_theta_prime, [0, 0, 1])
         assert np.allclose(n1, [0, 0, -1])
-        assert np.allclose(n2, [0, 1, 0])
+        assert np.allclose(n2, [0, -1, 0])
 
+    # One sign convention for both models: n_theta x n2 = n1, so the
+    # planar model's n_theta x n1 is -n2.
     @pytest.mark.parametrize("point", two_param_points())
     def test_frame_identities(self, point):
-        n_theta, n_theta_prime, n1, n2 = direction_vectors_2p(point)
-        for v in (n_theta, n_theta_prime, n1, n2):
+        n_theta, n1, n2 = direction_vectors(point)
+        for v in (n_theta, n1, n2):
             assert abs(np.linalg.norm(v) - 1) < 1e-12
         assert abs(n_theta @ n1) < 1e-12
-        assert np.abs(np.cross(n_theta, n1) - n2).max() < 1e-12
-
-    def test_rejects_three_parameter_point(self):
-        with pytest.raises(InvalidInput, match="phi absent"):
-            direction_vectors_2p(ModelPoint(b=0.9, theta=0.7, t=5.0, phi=1.1))
+        assert np.abs(np.cross(n_theta, n2) - n1).max() < 1e-12
+        assert np.abs(np.cross(n_theta, n1) + n2).max() < 1e-12
 
 
 class TestTwoParamAgainstPlanarReference:
@@ -90,8 +87,9 @@ class TestTwoParamAgainstPlanarReference:
 
     def test_direction_vectors(self):
         for point in reference_points():
-            want = directions_2p_reference(point.b, point.theta, point.t)
-            assert np.array_equal(np.stack(direction_vectors_2p(point)), want)
+            n_theta, _, n1, n2 = directions_2p_reference(point.b, point.theta, point.t)
+            assert np.array_equal(np.stack(direction_vectors(point)),
+                                  np.stack([n_theta, n1, -n2]))
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_hamiltonian(self, n):
@@ -116,12 +114,14 @@ class TestDirectionVectors3p:
         for point in reference_points():
             point3 = ModelPoint(b=point.b, theta=point.theta, t=point.t, phi=0.0)
             n_theta, _, n1, n2 = directions_2p_reference(point.b, point.theta, point.t)
-            assert np.array_equal(np.stack(direction_vectors_3p(point3)),
+            assert np.array_equal(np.stack(direction_vectors(point3)),
                                   np.stack([n_theta, n1, -n2]))
+            assert np.array_equal(np.stack(direction_vectors(point3)),
+                                  np.stack(direction_vectors(point)))
 
     @pytest.mark.parametrize("point", three_param_points())
     def test_orthonormal_frame(self, point):
-        n_theta, n1, n2 = direction_vectors_3p(point)
+        n_theta, n1, n2 = direction_vectors(point)
         for v in (n_theta, n1, n2):
             assert abs(np.linalg.norm(v) - 1) < 1e-12
         assert abs(n_theta @ n1) < 1e-12
@@ -132,12 +132,8 @@ class TestDirectionVectors3p:
 
     def test_static_limit(self):
         point = ModelPoint(b=0.0, theta=0.9, t=3.0, phi=0.6)
-        _, _, n2 = direction_vectors_3p(point)
+        _, _, n2 = direction_vectors(point)
         assert np.allclose(n2, [np.sin(0.6), -np.cos(0.6), 0.0], atol=1e-14)
-
-    def test_rejects_two_parameter_point(self):
-        with pytest.raises(InvalidInput, match="phi present"):
-            direction_vectors_3p(ModelPoint(b=0.9, theta=0.7, t=5.0))
 
 
 class TestHamiltonian:
@@ -241,7 +237,7 @@ class TestNumericGenerators:
         # At this step the theta residual is 6.0e-4 and, with three
         # parameters, the phi residual a larger 6.2e-4; theta comes first.
         point = ModelPoint(b=1.0, theta=0.7, t=5.0, phi=phi)
-        with pytest.raises(StepInstability, match=r"for theta\b"):
+        with pytest.raises(NumericalFailure, match=r"for theta\b"):
             numeric_generators(rep(3), point, step=0.05)
 
 
@@ -249,7 +245,9 @@ class TestSeriesGenerators:
     def test_short_time_leading_order(self):
         point = ModelPoint(b=1.4, theta=0.9, t=0.01)
         gens = series_generators(rep(3), point)
-        n_theta, n_theta_prime, _, _ = direction_vectors_2p(point)
+        # d_B H = n_theta . J and d_theta H = B (d n_theta / d theta) . J
+        n_theta = direction_vectors(point)[0]
+        n_theta_prime = np.array([-np.sin(point.theta), 0.0, np.cos(point.theta)])
         lead_b = -point.t * j_direction(rep(3), n_theta)
         lead_theta = -point.t * point.b * j_direction(rep(3), n_theta_prime)
         # corrections enter at second order in t
@@ -322,11 +320,11 @@ class TestRouteAgreement:
 
     @pytest.mark.parametrize("point", two_param_points())
     def test_generator_commutator_identity(self, point):
-        # [G_B, G_theta] = -2j t sin(Bt/2) J_{n2} for the planar model.
+        # [G_B, G_theta] = 2j t sin(Bt/2) J_{n2}, with n_theta x n2 = n1.
         gens = closed_generators(rep(5), point)
         g_b, g_theta = gens.matrices
-        _, _, _, n2 = direction_vectors_2p(point)
-        expected = -2j * point.t * np.sin(point.b * point.t / 2) * j_direction(rep(5), n2)
+        _, _, n2 = direction_vectors(point)
+        expected = 2j * point.t * np.sin(point.b * point.t / 2) * j_direction(rep(5), n2)
         assert np.abs(g_b @ g_theta - g_theta @ g_b - expected).max() < 1e-9
 
 
@@ -446,7 +444,7 @@ class TestVectorRoutes:
         # names B first.
         for point in points_for(model):
             assert max(numeric_generators(rep(2), point, step=0.05).herm_residuals) < 1e-13
-            with pytest.raises(StepInstability, match=r"for B\b"):
+            with pytest.raises(NumericalFailure, match=r"for B\b"):
                 numeric_generators(rep(2), point, step=1e-15)
 
 

@@ -18,7 +18,7 @@ from spinmetro import (
     classical_fim,
     closed_generators,
     closed_frame,
-    direction_vectors_2p,
+    direction_vectors,
     expm_i,
     frame_qfim_uhlmann,
     hamiltonian,
@@ -151,8 +151,8 @@ class TestUhlmannFromGenerators:
         probe = state_from_bloch(r0)
         gens = closed_generators(rep(2), point)
         _, d = qfim_uhlmann(gens, probe)
-        n2 = direction_vectors_2p(point)[3]
-        expected = 2 * point.t * np.sin(point.b * point.t / 2) * (n2 @ r0)
+        n2 = direction_vectors(point)[2]
+        expected = -2 * point.t * np.sin(point.b * point.t / 2) * (n2 @ r0)
         assert abs(d[1, 0] - expected) < 1e-12
 
     def test_three_param_closed_elements(self, rng):

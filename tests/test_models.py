@@ -12,6 +12,7 @@ from spinmetro import (
     bounds,
     closed_frame,
     closed_generators,
+    direction_vectors,
     frame_qfim_uhlmann,
     make_probe,
     qfim_uhlmann,
@@ -125,9 +126,11 @@ class TestProbeSupport:
             assert g.tobytes() == w.tobytes()
 
     def test_support_is_two_amplitudes(self):
-        index, amp = ProbeSpec(dim=MAX_DIM, alpha=0.4, phi=1.1).support()
+        psi = make_probe(ProbeSpec(dim=MAX_DIM, alpha=0.4, phi=1.1))
+        index = np.flatnonzero(psi)
         assert index.tolist() == [0, MAX_DIM - 1]
-        assert np.allclose(amp, [np.cos(0.4), np.exp(1.1j) * np.sin(0.4)], rtol=0, atol=EPS)
+        assert np.allclose(psi[index], [np.cos(0.4), np.exp(1.1j) * np.sin(0.4)],
+                           rtol=0, atol=EPS)
 
     # One moments call over a stack of (alpha, N) probes gives each probe's
     # moments of its own call.
@@ -156,23 +159,19 @@ class TestBlochHelpers:
 
 class TestQubitClosedForm:
     def test_probe_along_n2_is_maximal(self):
-        from spinmetro import direction_vectors_2p
-
         point = ModelPoint(b=0.9, theta=0.6, t=5.0)
-        n2 = direction_vectors_2p(point)[3]
+        n2 = direction_vectors(point)[2]
         res = qubit2p_closed(n2, point)
         assert not res.singular
         assert res.r_ai == pytest.approx(1.0, abs=1e-12)
-        # along n2 the denominator is exactly 1
+        # along n2 the denominator is exactly 1, and D_{theta B} = -2 t sin(Bt/2) n2.r0
         assert res.d_theta_b == pytest.approx(
-            2 * point.t * np.sin(point.b * point.t / 2), rel=1e-12
+            -2 * point.t * np.sin(point.b * point.t / 2), rel=1e-12
         )
 
     def test_probe_orthogonal_to_n2_is_singular(self):
-        from spinmetro import direction_vectors_2p
-
         point = ModelPoint(b=0.9, theta=0.6, t=5.0)
-        n_theta = direction_vectors_2p(point)[0]
+        n_theta = direction_vectors(point)[0]
         res = qubit2p_closed(n_theta, point)
         assert res.singular and res.r_ai is None
 

@@ -17,13 +17,17 @@ singular rule are computed in one function, ``linalg.eigh_inverse``, and
 every matrix argument is checked by one rule, ``linalg.require_symmetric``.
 No stacked ``@`` takes a transposed view as an operand, except where a
 named exception says why.  A grid is cut into blocks by one rule,
-``analysis._grid_blocks``, for the scan and the writer alike.
+``analysis._grid_blocks``, for the scan and the writer alike.  Every field
+of the command configs and every parameter of the scaling and report
+drivers is passed by a command handler of ``cli.py``.
 """
 
 import argparse
 import ast
 import contextlib
+import dataclasses
 import importlib
+import inspect
 import io
 import json
 import re
@@ -32,7 +36,7 @@ from pathlib import Path
 
 import pytest
 
-from spinmetro import cli
+from spinmetro import analysis, cli
 from spinmetro.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -127,6 +131,29 @@ def test_flag_tables_match_parsers():
             assert action.nargs is None and action.const is None
             assert not (isinstance(action.default, str) and action.type), flag
         assert len(table.flags) == len(table.defaults) == len(actions)
+
+
+def test_cli_passes_every_library_option():
+    # A command handler passes each field of the scan and rank configs, and
+    # each parameter of the scaling and report drivers, by name, so no
+    # library option lives on that no command can set.
+    options = {
+        "ScanConfig": [field.name for field in dataclasses.fields(analysis.ScanConfig)],
+        "RankExperimentConfig": [field.name
+                                 for field in dataclasses.fields(analysis.RankExperimentConfig)],
+        "scaling_table": list(inspect.signature(analysis.scaling_table).parameters),
+        "metrics_report": list(inspect.signature(analysis.metrics_report).parameters),
+    }
+    handlers = {handler.__name__ for _, handler, _ in cli._SUBCOMMANDS.values()}
+    passed = {name: set() for name in options}
+    for fn in ast.parse((SRC / "cli.py").read_text()).body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in handlers:
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) in passed:
+                    passed[ast.unparse(node.func)].update(kw.arg for kw in node.keywords)
+    missing = [f"{name}.{option}" for name, names in options.items()
+               for option in names if option not in passed[name]]
+    assert missing == []
 
 
 def test_readme_library_example_runs():
