@@ -8,12 +8,14 @@ trials in order from one generator seeded by its configuration, so a run's
 draws are a prefix of any longer run's.  A scaling table fits every
 alpha's log-log slope in one centered least-squares pass, each row summed
 on its own, so a slope does not depend on the other alphas.  Both CSV
-outputs are grids.  A scan computes its grid, and one grid writer writes
-either as bytes, in the blocks of one rule, :func:`_grid_blocks`: at most
-:data:`GRID_BLOCK` cells, whole outer rows or a slice of one.  Beyond the
-result columns each holds one block at a time, so a whole scan op peaks at
-about 61 B a cell at 301^2 (the table at :data:`MAX_GRID_CELLS`), and a
-cell's work and text do not depend on its block, so neither do the results.
+outputs are grids.  A scan computes its grid, on two threads where two
+CPUs are usable, and one grid writer writes either as bytes, in the blocks
+of one rule, :func:`_grid_blocks`: whole outer rows or a slice of one, of
+at most :data:`GRID_BLOCK` cells in the writer and half as many on each of
+a scan's two threads.  Beyond the result columns each holds at most
+``GRID_BLOCK`` cells at a time, so a whole scan op peaks at about 61 B a
+cell at 301^2 (the table at :data:`MAX_GRID_CELLS`), and a cell's work and
+text do not depend on its block or its thread, so neither do the results.
 Each block's axis values are laid out once as text, and then every other
 value of the block is formatted with one ``%``: '.' decimals, ','
 delimiters, a header row and 17 significant digits, so repeated runs are
@@ -36,6 +38,7 @@ import os
 import re
 import stat
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,31 +68,36 @@ __all__ = [
 TWO_PI = 2 * np.pi
 
 
-# Most cells in one block of a grid, by the rule of _grid_blocks: a scan
-# computes its cells and the grid writer formats them a block at a time, so
-# beyond their columns each holds one block's arrays or text at a time,
-# however large the grid and whatever its shape.  A block adds about 0.2 ms
-# of fixed call overhead to a scan (closed_frame, frame_qfim_uhlmann and
-# bounds, on a shared 2-vCPU host), about 2% of a 51^2 scan op at N = 40,
-# which takes two blocks.
+# Most cells in flight in one grid, by the rule of _grid_blocks: the grid
+# writer formats its cells a block of at most GRID_BLOCK at a time, and a
+# scan computes them in blocks of at most GRID_BLOCK // threads on each of
+# its threads, so beyond their columns each holds at most GRID_BLOCK cells'
+# arrays or text at a time, however large the grid and whatever its shape.
+# A block adds about 0.2 ms of fixed call overhead to a scan (closed_frame,
+# frame_qfim_uhlmann and bounds, on a shared 2-vCPU host): a 51^2 scan takes
+# four blocks on two threads, and its CSV two.
 GRID_BLOCK = 2048
 
 
-def _grid_blocks(rows: int, n: int):
+def _grid_blocks(rows: int, n: int, parts: int = 1):
     """The blocks of a grid of ``rows`` outer rows of ``n`` cells, in row
     order, each as three slices: of its outer rows, of its cells of each
     of those rows, and of its cells in the grid's row order.
 
-    A block holds at most :data:`GRID_BLOCK` cells: the fewest blocks of
-    whole outer rows, their row counts at most one apart, or, where one
-    outer row holds more, slices of at most ``GRID_BLOCK`` cells of each
-    row in turn, the last one short.
+    A block holds at most ``GRID_BLOCK // parts`` cells (one at least), so
+    ``parts`` blocks in flight hold at most :data:`GRID_BLOCK`: the fewest
+    blocks of whole outer rows, their count rounded up to a multiple of
+    ``parts`` where the rows allow and their row counts at most one apart,
+    or, where one outer row holds more, slices of at most that many cells
+    of each row in turn, the last one short.
     """
-    if n > GRID_BLOCK:
-        spans = [(first, first + 1, lo, min(lo + GRID_BLOCK, n))
-                 for first in range(rows) for lo in range(0, n, GRID_BLOCK)]
+    size = max(1, GRID_BLOCK // parts)
+    if n > size:
+        spans = [(first, first + 1, lo, min(lo + size, n))
+                 for first in range(rows) for lo in range(0, n, size)]
     else:
-        count = -(-rows // (GRID_BLOCK // n))
+        count = -(-rows // (size // n))
+        count = min(rows, -(-count // parts) * parts)
         spans = [(rows * k // count, rows * (k + 1) // count, 0, n) for k in range(count)]
     for first, stop, lo, hi in spans:
         yield slice(first, stop), slice(lo, hi), slice(first * n + lo, (stop - 1) * n + hi)
@@ -301,12 +309,13 @@ def _store_int(config, name: str) -> int:
 
 # Largest scan grid, in cells.  A whole scan op, run_scan and then its
 # writer, holds the grid's theta and B (16 B a cell), R, Delta, det_q and
-# the flags (25 B) and the writer's T = R - Delta (8 B), and one block of at
-# most GRID_BLOCK cells at a time.  Its traced peak, in B a cell at N = 4:
+# the flags (25 B) and the writer's T = R - Delta (8 B), and blocks of at
+# most GRID_BLOCK cells in all at a time.  Its traced peak, in B a cell at
+# N = 4, on two threads as on one to within 1 B:
 #
 #     grid     two parameters    three parameters
-#     101^2         149                160
-#     201^2          79                 79
+#     101^2         143                161
+#     201^2          77                 77
 #     301^2          61                 61
 #
 # and 50 at the cap (1000^2, 50 MB), so the cap keeps a scan within a 64 MB
@@ -377,21 +386,38 @@ class ScanResult:
                    (self.r_ai, self.delta, self.t_gap, self.det_q, self.singular))
 
 
+def _scan_threads() -> int:
+    """The threads :func:`run_scan` computes its blocks on: two where the
+    process may run on two or more CPUs, else one."""
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        usable = os.cpu_count() or 1
+    return min(2, usable)
+
+
 def run_scan(config: ScanConfig) -> ScanResult:
     """Evaluate R, Delta and T = R - Delta over the (theta, B) grid.
 
     Cells with a singular QFIM (relative eigenvalue ratio below
     ``config.rel_tol``) are flagged and carry no bound values.  The probe's
-    spin moments are taken once; then each block of :func:`_grid_blocks`,
-    at most :data:`GRID_BLOCK` cells, gets its frame, (Q, D) and bounds in
-    turn, written by slice into the result columns, so beyond those, 41 B
-    a cell, the scan holds one block's arrays at a time (the table at
-    :data:`MAX_GRID_CELLS`).  A cell's arithmetic does not depend on its
-    block, so the results are the same bits whatever the block size.  Every
-    block is computed before the result exists, so a scan that fails in
-    any block leaves no result for a writer.  A field period ``2 pi / t``
-    that is not a finite float (``t`` below about 3.5e-308) raises
-    :class:`NumericalFailure` before any axis is built.
+    spin moments are taken once; then each block of :func:`_grid_blocks`
+    gets its frame, (Q, D) and bounds, written by slice into the result
+    columns.  The blocks are computed on :func:`_scan_threads` threads, the
+    calling thread and at most one helper started and joined here, each
+    under the caller's numpy error state, in blocks of at most
+    ``GRID_BLOCK // threads`` cells.  So beyond the columns, 41 B a cell,
+    the scan holds at most :data:`GRID_BLOCK` cells' arrays at a time (the
+    table at :data:`MAX_GRID_CELLS`).  A cell's arithmetic does not depend
+    on its block or thread, so the results are the same bits whatever the
+    block size or the thread count.  The blocks are handed out in grid
+    order; once one fails, a thread finishes the block it holds and starts
+    no other, and the failure of the first failed block is raised, the one
+    a scan on one thread raises.  Every block is computed before the result
+    exists, so a scan that fails in any block leaves no result for a
+    writer.  A field period ``2 pi / t`` that is not a finite float (``t``
+    below about 3.5e-308) raises :class:`NumericalFailure` before any axis
+    is built.
     """
     period = TWO_PI / float(config.t)
     if not math.isfinite(period):
@@ -403,13 +429,42 @@ def run_scan(config: ScanConfig) -> ScanResult:
     singular = np.empty(theta.size, dtype=bool)
     probe = config.probe
     moments = probe.moments() if isinstance(probe, ProbeSpec) else spin_moments(probe)
-    for rows, row_cells, cells in _grid_blocks(thetas.size, bs.size):
-        # the block's frame from its axis slices, broadcast: its trig runs
-        # once per axis value of the block
-        frame = closed_frame(bs[row_cells], thetas[rows, None], config.t, config.model_phi)
-        q, d = frame_qfim_uhlmann(frame.reshape((-1,) + frame.shape[-2:]), *moments)
-        singular[cells], r_ai[cells], _, _, delta[cells], det_q[cells] = bounds(
-            q, d, rel_tol=config.rel_tol)
+    threads = _scan_threads()
+    blocks = enumerate(_grid_blocks(thetas.size, bs.size, threads))
+    lock, failures, errors = threading.Lock(), {}, np.geterr()
+
+    def work():
+        # a new thread starts with numpy's default error state, so each
+        # worker enters the caller's
+        with np.errstate(**errors):
+            while True:
+                with lock:
+                    k, block = (None, None) if failures else next(blocks, (None, None))
+                if block is None:
+                    return
+                rows, row_cells, cells = block
+                try:
+                    # the block's frame from its axis slices, broadcast: its
+                    # trig runs once per axis value of the block
+                    frame = closed_frame(bs[row_cells], thetas[rows, None], config.t,
+                                         config.model_phi)
+                    q, d = frame_qfim_uhlmann(frame.reshape((-1,) + frame.shape[-2:]), *moments)
+                    singular[cells], r_ai[cells], _, _, delta[cells], det_q[cells] = bounds(
+                        q, d, rel_tol=config.rel_tol)
+                except BaseException as exc:
+                    with lock:
+                        failures[k] = exc
+
+    helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
     return ScanResult(
         config=config, theta=theta, b=b, r_ai=r_ai, delta=delta, det_q=det_q, singular=singular
     )

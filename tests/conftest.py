@@ -3,6 +3,7 @@
 import functools
 import importlib.util
 import math
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from spinmetro import (
     spin_moments,
     sym_inverse,
 )
+from spinmetro import analysis, encoding
 
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -37,6 +39,33 @@ def workload_ops() -> tuple:
                  for workload in sorted(workloads.WORKLOADS)
                  for seed in (1, 2)
                  for argv in workloads.build_ops(workload, seed))
+
+
+def force_scan_threads(monkeypatch, threads):
+    """Make every :func:`~spinmetro.analysis.run_scan` compute its blocks
+    on ``threads`` threads, each of which takes a block and waits at a
+    barrier until every other one holds a block too, so each computes at
+    least one.  Return a list that gets, for each scan, the list of the
+    threads of its blocks, one entry a block, in the order they start.  A
+    second call replaces the patches of the first."""
+    frame, threads_used, scan = encoding.closed_frame, [], {}
+
+    def scan_threads():
+        scan["barrier"] = threading.Barrier(threads, timeout=60)
+        threads_used.append([])
+        return threads
+
+    def closed_frame_(*args, **kwargs):
+        ident = threading.get_ident()
+        first = ident not in threads_used[-1]
+        threads_used[-1].append(ident)
+        if first:
+            scan["barrier"].wait()
+        return frame(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "_scan_threads", scan_threads)
+    monkeypatch.setattr(analysis, "closed_frame", closed_frame_)
+    return threads_used
 
 
 @functools.lru_cache(maxsize=None)

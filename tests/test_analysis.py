@@ -6,6 +6,8 @@ import itertools
 import json
 import math
 import os
+import sys
+import time
 import tracemalloc
 import types
 from dataclasses import replace
@@ -49,6 +51,7 @@ from conftest import (
     MODELS,
     csv_text_loop,
     fim_rank_loop,
+    force_scan_threads,
     haar_state,
     points_for,
     rep,
@@ -190,12 +193,15 @@ class TestRunScan:
         assert res.theta.size == 25
         assert peak < 1_000_000
 
-    # run_scan holds its result columns, 41 B a cell, and one block of
-    # analysis.GRID_BLOCK cells at a time: it peaks at 160 B a cell here.
-    # Computed in one batch it peaked at 650 B a cell (794 with a NaN-padded
-    # (G, 3, 3) inverse stack).  MAX_GRID_CELLS rests on the whole scan op,
-    # held to its own bound below.
-    def test_memory_per_cell(self):
+    # run_scan holds its result columns, 41 B a cell, and at most
+    # analysis.GRID_BLOCK cells' arrays at a time, a block of half as many
+    # on each of its two threads: it peaks at about 161 B a cell here, as on
+    # one thread in blocks of GRID_BLOCK.  Computed in one batch it peaked
+    # at 650 B a cell (794 with a NaN-padded (G, 3, 3) inverse stack), and
+    # on two threads in blocks of GRID_BLOCK each at 255.
+    # MAX_GRID_CELLS rests on the whole scan op, held to its own bound below.
+    def test_memory_per_cell(self, monkeypatch):
+        force_scan_threads(monkeypatch, 2)
         config = small_scan(dim=4, alpha=0.4, phi=0.3, counts=(101, 101), model_phi=1.0)
         tracemalloc.start()
         try:
@@ -205,11 +211,13 @@ class TestRunScan:
             tracemalloc.stop()
         assert peak < 200 * 101**2
 
-    # A whole scan op, run_scan and then its writer, peaks at about 79 B a
-    # cell at 201^2 on either model (657 B for three parameters when the
-    # scan ran in one batch), and MAX_GRID_CELLS rests on this figure.
+    # A whole scan op, run_scan on two threads and then its writer, peaks at
+    # about 78 B a cell at 201^2 on either model (657 B for three parameters
+    # when the scan ran in one batch), and MAX_GRID_CELLS rests on this
+    # figure.
     @pytest.mark.parametrize("model_phi", [None, 1.0], ids=["two", "three"])
-    def test_whole_scan_memory_per_cell(self, tmp_path, model_phi):
+    def test_whole_scan_memory_per_cell(self, tmp_path, monkeypatch, model_phi):
+        force_scan_threads(monkeypatch, 2)
         config = small_scan(dim=4, alpha=0.4, phi=0.3, counts=(201, 201), model_phi=model_phi)
         tracemalloc.start()
         try:
@@ -250,6 +258,86 @@ class TestRunScan:
                 assert (got.dtype, got.shape) == (want.dtype, want.shape), name
                 assert got.tobytes() == want.tobytes(), name
             assert csv == text
+
+    # A cell's work does not depend on the thread that computes it either:
+    # a scan on two threads, each computing at least one block, gives every
+    # field and the CSV the bytes of a scan on one.  The singular B = 0 and
+    # B = 2 pi / t columns put NaN cells on block edges.
+    @pytest.mark.parametrize("model_phi", [None, 0.4], ids=["two", "three"])
+    @pytest.mark.parametrize("probe", ["spec", "explicit"])
+    @pytest.mark.parametrize("counts", [(31, 31), (130, 70)],
+                             ids=lambda counts: "x".join(map(str, counts)))
+    def test_results_do_not_depend_on_the_thread_count(self, tmp_path, monkeypatch,
+                                                       model_phi, probe, counts):
+        config = small_scan(dim=4, alpha=0.4, phi=0.3, counts=counts, model_phi=model_phi)
+        if probe == "explicit":
+            config = replace(config, probe=haar_state(np.random.default_rng(38), 5))
+        fields = ("theta", "b", "r_ai", "delta", "det_q", "singular")
+        runs = []
+        for threads in (1, 2):
+            scans = force_scan_threads(monkeypatch, threads)
+            res = run_scan(config)
+            assert len(set(scans[-1])) == threads
+            res.write_csv(tmp_path / "scan.csv")
+            runs.append(([getattr(res, name).tobytes() for name in fields],
+                         (tmp_path / "scan.csv").read_bytes()))
+        assert res.singular.any() and not res.singular.all()
+        assert runs[0] == runs[1]
+
+    # The blocks are handed out under a lock: with more threads than cores
+    # and a short switch interval, every block is computed once, on the
+    # threads together, and the results are those of one thread.
+    def test_each_block_is_computed_once_under_contention(self, monkeypatch):
+        monkeypatch.setattr(analysis, "GRID_BLOCK", 28)  # blocks of 7 cells on 4 threads
+        config = small_scan(dim=4, alpha=0.4, phi=0.3, counts=(31, 31), model_phi=0.4)
+        force_scan_threads(monkeypatch, 1)
+        want = run_scan(config)
+        scans = force_scan_threads(monkeypatch, 4)
+        frame, computed = analysis.closed_frame, []
+
+        def recorded_frame(b, theta, *args):
+            computed.append((theta[0, 0], b[0], theta.size, b.size))
+            return frame(b, theta, *args)
+
+        monkeypatch.setattr(analysis, "closed_frame", recorded_frame)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            res = run_scan(config)
+        finally:
+            sys.setswitchinterval(interval)
+        blocks = list(analysis._grid_blocks(31, 31, 4))
+        assert len(set(scans[-1])) == 4 and len(computed) == len(set(computed)) == len(blocks)
+        for name in ("r_ai", "delta", "det_q", "singular"):
+            assert getattr(res, name).tobytes() == getattr(want, name).tobytes(), name
+
+    # Blocks go out in grid order, and once one has failed no other starts:
+    # the scan raises the failure of the first failed block, the one it
+    # raises on one thread, though on two threads a later block fails first.
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_first_failed_block_is_raised(self, monkeypatch, threads):
+        monkeypatch.setattr(analysis, "GRID_BLOCK", 60)  # blocks of 5 rows, or of 2 and 3
+        force_scan_threads(monkeypatch, threads)
+        thetas = np.linspace(0.0, 2 * np.pi, 20).tolist()
+        frame, started = analysis.closed_frame, []
+
+        def failing_frame(b, theta, *args):
+            # every block from row 5 on fails, and the first of them last
+            first = thetas.index(theta[0, 0])
+            started.append(first)
+            if first == 5:
+                time.sleep(0.2)
+            if first >= 5:
+                raise NumericalFailure(f"block from row {first}")
+            return frame(b, theta, *args)
+
+        monkeypatch.setattr(analysis, "closed_frame", failing_frame)
+        with pytest.raises(NumericalFailure, match="^block from row 5$"):
+            run_scan(small_scan(counts=(20, 10)))
+        if threads == 1:
+            assert started == [0, 5]
+        else:
+            assert sorted(started) in ([0, 2, 5], [0, 2, 5, 7])
 
     # Below t of about 3.5e-308 the field period 2 pi / t is not a finite
     # float: linspace, cos and sin warned, and the scan then failed as if
@@ -729,34 +817,48 @@ class TestCsvWriter:
 
 class TestGridBlocks:
     # Scans and the grid writer share one block rule: blocks cover the cells
-    # once, in row order, each of at most GRID_BLOCK cells, with the fewest
-    # blocks of whole rows, their row counts at most one apart, or, for a
-    # row longer than a block, the fewest slices of each row.
+    # once, in row order, each of at most GRID_BLOCK // parts cells (one at
+    # least), so that parts blocks in flight hold at most GRID_BLOCK, with
+    # the fewest blocks of whole rows, their count rounded up to a multiple
+    # of parts where the rows allow and their row counts at most one apart,
+    # or, for a row longer than a block, the fewest slices of each row.  The
+    # writer takes one part, a scan one a thread.
     @pytest.mark.parametrize("rows, n", [(1, 1), (51, 51), (130, 70), (7, 300), (3, 1000),
                                          (1000, 3), (2, 301), (300, 300)])
     @pytest.mark.parametrize("block", [1, 7, 300, 2048])
     def test_blocks_cover_the_grid_in_order(self, monkeypatch, rows, n, block):
         monkeypatch.setattr(analysis, "GRID_BLOCK", block)
-        blocks = list(analysis._grid_blocks(rows, n))
         grid = np.arange(rows * n)
-        assert np.array_equal(np.concatenate([grid[cells] for _, _, cells in blocks]), grid)
-        for outer_rows, inner_cells, cells in blocks:
-            assert 0 < cells.stop - cells.start <= block
-            assert np.array_equal(grid.reshape(rows, n)[outer_rows, inner_cells].ravel(),
-                                  grid[cells])
-        sizes = [outer_rows.stop - outer_rows.start for outer_rows, _, _ in blocks]
-        if n <= block:
-            assert all(inner_cells == slice(0, n) for _, inner_cells, _ in blocks)
-            assert len(blocks) == math.ceil(rows / (block // n))
-            assert max(sizes) - min(sizes) <= 1
-        else:
-            assert set(sizes) == {1}
-            assert len(blocks) == rows * math.ceil(n / block)
+        for parts in (1, 2, 3):
+            size = max(1, block // parts)
+            blocks = list(analysis._grid_blocks(rows, n, parts))
+            assert np.array_equal(np.concatenate([grid[cells] for _, _, cells in blocks]), grid)
+            for outer_rows, inner_cells, cells in blocks:
+                assert 0 < cells.stop - cells.start <= size
+                assert np.array_equal(grid.reshape(rows, n)[outer_rows, inner_cells].ravel(),
+                                      grid[cells])
+            sizes = [outer_rows.stop - outer_rows.start for outer_rows, _, _ in blocks]
+            if n <= size:
+                assert all(inner_cells == slice(0, n) for _, inner_cells, _ in blocks)
+                fewest = math.ceil(rows / (size // n))
+                assert len(blocks) == min(rows, math.ceil(fewest / parts) * parts)
+                assert len(blocks) % parts == 0 or len(blocks) == rows
+                assert max(sizes) - min(sizes) <= 1
+            else:
+                assert set(sizes) == {1}
+                assert len(blocks) == rows * math.ceil(n / size)
+        assert list(analysis._grid_blocks(rows, n)) == list(analysis._grid_blocks(rows, n, 1))
 
-    # The grids of the benchmark's scans take two blocks.
+    # The grids of the benchmark's scans take two blocks in the writer ...
     def test_a_51_by_51_grid_is_two_blocks(self):
         assert [outer_rows for outer_rows, _, _ in analysis._grid_blocks(51, 51)] == [
             slice(0, 25), slice(25, 51)]
+
+    # ... and four on a scan's two threads, at most GRID_BLOCK cells in
+    # flight.
+    def test_a_51_by_51_grid_is_four_blocks_on_two_threads(self):
+        assert [outer_rows for outer_rows, _, _ in analysis._grid_blocks(51, 51, 2)] == [
+            slice(0, 12), slice(12, 25), slice(25, 38), slice(38, 51)]
 
 
 class TestWriteText:

@@ -30,7 +30,7 @@ from spinmetro.analysis import (
 from spinmetro.cli import build_parser, main
 from spinmetro.models import MAX_DIM, ProbeSpec
 
-from conftest import fim_rank_loop, workload_ops
+from conftest import fim_rank_loop, force_scan_threads, workload_ops
 
 
 def run(argv):
@@ -637,33 +637,72 @@ class TestOutputWriter:
     # the file's bytes as it writes them, is handed the path: run_scan
     # computes every block of the grid before it returns, so a failure in
     # a later block than the first opens no file either, and an existing
-    # file keeps its bytes.
+    # file keeps its bytes.  The failing block is the one that holds a
+    # given theta row, whichever thread computes it: on one thread the
+    # second block, after which no block starts.
     @pytest.mark.parametrize("model", ["two", "three"])
-    def test_failed_scan_opens_no_file(self, tmp_path, monkeypatch, model):
+    def test_failed_scan_opens_no_file(self, tmp_path, monkeypatch, capsys, model):
         opened, write_text = [], analysis._write_text
         monkeypatch.setattr(analysis, "_write_text",
                             lambda *args: opened.append(args) or write_text(*args))
         out = tmp_path / "x.csv"
-        assert run(["scan", "--model", model, "--time", "1e300", "--out", str(out)]) == 1
-        assert opened == [] and not out.exists()
-
-        calls = []
-
-        def second_block_fails(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 2:
-                raise NumericalFailure("a bound is not finite on a regular QFIM")
-            return bounds(*args, **kwargs)
-
-        monkeypatch.setattr(analysis, "bounds", second_block_fails)
         argv = ["scan", "--model", model, "--grid", "101x101"]
-        assert run([*argv, "--out", str(out)]) == 1
-        assert len(calls) == 2 and opened == [] and not out.exists()
-        out.write_bytes(b"earlier result\n" * 100)
-        calls.clear()
-        assert run([*argv, "--out", str(out)]) == 1
-        assert len(calls) == 2 and opened == []
-        assert out.read_bytes() == b"earlier result\n" * 100
+        message = "spinmetro: numerical consistency failure: a bound is not finite on a regular QFIM\n"
+        second = list(analysis._grid_blocks(101, 101))[1][0]
+        failing_theta = np.linspace(0.0, 2 * np.pi, 101)[second.start]
+        for threads in (1, 2):
+            with monkeypatch.context() as patch:
+                force_scan_threads(patch, threads)
+                assert run(["scan", "--model", model, "--time", "1e300", "--out", str(out)]) == 1
+                assert opened == [] and not out.exists()
+                calls, frame = [], analysis.closed_frame
+
+                def block_fails(b, theta, *args):
+                    calls.append(theta)
+                    if (theta == failing_theta).any():
+                        raise NumericalFailure("a bound is not finite on a regular QFIM")
+                    return frame(b, theta, *args)
+
+                patch.setattr(analysis, "closed_frame", block_fails)
+                capsys.readouterr()
+                assert run([*argv, "--out", str(out)]) == 1
+                assert capsys.readouterr().err == message
+                assert opened == [] and not out.exists()
+                assert len(calls) == 2 or threads == 2
+                out.write_bytes(b"earlier result\n" * 100)
+                calls.clear()
+                assert run([*argv, "--out", str(out)]) == 1
+                assert capsys.readouterr().err == message
+                assert len(calls) == 2 or threads == 2
+                assert opened == []
+                assert out.read_bytes() == b"earlier result\n" * 100
+                out.unlink()
+
+    # Every thread of a scan computes under the command's numpy error
+    # state, which a new thread does not inherit: an overflow in the helper
+    # thread's blocks raises, as in the calling thread's, and is reported
+    # as a numerical failure, with no RuntimeWarning, whichever block fails
+    # first.
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_every_scan_thread_has_the_error_state(self, monkeypatch, capsys, threads):
+        monkeypatch.setattr(analysis, "GRID_BLOCK", 4)
+        scans = force_scan_threads(monkeypatch, threads)
+        states, frame = [], analysis.closed_frame
+
+        def recorded_frame(*args):
+            states.append(np.geterr())
+            return frame(*args)
+
+        monkeypatch.setattr(analysis, "closed_frame", recorded_frame)
+        argv = ["scan", "--model", "three", "--dim", "4", "--grid", "4x4", "--time", "1e300",
+                "--out", "/dev/null"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            "spinmetro: numerical consistency failure: overflow encountered in matmul\n")
+        assert len(set(scans[-1])) == threads
+        assert states and all(state["over"] == state["invalid"] == "raise" for state in states)
 
     # At a time whose field period 2 pi / t is not a finite float, the scan
     # failed with numpy's "invalid value encountered in multiply" from its

@@ -19,7 +19,9 @@ No stacked ``@`` takes a transposed view as an operand, except where a
 named exception says why.  A grid is cut into blocks by one rule,
 ``analysis._grid_blocks``, for the scan and the writer alike.  Every field
 of the command configs and every parameter of the scaling and report
-drivers is passed by a command handler of ``cli.py``.
+drivers is passed by a command handler of ``cli.py``.  The one thread the
+library starts is ``analysis.run_scan``'s helper, and importing the library
+starts none.
 """
 
 import argparse
@@ -30,8 +32,11 @@ import importlib
 import inspect
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -566,3 +571,29 @@ def test_one_block_rule():
                     dividers.add(owner)
     assert callers == {"analysis.run_scan", "analysis._write_csv"}
     assert namers == dividers == {"analysis._grid_blocks"}
+
+
+def test_one_place_starts_threads():
+    # A scan's helper thread is made in analysis.run_scan and joined there:
+    # no other function constructs a threading.Thread, and the library
+    # imports no pool module (concurrent.futures also costs an import of
+    # logging at start-up).  Importing spinmetro starts no thread.
+    makers, pools = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                           else [node.module or ""])
+                pools.update(f"{path.stem}: {module}" for module in modules
+                             if module.split(".")[0] in ("concurrent", "multiprocessing"))
+            elif isinstance(node, ast.FunctionDef):
+                makers.update(f"{path.stem}.{node.name}" for call in ast.walk(node)
+                              if isinstance(call, ast.Call)
+                              and ast.unparse(call.func).endswith("Thread"))
+    assert makers == {"analysis.run_scan"}
+    assert pools == set()
+    code = "import threading, spinmetro; print(threading.active_count())"
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1"]
