@@ -19,8 +19,8 @@ text do not depend on its block or its thread, so neither do the results.
 Each block's axis values are laid out once as text, and then every other
 value of the block is formatted with one ``%``: '.' decimals, ','
 delimiters, a header row and 17 significant digits, so repeated runs are
-bytewise identical, whatever the block size.  A scaling table writes its
-slopes as a cell column, each alpha's slope repeated on its rows.
+bytewise identical, whatever the block size.  A scaling table's slope,
+one per alpha, is laid out as text once per alpha, with the axis values.
 A missing value marks a singular QFIM and nothing else.  Every result
 object holds it as NaN (:func:`~spinmetro.metrology.bounds`,
 :class:`ScanResult`, :class:`ScalingResult`); only the JSON report dicts
@@ -45,7 +45,8 @@ import numpy as np
 
 from .encoding import ModelPoint, closed_frame, numeric_frame, require_point, series_frame
 from .errors import InvalidInput, NumericalFailure
-from .linalg import eigh_inverse, require_float, require_int, require_positive, spin_moments
+from .linalg import (SINGULAR_TOL, eigh_inverse, require_float, require_int, require_positive,
+                     spin_moments)
 from .metrology import _report_fields, bounds, classical_fim, frame_qfim_uhlmann
 from .models import MAX_DIM, ProbeSpec, extreme_moments
 
@@ -134,16 +135,20 @@ def _write_csv(path, header, outer, inner, columns) -> None:
     """Write a grid: one row per (outer, inner) pair of axis values, outer-major.
 
     A row holds its outer and inner axis values, then one value from each
-    of ``columns``, each of which holds ``len(outer) * len(inner)`` values
-    in row order.  Floats get 17 significant digits and NaN an empty field;
-    a boolean column is written as 1/0.  The rows go to the file as bytes,
-    a block of :func:`_grid_blocks` at a time: whole outer rows, at most
+    of ``columns``.  A cell column holds ``len(outer) * len(inner)`` values
+    in row order; a shorter one, ``len(outer)`` values where rows have more
+    than one inner value, is a per-outer column, whose value is the same on
+    every row of its outer value and is written after the cell columns.
+    Floats get 17 significant digits and NaN an empty field; a boolean
+    column is written as 1/0.  The rows go to the file as bytes, a block of
+    :func:`_grid_blocks` at a time: whole outer rows, at most
     :data:`GRID_BLOCK` cells, or, where one outer row holds more, a slice of
     at most ``GRID_BLOCK`` of its cells.  A block's layout holds its axis
-    values, formatted as text for that block alone, so that one bytes ``%``
-    then writes one float stack of the block's slices of ``columns``
-    (``%d`` prints a flag's 1.0/0.0 as 1/0).  Beyond ``columns`` the writer holds one block's stack and text, about
-    20 B a cell of a 301^2 scan (the table at :data:`MAX_GRID_CELLS`).
+    and per-outer values, formatted as text for that block alone, once per
+    outer value, so that one bytes ``%`` then writes one float stack of the
+    block's slices of the cell columns (``%d`` prints a flag's 1.0/0.0 as
+    1/0).  Beyond ``columns`` the writer holds one block's stack and text,
+    about 20 B a cell of a 301^2 scan (the table at :data:`MAX_GRID_CELLS`).
     ``%.17g`` writes a NaN as ``nan`` and no other value with those letters,
     so one replace on each block empties its NaN fields, axis fields
     included.  The header is written as it is.
@@ -156,21 +161,25 @@ def _write_csv(path, header, outer, inner, columns) -> None:
         values = np.asarray(values)
         return list(map(field(values).__mod__, values.tolist()))
 
+    inner = np.asarray(inner)
+    size = len(outer) * len(inner)
     columns = [np.asarray(column).ravel() for column in columns]
+    outers = [np.asarray(outer), *(column for column in columns if column.size < size)]
+    columns = [column for column in columns if column.size >= size]
     cells = b"".join(b"," + field(column) for column in columns)
-    outer, inner = np.asarray(outer), np.asarray(inner)
 
-    def block(rows: list[bytes], x: bytes) -> tuple[bytes, bytes, bytes]:
-        # the parts of "x," + row + "\n" for each of rows, x the text of an
-        # outer value
-        return x + b",", (b"\n" + x + b",").join(rows), b"\n"
+    def block(rows: list[bytes], x: bytes, *ends: bytes) -> tuple[bytes, bytes, bytes]:
+        # the parts of "x," + row + tail for each of rows: x is the text of
+        # an outer value, tail that of its per-outer values and "\n"
+        tail = b"".join(b"," + text for text in ends) + b"\n"
+        return x + b",", (tail + x + b",").join(rows), tail
 
     def chunks():
         yield (",".join(header) + "\n").encode()
         for outer_rows, inner_cells, grid_cells in _grid_blocks(len(outer), len(inner)):
+            group = zip(*(texts(axis[outer_rows]) for axis in outers))
             rows = [text + cells for text in texts(inner[inner_cells])]
-            layout = b"".join(itertools.chain.from_iterable(
-                block(rows, x) for x in texts(outer[outer_rows])))
+            layout = b"".join(itertools.chain.from_iterable(block(rows, *head) for head in group))
             values = np.stack([column[grid_cells] for column in columns], axis=-1)
             yield (layout % tuple(values.ravel().tolist())).replace(b"nan", b"")
 
@@ -345,7 +354,7 @@ class ScanConfig:
     model_phi: float | None = None
     theta_count: int = 101
     b_count: int = 101
-    rel_tol: float = 1e-10
+    rel_tol: float = SINGULAR_TOL
 
     def __post_init__(self):
         require_positive(self.t, "t", "evolution time")
@@ -486,8 +495,7 @@ class ScalingResult:
     HEADER = ("alpha", "N", "Gamma", "slope")
 
     def write_csv(self, path) -> None:
-        _write_csv(path, self.HEADER, self.alphas, self.dims,
-                   (self.gamma, np.repeat(self.slope, len(self.dims))))
+        _write_csv(path, self.HEADER, self.alphas, self.dims, (self.gamma, self.slope))
 
 
 def scaling_dim(n) -> int:
@@ -515,7 +523,7 @@ def scaling_table(
     dims,
     point: ModelPoint,
     probe_phi: float = 0.0,
-    rel_tol: float = 1e-10,
+    rel_tol: float = SINGULAR_TOL,
 ) -> ScalingResult:
     """Gamma = Tr(Q_N Q_baseline^-1) across dimensions, with fitted slopes.
 
@@ -733,7 +741,7 @@ def _route_residuals(point, frame) -> dict:
     return {"series_vs_closed": worst[0], "numeric_vs_closed": worst[1]}
 
 
-def metrics_report(spec: ProbeSpec, point: ModelPoint, rel_tol=1e-10) -> dict:
+def metrics_report(spec: ProbeSpec, point: ModelPoint, rel_tol=SINGULAR_TOL) -> dict:
     """Machine-readable report for one probe and point; the model is the point's.
 
     Carries the QFIM, Uhlmann matrix, determinant, bounds, incompatibility,

@@ -37,7 +37,7 @@ from .analysis import (
 )
 from .encoding import ModelPoint
 from .errors import InvalidInput, NumericalFailure
-from .linalg import require_float
+from .linalg import SINGULAR_TOL, require_float
 from .models import ProbeSpec
 
 __all__ = ["build_parser", "main"]
@@ -80,7 +80,7 @@ _FLAGS = {
                     help="probe mixing angle (default pi/4)"),
     "--phi": dict(type=float, default=0.0, help="probe relative phase"),
     "--time": dict(type=float, default=5.0, help="evolution time"),
-    "--tol": dict(type=float, default=1e-10,
+    "--tol": dict(type=float, default=SINGULAR_TOL,
                   help="relative eigenvalue threshold for singular QFIMs"),
     "--b": dict(type=float, default=0.6, help="field strength B"),
     "--theta": dict(type=float, default=0.8, help="field angle theta"),

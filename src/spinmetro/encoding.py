@@ -56,18 +56,7 @@ from .errors import InvalidInput, NumericalFailure
 from .linalg import (SpinRep, expm_i, j_direction, require_broadcast, require_float,
                      require_floats, require_positive, require_symmetric)
 
-__all__ = [
-    "ModelPoint",
-    "GeneratorSet",
-    "direction_vectors",
-    "closed_frame",
-    "hamiltonian",
-    "closed_generators",
-    "numeric_generators",
-    "numeric_frame",
-    "series_generators",
-    "series_frame",
-]
+__all__ = ["ModelPoint", "closed_frame", "numeric_frame", "series_frame"]
 
 
 @dataclass(frozen=True)
@@ -159,10 +148,11 @@ def _half_phase(b, t: float):
     return b * t / 2 if t < 1 else b * (t / 2)
 
 
-def _directions(b, theta, t, phi, scales=None) -> np.ndarray:
+def _directions(b, theta, t, phi, d=None) -> np.ndarray:
     # Rows n_theta, n1, n2 of the three-parameter model, broadcast over b,
     # theta and phi.  The two-parameter model takes its rows at phi = 0.
-    # With scales, the first len(scales) rows, each times its scale.
+    # With d, the first d rows of the closed frame instead: each row times
+    # its scale, -t, 2 sin(Bt/2) and 2 sin(Bt/2) cos(theta).
     half = _half_phase(b, t)
     ch, sh, ct, st = np.cos(half), np.sin(half), np.cos(theta), np.sin(theta)
     cp, sp = np.cos(phi), np.sin(phi)
@@ -171,7 +161,8 @@ def _directions(b, theta, t, phi, scales=None) -> np.ndarray:
         (sh * sp + ch * st * cp, -sh * cp + ch * st * sp, -ch * ct),
         (ch * sp - sh * st * cp, -ch * cp - sh * st * sp, sh * ct),
     ]
-    if scales is not None:
+    if d is not None:
+        scales = (-t, 2 * sh, 2 * sh * ct)[:d]
         rows = [[c * scale for c in row] for row, scale in zip(rows, scales)]
     return _vectors(np.broadcast(b, theta, phi).shape, rows)
 
@@ -215,8 +206,7 @@ def closed_frame(b, theta, t: float, phi=None) -> np.ndarray:
     b, theta = require_floats(b, "field strength"), require_floats(theta, "field angle")
     phi = 0.0 if phi is None else require_floats(phi, "field azimuth")
     require_broadcast("field strength, angle and azimuth", b, theta, phi)
-    sh = np.sin(_half_phase(b, t))
-    return _directions(b, theta, t, phi, (-t, 2 * sh, 2 * sh * np.cos(theta))[:d])
+    return _directions(b, theta, t, phi, d)
 
 
 def _field_hamiltonians(rep: SpinRep, b, theta, t: float, phi=None):

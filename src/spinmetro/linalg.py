@@ -22,21 +22,8 @@ from .errors import InvalidInput, NumericalFailure
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
-__all__ = [
-    "SpinRep",
-    "build_spin_rep",
-    "check_probe",
-    "spin_moments",
-    "j_direction",
-    "expm_i",
-    "spectral_absmax",
-    "antisym_tridiagonal",
-    "trace_norm",
-    "singular_mask",
-    "check_inverse",
-    "eigh_inverse",
-    "sym_inverse",
-]
+__all__ = ["spin_moments", "antisym_tridiagonal", "SINGULAR_TOL", "singular_mask",
+           "check_inverse", "eigh_inverse"]
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -406,6 +393,11 @@ def trace_norm(a) -> float:
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
+# The default singularity tolerance of every caller of singular_mask, the
+# command line's --tol included.
+SINGULAR_TOL = 1e-10
+
+
 def singular_mask(evals, rel_tol: float) -> np.ndarray:
     """Singularity rule for symmetric matrices, over leading axes.
 
@@ -471,7 +463,7 @@ def eigh_inverse(q, rel_tol: float, name: str = "symmetric matrix"):
     return evals, singular, regular, vecs, q_inv
 
 
-def sym_inverse(q, rel_tol: float = 1e-10) -> np.ndarray | None:
+def sym_inverse(q, rel_tol: float = SINGULAR_TOL) -> np.ndarray | None:
     """Inverse of one real symmetric matrix, or ``None`` when near singular:
     :func:`eigh_inverse` on a batch of one."""
     q_inv = eigh_inverse(_as_square(q, "symmetric matrix"), rel_tol)[-1]

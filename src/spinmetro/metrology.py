@@ -24,6 +24,7 @@ import numpy as np
 from .encoding import GeneratorSet
 from .errors import InvalidInput, NumericalFailure
 from .linalg import (
+    SINGULAR_TOL,
     antisym_tridiagonal,
     check_probe,
     eigh_inverse,
@@ -35,17 +36,7 @@ from .linalg import (
     trace_norm,
 )
 
-__all__ = [
-    "qfim_uhlmann",
-    "frame_qfim_uhlmann",
-    "batched_qfim_uhlmann",
-    "classical_fim",
-    "incompat_operator",
-    "ai_measure",
-    "holevo_pure",
-    "bounds",
-    "incompat_report",
-]
+__all__ = ["frame_qfim_uhlmann", "classical_fim", "bounds"]
 
 
 def qfim_uhlmann(gens: GeneratorSet, probe) -> tuple[np.ndarray, np.ndarray]:
@@ -199,7 +190,7 @@ def _checked_pair(q, d, invert):
         raise NumericalFailure("QFIM or Uhlmann matrix is not finite") from None
 
 
-def ai_measure(q, d, rel_tol: float = 1e-10) -> float | None:
+def ai_measure(q, d, rel_tol: float = SINGULAR_TOL) -> float | None:
     """Asymptotic incompatibility: largest eigenvalue magnitude of ``1j Q^-1 D``.
 
     Evaluated on the Hermitian :func:`incompat_operator`, the same form the
@@ -213,11 +204,12 @@ def ai_measure(q, d, rel_tol: float = 1e-10) -> float | None:
     return spectral_absmax(incompat_operator(q, d))
 
 
-def holevo_pure(q, d, rel_tol: float = 1e-10):
-    """Scalar SLD cost, pure-model Holevo bound and their normalized gap.
+def holevo_pure(q, d, rel_tol: float = SINGULAR_TOL):
+    """Scalar SLD cost, Holevo's function at the SLD choice and their normalized gap.
 
     Returns ``(c_sld, c_h, delta)`` or ``None`` for singular Q, where
-    ``c_sld = tr Q^-1`` and ``c_h = c_sld + ||Q^-1 D Q^-1||_1``.  Q and D
+    ``c_sld = tr Q^-1`` and ``c_h = c_sld + ||Q^-1 D Q^-1||_1``, the upper
+    bound on the Holevo bound that :func:`bounds` gives.  Q and D
     are one matrix each, held to the input rule of :func:`bounds`
     (:func:`_checked_pair`).  A regular Q whose values are not finite
     raises :class:`NumericalFailure`, as in :func:`bounds`.
@@ -237,14 +229,18 @@ def holevo_pure(q, d, rel_tol: float = 1e-10):
     return values
 
 
-def bounds(q, d, rel_tol: float = 1e-10):
-    """Singular flags, R, SLD cost, Holevo bound, their gap and det Q, over leading axes.
+def bounds(q, d, rel_tol: float = SINGULAR_TOL):
+    """Singular flags, R, SLD cost, c_h, their gap and det Q, over leading axes.
 
     ``q`` and ``d`` have shape (..., dim, dim).  Returns
     ``(singular, r_ai, c_sld, c_h, delta, det_q)``, each of the leading
-    shape, with NaN bound values on singular matrices (the rule of
-    :func:`~spinmetro.linalg.singular_mask`); NaN marks a singular matrix
-    and nothing else, so a Q or D that is not finite raises
+    shape.  ``c_h = c_sld + ||Q^-1 D Q^-1||_1`` is Holevo's function at the
+    SLD choice: an upper bound on the Holevo bound C_H, tight for
+    D-invariant models such as the two-parameter qubit, with
+    ``C_S <= C_H <= c_h <= (1 + R) C_S``, and ``delta`` is its normalized
+    gap ``(c_h - c_sld) / c_sld``.  Bound values are NaN on singular
+    matrices (the rule of :func:`~spinmetro.linalg.singular_mask`); NaN
+    marks a singular matrix and nothing else, so a Q or D that is not finite raises
     :class:`NumericalFailure`.  A Q that is not symmetric or a D that is
     not antisymmetric raises :class:`InvalidInput` (the rule of
     :func:`_checked_pair`).  All comes from the one ``eigh`` of
@@ -315,8 +311,8 @@ def _report_fields(q, d, rel_tol: float) -> dict:
     """The fields every single-point report shares, from one (Q, D).
 
     ``Q`` and ``D`` as nested lists, ``det_q``, the ``singular`` flag, and
-    ``c_sld``, ``c_h``, ``delta`` and ``r_ai`` from :func:`bounds`, which are
-    ``None`` on a singular point.
+    ``c_sld``, ``c_h`` (an upper bound on the Holevo bound), ``delta`` and
+    ``r_ai`` from :func:`bounds`, which are ``None`` on a singular point.
     """
     singular, r_ai, c_sld, c_h, delta, det_q = bounds(q, d, rel_tol=rel_tol)
     values = {"c_sld": c_sld, "c_h": c_h, "delta": delta, "r_ai": r_ai}
@@ -329,7 +325,7 @@ def _report_fields(q, d, rel_tol: float) -> dict:
     }
 
 
-def incompat_report(gens: GeneratorSet, probe, rel_tol: float = 1e-10) -> dict:
+def incompat_report(gens: GeneratorSet, probe, rel_tol: float = SINGULAR_TOL) -> dict:
     """The report fields of :func:`bounds` for one generator set and probe,
     plus its ``labels``, by the dense route :func:`qfim_uhlmann`.
 

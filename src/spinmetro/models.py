@@ -22,17 +22,7 @@ from .linalg import (SpinRep, _slot_rule, _window_moments, check_probe, j_direct
 # wraps every module binding of this pinned function.
 from .linalg import sym_inverse  # noqa: F401
 
-__all__ = [
-    "MAX_DIM",
-    "ProbeSpec",
-    "make_probe",
-    "extreme_moments",
-    "bloch_vector",
-    "Qubit2pResult",
-    "qubit2p_closed",
-    "qudit2p_closed",
-    "threeparam_uhlmann_closed",
-]
+__all__ = ["MAX_DIM", "ProbeSpec", "extreme_moments"]
 
 
 # Largest probe dimension.  An extreme-state probe costs the same at any N,

@@ -9,19 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spinmetro import analysis, encoding
 from spinmetro import (
     ModelPoint,
     ProbeSpec,
-    build_spin_rep,
     closed_frame,
-    expm_i,
     frame_qfim_uhlmann,
-    hamiltonian,
-    make_probe,
     spin_moments,
     sym_inverse,
 )
-from spinmetro import analysis, encoding
+from spinmetro.encoding import hamiltonian
+from spinmetro.linalg import build_spin_rep, expm_i
+from spinmetro.models import make_probe
 
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"

@@ -17,20 +17,14 @@ from spinmetro import (
     ModelPoint,
     RankExperimentConfig,
     ScanConfig,
-    ai_measure,
-    batched_qfim_uhlmann,
-    closed_generators,
     fim_rank_experiment,
-    incompat_report,
-    make_probe,
-    numeric_generators,
-    qfim_uhlmann,
     run_scan,
     scaling_table,
-    series_generators,
 )
+from spinmetro.encoding import closed_generators, numeric_generators, series_generators
+from spinmetro.metrology import ai_measure, batched_qfim_uhlmann, incompat_report, qfim_uhlmann
 from spinmetro.cli import main as cli_main
-from spinmetro.models import ProbeSpec
+from spinmetro.models import ProbeSpec, make_probe
 
 from conftest import evolved_family, haar_state, rep
 from oracles import ai_threeparam_probe, qfim_from_state_derivatives, shrinkage_fractions, submodel

@@ -26,16 +26,16 @@ from spinmetro import (
     ScanConfig,
     bounds,
     closed_frame,
-    closed_generators,
     fim_rank_experiment,
     frame_qfim_uhlmann,
-    incompat_report,
-    make_probe,
     metrics_report,
     run_scan,
     scaling_table,
     spin_moments,
 )
+from spinmetro.encoding import closed_generators
+from spinmetro.metrology import incompat_report
+from spinmetro.models import make_probe
 from spinmetro import analysis, encoding, linalg, metrology, models
 from spinmetro.analysis import (
     MAX_GRID_CELLS,
@@ -750,6 +750,30 @@ class TestCsvWriter:
         rows = [(a, n, table.gamma[k, j], table.slope[k])
                 for k, a in enumerate(table.alphas) for j, n in enumerate(table.dims)]
         assert out.read_text() == csv_text_loop(table.HEADER, np.array(rows, dtype=float).T)
+
+    # A per-outer column, one value per outer axis value, writes the bytes of
+    # its np.repeat expansion as a cell column, whatever the blocks: one
+    # cell a block, blocks of 7 cells (two rows of 3, or slices of a row of
+    # 20) and one block over the grid.  Its NaN is an empty field.
+    @pytest.mark.parametrize("block", [1, 7, 10**9])
+    @pytest.mark.parametrize("n_inner", [3, 20])
+    def test_per_outer_column_writes_its_repeat(self, tmp_path, monkeypatch, block, n_inner):
+        monkeypatch.setattr(analysis, "GRID_BLOCK", block)
+        outer, inner = np.array([0.5, 1.5, 2.5, 3.5, 4.5]), np.linspace(-1.0, 2.0, n_inner)
+        cells = np.random.default_rng(39).standard_normal(outer.size * inner.size)
+        slope = np.array([1.25, np.nan, -0.0, 2e-300, 0.1])
+        header = ("outer", "inner", "cell", "slope")
+        written = []
+        for column in (slope, np.repeat(slope, inner.size)):
+            out = tmp_path / f"x{len(written)}.csv"
+            analysis._write_csv(out, header, outer, inner, (cells, column))
+            written.append(out.read_text())
+        assert written[0] == written[1]
+        rows = written[0].splitlines()[1:]
+        assert [row.rsplit(",", 1)[1] == "" for row in rows] == list(np.repeat(
+            np.isnan(slope), inner.size))
+        axes = [np.repeat(outer, inner.size), np.tile(inner, outer.size)]
+        assert written[0] == csv_text_loop(header, axes + [cells, np.repeat(slope, inner.size)])
 
     # Beyond the columns it is handed the writer holds one block at a time,
     # its float stack and text, and a scan's T = R - Delta, 8 B a cell: it

@@ -18,7 +18,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import spinmetro
-from spinmetro import NumericalFailure, ModelPoint, bloch_vector, bounds, make_probe, qubit2p_closed
+from spinmetro import NumericalFailure, ModelPoint, bounds
+from spinmetro.models import bloch_vector, make_probe, qubit2p_closed
 from spinmetro import analysis, cli
 from spinmetro.analysis import (
     MAX_GRID_CELLS,

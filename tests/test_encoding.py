@@ -7,25 +7,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spinmetro import (
+from spinmetro import InvalidInput, ModelPoint, closed_frame, numeric_frame, series_frame
+from spinmetro.analysis import _route_residuals
+from spinmetro.encoding import (
     GeneratorSet,
-    InvalidInput,
-    ModelPoint,
-    build_spin_rep,
-    closed_frame,
+    _hamiltonian_derivatives,
     closed_generators,
     direction_vectors,
     hamiltonian,
-    j_direction,
-    numeric_frame,
     numeric_generators,
-    series_frame,
     series_generators,
 )
-
-from spinmetro.analysis import _route_residuals
-from spinmetro.encoding import _hamiltonian_derivatives
 from spinmetro.errors import NumericalFailure
+from spinmetro.linalg import build_spin_rep, j_direction
 
 from conftest import (
     MODELS,

@@ -12,23 +12,16 @@ from spinmetro import (
     InvalidInput,
     NumericalFailure,
     ModelPoint,
-    ai_measure,
-    build_spin_rep,
-    closed_generators,
-    expm_i,
-    incompat_operator,
-    j_direction,
-    make_probe,
-    qfim_uhlmann,
     scaling_table,
-    spectral_absmax,
     spin_moments,
     sym_inverse,
-    trace_norm,
 )
-from spinmetro.linalg import (antisym_tridiagonal, check_inverse, eigh_inverse,
-                              require_symmetric, singular_mask)
-from spinmetro.models import ProbeSpec
+from spinmetro.encoding import closed_generators
+from spinmetro.linalg import (antisym_tridiagonal, build_spin_rep, check_inverse, eigh_inverse,
+                              expm_i, j_direction, require_symmetric, singular_mask,
+                              spectral_absmax, trace_norm)
+from spinmetro.metrology import ai_measure, incompat_operator, qfim_uhlmann
+from spinmetro.models import ProbeSpec, make_probe
 
 from conftest import haar_state, random_hermitian, rep
 from oracles import dense_spin_moments, state_from_bloch
@@ -468,7 +461,7 @@ class TestSymInverse:
     def test_qubit_aligned_probe_is_singular(self):
         # theta = pi/2 with the probe along the field direction: the
         # closed-form determinant 4 t^2 sin^2(Bt/2) (n2 . r)^2 vanishes.
-        from spinmetro import qubit2p_closed
+        from spinmetro.models import qubit2p_closed
 
         point = ModelPoint(b=0.8, theta=np.pi / 2, t=5.0)
         gens = closed_generators(rep(2), point)

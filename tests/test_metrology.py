@@ -7,32 +7,27 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinmetro import (
-    GeneratorSet,
     InvalidInput,
     ModelPoint,
     NumericalFailure,
+    bounds,
+    classical_fim,
+    closed_frame,
+    frame_qfim_uhlmann,
+    spin_moments,
+)
+from spinmetro.encoding import GeneratorSet, closed_generators, direction_vectors, hamiltonian
+from spinmetro.linalg import build_spin_rep, expm_i, trace_norm
+from spinmetro.metrology import (
     ai_measure,
     batched_qfim_uhlmann,
-    bounds,
-    build_spin_rep,
-    classical_fim,
-    closed_generators,
-    closed_frame,
-    direction_vectors,
-    expm_i,
-    frame_qfim_uhlmann,
-    hamiltonian,
     holevo_pure,
     incompat_operator,
     incompat_report,
-    make_probe,
     qfim_uhlmann,
-    qubit2p_closed,
-    spin_moments,
-    threeparam_uhlmann_closed,
-    trace_norm,
 )
-from spinmetro.models import ProbeSpec, bloch_vector
+from spinmetro.models import (ProbeSpec, bloch_vector, make_probe, qubit2p_closed,
+                              threeparam_uhlmann_closed)
 
 from conftest import (
     MODELS,

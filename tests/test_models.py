@@ -7,23 +7,25 @@ from spinmetro import (
     InvalidInput,
     ModelPoint,
     ScanConfig,
-    ai_measure,
-    bloch_vector,
     bounds,
     closed_frame,
-    closed_generators,
-    direction_vectors,
     frame_qfim_uhlmann,
-    make_probe,
-    qfim_uhlmann,
-    qubit2p_closed,
-    qudit2p_closed,
     spin_moments,
     sym_inverse,
+)
+from spinmetro.encoding import closed_generators, direction_vectors
+from spinmetro.metrology import ai_measure, qfim_uhlmann
+from spinmetro import linalg, models
+from spinmetro.models import (
+    MAX_DIM,
+    ProbeSpec,
+    bloch_vector,
+    extreme_moments,
+    make_probe,
+    qubit2p_closed,
+    qudit2p_closed,
     threeparam_uhlmann_closed,
 )
-from spinmetro import linalg, models
-from spinmetro.models import MAX_DIM, ProbeSpec, extreme_moments
 
 from conftest import ai_two_param, haar_state, rep, three_param_points
 from oracles import ai_threeparam_probe, state_from_bloch

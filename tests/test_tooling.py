@@ -6,7 +6,10 @@ a library name that disappears makes ``perfbench/run.py --trace 1`` fail.
 README's command-line examples must parse with the current parser, and
 each command must have its own cached parser to be parsed by; README's
 library example must run, every `` `module.name` `` it cites must exist,
-and every name a module lists in ``__all__`` must exist on it.  These
+and every name a module lists in ``__all__`` must exist on it.  A name
+is exported, by a module or by the package, only if the command line
+reaches it or the library example names it, and the default singular
+threshold is written once, ``linalg.SINGULAR_TOL``.  These
 tests only read the files, except that the library example is executed.
 Every file the library writes is opened in one place,
 ``analysis._write_text``, every CSV field is formatted in one place,
@@ -37,6 +40,7 @@ import re
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -417,39 +421,78 @@ def _definitions(tree) -> dict:
     return defined
 
 
+def _reached_from(entry, trees) -> set:
+    """``(module, name)`` of each top-level definition of the modules
+    ``trees`` that the definition ``entry`` reaches: itself, and each
+    definition that a reached one names, in whichever module defines it."""
+    defined = {(module, name): named for module, tree in trees.items()
+               for name, named in _definitions(tree).items()}
+    owners = {}
+    for module, name in defined:
+        owners.setdefault(name, set()).add(module)
+    reached, frontier = set(), {entry}
+    while frontier:
+        reached |= frontier
+        named = set().union(*(defined[key] for key in frontier))
+        frontier = {(module, name) for name in named for module in owners.get(name, ())}
+        frontier -= reached
+    return reached
+
+
 def test_exports_are_production_names():
-    # The library's surface is what its production paths reach: each name a
-    # module lists in __all__ is used by another module of the library (the
-    # package's re-exports do not count), by the console entry point, by
-    # README's library example, by perfbench/gate.py or by a per_layer pin of
-    # BENCHMARK.json, or by a definition of its own module that is.  A name
-    # only the tests call belongs in tests/.
+    # The library's surface is what its command line reaches: each name a
+    # module lists in __all__, and each public name of the package, is
+    # reached from the console entry point, cli.main, or named by README's
+    # library example.  The dense routes and closed forms that only the
+    # tests, the benchmark's gate or a per_layer pin of BENCHMARK.json use
+    # are imported from their modules.
     pyproject = (ROOT / "pyproject.toml").read_text()
     entry = re.search(r'^spinmetro = "spinmetro\.(\w+):(\w+)"$', pyproject, re.M).groups()
     section = (ROOT / "README.md").read_text().split("## Library example", 1)[1]
-    example = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    outside = (_identifiers(ast.parse(example))
-               | _identifiers(ast.parse((ROOT / "perfbench" / "gate.py").read_text())))
-    pins = {tuple(m["name"].split(".")[:2])
-            for m in json.loads(BENCHMARK.read_text())["per_layer"]}
+    example = _identifiers(ast.parse(re.search(r"```python\n(.*?)```", section, re.S).group(1)))
     trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py") if p.stem != "__init__"}
     assert len(trees) >= 7
+    reached = _reached_from(entry, trees)
     unused = []
-    for module_name, tree in sorted(trees.items()):
-        defined = _definitions(tree)
-        others = set().union(*(_identifiers(t) for name, t in trees.items()
-                               if name != module_name))
-        reached = {name for name in defined
-                   if name in others | outside or (module_name, name) in pins
-                   or (module_name, name) == entry}
-        frontier = reached
-        while frontier:
-            frontier = set().union(*(defined[name] for name in frontier)) & defined.keys()
-            frontier -= reached
-            reached |= frontier
+    for module_name in sorted(trees):
         exports = importlib.import_module(f"spinmetro.{module_name}").__dict__.get("__all__", ())
-        unused += [f"{module_name}.{name}" for name in exports if name not in reached]
+        unused += [f"{module_name}.{name}" for name in exports
+                   if (module_name, name) not in reached and name not in example]
+    # perfbench/tests/test_perfbench.py reads spinmetro.sym_inverse, to check
+    # that the benchmark's tracer wraps the package's binding of a pinned
+    # function too
+    package = importlib.import_module("spinmetro")
+    public = sorted(name for name, value in vars(package).items()
+                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    allowed = {name for _, name in reached} | example | {"sym_inverse"}
+    unused += [f"spinmetro.{name}" for name in public if name not in allowed]
     assert unused == []
+
+
+def test_one_default_singular_tolerance():
+    # The default singular threshold is written once, as linalg.SINGULAR_TOL:
+    # every default of a rel_tol parameter or field, and that of the
+    # command line's --tol, names it, and none is a literal.
+    defaults = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                pairs = [*zip(positional[len(positional) - len(args.defaults):], args.defaults),
+                         *zip(args.kwonlyargs, args.kw_defaults)]
+                defaults += [(f"{path.stem}.{node.name}", value) for arg, value in pairs
+                             if arg.arg == "rel_tol" and value is not None]
+            elif (isinstance(node, ast.AnnAssign) and ast.unparse(node.target) == "rel_tol"
+                  and node.value is not None):
+                defaults.append((f"{path.stem}: field rel_tol", node.value))
+            elif isinstance(node, ast.Dict):
+                defaults += [(f"{path.stem}: --tol", keyword.value)
+                             for key, value in zip(node.keys, node.values)
+                             if isinstance(key, ast.Constant) and key.value == "--tol"
+                             for keyword in value.keywords if keyword.arg == "default"]
+    assert len(defaults) >= 9
+    assert [owner for owner, value in defaults if ast.unparse(value) != "SINGULAR_TOL"] == []
 
 
 def test_the_model_is_the_points():
