@@ -22,7 +22,6 @@ from .analysis import (
 )
 from .encoding import ModelPoint, closed_frame, numeric_frame, series_frame
 from .errors import InvalidInput, NumericalFailure, SpinMetroError
-from .linalg import spin_moments
 # Bound here for perfbench/tests, which check that the benchmark's tracer
 # wraps every binding of this pinned function, the package's included.
 from .linalg import sym_inverse  # noqa: F401

@@ -45,16 +45,16 @@ import numpy as np
 
 from .encoding import ModelPoint, closed_frame, numeric_frame, require_point, series_frame
 from .errors import InvalidInput, NumericalFailure
-from .linalg import (SINGULAR_TOL, eigh_inverse, require_float, require_int, require_positive,
-                     spin_moments)
+from .linalg import SINGULAR_TOL, eigh_inverse, require_float, require_int, require_positive
 from .metrology import _report_fields, bounds, classical_fim, frame_qfim_uhlmann
-from .models import MAX_DIM, ProbeSpec, extreme_moments
+from .models import MAX_DIM, ProbeSpec, extreme_moments, require_spec
 
 __all__ = [
     "MAX_GRID_CELLS",
     "MAX_TABLE_PROBES",
     "MAX_RANK_PARAMS",
     "MAX_RANK_OUTCOMES",
+    "MAX_RANK_DRAWS",
     "ScanConfig",
     "ScanResult",
     "run_scan",
@@ -341,15 +341,15 @@ class ScanConfig:
     The grid covers theta in ``[0, 2 pi]`` and one period of the model in
     the field strength, B in ``[0, 2 pi / t]``.  The model is a
     :class:`~spinmetro.encoding.ModelPoint`'s with ``phi = model_phi``
-    (``None`` for the two-parameter model).  The probe can be a
-    :class:`ProbeSpec` or an explicit amplitude vector, and it sets the
-    dimension.  The grid has 2 or more points per axis and at most
-    :data:`MAX_GRID_CELLS` cells; the counts are integers, not bools, and
-    are stored as Python ints.  ``rel_tol`` is checked when the scan
-    runs, by :func:`~spinmetro.metrology.bounds`.
+    (``None`` for the two-parameter model).  The probe is a
+    :class:`ProbeSpec` (the rule of :func:`~spinmetro.models.require_spec`),
+    and it sets the dimension.  The grid has 2 or more points per axis and
+    at most :data:`MAX_GRID_CELLS` cells; the counts are integers, not
+    bools, and are stored as Python ints.  ``rel_tol`` is checked when the
+    scan runs, by :func:`~spinmetro.metrology.bounds`.
     """
 
-    probe: ProbeSpec | np.ndarray
+    probe: ProbeSpec
     t: float
     model_phi: float | None = None
     theta_count: int = 101
@@ -357,6 +357,7 @@ class ScanConfig:
     rel_tol: float = SINGULAR_TOL
 
     def __post_init__(self):
+        require_spec(self.probe)
         require_positive(self.t, "t", "evolution time")
         if self.model_phi is not None:
             require_float(self.model_phi, "model_phi")
@@ -410,7 +411,8 @@ def run_scan(config: ScanConfig) -> ScanResult:
 
     Cells with a singular QFIM (relative eigenvalue ratio below
     ``config.rel_tol``) are flagged and carry no bound values.  The probe's
-    spin moments are taken once; then each block of :func:`_grid_blocks`
+    spin moments are taken once, by ``config.probe.moments()`` at a cost
+    that does not depend on N; then each block of :func:`_grid_blocks`
     gets its frame, (Q, D) and bounds, written by slice into the result
     columns.  The blocks are computed on :func:`_scan_threads` threads, the
     calling thread and at most one helper started and joined here, each
@@ -436,8 +438,7 @@ def run_scan(config: ScanConfig) -> ScanResult:
     theta, b = np.repeat(thetas, bs.size), np.tile(bs, thetas.size)
     r_ai, delta, det_q = (np.empty(theta.size) for _ in range(3))
     singular = np.empty(theta.size, dtype=bool)
-    probe = config.probe
-    moments = probe.moments() if isinstance(probe, ProbeSpec) else spin_moments(probe)
+    moments = config.probe.moments()
     threads = _scan_threads()
     blocks = enumerate(_grid_blocks(thetas.size, bs.size, threads))
     lock, failures, errors = threading.Lock(), {}, np.geterr()
@@ -601,6 +602,14 @@ RANK_BLOCK = 256
 # within a 256 MB budget.  Larger counts are rejected before any draw.
 MAX_RANK_PARAMS = 128
 MAX_RANK_OUTCOMES = 128
+# Most standard-normal draws of one rank experiment, trials * n * (d + 1).
+# A run costs 0.7 to 1.9e-7 s a draw (d = 2, n = 3 at 10^5 trials; d = 8,
+# n = 16 at 10^5; d = n = 128 at 1000; one BLAS thread, shared 2-vCPU
+# host), so the cap keeps a run within about 20 s.  It is a time budget,
+# not a memory one: a run holds one block whatever its trial count.  The
+# default 1000 trials fit at both caps above, 1.65e7 draws.  A larger run
+# is rejected before any draw.
+MAX_RANK_DRAWS = 10**8
 
 
 @dataclass(frozen=True)
@@ -608,7 +617,8 @@ class RankExperimentConfig:
     """Monte-Carlo check of the outcome-count rank bound on the FIM.
 
     ``n_params`` lies in [1, :data:`MAX_RANK_PARAMS`] and ``n_outcomes`` in
-    [2, :data:`MAX_RANK_OUTCOMES`], and ``seed`` is a non-negative integer.
+    [2, :data:`MAX_RANK_OUTCOMES`], a run of ``trials >= 1`` makes at most
+    :data:`MAX_RANK_DRAWS` draws, and ``seed`` is a non-negative integer.
     The counts and the seed are integers, not bools, and are stored as
     Python ints.
     """
@@ -627,6 +637,9 @@ class RankExperimentConfig:
             raise InvalidInput(f"need 2 to {MAX_RANK_OUTCOMES} outcomes, got {n}")
         if trials < 1:
             raise InvalidInput("need at least one trial")
+        if trials * n * (d + 1) > MAX_RANK_DRAWS:
+            raise InvalidInput(f"rank experiment has {trials * n * (d + 1)} draws "
+                               f"(trials x outcomes x (params + 1)), at most {MAX_RANK_DRAWS}")
         if seed < 0:
             raise InvalidInput(f"seed must be a non-negative integer, got {seed}")
 
@@ -751,8 +764,7 @@ def metrics_report(spec: ProbeSpec, point: ModelPoint, rel_tol=SINGULAR_TOL) -> 
     of the dense :func:`~spinmetro.metrology.incompat_report`.  A ``spec``
     that is not a :class:`ProbeSpec` raises :class:`InvalidInput`.
     """
-    if not isinstance(spec, ProbeSpec):
-        raise InvalidInput(f"probe must be a ProbeSpec, got {spec!r}")
+    spec = require_spec(spec)
     point = require_point(point)
     frame = closed_frame(point.b, point.theta, point.t, point.phi)
     q, d = frame_qfim_uhlmann(frame, *spec.moments())

@@ -22,8 +22,8 @@ from .errors import InvalidInput, NumericalFailure
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
-__all__ = ["spin_moments", "antisym_tridiagonal", "SINGULAR_TOL", "singular_mask",
-           "check_inverse", "eigh_inverse"]
+__all__ = ["antisym_tridiagonal", "SINGULAR_TOL", "singular_mask", "check_inverse",
+           "eigh_inverse"]
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -229,18 +229,6 @@ def build_spin_rep(N: int) -> SpinRep:
     return SpinRep(N=N, jx=jx, jy=jy, jz=jz)
 
 
-def _as_state(psi, dim: int | None = None, stack: bool = False) -> np.ndarray:
-    """``psi`` as a complex vector, of dimension ``dim`` if given, or with
-    ``stack`` a stack of them over leading axes: the shape and type half
-    of :func:`check_probe`."""
-    psi = _as_array(psi, "probe", "iufc", "a vector of numbers")
-    if psi.ndim != 1 and not (stack and psi.ndim > 1):
-        raise InvalidInput(f"probe must be a vector, got shape {psi.shape}")
-    if dim is not None and psi.shape[-1] != dim:
-        raise InvalidInput(f"probe has dimension {psi.shape[-1]}, expected {dim}")
-    return psi.astype(complex, copy=False)
-
-
 def check_probe(psi, dim: int | None = None, stack: bool = False) -> np.ndarray:
     """Return the pure probe state ``psi`` as a complex vector, the one rule
     for a state: a vector of numbers (integer, real or complex; not bool,
@@ -248,7 +236,12 @@ def check_probe(psi, dim: int | None = None, stack: bool = False) -> np.ndarray:
     rule of :func:`require_unit_norm`).  With ``stack``, ``psi`` may also
     be a stack of such vectors along its last axis.  Anything else raises
     :class:`InvalidInput`."""
-    return require_unit_norm(_as_state(psi, dim, stack))
+    psi = _as_array(psi, "probe", "iufc", "a vector of numbers")
+    if psi.ndim != 1 and not (stack and psi.ndim > 1):
+        raise InvalidInput(f"probe must be a vector, got shape {psi.shape}")
+    if dim is not None and psi.shape[-1] != dim:
+        raise InvalidInput(f"probe has dimension {psi.shape[-1]}, expected {dim}")
+    return require_unit_norm(psi.astype(complex, copy=False))
 
 
 # The rows (J+ + J-) / 2, (J+ - J-) / 2j and Jz over the rows J+ psi,
@@ -269,8 +262,10 @@ def _window_moments(amp, m, ladder) -> tuple[np.ndarray, np.ndarray]:
     their basis vectors are adjacent, and 0 across a seam between windows
     or beside a pad, a slot of amplitude 0 that only fills a stack.  Then
     ``J+ psi`` and ``J- psi`` are ``amp`` shifted by one slot and scaled by
-    ``ladder``, and the moments are those of :func:`spin_moments`, at a
-    cost of O(L) a state.  A state without unit norm raises
+    ``ladder``, at a cost of O(L) a state.  Returns ``(mean, cov)``:
+    ``mean[k] = <J_k>`` and ``cov[k, m] = Re <u_k|u_m>`` of the centered
+    ``u_k = (J_k - <J_k>) psi``, free of the cancellation in
+    ``<J_k J_m> - <J_k><J_m>``.  A state without unit norm raises
     :class:`InvalidInput`.
     """
     require_unit_norm(amp)
@@ -285,32 +280,6 @@ def _window_moments(amp, m, ladder) -> tuple[np.ndarray, np.ndarray]:
     # w w^T by one symmetric rank-k update, so cov comes out exactly symmetric
     w = v.view(float)
     return mean, w @ w.swapaxes(-1, -2)
-
-
-def spin_moments(psi) -> tuple[np.ndarray, np.ndarray]:
-    """Spin mean and covariance of a state, without forming any N x N matrix.
-
-    Returns ``(mean, cov)``: ``mean[k] = <J_k>`` and ``cov[k, m] = Re <u_k|u_m>``
-    of the centered ``u_k = (J_k - <J_k>) psi``, free of the cancellation
-    in ``<J_k J_m> - <J_k><J_m>``.  In the basis of :func:`build_spin_rep`,
-    ``J_k psi`` is nonzero only within one entry of a nonzero amplitude, so
-    the state is cut to those windows, merged where they touch (a state
-    with no zero amplitude is one window), and :func:`_window_moments`
-    takes the moments there: the cost is O(N) to find the windows and
-    O(size of the windows) after.  ``psi`` is held to :func:`check_probe`,
-    its norm on the windows, and has dimension 2 or more, else
-    :class:`InvalidInput`.
-    """
-    psi = _as_state(psi)
-    if psi.size < 2:
-        raise InvalidInput(f"state must be a vector of dimension >= 2, got shape {psi.shape}")
-    nonzero = psi != 0
-    near = nonzero.copy()
-    near[1:] |= nonzero[:-1]
-    near[:-1] |= nonzero[1:]
-    index = np.flatnonzero(near)
-    m, ladder_sq = _slot_rule((psi.size - 1) / 2, index)
-    return _window_moments(psi[index], m, np.sqrt(ladder_sq))
 
 
 def j_direction(rep: SpinRep, n) -> np.ndarray:

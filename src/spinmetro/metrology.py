@@ -57,7 +57,7 @@ def frame_qfim_uhlmann(frame, mean, cov) -> tuple[np.ndarray, np.ndarray]:
     ``frame`` has shape (..., d, 3) and row ``a_l`` gives the generator
     ``G_l = a_l . J``.  The probe enters only through its spin mean
     ``mean`` (..., 3) and covariance ``cov`` (..., 3, 3), as returned by
-    :func:`~spinmetro.linalg.spin_moments`, whose leading axes broadcast
+    :func:`~spinmetro.models.extreme_moments`, whose leading axes broadcast
     against the frame's (the rule of
     :func:`~spinmetro.linalg.require_broadcast`).  Then
     ``Q = 4 A Cov A^T`` and, because ``[J_k, J_m] = 1j eps_kmn J_n``,

@@ -28,10 +28,8 @@ __all__ = ["MAX_DIM", "ProbeSpec", "extreme_moments"]
 # Largest probe dimension.  An extreme-state probe costs the same at any N,
 # since its moments come from its support (:func:`extreme_moments`), and
 # its Jz eigenvalues and squared ladder elements stay exact in float64.
-# What N bounds is an explicit state, the N-vector of make_probe or of a
-# caller, which spin_moments cuts to its windows in O(N): a dense state at
-# 10^6 peaks near 155 MB of traced memory there.  A larger N is rejected
-# before any allocation.
+# What N bounds is make_probe's N-vector, 16 MB at 10^6, which the
+# benchmark's gate uses.  A larger N is rejected before any allocation.
 MAX_DIM = 10**6
 
 
@@ -63,6 +61,14 @@ class ProbeSpec:
         """Spin mean and covariance of the probe: :func:`extreme_moments` on
         a batch of one."""
         return extreme_moments(self.dim, self.alpha, self.phi)
+
+
+def require_spec(spec) -> ProbeSpec:
+    """Return ``spec``, raising :class:`InvalidInput` unless it is a
+    :class:`ProbeSpec`."""
+    if not isinstance(spec, ProbeSpec):
+        raise InvalidInput(f"probe must be a ProbeSpec, got {spec!r}")
+    return spec
 
 
 def _extreme_amplitudes(alpha, phi) -> tuple[np.ndarray, np.ndarray]:

@@ -15,12 +15,13 @@ from spinmetro import (
     ProbeSpec,
     closed_frame,
     frame_qfim_uhlmann,
-    spin_moments,
     sym_inverse,
 )
 from spinmetro.encoding import hamiltonian
 from spinmetro.linalg import build_spin_rep, expm_i
 from spinmetro.models import make_probe
+
+from oracles import dense_spin_moments
 
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -157,7 +158,7 @@ def scaling_table_loop(alphas, dims, point, probe_phi=0.0, rel_tol=1e-10):
 
     def qfim(n, alpha):
         probe = make_probe(ProbeSpec(dim=n, alpha=alpha, phi=probe_phi))
-        return frame_qfim_uhlmann(frame, *spin_moments(probe))[0]
+        return frame_qfim_uhlmann(frame, *dense_spin_moments(probe))[0]
 
     gamma = np.full((len(alphas), len(dims)), np.nan)
     slope = np.full(len(alphas), np.nan)

@@ -5,8 +5,8 @@ the state-derivative QFIM, the SLD machinery (solver, SLD-based QFIM and
 Uhlmann matrix, Born probabilities), sub-model restriction, the qubit
 state of a Bloch vector, the closed three-parameter incompatibility of
 the extreme-state probe, the scan shrinkage statistic and the dense
-spin-moment formula that the windowed kernel replaced.  Tests import
-them the way they import ``conftest``.
+spin-moment formula, which gives the moments of any state vector.  Tests
+import them the way they import ``conftest``.
 """
 
 import numpy as np
@@ -188,10 +188,11 @@ def shrinkage_fractions(res_a: ScanResult, res_b: ScanResult, threshold: float =
 def dense_spin_moments(psi):
     """Spin mean and covariance of a unit-norm state by the dense formula:
     ``J+ psi`` and ``J- psi`` over the whole N-vector, then ``mean = v psi*``
-    and ``cov = w w^T`` of the centered rows.  A frozen copy of the formula
-    that :func:`~spinmetro.linalg.spin_moments` used before it cut a state
-    to the windows of its support; on a state with no zero amplitude (one
-    window) the two agree bit for bit."""
+    and ``cov = w w^T`` of the centered rows: the moments of any state the
+    tests draw.  The library's one kernel,
+    :func:`~spinmetro.linalg._window_moments`, runs the same operations in
+    the same order on one window, so on a state laid out as one window the
+    two agree bit for bit."""
     psi = np.asarray(psi, dtype=complex)
     s = (psi.size - 1) / 2
     m = s - np.arange(psi.size)

@@ -31,7 +31,6 @@ from spinmetro import (
     metrics_report,
     run_scan,
     scaling_table,
-    spin_moments,
 )
 from spinmetro.encoding import closed_generators
 from spinmetro.metrology import incompat_report
@@ -40,6 +39,7 @@ from spinmetro import analysis, encoding, linalg, metrology, models
 from spinmetro.analysis import (
     MAX_GRID_CELLS,
     MAX_TABLE_PROBES,
+    MAX_RANK_DRAWS,
     MAX_RANK_OUTCOMES,
     MAX_RANK_PARAMS,
     RANK_BLOCK,
@@ -57,7 +57,7 @@ from conftest import (
     rep,
     scaling_table_loop,
 )
-from oracles import shrinkage_fractions
+from oracles import dense_spin_moments, shrinkage_fractions
 
 
 def small_scan(dim=2, alpha=np.pi / 4, phi=0.0, t=5.0, counts=(21, 21), model_phi=None):
@@ -68,6 +68,17 @@ def small_scan(dim=2, alpha=np.pi / 4, phi=0.0, t=5.0, counts=(21, 21), model_ph
         theta_count=counts[0],
         b_count=counts[1],
     )
+
+
+def moments_scan(mean, cov, model_phi, counts, t=5.0):
+    """:func:`run_scan`'s pipeline on a state's spin moments: the closed
+    frame of the (theta, B) grid, (Q, D) from the frame kernel, then
+    :func:`bounds`.  Returns Q and the bounds, cells in the scan's order."""
+    thetas = np.linspace(0.0, 2 * np.pi, counts[0])
+    bs = np.linspace(0.0, 2 * np.pi / t, counts[1])
+    frame = closed_frame(bs, thetas[:, None], t, model_phi)
+    q, d = frame_qfim_uhlmann(frame.reshape((-1,) + frame.shape[-2:]), mean, cov)
+    return q, bounds(q, d)
 
 
 class TestRunScan:
@@ -88,34 +99,29 @@ class TestRunScan:
         # D = 2 A [<J>]x A^T up to sign and Q = 4 A Cov A^T, so Q^-1 D is
         # similar to Cov^-1 [<J>]x / 2 whatever the (invertible) frame A:
         # R = 1/2 sqrt(<J>^T Cov <J> / det Cov) on every regular cell.
-        psi = haar_state(rng, 5)
-        config = ScanConfig(probe=psi, t=5.0, model_phi=0.7, theta_count=21, b_count=21)
-        res = run_scan(config)
-        regular = ~res.singular
+        mean, cov = dense_spin_moments(haar_state(rng, 5))
+        q, (singular, r_ai, *_) = moments_scan(mean, cov, 0.7, (21, 21))
+        regular = ~singular
         assert regular.sum() > 300
-        mean, cov = spin_moments(psi)
         want = 0.5 * np.sqrt(mean @ cov @ mean / np.linalg.det(cov))
-        frame = closed_frame(res.b[regular], res.theta[regular], config.t, config.model_phi)
-        w = np.linalg.eigvalsh(frame_qfim_uhlmann(frame, mean, cov)[0])
+        w = np.linalg.eigvalsh(q[regular])
         tol = 1e3 * np.finfo(float).eps * w[:, -1] / w[:, 0] * want
-        assert (np.abs(res.r_ai[regular] - want) <= tol).all()
+        assert (np.abs(r_ai[regular] - want) <= tol).all()
 
     # The anticoherent tetrahedral spin-2 state (|2,2> + sqrt(2)|2,-1>)/sqrt(3)
     # has <J> = 0 and Cov = 2 I, so D = 0 and the three-parameter model is
-    # compatible at every regular cell, outside the extreme-state family.  Its
-    # support {0, 3} at N = 5 has windows that touch.
+    # compatible at every regular cell, outside the extreme-state family.
     def test_tetrahedral_state_is_compatible_everywhere(self):
         psi = np.zeros(5, dtype=complex)
         psi[[0, 3]] = [1 / np.sqrt(3), np.sqrt(2 / 3)]
-        mean, cov = spin_moments(psi)
+        mean, cov = dense_spin_moments(psi)
         assert np.abs(mean).max() <= 1e-15
         assert np.abs(cov - 2 * np.eye(3)).max() <= 4 * np.finfo(float).eps * 2
-        config = ScanConfig(probe=psi, t=5.0, model_phi=0.7, theta_count=21, b_count=21)
-        res = run_scan(config)
-        regular = ~res.singular
+        _, (singular, r_ai, _, _, delta, _) = moments_scan(mean, cov, 0.7, (21, 21))
+        regular = ~singular
         assert regular.sum() > 300
-        assert res.r_ai[regular].max() <= 1e-15
-        assert res.delta[regular].max() <= 1e-15
+        assert r_ai[regular].max() <= 1e-15
+        assert delta[regular].max() <= 1e-15
 
     def test_gap_ordering_cellwise(self):
         for config in (small_scan(t=5.0), small_scan(dim=4, alpha=np.pi / 2, t=10.0),
@@ -165,10 +171,9 @@ class TestRunScan:
         for _ in range(3):
             z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             model_phi = rng.uniform(0.0, 2 * np.pi)
-            config = ScanConfig(probe=z / np.linalg.norm(z), t=5.0,
-                                model_phi=model_phi if model == "three" else None,
-                                theta_count=31, b_count=31)
-            assert (run_scan(config).det_q >= 0.0).all()
+            _, (*_, det_q) = moments_scan(*dense_spin_moments(z / np.linalg.norm(z)),
+                                          model_phi if model == "three" else None, (31, 31))
+            assert (det_q >= 0.0).all()
 
     def test_period_default_range(self):
         res = run_scan(small_scan(t=10.0))
@@ -235,14 +240,12 @@ class TestRunScan:
     # B = 0 and B = 2 pi / t columns are singular, so NaN cells lie on block
     # edges.
     @pytest.mark.parametrize("model_phi", [None, 0.4], ids=["two", "three"])
-    @pytest.mark.parametrize("probe", ["spec", "explicit"])
+    @pytest.mark.parametrize("probe", [ProbeSpec(dim=4, alpha=0.4, phi=0.3)], ids=["spec"])
     @pytest.mark.parametrize("counts", [(31, 31), (3, 3000), (3000, 3), (130, 70)],
                              ids=lambda counts: "x".join(map(str, counts)))
     def test_results_do_not_depend_on_the_block_size(self, tmp_path, monkeypatch,
                                                        model_phi, probe, counts):
-        config = small_scan(dim=4, alpha=0.4, phi=0.3, counts=counts, model_phi=model_phi)
-        if probe == "explicit":
-            config = replace(config, probe=haar_state(np.random.default_rng(35), 5))
+        config = replace(small_scan(counts=counts, model_phi=model_phi), probe=probe)
         fields = ("theta", "b", "r_ai", "delta", "det_q", "singular")
         runs = []
         for block in (10**9, 1, 7, 50) if counts == (31, 31) else (10**9, 7, 50):
@@ -264,14 +267,12 @@ class TestRunScan:
     # field and the CSV the bytes of a scan on one.  The singular B = 0 and
     # B = 2 pi / t columns put NaN cells on block edges.
     @pytest.mark.parametrize("model_phi", [None, 0.4], ids=["two", "three"])
-    @pytest.mark.parametrize("probe", ["spec", "explicit"])
+    @pytest.mark.parametrize("probe", [ProbeSpec(dim=4, alpha=0.4, phi=0.3)], ids=["spec"])
     @pytest.mark.parametrize("counts", [(31, 31), (130, 70)],
                              ids=lambda counts: "x".join(map(str, counts)))
     def test_results_do_not_depend_on_the_thread_count(self, tmp_path, monkeypatch,
                                                        model_phi, probe, counts):
-        config = small_scan(dim=4, alpha=0.4, phi=0.3, counts=counts, model_phi=model_phi)
-        if probe == "explicit":
-            config = replace(config, probe=haar_state(np.random.default_rng(38), 5))
+        config = replace(small_scan(counts=counts, model_phi=model_phi), probe=probe)
         fields = ("theta", "b", "r_ai", "delta", "det_q", "singular")
         runs = []
         for threads in (1, 2):
@@ -352,6 +353,14 @@ class TestRunScan:
             small_scan(counts=(1, 5))
         with pytest.raises(InvalidInput):
             ScanConfig(probe=ProbeSpec(dim=2, alpha=0.2), t=-1.0)
+
+    # A scan's probe is a ProbeSpec, as a report's is: an amplitude vector or
+    # a string is rejected when the config is built, before any scan runs.
+    @pytest.mark.parametrize("probe", [make_probe(ProbeSpec(dim=4, alpha=0.3)), "x"],
+                             ids=["array", "string"])
+    def test_probe_must_be_a_probe_spec(self, probe):
+        with pytest.raises(InvalidInput, match="^probe must be a ProbeSpec, got "):
+            ScanConfig(probe=probe, t=1.0)
 
     # A float count used to reach linspace and raise its TypeError.
     @pytest.mark.parametrize("counts", [(5.5, 5), (5, 5.0), (True, 5), (5, np.True_)])
@@ -1180,6 +1189,12 @@ class TestFimRankExperiment:
     # Only the configurations are built here: no experiment runs at a cap.
     def test_size_caps(self):
         RankExperimentConfig(n_params=MAX_RANK_PARAMS, n_outcomes=MAX_RANK_OUTCOMES)
+        # trials * n * (d + 1) draws: 4 a trial at d = 1, n = 2
+        RankExperimentConfig(n_params=1, n_outcomes=2, trials=MAX_RANK_DRAWS // 4)
+        with pytest.raises(InvalidInput, match=str(MAX_RANK_DRAWS)):
+            RankExperimentConfig(n_params=1, n_outcomes=2, trials=MAX_RANK_DRAWS // 4 + 1)
+        with pytest.raises(InvalidInput, match=str(MAX_RANK_DRAWS)):
+            RankExperimentConfig(n_params=2, n_outcomes=3, trials=10**20)
         with pytest.raises(InvalidInput, match=str(MAX_RANK_PARAMS)):
             RankExperimentConfig(n_params=MAX_RANK_PARAMS + 1, n_outcomes=3)
         with pytest.raises(InvalidInput, match=str(MAX_RANK_OUTCOMES)):
@@ -1478,7 +1493,7 @@ class TestMetricsReport:
         diagonal = np.diagonal(d, axis1=-2, axis2=-1)
         assert (diagonal == 0).all() and not np.signbit(diagonal).any()
         spec = ProbeSpec(dim=2, alpha=1.2, phi=4.0)
-        assert (spin_moments(make_probe(spec))[0] < 0).all()
+        assert (spec.moments()[0] < 0).all()
         point = points_for(model)[0]
         doc = metrics_report(spec, point)
         assert [math.copysign(1.0, doc["D"][l][l]) for l in range(point.n_params)] == \

@@ -13,13 +13,12 @@ from spinmetro import (
     NumericalFailure,
     ModelPoint,
     scaling_table,
-    spin_moments,
     sym_inverse,
 )
 from spinmetro.encoding import closed_generators
-from spinmetro.linalg import (antisym_tridiagonal, build_spin_rep, check_inverse, eigh_inverse,
-                              expm_i, j_direction, require_symmetric, singular_mask,
-                              spectral_absmax, trace_norm)
+from spinmetro.linalg import (_slot_rule, _window_moments, antisym_tridiagonal, build_spin_rep,
+                              check_inverse, check_probe, eigh_inverse, expm_i, j_direction,
+                              require_symmetric, singular_mask, spectral_absmax, trace_norm)
 from spinmetro.metrology import ai_measure, incompat_operator, qfim_uhlmann
 from spinmetro.models import ProbeSpec, make_probe
 
@@ -72,14 +71,22 @@ class TestBuildSpinRep:
             r.jx[0, 0] = 1.0
 
 
+def window_moments(psi):
+    """:func:`~spinmetro.linalg._window_moments` of ``psi`` as one window."""
+    m, ladder_sq = _slot_rule((psi.size - 1) / 2, np.arange(psi.size))
+    return _window_moments(psi, m, np.sqrt(ladder_sq))
+
+
 class TestSpinMoments:
+    # The dense formula of tests/oracles.py, which the tests take a state's
+    # moments from, against the expectations of the spin matrices.
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 40])
     def test_matches_dense_expectations(self, rng, n):
         r = rep(n)
         jvec = [r.jx, r.jy, r.jz]
         for _ in range(3):
             psi = haar_state(rng, n)
-            mean, cov = spin_moments(psi)
+            mean, cov = dense_spin_moments(psi)
             dense_mean = np.array([(psi.conj() @ jk @ psi).real for jk in jvec])
             dense_second = np.array([[psi.conj() @ jk @ jm @ psi for jm in jvec] for jk in jvec])
             dense_cov = dense_second.real - np.outer(dense_mean, dense_mean)
@@ -91,7 +98,7 @@ class TestSpinMoments:
     def test_casimir_and_commutator(self, rng):
         # Tr Cov = s(s+1) - |<J>|^2, and Cov is positive semidefinite with
         # Cov_xx Cov_yy >= <J_z>^2 / 4 (Robertson, from [Jx, Jy] = 1j Jz)
-        mean, cov = spin_moments(haar_state(rng, 6))
+        mean, cov = dense_spin_moments(haar_state(rng, 6))
         assert np.trace(cov) == pytest.approx(2.5 * 3.5 - mean @ mean, rel=1e-13)
         assert np.linalg.eigvalsh(cov)[0] >= -1e-13
         assert cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2 >= mean[2] ** 2 / 4 - 1e-13
@@ -101,50 +108,53 @@ class TestSpinMoments:
     @pytest.mark.parametrize("n, alpha", [(10**3, 1e-6), (10**5, 1e-6), (10**5, 1e-4)])
     def test_extreme_state_covariance(self, n, alpha):
         j = (n - 1) / 2
-        mean, cov = spin_moments(make_probe(ProbeSpec(dim=n, alpha=alpha)))
+        mean, cov = ProbeSpec(dim=n, alpha=alpha).moments()
         want = np.diag([j / 2, j / 2, (j * np.sin(2 * alpha)) ** 2])
         assert np.abs(mean - [0.0, 0.0, j * np.cos(2 * alpha)]).max() <= 4 * EPS * j
         assert np.abs(cov - want).max() <= 8 * EPS * j
         assert abs(cov[2, 2] - want[2, 2]) <= 8 * EPS * want[2, 2]
 
-    @pytest.mark.parametrize("bad", [np.array([1.0]), np.eye(2)])
-    def test_rejects_non_vectors(self, bad):
-        with pytest.raises(InvalidInput):
-            spin_moments(bad)
-
-    # The frame kernel takes moments, not states, so the unit-norm rule of a
-    # probe is checked here.
+    # The moments kernel holds the unit-norm rule of a probe, since the
+    # frame kernel takes moments, not states: here on one window of a
+    # spin-2 state.
     @pytest.mark.parametrize("scale", [0.0, 1 - 1e-9, 1 + 1e-9, 2.0, np.nan])
     def test_rejects_unnormalized_states(self, rng, scale):
         with pytest.raises(InvalidInput, match="not normalized"):
-            spin_moments(scale * haar_state(rng, 5))
+            window_moments(scale * haar_state(rng, 5))
 
     def test_accepts_rounding_off_unit_norm(self, rng):
-        spin_moments((1 + 1e-12) * haar_state(rng, 5))
+        window_moments((1 + 1e-12) * haar_state(rng, 5))
 
-    # A state with no zero amplitude is one window, on which the kernel runs
-    # the dense formula's operations in its order.
+    # On one window the kernel runs the dense formula's operations in its
+    # order, so a state with no zero amplitude has its moments bit for bit.
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 12, 40, 241, 1000, 10**5])
     def test_dense_states_match_the_dense_formula_bit_for_bit(self, rng, n):
         for _ in range(3):
             psi = haar_state(rng, n)
-            mean, cov = spin_moments(psi)
+            mean, cov = window_moments(psi)
             want_mean, want_cov = dense_spin_moments(psi)
             assert mean.tobytes() == want_mean.tobytes()
             assert cov.tobytes() == want_cov.tobytes()
 
-    # Windows apart, touching and overlapping, seams and the ends of the
-    # basis: J psi stays within one entry of the support.
+    # Zero amplitudes inside a window, as in the slots of extreme_moments,
+    # and a support at the ends of the basis.
     @pytest.mark.parametrize("support", [(0,), (4,), (9,), (0, 9), (0, 3), (0, 2), (0, 1),
                                          (2, 5, 6), (1, 4, 8), (0, 1, 2, 7, 9)])
     def test_sparse_states_match_the_dense_formula(self, rng, support):
         psi = np.zeros(10, dtype=complex)
         psi[list(support)] = haar_state(rng, len(support))
-        mean, cov = spin_moments(psi)
+        mean, cov = window_moments(psi)
         want_mean, want_cov = dense_spin_moments(psi)
         assert np.abs(mean - want_mean).max() <= 4 * EPS * 4.5
         assert np.abs(cov - want_cov).max() <= 8 * EPS * 4.5**2
         assert np.array_equal(cov, cov.T)
+
+    # The one rule for a state, linalg.check_probe: a vector of numbers, of
+    # its dimension where one is given.
+    @pytest.mark.parametrize("bad", [np.array([1.0]), np.eye(2)])
+    def test_rejects_non_vectors(self, bad):
+        with pytest.raises(InvalidInput):
+            check_probe(bad, 2)
 
     # A string, None, a bool or an object is not a state: each is invalid
     # input, where numpy raised ValueError or TypeError or took a string.
@@ -152,7 +162,7 @@ class TestSpinMoments:
                                      [[1.0], [0.0, 1.0]], np.array([1, 0], dtype=object), 1.0])
     def test_rejects_what_is_not_a_vector_of_numbers(self, bad):
         with pytest.raises(InvalidInput):
-            spin_moments(bad)
+            check_probe(bad)
 
 
 class TestJDirection:

@@ -14,7 +14,6 @@ from spinmetro import (
     classical_fim,
     closed_frame,
     frame_qfim_uhlmann,
-    spin_moments,
 )
 from spinmetro.encoding import GeneratorSet, closed_generators, direction_vectors, hamiltonian
 from spinmetro.linalg import build_spin_rep, expm_i, trace_norm
@@ -40,6 +39,7 @@ from conftest import (
 )
 from oracles import (
     born_probabilities,
+    dense_spin_moments,
     qfim_from_slds,
     qfim_from_state_derivatives,
     sld_solve,
@@ -168,7 +168,7 @@ class TestFrameKernel:
             gens = closed_generators(rep(n), point)
             for _ in range(3):
                 probe = haar_state(rng, n)
-                q, d = frame_qfim_uhlmann(frame, *spin_moments(probe))
+                q, d = frame_qfim_uhlmann(frame, *dense_spin_moments(probe))
                 q_ref, d_ref = qfim_uhlmann(gens, probe)
                 scale = max(np.abs(q_ref).max(), np.abs(d_ref).max())
                 assert np.abs(q - q_ref).max() <= 1e-12 * scale
@@ -179,7 +179,7 @@ class TestFrameKernel:
         theta = rng.uniform(0.0, 2 * np.pi, size=(4, 1))
         frame = closed_frame(b, theta, 5.0, 0.3)
         assert frame.shape == (4, 5, 3, 3)
-        moments = spin_moments(haar_state(rng, 5))
+        moments = dense_spin_moments(haar_state(rng, 5))
         q, d = frame_qfim_uhlmann(frame, *moments)
         for i, j in [(0, 0), (2, 3), (3, 4)]:
             one = closed_frame(b[i, j], theta[i, 0], 5.0, 0.3)
@@ -192,7 +192,7 @@ class TestFrameKernel:
     def test_stacked_moments_equal_single_calls_bitwise(self, rng, model):
         point = points_for(model)[0]
         frame = closed_frame(point.b, point.theta, point.t, point.phi)
-        moments = [spin_moments(haar_state(rng, n)) for n in (2, 3, 5, 8, 40, 41, 240)]
+        moments = [dense_spin_moments(haar_state(rng, n)) for n in (2, 3, 5, 8, 40, 41, 240)]
         q, d = frame_qfim_uhlmann(frame, *(np.stack(m) for m in zip(*moments)))
         assert q.shape == d.shape == (len(moments), point.n_params, point.n_params)
         for k, (mean, cov) in enumerate(moments):
@@ -202,13 +202,13 @@ class TestFrameKernel:
 
     def test_uhlmann_exactly_antisymmetric(self, rng):
         frame = rng.standard_normal((50, 3, 3))
-        q, d = frame_qfim_uhlmann(frame, *spin_moments(haar_state(rng, 9)))
+        q, d = frame_qfim_uhlmann(frame, *dense_spin_moments(haar_state(rng, 9)))
         assert np.array_equal(d, -np.swapaxes(d, -1, -2))
         assert np.array_equal(q, np.swapaxes(q, -1, -2))
 
     @pytest.mark.parametrize("n", [4, 5, 8, 40])
     def test_balanced_probe_has_zero_uhlmann(self, rng, n):
-        moments = spin_moments(make_probe(ProbeSpec(dim=n, alpha=np.pi / 4, phi=0.9)))
+        moments = ProbeSpec(dim=n, alpha=np.pi / 4, phi=0.9).moments()
         b = rng.uniform(0.0, 2.0, size=20)
         theta = rng.uniform(0.0, 2 * np.pi, size=20)
         for phi in (None, 1.3):
@@ -216,14 +216,11 @@ class TestFrameKernel:
             assert np.abs(d).max() <= 1e-14 * np.abs(q).max()
 
     def test_frame_validation(self):
-        moments = spin_moments(np.array([1, 0], complex))
+        moments = ProbeSpec(dim=2, alpha=0.0).moments()
         with pytest.raises(InvalidInput):
             frame_qfim_uhlmann(np.ones((2, 2)), *moments)
         with pytest.raises(InvalidInput):
             frame_qfim_uhlmann(np.ones((2, 3)), moments[0][:2], moments[1])
-        # the unit-norm rule now runs where the moments are taken
-        with pytest.raises(InvalidInput, match="not normalized"):
-            spin_moments(np.array([1, 1], complex))
 
 
 class TestStateDerivativeRoute:
@@ -719,7 +716,7 @@ def drawn_probe(n, haar, seed, log_alpha):
 
 def frame_bounds(psi, b, theta, t, phi=None):
     """Q, D, cond(Q) and ``bounds`` on the production frame path."""
-    q, d = frame_qfim_uhlmann(closed_frame(b, theta, t, phi), *spin_moments(psi))
+    q, d = frame_qfim_uhlmann(closed_frame(b, theta, t, phi), *dense_spin_moments(psi))
     ev = np.linalg.eigvalsh(q)
     return q, d, ev[-1] / ev[0] if ev[0] > 0 else np.inf, bounds(q, d)
 
@@ -853,7 +850,7 @@ class TestExactMomentReference:
     ])
     def test_bounds_match_exact_moments(self, phi, n, alpha):
         frame = closed_frame(0.9, 0.6, 5.0, phi)
-        q, d = frame_qfim_uhlmann(frame, *spin_moments(make_probe(ProbeSpec(dim=n, alpha=alpha))))
+        q, d = frame_qfim_uhlmann(frame, *ProbeSpec(dim=n, alpha=alpha).moments())
         singular, *got = bounds(q, d)
         assert not singular
         ev = np.linalg.eigvalsh(q)

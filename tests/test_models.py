@@ -10,7 +10,6 @@ from spinmetro import (
     bounds,
     closed_frame,
     frame_qfim_uhlmann,
-    spin_moments,
     sym_inverse,
 )
 from spinmetro.encoding import closed_generators, direction_vectors
@@ -28,7 +27,7 @@ from spinmetro.models import (
 )
 
 from conftest import ai_two_param, haar_state, rep, three_param_points
-from oracles import ai_threeparam_probe, state_from_bloch
+from oracles import ai_threeparam_probe, dense_spin_moments, state_from_bloch
 
 EPS = np.finfo(float).eps
 
@@ -104,7 +103,7 @@ class TestProbeSupport:
     def test_moments_match_the_explicit_state(self, n, alpha, phi):
         spec = ProbeSpec(dim=n, alpha=alpha, phi=phi)
         mean, cov = spec.moments()
-        want_mean, want_cov = spin_moments(make_probe(spec))
+        want_mean, want_cov = dense_spin_moments(make_probe(spec))
         j = (n - 1) / 2
         assert np.abs(mean - want_mean).max() <= 4 * EPS * j
         assert np.abs(cov - want_cov).max() <= 8 * EPS * max(j, 1.0) ** 2
@@ -311,7 +310,7 @@ class TestDimensionLadder:
         for point in three_param_points():
             frame = closed_frame(point.b, point.theta, point.t, point.phi)
             for _ in range(10):
-                mean, cov = spin_moments(haar_state(rng, 3))
+                mean, cov = dense_spin_moments(haar_state(rng, 3))
                 assert mean @ cov @ mean == pytest.approx(4 * np.linalg.det(cov), rel=1e-9)
                 singular, r_ai, *_ = bounds(*frame_qfim_uhlmann(frame, mean, cov))
                 assert not singular
@@ -367,7 +366,7 @@ class TestClosedFormsAtHugeField:
 
     def frame(self, psi, point):
         return frame_qfim_uhlmann(closed_frame(point.b, point.theta, point.t, point.phi),
-                                  *spin_moments(psi))
+                                  *dense_spin_moments(psi))
 
     def test_qubit(self, rng):
         point = ModelPoint(b=self.B, theta=0.6, t=self.T)
