@@ -35,7 +35,6 @@ import itertools
 import json
 import math
 import os
-import re
 import stat
 import sys
 import threading
@@ -45,7 +44,8 @@ import numpy as np
 
 from .encoding import ModelPoint, closed_frame, numeric_frame, require_point, series_frame
 from .errors import InvalidInput, NumericalFailure
-from .linalg import SINGULAR_TOL, eigh_inverse, require_float, require_int, require_positive
+from .linalg import (SINGULAR_TOL, eigh_inverse, require_float, require_int, require_positive,
+                     require_tol)
 from .metrology import _report_fields, bounds, classical_fim, frame_qfim_uhlmann
 from .models import MAX_DIM, ProbeSpec, extreme_moments, require_spec
 
@@ -186,125 +186,30 @@ def _write_csv(path, header, outer, inner, columns) -> None:
     _write_text(path, chunks())
 
 
-# The report of metrics_report as json.dumps(sort_keys=True, indent=2)
-# lays it out: keys sorted, two spaces a level.  Each %s takes the JSON text
-# of one scalar.  LABELS and MATRIX stand for the blocks that depend on the
-# number of parameters d: a list of d scalars and d rows of d scalars.
-_REPORT_LAYOUT = """{
-  "D": MATRIX,
-  "Q": MATRIX,
-  "c_h": %s,
-  "c_sld": %s,
-  "delta": %s,
-  "det_q": %s,
-  "dim": %s,
-  "generator_route_residuals": {
-    "numeric_vs_closed": %s,
-    "series_vs_closed": %s
-  },
-  "labels": LABELS,
-  "model": %s,
-  "point": {
-    "B": %s,
-    "phi": %s,
-    "t": %s,
-    "theta": %s
-  },
-  "probe": {
-    "alpha": %s,
-    "phi": %s
-  },
-  "r_ai": %s,
-  "singular": %s
-}
-"""
-_REPORT_KEYS = frozenset(re.findall(r'^  "(\w+)"', _REPORT_LAYOUT, re.M))
-
-# The JSON text of a scalar by its exact type, as json.dumps writes it.  A
-# NaN or an infinity comes out as one of _NON_FINITE, which JSON lacks.
-_JSON_SCALARS = {
-    float: float.__repr__,
-    int: int.__repr__,
-    str: json.encoder.encode_basestring_ascii,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda value: "null",
-}
-_NON_FINITE = frozenset(map(float.__repr__, (math.nan, math.inf, -math.inf)))
-
-
-@functools.cache
-def _report_template(d: int) -> str:
-    """:data:`_REPORT_LAYOUT` for ``d`` parameters, one ``%s`` a scalar."""
-    labels = "[\n" + ",\n".join(["    %s"] * d) + "\n  ]"
-    row = "[\n" + ",\n".join(["      %s"] * d) + "\n    ]"
-    matrix = "[\n    " + ",\n    ".join([row] * d) + "\n  ]"
-    return _REPORT_LAYOUT.replace("LABELS", labels).replace("MATRIX", matrix)
-
-
-def _report_text(doc) -> str | None:
-    """The text of a report whose keys are :data:`_REPORT_KEYS`, or ``None``.
-
-    The text is that of ``json.dumps(doc, sort_keys=True, indent=2)`` and
-    a newline.  ``None`` stands for a doc that the template cannot write as
-    json.dumps would: one whose nested keys, list lengths or value types
-    are not a report's (``d >= 1`` labels, ``d x d`` lists ``Q`` and ``D``,
-    and scalars of the types in :data:`_JSON_SCALARS`), or that holds a NaN
-    or an infinity.
-    """
-    point, probe, resid = doc["point"], doc["probe"], doc["generator_route_residuals"]
-    labels, d_rows, q_rows = doc["labels"], doc["D"], doc["Q"]
-    if not (type(point) is type(probe) is type(resid) is dict
-            and type(labels) is type(d_rows) is type(q_rows) is list):
-        return None
-    d, rows = len(labels), d_rows + q_rows
-    if not ((len(point), len(probe), len(resid)) == (4, 2, 2) and d >= 1
-            and len(rows) == 2 * d and all(type(row) is list and len(row) == d for row in rows)):
-        return None
-    try:
-        values = [
-            *itertools.chain.from_iterable(rows),
-            doc["c_h"], doc["c_sld"], doc["delta"], doc["det_q"], doc["dim"],
-            resid["numeric_vs_closed"], resid["series_vs_closed"],
-            *labels, doc["model"],
-            point["B"], point["phi"], point["t"], point["theta"],
-            probe["alpha"], probe["phi"], doc["r_ai"], doc["singular"],
-        ]
-        fields = [_JSON_SCALARS[type(value)](value) for value in values]
-    except KeyError:
-        return None
-    if not _NON_FINITE.isdisjoint(fields):
-        return None
-    return _report_template(d) % tuple(fields)
-
-
 def write_json(path, doc) -> None:
-    """Write ``doc`` as sorted, indented JSON, the text of
-    ``json.dumps(doc, sort_keys=True, indent=2)`` and a newline.
+    """Write ``doc`` as ``json.dumps(doc, sort_keys=True)`` and a newline:
+    sorted keys on one line, by CPython's C encoder, which runs only
+    without an indent.
 
-    A report of :func:`metrics_report` is written from a fixed template
-    (:func:`_report_text`): with an indent, CPython's ``json.dumps`` runs
-    its pure-Python encoder, at more than twice the template's cost.  Any
-    other doc goes through ``json.dumps``.  A NaN or infinity has no JSON
-    form: it raises :class:`NumericalFailure`.  A circular reference, a value
-    of no JSON type or keys that cannot be sorted raise :class:`InvalidInput`.
-    Each is raised before the file is opened, so nothing is written.
+    A NaN or infinity has no JSON form: it raises :class:`NumericalFailure`.
+    A circular reference, a value of no JSON type or keys that cannot be
+    sorted raise :class:`InvalidInput`.  Each is raised before the file is
+    opened, so nothing is written.
     """
-    text = _report_text(doc) if type(doc) is dict and doc.keys() == _REPORT_KEYS else None
-    if text is None:
-        encode = functools.partial(json.dumps, doc, sort_keys=True, indent=2)
+    encode = functools.partial(json.dumps, doc, sort_keys=True)
+    try:
+        text = encode(allow_nan=False) + "\n"
+    except TypeError as exc:
+        raise InvalidInput(f"report cannot be written as JSON: {exc}") from None
+    except ValueError as exc:
+        # json.dumps raises ValueError for a non-finite number and for a
+        # circular reference alike: only a doc that encodes once NaN is
+        # allowed held a non-finite number
         try:
-            text = encode(allow_nan=False) + "\n"
-        except TypeError as exc:
+            encode(allow_nan=True)
+        except ValueError:
             raise InvalidInput(f"report cannot be written as JSON: {exc}") from None
-        except ValueError as exc:
-            # json.dumps raises ValueError for a non-finite number and for a
-            # circular reference alike: only a doc that encodes once NaN is
-            # allowed held a non-finite number
-            try:
-                encode(allow_nan=True)
-            except ValueError:
-                raise InvalidInput(f"report cannot be written as JSON: {exc}") from None
-            raise NumericalFailure(f"report holds a non-finite number: {exc}") from exc
+        raise NumericalFailure(f"report holds a non-finite number: {exc}") from exc
     _write_text(path, (text.encode(),))
 
 
@@ -345,8 +250,9 @@ class ScanConfig:
     :class:`ProbeSpec` (the rule of :func:`~spinmetro.models.require_spec`),
     and it sets the dimension.  The grid has 2 or more points per axis and
     at most :data:`MAX_GRID_CELLS` cells; the counts are integers, not
-    bools, and are stored as Python ints.  ``rel_tol`` is checked when the
-    scan runs, by :func:`~spinmetro.metrology.bounds`.
+    bools, and are stored as Python ints.  ``rel_tol`` is a singularity
+    tolerance (the rule of :func:`~spinmetro.linalg.require_tol`), stored
+    as a Python float.
     """
 
     probe: ProbeSpec
@@ -366,6 +272,7 @@ class ScanConfig:
             raise InvalidInput("grid needs at least 2 points per axis")
         if theta_count * b_count > MAX_GRID_CELLS:
             raise InvalidInput(f"grid has {theta_count * b_count} cells, at most {MAX_GRID_CELLS}")
+        object.__setattr__(self, "rel_tol", require_tol(self.rel_tol))
 
 
 @dataclass(frozen=True, eq=False)

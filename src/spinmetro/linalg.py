@@ -367,6 +367,17 @@ def trace_norm(a) -> float:
 SINGULAR_TOL = 1e-10
 
 
+def require_tol(rel_tol) -> float:
+    """``rel_tol`` as a Python float, the tolerance of :func:`singular_mask`:
+    a finite number (the rule of :func:`require_float`) in (0, 1), else
+    :class:`InvalidInput`.  One of 1 or more would flag every matrix
+    except, at most, multiples of the identity."""
+    rel_tol = require_float(rel_tol, "singularity tolerance")
+    if not 0 < rel_tol < 1:
+        raise InvalidInput(f"singularity tolerance must lie in (0, 1), got {rel_tol!r}")
+    return rel_tol
+
+
 def singular_mask(evals, rel_tol: float) -> np.ndarray:
     """Singularity rule for symmetric matrices, over leading axes.
 
@@ -376,14 +387,10 @@ def singular_mask(evals, rel_tol: float) -> np.ndarray:
     below ``rel_tol``.  The threshold is relative on purpose: the matrices
     this package inverts scale with evolution time and probe dimension.
     The sign test matters where ``rel_tol * lambda_max`` underflows to 0:
-    there a zero eigenvalue would pass the ratio test.
-    ``rel_tol`` is a finite number (the rule of :func:`require_float`) in
-    (0, 1), else :class:`InvalidInput`: one of 1 or more would flag every
-    matrix except, at most, multiples of the identity.
+    there a zero eigenvalue would pass the ratio test.  ``rel_tol`` is held
+    to :func:`require_tol`.
     """
-    rel_tol = require_float(rel_tol, "singularity tolerance")
-    if not 0 < rel_tol < 1:
-        raise InvalidInput(f"singularity tolerance must lie in (0, 1), got {rel_tol!r}")
+    rel_tol = require_tol(rel_tol)
     lam_min = evals[..., 0]
     return (lam_min <= 0) | (lam_min < rel_tol * evals[..., -1])
 

@@ -17,7 +17,10 @@ from spinmetro import (
     ModelPoint,
     RankExperimentConfig,
     ScanConfig,
+    bounds,
+    closed_frame,
     fim_rank_experiment,
+    frame_qfim_uhlmann,
     run_scan,
     scaling_table,
 )
@@ -148,6 +151,12 @@ def test_criterion_2_cross_route_consistency():
     assert elapsed < 30.0
 
 
+# Whole grids at N = d + 1 with the balanced probe alpha = pi / 4, whose
+# <J> = 0 gives D = 0: (model_phi, dim, probe phase); a model_phi of None
+# is the two-parameter model.
+COMPATIBLE_GRIDS = ((None, 3, 0.0), (None, 3, 1.0), (0.3, 4, 0.0))
+
+
 # From N = d + 1 = 3 on, the balanced extreme state has <J> = 0, so D = 0,
 # and at this point its Cov, of rank 2 at N = 3, keeps the two-parameter Q
 # regular (det Q 542 and cond Q 17 at N = 3).
@@ -164,10 +173,40 @@ def test_criterion_3_qudit_compatibility_point():
         r = ai_measure(q, d)
         assert r is not None
         worst_r = max(worst_r, r)
+    # Over whole grids at N = d + 1, D is rounding of the moments' <J>,
+    # about eps |Q| in size, and K = D' / sqrt(lam_i lam_j) scales it by at
+    # most 1 / lam_min: R, Delta and (c_h - c_sld) / c_sld are held to
+    # eps cond(Q) on every regular cell, cond(Q) from the scan's own
+    # pipeline, closed_frame and then frame_qfim_uhlmann.
+    eps = np.finfo(float).eps
+    grid_worst = {}
+    excess = 0.0
+    for model_phi, dim, phase in COMPATIBLE_GRIDS:
+        config = ScanConfig(probe=ProbeSpec(dim=dim, alpha=np.pi / 4, phi=phase), t=5.0,
+                            model_phi=model_phi, theta_count=51, b_count=51)
+        result = run_scan(config)
+        frame = closed_frame(np.linspace(0.0, 2 * np.pi / config.t, config.b_count),
+                             np.linspace(0.0, 2 * np.pi, config.theta_count)[:, None],
+                             config.t, model_phi)
+        q, d = frame_qfim_uhlmann(frame.reshape((-1,) + frame.shape[-2:]),
+                                  *config.probe.moments())
+        singular, _, c_sld, c_h, _, _ = bounds(q, d)
+        assert np.array_equal(singular, result.singular)
+        regular = ~singular
+        assert regular.sum() >= 2400
+        lam = np.linalg.eigvalsh(q[regular])
+        bound = eps * lam[:, -1] / lam[:, 0]
+        r, delta = result.r_ai[regular], result.delta[regular]
+        gap = (c_h - c_sld)[regular] / c_sld[regular]
+        excess = max(excess, *(float((x / bound).max()) for x in (r, delta, gap)))
+        grid_worst[dim] = np.maximum(grid_worst.get(dim, 0.0), (r.max(), delta.max()))
     elapsed = time.perf_counter() - start
-    ok = worst_d <= 1e-10 and worst_r <= 1e-8 and elapsed < 5.0
-    verdict(3, ok, f"N = 3..8: |D| max {worst_d:.2e}, R max {worst_r:.2e}, det Q > 0",
-            elapsed, 5)
+    ok = worst_d <= 1e-10 and worst_r <= 1e-8 and excess <= 1.0 and elapsed < 5.0
+    grids = ", ".join(f"N = {dim} R max {r:.2e}, Delta max {delta:.2e}"
+                      for dim, (r, delta) in grid_worst.items())
+    verdict(3, ok, f"N = 3..8 points: |D| max {worst_d:.2e}, R max {worst_r:.2e}, det Q > 0; "
+            f"51^2 grids: {grids}, at most {excess:.2f} eps cond Q", elapsed, 5)
+    assert excess <= 1.0
     assert worst_d <= 1e-10
     assert worst_r <= 1e-8
     assert elapsed < 5.0

@@ -14,17 +14,17 @@ tests only read the files, except that the library example is executed.
 Every file the library writes is opened in one place,
 ``analysis._write_text``, every CSV field is formatted in one place,
 ``analysis._write_csv``, and JSON is formatted by ``analysis.write_json``
-alone, from one report layout.  The report module builds no dense generator
-route: its oracle routes are the su(2) vector forms.  Q^-1 and the
-singular rule are computed in one function, ``linalg.eigh_inverse``, and
-every matrix argument is checked by one rule, ``linalg.require_symmetric``.
-No stacked ``@`` takes a transposed view as an operand, except where a
-named exception says why.  A grid is cut into blocks by one rule,
-``analysis._grid_blocks``, for the scan and the writer alike.  Every field
-of the command configs and every parameter of the scaling and report
-drivers is passed by a command handler of ``cli.py``.  The one thread the
-library starts is ``analysis.run_scan``'s helper, and importing the library
-starts none.
+alone, by one ``json.dumps`` call for every doc.  The report module
+builds no dense generator route: its oracle routes are the su(2) vector
+forms.  Q^-1 and the singular rule are computed in one function,
+``linalg.eigh_inverse``, and every matrix argument is checked by one
+rule, ``linalg.require_symmetric``.  No stacked ``@`` takes a transposed
+view as an operand, except where a named exception says why.  A grid is
+cut into blocks by one rule, ``analysis._grid_blocks``, for the scan and
+the writer alike.  Every field of the command configs and every parameter
+of the scaling and report drivers is passed by a command handler of
+``cli.py``.  The one thread the library starts is ``analysis.run_scan``'s
+helper, and importing the library starts none.
 """
 
 import argparse
@@ -236,46 +236,17 @@ def test_one_place_formats_csv_fields():
     assert stray == []
 
 
-def _skeleton(value):
-    """``value`` with every scalar replaced by ``None``: dict keys and list
-    lengths are kept."""
-    if isinstance(value, dict):
-        return {key: _skeleton(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_skeleton(item) for item in value]
-    return None
-
-
 def test_one_place_formats_json():
-    # json.dumps is called in analysis.write_json alone; the report layout
-    # is one string constant, analysis._REPORT_LAYOUT, and it holds the
-    # keys, nesting and list lengths of metrics_report's dict for both
-    # models, so a new report field fails here until the layout has it.
-    dumps, layouts = [], []
+    # json.dumps is called in analysis.write_json alone, for every doc.
+    dumps = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(), filename=str(path)).body:
             targets = getattr(node, "targets", [])
             name = getattr(node, "name", None) or ",".join(map(ast.unparse, targets))
-            owner = f"{path.stem}.{name}"
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Attribute) and sub.attr == "dumps":
-                    dumps.append(owner)
-                elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
-                      and '"generator_route_residuals"' in sub.value):
-                    layouts.append(owner)
+                    dumps.append(f"{path.stem}.{name}")
     assert dumps == ["analysis.write_json"]
-    assert layouts == ["analysis._REPORT_LAYOUT"]
-    from spinmetro import analysis
-    from spinmetro.encoding import ModelPoint
-    from spinmetro.models import ProbeSpec
-
-    for phi in (None, 1.0):
-        point = ModelPoint(b=0.6, theta=0.8, t=5.0, phi=phi)
-        doc = analysis.metrics_report(ProbeSpec(dim=3, alpha=0.4), point)
-        template = analysis._report_template(point.n_params)
-        laid_out = json.loads(template % (("null",) * template.count("%s")))
-        assert _skeleton(laid_out) == _skeleton(doc)
-        assert laid_out.keys() == analysis._REPORT_KEYS
 
 
 def test_one_inverse_rule():
